@@ -10,19 +10,16 @@ error, 3 enumeration/resource budget exceeded.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
-import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__, analysis, attacks, checks, protocol
 from .analysis.commcplx import BudgetExceeded
-from .qcore.rng import stream
+from .qcore.rng import stream  # noqa: F401  (perfbench/tracing.py wraps qpv.cli.stream)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -97,10 +94,10 @@ def _prover_from_config(config: dict):
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: dict, seed: int, threads: int):
+def cmd_simulate(config: dict, seed: int):
     _require_keys(config, "config",
                   ("protocol", "n", "f", "rounds"),
-                  ("eta", "trials", "prover", "noise_mode", "require_both"))
+                  ("eta", "trials", "prover", "noise_mode"))
     proto = config["protocol"]
     if proto not in protocol.PROTOCOLS:
         raise ConfigError(f"unknown protocol {proto!r}")
@@ -117,50 +114,10 @@ def cmd_simulate(config: dict, seed: int, threads: int):
     if prover == "keep_q":
         prover = attacks.keep_q_attack(f)
     cfg = protocol.NoisyRepeatConfig(rounds=rounds, eta=eta)
-
-    p_round = protocol.constant_round_probability(proto, f, prover, cfg, noise_mode)
-    side = 1 << f.n
-    rows = []
-    accept_counts = np.zeros(trials, dtype=int)
-
-    def run_trial(t):
-        rng_inputs = stream(seed, "inputs", t)
-        xs = rng_inputs.integers(side, size=rounds)
-        ys = rng_inputs.integers(side, size=rounds)
-        if p_round is not None:
-            draws = stream(seed, "round", t).random(rounds)
-            outcomes = draws < p_round
-        else:
-            outcomes = np.zeros(rounds, dtype=bool)
-            for i in range(rounds):
-                run = protocol.RUNNERS[proto](f, int(xs[i]), int(ys[i]), prover,
-                                              seed=stream(seed, "round", t, i))
-                ok = run.accepted
-                if noise_mode == "bernoulli" and isinstance(prover, protocol.Prover):
-                    ok = ok and (stream(seed, "noise", t, i).random() >= eta)
-                outcomes[i] = ok
-        return t, xs, ys, outcomes
-
-    results = []
-    if threads > 1 and trials > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
-    results.sort(key=lambda item: item[0])
-
-    total_rounds = 0
-    total_accepts = 0
-    for t, xs, ys, outcomes in results:
-        accept_counts[t] = int(outcomes.sum())
-        total_rounds += rounds
-        total_accepts += int(outcomes.sum())
-        for i in range(rounds):
-            rows.append((t, i, int(xs[i]), int(ys[i]), int(outcomes[i])))
-
-    threshold_pass = accept_counts > cfg.threshold
-    round_rate = total_accepts / total_rounds
-    thr_rate = float(np.mean(threshold_pass))
+    draws = protocol.draw_trials(cfg, proto, f, prover, seed, trials, noise_mode)
+    accept_counts = draws.accept_counts
+    round_rate = int(accept_counts.sum()) / (rounds * trials)
+    thr_rate = float(np.mean(accept_counts > cfg.threshold))
 
     def ci95(rate, n):
         if n <= 1:
@@ -176,20 +133,26 @@ def cmd_simulate(config: dict, seed: int, threads: int):
         "eta": eta,
         "threshold": cfg.threshold,
         "acceptance_rate": round_rate,
-        "acceptance_rate_ci95": ci95(round_rate, total_rounds),
+        "acceptance_rate_ci95": ci95(round_rate, rounds * trials),
         "threshold_acceptance_rate": thr_rate,
         "threshold_acceptance_rate_ci95": ci95(thr_rate, trials),
-        "per_round_probability": p_round,
+        "per_round_probability": draws.per_round_probability,
     }
-    return summary, rows
+    return summary, draws
 
 
-def _rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("trial,round,x,y,accepted\n")
-    for row in rows:
-        buf.write(",".join(str(v) for v in row) + "\n")
-    return buf.getvalue()
+def _rows_to_csv(draws) -> str:
+    """One ``trial,round,x,y,accepted`` line per round, trial-major."""
+    trials, rounds = draws.accepted.shape
+    side = len(draws.table)
+    # a line is "<trial>,<round>," then one of 2*side^2 tails picked by (x, y, accepted)
+    tails = np.array([f"{x},{y},{a}\n" for x in range(side) for y in range(side)
+                      for a in (0, 1)], dtype=object)
+    picks = tails[(draws.xs * side + draws.ys) * 2 + draws.accepted]
+    round_heads = np.array([f"{i}," for i in range(rounds)], dtype=object)
+    lines = ["trial,round,x,y,accepted\n"]
+    lines += ["".join((f"{t}," + round_heads + picks[t]).tolist()) for t in range(trials)]
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +267,13 @@ def cmd_bounds(config: dict, seed: int):
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(names, seed: int, threads: int):
+def cmd_verify(names, seed: int):
     if names == ["all"]:
         names = list(checks.CHECKS)
     unknown = [n for n in names if n not in checks.CHECKS]
     if unknown:
         raise ConfigError(f"unknown check(s): {unknown}")
-
-    def run(name):
-        return checks.CHECKS[name](seed=seed)
-
-    if threads > 1 and len(names) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, names))
-    else:
-        reports = [run(name) for name in names]
-    return reports
+    return [checks.CHECKS[name](seed=seed) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +292,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config's 'seed' key (default 0)")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     v = sub.add_parser("verify")
     v.add_argument("--suite", default="all",
                    help="comma-separated check names, or 'all'")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
-    v.add_argument("--threads", type=int, default=None)
+    v.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
-
-
-def _resolve_threads(arg) -> int:
-    if arg is not None:
-        return max(1, int(arg))
-    env = os.environ.get("QPV_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _write(path, text: str):
@@ -373,11 +320,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    threads = _resolve_threads(args.threads)
     try:
         if args.command == "verify":
             names = [n.strip() for n in args.suite.split(",") if n.strip()]
-            reports = cmd_verify(names, args.seed, threads)
+            reports = cmd_verify(names, args.seed)
             lines = "\n".join(r.json_line() for r in reports) + "\n"
             _write(args.out, lines)
             return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
@@ -390,12 +336,12 @@ def main(argv=None) -> int:
             config.pop("seed", None)
 
         if args.command == "simulate":
-            summary, rows = cmd_simulate(config, args.seed, threads)
+            summary, draws = cmd_simulate(config, args.seed)
             if args.out:
                 _write(args.out, json.dumps(summary, sort_keys=True) + "\n")
-                _write(args.out + ".csv", _rows_to_csv(rows))
+                _write(args.out + ".csv", _rows_to_csv(draws))
             elif args.format == "csv":
-                _write(None, _rows_to_csv(rows))
+                _write(None, _rows_to_csv(draws))
             else:
                 _write(None, json.dumps(summary, sort_keys=True))
             return EXIT_OK

@@ -10,9 +10,13 @@ from .geometry import (
 )
 from .provers import HONEST, Prover, SyntheticAdversary
 from .repetition import (
+    NOISE_MODES,
     NoisyRepeatConfig,
     RepetitionResult,
+    TrialDraws,
+    acceptance_table,
     constant_round_probability,
+    draw_trials,
     noisy_threshold_trials,
     repeat_sequential,
     run_noisy_threshold,
@@ -26,6 +30,7 @@ from .runs import (
     m2_accept_probability,
     meas_accept_probability,
     route_bb84_accept_probability,
+    round_events,
     route_entangled_accept_probability,
     run_meas,
     run_route_bb84,

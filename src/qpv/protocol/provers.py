@@ -36,10 +36,6 @@ class Prover:
             return 1 - f_value
         return int(self.route_to)
 
-    @property
-    def is_geometric(self) -> bool:
-        return True
-
 
 HONEST = Prover()
 

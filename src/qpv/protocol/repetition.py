@@ -1,4 +1,12 @@
-"""Sequential repetition and the noisy-threshold acceptance rule."""
+"""Sequential repetition and the noisy-threshold acceptance rule.
+
+Every repeated-round path draws from one engine, :func:`draw_trials`.  A
+round's verdict depends only on the protocol, f, the prover, the noise and
+the input pair, so the engine computes the exact per-pair acceptance table
+once and draws each round as a Bernoulli with its pair's entry.  For
+``route_bb84`` the verifier's random preparation is averaged into the entry,
+which leaves the distribution of the verdicts unchanged.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qcore.rng import stream
-from .provers import HONEST, Prover, SyntheticAdversary
-from .runs import RUNNERS, accept_probability
+from .. import qcore as qc
+from .provers import HONEST, Prover
+from .runs import accept_probability, round_events
 
 THRESHOLD_FACTOR = 0.996
 ETA_MAX = 1e-2
+NOISE_MODES = ("bernoulli", "depolarizing")
 
 
 @dataclass(frozen=True)
@@ -38,41 +47,94 @@ class RepetitionResult:
     accepted: bool
 
 
-def _fresh_inputs(f, rng) -> tuple[int, int]:
+@dataclass(frozen=True)
+class TrialDraws:
+    """Inputs and verdicts of every round of every trial, as ``(trials,
+    rounds)`` arrays, and the per-pair acceptance table they were drawn from."""
+
+    table: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    accepted: np.ndarray
+
+    @property
+    def accept_counts(self) -> np.ndarray:
+        return self.accepted.sum(axis=1)
+
+    @property
+    def per_round_probability(self) -> float | None:
+        """The common table entry, or None when acceptance depends on the inputs."""
+        return _constant_entry(self.table)
+
+
+def _constant_entry(table: np.ndarray) -> float | None:
+    if table.max() - table.min() > 1e-12:
+        return None
+    return float(table[0, 0])
+
+
+def acceptance_table(protocol: str, f, prover=HONEST, eta: float = 0.0,
+                     noise_mode: str = "bernoulli") -> np.ndarray:
+    """Exact per-round acceptance probability of every input pair, indexed [x, y].
+
+    An entry is the pass probability, zeroed when the round fails its timing
+    or arrival gate.  Honest-device noise applies to :class:`Prover`
+    instances only: ``bernoulli`` scales the entry by (1 - eta), and
+    ``depolarizing`` depolarizes the travelling qubit, calibrated so that the
+    honest per-round failure is exactly eta (the Bell test detects 3 of the 4
+    twirl branches, the single-basis checks 2 of 4).  Attack strategies and
+    synthetic adversaries take no device noise.
+    """
+    if noise_mode not in NOISE_MODES:
+        raise ValueError(f"unknown noise mode {noise_mode!r}")
+    scale, depolarize = 1.0, 0.0
+    if isinstance(prover, Prover):
+        if noise_mode == "bernoulli":
+            scale = 1.0 - eta
+        else:
+            depolarize = 4 * eta / 3 if protocol == "route_entangled" else 2 * eta
     side = 1 << f.n
-    return int(rng.integers(side)), int(rng.integers(side))
+    table = np.zeros((side, side))
+    for x in range(side):
+        for y in range(side):
+            _, timing_ok, arrival_ok = round_events(protocol, f, x, y, prover)
+            if timing_ok and arrival_ok:
+                table[x, y] = accept_probability(protocol, f, x, y, prover,
+                                                 depolarize=depolarize) * scale
+    return table
 
 
-def repeat_sequential(protocol: str, f, rounds: int, prover=HONEST, seed=0,
-                      **run_kw) -> RepetitionResult:
+def draw_trials(config: NoisyRepeatConfig, protocol: str, f, prover=HONEST, seed=0,
+                trials: int = 1, noise_mode: str = "bernoulli") -> TrialDraws:
+    """Draw ``trials`` independent runs of ``config.rounds`` rounds each.
+
+    Trial t draws its inputs from ``stream(seed, "inputs", t)``, all x and
+    then all y, uniformly.  Round i of trial t accepts when draw i of
+    ``stream(seed, "round", t)`` is below the table entry of its input pair.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    table = acceptance_table(protocol, f, prover, config.eta, noise_mode)
+    side, rounds = len(table), config.rounds
+    xs = np.empty((trials, rounds), dtype=np.int64)
+    ys = np.empty_like(xs)
+    accepted = np.empty((trials, rounds), dtype=bool)
+    for t in range(trials):
+        inputs = qc.stream(seed, "inputs", t)
+        xs[t] = inputs.integers(side, size=rounds)
+        ys[t] = inputs.integers(side, size=rounds)
+        accepted[t] = qc.stream(seed, "round", t).random(rounds) < table[xs[t], ys[t]]
+    return TrialDraws(table, xs, ys, accepted)
+
+
+def repeat_sequential(protocol: str, f, rounds: int, prover=HONEST,
+                      seed=0) -> RepetitionResult:
     """Run ``rounds`` independent rounds with fresh uniform inputs; accept
     only if every round accepts."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    runner = RUNNERS[protocol]
-    outcomes = []
-    for i in range(rounds):
-        x, y = _fresh_inputs(f, stream(seed, "inputs", i))
-        run = runner(f, x, y, prover, seed=stream(seed, "round", i), **run_kw)
-        outcomes.append(run.accepted)
+    config = NoisyRepeatConfig(rounds=rounds, eta=0.0)
+    outcomes = draw_trials(config, protocol, f, prover, seed).accepted[0].tolist()
     count = sum(outcomes)
     return RepetitionResult(tuple(outcomes), count, count == rounds)
-
-
-def _round_outcome(protocol, f, prover, config, rng_inputs, rng_round, rng_noise,
-                   noise_mode) -> bool:
-    x, y = _fresh_inputs(f, rng_inputs)
-    depolarize = 0.0
-    if noise_mode == "depolarizing" and isinstance(prover, Prover):
-        # calibrated so the honest per-round failure is exactly eta: the Bell
-        # test detects 3 of 4 twirl branches, the single-basis checks 2 of 4
-        depolarize = (4 * config.eta / 3 if protocol == "route_entangled"
-                      else 2 * config.eta)
-    run = RUNNERS[protocol](f, x, y, prover, seed=rng_round, depolarize=depolarize)
-    outcome = run.accepted
-    if noise_mode == "bernoulli" and isinstance(prover, Prover):
-        outcome = outcome and (rng_noise.random() >= config.eta)
-    return outcome
 
 
 def run_noisy_threshold(config: NoisyRepeatConfig, protocol: str, f,
@@ -85,65 +147,26 @@ def run_noisy_threshold(config: NoisyRepeatConfig, protocol: str, f,
     corruption of the verdict by default; ``noise_mode='depolarizing'``
     instead degrades the travelling qubit physically.
     """
-    if noise_mode not in ("bernoulli", "depolarizing"):
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
-    outcomes = []
-    for i in range(config.rounds):
-        outcomes.append(_round_outcome(
-            protocol, f, prover, config,
-            stream(seed, "inputs", i), stream(seed, "round", i),
-            stream(seed, "noise", i), noise_mode))
+    outcomes = draw_trials(config, protocol, f, prover, seed,
+                           noise_mode=noise_mode).accepted[0].tolist()
     count = sum(outcomes)
     return RepetitionResult(tuple(outcomes), count, count > config.threshold)
 
 
 def constant_round_probability(protocol: str, f, prover, config: NoisyRepeatConfig,
                                noise_mode: str = "bernoulli"):
-    """Per-round success probability when it does not depend on the inputs.
-
-    Returns None when rounds are genuinely input-dependent, in which case the
-    Monte Carlo helpers fall back to full per-round simulation.
-    """
-    if isinstance(prover, SyntheticAdversary):
-        return prover.p
-    side = 1 << f.n
-    probs = {accept_probability(protocol, f, x, y, prover)
-             for x in range(side) for y in range(side)}
-    if len(probs) > 1 and max(probs) - min(probs) > 1e-12:
-        return None
-    p = probs.pop()
-    if noise_mode == "bernoulli" and isinstance(prover, Prover):
-        p *= (1.0 - config.eta)
-    elif noise_mode == "depolarizing" and isinstance(prover, Prover):
-        p *= 1.0  # depolarizing noise is already part of the round simulation
-    return p
+    """Per-round acceptance probability, noise included, when it does not
+    depend on the inputs; None when it does."""
+    return _constant_entry(acceptance_table(protocol, f, prover, config.eta, noise_mode))
 
 
 def noisy_threshold_trials(config: NoisyRepeatConfig, protocol: str, f,
                            prover=HONEST, seed=0, trials: int = 1000,
                            noise_mode: str = "bernoulli") -> dict:
-    """Monte Carlo acceptance rate of the noisy-threshold protocol.
-
-    When the per-round success probability is input-independent (honest
-    provers, synthetic adversaries) the rounds are exact Bernoulli draws and
-    the trial loop vectorizes; otherwise each round is simulated in full.
-    """
-    p_round = constant_round_probability(protocol, f, prover, config, noise_mode)
-    if p_round is not None:
-        rng = stream(seed, "vectorized")
-        counts = rng.binomial(config.rounds, p_round, size=trials)
-        accepted = counts > config.threshold
-        rate = float(np.mean(accepted))
-    else:
-        flags = []
-        counts = np.empty(trials, dtype=int)
-        for t in range(trials):
-            res = run_noisy_threshold(config, protocol, f, prover,
-                                      seed=stream(seed, "trial", t),
-                                      noise_mode=noise_mode)
-            counts[t] = res.accept_count
-            flags.append(res.accepted)
-        rate = float(np.mean(flags))
+    """Monte Carlo acceptance rate of the noisy-threshold protocol."""
+    draws = draw_trials(config, protocol, f, prover, seed, trials, noise_mode)
+    counts = draws.accept_counts
+    rate = float(np.mean(counts > config.threshold))
     sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
     return {
         "trials": trials,
@@ -153,5 +176,6 @@ def noisy_threshold_trials(config: NoisyRepeatConfig, protocol: str, f,
         "acceptance_rate": rate,
         "rate_sigma": sigma,
         "mean_accept_count": float(np.mean(counts)),
-        "per_round_probability": p_round,
+        "accept_counts": counts.tolist(),
+        "per_round_probability": draws.per_round_probability,
     }

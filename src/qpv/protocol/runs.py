@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import qcore as qc
+from ..attacks.strategy import AttackStrategy
 from .geometry import (
     Geometry,
     SpacetimeEvent,
@@ -66,10 +67,6 @@ def m2_accept_probability(rho) -> float:
     p_1 = float(np.vdot(qc.PHI1_VECTOR, rho @ qc.PHI1_VECTOR).real)
     p_2 = float(np.vdot(qc.PHI2_VECTOR, rho @ qc.PHI2_VECTOR).real)
     return p_omega + 0.5 * (p_1 + p_2)
-
-
-def _is_attack(prover) -> bool:
-    return hasattr(prover, "psi") and hasattr(prover, "kind")
 
 
 def _check_inputs(f, x: int, y: int) -> None:
@@ -130,7 +127,7 @@ def route_entangled_accept_probability(f, x: int, y: int, prover=HONEST,
                                        depolarize: float = 0.0) -> float:
     """Bell-test pass probability, conditional on timing/arrival being valid."""
     _check_inputs(f, x, y)
-    if _is_attack(prover):
+    if isinstance(prover, AttackStrategy):
         from ..attacks import execute_route
         return execute_route(prover, f, x, y)
     if isinstance(prover, SyntheticAdversary):
@@ -146,7 +143,7 @@ def route_bb84_accept_probability(f, x: int, y: int, prover=HONEST,
     """Preparation-basis check pass probability (averaged over preparations
     when ``prep`` is None)."""
     _check_inputs(f, x, y)
-    if _is_attack(prover):
+    if isinstance(prover, AttackStrategy):
         from ..attacks import execute_route_reduced
         rho = execute_route_reduced(prover, f, x, y)
         return 0.0 if rho is None else m2_accept_probability(rho)
@@ -166,7 +163,7 @@ def meas_accept_probability(f, x: int, y: int, prover=HONEST,
                             depolarize: float = 0.0) -> float:
     """Probability that the broadcast bit matches the verifier's measurement."""
     _check_inputs(f, x, y)
-    if _is_attack(prover):
+    if isinstance(prover, AttackStrategy):
         from ..attacks import execute_meas
         return execute_meas(prover, f, x, y)
     if isinstance(prover, SyntheticAdversary):
@@ -206,11 +203,42 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, **kw) ->
 # single rounds
 # ---------------------------------------------------------------------------
 
-def _attack_relay_events(geom: Geometry, x: int, y: int, targets: list[int]) -> list[SpacetimeEvent]:
-    return two_attacker_relay_events(geom, x, y, targets)
+def round_events(protocol: str, f, x: int, y: int, prover=HONEST,
+                 geom: Geometry | None = None, require_both: bool = True):
+    """Event log of one round and its two gates, ``(events, timing_ok, arrival_ok)``.
+
+    Attack strategies and synthetic adversaries relay classically with
+    honest-looking timing, so both gates pass by construction.  A device at
+    the claimed position is timed against the geometry; in the routing
+    protocols it must also send Q to the verifier that f(x, y) names.  The
+    measuring protocol answers both verifiers (``require_both``) or only
+    that one.
+    """
+    geom = geom or Geometry()
+    fxy = f.value(x, y)
+    if protocol == "meas":
+        targets = [0, 1] if require_both else [fxy]
+    else:
+        targets = [prover.destination(fxy) if isinstance(prover, Prover) else fxy]
+    if not isinstance(prover, Prover):
+        return two_attacker_relay_events(geom, x, y, targets), True, True
+    payload = {"classical_bit": True} if protocol == "meas" else {"carries_qubit": True}
+    events = honest_challenge_events(geom, x, y) + response_events(
+        geom, targets, delay=prover.delay, actual_position=prover.actual_position,
+        payload=payload)
+    arrival_ok = protocol == "meas" or targets[0] == fxy
+    return events, timing_check(events, geom), arrival_ok
 
 
-def _finish_run(protocol, f, x, y, events, timing_ok, arrival_ok, prob, rng, details):
+def _finish_run(protocol, f, x, y, prover, geom, prob, rng, require_both=True,
+                **details) -> ProtocolRun:
+    events, timing_ok, arrival_ok = round_events(protocol, f, x, y, prover, geom,
+                                                 require_both)
+    details["f"] = fxy = f.value(x, y)
+    if not isinstance(prover, Prover):
+        details["attack"] = True
+    elif protocol != "meas":
+        details["destination"] = prover.destination(fxy)
     prob = min(max(prob, 0.0), 1.0)
     accepted = bool(timing_ok and arrival_ok and (rng.random() < prob or prob >= 1.0))
     return ProtocolRun(protocol=protocol, n=f.n, f=f, x=x, y=y, events=events,
@@ -221,65 +249,27 @@ def _finish_run(protocol, f, x, y, events, timing_ok, arrival_ok, prob, rng, det
 def run_route_entangled(f, x: int, y: int, prover=HONEST, seed=0,
                         geom: Geometry | None = None, depolarize: float = 0.0) -> ProtocolRun:
     _check_inputs(f, x, y)
-    geom = geom or Geometry()
-    rng = qc.as_generator(seed)
-    fxy = f.value(x, y)
     prob = route_entangled_accept_probability(f, x, y, prover, depolarize)
-    if _is_attack(prover) or isinstance(prover, SyntheticAdversary):
-        events = _attack_relay_events(geom, x, y, [fxy])
-        return _finish_run("route_entangled", f, x, y, events, True, True, prob, rng,
-                           {"f": fxy, "attack": True})
-    dest = prover.destination(fxy)
-    events = honest_challenge_events(geom, x, y) + response_events(
-        geom, [dest], delay=prover.delay, actual_position=prover.actual_position,
-        payload={"carries_qubit": True})
-    t_ok = timing_check(events, geom)
-    arrival_ok = dest == fxy
-    return _finish_run("route_entangled", f, x, y, events, t_ok, arrival_ok,
-                       prob, rng, {"f": fxy, "destination": dest})
+    return _finish_run("route_entangled", f, x, y, prover, geom, prob,
+                       qc.as_generator(seed))
 
 
 def run_route_bb84(f, x: int, y: int, prover=HONEST, seed=0,
                    geom: Geometry | None = None, depolarize: float = 0.0) -> ProtocolRun:
     _check_inputs(f, x, y)
-    geom = geom or Geometry()
     rng = qc.as_generator(seed)
-    fxy = f.value(x, y)
     prep = int(rng.integers(0, 4))
-    if _is_attack(prover) or isinstance(prover, SyntheticAdversary):
-        prob = route_bb84_accept_probability(f, x, y, prover)
-        events = _attack_relay_events(geom, x, y, [fxy])
-        return _finish_run("route_bb84", f, x, y, events, True, True, prob, rng,
-                           {"f": fxy, "prep": prep, "attack": True})
     prob = route_bb84_accept_probability(f, x, y, prover, prep=prep, depolarize=depolarize)
-    dest = prover.destination(fxy)
-    events = honest_challenge_events(geom, x, y) + response_events(
-        geom, [dest], delay=prover.delay, actual_position=prover.actual_position,
-        payload={"carries_qubit": True})
-    t_ok = timing_check(events, geom)
-    arrival_ok = dest == fxy
-    return _finish_run("route_bb84", f, x, y, events, t_ok, arrival_ok, prob, rng,
-                       {"f": fxy, "prep": prep, "destination": dest})
+    return _finish_run("route_bb84", f, x, y, prover, geom, prob, rng, prep=prep)
 
 
 def run_meas(f, x: int, y: int, prover=HONEST, seed=0,
              geom: Geometry | None = None, require_both: bool = True,
              depolarize: float = 0.0) -> ProtocolRun:
     _check_inputs(f, x, y)
-    geom = geom or Geometry()
-    rng = qc.as_generator(seed)
-    fxy = f.value(x, y)
-    targets = [0, 1] if require_both else [fxy]
     prob = meas_accept_probability(f, x, y, prover, depolarize)
-    if _is_attack(prover) or isinstance(prover, SyntheticAdversary):
-        events = _attack_relay_events(geom, x, y, targets)
-        return _finish_run("meas", f, x, y, events, True, True, prob, rng,
-                           {"f": fxy, "attack": True})
-    events = honest_challenge_events(geom, x, y) + response_events(
-        geom, targets, delay=prover.delay, actual_position=prover.actual_position,
-        payload={"classical_bit": True})
-    t_ok = timing_check(events, geom)
-    return _finish_run("meas", f, x, y, events, t_ok, True, prob, rng, {"f": fxy})
+    return _finish_run("meas", f, x, y, prover, geom, prob, qc.as_generator(seed),
+                       require_both)
 
 
 RUNNERS = {

@@ -1,8 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from qpv import analysis as an
+from qpv import attacks as at
 from qpv import cli
+from qpv import protocol as pr
 from qpv.attacks import strategy_from_json
 
 
@@ -65,6 +70,62 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == cli.EXIT_CONFIG
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("extra, needle", [
+    ({"noise_mode": "gaussian"}, "gaussian"),
+    ({"require_both": True}, "require_both"),
+], ids=["noise_mode", "require_both"])
+def test_simulate_rejects_bad_noise_mode_and_dropped_key(tmp_path, capsys, extra, needle):
+    cfg = write_config(tmp_path, "sim.json", {
+        "protocol": "meas", "n": 1, "f": {"kind": "xor", "n": 1},
+        "rounds": 5, **extra,
+    })
+    code, _, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert needle in err
+
+
+def test_depolarizing_honest_rate_library_and_cli(tmp_path, capsys):
+    # calibrated depolarizing noise fails an honest round with probability eta
+    rounds, trials, eta, seed = 200, 50, 0.01, 4
+    cfg = write_config(tmp_path, "sim.json", {
+        "protocol": "route_entangled", "n": 1, "f": {"kind": "xor", "n": 1},
+        "rounds": rounds, "trials": trials, "eta": eta, "noise_mode": "depolarizing",
+    })
+    code, out, _ = run_cli(capsys, "simulate", "--config", cfg, "--seed", str(seed))
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    lib = pr.noisy_threshold_trials(pr.NoisyRepeatConfig(rounds=rounds, eta=eta),
+                                    "route_entangled", an.xor_function(1), seed=seed,
+                                    trials=trials, noise_mode="depolarizing")
+    sigma = math.sqrt(eta * (1 - eta) / (rounds * trials))
+    for p_round, rate in ((doc["per_round_probability"], doc["acceptance_rate"]),
+                          (lib["per_round_probability"], lib["mean_accept_count"] / rounds)):
+        assert p_round == pytest.approx(1 - eta, abs=1e-12)
+        assert abs(rate - (1 - eta)) <= 4 * sigma
+
+
+def test_keep_q_counts_library_matches_cli(tmp_path, capsys):
+    rounds, trials, seed = 100, 5, 6
+    cfg = write_config(tmp_path, "sim.json", {
+        "protocol": "route_bb84", "n": 2, "f": {"kind": "ip", "n": 2},
+        "rounds": rounds, "trials": trials, "prover": {"kind": "keep_q"},
+    })
+    out_path = tmp_path / "res.json"
+    code, _, _ = run_cli(capsys, "simulate", "--config", cfg, "--seed", str(seed),
+                         "--out", str(out_path))
+    assert code == cli.EXIT_OK
+    cli_counts = np.zeros(trials, dtype=int)
+    for line in (tmp_path / "res.json.csv").read_text().splitlines()[1:]:
+        trial, _, _, _, accepted = map(int, line.split(","))
+        cli_counts[trial] += accepted
+    ip2 = an.ip_function(2)
+    lib = pr.noisy_threshold_trials(pr.NoisyRepeatConfig(rounds=rounds, eta=0.0),
+                                    "route_bb84", ip2, at.keep_q_attack(ip2),
+                                    seed=seed, trials=trials)
+    assert lib["per_round_probability"] is None
+    assert lib["accept_counts"] == cli_counts.tolist()
 
 
 def test_simulate_missing_config_file(capsys):

@@ -186,6 +186,15 @@ def test_noisy_threshold_trials_vectorized_matches_slow():
     assert fast["acceptance_rate"] == pytest.approx(0.99 ** 30, abs=4 * fast["rate_sigma"] + 0.02)
 
 
+@pytest.mark.parametrize("prover", [pr.Prover(route_to="swapped"), pr.Prover(delay=0.1)])
+def test_repetition_gates_timing_and_arrival(prover):
+    cfg = pr.NoisyRepeatConfig(rounds=20, eta=0.0)
+    # the qubit itself arrives intact; only the gates reject
+    assert pr.accept_probability("route_entangled", XOR, 0, 1, prover) == pytest.approx(1.0, abs=1e-12)
+    res = pr.noisy_threshold_trials(cfg, "route_entangled", XOR, prover, seed=3, trials=5)
+    assert res["per_round_probability"] == 0.0 and res["mean_accept_count"] == 0.0
+
+
 def test_depolarizing_noise_mode():
     # calibrated so the honest per-round failure equals eta in every protocol
     eta = 0.01

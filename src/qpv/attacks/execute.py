@@ -1,4 +1,9 @@
-"""Exact executors for attack strategies, plus built-in baseline attacks."""
+"""Exact executors for attack strategies, plus built-in baseline attacks.
+
+The per-pair kernels act on raw state vectors.  The executor, the see-saw
+optimizer and the recovery-set oracle all score strategies through them, so
+every path evaluates one input pair with the same arithmetic.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +23,61 @@ from .strategy import (
 
 ENUMERATION_LIMIT_N = 4
 
+BELL_PROJECTOR = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
+
+
+def returned_register(value: int) -> str:
+    """Register whose qubit the verifier named by f(x, y) = value receives."""
+    return "A" if value == 0 else "B"
+
+
+def after_locals(vec, layout, alice, bob):
+    """Alice's, then Bob's local unitary."""
+    vec = qc.apply_vector_matrix(vec, layout, alice, ALICE_LOCAL)
+    return qc.apply_vector_matrix(vec, layout, bob, BOB_LOCAL)
+
+
+def route_finale(vec, layout, k, l):
+    """Recovery K on Alice's finale registers, then L on Bob's."""
+    vec = qc.apply_vector_matrix(vec, layout, k, ALICE_FINAL)
+    return qc.apply_vector_matrix(vec, layout, l, BOB_FINAL)
+
+
+def bell_overlap(vec, layout, ret) -> float:
+    """Bell-test pass probability <Omega|rho_{R,ret}|Omega>."""
+    return qc.expectation(qc.BELL_VECTOR, qc.reduced_outer(vec, vec, layout, ("R", ret)))
+
+
+def bell_effect(vec, layout, ret):
+    """M|v> with M the Bell projector on (R, ret)."""
+    return qc.apply_vector_matrix(vec, layout, BELL_PROJECTOR, ("R", ret))
+
+
+def meas_branches(vec, layout, theta, pi, sigma):
+    """P_z E^A_z E^B_z |v> for z = 0, 1: the verifier reads z in basis theta
+    and both attackers report z (effects pi, sigma for z = 0).  Their sum is
+    G|v>, the measuring effect, and the pair's success is <v|G|v>."""
+    branches = []
+    for proj, ea, eb in zip(qc.basis_projectors(theta),
+                            (pi, np.eye(pi.shape[0]) - pi),
+                            (sigma, np.eye(sigma.shape[0]) - sigma)):
+        w = qc.apply_vector_matrix(vec, layout, proj, ("R",))
+        w = qc.apply_vector_matrix(w, layout, ea, ALICE_FINAL)
+        branches.append(qc.apply_vector_matrix(w, layout, eb, BOB_FINAL))
+    return branches
+
+
+def pair_success(vec, layout, kind, value, alice, bob, finale) -> float:
+    """Success of a two-phase strategy on one input pair, from the pre-shared
+    vector.  ``value`` is f(x, y); ``finale`` is (K, L) for routing and the
+    effects (pi, sigma) for measuring."""
+    vec = after_locals(vec, layout, alice, bob)
+    if kind == "route":
+        return bell_overlap(route_finale(vec, layout, *finale), layout,
+                            returned_register(value))
+    return sum(float(np.vdot(vec, w).real)
+               for w in meas_branches(vec, layout, value, *finale))
+
 
 def _check_pair(strategy: AttackStrategy, f, x: int, y: int) -> None:
     if f.n != strategy.n:
@@ -27,36 +87,53 @@ def _check_pair(strategy: AttackStrategy, f, x: int, y: int) -> None:
         raise ValueError(f"inputs must be {f.n}-bit strings")
 
 
-def _post_exchange_state(strategy: AttackStrategy, x: int, y: int) -> qc.QuantumState:
-    state = strategy.psi
-    state = qc.apply_matrix(state, strategy.alice_unitary(x), ALICE_LOCAL)
-    state = qc.apply_matrix(state, strategy.bob_unitary(y), BOB_LOCAL)
-    return state
-
-
-def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
-    """Reduced two-qubit state on (R, returned register) or None if the
-    routed qubit is absent at the responsible verifier."""
+def _check_route(strategy: AttackStrategy, f, x: int, y: int) -> str:
     if strategy.kind != "route":
         raise ValueError("not a routing strategy")
     _check_pair(strategy, f, x, y)
     if strategy.layout.width("A") != 1:
         raise ValueError("routing execution needs 1-qubit A and B registers")
-    ret = "A" if f.value(x, y) == 0 else "B"
+    return returned_register(f.value(x, y))
+
+
+def _psi_components(psi: qc.QuantumState):
+    """(w_i, v_i) with psi = sum_i w_i |v_i><v_i|; success is linear in psi."""
+    if psi.kind == "pure":
+        return [(1.0, np.asarray(psi.data))]
+    vals, vecs = np.linalg.eigh(np.asarray(psi.data))
+    return [(float(w), np.ascontiguousarray(v)) for w, v in zip(vals, vecs.T) if w != 0.0]
+
+
+def _strategy_success(strategy: AttackStrategy, f, x: int, y: int) -> float:
+    finale = ((strategy.recovery_k(x, y), strategy.recovery_l(x, y))
+              if strategy.kind == "route" else strategy.measurement_effects(x, y))
+    args = (strategy.layout, strategy.kind, f.value(x, y), strategy.alice_unitary(x),
+            strategy.bob_unitary(y), finale)
+    return sum(w * pair_success(vec, *args) for w, vec in _psi_components(strategy.psi))
+
+
+def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
+    """Reduced two-qubit state on (R, returned register) or None if the
+    routed qubit is absent at the responsible verifier."""
+    ret = _check_route(strategy, f, x, y)
     if not strategy.holds_qubit(x, y, ret):
         return None
-    state = _post_exchange_state(strategy, x, y)
-    state = qc.apply_matrix(state, strategy.recovery_k(x, y), ALICE_FINAL)
-    state = qc.apply_matrix(state, strategy.recovery_l(x, y), BOB_FINAL)
-    return qc.partial_trace(state, ("R", ret))
+    layout = strategy.layout
+    alice, bob = strategy.alice_unitary(x), strategy.bob_unitary(y)
+    k, l = strategy.recovery_k(x, y), strategy.recovery_l(x, y)
+    rho = 0.0
+    for w, vec in _psi_components(strategy.psi):
+        vec = route_finale(after_locals(vec, layout, alice, bob), layout, k, l)
+        rho = rho + w * qc.reduced_outer(vec, vec, layout, ("R", ret))
+    return qc.mixed_state(layout.restricted("R", ret), rho)
 
 
 def execute_route(strategy: AttackStrategy, f, x: int, y: int) -> float:
     """Probability that the Bell test on (R, returned qubit) accepts."""
-    rho = execute_route_reduced(strategy, f, x, y)
-    if rho is None:
+    ret = _check_route(strategy, f, x, y)
+    if not strategy.holds_qubit(x, y, ret):
         return 0.0
-    return float(np.vdot(qc.BELL_VECTOR, rho.density() @ qc.BELL_VECTOR).real)
+    return _strategy_success(strategy, f, x, y)
 
 
 def execute_meas(strategy: AttackStrategy, f, x: int, y: int) -> float:
@@ -65,35 +142,7 @@ def execute_meas(strategy: AttackStrategy, f, x: int, y: int) -> float:
     if strategy.kind != "meas":
         raise ValueError("not a measuring strategy")
     _check_pair(strategy, f, x, y)
-    theta = f.value(x, y)
-    state = _post_exchange_state(strategy, x, y)
-    pi, sigma = strategy.measurement_effects(x, y)
-    alice_effects = (pi, np.eye(pi.shape[0]) - pi)
-    bob_effects = (sigma, np.eye(sigma.shape[0]) - sigma)
-    projectors = qc.basis_projectors(theta)
-    total = 0.0
-    if state.kind == "pure":
-        vec = np.asarray(state.data)
-        for z in (0, 1):
-            out = qc.apply_vector_matrix(vec, state.layout, projectors[z], ("R",))
-            out = qc.apply_vector_matrix(out, state.layout, alice_effects[z], ALICE_FINAL)
-            out = qc.apply_vector_matrix(out, state.layout, bob_effects[z], BOB_FINAL)
-            total += float(np.vdot(vec, out).real)
-        return total
-    for z in (0, 1):
-        total += _mixed_joint_probability(state, projectors[z], alice_effects[z],
-                                          bob_effects[z])
-    return total
-
-
-def _mixed_joint_probability(state, proj, alice_effect, bob_effect) -> float:
-    n = state.layout.total_qubits
-    rho = np.asarray(state.data)
-    flat = rho.reshape(-1)
-    for mat, regs in ((proj, ("R",)), (alice_effect, ALICE_FINAL), (bob_effect, BOB_FINAL)):
-        qubits = [q + n for q in state.layout.positions(*regs)]
-        flat = qc.apply_on_qubits(flat, 2 * n, np.asarray(mat, dtype=complex), qubits)
-    return float(np.trace(flat.reshape(rho.shape)).real)
+    return _strategy_success(strategy, f, x, y)
 
 
 def execute(strategy: AttackStrategy, f, x: int, y: int) -> float:
@@ -102,14 +151,13 @@ def execute(strategy: AttackStrategy, f, x: int, y: int) -> float:
     return execute_meas(strategy, f, x, y)
 
 
-def epsilon_l_report(strategy: AttackStrategy, f, eps: float | None = None) -> AttackReport:
+def epsilon_l_report(strategy: AttackStrategy, f) -> AttackReport:
     """Exhaustive per-pair success over all 4^n input pairs (n <= 4)."""
     if f.n > ENUMERATION_LIMIT_N:
         raise ValueError(f"exhaustive enumeration capped at n={ENUMERATION_LIMIT_N}")
     per_pair = {(x, y): execute(strategy, f, x, y) for x, y in f.pairs()}
-    report = AttackReport(n=f.n, per_pair=per_pair,
-                          average=float(np.mean(list(per_pair.values()))))
-    return report
+    return AttackReport(n=f.n, per_pair=per_pair,
+                        average=float(np.mean(list(per_pair.values()))))
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
                 w = qc.apply_on_qubits(w, n, qc.Z, [exit_q])
         keep = sorted([r_q, exit_q])
         rho = _reduced_on_qubits(w, n, keep)
-        total += float(np.vdot(qc.BELL_VECTOR, rho @ qc.BELL_VECTOR).real)
+        total += qc.expectation(qc.BELL_VECTOR, rho)
     return total
 
 

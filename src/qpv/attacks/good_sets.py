@@ -12,15 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import qcore as qc
-from .seesaw import polar_unitary
+from .execute import bell_overlap
+from .seesaw import recovery_step
 from .strategy import ALICE_FINAL, BOB_FINAL, attack_layout
 
 ROUTE_SIDES = {"S0": (ALICE_FINAL, "A"), "S1": (BOB_FINAL, "B")}
-
-
-def _bell_fidelity_sq(vec, layout, ret):
-    rho = qc.reduced_outer(vec, vec, layout, ("R", ret))
-    return float(np.vdot(qc.BELL_VECTOR, rho @ qc.BELL_VECTOR).real)
 
 
 def best_recovery_distance(state: qc.QuantumState, which: str,
@@ -34,7 +30,6 @@ def best_recovery_distance(state: qc.QuantumState, which: str,
     layout = state.layout
     vec = np.asarray(state.data)
     dim = layout.subdim(*regs)
-    bell = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
     best_f2, best_u = -1.0, np.eye(dim, dtype=complex)
     for r in range(restarts + 1):
         u = (np.eye(dim, dtype=complex) if r == 0
@@ -42,16 +37,13 @@ def best_recovery_distance(state: qc.QuantumState, which: str,
         score = None
         for _ in range(iters):
             moved = qc.apply_vector_matrix(vec, layout, u, regs)
-            f2 = _bell_fidelity_sq(moved, layout, ret)
+            f2 = bell_overlap(moved, layout, ret)
             if score is not None and f2 - score < tol:
                 score = f2
                 break
             score = f2
-            graded = qc.apply_vector_matrix(moved, layout, bell, ("R", ret))
-            grad = qc.reduced_outer(graded, vec, layout, regs, order="given")
-            cand = polar_unitary(grad)
-            moved_c = qc.apply_vector_matrix(vec, layout, cand, regs)
-            if _bell_fidelity_sq(moved_c, layout, ret) >= f2:
+            cand, cand_f2 = recovery_step(vec, moved, layout, regs, ret)
+            if cand_f2 >= f2:
                 u = cand
         if score > best_f2:
             best_f2, best_u = score, u

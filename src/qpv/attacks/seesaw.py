@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import qcore as qc
-from .execute import epsilon_l_report
+from .execute import (
+    after_locals,
+    bell_effect,
+    bell_overlap,
+    epsilon_l_report,
+    meas_branches,
+    pair_success,
+    returned_register,
+    route_finale,
+)
 from .strategy import (
     ALICE_FINAL,
     ALICE_LOCAL,
@@ -52,6 +61,15 @@ def helstrom_effect(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return pos @ pos.conj().T
 
 
+def recovery_step(vec, moved, layout, regs, ret):
+    """Polar factor of the Bell-overlap gradient for the recovery unitary on
+    ``regs`` (``moved`` is ``vec`` under the current one), and its overlap."""
+    grad = qc.reduced_outer(bell_effect(moved, layout, ret), vec, layout, regs,
+                            order="given")
+    cand = polar_unitary(grad)
+    return cand, bell_overlap(qc.apply_vector_matrix(vec, layout, cand, regs), layout, ret)
+
+
 class _Work:
     """Mutable optimization state; frozen into an AttackStrategy at the end."""
 
@@ -78,136 +96,86 @@ class _Work:
             self.pi = {p: random_effect(dka, rng) for p in self.pairs}
             self.sigma = {p: random_effect(dkb, rng) for p in self.pairs}
 
-    # -- state propagation helpers (raw vectors) ---------------------------
+    # -- per-pair evaluation (shared kernels in .execute) -------------------
 
     def _apply(self, vec, mat, regs, dagger=False):
         m = mat.conj().T if dagger else mat
         return qc.apply_vector_matrix(vec, self.layout, m, regs)
 
-    def after_locals(self, x, y, psi=None):
-        vec = self.psi if psi is None else psi
-        vec = self._apply(vec, self.alice[x], ALICE_LOCAL)
-        vec = self._apply(vec, self.bob[y], BOB_LOCAL)
-        return vec
+    def _after_locals(self, x, y):
+        return after_locals(self.psi, self.layout, self.alice[x], self.bob[y])
 
-    def ret_register(self, x, y):
-        return "A" if self.f.value(x, y) == 0 else "B"
-
-    def pair_success(self, x, y, psi=None):
-        vec = self.after_locals(x, y, psi)
+    def _finale(self, x, y):
         if self.kind == "route":
-            vec = self._apply(vec, self.k_final[(x, y)], ALICE_FINAL)
-            vec = self._apply(vec, self.l_final[(x, y)], BOB_FINAL)
-            rho = qc.reduced_outer(vec, vec, self.layout, ("R", self.ret_register(x, y)))
-            return float(np.vdot(qc.BELL_VECTOR, rho @ qc.BELL_VECTOR).real)
-        theta = self.f.value(x, y)
-        pi, sg = self.pi[(x, y)], self.sigma[(x, y)]
-        total = 0.0
-        for z, (ea, eb) in enumerate(((pi, sg), (np.eye(pi.shape[0]) - pi,
-                                                 np.eye(sg.shape[0]) - sg))):
-            out = self._apply(vec, qc.basis_projectors(theta)[z], ("R",))
-            out = self._apply(out, ea, ALICE_FINAL)
-            out = self._apply(out, eb, BOB_FINAL)
-            total += float(np.vdot(vec, out).real)
-        return total
+            return self.k_final[(x, y)], self.l_final[(x, y)]
+        return self.pi[(x, y)], self.sigma[(x, y)]
+
+    def successes(self, pairs, psi=None):
+        vec = self.psi if psi is None else psi
+        return [pair_success(vec, self.layout, self.kind, self.f.value(x, y),
+                             self.alice[x], self.bob[y], self._finale(x, y))
+                for x, y in pairs]
 
     def average(self, psi=None):
-        return float(np.mean([self.pair_success(x, y, psi) for x, y in self.pairs]))
+        return float(np.mean(self.successes(self.pairs, psi)))
 
     # -- sweep updates ------------------------------------------------------
 
-    def _bell_effect(self, vec, x, y):
-        """M |v> with M the Bell projector on (R, returned register)."""
-        ret = self.ret_register(x, y)
-        bell = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
-        return self._apply(vec, bell, ("R", ret))
-
-    def _meas_effect(self, vec, x, y):
-        """G |v> with G = sum_z P_z E^A_z E^B_z for the current effects."""
-        theta = self.f.value(x, y)
-        pi, sg = self.pi[(x, y)], self.sigma[(x, y)]
-        out = np.zeros_like(vec)
-        for z, (ea, eb) in enumerate(((pi, sg), (np.eye(pi.shape[0]) - pi,
-                                                 np.eye(sg.shape[0]) - sg))):
-            w = self._apply(vec, qc.basis_projectors(theta)[z], ("R",))
-            w = self._apply(w, ea, ALICE_FINAL)
-            w = self._apply(w, eb, BOB_FINAL)
-            out += w
-        return out
-
     def update_recovery(self, sub_iters=3):
         for (x, y) in self.pairs:
-            ret = self.ret_register(x, y)
-            regs, table = ((ALICE_FINAL, self.k_final) if ret == "A"
-                           else (BOB_FINAL, self.l_final))
-            vec = self.after_locals(x, y)
-            if ret == "A":
-                vec = self._apply(vec, self.l_final[(x, y)], BOB_FINAL)
-            else:
-                vec = self._apply(vec, self.k_final[(x, y)], ALICE_FINAL)
+            ret = returned_register(self.f.value(x, y))
+            regs, table, other_regs, other = (
+                (ALICE_FINAL, self.k_final, BOB_FINAL, self.l_final) if ret == "A"
+                else (BOB_FINAL, self.l_final, ALICE_FINAL, self.k_final))
+            vec = self._apply(self._after_locals(x, y), other[(x, y)], other_regs)
             current = table[(x, y)]
-            score = self._recovery_score(vec, current, regs, x, y)
+            score = bell_overlap(self._apply(vec, current, regs), self.layout, ret)
             for _ in range(sub_iters):
                 moved = self._apply(vec, current, regs)
-                grad = qc.reduced_outer(self._bell_effect(moved, x, y), vec,
-                                        self.layout, regs, order="given")
-                cand = polar_unitary(grad)
-                cand_score = self._recovery_score(vec, cand, regs, x, y)
+                cand, cand_score = recovery_step(vec, moved, self.layout, regs, ret)
                 if cand_score > score + 1e-15:
                     current, score = cand, cand_score
                 else:
                     break
             table[(x, y)] = current
 
-    def _recovery_score(self, vec, mat, regs, x, y):
-        moved = self._apply(vec, mat, regs)
-        rho = qc.reduced_outer(moved, moved, self.layout, ("R", self.ret_register(x, y)))
-        return float(np.vdot(qc.BELL_VECTOR, rho @ qc.BELL_VECTOR).real)
-
     def update_effects(self):
         for (x, y) in self.pairs:
-            theta = self.f.value(x, y)
-            vec = self.after_locals(x, y)
-            proj = qc.basis_projectors(theta)
-            # Alice: D_z on her finale registers with Bob's effect fixed
-            sg = self.sigma[(x, y)]
-            d = []
-            for z, eb in enumerate((sg, np.eye(sg.shape[0]) - sg)):
-                w = self._apply(vec, proj[z], ("R",))
-                w = self._apply(w, eb, BOB_FINAL)
-                d.append(qc.reduced_outer(w, vec, self.layout, ALICE_FINAL, order="given"))
-            self.pi[(x, y)] = helstrom_effect(d[0], d[1])
-            # Bob with Alice's fresh effect fixed
-            pi = self.pi[(x, y)]
-            d = []
-            for z, ea in enumerate((pi, np.eye(pi.shape[0]) - pi)):
-                w = self._apply(vec, proj[z], ("R",))
-                w = self._apply(w, ea, ALICE_FINAL)
-                d.append(qc.reduced_outer(w, vec, self.layout, BOB_FINAL, order="given"))
-            self.sigma[(x, y)] = helstrom_effect(d[0], d[1])
+            vec = self._after_locals(x, y)
+            proj = qc.basis_projectors(self.f.value(x, y))
+            # each side's D_z on its finale registers with the other side's
+            # effect fixed; Bob sees Alice's fresh effect
+            for mine, regs, other, other_regs in ((self.pi, ALICE_FINAL, self.sigma, BOB_FINAL),
+                                                  (self.sigma, BOB_FINAL, self.pi, ALICE_FINAL)):
+                e = other[(x, y)]
+                d = []
+                for z, eo in enumerate((e, np.eye(e.shape[0]) - e)):
+                    w = self._apply(vec, proj[z], ("R",))
+                    w = self._apply(w, eo, other_regs)
+                    d.append(qc.reduced_outer(w, vec, self.layout, regs, order="given"))
+                mine[(x, y)] = helstrom_effect(d[0], d[1])
 
     def _pair_effect_after_locals(self, vec, x, y):
         """Effective measurement sandwiched by the finale for one pair."""
+        value = self.f.value(x, y)
         if self.kind == "route":
-            w = self._apply(vec, self.k_final[(x, y)], ALICE_FINAL)
-            w = self._apply(w, self.l_final[(x, y)], BOB_FINAL)
-            w = self._bell_effect(w, x, y)
-            w = self._apply(w, self.l_final[(x, y)], BOB_FINAL, dagger=True)
-            return self._apply(w, self.k_final[(x, y)], ALICE_FINAL, dagger=True)
-        w = self._meas_effect(vec, x, y)
-        return w
+            k, l = self._finale(x, y)
+            w = bell_effect(route_finale(vec, self.layout, k, l), self.layout,
+                            returned_register(value))
+            w = self._apply(w, l, BOB_FINAL, dagger=True)
+            return self._apply(w, k, ALICE_FINAL, dagger=True)
+        return sum(meas_branches(vec, self.layout, value, *self._finale(x, y)))
 
     def update_local(self, who):
         table, regs = ((self.alice, ALICE_LOCAL) if who == "alice"
                        else (self.bob, BOB_LOCAL))
-        side_inputs = range(self.side)
-        for val in side_inputs:
+        for val in range(self.side):
             pair_list = ([(val, y) for y in range(self.side)] if who == "alice"
                          else [(x, val) for x in range(self.side)])
-            old_score = sum(self.pair_success(x, y) for x, y in pair_list)
+            old_score = sum(self.successes(pair_list))
             grad = np.zeros((self.layout.subdim(*regs),) * 2, dtype=complex)
             for (x, y) in pair_list:
-                vec = self.after_locals(x, y)
+                vec = self._after_locals(x, y)
                 eff = self._pair_effect_after_locals(vec, x, y)
                 other = (self.bob[y], BOB_LOCAL) if who == "alice" else (self.alice[x], ALICE_LOCAL)
                 back = self._apply(eff, other[0], other[1], dagger=True)
@@ -215,7 +183,7 @@ class _Work:
             cand = polar_unitary(grad)
             old = table[val]
             table[val] = cand
-            new_score = sum(self.pair_success(x, y) for x, y in pair_list)
+            new_score = sum(self.successes(pair_list))
             if new_score < old_score - 1e-15:
                 table[val] = old
 
@@ -225,8 +193,7 @@ class _Work:
         def hmat_vec(v):
             out = np.zeros_like(v)
             for (x, y) in self.pairs:
-                w = self._apply(v, self.alice[x], ALICE_LOCAL)
-                w = self._apply(w, self.bob[y], BOB_LOCAL)
+                w = after_locals(v, self.layout, self.alice[x], self.bob[y])
                 w = self._pair_effect_after_locals(w, x, y)
                 w = self._apply(w, self.bob[y], BOB_LOCAL, dagger=True)
                 w = self._apply(w, self.alice[x], ALICE_LOCAL, dagger=True)
@@ -256,13 +223,11 @@ class _Work:
 
     def freeze(self) -> AttackStrategy:
         psi = qc.QuantumState(self.layout, "pure", self.psi / np.linalg.norm(self.psi))
-        if self.kind == "route":
-            return AttackStrategy(kind="route", n=self.f.n, layout=self.layout,
-                                  psi=psi, alice=dict(self.alice), bob=dict(self.bob),
-                                  k_final=dict(self.k_final), l_final=dict(self.l_final))
-        return AttackStrategy(kind="meas", n=self.f.n, layout=self.layout, psi=psi,
-                              alice=dict(self.alice), bob=dict(self.bob),
-                              pi_effect=dict(self.pi), sigma_effect=dict(self.sigma))
+        finale = (dict(k_final=dict(self.k_final), l_final=dict(self.l_final))
+                  if self.kind == "route" else
+                  dict(pi_effect=dict(self.pi), sigma_effect=dict(self.sigma)))
+        return AttackStrategy(kind=self.kind, n=self.f.n, layout=self.layout, psi=psi,
+                              alice=dict(self.alice), bob=dict(self.bob), **finale)
 
 
 @dataclass(frozen=True)
@@ -291,6 +256,8 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
     ``fix_psi`` pins the pre-shared state (e.g. the unentangled product
     state) and restricts the search to unitaries and measurements.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     a, at, ac = split if split is not None else default_split(q)
     layout = attack_layout(a=a, at=at, ac=ac)
     if fix_psi is not None and fix_psi.layout.dim != layout.dim:

@@ -20,9 +20,6 @@ BOB_LOCAL = ("B", "Bt", "Bc")
 ALICE_FINAL = ("A", "At", "Bc")     # after swapping Ac <-> Bc
 BOB_FINAL = ("B", "Bt", "Ac")
 
-UNITARY_TOL = 1e-10
-EFFECT_TOL = 1e-10
-
 
 def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
                   b: int | None = None, bt: int | None = None,
@@ -33,27 +30,6 @@ def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
     bc = ac if bc is None else bc
     return qc.RegisterLayout([("R", 1), ("A", a), ("At", at), ("Ac", ac),
                               ("B", b), ("Bt", bt), ("Bc", bc)])
-
-
-def _check_unitary_family(name, family, dim):
-    for key, mat in family.items():
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"{name}[{key}] must be {dim}x{dim}")
-        if np.linalg.norm(mat.conj().T @ mat - np.eye(dim)) > UNITARY_TOL:
-            raise ValueError(f"{name}[{key}] is not unitary")
-
-
-def _check_effect_family(name, family, dim):
-    for key, mat in family.items():
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"{name}[{key}] must be {dim}x{dim}")
-        if np.max(np.abs(mat - mat.conj().T)) > EFFECT_TOL:
-            raise ValueError(f"{name}[{key}] is not Hermitian")
-        vals = np.linalg.eigvalsh(mat)
-        if vals.min() < -EFFECT_TOL or vals.max() > 1 + EFFECT_TOL:
-            raise ValueError(f"{name}[{key}] is not an effect (0 <= E <= I)")
 
 
 @dataclass
@@ -95,20 +71,27 @@ class AttackStrategy:
             raise ValueError("Alice and Bob must hold equally many qubits")
         if self.psi.layout.dim != self.layout.dim:
             raise ValueError("psi does not live on the strategy layout")
-        _check_unitary_family("alice", self.alice, self.layout.subdim(*ALICE_LOCAL))
-        _check_unitary_family("bob", self.bob, self.layout.subdim(*BOB_LOCAL))
+        families = [("alice", self.alice, ALICE_LOCAL, qc.check_unitary),
+                    ("bob", self.bob, BOB_LOCAL, qc.check_unitary)]
         if self.kind == "route":
-            _check_unitary_family("k_final", self.k_final, self.layout.subdim(*ALICE_FINAL))
-            _check_unitary_family("l_final", self.l_final, self.layout.subdim(*BOB_FINAL))
             if self.pi_effect or self.sigma_effect:
                 raise ValueError("routing strategies carry no measurement finale")
+            families += [("k_final", self.k_final, ALICE_FINAL, qc.check_unitary),
+                         ("l_final", self.l_final, BOB_FINAL, qc.check_unitary)]
         else:
             if self.k_final or self.l_final:
                 raise ValueError("measuring strategies carry no recovery unitaries")
             if self.pi_effect is None or self.sigma_effect is None:
                 raise ValueError("measuring strategies need pi/sigma effects")
-            _check_effect_family("pi_effect", self.pi_effect, self.layout.subdim(*ALICE_FINAL))
-            _check_effect_family("sigma_effect", self.sigma_effect, self.layout.subdim(*BOB_FINAL))
+            families += [("pi_effect", self.pi_effect, ALICE_FINAL, qc.check_effect),
+                         ("sigma_effect", self.sigma_effect, BOB_FINAL, qc.check_effect)]
+        for name, family, regs, check in families:
+            dim = self.layout.subdim(*regs)
+            for key, mat in family.items():
+                mat = np.asarray(mat, dtype=complex)
+                if mat.shape != (dim, dim):
+                    raise ValueError(f"{name}[{key}] must be {dim}x{dim}")
+                check(mat, f"{name}[{key}]")
 
     @property
     def alice_qubits(self) -> int:

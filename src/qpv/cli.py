@@ -180,7 +180,7 @@ def cmd_attack_optimize(config: dict, seed: int):
                                         alice=parse_matching(gh_spec["alice"]),
                                         bob=parse_matching(gh_spec["bob"]))
         strategy = attacks.compile_gardenhose(gh)
-        report = attacks.epsilon_l_report(strategy, f, eps)
+        report = attacks.epsilon_l_report(strategy, f)
         extra = {"gardenhose_computes_f": attacks.computes(gh, f)}
     else:
         kind = config.get("kind", "route")
@@ -268,12 +268,7 @@ def cmd_bounds(config: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(names, seed: int):
-    if names == ["all"]:
-        names = list(checks.CHECKS)
-    unknown = [n for n in names if n not in checks.CHECKS]
-    if unknown:
-        raise ConfigError(f"unknown check(s): {unknown}")
-    return [checks.CHECKS[name](seed=seed) for name in names]
+    return checks.run_checks(None if names == ["all"] else names, seed=seed)
 
 
 # ---------------------------------------------------------------------------

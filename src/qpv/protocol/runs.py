@@ -51,7 +51,7 @@ def m1_accept_probability(rho) -> float:
     rho = rho.density() if isinstance(rho, qc.QuantumState) else np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError("M1 is defined on two qubits")
-    return float(np.vdot(qc.BELL_VECTOR, rho @ qc.BELL_VECTOR).real)
+    return qc.expectation(qc.BELL_VECTOR, rho)
 
 
 def m2_accept_probability(rho) -> float:
@@ -63,9 +63,9 @@ def m2_accept_probability(rho) -> float:
     rho = rho.density() if isinstance(rho, qc.QuantumState) else np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError("M2 is defined on two qubits")
-    p_omega = float(np.vdot(qc.BELL_VECTOR, rho @ qc.BELL_VECTOR).real)
-    p_1 = float(np.vdot(qc.PHI1_VECTOR, rho @ qc.PHI1_VECTOR).real)
-    p_2 = float(np.vdot(qc.PHI2_VECTOR, rho @ qc.PHI2_VECTOR).real)
+    p_omega = qc.expectation(qc.BELL_VECTOR, rho)
+    p_1 = qc.expectation(qc.PHI1_VECTOR, rho)
+    p_2 = qc.expectation(qc.PHI2_VECTOR, rho)
     return p_omega + 0.5 * (p_1 + p_2)
 
 
@@ -155,7 +155,7 @@ def route_bb84_accept_probability(f, x: int, y: int, prover=HONEST,
         state = qc.bb84_state(p_idx, "Q")
         state = _route_channel(state, prover, "Q", depolarize)
         vec = qc.BB84_VECTORS[p_idx]
-        total += float(np.vdot(vec, state.density() @ vec).real)
+        total += qc.expectation(vec, state.density())
     return total / len(preps)
 
 

@@ -17,7 +17,7 @@ from .layout import RegisterLayout
 from .state import QuantumState, mixed_state
 
 UNITARY_TOL = 1e-10
-POVM_TOL = 1e-10
+EFFECT_TOL = 1e-10
 EIG_ZERO = 1e-14
 
 I2 = np.eye(2, dtype=complex)
@@ -55,6 +55,22 @@ SWAP2 = np.array([[1, 0, 0, 0],
                   [0, 0, 0, 1]], dtype=complex)
 
 
+def check_unitary(mat: np.ndarray, label: str = "matrix") -> None:
+    """Raise ValueError unless the square matrix is unitary to UNITARY_TOL."""
+    err = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
+    if err > UNITARY_TOL:
+        raise ValueError(f"{label} is not unitary (deviation {err:.2e})")
+
+
+def check_effect(mat: np.ndarray, label: str = "matrix") -> None:
+    """Raise ValueError unless the square matrix is an effect, 0 <= E <= I."""
+    if np.max(np.abs(mat - mat.conj().T)) > EFFECT_TOL:
+        raise ValueError(f"{label} is not Hermitian")
+    vals = np.linalg.eigvalsh(mat)
+    if vals.min() < -EFFECT_TOL or vals.max() > 1 + EFFECT_TOL:
+        raise ValueError(f"{label} is not an effect (0 <= E <= I)")
+
+
 @dataclass(frozen=True)
 class Unitary:
     matrix: np.ndarray
@@ -66,9 +82,7 @@ class Unitary:
         d = matrix.shape[0]
         if matrix.ndim != 2 or matrix.shape != (d, d) or d & (d - 1):
             raise ValueError("unitary must be square with power-of-two dimension")
-        err = np.linalg.norm(matrix.conj().T @ matrix - np.eye(d))
-        if err > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
+        check_unitary(matrix)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "acts_on", acts_on)
 
@@ -90,20 +104,12 @@ class Povm:
         for e in elems:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must share one dimension")
-            if np.max(np.abs(e - e.conj().T)) > POVM_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            if np.min(np.linalg.eigvalsh(e)) < -POVM_TOL:
-                raise ValueError("POVM element is not positive semidefinite")
+            check_effect(e, "POVM element")
             total = total + e
-        if np.max(np.abs(total - np.eye(d))) > POVM_TOL:
+        if np.max(np.abs(total - np.eye(d))) > EFFECT_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "acts_on", acts_on)
-
-
-def two_outcome_povm(effect: np.ndarray, acts_on) -> Povm:
-    effect = np.asarray(effect, dtype=complex)
-    return Povm((effect, np.eye(effect.shape[0]) - effect), acts_on)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +308,11 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def expectation(vec: np.ndarray, rho: np.ndarray) -> float:
+    """<v|rho|v>, real part, for a vector and a matrix of matching dimension."""
+    return float(np.vdot(vec, rho @ vec).real)
+
+
 def fidelity(rho: QuantumState, sigma: QuantumState) -> float:
     """Root fidelity tr sqrt(sqrt(sigma) rho sqrt(sigma)); equals |<psi|phi>|
     on pure pairs."""
@@ -310,11 +321,9 @@ def fidelity(rho: QuantumState, sigma: QuantumState) -> float:
     if rho.kind == "pure" and sigma.kind == "pure":
         return float(abs(np.vdot(rho.data, sigma.data)))
     if rho.kind == "pure":
-        val = np.vdot(rho.data, sigma.density() @ np.asarray(rho.data)).real
-        return float(math.sqrt(max(val, 0.0)))
+        return math.sqrt(max(expectation(rho.data, sigma.density()), 0.0))
     if sigma.kind == "pure":
-        val = np.vdot(sigma.data, rho.density() @ np.asarray(sigma.data)).real
-        return float(math.sqrt(max(val, 0.0)))
+        return math.sqrt(max(expectation(sigma.data, rho.density()), 0.0))
     s = psd_sqrt(np.asarray(sigma.data))
     inner = s @ np.asarray(rho.data) @ s
     vals = _clipped_eigvalsh(inner)

@@ -172,6 +172,9 @@ def test_mixture_success_is_linear():
         s0 = at.execute_route(strat0, XOR, x, y)
         s1 = at.execute_route(strat1, XOR, x, y)
         assert s_mix == pytest.approx(lam * s0 + (1 - lam) * s1, abs=1e-12)
+        rho_mix, rho0, rho1 = (at.execute_route_reduced(s, XOR, x, y).data
+                               for s in (strat_mix, strat0, strat1))
+        np.testing.assert_allclose(rho_mix, lam * rho0 + (1 - lam) * rho1, atol=1e-12)
 
 
 def test_mixture_success_is_linear_meas():

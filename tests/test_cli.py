@@ -196,6 +196,16 @@ def test_attack_optimize_seesaw(tmp_path, capsys):
     assert "strategy" in doc
 
 
+def test_attack_optimize_rejects_zero_restarts(tmp_path, capsys):
+    cfg = write_config(tmp_path, "a0.json", {
+        "f": {"kind": "xor", "n": 1}, "kind": "route", "q": 1, "restarts": 0,
+    })
+    code, out, err = run_cli(capsys, "attack-optimize", "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "restarts" in err
+
+
 def test_verify_single_and_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "m1_m2", "--seed", "2")
     assert code == cli.EXIT_OK
@@ -204,6 +214,7 @@ def test_verify_single_and_exit_codes(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == cli.EXIT_CONFIG
+    assert "nope" in err
 
 
 def test_verify_writes_jsonl(tmp_path, capsys):

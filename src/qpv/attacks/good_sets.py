@@ -51,23 +51,30 @@ def best_recovery_distance(state: qc.QuantumState, which: str,
     return distance, best_u
 
 
+def _helstrom(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """(1 + ||C0 - C1||_1)/2 over the trailing matrix axes."""
+    diff = c0 - c1
+    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2
+    return 0.5 * (1.0 + np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
+
+
+def helstrom_guess_pure(vecs: np.ndarray, layout: qc.RegisterLayout, basis: int,
+                        regs) -> np.ndarray:
+    """:func:`helstrom_guess_probability` of each pure vector in a (b, dim) batch."""
+    m = qc.branch_matrices(vecs, layout, "R", basis, regs)
+    c = m @ m.conj().swapaxes(-1, -2)   # C_z = tr_rest |psi_z><psi_z|
+    return _helstrom(c[:, 0], c[:, 1])
+
+
 def helstrom_guess_probability(state: qc.QuantumState, basis: int, regs) -> float:
     """Optimal probability of guessing the reference measurement outcome from
     the named registers: (1 + ||C0 - C1||_1)/2 on the conditional operators."""
-    layout = state.layout
+    if state.kind == "pure":
+        return float(helstrom_guess_pure(state.data, state.layout, basis, regs)[0])
     proj = qc.basis_projectors(basis)
-    cs = []
-    for z in (0, 1):
-        if state.kind == "pure":
-            w = qc.apply_vector_matrix(np.asarray(state.data), layout, proj[z], ("R",))
-            cs.append(qc.reduced_outer(w, w, layout, regs, order="given"))
-        else:
-            branch = qc.apply_matrix_raw(state, proj[z], ("R",))
-            cs.append(qc.reduce_density_raw(branch, layout, regs, order="given"))
-    diff = cs[0] - cs[1]
-    diff = (diff + diff.conj().T) / 2
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return 0.5 * (1.0 + trace_norm)
+    c0, c1 = (qc.reduce_density_raw(qc.apply_matrix_raw(state, p, ("R",)), state.layout,
+                                    regs, order="given") for p in proj)
+    return float(_helstrom(c0, c1))
 
 
 def s_set_distance(state: qc.QuantumState, which: str, kind: str, eps: float,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import qcore as qc
 from ..attacks.good_sets import (
-    helstrom_guess_probability,
+    helstrom_guess_pure,
     meas_member,
     route_member,
     small_attack_layout,
@@ -32,23 +32,31 @@ SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 def check_cit(trials: int = 1000, max_side_qubits: int = 2, seed: int = 0) -> BoundReport:
     """H(measured R with E) + H(conjugately measured R with F) >= 1."""
-    worst = math.inf
-    witness = {}
+    widths, vecs = [], []
     for t in range(trials):
         rng = qc.stream(seed, "cit", t)
         we = 1 + int(rng.integers(max_side_qubits))
         wf = 1 + int(rng.integers(max_side_qubits))
+        widths.append((we, wf))
+        vecs.append(qc.random_unit_vector(1 << (1 + we + wf), rng))
+    # totals[t, theta]: R measured in basis theta against E, in 1 - theta against F
+    totals = np.full((trials, 2), math.inf)
+    for we, wf in sorted(set(widths)):
         layout = qc.RegisterLayout([("R", 1), ("E", we), ("F", wf)])
-        psi = qc.random_pure_state(layout, rng)
+        idx = [t for t, w in enumerate(widths) if w == (we, wf)]
+        group = np.stack([vecs[t] for t in idx])
         for theta in (0, 1):
-            rho = qc.dephase_register(psi, "R", theta)
-            sigma = qc.dephase_register(psi, "R", 1 - theta)
-            total = (qc.conditional_entropy(rho, "R", ("E",))
-                     + qc.conditional_entropy(sigma, "R", ("F",)))
-            if total < worst:
-                worst = total
-                witness = {"trial": t, "dims": [2 ** we, 2 ** wf], "theta": theta,
-                           "sum": total}
+            totals[idx, theta] = (
+                qc.conditional_entropy_pure(group, layout, "R", ("E",), ("R", theta))
+                + qc.conditional_entropy_pure(group, layout, "R", ("F",), ("R", 1 - theta)))
+    worst = math.inf
+    witness = {}
+    if trials:
+        # argmin returns the first minimum: the earliest (t, theta) wins ties
+        t, theta = divmod(int(np.argmin(totals)), 2)
+        worst = float(totals[t, theta])
+        we, wf = widths[t]
+        witness = {"trial": t, "dims": [2 ** we, 2 ** wf], "theta": theta, "sum": worst}
     return BoundReport(name="cit", lhs=worst, rhs=1.0, relation=">=",
                        passed=holds(worst, ">=", 1.0, 1e-7), trials=trials,
                        tolerance=1e-7, worst_case=witness)
@@ -63,9 +71,10 @@ def _rest_registers(layout, *exclude):
                  if n not in exclude and layout.width(n) > 0)
 
 
-def _core_state(layout, ret: str, phi: np.ndarray) -> qc.QuantumState:
+def _core_vector(layout, ret: str, phi: np.ndarray) -> np.ndarray:
+    """|Omega>_{R,ret} x |phi>_rest; ``phi`` may carry a leading batch axis."""
     rest = _rest_registers(layout, "R", ret)
-    return qc.assemble(layout, [(("R", ret), qc.BELL_VECTOR), (rest, phi)])
+    return qc.assemble_raw(layout, [(("R", ret), qc.BELL_VECTOR), (rest, phi)])
 
 
 def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
@@ -80,10 +89,10 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
         phi1 = qc.random_unit_vector(layout.subdim(*_rest_registers(layout, "R", "B")), rng)
         k = qc.haar_random_unitary(layout.subdim(*ALICE_FINAL), rng)
         lu = qc.haar_random_unitary(layout.subdim(*BOB_FINAL), rng)
-        psi0 = qc.apply_vector_matrix(np.asarray(_core_state(layout, "A", phi0).data),
-                                      layout, k.conj().T, ALICE_FINAL)
-        psi1 = qc.apply_vector_matrix(np.asarray(_core_state(layout, "B", phi1).data),
-                                      layout, lu.conj().T, BOB_FINAL)
+        psi0 = qc.apply_vector_matrix(_core_vector(layout, "A", phi0), layout,
+                                      k.conj().T, ALICE_FINAL)
+        psi1 = qc.apply_vector_matrix(_core_vector(layout, "B", phi1), layout,
+                                      lu.conj().T, BOB_FINAL)
         overlap = abs(np.vdot(psi0, psi1))
         if overlap > worst:
             worst = overlap
@@ -97,8 +106,7 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
     lay1 = layout.restricted(*rest1)
     lay0 = layout.restricted(*rest0)
     phi0 = qc.move_register_content(phi1, lay1, lay0, {"A": "B"})
-    aligned = abs(np.vdot(np.asarray(_core_state(layout, "A", phi0).data),
-                          np.asarray(_core_state(layout, "B", phi1).data)))
+    aligned = abs(np.vdot(_core_vector(layout, "A", phi0), _core_vector(layout, "B", phi1)))
     witness["aligned_overlap"] = aligned
     passed = (holds(worst, "<=", 0.5, 1e-9) and aligned >= 0.5 - 1e-6)
     return BoundReport(name="recovery_overlap", lhs=worst, rhs=0.5, relation="<=",
@@ -146,12 +154,10 @@ def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
     delta = 0.013
     constant = afw_bound(delta)
     layout = qc.RegisterLayout([("R", 1), ("E", 1), ("F", 1)])
-    worst = 0.0
-    witness = {"constant": constant}
+    kept, vecs, chis, dists = [], [], [], []
     for t in range(trials):
         rng = qc.stream(seed, "afw", t)
-        psi = qc.random_pure_state(layout, rng)
-        vec = np.asarray(psi.data)
+        vec = qc.random_unit_vector(layout.dim, rng)
         noise = qc.random_unit_vector(vec.size, rng)
         noise = noise - np.vdot(vec, noise) * vec
         nrm = np.linalg.norm(noise)
@@ -159,12 +165,19 @@ def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
             continue
         sin_a = delta * rng.random()
         other = math.sqrt(1 - sin_a ** 2) * vec + sin_a * (noise / nrm)
-        chi = qc.QuantumState(layout, "pure", other / np.linalg.norm(other))
-        gap = abs(qc.conditional_entropy(psi, "R", ("E",))
-                  - qc.conditional_entropy(chi, "R", ("E",)))
-        if gap > worst:
-            worst = gap
-            witness.update({"trial": t, "gap": gap, "distance": sin_a})
+        kept.append(t)
+        vecs.append(vec)
+        chis.append(other / np.linalg.norm(other))
+        dists.append(sin_a)
+    witness = {"constant": constant}
+    worst = 0.0
+    if kept:
+        gaps = np.abs(qc.conditional_entropy_pure(np.stack(vecs), layout, "R", ("E",))
+                      - qc.conditional_entropy_pure(np.stack(chis), layout, "R", ("E",)))
+        i = int(np.argmax(gaps))
+        if gaps[i] > worst:
+            worst = float(gaps[i])
+            witness.update({"trial": kept[i], "gap": worst, "distance": dists[i]})
     passed = constant <= 0.127 and holds(worst, "<=", 0.127, 1e-9)
     return BoundReport(name="afw", lhs=max(worst, constant), rhs=0.127,
                        relation="<=", passed=passed, trials=trials,
@@ -177,34 +190,39 @@ def check_fano_chain(eps: float = 0.3, trials: int = 1000, seed: int = 0) -> Bou
         raise ValueError("eps must be in [0, 1]")
     err_cap = eps * eps
     cap = qc.binary_entropy(err_cap) if err_cap <= 0.5 else 1.0
-    layout = qc.RegisterLayout([("R", 1), ("W", 1)])
-    worst = -math.inf
-    witness = {}
+    # every trial is a pure vector on R W P whose R is dephased in basis 0;
+    # little-endian index = z + 2w + 4p
+    layout = qc.RegisterLayout([("R", 1), ("W", 1), ("P", 1)])
+    vecs = np.zeros((trials, layout.dim), dtype=complex)
+    errors = np.zeros(trials)
     for t in range(trials):
         rng = qc.stream(seed, "fano", t)
         e = err_cap * rng.random()
+        errors[t] = e
         if t % 2 == 0:
-            # classical binary symmetric channel with flip probability e;
-            # little-endian index = z + 2w
-            rho = np.diag([(1 - e) / 2, e / 2, e / 2, (1 - e) / 2]).astype(complex)
-            state = qc.mixed_state(layout, rho)
+            # classical binary symmetric channel with flip probability e,
+            # purified by P: W = z with weight 1 - e (P = 0), W = 1 - z with
+            # weight e (P = 1)
+            vecs[t, [0b000, 0b011]] = math.sqrt((1 - e) / 2)
+            vecs[t, [0b101, 0b110]] = math.sqrt(e / 2)
         else:
-            # pure conditionals at the Helstrom-matched overlap
+            # pure conditionals at the Helstrom-matched overlap, P = 0
             ov = 2 * math.sqrt(e * (1 - e))
             chi0 = np.array([1.0, 0.0], dtype=complex)
             chi1 = np.array([ov, math.sqrt(max(0.0, 1 - ov * ov))], dtype=complex)
-            vec = np.zeros(4, dtype=complex)
-            # little-endian: R is qubit 0, W is qubit 1
             for z, chi in ((0, chi0), (1, chi1)):
                 for w in (0, 1):
-                    vec[z + 2 * w] = math.sqrt(0.5) * chi[w]
-            state = qc.dephase_register(qc.QuantumState(layout, "pure", vec), "R", 0)
-        guess = helstrom_guess_probability(state, 0, ("W",))
-        assert guess >= 1 - err_cap - 1e-9, "sampler violated its own premise"
-        ent = qc.conditional_entropy(state, "R", ("W",))
-        if ent > worst:
-            worst = ent
-            witness = {"trial": t, "entropy": ent, "error": e}
+                    vecs[t, z + 2 * w] = math.sqrt(0.5) * chi[w]
+    guess = helstrom_guess_pure(vecs, layout, 0, ("W",))
+    if np.any(guess < 1 - err_cap - 1e-9):
+        raise AssertionError("sampler violated its own premise")
+    ents = qc.conditional_entropy_pure(vecs, layout, "R", ("W",), ("R", 0))
+    witness = {}
+    worst = -math.inf
+    if trials:
+        t = int(np.argmax(ents))
+        worst = float(ents[t])
+        witness = {"trial": t, "entropy": worst, "error": float(errors[t])}
     passed = holds(worst, "<=", cap, 1e-9)
     return BoundReport(name="fano_chain", lhs=worst, rhs=cap, relation="<=",
                        passed=passed, trials=trials, tolerance=1e-9,
@@ -217,25 +235,29 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
     layout = small_attack_layout()
     alice = ("A", "At", "Bc")
     bob = ("B", "Bt", "Ac")
+    phi0 = np.zeros((trials, layout.dim), dtype=complex)
+    phi1 = np.zeros((trials, layout.dim), dtype=complex)
+    dists = np.zeros(trials)
+    for t in range(trials):
+        rng = qc.stream(seed, "meas-sep", t)
+        phi0[t] = meas_member(layout, "S0", 0.25, rng).data
+        phi1[t] = meas_member(layout, "S1", 0.25, rng).data
+        dists[t] = qc.purified_distance_pure(phi0[t], phi1[t])
+    h0 = qc.conditional_entropy_pure(phi0, layout, "R", alice, ("R", 0))
+    h1 = qc.conditional_entropy_pure(phi1, layout, "R", bob, ("R", 1))
+    sigma0 = qc.conditional_entropy_pure(phi0, layout, "R", bob, ("R", 1))
+    sigma1 = qc.conditional_entropy_pure(phi1, layout, "R", bob, ("R", 1))
+    # trials whose premise failed after perturbation are vacuous
+    valid = np.flatnonzero((h0 <= delta) & (h1 <= delta))
+    gaps = np.abs(sigma0 - sigma1)
     worst = math.inf
     gap_min = math.inf
     witness = {"delta": delta}
-    for t in range(trials):
-        rng = qc.stream(seed, "meas-sep", t)
-        phi0 = meas_member(layout, "S0", 0.25, rng)
-        phi1 = meas_member(layout, "S1", 0.25, rng)
-        h0 = qc.conditional_entropy(qc.dephase_register(phi0, "R", 0), "R", alice)
-        h1 = qc.conditional_entropy(qc.dephase_register(phi1, "R", 1), "R", bob)
-        if h0 > delta or h1 > delta:
-            continue  # vacuous trial: premise failed after perturbation
-        dist = qc.purified_distance_pure(np.asarray(phi0.data), np.asarray(phi1.data))
-        sigma0 = qc.conditional_entropy(qc.dephase_register(phi0, "R", 1), "R", bob)
-        sigma1 = qc.conditional_entropy(qc.dephase_register(phi1, "R", 1), "R", bob)
-        gap = abs(sigma0 - sigma1)
-        gap_min = min(gap_min, gap - (1 - 2 * delta))
-        if dist < worst:
-            worst = dist
-            witness.update({"trial": t, "distance": dist, "entropy_gap": gap})
+    if valid.size:
+        gap_min = float(np.min(gaps[valid] - (1 - 2 * delta)))
+        t = int(valid[np.argmin(dists[valid])])
+        worst = float(dists[t])
+        witness.update({"trial": t, "distance": worst, "entropy_gap": float(gaps[t])})
     passed = worst > 0.013 and gap_min >= -1e-9
     witness["entropy_gap_slack_vs_1_minus_2delta"] = gap_min
     return BoundReport(name="meas_disjoint", lhs=0.013, rhs=worst, relation="<",
@@ -307,17 +329,17 @@ def check_bound_by_iid(trials: int = 4000, seed: int = 0, r_mc: int = 50,
         exact_ok &= abs(tail_iid - binom) <= 1e-12
 
     # Monte Carlo at r = r_mc for the capped process
+    # the stream is read trial by trial, round by round: one row per trial,
+    # in blocks of 500 trials to bound memory
     rng = qc.stream(seed, "iid-mc")
     counts = np.zeros(trials, dtype=int)
-    for i in range(trials):
-        prev = 0
-        total = 0
-        for _ in range(r_mc):
-            pi = p * (1.0 - 0.5 * prev)
-            hit = 1 if rng.random() < pi else 0
-            total += hit
-            prev = hit
-        counts[i] = total
+    for start in range(0, trials, 500):
+        draws = rng.random((min(500, trials - start), r_mc))
+        block = counts[start:start + len(draws)]
+        prev = np.zeros(len(draws), dtype=int)
+        for j in range(r_mc):
+            prev = (draws[:, j] < p * (1.0 - 0.5 * prev)).astype(int)
+            block += prev
     mc_worst = -math.inf
     for t in range(r_mc + 1):
         emp = float(np.mean(counts >= t))
@@ -358,12 +380,15 @@ def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundRe
         best = p_opt
         nv = np.linalg.norm(v)
         if nv > 1e-12:
-            phi_star = _core_state(layout, "A", v / nv)
-            best = min(best, qc.purified_distance_pure(vec, np.asarray(phi_star.data)))
-        for _ in range(inner):
-            phi = qc.random_unit_vector(layout.subdim(*rest), rng)
-            cand = _core_state(layout, "A", phi)
-            best = min(best, qc.purified_distance_pure(vec, np.asarray(cand.data)))
+            best = min(best, qc.purified_distance_pure(vec, _core_vector(layout, "A", v / nv)))
+        # candidates in blocks of 100, to bound memory; the draws are those of
+        # `inner` random_unit_vector calls (real parts, then imaginary parts)
+        for start in range(0, inner, 100):
+            z = rng.standard_normal((min(100, inner - start), 2, layout.subdim(*rest)))
+            phis = z[:, 0] + 1j * z[:, 1]
+            phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+            overlaps = np.abs(_core_vector(layout, "A", phis) @ vec.conj())
+            best = min(best, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - overlaps ** 2)))))
         reduced = qc.partial_trace(psi, ("R", "A"))
         target = qc.fidelity(reduced, qc.bell_state("R", "A"))
         p_reduced = math.sqrt(max(0.0, 1.0 - target * target))

@@ -359,7 +359,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ UNITARY_TOL = 1e-10
 EFFECT_TOL = 1e-10
 EIG_ZERO = 1e-14
 
-I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -298,10 +297,6 @@ def partial_trace(state: QuantumState, keep) -> QuantumState:
 # fidelity, purified distance, entropies
 # ---------------------------------------------------------------------------
 
-def _clipped_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    return np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-
-
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
@@ -326,7 +321,7 @@ def fidelity(rho: QuantumState, sigma: QuantumState) -> float:
         return math.sqrt(max(expectation(sigma.data, rho.density()), 0.0))
     s = psd_sqrt(np.asarray(sigma.data))
     inner = s @ np.asarray(rho.data) @ s
-    vals = _clipped_eigvalsh(inner)
+    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(min(np.sum(np.sqrt(vals)), 1.0))
 
 
@@ -340,13 +335,87 @@ def purified_distance_pure(u: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - f * f))
 
 
+def _spectral_entropy(vals: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of spectra along the last axis; eigenvalues at or
+    below EIG_ZERO contribute zero."""
+    vals = np.where(vals > EIG_ZERO, vals, 1.0)
+    return -np.sum(vals * np.log2(vals), axis=-1)
+
+
 def von_neumann_entropy(state: QuantumState) -> float:
     """Base-2 entropy; eigenvalues below 1e-14 contribute zero."""
     if state.kind == "pure":
         return 0.0
-    vals = _clipped_eigvalsh(np.asarray(state.data))
-    vals = vals[vals > EIG_ZERO]
-    return float(-np.sum(vals * np.log2(vals)))
+    return float(_spectral_entropy(np.linalg.eigvalsh(np.asarray(state.data))))
+
+
+def _as_matrices(vecs: np.ndarray, layout: RegisterLayout, kept: list[int]) -> np.ndarray:
+    """A (b, 2^n) batch of vectors as (b, 2^k, 2^(n-k)) matrices; rows are
+    indexed little-endian over the ``kept`` qubits in the given order."""
+    n = layout.total_qubits
+    rest = [q for q in range(n) if q not in set(kept)]
+    # with the batch axis first, qubit q sits on axis n - q
+    axes = [0] + [n - q for q in reversed(kept)] + [n - q for q in reversed(rest)]
+    t = vecs.reshape((-1,) + (2,) * n).transpose(axes)
+    return t.reshape(len(vecs), 1 << len(kept), 1 << len(rest))
+
+
+def branch_matrices(vecs: np.ndarray, layout: RegisterLayout, register: str,
+                    basis: int, keep) -> np.ndarray:
+    """Branches psi_z = (<b_z|_register x I) psi of a (b, 2^n) batch of pure
+    vectors, measured in the computational (0) or Hadamard (1) basis.
+
+    Returns (b, 2, 2^k, 2^rest) matrices: rows are indexed little-endian over
+    the ``keep`` registers in the given order, columns over the other qubits,
+    so that C_z = M_z M_z^dagger is the reduced branch operator on ``keep``.
+    """
+    if layout.width(register) != 1:
+        raise ValueError("dephasing is defined for 1-qubit registers")
+    rows = layout.positions(register, *keep)
+    # the register on the lowest row bit, then projected out
+    m = _as_matrices(np.asarray(vecs, dtype=complex).reshape(-1, layout.dim), layout, rows)
+    m = m.reshape(len(m), -1, 2, m.shape[-1])
+    bra = np.array(BASIS_VECTORS[basis]).conj()
+    return np.einsum("zr,bkrt->bzkt", bra, m)
+
+
+def _reduced_entropy_pure(vecs: np.ndarray, layout: RegisterLayout, keep,
+                          dephase) -> np.ndarray:
+    """S(rho_keep) per vector, after dephasing ``dephase = (register, basis)``
+    when that register is kept (elsewhere it leaves rho_keep unchanged)."""
+    if not layout.positions(*keep):
+        return np.zeros(len(vecs))
+    if dephase is not None and dephase[0] in keep:
+        # dephased rho_keep is the direct sum over z of the branch operators C_z
+        register, basis = dephase
+        m = branch_matrices(vecs, layout, register, basis,
+                            [k for k in keep if k != register])
+    else:
+        m = _as_matrices(vecs, layout, layout.positions(*keep))
+    # M M^dagger and M^dagger M share their nonzero spectrum: take the smaller
+    if m.shape[-2] <= m.shape[-1]:
+        gram = np.einsum("...kt,...jt->...kj", m, m.conj())
+    else:
+        gram = np.einsum("...kt,...kj->...tj", m.conj(), m)
+    vals = np.linalg.eigvalsh(gram).reshape(len(vecs), -1)
+    return _spectral_entropy(vals)
+
+
+def conditional_entropy_pure(vecs: np.ndarray, layout: RegisterLayout, target,
+                             side=(), dephase=None) -> np.ndarray:
+    """H(target | side), base 2, of each pure vector in a (b, 2^n) batch.
+
+    ``dephase = (register, basis)`` first measures that 1-qubit register in
+    the computational (0) or Hadamard (1) basis and forgets the outcome, as
+    :func:`dephase_register` does, without building a density matrix.
+    """
+    target = _registers_tuple(target)
+    side = _registers_tuple(side)
+    if set(target) & set(side):
+        raise ValueError("target and side registers overlap")
+    vecs = np.asarray(vecs, dtype=complex).reshape(-1, layout.dim)
+    return (_reduced_entropy_pure(vecs, layout, target + side, dephase)
+            - _reduced_entropy_pure(vecs, layout, side, dephase))
 
 
 def conditional_entropy(state: QuantumState, target, side=()) -> float:

@@ -117,45 +117,46 @@ def bb84_state(index: int, name: str = "Q") -> QuantumState:
     return QuantumState(layout, "pure", BB84_VECTORS[index].copy())
 
 
-def bb84_basis(index: int) -> int:
-    """0 for computational preparations (|0>,|1>), 1 for Hadamard (|+>,|->)."""
-    return index // 2
-
-
-def assemble(layout: RegisterLayout, factors) -> QuantumState:
-    """Build a product state on ``layout`` from per-group factor vectors.
+def assemble_raw(layout: RegisterLayout, factors) -> np.ndarray:
+    """Product vector(s) on ``layout`` from per-group factor vectors.
 
     ``factors`` is an iterable of ``(register_names, vector)`` pairs; the
     groups must partition the layout's registers.  Each vector is indexed
     little-endian over its group's registers in the given order.  Groups may
-    interleave arbitrarily across the layout.
+    interleave arbitrarily across the layout.  A factor may carry leading
+    batch axes; they broadcast, and the result is a batch of vectors.
     """
     n = layout.total_qubits
     covered: list[int] = []
     arrays = []
-    axis_qubits: list[int] = []
     for names, vec in factors:
         names = (names,) if isinstance(names, str) else tuple(names)
         qubits = layout.positions(*names)
         vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (1 << len(qubits),):
+        if vec.shape[-1:] != (1 << len(qubits),):
             raise ValueError(f"factor on {names} has wrong dimension {vec.shape}")
         covered.extend(qubits)
         arrays.append(vec)
-        axis_qubits.extend(qubits)
     if sorted(covered) != list(range(n)):
         raise ValueError("factors must cover every qubit exactly once")
 
     full = arrays[0]
     for vec in arrays[1:]:
-        # np.kron(a, b) makes b the low-order index block
-        full = np.kron(vec, full)
-    # full is little-endian over axis_qubits; permute to layout order
-    t = full.reshape([2] * n)
-    # axis j of t holds axis_qubits[n-1-j]; we need axis j to hold qubit n-1-j
-    perm = [n - 1 - axis_qubits.index(n - 1 - j) for j in range(n)]
-    t = t.transpose(perm)
-    return QuantumState(layout, "pure", t.reshape(-1))
+        # the Kronecker product vec (x) full: full is the low-order index block
+        full = vec[..., :, None] * full[..., None, :]
+        full = full.reshape(full.shape[:-2] + (-1,))
+    # full is little-endian over covered; permute to layout order
+    batch = full.shape[:-1]
+    t = full.reshape(batch + (2,) * n)
+    # axis j of t holds covered[n-1-j]; we need axis j to hold qubit n-1-j
+    nb = len(batch)
+    perm = list(range(nb)) + [nb + n - 1 - covered.index(n - 1 - j) for j in range(n)]
+    return t.transpose(perm).reshape(batch + (-1,))
+
+
+def assemble(layout: RegisterLayout, factors) -> QuantumState:
+    """Product state on ``layout`` from unbatched factors (see assemble_raw)."""
+    return QuantumState(layout, "pure", assemble_raw(layout, factors))
 
 
 def move_register_content(vec: np.ndarray, layout_from: RegisterLayout,

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from qpv import attacks as at
 from qpv import checks as ck
 from qpv import qcore as qc
 
@@ -62,6 +66,18 @@ def test_fano_classical_channel_equality():
         qc.binary_entropy(e), abs=1e-12)
 
 
+def test_fano_premise_check_survives_optimize_flag():
+    # python -O strips assert statements; the premise check must still fire
+    script = ("import numpy as np, qpv.checks.suites as s\n"
+              "s.helstrom_guess_pure = lambda vecs, *a: np.zeros(len(vecs))\n"
+              "s.check_fano_chain(trials=2)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "sampler violated its own premise" in proc.stderr
+
+
 def test_meas_disjoint_premises_contradict_for_equal_states():
     # one state cannot satisfy both conjugate-basis readability premises:
     # the uncertainty sum forces the other basis entropy up to 1 - delta
@@ -84,6 +100,45 @@ def test_all_suites_pass_with_default_seed(name):
     assert report.passed, report.as_dict()
     line = json.loads(report.json_line())
     assert line["pass"] is True
+
+
+# Seed-0 figures recorded from the per-trial dense implementation: the worst
+# witness's figure (to 1e-12), its trial index and the verdict.  lhs is the
+# report's lhs, except for afw (whose lhs is the constant; the pinned figure is
+# the worst gap) and meas_disjoint (whose rhs is the worst distance).
+SEED0_WITNESSES = {
+    "cit": ("lhs", 1.0088276894941948, 353),
+    "recovery_overlap": ("lhs", 0.21312854702141842, 837),
+    "low_fidelity_route": ("lhs", 0.982006294132603, 14),
+    "afw": ("gap", 0.018034315228473874, 782),
+    "fano_chain": ("lhs", 0.4358397408858967, 532),
+    "meas_disjoint": ("rhs", 0.9283756539261084, 85),
+    "m1_m2": ("lhs", 0.03716085966637925, 569),
+    "bound_by_iid": ("lhs", -6.324550790626818e-08, None),
+    "uhlmann": ("lhs", 1.1102230246251565e-16, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED0_WITNESSES))
+def test_seed0_witnesses_pinned(name):
+    field, value, trial = SEED0_WITNESSES[name]
+    doc = ck.CHECKS[name](seed=0).as_dict()
+    figure = doc["worst_case"][field] if field == "gap" else doc[field]
+    assert figure == pytest.approx(value, abs=1e-12)
+    assert doc["worst_case"].get("trial") == trial
+    assert doc["pass"] is True
+
+
+def test_helstrom_pure_batch_matches_density_path():
+    from qpv.attacks.good_sets import helstrom_guess_pure, small_attack_layout
+    lay = small_attack_layout()
+    vecs = np.stack([qc.random_unit_vector(lay.dim, qc.stream(11, i)) for i in range(3)])
+    for basis, regs in ((0, ("A", "At", "Bc")), (1, ("Ac", "B"))):
+        batch = helstrom_guess_pure(vecs, lay, basis, regs)
+        for vec, value in zip(vecs, batch):
+            mixed = qc.pure_state(lay, vec).to_mixed()
+            assert value == pytest.approx(
+                at.helstrom_guess_probability(mixed, basis, regs), abs=1e-12)
 
 
 def test_run_checks_subset_and_unknown():

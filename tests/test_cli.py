@@ -215,6 +215,7 @@ def test_verify_single_and_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == cli.EXIT_CONFIG
     assert "nope" in err
+    assert '"' not in err
 
 
 def test_verify_writes_jsonl(tmp_path, capsys):

@@ -290,6 +290,51 @@ def test_conditional_entropy_rejects_overlap():
         qc.conditional_entropy(qc.bell_state(), "R", "R")
 
 
+@st.composite
+def entropy_cases(draw):
+    """R (1 qubit) in the target, up to six more qubits split at random
+    between target, side and the traced rest, in a random layout order."""
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)
+                  .filter(lambda ws: sum(ws) <= 6))
+    registers = [(f"E{i}", w) for i, w in enumerate(widths)]
+    registers.insert(draw(st.integers(0, len(registers))), ("R", 1))
+    roles = {name: draw(st.sampled_from(("target", "side", "rest")))
+             for name, _ in registers if name != "R"}
+    target = ("R",) + tuple(n for n, r in roles.items() if r == "target")
+    side = tuple(n for n, r in roles.items() if r == "side")
+    basis = draw(st.sampled_from((None, 0, 1)))
+    return (qc.RegisterLayout(registers), target, side, basis,
+            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16)))
+
+
+@given(entropy_cases())
+@settings(max_examples=60, deadline=None)
+def test_conditional_entropy_pure_matches_dense_reference(case):
+    layout, target, side, basis, k, seed = case
+    vecs = np.stack([qc.random_unit_vector(layout.dim, qc.stream(seed, i))
+                     for i in range(k)])
+    dephase = None if basis is None else ("R", basis)
+    batched = qc.conditional_entropy_pure(vecs, layout, target, side, dephase)
+    assert batched.shape == (k,)
+    for vec, value in zip(vecs, batched):
+        state = qc.pure_state(layout, vec)
+        if basis is not None:
+            state = qc.dephase_register(state, "R", basis)
+        assert value == pytest.approx(qc.conditional_entropy(state, target, side), abs=1e-12)
+        single = qc.conditional_entropy_pure(vec[None], layout, target, side, dephase)
+        assert single.shape == (1,) and single[0] == value
+
+
+def test_conditional_entropy_pure_rejects_bad_arguments():
+    vec = qc.bell_state().data[None]
+    lay = qc.bell_state().layout
+    with pytest.raises(ValueError):
+        qc.conditional_entropy_pure(vec, lay, "R", "R")
+    wide = qc.RegisterLayout([("R", 2)])
+    with pytest.raises(ValueError):
+        qc.conditional_entropy_pure(np.eye(4)[:1], wide, "R", (), ("R", 0))
+
+
 def test_binary_entropy_values():
     assert qc.binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     assert qc.binary_entropy(0.0) == 0.0
@@ -389,6 +434,17 @@ def test_assemble_interleaved_groups():
     assert vec[0b010] == pytest.approx(SQ2)
     assert vec[0b111] == pytest.approx(SQ2)
     assert abs(vec).sum() == pytest.approx(2 * SQ2)
+
+
+def test_assemble_raw_batch_matches_single_assembles():
+    lay = qc.RegisterLayout([("A", 1), ("R", 1), ("B", 2)])
+    rng = qc.stream(7, "assemble")
+    phis = np.stack([qc.random_unit_vector(4, rng) for _ in range(5)])
+    batch = qc.assemble_raw(lay, [(("R", "A"), qc.BELL_VECTOR), ("B", phis)])
+    assert batch.shape == (5, 16)
+    for row, phi in zip(batch, phis):
+        single = qc.assemble(lay, [(("R", "A"), qc.BELL_VECTOR), ("B", phi)])
+        np.testing.assert_array_equal(row, single.data)
 
 
 def test_move_register_content_roundtrip():

@@ -201,20 +201,17 @@ def swap_in_attack(f) -> AttackStrategy:
                                (("Ac",), np.array([1.0, 0.0])),
                                (("B",), np.array([1.0, 0.0])),
                                (("Bc",), np.array([1.0, 0.0]))])
-    dim_local = layout.subdim(*ALICE_LOCAL)
-    swap_a_ac = qc.compose_on_qubits(2, [(qc.SWAP2, [0, 1])])
     alice = {}
     site = {}
     values = {x: {f.value(x, y) for y in range(1 << f.n)} for x in range(1 << f.n)}
     for x, vals in values.items():
         if vals == {1}:
-            alice[x] = swap_a_ac
-    l_swap = qc.compose_on_qubits(2, [(qc.SWAP2, [0, 1])])  # B <-> Ac
+            alice[x] = qc.SWAP2  # A <-> Ac
     l_final = {}
     for x, y in f.pairs():
         forwarded = x in alice
         site[(x, y)] = "B" if forwarded else "A"
         if forwarded and f.value(x, y) == 1:
-            l_final[(x, y)] = l_swap
+            l_final[(x, y)] = qc.SWAP2  # B <-> Ac
     return AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
                           alice=alice, l_final=l_final, qubit_site=site)

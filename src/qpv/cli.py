@@ -287,14 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config's 'seed' key (default 0)")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     v = sub.add_parser("verify")
     v.add_argument("--suite", default="all",
                    help="comma-separated check names, or 'all'")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
-    v.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 

@@ -91,32 +91,17 @@ def _route_channel(state: qc.QuantumState, prover: Prover, q_register: str,
     if depolarize > 0.0:
         state = _depolarize_qubit(state, q_register, depolarize)
     if prover.replace_with is not None:
-        keep = [n for n in state.layout.names if n != q_register]
-        if keep:
-            rest = qc.partial_trace(state, keep)
-            fresh = np.asarray(qc.BB84_VECTORS[prover.replace_with])
-            state = _reassemble_replaced(state.layout, rest, fresh, q_register)
-        else:
-            state = qc.bb84_state(prover.replace_with, q_register)
+        # discard Q and prepare |s>: the channel with Kraus operators |s><0|, |s><1|
+        fresh = qc.BB84_VECTORS[prover.replace_with]
+        mixed = state.to_mixed()
+        rho = sum(qc.apply_matrix_raw(mixed, np.outer(fresh, e), q_register)
+                  for e in np.eye(2))
+        state = qc.QuantumState(state.layout, "mixed", rho)
     if prover.tamper_unitary is not None:
         state = qc.apply_matrix(state, np.asarray(prover.tamper_unitary, dtype=complex), q_register)
     if prover.premeasure_basis is not None:
         state = qc.dephase_register(state, q_register, prover.premeasure_basis)
     return state
-
-
-def _reassemble_replaced(layout, rest_state, fresh_vec, q_register) -> qc.QuantumState:
-    rho_rest = rest_state.density()
-    fresh = np.outer(fresh_vec, fresh_vec.conj())
-    # build product in an order matching the layout little-endian convention
-    pos_q = layout.positions(q_register)[0]
-    n = layout.total_qubits
-    lower = pos_q              # qubits below q
-    upper = n - pos_q - 1      # qubits above q
-    dim_low, dim_high = 1 << lower, 1 << upper
-    rest = rho_rest.reshape(dim_high, dim_low, dim_high, dim_low)
-    out = np.einsum("ab,icjd->iacjbd", fresh, rest).reshape(1 << n, 1 << n)
-    return qc.QuantumState(layout, "mixed", out)
 
 
 # ---------------------------------------------------------------------------

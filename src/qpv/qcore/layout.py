@@ -4,11 +4,18 @@ A layout is an ordered list of named registers, each a contiguous block of
 qubits on a little-endian qubit line: qubit 0 is the first qubit of the
 first register and carries the least significant bit of a basis-state
 index.  Registers may be empty (width 0).
+
+Every operator application, partial trace and qubit permutation in qcore
+goes through one pair of helpers, :func:`rows_first` and :func:`rows_back`,
+which view a batch of state vectors as matrices whose rows run over chosen
+qubits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 MAX_QUBITS = 16
 
@@ -79,3 +86,28 @@ class RegisterLayout:
 
 def single_register(name: str = "Q", width: int = 1) -> RegisterLayout:
     return RegisterLayout([(name, width)])
+
+
+def _row_axes(n: int, rows) -> list[int]:
+    """Axis order of :func:`rows_first` on a ``(b, 2, ..., 2)`` view, where
+    qubit q sits on axis n - q."""
+    cols = [q for q in range(n) if q not in rows]
+    return [0] + [n - q for q in reversed(rows)] + [n - q for q in cols]
+
+
+def rows_first(vecs: np.ndarray, n: int, rows) -> np.ndarray:
+    """A ``(b, 2^n)`` batch of vectors as ``(b, 2^k, 2^(n-k))`` matrices.
+
+    Rows are indexed little-endian over the ``k`` qubits ``rows``, in the
+    given order; columns run over the other qubits with the lowest qubit as
+    the most significant bit.  A 1-D vector is a batch of one.
+    """
+    t = np.reshape(vecs, (-1,) + (2,) * n).transpose(_row_axes(n, rows))
+    return t.reshape(len(t), 1 << len(rows), 1 << (n - len(rows)))
+
+
+def rows_back(mats: np.ndarray, n: int, rows) -> np.ndarray:
+    """Inverse of :func:`rows_first`: ``(b, 2^k, 2^(n-k))`` matrices back to
+    a ``(b, 2^n)`` batch of vectors."""
+    t = np.reshape(mats, (-1,) + (2,) * n).transpose(np.argsort(_row_axes(n, rows)))
+    return t.reshape(len(t), 1 << n)

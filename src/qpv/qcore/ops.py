@@ -1,9 +1,12 @@
 """Operators on named registers: application, tracing, metrics, entropies.
 
-Operators are embedded by index permutation on the tensor factors of the
-state array; state data is never reordered.  A matrix over registers
-``(P, Q, ...)`` is indexed little-endian over the concatenation of those
-registers in the given order.
+A matrix over registers ``(P, Q, ...)`` is indexed little-endian over the
+concatenation of those registers in the given order.  One convention maps
+registers to array axes: :func:`~qpv.qcore.layout.rows_first` views a batch
+of vectors as matrices whose rows are those registers' qubits, so applying
+an operator is one ``matmul`` on that view and a partial trace is a product
+of two views (or, for a density matrix, a trace over the traced qubits of
+its 2n-qubit view).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import RegisterLayout
+from .layout import RegisterLayout, rows_back, rows_first
 from .state import QuantumState, mixed_state
 
 UNITARY_TOL = 1e-10
@@ -112,23 +115,15 @@ class Povm:
 
 
 # ---------------------------------------------------------------------------
-# raw index-permutation machinery
+# the apply kernel
 # ---------------------------------------------------------------------------
 
 def _apply_to_vector(vec: np.ndarray, n: int, mat: np.ndarray,
                      qubits: list[int]) -> np.ndarray:
-    w = len(qubits)
-    if w == 0:
-        return vec * mat[0, 0]
-    t = vec.reshape([2] * n)
-    mt = mat.reshape([2] * (2 * w))
-    # reshaped mat axes: (out_{w-1}..out_0, in_{w-1}..in_0); the state axis
-    # of local qubit k is n-1-qubits[k]
-    in_axes = [n - 1 - qubits[w - 1 - j] for j in range(w)]
-    t = np.tensordot(mt, t, axes=(list(range(w, 2 * w)), in_axes))
-    dest = [n - 1 - qubits[w - 1 - j] for j in range(w)]
-    t = np.moveaxis(t, list(range(w)), dest)
-    return np.ascontiguousarray(t).reshape(-1)
+    """``mat`` on ``qubits`` of a vector or of each vector in a ``(b, 2^n)``
+    batch; ``mat`` is one matrix or a ``(b, d, d)`` stack, one per vector."""
+    out = rows_back(mat @ rows_first(vec, n, qubits), n, qubits)
+    return out[0] if np.ndim(vec) == 1 and np.ndim(mat) == 2 else out
 
 
 def _registers_tuple(registers) -> tuple[str, ...]:
@@ -178,7 +173,8 @@ def apply(state: QuantumState, u: Unitary) -> QuantumState:
 
 def apply_vector_matrix(vec: np.ndarray, layout: RegisterLayout,
                         mat: np.ndarray, registers) -> np.ndarray:
-    """Raw-vector variant of :func:`apply_matrix` for hot loops."""
+    """Raw-vector variant of :func:`apply_matrix` for hot loops; ``vec`` and
+    ``mat`` may carry a batch axis (see ``_apply_to_vector``)."""
     qubits = layout.positions(*_registers_tuple(registers))
     return _apply_to_vector(vec, layout.total_qubits, mat, qubits)
 
@@ -195,15 +191,12 @@ def compose_on_qubits(n_qubits: int, gates) -> np.ndarray:
     ``gates`` is an iterable of ``(matrix, qubit_indices)`` applied first to
     last.  Intended for small circuits (finale unitaries, teleport blocks).
     """
-    dim = 1 << n_qubits
-    out = np.eye(dim, dtype=complex)
+    out = np.eye(1 << n_qubits, dtype=complex)
     for mat, qubits in gates:
-        flat = out.reshape(-1)
-        # rows of the matrix live on bits n_qubits..2*n_qubits-1
-        flat = _apply_to_vector(flat, 2 * n_qubits, np.asarray(mat, dtype=complex),
-                                [q + n_qubits for q in qubits])
-        out = flat.reshape(dim, dim)
-    return out
+        # the columns of the running matrix are the batch
+        out = _apply_to_vector(out.T, n_qubits, np.asarray(mat, dtype=complex),
+                               list(qubits)).T
+    return np.ascontiguousarray(out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +204,7 @@ def compose_on_qubits(n_qubits: int, gates) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _keep_ordered(layout: RegisterLayout, keep) -> list[str]:
+    """Validated kept register names, in layout order."""
     keep = _registers_tuple(keep)
     unknown = set(keep) - set(layout.names)
     if unknown:
@@ -218,6 +212,14 @@ def _keep_ordered(layout: RegisterLayout, keep) -> list[str]:
     if not keep:
         raise ValueError("must keep at least one register")
     return [n for n in layout.names if n in set(keep)]
+
+
+def _kept_qubits(layout: RegisterLayout, keep, order: str) -> list[int]:
+    """Qubits of the kept registers, in layout order or in the order of ``keep``."""
+    keep = _registers_tuple(keep)
+    _keep_ordered(layout, keep)  # validates names
+    kept = layout.positions(*keep)
+    return sorted(kept) if order == "layout" else kept
 
 
 def reduced_outer(vec_left: np.ndarray, vec_right: np.ndarray,
@@ -229,68 +231,38 @@ def reduced_outer(vec_left: np.ndarray, vec_right: np.ndarray,
     ``keep`` tuple instead, matching how :func:`apply_matrix` embeds
     operators on those registers.
     """
-    keep = _registers_tuple(keep)
-    _keep_ordered(layout, keep)  # validates names
-    kept_given = layout.positions(*keep)
+    rows = _kept_qubits(layout, keep, order)
     n = layout.total_qubits
-    traced = [q for q in range(n) if q not in set(kept_given)]
-    tl = vec_left.reshape([2] * n)
-    tr = vec_right.conj().reshape([2] * n)
-    tr_axes = [n - 1 - q for q in traced]
-    out = np.tensordot(tl, tr, axes=(tr_axes, tr_axes))
-    k = len(kept_given)
-    # remaining axes hold the kept qubits in descending global order
-    current = sorted(kept_given, reverse=True)
-    target = sorted(kept_given) if order == "layout" else kept_given
-    perm = [current.index(target[k - 1 - j]) for j in range(k)]
-    if perm != list(range(k)):
-        out = out.transpose(perm + [k + p for p in perm])
-    return out.reshape(1 << k, 1 << k)
+    left = rows_first(vec_left, n, rows)
+    right = rows_first(vec_right, n, rows)
+    return (left @ right.conj().transpose(0, 2, 1))[0]
 
 
 def reduce_density_raw(rho: np.ndarray, layout: RegisterLayout, keep,
                        order: str = "layout") -> np.ndarray:
-    """Partial trace of a raw density matrix onto the kept registers."""
-    keep = _registers_tuple(keep)
-    _keep_ordered(layout, keep)
-    kept_given = layout.positions(*keep)
+    """Partial trace of a raw density matrix onto the kept registers.
+
+    In the 2n-qubit view of rho (row qubit q on bit n + q, column qubit q on
+    bit q), the kept column and row qubits index the rows and the traced
+    column and row qubits the columns; the result sums the entries whose
+    traced row and column qubits agree.
+    """
+    rows = _kept_qubits(layout, keep, order)
     n = layout.total_qubits
-    traced = set(range(n)) - set(kept_given)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row = {q: letters[i] for i, q in enumerate(range(n))}
-    col = {}
-    nxt = n
-    for q in range(n):
-        if q in traced:
-            col[q] = row[q]
-        else:
-            col[q] = letters[nxt]
-            nxt += 1
-    target = sorted(kept_given) if order == "layout" else kept_given
-    ordered = list(reversed(target))
-    # axis j of the reshaped array is row qubit n-1-j, then col qubit n-1-j
-    row_sub = "".join(row[n - 1 - j] for j in range(n))
-    col_sub = "".join(col[n - 1 - j] for j in range(n))
-    out_sub = ("".join(row[q] for q in ordered) + "".join(col[q] for q in ordered))
-    t = np.asarray(rho).reshape([2] * (2 * n))
-    out = np.einsum(f"{row_sub}{col_sub}->{out_sub}", t)
-    k = len(kept_given)
-    return out.reshape(1 << k, 1 << k)
-
-
-def partial_trace_raw(state: QuantumState, keep) -> tuple[np.ndarray, RegisterLayout]:
-    keep_ordered = _keep_ordered(state.layout, keep)
-    sub_layout = state.layout.restricted(*keep_ordered)
-    if state.kind == "pure":
-        vec = np.asarray(state.data)
-        return reduced_outer(vec, vec, state.layout, keep_ordered), sub_layout
-    return reduce_density_raw(np.asarray(state.data), state.layout, keep_ordered), sub_layout
+    k, t = 1 << len(rows), 1 << (n - len(rows))
+    m = rows_first(rho, 2 * n, rows + [q + n for q in rows])
+    return m.reshape(k, k, t, t).trace(axis1=2, axis2=3)
 
 
 def partial_trace(state: QuantumState, keep) -> QuantumState:
     """Reduced density matrix on the kept registers (layout order)."""
-    rho, sub_layout = partial_trace_raw(state, keep)
-    return mixed_state(sub_layout, rho)
+    keep = _keep_ordered(state.layout, keep)
+    data = np.asarray(state.data)
+    if state.kind == "pure":
+        rho = reduced_outer(data, data, state.layout, keep)
+    else:
+        rho = reduce_density_raw(data, state.layout, keep)
+    return mixed_state(state.layout.restricted(*keep), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +321,6 @@ def von_neumann_entropy(state: QuantumState) -> float:
     return float(_spectral_entropy(np.linalg.eigvalsh(np.asarray(state.data))))
 
 
-def _as_matrices(vecs: np.ndarray, layout: RegisterLayout, kept: list[int]) -> np.ndarray:
-    """A (b, 2^n) batch of vectors as (b, 2^k, 2^(n-k)) matrices; rows are
-    indexed little-endian over the ``kept`` qubits in the given order."""
-    n = layout.total_qubits
-    rest = [q for q in range(n) if q not in set(kept)]
-    # with the batch axis first, qubit q sits on axis n - q
-    axes = [0] + [n - q for q in reversed(kept)] + [n - q for q in reversed(rest)]
-    t = vecs.reshape((-1,) + (2,) * n).transpose(axes)
-    return t.reshape(len(vecs), 1 << len(kept), 1 << len(rest))
-
-
 def branch_matrices(vecs: np.ndarray, layout: RegisterLayout, register: str,
                     basis: int, keep) -> np.ndarray:
     """Branches psi_z = (<b_z|_register x I) psi of a (b, 2^n) batch of pure
@@ -373,7 +334,7 @@ def branch_matrices(vecs: np.ndarray, layout: RegisterLayout, register: str,
         raise ValueError("dephasing is defined for 1-qubit registers")
     rows = layout.positions(register, *keep)
     # the register on the lowest row bit, then projected out
-    m = _as_matrices(np.asarray(vecs, dtype=complex).reshape(-1, layout.dim), layout, rows)
+    m = rows_first(np.asarray(vecs, dtype=complex), layout.total_qubits, rows)
     m = m.reshape(len(m), -1, 2, m.shape[-1])
     bra = np.array(BASIS_VECTORS[basis]).conj()
     return np.einsum("zr,bkrt->bzkt", bra, m)
@@ -391,7 +352,7 @@ def _reduced_entropy_pure(vecs: np.ndarray, layout: RegisterLayout, keep,
         m = branch_matrices(vecs, layout, register, basis,
                             [k for k in keep if k != register])
     else:
-        m = _as_matrices(vecs, layout, layout.positions(*keep))
+        m = rows_first(vecs, layout.total_qubits, layout.positions(*keep))
     # M M^dagger and M^dagger M share their nonzero spectrum: take the smaller
     if m.shape[-2] <= m.shape[-1]:
         gram = np.einsum("...kt,...jt->...kj", m, m.conj())
@@ -462,11 +423,9 @@ def effect_probability(state: QuantumState, effect: np.ndarray, registers) -> fl
         vec = np.asarray(state.data)
         out = apply_vector_matrix(vec, state.layout, effect, registers)
         return float(np.vdot(vec, out).real)
-    n = state.layout.total_qubits
-    qubits = state.layout.positions(*_registers_tuple(registers))
-    rho = np.asarray(state.data)
-    flat = _apply_to_vector(rho.reshape(-1), 2 * n, effect, [q + n for q in qubits])
-    return float(np.trace(flat.reshape(rho.shape)).real)
+    reduced = reduce_density_raw(np.asarray(state.data), state.layout, registers,
+                                 order="given")
+    return float(np.trace(effect @ reduced).real)
 
 
 def povm_probabilities(state: QuantumState, povm: Povm) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import RegisterLayout
+from .layout import RegisterLayout, rows_back
 
 PURE_NORM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -145,13 +145,8 @@ def assemble_raw(layout: RegisterLayout, factors) -> np.ndarray:
         # the Kronecker product vec (x) full: full is the low-order index block
         full = vec[..., :, None] * full[..., None, :]
         full = full.reshape(full.shape[:-2] + (-1,))
-    # full is little-endian over covered; permute to layout order
-    batch = full.shape[:-1]
-    t = full.reshape(batch + (2,) * n)
-    # axis j of t holds covered[n-1-j]; we need axis j to hold qubit n-1-j
-    nb = len(batch)
-    perm = list(range(nb)) + [nb + n - 1 - covered.index(n - 1 - j) for j in range(n)]
-    return t.transpose(perm).reshape(batch + (-1,))
+    # full is little-endian over covered: its index is one row over those qubits
+    return rows_back(full, n, covered).reshape(full.shape)
 
 
 def assemble(layout: RegisterLayout, factors) -> QuantumState:
@@ -177,9 +172,6 @@ def move_register_content(vec: np.ndarray, layout_from: RegisterLayout,
         if len(dst) != width:
             raise ValueError(f"register {name!r} changes width under renaming")
         mapping.update(zip(src, dst))
-    t = np.asarray(vec, dtype=complex).reshape([2] * n)
-    # axis j in source holds qubit n-1-j; send it to target axis n-1-mapping[q]
-    perm = [0] * n
-    for q_src, q_dst in mapping.items():
-        perm[n - 1 - q_dst] = n - 1 - q_src
-    return t.transpose(perm).reshape(-1)
+    # source bit q is target qubit mapping[q]: one row over those qubits
+    vec = np.asarray(vec, dtype=complex)
+    return rows_back(vec, n, [mapping[q] for q in range(n)]).reshape(vec.shape)

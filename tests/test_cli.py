@@ -240,31 +240,20 @@ def test_outputs_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_threads_flag_same_result(tmp_path, capsys):
+def test_threads_flag_rejected(tmp_path, capsys):
+    """Nothing runs in parallel, so there is no --threads option."""
     cfg = write_config(tmp_path, "sim.json", {
         "protocol": "route_entangled", "n": 1, "f": {"kind": "xor", "n": 1},
         "rounds": 50, "trials": 4,
     })
-    _, out1, _ = run_cli(capsys, "simulate", "--config", cfg, "--seed", "8")
-    _, out2, _ = run_cli(capsys, "simulate", "--config", cfg, "--seed", "8",
-                         "--threads", "4")
-    assert out1 == out2
+    code, out, _ = run_cli(capsys, "simulate", "--config", cfg, "--threads", "4")
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert cli.main(["verify", "--suite", "m1_m2", "--threads", "4"]) == cli.EXIT_CONFIG
 
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["simulate"]) == cli.EXIT_CONFIG
     assert cli.main(["bogus-command"]) == cli.EXIT_CONFIG
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, "sim.json", {
-        "protocol": "meas", "n": 1, "f": {"kind": "xor", "n": 1},
-        "rounds": 10, "trials": 3,
-    })
-    _, base, _ = run_cli(capsys, "simulate", "--config", cfg, "--seed", "1")
-    monkeypatch.setenv("QPV_THREADS", "3")
-    _, env_out, _ = run_cli(capsys, "simulate", "--config", cfg, "--seed", "1")
-    assert base == env_out
 
 
 def test_format_csv_to_stdout(tmp_path, capsys):

@@ -27,6 +27,25 @@ def embed_reference(mat, layout, regs):
     return out
 
 
+def trace_reference(rho, layout, keep):
+    """Independent partial trace by explicit bit bookkeeping (slow oracle),
+    indexed little-endian over the ``keep`` registers in the given order."""
+    kept = layout.positions(*keep)
+    mask = sum(1 << q for q in kept)
+
+    def local(i):
+        return sum(((i >> q) & 1) << b for b, q in enumerate(kept))
+
+    def spread(loc):
+        return sum(((loc >> b) & 1) << q for b, q in enumerate(kept))
+
+    out = np.zeros((1 << len(kept),) * 2, dtype=complex)
+    for i in range(layout.dim):
+        for loc in range(1 << len(kept)):
+            out[local(i), loc] += rho[i, (i & ~mask) | spread(loc)]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # layout
 # ---------------------------------------------------------------------------
@@ -181,6 +200,69 @@ def test_partial_trace_linearity():
     rhs = (lam * qc.partial_trace(qc.mixed_state(lay, r1), "A").data
            + (1 - lam) * qc.partial_trace(qc.mixed_state(lay, r2), "A").data)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Up to 7 qubits in up to five registers, zero widths allowed; an
+    ordered choice of registers to act on or keep; a batch size; a seed."""
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5)
+                  .filter(lambda ws: sum(ws) <= 7))
+    layout = qc.RegisterLayout([(f"G{i}", w) for i, w in enumerate(widths)])
+    regs = tuple(draw(st.permutations(layout.names))[:draw(st.integers(1, len(widths)))])
+    return layout, regs, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16))
+
+
+def _ginibre(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@given(kernel_cases())
+@settings(max_examples=60, deadline=None)
+def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
+    layout, regs, b, seed = case
+    rng = qc.stream(seed, "kernel")
+    n, d = layout.total_qubits, layout.subdim(*regs)
+    qubits = layout.positions(*regs)
+    vecs = np.stack([qc.random_unit_vector(layout.dim, rng) for _ in range(b)])
+    mats = _ginibre(rng, b, d, d)
+    full = embed_reference(mats[0], layout, regs)
+
+    assert np.array_equal(qc.layout.rows_back(qc.layout.rows_first(vecs, n, qubits),
+                                              n, qubits), vecs)
+    # apply: pure, mixed, a composed circuit, and a batch with one matrix each
+    np.testing.assert_allclose(qc.apply_vector_matrix(vecs[0], layout, mats[0], regs),
+                               full @ vecs[0], atol=1e-12)
+    rho = qc.random_density_matrix(layout.dim, rng)
+    mixed = qc.apply_matrix_raw(qc.mixed_state(layout, rho), mats[0], regs)
+    np.testing.assert_allclose(mixed, full @ rho @ full.conj().T, atol=1e-12)
+    assert qc.effect_probability(qc.mixed_state(layout, rho), mats[0], regs) == pytest.approx(
+        np.trace(full @ rho).real, abs=1e-12)
+    back = tuple(reversed(regs))
+    circuit = qc.compose_on_qubits(n, [(mats[0], qubits), (mats[-1], layout.positions(*back))])
+    np.testing.assert_allclose(circuit, embed_reference(mats[-1], layout, back) @ full,
+                               atol=1e-12)
+    batched = qc.apply_vector_matrix(vecs, layout, mats, regs)
+    shared = qc.apply_vector_matrix(vecs, layout, mats[0], regs)
+    assert batched.shape == shared.shape == vecs.shape
+    for vec, mat, out, out_shared in zip(vecs, mats, batched, shared):
+        np.testing.assert_allclose(out, embed_reference(mat, layout, regs) @ vec, atol=1e-12)
+        assert np.array_equal(out, qc.apply_vector_matrix(vec, layout, mat, regs))
+        assert np.array_equal(out_shared, qc.apply_vector_matrix(vec, layout, mats[0], regs))
+
+    # trace: |left><right| in both orders, and pure and mixed states
+    in_layout_order = tuple(name for name in layout.names if name in regs)
+    outer = np.outer(vecs[0], vecs[-1].conj())
+    np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, regs, order="given"),
+                               trace_reference(outer, layout, regs), atol=1e-12)
+    np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, regs),
+                               trace_reference(outer, layout, in_layout_order), atol=1e-12)
+    pure = qc.partial_trace(qc.pure_state(layout, vecs[0]), regs)
+    assert pure.layout == layout.restricted(*regs)
+    np.testing.assert_allclose(pure.data, trace_reference(np.outer(vecs[0], vecs[0].conj()),
+                                                          layout, in_layout_order), atol=1e-12)
+    np.testing.assert_allclose(qc.partial_trace(qc.mixed_state(layout, rho), regs).data,
+                               trace_reference(rho, layout, in_layout_order), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,7 @@ def _recovery_unitary(layout, gh, x, y, hops, exit_side):
         return _local_index(layout, regs, own_pipe, node - 1)
 
     # where the data sits at the end of the path
-    if hops:
-        last_side, last_pair = hops[-1]
-        entering = _entering_node(hops)
-        exit_node = last_pair[1] if last_pair[0] == entering[-1] else last_pair[0]
-    else:
-        exit_node = SOURCE
-    exit_local = own_local(exit_node)
+    exit_local = own_local(_exit_node(hops))
 
     gates = []
     for side, pair in reversed(hops):
@@ -278,8 +272,7 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
             measurements.append((qu, qv))
 
     exit_side, hops = trace_water(gh, x, y)
-    exit_node = SOURCE if not hops else _exit_node(hops)
-    exit_q = global_node(exit_side, exit_node)
+    exit_q = global_node(exit_side, _exit_node(hops))
     r_q = layout.positions("R")[0]
 
     proj = {0: np.array([[1, 0], [0, 0]], dtype=complex),
@@ -312,6 +305,8 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
 
 
 def _exit_node(hops):
-    entering = _entering_node(hops)
-    last_side, last_pair = hops[-1]
-    return last_pair[1] if last_pair[0] == entering[-1] else last_pair[0]
+    """Node at which the data leaves the path (the source when it has no hops)."""
+    if not hops:
+        return SOURCE
+    _, last_pair = hops[-1]
+    return last_pair[1] if last_pair[0] == _entering_node(hops)[-1] else last_pair[0]

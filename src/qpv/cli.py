@@ -64,7 +64,7 @@ def _function_from_config(config: dict, seed: int):
     return analysis.function_from_spec(spec)
 
 
-def _prover_from_config(config: dict):
+def _prover_from_config(config: dict, f):
     spec = config.get("prover", {"kind": "honest"})
     _require_keys(spec, "prover", ("kind",), ("p", "state", "basis", "path"))
     kind = spec["kind"]
@@ -73,7 +73,7 @@ def _prover_from_config(config: dict):
     if kind == "synthetic":
         return protocol.SyntheticAdversary(float(spec["p"]))
     if kind == "keep_q":
-        return "keep_q"  # resolved once the function is known
+        return attacks.keep_q_attack(f)
     if kind == "strategy":
         with open(spec["path"], "r", encoding="ascii") as fh:
             return attacks.strategy_from_json(fh.read())
@@ -110,9 +110,7 @@ def cmd_simulate(config: dict, seed: int):
     if rounds * trials > ROUND_SIM_LIMIT:
         raise BudgetExceeded(f"{rounds}x{trials} rounds exceed the simulation budget")
     f = _function_from_config(config, seed)
-    prover = _prover_from_config(config)
-    if prover == "keep_q":
-        prover = attacks.keep_q_attack(f)
+    prover = _prover_from_config(config, f)
     cfg = protocol.NoisyRepeatConfig(rounds=rounds, eta=eta)
     draws = protocol.draw_trials(cfg, proto, f, prover, seed, trials, noise_mode)
     accept_counts = draws.accept_counts
@@ -287,13 +285,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config's 'seed' key (default 0)")
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name == "simulate":
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="stdout format when --out is not given")
     v = sub.add_parser("verify")
     v.add_argument("--suite", default="all",
                    help="comma-separated check names, or 'all'")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
-    v.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

@@ -12,14 +12,11 @@ from .provers import HONEST, Prover, SyntheticAdversary
 from .repetition import (
     NOISE_MODES,
     NoisyRepeatConfig,
-    RepetitionResult,
     TrialDraws,
     acceptance_table,
     constant_round_probability,
     draw_trials,
     noisy_threshold_trials,
-    repeat_sequential,
-    run_noisy_threshold,
 )
 from .runs import (
     PROTOCOLS,
@@ -32,9 +29,7 @@ from .runs import (
     route_bb84_accept_probability,
     round_events,
     route_entangled_accept_probability,
-    run_meas,
-    run_route_bb84,
-    run_route_entangled,
+    run_round,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,14 +37,9 @@ class NoisyRepeatConfig:
 
     @property
     def threshold(self) -> float:
+        """A repeated run accepts iff strictly more rounds than this accept;
+        a tie at the threshold rejects."""
         return THRESHOLD_FACTOR * (1.0 - self.eta) * self.rounds
-
-
-@dataclass(frozen=True)
-class RepetitionResult:
-    outcomes: tuple[bool, ...]
-    accept_count: int
-    accepted: bool
 
 
 @dataclass(frozen=True)
@@ -125,32 +120,6 @@ def draw_trials(config: NoisyRepeatConfig, protocol: str, f, prover=HONEST, seed
         ys[t] = inputs.integers(side, size=rounds)
         accepted[t] = qc.stream(seed, "round", t).random(rounds) < table[xs[t], ys[t]]
     return TrialDraws(table, xs, ys, accepted)
-
-
-def repeat_sequential(protocol: str, f, rounds: int, prover=HONEST,
-                      seed=0) -> RepetitionResult:
-    """Run ``rounds`` independent rounds with fresh uniform inputs; accept
-    only if every round accepts."""
-    config = NoisyRepeatConfig(rounds=rounds, eta=0.0)
-    outcomes = draw_trials(config, protocol, f, prover, seed).accepted[0].tolist()
-    count = sum(outcomes)
-    return RepetitionResult(tuple(outcomes), count, count == rounds)
-
-
-def run_noisy_threshold(config: NoisyRepeatConfig, protocol: str, f,
-                        prover=HONEST, seed=0,
-                        noise_mode: str = "bernoulli") -> RepetitionResult:
-    """One repeated protocol with the accept-count threshold rule.
-
-    Accepts iff strictly more than 0.996*(1-eta)*rounds rounds accept (a tie
-    at the threshold rejects).  Honest-device noise is a per-round Bernoulli
-    corruption of the verdict by default; ``noise_mode='depolarizing'``
-    instead degrades the travelling qubit physically.
-    """
-    outcomes = draw_trials(config, protocol, f, prover, seed,
-                           noise_mode=noise_mode).accepted[0].tolist()
-    count = sum(outcomes)
-    return RepetitionResult(tuple(outcomes), count, count > config.threshold)
 
 
 def constant_round_probability(protocol: str, f, prover, config: NoisyRepeatConfig,

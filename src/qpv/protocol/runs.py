@@ -1,9 +1,10 @@
 """Executable rounds of the three position-verification protocols.
 
-Each ``run_*`` function plays one round: it builds the spacetime event log,
+:func:`run_round` plays one round: it builds the spacetime event log,
 computes the exact acceptance probability for the given prover, samples the
-verdict, and returns a :class:`ProtocolRun`.  The exact probabilities are
-exposed separately for tests and exhaustive sweeps.
+verdict, and returns a :class:`ProtocolRun`.  :func:`accept_probability` is
+the exact probability on its own, for the trial engine and exhaustive
+sweeps.
 
 Attack strategies (objects from :mod:`qpv.attacks`) are referenced by
 handle: their timing validity is granted by construction and their
@@ -13,6 +14,7 @@ acceptance probability comes from the two-phase strategy executor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -85,103 +87,92 @@ def _depolarize_qubit(state: qc.QuantumState, register: str, p: float) -> qc.Qua
     return qc.QuantumState(state.layout, "mixed", out)
 
 
-def _route_channel(state: qc.QuantumState, prover: Prover, q_register: str,
-                   depolarize: float = 0.0) -> qc.QuantumState:
-    """Apply the prover's (mis)handling of the travelling qubit."""
+def _prover_pair(prover: Prover, routed: bool, depolarize: float) -> np.ndarray:
+    """rho_RQ: the verifier keeps R of |Omega>_RQ and the prover handles Q.
+
+    Depolarizing noise hits Q in every protocol; the routing knobs
+    (``replace_with``, ``tamper_unitary``, ``premeasure_basis``) act only
+    when Q is routed.
+    """
+    state = qc.bell_state("R", "Q")
     if depolarize > 0.0:
-        state = _depolarize_qubit(state, q_register, depolarize)
+        state = _depolarize_qubit(state, "Q", depolarize)
+    if not routed:
+        return state.density()
     if prover.replace_with is not None:
         # discard Q and prepare |s>: the channel with Kraus operators |s><0|, |s><1|
         fresh = qc.BB84_VECTORS[prover.replace_with]
         mixed = state.to_mixed()
-        rho = sum(qc.apply_matrix_raw(mixed, np.outer(fresh, e), q_register)
-                  for e in np.eye(2))
+        rho = sum(qc.apply_matrix_raw(mixed, np.outer(fresh, e), "Q") for e in np.eye(2))
         state = qc.QuantumState(state.layout, "mixed", rho)
     if prover.tamper_unitary is not None:
-        state = qc.apply_matrix(state, np.asarray(prover.tamper_unitary, dtype=complex), q_register)
+        state = qc.apply_matrix(state, np.asarray(prover.tamper_unitary, dtype=complex), "Q")
     if prover.premeasure_basis is not None:
-        state = qc.dephase_register(state, q_register, prover.premeasure_basis)
-    return state
+        state = qc.dephase_register(state, "Q", prover.premeasure_basis)
+    return state.density()
 
 
-# ---------------------------------------------------------------------------
-# exact acceptance probabilities
-# ---------------------------------------------------------------------------
-
-def route_entangled_accept_probability(f, x: int, y: int, prover=HONEST,
-                                       depolarize: float = 0.0) -> float:
-    """Bell-test pass probability, conditional on timing/arrival being valid."""
-    _check_inputs(f, x, y)
-    if isinstance(prover, AttackStrategy):
-        from ..attacks import execute_route
-        return execute_route(prover, f, x, y)
-    if isinstance(prover, SyntheticAdversary):
-        return prover.p
-    state = qc.bell_state("R", "Q")
-    state = _route_channel(state, prover, "Q", depolarize)
-    return m1_accept_probability(state.density())
-
-
-def route_bb84_accept_probability(f, x: int, y: int, prover=HONEST,
-                                  prep: int | None = None,
-                                  depolarize: float = 0.0) -> float:
-    """Preparation-basis check pass probability (averaged over preparations
-    when ``prep`` is None)."""
-    _check_inputs(f, x, y)
-    if isinstance(prover, AttackStrategy):
-        from ..attacks import execute_route_reduced
-        rho = execute_route_reduced(prover, f, x, y)
-        return 0.0 if rho is None else m2_accept_probability(rho)
-    if isinstance(prover, SyntheticAdversary):
-        return prover.p
-    preps = (prep,) if prep is not None else (0, 1, 2, 3)
-    total = 0.0
-    for p_idx in preps:
-        state = qc.bb84_state(p_idx, "Q")
-        state = _route_channel(state, prover, "Q", depolarize)
-        vec = qc.BB84_VECTORS[p_idx]
-        total += qc.expectation(vec, state.density())
-    return total / len(preps)
-
-
-def meas_accept_probability(f, x: int, y: int, prover=HONEST,
-                            depolarize: float = 0.0) -> float:
-    """Probability that the broadcast bit matches the verifier's measurement."""
-    _check_inputs(f, x, y)
-    if isinstance(prover, AttackStrategy):
-        from ..attacks import execute_meas
-        return execute_meas(prover, f, x, y)
-    if isinstance(prover, SyntheticAdversary):
-        return prover.p
-    theta = f.value(x, y)
-    state = qc.bell_state("R", "Q")
-    if depolarize > 0.0:
-        state = _depolarize_qubit(state, "Q", depolarize)
-    rho = state.density()
+def _meas_agreement(prover: Prover, theta: int, rho: np.ndarray) -> float:
+    """Probability that the prover's broadcast bit equals R's outcome in basis theta."""
     verifier = qc.basis_projectors(theta)
     if prover.meas_mode == "measure":
-        mine = qc.basis_projectors(theta)
+        mine = verifier
     elif prover.meas_mode == "wrong_basis":
         mine = qc.basis_projectors(1 - theta)
     elif prover.meas_mode == "random_bit":
         mine = (np.eye(2) / 2, np.eye(2) / 2)
     else:
         raise ValueError(f"unknown meas_mode {prover.meas_mode!r}")
-    prob = 0.0
-    for b in (0, 1):
-        effect = qc.kron_le(verifier[b], mine[b])  # R low qubit, Q high qubit
-        prob += float(np.trace(effect @ rho).real)
-    return prob
+    # R is the low qubit, Q the high one
+    return sum(float(np.trace(qc.kron_le(verifier[b], mine[b]) @ rho).real) for b in (0, 1))
 
 
-def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, **kw) -> float:
+# ---------------------------------------------------------------------------
+# exact acceptance probabilities
+# ---------------------------------------------------------------------------
+
+def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
+                       depolarize: float = 0.0, prep: int | None = None) -> float:
+    """Pass probability of one round, conditional on its timing and arrival gates.
+
+    Every protocol tests the pair rho_RQ left after the prover: the Bell test
+    M1 (``route_entangled``), the basis-sampled test M2 (``route_bb84``), or
+    agreement with R measured in basis f(x, y) (``meas``).  ``route_bb84``
+    with a preparation ``prep`` instead scores <p|N(|p><p|)|p> =
+    2 <pp|rho_RQ|pp>, whose average over the four preparations is M2.
+    Attack strategies are scored by the two-phase executor and synthetic
+    adversaries pass with their fixed probability.
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if prep is not None and protocol != "route_bb84":
+        raise ValueError("only route_bb84 has a preparation")
+    _check_inputs(f, x, y)
+    if isinstance(prover, SyntheticAdversary):
+        return prover.p
+    if isinstance(prover, AttackStrategy):
+        from ..attacks import execute_meas, execute_route, execute_route_reduced
+        if protocol == "route_entangled":
+            return execute_route(prover, f, x, y)
+        if protocol == "meas":
+            return execute_meas(prover, f, x, y)
+        rho = execute_route_reduced(prover, f, x, y)
+        return 0.0 if rho is None else m2_accept_probability(rho)
+    rho = _prover_pair(prover, protocol != "meas", depolarize)
     if protocol == "route_entangled":
-        return route_entangled_accept_probability(f, x, y, prover, **kw)
-    if protocol == "route_bb84":
-        return route_bb84_accept_probability(f, x, y, prover, **kw)
+        return m1_accept_probability(rho)
     if protocol == "meas":
-        return meas_accept_probability(f, x, y, prover, **kw)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        return _meas_agreement(prover, f.value(x, y), rho)
+    if prep is None:
+        return m2_accept_probability(rho)
+    # the BB84 vectors are real, so outcome p on R of |Omega> leaves Q in |p>
+    vec = qc.BB84_VECTORS[prep]
+    return 2 * qc.expectation(np.kron(vec, vec), rho)
+
+
+route_entangled_accept_probability = partial(accept_probability, "route_entangled")
+route_bb84_accept_probability = partial(accept_probability, "route_bb84")
+meas_accept_probability = partial(accept_probability, "meas")
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +206,18 @@ def round_events(protocol: str, f, x: int, y: int, prover=HONEST,
     return events, timing_check(events, geom), arrival_ok
 
 
-def _finish_run(protocol, f, x, y, prover, geom, prob, rng, require_both=True,
-                **details) -> ProtocolRun:
+def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0,
+              geom: Geometry | None = None, require_both: bool = True,
+              depolarize: float = 0.0) -> ProtocolRun:
+    """Play one round.  ``route_bb84`` first draws the verifier's preparation
+    from the round's generator; the verdict is then one draw against the pass
+    probability, and a failed timing or arrival gate rejects."""
+    rng = qc.as_generator(seed)
+    details = {}
+    if protocol == "route_bb84":
+        details["prep"] = int(rng.integers(0, 4))
+    prob = accept_probability(protocol, f, x, y, prover, depolarize=depolarize,
+                              prep=details.get("prep"))
     events, timing_ok, arrival_ok = round_events(protocol, f, x, y, prover, geom,
                                                  require_both)
     details["f"] = fxy = f.value(x, y)
@@ -231,34 +232,5 @@ def _finish_run(protocol, f, x, y, prover, geom, prob, rng, require_both=True,
                        accept_probability=prob, accepted=accepted, details=details)
 
 
-def run_route_entangled(f, x: int, y: int, prover=HONEST, seed=0,
-                        geom: Geometry | None = None, depolarize: float = 0.0) -> ProtocolRun:
-    _check_inputs(f, x, y)
-    prob = route_entangled_accept_probability(f, x, y, prover, depolarize)
-    return _finish_run("route_entangled", f, x, y, prover, geom, prob,
-                       qc.as_generator(seed))
-
-
-def run_route_bb84(f, x: int, y: int, prover=HONEST, seed=0,
-                   geom: Geometry | None = None, depolarize: float = 0.0) -> ProtocolRun:
-    _check_inputs(f, x, y)
-    rng = qc.as_generator(seed)
-    prep = int(rng.integers(0, 4))
-    prob = route_bb84_accept_probability(f, x, y, prover, prep=prep, depolarize=depolarize)
-    return _finish_run("route_bb84", f, x, y, prover, geom, prob, rng, prep=prep)
-
-
-def run_meas(f, x: int, y: int, prover=HONEST, seed=0,
-             geom: Geometry | None = None, require_both: bool = True,
-             depolarize: float = 0.0) -> ProtocolRun:
-    _check_inputs(f, x, y)
-    prob = meas_accept_probability(f, x, y, prover, depolarize)
-    return _finish_run("meas", f, x, y, prover, geom, prob, qc.as_generator(seed),
-                       require_both)
-
-
-RUNNERS = {
-    "route_entangled": run_route_entangled,
-    "route_bb84": run_route_bb84,
-    "meas": run_meas,
-}
+# perfbench/tracing.py wraps these entries (ROADMAP item 6)
+RUNNERS = {p: partial(run_round, p) for p in PROTOCOLS}

@@ -12,8 +12,6 @@ its 2n-qubit view).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .layout import RegisterLayout, rows_back, rows_first
@@ -73,47 +71,6 @@ def check_effect(mat: np.ndarray, label: str = "matrix") -> None:
         raise ValueError(f"{label} is not an effect (0 <= E <= I)")
 
 
-@dataclass(frozen=True)
-class Unitary:
-    matrix: np.ndarray
-    acts_on: tuple[str, ...]
-
-    def __init__(self, matrix, acts_on):
-        acts_on = (acts_on,) if isinstance(acts_on, str) else tuple(acts_on)
-        matrix = np.asarray(matrix, dtype=complex)
-        d = matrix.shape[0]
-        if matrix.ndim != 2 or matrix.shape != (d, d) or d & (d - 1):
-            raise ValueError("unitary must be square with power-of-two dimension")
-        check_unitary(matrix)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "acts_on", acts_on)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Povm:
-    elements: tuple[np.ndarray, ...]
-    acts_on: tuple[str, ...]
-
-    def __init__(self, elements, acts_on):
-        acts_on = (acts_on,) if isinstance(acts_on, str) else tuple(acts_on)
-        elems = tuple(np.asarray(e, dtype=complex) for e in elements)
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share one dimension")
-            check_effect(e, "POVM element")
-            total = total + e
-        if np.max(np.abs(total - np.eye(d))) > EFFECT_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "acts_on", acts_on)
-
-
 # ---------------------------------------------------------------------------
 # the apply kernel
 # ---------------------------------------------------------------------------
@@ -164,11 +121,6 @@ def apply_matrix(state: QuantumState, mat: np.ndarray, registers) -> QuantumStat
     """Trace-preserving matrix application returning a validated state."""
     out = apply_matrix_raw(state, mat, registers)
     return QuantumState(state.layout, state.kind, out)
-
-
-def apply(state: QuantumState, u: Unitary) -> QuantumState:
-    """Apply a unitary on its registers, identity elsewhere."""
-    return apply_matrix(state, u.matrix, u.acts_on)
 
 
 def apply_vector_matrix(vec: np.ndarray, layout: RegisterLayout,
@@ -426,30 +378,6 @@ def effect_probability(state: QuantumState, effect: np.ndarray, registers) -> fl
     reduced = reduce_density_raw(np.asarray(state.data), state.layout, registers,
                                  order="given")
     return float(np.trace(effect @ reduced).real)
-
-
-def povm_probabilities(state: QuantumState, povm: Povm) -> np.ndarray:
-    return np.array([effect_probability(state, e, povm.acts_on)
-                     for e in povm.elements])
-
-
-def measure(state: QuantumState, povm: Povm, rng):
-    """Sample an outcome (Born rule) and return (index, normalized post-state).
-
-    ``rng`` is a seed or a numpy Generator.
-    """
-    from .rng import as_generator
-    rng = as_generator(rng)
-    probs = np.clip(povm_probabilities(state, povm), 0.0, None)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
-    kraus = psd_sqrt(np.asarray(povm.elements[outcome]))
-    post = apply_matrix_raw(state, kraus, povm.acts_on)
-    if state.kind == "pure":
-        post = post / np.linalg.norm(post)
-        return outcome, QuantumState(state.layout, "pure", post)
-    post = post / np.trace(post).real
-    return outcome, QuantumState(state.layout, "mixed", post)
 
 
 def dephase_register(state: QuantumState, register: str, basis: int) -> QuantumState:

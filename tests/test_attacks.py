@@ -242,6 +242,9 @@ def test_strategy_validation():
                           alice={0: np.eye(2) * 2})
     with pytest.raises(ValueError):
         at.AttackStrategy(kind="meas", n=1, layout=layout, psi=psi)
+    with pytest.raises(ValueError, match="not an effect"):
+        at.AttackStrategy(kind="meas", n=1, layout=layout, psi=psi,
+                          pi_effect={(0, 0): np.diag([2.0, -1.0])}, sigma_effect={})
     with pytest.raises(ValueError):
         bad = qc.RegisterLayout([("R", 1), ("A", 1), ("At", 1), ("Ac", 0),
                                  ("B", 1), ("Bt", 0), ("Bc", 0)])

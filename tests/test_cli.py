@@ -269,6 +269,20 @@ def test_format_csv_to_stdout(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_format_flag_only_on_simulate(tmp_path, capsys):
+    """Only simulate can print CSV; elsewhere --format is a usage error."""
+    bounds = write_config(tmp_path, "b.json", {"kind": "counting", "n": 10, "q": 0})
+    attack = write_config(tmp_path, "a.json", {
+        "f": {"kind": "constant", "n": 1, "bit": 0},
+        "kind": "route", "q": 1, "restarts": 1, "iters": 1,
+    })
+    for argv in (("bounds", "--config", bounds),
+                 ("attack-optimize", "--config", attack),
+                 ("verify", "--suite", "m1_m2")):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == cli.EXIT_CONFIG and out == ""
+
+
 def test_seed_can_come_from_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", {
         "protocol": "meas", "n": 1, "f": {"kind": "xor", "n": 1},

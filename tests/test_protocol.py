@@ -42,6 +42,61 @@ def test_route_bb84_measure_then_forward():
     assert pr.route_bb84_accept_probability(XOR, 0, 0, prover) == pytest.approx(0.75, abs=1e-12)
 
 
+# |0>, |1>, |+>, |->, built here and not taken from qcore
+BB84_KETS = [np.array(v, dtype=complex) / np.linalg.norm(v)
+             for v in ([1, 0], [0, 1], [1, 1], [1, -1])]
+
+
+def _single_qubit_channel(rho, prover, depolarize):
+    """N(rho) on one qubit, built from scratch: depolarize, then the prover's knob."""
+    rho = (1 - depolarize) * rho + depolarize * np.trace(rho) * np.eye(2) / 2
+    if prover.replace_with is not None:
+        s = BB84_KETS[prover.replace_with]
+        rho = np.trace(rho) * np.outer(s, s.conj())
+    if prover.tamper_unitary is not None:
+        u = np.asarray(prover.tamper_unitary)
+        rho = u @ rho @ u.conj().T
+    if prover.premeasure_basis is not None:
+        projectors = [np.outer(k, k.conj()) for k in
+                      BB84_KETS[2 * prover.premeasure_basis:][:2]]
+        rho = sum(p @ rho @ p for p in projectors)
+    return rho
+
+
+ROUTE_KNOBS = ([pr.HONEST, pr.Prover(tamper_unitary=qc.X), pr.Prover(tamper_unitary=qc.H)]
+               + [pr.Prover(replace_with=s) for s in range(4)]
+               + [pr.Prover(premeasure_basis=b) for b in (0, 1)])
+
+
+@pytest.mark.parametrize("prover", ROUTE_KNOBS)
+@pytest.mark.parametrize("depolarize", [0.0, 2 * 0.01])
+def test_route_bb84_matches_single_qubit_oracle(prover, depolarize):
+    # the prep-p test is <p|N(|p><p|)|p>, and M2 on rho_RQ is its prep average
+    for x, y in XOR.pairs():
+        values = []
+        for prep, ket in enumerate(BB84_KETS):
+            out = _single_qubit_channel(np.outer(ket, ket.conj()), prover, depolarize)
+            oracle = np.vdot(ket, out @ ket).real
+            got = pr.route_bb84_accept_probability(XOR, x, y, prover, prep=prep,
+                                                   depolarize=depolarize)
+            assert abs(got - oracle) <= 1e-12
+            values.append(got)
+        mean = pr.route_bb84_accept_probability(XOR, x, y, prover, depolarize=depolarize)
+        assert abs(mean - np.mean(values)) <= 1e-12
+
+
+def test_run_round_bb84_draws_prep_first():
+    prover = pr.Prover(replace_with=1)
+    for seed in range(8):
+        run = pr.run_round("route_bb84", XOR, 1, 0, prover, seed=seed)
+        prep = int(qc.as_generator(seed).integers(0, 4))
+        assert run.details["prep"] == prep
+        assert run.accept_probability == pr.accept_probability(
+            "route_bb84", XOR, 1, 0, prover, prep=prep)
+    with pytest.raises(ValueError):
+        pr.accept_probability("meas", XOR, 0, 0, prep=0)
+
+
 def test_meas_naive_provers():
     assert pr.meas_accept_probability(XOR, 0, 1, pr.Prover(meas_mode="random_bit")) \
         == pytest.approx(0.5, abs=1e-12)
@@ -54,9 +109,9 @@ def test_meas_naive_provers():
 # ---------------------------------------------------------------------------
 
 def test_timing_honest_and_delay():
-    run = pr.run_route_entangled(XOR, 0, 1, seed=3)
+    run = pr.run_round("route_entangled", XOR, 0, 1, seed=3)
     assert run.timing_ok and run.accepted
-    late = pr.run_route_entangled(XOR, 0, 1, pr.Prover(delay=0.1), seed=3)
+    late = pr.run_round("route_entangled", XOR, 0, 1, pr.Prover(delay=0.1), seed=3)
     assert not late.timing_ok and not late.accepted
 
 
@@ -74,7 +129,7 @@ def test_timing_position_spoof_fools_one_verifier_only():
 
 
 def test_wrong_verifier_on_time_is_rejected():
-    run = pr.run_route_entangled(XOR, 0, 1, pr.Prover(route_to="swapped"), seed=3)
+    run = pr.run_round("route_entangled", XOR, 0, 1, pr.Prover(route_to="swapped"), seed=3)
     assert run.timing_ok and not run.arrival_ok and not run.accepted
 
 
@@ -118,22 +173,24 @@ def test_m1_m2_implications_on_random_states():
 # ---------------------------------------------------------------------------
 
 def test_repeat_sequential_honest_all_accept():
-    res = pr.repeat_sequential("route_bb84", XOR, 100, seed=5)
-    assert res.accepted and res.accept_count == 100
+    cfg = pr.NoisyRepeatConfig(rounds=100, eta=0.0)
+    draws = pr.draw_trials(cfg, "route_bb84", XOR, seed=5)
+    assert draws.accept_counts.tolist() == [100]
 
 
 def test_repeat_sequential_failing_round_rejects():
-    res = pr.repeat_sequential("meas", XOR, 20, pr.SyntheticAdversary(0.0), seed=5)
-    assert not res.accepted and res.accept_count == 0
+    cfg = pr.NoisyRepeatConfig(rounds=20, eta=0.0)
+    draws = pr.draw_trials(cfg, "meas", XOR, pr.SyntheticAdversary(0.0), seed=5)
+    assert draws.accept_counts.tolist() == [0]
 
 
 def test_repeat_sequential_binomial_oracle():
+    # sequential repetition accepts only if every round accepts: p^r per trial
     p, r, trials = 0.9, 5, 10_000
-    wins = 0
-    for t in range(trials):
-        res = pr.repeat_sequential("route_entangled", XOR, r,
-                                   pr.SyntheticAdversary(p), seed=31_000 + t)
-        wins += res.accepted
+    cfg = pr.NoisyRepeatConfig(rounds=r, eta=0.0)
+    draws = pr.draw_trials(cfg, "route_entangled", XOR, pr.SyntheticAdversary(p),
+                           seed=31_000, trials=trials)
+    wins = int(np.sum(draws.accept_counts == r))
     expect = p ** r
     sigma = math.sqrt(expect * (1 - expect) / trials)
     assert abs(wins / trials - expect) <= 3 * sigma + 1e-9
@@ -149,11 +206,11 @@ def test_noisy_threshold_tie_rejects():
 
 def test_noisy_threshold_honest_and_failing():
     cfg = pr.NoisyRepeatConfig(rounds=50, eta=0.0)
-    res = pr.run_noisy_threshold(cfg, "route_entangled", XOR, seed=5)
-    assert res.accepted and res.accept_count == 50
-    res = pr.run_noisy_threshold(cfg, "route_entangled", XOR,
-                                 pr.SyntheticAdversary(0.0), seed=5)
-    assert not res.accepted
+    res = pr.noisy_threshold_trials(cfg, "route_entangled", XOR, seed=5, trials=1)
+    assert res["acceptance_rate"] == 1.0 and res["accept_counts"] == [50]
+    res = pr.noisy_threshold_trials(cfg, "route_entangled", XOR,
+                                    pr.SyntheticAdversary(0.0), seed=5, trials=1)
+    assert res["acceptance_rate"] == 0.0
 
 
 def test_noisy_config_validation():
@@ -205,9 +262,9 @@ def test_depolarizing_noise_mode():
     p = pr.meas_accept_probability(XOR, 0, 0, depolarize=2 * eta)
     assert p == pytest.approx(1 - eta, abs=1e-12)
     cfg = pr.NoisyRepeatConfig(rounds=40, eta=eta)
-    res = pr.run_noisy_threshold(cfg, "route_bb84", XOR, seed=9,
-                                 noise_mode="depolarizing")
-    assert res.accept_count >= 35
+    res = pr.noisy_threshold_trials(cfg, "route_bb84", XOR, seed=9, trials=1,
+                                    noise_mode="depolarizing")
+    assert res["accept_counts"][0] >= 35
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +278,7 @@ def test_attack_strategy_as_prover():
     assert probs == {(0, 0): pytest.approx(1.0, abs=1e-12),
                      (1, 1): pytest.approx(1.0, abs=1e-12),
                      (0, 1): 0.0, (1, 0): 0.0}
-    run = pr.run_route_entangled(XOR, 0, 1, keep, seed=2)
+    run = pr.run_round("route_entangled", XOR, 0, 1, keep, seed=2)
     assert run.timing_ok and not run.accepted
 
 
@@ -234,4 +291,4 @@ def test_attack_strategy_bb84_uses_m2():
 
 def test_input_length_validation():
     with pytest.raises(ValueError):
-        pr.run_meas(XOR, 2, 0, seed=1)
+        pr.run_round("meas", XOR, 2, 0, seed=1)

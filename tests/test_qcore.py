@@ -132,7 +132,7 @@ def test_apply_norm_preserved_and_unknown_register():
     lay = qc.RegisterLayout([("P", 2), ("Q", 1)])
     psi = qc.random_pure_state(lay, qc.stream(3))
     u = qc.haar_random_unitary(4, qc.stream(4))
-    out = qc.apply(psi, qc.Unitary(u, ("P",)))
+    out = qc.apply_matrix(psi, u, "P")
     assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(KeyError):
         qc.apply_matrix(psi, qc.X, "nope")
@@ -465,43 +465,12 @@ def test_haar_first_moment():
 # measurement
 # ---------------------------------------------------------------------------
 
-def test_measure_deterministic_outcome():
-    povm = qc.Povm(qc.basis_projectors(0), ("Q",))
-    out, post = qc.measure(qc.bb84_state(0), povm, qc.stream(110))
-    assert out == 0
-    np.testing.assert_allclose(post.data, [1, 0], atol=1e-12)
-
-
-def test_measure_plus_state_statistics():
-    povm = qc.Povm(qc.basis_projectors(0), ("Q",))
-    g = qc.stream(111)
-    hits = sum(qc.measure(qc.bb84_state(2), povm, g)[0] for _ in range(10_000))
-    # binomial(1e4, 1/2): 3 sigma = 150
-    assert abs(hits - 5000) <= 150
-
-
 def test_measure_bell_same_basis_agreement():
     for basis in (0, 1):
         p0, p1 = qc.basis_projectors(basis)
         agree = qc.kron_le(p0, p0) + qc.kron_le(p1, p1)
         prob = qc.effect_probability(qc.bell_state(), agree, ("R", "A"))
         assert prob == pytest.approx(1.0, abs=1e-12)
-
-
-def test_measure_nonprojective_povm_post_state():
-    # the trivial coin POVM {I/2, I/2} leaves the state untouched
-    povm = qc.Povm((np.eye(2) / 2, np.eye(2) / 2), ("Q",))
-    state = qc.bb84_state(2)
-    outcome, post = qc.measure(state, povm, 7)
-    assert outcome in (0, 1)
-    assert abs(np.vdot(post.data, state.data)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_povm_validation():
-    with pytest.raises(ValueError):
-        qc.Povm((np.eye(2), np.eye(2)), ("Q",))
-    with pytest.raises(ValueError):
-        qc.Povm((np.array([[2, 0], [0, -1]]), np.eye(2) - np.array([[2, 0], [0, -1]])), ("Q",))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ executors, garden-hose compilation, and numerical strategy search."""
 from .execute import (
     classical_copy_attack,
     epsilon_l_report,
-    execute,
     execute_meas,
     execute_route,
     execute_route_reduced,
@@ -34,7 +33,6 @@ from .seesaw import (
     helstrom_effect,
     polar_unitary,
     seesaw_optimize,
-    unentangled_product_state,
 )
 from .strategy import (
     ALICE_FINAL,
@@ -47,6 +45,7 @@ from .strategy import (
     attack_layout,
     strategy_from_json,
     strategy_to_json,
+    unentangled_product_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

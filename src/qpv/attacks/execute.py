@@ -1,8 +1,9 @@
 """Exact executors for attack strategies, plus built-in baseline attacks.
 
-The per-pair kernels act on raw state vectors.  The executor, the see-saw
-optimizer and the recovery-set oracle all score strategies through them, so
-every path evaluates one input pair with the same arithmetic.
+The pair kernels act on a ``(b, 2^n)`` batch of raw state vectors, one row
+per input pair, with ``(b, d, d)`` stacks of the per-pair matrices.  The
+executor, the see-saw optimizer and the recovery-set oracle all score
+strategies through them, one stacked apply per step.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from .strategy import (
     AttackReport,
     AttackStrategy,
     attack_layout,
+    unentangled_product_state,
 )
 
 ENUMERATION_LIMIT_N = 4
 
 BELL_PROJECTOR = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
+BASIS_PROJECTORS = np.array([qc.basis_projectors(b) for b in (0, 1)])  # [basis, outcome]
 
 
 def returned_register(value: int) -> str:
@@ -31,69 +34,84 @@ def returned_register(value: int) -> str:
     return "A" if value == 0 else "B"
 
 
-def after_locals(vec, layout, alice, bob):
+def both_outcomes(effects: np.ndarray) -> np.ndarray:
+    """The z = 0 effects of a (b, d, d) stack followed by their complements."""
+    return np.concatenate([effects, np.eye(effects.shape[-1]) - effects])
+
+
+def _by_register(rets):
+    """(register, row indices) for each of A and B that some row returns."""
+    rets = np.asarray(rets)
+    return [(ret, np.flatnonzero(rets == ret)) for ret in ("A", "B") if np.any(rets == ret)]
+
+
+def _inner(vecs, ws) -> np.ndarray:
+    """Re <v|w> per row."""
+    return np.einsum("bi,bi->b", vecs.conj(), ws).real
+
+
+def after_locals(vecs, layout, alice, bob):
     """Alice's, then Bob's local unitary."""
-    vec = qc.apply_vector_matrix(vec, layout, alice, ALICE_LOCAL)
-    return qc.apply_vector_matrix(vec, layout, bob, BOB_LOCAL)
+    vecs = qc.apply_vector_matrix(vecs, layout, alice, ALICE_LOCAL)
+    return qc.apply_vector_matrix(vecs, layout, bob, BOB_LOCAL)
 
 
-def route_finale(vec, layout, k, l):
+def route_finale(vecs, layout, k, l):
     """Recovery K on Alice's finale registers, then L on Bob's."""
-    vec = qc.apply_vector_matrix(vec, layout, k, ALICE_FINAL)
-    return qc.apply_vector_matrix(vec, layout, l, BOB_FINAL)
+    vecs = qc.apply_vector_matrix(vecs, layout, k, ALICE_FINAL)
+    return qc.apply_vector_matrix(vecs, layout, l, BOB_FINAL)
 
 
-def bell_overlap(vec, layout, ret) -> float:
-    """Bell-test pass probability <Omega|rho_{R,ret}|Omega>."""
-    return qc.expectation(qc.BELL_VECTOR, qc.reduced_outer(vec, vec, layout, ("R", ret)))
+def bell_effect(vecs, layout, rets) -> np.ndarray:
+    """M|v> per row, with M the Bell projector on (R, ret) and ``rets``
+    naming each row's returned register."""
+    out = np.empty_like(vecs)
+    for ret, idx in _by_register(rets):
+        out[idx] = qc.apply_vector_matrix(vecs[idx], layout, BELL_PROJECTOR, ("R", ret))
+    return out
 
 
-def bell_effect(vec, layout, ret):
-    """M|v> with M the Bell projector on (R, ret)."""
-    return qc.apply_vector_matrix(vec, layout, BELL_PROJECTOR, ("R", ret))
+def bell_overlap(vecs, layout, rets) -> np.ndarray:
+    """Bell-test pass probability <v|M|v> = <Omega|rho_{R,ret}|Omega> per row."""
+    return _inner(vecs, bell_effect(vecs, layout, rets))
 
 
-def meas_branches(vec, layout, theta, pi, sigma):
-    """P_z E^A_z E^B_z |v> for z = 0, 1: the verifier reads z in basis theta
-    and both attackers report z (effects pi, sigma for z = 0).  Their sum is
-    G|v>, the measuring effect, and the pair's success is <v|G|v>."""
-    branches = []
-    for proj, ea, eb in zip(qc.basis_projectors(theta),
-                            (pi, np.eye(pi.shape[0]) - pi),
-                            (sigma, np.eye(sigma.shape[0]) - sigma)):
-        w = qc.apply_vector_matrix(vec, layout, proj, ("R",))
-        w = qc.apply_vector_matrix(w, layout, ea, ALICE_FINAL)
-        branches.append(qc.apply_vector_matrix(w, layout, eb, BOB_FINAL))
-    return branches
+def verifier_branches(vecs, layout, values) -> np.ndarray:
+    """P_z|v> for z = 0, 1, with R projected onto outcome z of basis
+    ``values[i]``, as a (2b, 2^n) batch: branch z on rows z*b to z*b + b - 1."""
+    proj = BASIS_PROJECTORS[np.asarray(values)].swapaxes(0, 1).reshape(-1, 2, 2)
+    return qc.apply_vector_matrix(np.concatenate([vecs, vecs]), layout, proj, ("R",))
 
 
-def pair_success(vec, layout, kind, value, alice, bob, finale) -> float:
-    """Success of a two-phase strategy on one input pair, from the pre-shared
-    vector.  ``value`` is f(x, y); ``finale`` is (K, L) for routing and the
-    effects (pi, sigma) for measuring."""
-    vec = after_locals(vec, layout, alice, bob)
+def meas_branches(vecs, layout, values, pi, sigma) -> np.ndarray:
+    """P_z E^A_z E^B_z |v> for z = 0, 1 as a (2, b, 2^n) array: the verifier
+    reads z in basis f(x, y) = ``values[i]`` and both attackers report z
+    (effect stacks pi, sigma for z = 0).  The sum over z is G|v>, the
+    measuring effect, and a pair's success is <v|G|v>."""
+    w = verifier_branches(vecs, layout, values)
+    w = qc.apply_vector_matrix(w, layout, both_outcomes(pi), ALICE_FINAL)
+    w = qc.apply_vector_matrix(w, layout, both_outcomes(sigma), BOB_FINAL)
+    return w.reshape(2, -1, layout.dim)
+
+
+def pair_success(vecs, layout, kind, values, finale) -> np.ndarray:
+    """Success of a two-phase strategy per input pair, from the batch after
+    the local unitaries.  ``values`` are the f(x, y); ``finale`` is the
+    stacks (K, L) for routing and the effects (pi, sigma) for measuring."""
     if kind == "route":
-        return bell_overlap(route_finale(vec, layout, *finale), layout,
-                            returned_register(value))
-    return sum(float(np.vdot(vec, w).real)
-               for w in meas_branches(vec, layout, value, *finale))
+        return bell_overlap(route_finale(vecs, layout, *finale), layout,
+                            [returned_register(v) for v in values])
+    return _inner(vecs, meas_branches(vecs, layout, values, *finale).sum(axis=0))
 
 
-def _check_pair(strategy: AttackStrategy, f, x: int, y: int) -> None:
+def _check(strategy: AttackStrategy, f, kind: str) -> None:
+    """Kind and size checks; f.value rejects inputs outside n bits."""
+    if strategy.kind != kind:
+        raise ValueError(f"not a {kind} strategy")
     if f.n != strategy.n:
         raise ValueError(f"strategy built for n={strategy.n}, function has n={f.n}")
-    side = 1 << f.n
-    if not (0 <= x < side and 0 <= y < side):
-        raise ValueError(f"inputs must be {f.n}-bit strings")
-
-
-def _check_route(strategy: AttackStrategy, f, x: int, y: int) -> str:
-    if strategy.kind != "route":
-        raise ValueError("not a routing strategy")
-    _check_pair(strategy, f, x, y)
-    if strategy.layout.width("A") != 1:
+    if kind == "route" and strategy.layout.width("A") != 1:
         raise ValueError("routing execution needs 1-qubit A and B registers")
-    return returned_register(f.value(x, y))
 
 
 def _psi_components(psi: qc.QuantumState):
@@ -104,60 +122,67 @@ def _psi_components(psi: qc.QuantumState):
     return [(float(w), np.ascontiguousarray(v)) for w, v in zip(vals, vecs.T) if w != 0.0]
 
 
-def _strategy_success(strategy: AttackStrategy, f, x: int, y: int) -> float:
-    finale = ((strategy.recovery_k(x, y), strategy.recovery_l(x, y))
-              if strategy.kind == "route" else strategy.measurement_effects(x, y))
-    args = (strategy.layout, strategy.kind, f.value(x, y), strategy.alice_unitary(x),
-            strategy.bob_unitary(y), finale)
-    return sum(w * pair_success(vec, *args) for w, vec in _psi_components(strategy.psi))
+def _pair_scores(strategy: AttackStrategy, f, pairs) -> np.ndarray:
+    """Success on each listed input pair, in one batch; a routed qubit
+    absent at the responsible verifier scores zero."""
+    values = [f.value(x, y) for x, y in pairs]
+    alice = np.stack([strategy.alice_unitary(x) for x, _ in pairs])
+    bob = np.stack([strategy.bob_unitary(y) for _, y in pairs])
+    finale = tuple(np.stack(m) for m in zip(*(
+        (strategy.recovery_k(*p), strategy.recovery_l(*p)) if strategy.kind == "route"
+        else strategy.measurement_effects(*p) for p in pairs)))
+    layout = strategy.layout
+    score = sum(w * pair_success(after_locals(vec, layout, alice, bob), layout,
+                                 strategy.kind, values, finale)
+                for w, vec in _psi_components(strategy.psi))
+    if strategy.kind == "route":
+        held = [strategy.holds_qubit(x, y, returned_register(v))
+                for (x, y), v in zip(pairs, values)]
+        score = np.where(held, score, 0.0)
+    return score
 
 
 def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
     """Reduced two-qubit state on (R, returned register) or None if the
     routed qubit is absent at the responsible verifier."""
-    ret = _check_route(strategy, f, x, y)
+    _check(strategy, f, "route")
+    ret = returned_register(f.value(x, y))
     if not strategy.holds_qubit(x, y, ret):
         return None
     layout = strategy.layout
     alice, bob = strategy.alice_unitary(x), strategy.bob_unitary(y)
     k, l = strategy.recovery_k(x, y), strategy.recovery_l(x, y)
-    rho = 0.0
-    for w, vec in _psi_components(strategy.psi):
-        vec = route_finale(after_locals(vec, layout, alice, bob), layout, k, l)
-        rho = rho + w * qc.reduced_outer(vec, vec, layout, ("R", ret))
+    finals = [(w, route_finale(after_locals(v, layout, alice, bob), layout, k, l))
+              for w, v in _psi_components(strategy.psi)]
+    rho = sum(w * qc.reduced_outer(v, v, layout, ("R", ret)) for w, v in finals)
     return qc.mixed_state(layout.restricted("R", ret), rho)
 
 
 def execute_route(strategy: AttackStrategy, f, x: int, y: int) -> float:
     """Probability that the Bell test on (R, returned qubit) accepts."""
-    ret = _check_route(strategy, f, x, y)
-    if not strategy.holds_qubit(x, y, ret):
-        return 0.0
-    return _strategy_success(strategy, f, x, y)
+    _check(strategy, f, "route")
+    return float(_pair_scores(strategy, f, [(x, y)])[0])
 
 
 def execute_meas(strategy: AttackStrategy, f, x: int, y: int) -> float:
     """Probability that both reported bits equal the verifier's measurement
     of R in the basis selected by f(x, y)."""
-    if strategy.kind != "meas":
-        raise ValueError("not a measuring strategy")
-    _check_pair(strategy, f, x, y)
-    return _strategy_success(strategy, f, x, y)
-
-
-def execute(strategy: AttackStrategy, f, x: int, y: int) -> float:
-    if strategy.kind == "route":
-        return execute_route(strategy, f, x, y)
-    return execute_meas(strategy, f, x, y)
+    _check(strategy, f, "meas")
+    return float(_pair_scores(strategy, f, [(x, y)])[0])
 
 
 def epsilon_l_report(strategy: AttackStrategy, f) -> AttackReport:
-    """Exhaustive per-pair success over all 4^n input pairs (n <= 4)."""
+    """Exhaustive per-pair success over all 4^n input pairs (n <= 4), one
+    batch per x, so a batch holds at most 16 vectors."""
     if f.n > ENUMERATION_LIMIT_N:
         raise ValueError(f"exhaustive enumeration capped at n={ENUMERATION_LIMIT_N}")
-    per_pair = {(x, y): execute(strategy, f, x, y) for x, y in f.pairs()}
-    return AttackReport(n=f.n, per_pair=per_pair,
-                        average=float(np.mean(list(per_pair.values()))))
+    _check(strategy, f, strategy.kind)
+    side = 1 << f.n
+    pairs = list(f.pairs())
+    scores = np.concatenate([_pair_scores(strategy, f, pairs[x * side:(x + 1) * side])
+                             for x in range(side)])
+    return AttackReport(n=f.n, per_pair={p: float(s) for p, s in zip(pairs, scores)},
+                        average=float(np.mean(scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +196,7 @@ def keep_q_attack(f) -> AttackStrategy:
     to V1 otherwise (success zero there, the verifier sees no qubit).
     """
     layout = attack_layout(a=1)
-    psi = qc.assemble(layout, [(("R", "A"), qc.BELL_VECTOR),
-                               (("B",), np.array([1.0, 0.0]))])
+    psi = unentangled_product_state(layout)
     site = {(x, y): "A" for x, y in f.pairs()}
     return AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
                           qubit_site=site)
@@ -197,21 +221,11 @@ def swap_in_attack(f) -> AttackStrategy:
     she can already evaluate the function from x alone; used as a perfect
     attack for functions that depend only on x."""
     layout = attack_layout(a=1, ac=1)
-    psi = qc.assemble(layout, [(("R", "A"), qc.BELL_VECTOR),
-                               (("Ac",), np.array([1.0, 0.0])),
-                               (("B",), np.array([1.0, 0.0])),
-                               (("Bc",), np.array([1.0, 0.0]))])
-    alice = {}
-    site = {}
-    values = {x: {f.value(x, y) for y in range(1 << f.n)} for x in range(1 << f.n)}
-    for x, vals in values.items():
-        if vals == {1}:
-            alice[x] = qc.SWAP2  # A <-> Ac
-    l_final = {}
-    for x, y in f.pairs():
-        forwarded = x in alice
-        site[(x, y)] = "B" if forwarded else "A"
-        if forwarded and f.value(x, y) == 1:
-            l_final[(x, y)] = qc.SWAP2  # B <-> Ac
+    psi = unentangled_product_state(layout)
+    side = 1 << f.n
+    # A <-> Ac where f(x, .) = 1 throughout, then B <-> Ac at Bob's
+    alice = {x: qc.SWAP2 for x in range(side) if all(f.value(x, y) for y in range(side))}
+    l_final = {(x, y): qc.SWAP2 for x, y in f.pairs() if x in alice}
+    site = {(x, y): "B" if x in alice else "A" for x, y in f.pairs()}
     return AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
                           alice=alice, l_final=l_final, qubit_site=site)

@@ -28,7 +28,7 @@ def best_recovery_distance(state: qc.QuantumState, which: str,
     """
     regs, ret = ROUTE_SIDES[which]
     layout = state.layout
-    vec = np.asarray(state.data)
+    vec = np.asarray(state.data)[None]   # a batch of one
     dim = layout.subdim(*regs)
     best_f2, best_u = -1.0, np.eye(dim, dtype=complex)
     for r in range(restarts + 1):
@@ -37,14 +37,14 @@ def best_recovery_distance(state: qc.QuantumState, which: str,
         score = None
         for _ in range(iters):
             moved = qc.apply_vector_matrix(vec, layout, u, regs)
-            f2 = bell_overlap(moved, layout, ret)
+            f2 = bell_overlap(moved, layout, [ret])[0]
             if score is not None and f2 - score < tol:
                 score = f2
                 break
             score = f2
-            cand, cand_f2 = recovery_step(vec, moved, layout, regs, ret)
-            if cand_f2 >= f2:
-                u = cand
+            cand, _, cand_f2 = recovery_step(vec, moved, layout, regs, [ret])
+            if cand_f2[0] >= f2:
+                u = cand[0]
         if score > best_f2:
             best_f2, best_u = score, u
     distance = float(np.sqrt(max(0.0, 1.0 - best_f2)))

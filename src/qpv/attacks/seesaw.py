@@ -19,11 +19,13 @@ from .execute import (
     after_locals,
     bell_effect,
     bell_overlap,
+    both_outcomes,
     epsilon_l_report,
     meas_branches,
     pair_success,
     returned_register,
     route_finale,
+    verifier_branches,
 )
 from .strategy import (
     ALICE_FINAL,
@@ -36,9 +38,17 @@ from .strategy import (
 )
 
 DEFAULT_TOL = 1e-9
+LOCAL_REGS = (ALICE_LOCAL, BOB_LOCAL)
+FINAL_REGS = (ALICE_FINAL, BOB_FINAL)
+
+
+def dagger(mats: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return mats.conj().swapaxes(-1, -2)
 
 
 def polar_unitary(w: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of a matrix or of each matrix in a stack."""
     u, _, vh = np.linalg.svd(w)
     return u @ vh
 
@@ -53,25 +63,33 @@ def random_effect(dim: int, rng) -> np.ndarray:
 
 def helstrom_effect(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """Projector onto the positive eigenspace of d0 - d1 (optimal two-outcome
-    discrimination of the weighted alternatives)."""
+    discrimination of the weighted alternatives), per matrix of a stack."""
     diff = d0 - d1
-    diff = (diff + diff.conj().T) / 2
+    diff = (diff + dagger(diff)) / 2
     vals, vecs = np.linalg.eigh(diff)
-    pos = vecs[:, vals > 0]
-    return pos @ pos.conj().T
+    pos = vecs * (vals > 0)[..., None, :]
+    return pos @ dagger(pos)
 
 
-def recovery_step(vec, moved, layout, regs, ret):
+def recovery_step(vec, moved, layout, regs, rets):
     """Polar factor of the Bell-overlap gradient for the recovery unitary on
-    ``regs`` (``moved`` is ``vec`` under the current one), and its overlap."""
-    grad = qc.reduced_outer(bell_effect(moved, layout, ret), vec, layout, regs,
+    ``regs`` (``moved`` is ``vec`` under the current one), ``vec`` under it,
+    and its overlap, per row; ``rets`` names each row's returned register."""
+    grad = qc.reduced_outer(bell_effect(moved, layout, rets), vec, layout, regs,
                             order="given")
     cand = polar_unitary(grad)
-    return cand, bell_overlap(qc.apply_vector_matrix(vec, layout, cand, regs), layout, ret)
+    cand_moved = qc.apply_vector_matrix(vec, layout, cand, regs)
+    return cand, cand_moved, bell_overlap(cand_moved, layout, rets)
 
 
 class _Work:
-    """Mutable optimization state; frozen into an AttackStrategy at the end."""
+    """Mutable optimization state; frozen into an AttackStrategy at the end.
+
+    ``locals`` stacks Alice's unitaries by x and Bob's by y; ``finale`` stacks
+    K and L (routing) or pi and sigma (measuring) by pair p = x * 2^n + y.
+    Every update scores all pairs in one batch; pairs are independent within
+    an update, so batching leaves each pair's arithmetic as it is.
+    """
 
     def __init__(self, kind, f, layout, psi_vec, rng, fix_psi):
         self.kind = kind
@@ -81,124 +99,109 @@ class _Work:
         self.fix_psi = fix_psi
         self.side = 1 << f.n
         self.pairs = [(x, y) for x in range(self.side) for y in range(self.side)]
-        da = layout.subdim(*ALICE_LOCAL)
-        db = layout.subdim(*BOB_LOCAL)
-        dka = layout.subdim(*ALICE_FINAL)
-        dkb = layout.subdim(*BOB_FINAL)
-        self.alice = {x: qc.haar_random_unitary(da, rng) for x in range(self.side)}
-        self.bob = {y: qc.haar_random_unitary(db, rng) for y in range(self.side)}
-        if kind == "route":
-            self.k_final = {p: qc.haar_random_unitary(dka, rng) for p in self.pairs}
-            self.l_final = {p: qc.haar_random_unitary(dkb, rng) for p in self.pairs}
-            self.pi = self.sigma = None
-        else:
-            self.k_final = self.l_final = None
-            self.pi = {p: random_effect(dka, rng) for p in self.pairs}
-            self.sigma = {p: random_effect(dkb, rng) for p in self.pairs}
+        self.index = tuple(np.array(v) for v in zip(*self.pairs))
+        self.values = np.array([f.value(x, y) for x, y in self.pairs])
+        self.rets = np.array([returned_register(v) for v in self.values])
+        self.locals = [np.stack([qc.haar_random_unitary(layout.subdim(*regs), rng)
+                                 for _ in range(self.side)]) for regs in LOCAL_REGS]
+        draw = qc.haar_random_unitary if kind == "route" else random_effect
+        self.finale = [np.stack([draw(layout.subdim(*regs), rng) for _ in self.pairs])
+                       for regs in FINAL_REGS]
 
-    # -- per-pair evaluation (shared kernels in .execute) -------------------
+    # -- batched evaluation (shared kernels in .execute) ----------------------
 
-    def _apply(self, vec, mat, regs, dagger=False):
-        m = mat.conj().T if dagger else mat
-        return qc.apply_vector_matrix(vec, self.layout, m, regs)
+    def _apply(self, vecs, mats, regs):
+        return qc.apply_vector_matrix(vecs, self.layout, mats, regs)
 
-    def _after_locals(self, x, y):
-        return after_locals(self.psi, self.layout, self.alice[x], self.bob[y])
+    def _pair_locals(self, side):
+        """Per-pair stack of one side's local unitaries."""
+        return self.locals[side][self.index[side]]
 
-    def _finale(self, x, y):
-        if self.kind == "route":
-            return self.k_final[(x, y)], self.l_final[(x, y)]
-        return self.pi[(x, y)], self.sigma[(x, y)]
+    def after_locals(self, psi=None):
+        """The (b, 2^n) batch after the local unitaries, one row per pair."""
+        return after_locals(self.psi if psi is None else psi, self.layout,
+                            self._pair_locals(0), self._pair_locals(1))
 
-    def successes(self, pairs, psi=None):
-        vec = self.psi if psi is None else psi
-        return [pair_success(vec, self.layout, self.kind, self.f.value(x, y),
-                             self.alice[x], self.bob[y], self._finale(x, y))
-                for x, y in pairs]
+    def successes(self, vecs):
+        return pair_success(vecs, self.layout, self.kind, self.values, self.finale)
 
     def average(self, psi=None):
-        return float(np.mean(self.successes(self.pairs, psi)))
+        return float(np.mean(self.successes(self.after_locals(psi))))
+
+    def _effect(self, vecs):
+        """M|v> per pair, M the final measurement sandwiched by the finale."""
+        if self.kind == "route":
+            k, l = self.finale
+            w = bell_effect(route_finale(vecs, self.layout, k, l), self.layout, self.rets)
+            w = self._apply(w, dagger(l), BOB_FINAL)
+            return self._apply(w, dagger(k), ALICE_FINAL)
+        return meas_branches(vecs, self.layout, self.values, *self.finale).sum(axis=0)
+
+    def _per_value(self, per_pair, side):
+        """Sum over the other side's inputs, by this side's input."""
+        return per_pair.reshape(self.side, self.side, *per_pair.shape[1:]).sum(axis=1 - side)
 
     # -- sweep updates ------------------------------------------------------
 
     def update_recovery(self, sub_iters=3):
-        for (x, y) in self.pairs:
-            ret = returned_register(self.f.value(x, y))
-            regs, table, other_regs, other = (
-                (ALICE_FINAL, self.k_final, BOB_FINAL, self.l_final) if ret == "A"
-                else (BOB_FINAL, self.l_final, ALICE_FINAL, self.k_final))
-            vec = self._apply(self._after_locals(x, y), other[(x, y)], other_regs)
-            current = table[(x, y)]
-            score = bell_overlap(self._apply(vec, current, regs), self.layout, ret)
+        vecs = self.after_locals()
+        for side in (0, 1):
+            # pairs returning to this side optimize its recovery unitary
+            idx = np.flatnonzero(self.values == side)
+            if not idx.size:
+                continue
+            regs, rets = FINAL_REGS[side], self.rets[idx]
+            vec = self._apply(vecs[idx], self.finale[1 - side][idx], FINAL_REGS[1 - side])
+            moved = self._apply(vec, self.finale[side][idx], regs)
+            score = bell_overlap(moved, self.layout, rets)
+            active = np.ones(idx.size, dtype=bool)
             for _ in range(sub_iters):
-                moved = self._apply(vec, current, regs)
-                cand, cand_score = recovery_step(vec, moved, self.layout, regs, ret)
-                if cand_score > score + 1e-15:
-                    current, score = cand, cand_score
-                else:
+                cand, cand_moved, cand_score = recovery_step(vec, moved, self.layout,
+                                                             regs, rets)
+                active &= cand_score > score + 1e-15
+                if not active.any():
                     break
-            table[(x, y)] = current
+                self.finale[side][idx[active]] = cand[active]
+                moved[active], score[active] = cand_moved[active], cand_score[active]
 
     def update_effects(self):
-        for (x, y) in self.pairs:
-            vec = self._after_locals(x, y)
-            proj = qc.basis_projectors(self.f.value(x, y))
-            # each side's D_z on its finale registers with the other side's
-            # effect fixed; Bob sees Alice's fresh effect
-            for mine, regs, other, other_regs in ((self.pi, ALICE_FINAL, self.sigma, BOB_FINAL),
-                                                  (self.sigma, BOB_FINAL, self.pi, ALICE_FINAL)):
-                e = other[(x, y)]
-                d = []
-                for z, eo in enumerate((e, np.eye(e.shape[0]) - e)):
-                    w = self._apply(vec, proj[z], ("R",))
-                    w = self._apply(w, eo, other_regs)
-                    d.append(qc.reduced_outer(w, vec, self.layout, regs, order="given"))
-                mine[(x, y)] = helstrom_effect(d[0], d[1])
+        vecs = self.after_locals()
+        both = np.concatenate([vecs, vecs])
+        branches = verifier_branches(vecs, self.layout, self.values)
+        # each side's D_z on its finale registers with the other side's
+        # effect fixed; Bob sees Alice's fresh effect
+        for side in (0, 1):
+            w = self._apply(branches, both_outcomes(self.finale[1 - side]),
+                            FINAL_REGS[1 - side])
+            d = qc.reduced_outer(w, both, self.layout, FINAL_REGS[side], order="given")
+            self.finale[side] = helstrom_effect(d[:len(vecs)], d[len(vecs):])
 
-    def _pair_effect_after_locals(self, vec, x, y):
-        """Effective measurement sandwiched by the finale for one pair."""
-        value = self.f.value(x, y)
-        if self.kind == "route":
-            k, l = self._finale(x, y)
-            w = bell_effect(route_finale(vec, self.layout, k, l), self.layout,
-                            returned_register(value))
-            w = self._apply(w, l, BOB_FINAL, dagger=True)
-            return self._apply(w, k, ALICE_FINAL, dagger=True)
-        return sum(meas_branches(vec, self.layout, value, *self._finale(x, y)))
-
-    def update_local(self, who):
-        table, regs = ((self.alice, ALICE_LOCAL) if who == "alice"
-                       else (self.bob, BOB_LOCAL))
-        for val in range(self.side):
-            pair_list = ([(val, y) for y in range(self.side)] if who == "alice"
-                         else [(x, val) for x in range(self.side)])
-            old_score = sum(self.successes(pair_list))
-            grad = np.zeros((self.layout.subdim(*regs),) * 2, dtype=complex)
-            for (x, y) in pair_list:
-                vec = self._after_locals(x, y)
-                eff = self._pair_effect_after_locals(vec, x, y)
-                other = (self.bob[y], BOB_LOCAL) if who == "alice" else (self.alice[x], ALICE_LOCAL)
-                back = self._apply(eff, other[0], other[1], dagger=True)
-                grad += qc.reduced_outer(back, self.psi, self.layout, regs, order="given")
-            cand = polar_unitary(grad)
-            old = table[val]
-            table[val] = cand
-            new_score = sum(self.successes(pair_list))
-            if new_score < old_score - 1e-15:
-                table[val] = old
+    def update_local(self, side):
+        """Polar step for every input value of one side at once; each value's
+        unitary only moves its own pairs, so each keeps its own accept test."""
+        other = 1 - side
+        vecs = self.after_locals()
+        back = self._apply(self._effect(vecs), dagger(self._pair_locals(other)),
+                           LOCAL_REGS[other])
+        grads = qc.reduced_outer(back, self.psi, self.layout, LOCAL_REGS[side],
+                                 order="given")
+        old_score = self._per_value(self.successes(vecs), side)
+        old = self.locals[side]
+        self.locals[side] = polar_unitary(self._per_value(grads, side))
+        new_score = self._per_value(self.successes(self.after_locals()), side)
+        worse = new_score < old_score - 1e-15
+        self.locals[side][worse] = old[worse]
 
     def update_psi(self, power_iters=40):
         if self.fix_psi:
             return
+        undo = [dagger(self._pair_locals(side)) for side in (0, 1)]
+
         def hmat_vec(v):
-            out = np.zeros_like(v)
-            for (x, y) in self.pairs:
-                w = after_locals(v, self.layout, self.alice[x], self.bob[y])
-                w = self._pair_effect_after_locals(w, x, y)
-                w = self._apply(w, self.bob[y], BOB_LOCAL, dagger=True)
-                w = self._apply(w, self.alice[x], ALICE_LOCAL, dagger=True)
-                out += w
-            return out / len(self.pairs)
+            w = self._effect(self.after_locals(v))
+            w = self._apply(w, undo[1], BOB_LOCAL)
+            w = self._apply(w, undo[0], ALICE_LOCAL)
+            return w.sum(axis=0) / len(self.pairs)
 
         old_score = self.average()
         v = self.psi.copy()
@@ -216,18 +219,19 @@ class _Work:
             self.update_recovery()
         else:
             self.update_effects()
-        self.update_local("alice")
-        self.update_local("bob")
+        self.update_local(0)
+        self.update_local(1)
         self.update_psi()
         return self.average()
 
     def freeze(self) -> AttackStrategy:
         psi = qc.QuantumState(self.layout, "pure", self.psi / np.linalg.norm(self.psi))
-        finale = (dict(k_final=dict(self.k_final), l_final=dict(self.l_final))
-                  if self.kind == "route" else
-                  dict(pi_effect=dict(self.pi), sigma_effect=dict(self.sigma)))
+        first, second = (dict(zip(self.pairs, stack)) for stack in self.finale)
+        finale = (dict(k_final=first, l_final=second) if self.kind == "route"
+                  else dict(pi_effect=first, sigma_effect=second))
+        alice, bob = (dict(enumerate(stack)) for stack in self.locals)
         return AttackStrategy(kind=self.kind, n=self.f.n, layout=self.layout, psi=psi,
-                              alice=dict(self.alice), bob=dict(self.bob), **finale)
+                              alice=alice, bob=bob, **finale)
 
 
 @dataclass(frozen=True)
@@ -256,9 +260,13 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
     ``fix_psi`` pins the pre-shared state (e.g. the unentangled product
     state) and restricts the search to unitaries and measurements.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    if kind not in ("route", "meas"):
+        raise ValueError(f"kind must be 'route' or 'meas', not {kind!r}")
+    if restarts < 1 or iters < 1:
+        raise ValueError(f"restarts and iters must be at least 1, not {restarts}, {iters}")
     a, at, ac = split if split is not None else default_split(q)
+    if kind == "route" and a != 1:
+        raise ValueError(f"routing needs a 1-qubit A register, split has {a}")
     layout = attack_layout(a=a, at=at, ac=ac)
     if fix_psi is not None and fix_psi.layout.dim != layout.dim:
         raise ValueError("fixed psi does not match the layout")
@@ -288,19 +296,6 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
                          best_value=best_val, restart_values=tuple(values))
 
 
-def unentangled_product_state(layout: qc.RegisterLayout) -> qc.QuantumState:
-    """|Omega>_RA on the stored-qubit slot, |0...0> everywhere else."""
-    if layout.width("A") != 1:
-        raise ValueError("needs a 1-qubit A register")
-    rest = [name for name in layout.names if name not in ("R", "A") and layout.width(name)]
-    factors = [(("R", "A"), qc.BELL_VECTOR)]
-    for name in rest:
-        dim = layout.subdim(name)
-        e0 = np.zeros(dim, dtype=complex)
-        e0[0] = 1.0
-        factors.append(((name,), e0))
-    return qc.assemble(layout, factors)
-
 
 def angle_grid_value(f, resolution: int = 1000, per_x: bool = False) -> float:
     """Best average success of measure-and-broadcast attacks on the measuring
@@ -310,24 +305,8 @@ def angle_grid_value(f, resolution: int = 1000, per_x: bool = False) -> float:
     both attackers report the outcome; the verifier measures in the basis
     picked by f.  ``per_x`` lets the angle depend on Alice's input.
     """
-    side = 1 << f.n
     angles = np.linspace(0.0, math.pi / 2, resolution)
-
-    def pair_value(theta_f, alpha):
-        target = theta_f * math.pi / 4
-        return math.cos(alpha - target) ** 2
-
-    if not per_x:
-        best = 0.0
-        for alpha in angles:
-            avg = np.mean([pair_value(f.value(x, y), alpha) for x, y in f.pairs()])
-            best = max(best, float(avg))
-        return best
-    total = 0.0
-    for x in range(side):
-        best_x = 0.0
-        for alpha in angles:
-            avg = np.mean([pair_value(f.value(x, y), alpha) for y in range(side)])
-            best_x = max(best_x, float(avg))
-        total += best_x
-    return total / side
+    # cos^2(alpha - f(x, y) pi/4), averaged over y: rows x, columns alpha
+    by_x = np.mean(np.cos(angles - f.communication_matrix()[..., None] * math.pi / 4) ** 2,
+                   axis=1)
+    return float(np.mean(by_x.max(axis=1)) if per_x else by_x.mean(axis=0).max())

@@ -32,6 +32,15 @@ def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
                               ("B", b), ("Bt", bt), ("Bc", bc)])
 
 
+def unentangled_product_state(layout: qc.RegisterLayout) -> qc.QuantumState:
+    """|Omega>_RA on the stored-qubit slot, |0...0> everywhere else."""
+    if layout.width("A") != 1:
+        raise ValueError("needs a 1-qubit A register")
+    rest = [name for name in layout.names if name not in ("R", "A") and layout.width(name)]
+    return qc.assemble(layout, [(("R", "A"), qc.BELL_VECTOR)]
+                       + [((name,), np.eye(layout.subdim(name))[0]) for name in rest])
+
+
 @dataclass
 class AttackStrategy:
     """A q-qubit two-attacker strategy.

@@ -152,13 +152,15 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
         return prover.p
     if isinstance(prover, AttackStrategy):
         from ..attacks import execute_meas, execute_route, execute_route_reduced
-        if protocol == "route_entangled":
-            return execute_route(prover, f, x, y)
-        if protocol == "meas":
-            return execute_meas(prover, f, x, y)
-        rho = execute_route_reduced(prover, f, x, y)
-        return 0.0 if rho is None else m2_accept_probability(rho)
-    rho = _prover_pair(prover, protocol != "meas", depolarize)
+        if protocol != "route_bb84":
+            execute = execute_route if protocol == "route_entangled" else execute_meas
+            return execute(prover, f, x, y)
+        reduced = execute_route_reduced(prover, f, x, y)
+        if reduced is None:
+            return 0.0
+        rho = reduced.density()
+    else:
+        rho = _prover_pair(prover, protocol != "meas", depolarize)
     if protocol == "route_entangled":
         return m1_accept_probability(rho)
     if protocol == "meas":

@@ -14,6 +14,7 @@ qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,11 +89,13 @@ def single_register(name: str = "Q", width: int = 1) -> RegisterLayout:
     return RegisterLayout([(name, width)])
 
 
-def _row_axes(n: int, rows) -> list[int]:
+@lru_cache(maxsize=None)
+def _row_axes(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Axis order of :func:`rows_first` on a ``(b, 2, ..., 2)`` view, where
-    qubit q sits on axis n - q."""
+    qubit q sits on axis n - q, and its inverse; cached per ``(n, rows)``."""
     cols = [q for q in range(n) if q not in rows]
-    return [0] + [n - q for q in reversed(rows)] + [n - q for q in cols]
+    axes = (0,) + tuple(n - q for q in reversed(rows)) + tuple(n - q for q in cols)
+    return axes, tuple(int(a) for a in np.argsort(axes))
 
 
 def rows_first(vecs: np.ndarray, n: int, rows) -> np.ndarray:
@@ -102,12 +105,12 @@ def rows_first(vecs: np.ndarray, n: int, rows) -> np.ndarray:
     given order; columns run over the other qubits with the lowest qubit as
     the most significant bit.  A 1-D vector is a batch of one.
     """
-    t = np.reshape(vecs, (-1,) + (2,) * n).transpose(_row_axes(n, rows))
+    t = np.reshape(vecs, (-1,) + (2,) * n).transpose(_row_axes(n, tuple(rows))[0])
     return t.reshape(len(t), 1 << len(rows), 1 << (n - len(rows)))
 
 
 def rows_back(mats: np.ndarray, n: int, rows) -> np.ndarray:
     """Inverse of :func:`rows_first`: ``(b, 2^k, 2^(n-k))`` matrices back to
     a ``(b, 2^n)`` batch of vectors."""
-    t = np.reshape(mats, (-1,) + (2,) * n).transpose(np.argsort(_row_axes(n, rows)))
+    t = np.reshape(mats, (-1,) + (2,) * n).transpose(_row_axes(n, tuple(rows))[1])
     return t.reshape(len(t), 1 << n)

@@ -181,13 +181,15 @@ def reduced_outer(vec_left: np.ndarray, vec_right: np.ndarray,
     With ``order='layout'`` the result is indexed little-endian over the
     kept registers in layout order; ``order='given'`` uses the order of the
     ``keep`` tuple instead, matching how :func:`apply_matrix` embeds
-    operators on those registers.
+    operators on those registers.  Either side may be a ``(b, 2^n)`` batch;
+    the result is then a ``(b, d, d)`` stack, one matrix per row.
     """
     rows = _kept_qubits(layout, keep, order)
     n = layout.total_qubits
     left = rows_first(vec_left, n, rows)
     right = rows_first(vec_right, n, rows)
-    return (left @ right.conj().transpose(0, 2, 1))[0]
+    out = left @ right.conj().transpose(0, 2, 1)
+    return out[0] if np.ndim(vec_left) == 1 and np.ndim(vec_right) == 1 else out
 
 
 def reduce_density_raw(rho: np.ndarray, layout: RegisterLayout, keep,

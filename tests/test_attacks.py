@@ -7,6 +7,15 @@ from qpv import analysis as an
 from qpv import attacks as at
 from qpv import protocol as pr
 from qpv import qcore as qc
+from qpv.attacks.execute import (
+    after_locals,
+    bell_effect,
+    bell_overlap,
+    meas_branches,
+    pair_success,
+    returned_register,
+    route_finale,
+)
 
 XOR = an.xor_function(1)
 AND = an.ip_function(1)
@@ -311,3 +320,41 @@ def test_meas_disjointness_sampled():
         phi1 = at.meas_member(lay, "S1", 0.3, rng)
         p = qc.purified_distance_pure(np.asarray(phi0.data), np.asarray(phi1.data))
         assert p > 0.013
+
+
+# ---------------------------------------------------------------------------
+# the pair kernels: a batch of b pairs is b batches of one
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["route", "meas"])
+@pytest.mark.parametrize("shared", [True, False])
+def test_pair_batch_equals_batches_of_one(kind, shared):
+    # bitwise: batching the pairs changes no pair's arithmetic
+    rng = qc.stream(31, "batch", kind)
+    layout = at.attack_layout(a=1, at=1, ac=1)
+    b = 16
+    vecs = np.stack([qc.random_unit_vector(layout.dim, rng) for _ in range(b)])
+    values = rng.integers(0, 2, size=b)
+    rets = [returned_register(v) for v in values]
+    draw = qc.haar_random_unitary if kind == "route" else at.seesaw.random_effect
+
+    def stack(regs, make=qc.haar_random_unitary):
+        return np.stack([make(layout.subdim(*regs), rng) for _ in range(b)])
+
+    alice, bob = stack(at.ALICE_LOCAL), stack(at.BOB_LOCAL)
+    finale = (stack(at.ALICE_FINAL, draw), stack(at.BOB_FINAL, draw))
+
+    def kernels(rows):
+        psi = vecs[0] if shared else vecs[rows]
+        after = after_locals(psi, layout, alice[rows], bob[rows])
+        fin = tuple(m[rows] for m in finale)
+        last = (route_finale(after, layout, *fin) if kind == "route"
+                else meas_branches(after, layout, values[rows], *fin).swapaxes(0, 1))
+        return (after, pair_success(after, layout, kind, values[rows], fin),
+                bell_overlap(after, layout, rets[rows]),
+                bell_effect(after, layout, rets[rows]), last)
+
+    batched = kernels(slice(None))
+    for i in range(b):
+        for out, single in zip(batched, kernels(slice(i, i + 1))):
+            assert np.array_equal(out[i:i + 1], single)

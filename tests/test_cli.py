@@ -206,6 +206,22 @@ def test_attack_optimize_rejects_zero_restarts(tmp_path, capsys):
     assert "restarts" in err
 
 
+@pytest.mark.parametrize("extra, needle", [
+    ({"kind": "routing"}, "'route' or 'meas'"),
+    ({"iters": -3}, "iters"),
+    ({"split": [2, 0, 0]}, "A register"),
+])
+def test_attack_optimize_rejects_bad_search_settings(tmp_path, capsys, extra, needle):
+    # each is refused before the first restart, not run as something else
+    cfg = write_config(tmp_path, "bad.json", {
+        "f": {"kind": "xor", "n": 1}, "kind": "route", "q": 2, "restarts": 1, **extra,
+    })
+    code, out, err = run_cli(capsys, "attack-optimize", "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
+
+
 def test_verify_single_and_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "m1_m2", "--seed", "2")
     assert code == cli.EXIT_OK

@@ -85,6 +85,32 @@ def test_route_bb84_matches_single_qubit_oracle(prover, depolarize):
         assert abs(mean - np.mean(values)) <= 1e-12
 
 
+def copy_to_ac_strategy(f):
+    """Alice copies the stored qubit into Ac (a CNOT), dephasing rho_RA in the
+    computational basis; Bob's B holds |0>."""
+    layout = at.attack_layout(a=1, ac=1)
+    psi = qc.assemble(layout, [(("R", "A"), qc.BELL_VECTOR), (("Ac",), np.array([1.0, 0.0])),
+                               (("B",), np.array([1.0, 0.0])), (("Bc",), np.array([1.0, 0.0]))])
+    return at.AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
+                             alice={x: qc.CNOT for x in range(1 << f.n)})
+
+
+def test_route_bb84_strategy_is_scored_per_preparation():
+    # <p|N(|p><p|)|p> of the dephasing channel is 1 on |0>, |1> and 1/2 on |+>, |->
+    copy = copy_to_ac_strategy(XOR)
+    keep = at.keep_q_attack(XOR)
+    for x, y in XOR.pairs():
+        for strategy in (copy, keep):
+            values = [pr.route_bb84_accept_probability(XOR, x, y, strategy, prep=p)
+                      for p in range(4)]
+            mean = pr.route_bb84_accept_probability(XOR, x, y, strategy)
+            assert abs(np.mean(values) - mean) <= 1e-12
+            if XOR.value(x, y) == 0 and strategy is keep:
+                np.testing.assert_allclose(values, 1.0, atol=1e-12)
+            elif XOR.value(x, y) == 0:
+                np.testing.assert_allclose(values, [1.0, 1.0, 0.5, 0.5], atol=1e-12)
+
+
 def test_run_round_bb84_draws_prep_first():
     prover = pr.Prover(replace_with=1)
     for seed in range(8):

@@ -263,6 +263,44 @@ def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
                                                           layout, in_layout_order), atol=1e-12)
     np.testing.assert_allclose(qc.partial_trace(qc.mixed_state(layout, rho), regs).data,
                                trace_reference(rho, layout, in_layout_order), atol=1e-12)
+    # a batch traces to the stack of its rows' reductions
+    stack = qc.reduced_outer(vecs, vecs[::-1], layout, regs, order="given")
+    assert stack.shape == (b, d, d)
+    for row, left, right in zip(stack, vecs, vecs[::-1]):
+        assert np.array_equal(row, qc.reduced_outer(left, right, layout, regs, order="given"))
+
+
+def rows_first_reference(vecs, n, rows):
+    """rows_first by index bookkeeping: row bit k is qubit rows[k]; the other
+    qubits index the columns, lowest qubit most significant."""
+    cols = [q for q in range(n) if q not in rows]
+    out = np.empty((len(vecs), 1 << len(rows), 1 << len(cols)), dtype=vecs.dtype)
+    for r in range(1 << len(rows)):
+        for c in range(1 << len(cols)):
+            i = sum(((r >> k) & 1) << q for k, q in enumerate(rows))
+            i += sum(((c >> (len(cols) - 1 - k)) & 1) << q for k, q in enumerate(cols))
+            out[:, r, c] = vecs[:, i]
+    return out
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(0, n), st.integers(0, 2 ** 16))))
+@settings(max_examples=60, deadline=None)
+def test_cached_row_permutation_matches_index_reference(case):
+    n, perm, k, seed = case
+    vecs = _ginibre(qc.stream(seed, "rows"), 2, 1 << n)
+    rows = list(perm[:k])
+    expected = rows_first_reference(vecs, n, rows)
+    view = qc.layout.rows_first(vecs, n, rows)
+    assert np.array_equal(view, expected)
+    assert np.array_equal(qc.layout.rows_back(view, n, rows), vecs)
+    # the cache is keyed by value: reusing and mutating the list passed in
+    # leaves the cached permutation of the original rows intact
+    rows.reverse()
+    assert np.array_equal(qc.layout.rows_first(vecs, n, rows),
+                          rows_first_reference(vecs, n, rows))
+    assert np.array_equal(qc.layout.rows_first(vecs, n, tuple(perm[:k])), expected)
+    assert np.array_equal(qc.layout.rows_back(expected, n, perm[:k]), vecs)
 
 
 # ---------------------------------------------------------------------------

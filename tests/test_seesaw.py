@@ -99,3 +99,37 @@ def test_split_validation():
         layout = at.attack_layout(a=1, at=1, ac=0)
         at.seesaw_optimize(an.xor_function(1), q=3, kind="route", restarts=1,
                            iters=2, seed=1, fix_psi=at.unentangled_product_state(layout))
+
+
+def test_search_settings_rejected_before_the_first_restart():
+    xor = an.xor_function(1)
+    with pytest.raises(ValueError, match="'route' or 'meas'"):
+        at.seesaw_optimize(xor, kind="routing")
+    with pytest.raises(ValueError, match="iters"):
+        at.seesaw_optimize(xor, iters=-3)
+    with pytest.raises(ValueError, match="1-qubit A register"):
+        at.seesaw_optimize(xor, kind="route", split=(2, 0, 0))
+
+
+# seed-0 restart values of the benchmark's three see-saw configs, recorded
+# with the per-pair sweeps that the pair-batched ones replaced
+PINNED_RESTARTS = {
+    "seesaw_meas_and": (dict(f=an.ip_function(1), kind="meas", q=2, restarts=8, iters=8),
+                        [0.8749999715734185, 0.9267766952953653, 0.9267766952943856,
+                         0.9267684860655999, 0.92677669526264, 0.9267766952951799,
+                         0.8749993174380103, 0.9267451548003287]),
+    "seesaw_route_q3": (dict(f=an.ip_function(1), kind="route", q=3, restarts=3, iters=4),
+                        [0.9136338659643903, 0.9098032651140219, 0.9144923930237518]),
+    "seesaw_route_n2": (dict(f=an.ip_function(2), kind="route", q=2, restarts=2, iters=2),
+                        [0.7808987954425892, 0.7925634325355785]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESTARTS))
+def test_pinned_restart_values(name):
+    cfg, expected = PINNED_RESTARTS[name]
+    fix_psi = (at.unentangled_product_state(at.attack_layout(a=1, ac=1))
+               if cfg["kind"] == "meas" else None)
+    out = at.seesaw_optimize(seed=0, fix_psi=fix_psi, **cfg)
+    np.testing.assert_allclose(out.restart_values, expected, rtol=0, atol=1e-12)
+    assert out.report.average == pytest.approx(out.best_value, abs=1e-12)

@@ -1,24 +1,24 @@
 """Brute-force distributional communication complexity (uniform inputs).
 
-Message functions are enumerated exhaustively; the referee (SMP) and the
-receiving decoder (one-way) are not enumerated because their optimal choice
-is the per-cell majority vote, which is computed in closed form.  All errors
-are exact rationals scaled by 4^n.
+Alice's message functions are enumerated against Bob's: all of them (SMP),
+or the one that sends y itself (one-way).  The referee or decoder is not
+enumerated: its optimal choice is the per-cell majority vote, computed in
+closed form.  All errors are exact rationals scaled by 4^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
 from .boolfun import BooleanFunction
 
-# enumeration guards: number of (f_A, f_B) pairs for SMP, number of f_A for
-# one-way; protocols are message assignments {0,1}^n -> {0,1}^k
-SMP_PAIR_BUDGET = 1 << 24
-ONEWAY_BUDGET = 1 << 24
-_CHUNK = 1 << 14
+# protocols are message assignments {0,1}^n -> {0,1}^k: the guard counts
+# (Alice, Bob) pairs of them, and an enumeration block has <= _BLOCK cells
+PAIR_BUDGET = 1 << 24
+_BLOCK = 1 << 19
 
 
 class BudgetExceeded(Exception):
@@ -26,95 +26,75 @@ class BudgetExceeded(Exception):
 
 
 def _num_assignments(side: int, k: int) -> int:
+    if k < 1:
+        raise ValueError("message length k must be at least 1")
     bits = k * side
     if bits >= 63:
         raise BudgetExceeded(f"2^{bits} message assignments")
     return 1 << bits
 
 
-def _assignment_chunks(side: int, k: int):
-    """Yield (num, side) integer arrays enumerating all message assignments.
+def _rows(k: int, cols: int) -> int:
+    """Assignments per chunk whose (rows * 2^k, cols) block fits in _BLOCK."""
+    return max(1, _BLOCK // (cols << k))
 
-    Assignment index i encodes the map x -> (i >> (k*x)) mod 2^k.
-    """
+
+def _one_hot_chunks(side: int, k: int, rows: int):
+    """Yield all message assignments, ``rows`` at a time, as (rows, 2^k, side)
+    int64 indicators; assignment i is the map x -> (i >> (k*x)) mod 2^k."""
     total = _num_assignments(side, k)
-    mask = (1 << k) - 1
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        cols = [(idx >> np.uint64(k * x)) & np.uint64(mask) for x in range(side)]
-        yield np.stack(cols, axis=1).astype(np.int64)
+    shifts = np.uint64(k) * np.arange(side, dtype=np.uint64)
+    messages = np.arange(1 << k, dtype=np.uint64)[:, None]
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total), dtype=np.uint64)
+        assign = (idx[:, None] >> shifts) & np.uint64((1 << k) - 1)
+        yield (assign[:, None, :] == messages).astype(np.int64)
 
 
-def _one_hot(assign: np.ndarray, k: int) -> np.ndarray:
-    """(num, 2^k, side) indicator array of message values."""
-    num, side = assign.shape
-    out = np.zeros((num, 1 << k, side), dtype=np.int64)
-    batch = np.arange(num)[:, None]
-    out[batch, assign, np.arange(side)[None, :]] = 1
-    return out
-
-
-def smp_cc_bruteforce(f: BooleanFunction, k: int,
-                      pair_budget: int = SMP_PAIR_BUDGET) -> Fraction:
-    """Exact minimal uniform error of k-bit simultaneous message protocols."""
-    if k < 1:
-        raise ValueError("message length k must be at least 1")
+def _least_error(f: BooleanFunction, k: int, num_b: int, bob_chunks) -> Fraction:
+    """Least majority-referee error over Alice's k-bit message assignments and
+    Bob's ``num_b`` assignments, one-hot (B, cells, 2^n) ``bob_chunks``."""
     side = 1 << f.n
-    num = _num_assignments(side, k)
-    if num * num > pair_budget:
-        raise BudgetExceeded(
-            f"{num}x{num} message-function pairs exceed budget {pair_budget}")
+    pairs = _num_assignments(side, k) * num_b
+    if pairs > PAIR_BUDGET:
+        raise BudgetExceeded(f"{pairs} message-function pairs exceed budget {PAIR_BUDGET}")
     m = f.communication_matrix().astype(np.int64)
-    best = side * side + 1
-
-    for chunk_b in _assignment_chunks(side, k):
-        hot_b = _one_hot(chunk_b, k)                    # (B, 2^k, side)
-        for chunk_a in _assignment_chunks(side, k):
-            hot_a = _one_hot(chunk_a, k)                # (A, 2^k, side)
-            ra = np.einsum("asx,xy->asy", hot_a, m)     # ones per (msg, y)
-            na = hot_a.sum(axis=2)                      # inputs per message
-            # c1[a,b,s,t]: pairs in cell (s,t) with f=1; tot: cell size
-            c1 = np.einsum("asy,bty->abst", ra, hot_b)
-            nb = hot_b.sum(axis=2)
-            tot = np.einsum("as,bt->abst", na, nb)
-            err = np.minimum(c1, tot - c1).sum(axis=(2, 3))
+    best = side * side
+    for hot_b in bob_chunks:
+        ones_b = m @ hot_b.reshape(-1, side).T          # (x, B*cells): y with f = 1
+        size_b = hot_b.sum(axis=2).reshape(-1)          # (B*cells,): all y
+        for hot_a in _one_hot_chunks(side, k, _rows(k, ones_b.shape[1])):
+            # per cell (s, t): pairs with f = 1, then the minority count
+            c1 = hot_a.reshape(-1, side) @ ones_b
+            minority = np.outer(hot_a.sum(axis=2), size_b)
+            minority -= c1
+            np.minimum(c1, minority, out=minority)
+            err = minority.reshape(len(hot_a), 1 << k, *hot_b.shape[:2]).sum(axis=(1, 3))
             best = min(best, int(err.min()))
             if best == 0:
                 return Fraction(0)
     return Fraction(best, side * side)
 
 
-def smp_cc(f: BooleanFunction, error: Fraction = Fraction(1, 4),
-           k_max: int = 8, pair_budget: int = SMP_PAIR_BUDGET) -> int:
-    """Least message length k >= 1 with SMP error at most ``error``."""
-    error = Fraction(error)
-    for k in range(1, k_max + 1):
-        if smp_cc_bruteforce(f, k, pair_budget=pair_budget) <= error:
-            return k
-    raise BudgetExceeded(f"no protocol with error <= {error} up to k={k_max}")
-
-
-def oneway_cc_bruteforce(f: BooleanFunction, k: int,
-                         budget: int = ONEWAY_BUDGET) -> Fraction:
-    """Exact minimal uniform error of k-bit one-way protocols.
-
-    Alice sends f_A(x); Bob, who knows y, applies the optimal decoder, which
-    is the majority of f(x, y) over the preimage of the received message.
-    """
-    if k < 1:
-        raise ValueError("message length k must be at least 1")
+def smp_cc_bruteforce(f: BooleanFunction, k: int) -> Fraction:
+    """Exact minimal uniform error of k-bit simultaneous message protocols."""
     side = 1 << f.n
-    num = _num_assignments(side, k)
-    if num > budget:
-        raise BudgetExceeded(f"{num} message functions exceed budget {budget}")
-    m = f.communication_matrix().astype(np.int64)
-    best = side * side + 1
-    for chunk in _assignment_chunks(side, k):
-        hot = _one_hot(chunk, k)                        # (A, 2^k, side)
-        c1 = np.einsum("asx,xy->asy", hot, m)           # (A, 2^k, side_y)
-        tot = hot.sum(axis=2)[:, :, None]
-        err = np.minimum(c1, tot - c1).sum(axis=(1, 2))
-        best = min(best, int(err.min()))
-        if best == 0:
-            return Fraction(0)
-    return Fraction(best, side * side)
+    # Bob's chunks are sized so that a block still fits one Alice assignment
+    return _least_error(f, k, _num_assignments(side, k),
+                        _one_hot_chunks(side, k, _rows(k, 1 << k)))
+
+
+def smp_cc(f: BooleanFunction, error: Fraction = Fraction(1, 4)) -> int:
+    """Least message length k >= 1 with SMP error at most ``error``.  At k = n
+    the error is 0, so the search ends there at the latest, or at the budget."""
+    error = Fraction(error)
+    for k in count(1):
+        if smp_cc_bruteforce(f, k) <= error:
+            return k
+
+
+def oneway_cc_bruteforce(f: BooleanFunction, k: int) -> Fraction:
+    """Exact minimal uniform error of k-bit one-way protocols: Bob's optimal
+    decoder is the SMP majority referee when Bob's message is y itself."""
+    side = 1 << f.n
+    return _least_error(f, k, 1, [np.eye(side, dtype=np.int64)[None]])

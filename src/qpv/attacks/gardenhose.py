@@ -189,16 +189,6 @@ def _recovery_unitary(layout, gh, x, y, hops, exit_side):
     return qc.compose_on_qubits(width, gates)
 
 
-def _entering_node(hops):
-    """Node at which the data entered each hop, in order."""
-    nodes = [SOURCE]
-    current = SOURCE
-    for _, pair in hops:
-        current = pair[1] if pair[0] == current else pair[0]
-        nodes.append(current)
-    return nodes[:-1]
-
-
 def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
     """Compile pipe matchings into a routing strategy with pre-shared EPR
     pairs; per input pair the strategy recovers the qubit exactly on the
@@ -306,7 +296,7 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
 
 def _exit_node(hops):
     """Node at which the data leaves the path (the source when it has no hops)."""
-    if not hops:
-        return SOURCE
-    _, last_pair = hops[-1]
-    return last_pair[1] if last_pair[0] == _entering_node(hops)[-1] else last_pair[0]
+    node = SOURCE
+    for _, pair in hops:
+        node = pair[1] if pair[0] == node else pair[0]
+    return node

@@ -14,7 +14,7 @@ import numpy as np
 from .. import qcore as qc
 from .execute import bell_overlap
 from .seesaw import recovery_step
-from .strategy import ALICE_FINAL, BOB_FINAL, attack_layout
+from .strategy import ALICE_FINAL, BOB_FINAL, attack_layout, bell_core, rest_registers
 
 ROUTE_SIDES = {"S0": (ALICE_FINAL, "A"), "S1": (BOB_FINAL, "B")}
 
@@ -127,11 +127,9 @@ def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     leaves the reduced state within purified distance eps of the Bell pair.
     """
     regs, ret = ROUTE_SIDES[which]
-    rest = [name for name in layout.names if name not in ("R", ret) and layout.width(name)]
-    phi = qc.random_unit_vector(1 << sum(layout.width(r) for r in rest), rng)
-    core = qc.assemble(layout, [(("R", ret), qc.BELL_VECTOR), (tuple(rest), phi)])
+    phi = qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", ret)), rng)
     k = qc.haar_random_unitary(layout.subdim(*regs), rng)
-    vec = qc.apply_vector_matrix(np.asarray(core.data), layout, k.conj().T, regs)
+    vec = qc.apply_vector_matrix(bell_core(layout, ret, phi), layout, k.conj().T, regs)
     vec = _perturb_within(vec, eps, rng)
     return qc.QuantumState(layout, "pure", vec / np.linalg.norm(vec))
 

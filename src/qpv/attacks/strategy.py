@@ -32,13 +32,25 @@ def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
                               ("B", b), ("Bt", bt), ("Bc", bc)])
 
 
+def rest_registers(layout: qc.RegisterLayout, *exclude: str) -> tuple[str, ...]:
+    """The non-empty registers of ``layout`` outside ``exclude``, in layout order."""
+    return tuple(name for name in layout.names if name not in exclude and layout.width(name))
+
+
+def bell_core(layout: qc.RegisterLayout, ret: str = "A", phi=None) -> np.ndarray:
+    """|Omega>_{R,ret} x |phi> on the other non-empty registers (|0...0> when
+    ``phi`` is None); ``phi`` may carry a leading batch axis."""
+    rest = rest_registers(layout, "R", ret)
+    if phi is None:
+        phi = np.eye(layout.subdim(*rest))[0]
+    return qc.assemble_raw(layout, [(("R", ret), qc.BELL_VECTOR), (rest, phi)])
+
+
 def unentangled_product_state(layout: qc.RegisterLayout) -> qc.QuantumState:
     """|Omega>_RA on the stored-qubit slot, |0...0> everywhere else."""
     if layout.width("A") != 1:
         raise ValueError("needs a 1-qubit A register")
-    rest = [name for name in layout.names if name not in ("R", "A") and layout.width(name)]
-    return qc.assemble(layout, [(("R", "A"), qc.BELL_VECTOR)]
-                       + [((name,), np.eye(layout.subdim(name))[0]) for name in rest])
+    return qc.QuantumState(layout, "pure", bell_core(layout))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from ..attacks.good_sets import (
     route_member,
     small_attack_layout,
 )
-from ..attacks.strategy import ALICE_FINAL, BOB_FINAL
+from ..attacks.strategy import ALICE_FINAL, BOB_FINAL, bell_core, rest_registers
 from ..protocol.runs import m1_accept_probability, m2_accept_probability
 from .report import BoundReport, holds
 
@@ -66,17 +66,6 @@ def check_cit(trials: int = 1000, max_side_qubits: int = 2, seed: int = 0) -> Bo
 # overlap geometry of opposite-side recoverable states
 # ---------------------------------------------------------------------------
 
-def _rest_registers(layout, *exclude):
-    return tuple(n for n in layout.names
-                 if n not in exclude and layout.width(n) > 0)
-
-
-def _core_vector(layout, ret: str, phi: np.ndarray) -> np.ndarray:
-    """|Omega>_{R,ret} x |phi>_rest; ``phi`` may carry a leading batch axis."""
-    rest = _rest_registers(layout, "R", ret)
-    return qc.assemble_raw(layout, [(("R", ret), qc.BELL_VECTOR), (rest, phi)])
-
-
 def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
     """States recoverable to opposite sides overlap by at most 1/2, and the
     bound is attained by the aligned transfer construction."""
@@ -89,14 +78,14 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
         for t in range(start, min(start + 100, trials)):
             rng = qc.stream(seed, "overlap", t)
             draws.append((
-                qc.random_unit_vector(layout.subdim(*_rest_registers(layout, "R", "A")), rng),
-                qc.random_unit_vector(layout.subdim(*_rest_registers(layout, "R", "B")), rng),
+                qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "A")), rng),
+                qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "B")), rng),
                 qc.haar_random_unitary(layout.subdim(*ALICE_FINAL), rng),
                 qc.haar_random_unitary(layout.subdim(*BOB_FINAL), rng)))
         phi0, phi1, k, lu = (np.stack(d) for d in zip(*draws))
-        psi0 = qc.apply_vector_matrix(_core_vector(layout, "A", phi0), layout,
+        psi0 = qc.apply_vector_matrix(bell_core(layout, "A", phi0), layout,
                                       k.conj().transpose(0, 2, 1), ALICE_FINAL)
-        psi1 = qc.apply_vector_matrix(_core_vector(layout, "B", phi1), layout,
+        psi1 = qc.apply_vector_matrix(bell_core(layout, "B", phi1), layout,
                                       lu.conj().transpose(0, 2, 1), BOB_FINAL)
         overlaps += [abs(np.vdot(a, b)) for a, b in zip(psi0, psi1)]
     t = int(np.argmax(overlaps))
@@ -105,13 +94,13 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
 
     # aligned witness: K = L = I and phi0 = (transfer A->B) phi1
     rng = qc.stream(seed, "overlap", "witness")
-    rest1 = _rest_registers(layout, "R", "B")   # carries A
-    rest0 = _rest_registers(layout, "R", "A")   # carries B
+    rest1 = rest_registers(layout, "R", "B")   # carries A
+    rest0 = rest_registers(layout, "R", "A")   # carries B
     phi1 = qc.random_unit_vector(layout.subdim(*rest1), rng)
     lay1 = layout.restricted(*rest1)
     lay0 = layout.restricted(*rest0)
     phi0 = qc.move_register_content(phi1, lay1, lay0, {"A": "B"})
-    aligned = abs(np.vdot(_core_vector(layout, "A", phi0), _core_vector(layout, "B", phi1)))
+    aligned = abs(np.vdot(bell_core(layout, "A", phi0), bell_core(layout, "B", phi1)))
     witness["aligned_overlap"] = aligned
     passed = (holds(worst, "<=", 0.5, 1e-9) and aligned >= 0.5 - 1e-6)
     return BoundReport(name="recovery_overlap", lhs=worst, rhs=0.5, relation="<=",
@@ -373,7 +362,7 @@ def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundRe
     """The reduced-state distance to the Bell pair equals the best product-
     state distance of the global state (computed in closed form)."""
     layout = small_attack_layout()
-    rest = _rest_registers(layout, "R", "A")
+    rest = rest_registers(layout, "R", "A")
     worst = 0.0
     witness = {}
     for t in range(trials):
@@ -385,14 +374,14 @@ def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundRe
         best = p_opt
         nv = np.linalg.norm(v)
         if nv > 1e-12:
-            best = min(best, qc.purified_distance_pure(vec, _core_vector(layout, "A", v / nv)))
+            best = min(best, qc.purified_distance_pure(vec, bell_core(layout, "A", v / nv)))
         # candidates in blocks of 100, to bound memory; the draws are those of
         # `inner` random_unit_vector calls (real parts, then imaginary parts)
         for start in range(0, inner, 100):
             z = rng.standard_normal((min(100, inner - start), 2, layout.subdim(*rest)))
             phis = z[:, 0] + 1j * z[:, 1]
             phis /= np.linalg.norm(phis, axis=1, keepdims=True)
-            overlaps = np.abs(_core_vector(layout, "A", phis) @ vec.conj())
+            overlaps = np.abs(bell_core(layout, "A", phis) @ vec.conj())
             best = min(best, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - overlaps ** 2)))))
         reduced = qc.partial_trace(psi, ("R", "A"))
         target = qc.fidelity(reduced, qc.bell_state("R", "A"))

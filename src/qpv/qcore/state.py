@@ -109,14 +109,6 @@ BB84_VECTORS = (
 )
 
 
-def bb84_state(index: int, name: str = "Q") -> QuantumState:
-    """One of |0>, |1>, |+>, |-> on a single-qubit register."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"BB84 index must be in 0..3, got {index}")
-    layout = RegisterLayout([(name, 1)])
-    return QuantumState(layout, "pure", BB84_VECTORS[index].copy())
-
-
 def assemble_raw(layout: RegisterLayout, factors) -> np.ndarray:
     """Product vector(s) on ``layout`` from per-group factor vectors.
 

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -203,3 +205,61 @@ def test_budget_guards():
         an.smp_cc_bruteforce(ip3, 0)
     with pytest.raises(an.BudgetExceeded):
         an.oneway_cc_bruteforce(an.ip_function(3), 4)
+
+
+def reference_cc_error(f, k, model):
+    """Plain-Python brute force: every k-bit message map of Alice's (and, for
+    SMP, of Bob's; one-way Bob sends y), each cell decided by majority."""
+    side = 1 << f.n
+    alice_maps = itertools.product(range(1 << k), repeat=side)
+    best = side * side
+    for a in alice_maps:
+        bob_maps = (itertools.product(range(1 << k), repeat=side) if model == "smp"
+                    else [tuple(range(side))])
+        for b in bob_maps:
+            ones, total = {}, {}
+            for x in range(side):
+                for y in range(side):
+                    cell = (a[x], b[y])
+                    total[cell] = total.get(cell, 0) + 1
+                    ones[cell] = ones.get(cell, 0) + f.value(x, y)
+            errors = 0
+            for x in range(side):
+                for y in range(side):
+                    cell = (a[x], b[y])
+                    guess = 1 if 2 * ones[cell] > total[cell] else 0
+                    errors += f.value(x, y) != guess
+            best = min(best, errors)
+            if best == 0:
+                return Fraction(0)
+    return Fraction(best, side * side)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cc_matches_plain_reference(n):
+    funcs = [an.ip_function(n), an.xor_function(n), an.constant_function(n, 1),
+             an.random_function(n, 11), an.random_function(n, 12)]
+    for f in funcs:
+        for k in (1, 2):
+            assert an.smp_cc_bruteforce(f, k) == reference_cc_error(f, k, "smp")
+            assert an.oneway_cc_bruteforce(f, k) == reference_cc_error(f, k, "oneway")
+
+
+def test_cc_pinned_values():
+    assert an.smp_cc_bruteforce(an.ip_function(3), 1) == Fraction(21, 64)
+    assert an.oneway_cc_bruteforce(an.ip_function(3), 1) == Fraction(19, 64)
+    assert an.oneway_cc_bruteforce(an.ip_function(4), 1) == Fraction(45, 128)
+
+
+@pytest.mark.parametrize("model,n,k", [("smp", 2, 3), ("smp", 1, 6), ("oneway", 1, 12)])
+def test_cc_blocks_stay_small(model, n, k):
+    # within the pair budget, but one block over all pairs would have 2^30
+    # (smp n=2 k=3), 2^36 (smp n=1 k=6) or 2^37 (oneway) int64 entries
+    bruteforce = an.smp_cc_bruteforce if model == "smp" else an.oneway_cc_bruteforce
+    tracemalloc.start()
+    try:
+        assert bruteforce(an.ip_function(n), k) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 22

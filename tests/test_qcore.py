@@ -10,6 +10,11 @@ from qpv import qcore as qc
 SQ2 = 1.0 / math.sqrt(2)
 
 
+def bb84(index):
+    """One of |0>, |1>, |+>, |-> on the single-qubit register Q."""
+    return qc.pure_state(qc.single_register("Q"), qc.BB84_VECTORS[index])
+
+
 def embed_reference(mat, layout, regs):
     """Independent dense embedding by explicit bit bookkeeping (slow oracle)."""
     qubits = layout.positions(*regs)
@@ -91,17 +96,12 @@ def test_bell_self_fidelity():
     (0, [1, 0]), (1, [0, 1]), (2, [SQ2, SQ2]), (3, [SQ2, -SQ2]),
 ])
 def test_bb84_states(index, expect):
-    np.testing.assert_allclose(qc.bb84_state(index).data, expect, atol=1e-15)
+    np.testing.assert_allclose(qc.BB84_VECTORS[index], expect, atol=1e-15)
 
 
 def test_bb84_overlap():
-    a, b = qc.bb84_state(0), qc.bb84_state(2)
+    a, b = bb84(0), bb84(2)
     assert abs(np.vdot(a.data, b.data)) == pytest.approx(SQ2, abs=1e-15)
-
-
-def test_bb84_rejects_bad_index():
-    with pytest.raises(ValueError):
-        qc.bb84_state(4)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_apply_identity_returns_same_state():
 
 
 def test_apply_x_flips():
-    s = qc.bb84_state(0)
+    s = bb84(0)
     out = qc.apply_matrix(s, qc.X, "Q")
     np.testing.assert_allclose(out.data, [0, 1], atol=1e-15)
 
@@ -308,7 +308,7 @@ def test_cached_row_permutation_matches_index_reference(case):
 # ---------------------------------------------------------------------------
 
 def test_fidelity_orthogonal_and_self():
-    z0, z1 = qc.bb84_state(0), qc.bb84_state(1)
+    z0, z1 = bb84(0), bb84(1)
     assert qc.fidelity(z0, z1) == pytest.approx(0.0, abs=1e-15)
     rho = qc.mixed_state(qc.single_register(), qc.random_density_matrix(2, qc.stream(31)))
     assert qc.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
@@ -316,7 +316,7 @@ def test_fidelity_orthogonal_and_self():
 
 def test_fidelity_pure_vs_maximally_mixed():
     # closed form: tr sqrt(sqrt(s) r sqrt(s)) = sqrt(<0|I/2|0>) = 1/sqrt(2)
-    rho = qc.bb84_state(0)
+    rho = bb84(0)
     sigma = qc.mixed_state(qc.single_register("Q"), np.eye(2) / 2)
     assert qc.fidelity(rho, sigma) == pytest.approx(SQ2, abs=1e-12)
     assert qc.fidelity(sigma, rho) == pytest.approx(SQ2, abs=1e-12)
@@ -332,7 +332,7 @@ def test_fidelity_symmetric_and_dimension_mismatch():
 
 
 def test_purified_distance_examples():
-    z0, z1, plus = qc.bb84_state(0), qc.bb84_state(1), qc.bb84_state(2)
+    z0, z1, plus = bb84(0), bb84(1), bb84(2)
     assert qc.purified_distance(z0, z0) == pytest.approx(0.0, abs=1e-7)
     assert qc.purified_distance(z0, z1) == pytest.approx(1.0, abs=1e-15)
     assert qc.purified_distance(z0, plus) == pytest.approx(SQ2, abs=1e-12)

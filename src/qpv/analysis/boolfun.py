@@ -37,17 +37,11 @@ class BooleanFunction:
         side = 1 << self.n
         return np.asarray(self.table).reshape(side, side)
 
-    def negated(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, 1 - np.asarray(self.table))
-
     def pairs(self):
         side = 1 << self.n
         for x in range(side):
             for y in range(side):
                 yield x, y
-
-    def is_constant(self) -> bool:
-        return bool(np.all(self.table == self.table[0]))
 
 
 def ip_function(n: int) -> BooleanFunction:

@@ -20,7 +20,6 @@ from .gardenhose import (
 )
 from .good_sets import (
     best_recovery_distance,
-    helstrom_guess_probability,
     meas_member,
     route_member,
     s_set_distance,

@@ -143,8 +143,8 @@ def _pair_scores(strategy: AttackStrategy, f, pairs) -> np.ndarray:
 
 
 def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
-    """Reduced two-qubit state on (R, returned register) or None if the
-    routed qubit is absent at the responsible verifier."""
+    """Reduced 4 x 4 density matrix on (R, returned register), R the low
+    qubit, or None if the routed qubit is absent at the responsible verifier."""
     _check(strategy, f, "route")
     ret = returned_register(f.value(x, y))
     if not strategy.holds_qubit(x, y, ret):
@@ -154,8 +154,7 @@ def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
     k, l = strategy.recovery_k(x, y), strategy.recovery_l(x, y)
     finals = [(w, route_finale(after_locals(v, layout, alice, bob), layout, k, l))
               for w, v in _psi_components(strategy.psi)]
-    rho = sum(w * qc.reduced_outer(v, v, layout, ("R", ret)) for w, v in finals)
-    return qc.mixed_state(layout.restricted("R", ret), rho)
+    return sum(w * qc.reduced_outer(v, v, layout, ("R", ret)) for w, v in finals)
 
 
 def execute_route(strategy: AttackStrategy, f, x: int, y: int) -> float:

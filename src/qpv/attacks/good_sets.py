@@ -19,16 +19,26 @@ from .strategy import ALICE_FINAL, BOB_FINAL, attack_layout, bell_core, rest_reg
 ROUTE_SIDES = {"S0": (ALICE_FINAL, "A"), "S1": (BOB_FINAL, "B")}
 
 
-def best_recovery_distance(state: qc.QuantumState, which: str,
+def _state_vector(vec, layout: qc.RegisterLayout) -> np.ndarray:
+    """``vec`` as a pure-state vector on ``layout``; a density matrix or a
+    batch is rejected, since its rows are not state vectors."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (layout.dim,):
+        raise ValueError(f"expected a pure-state vector of length {layout.dim}, "
+                         f"got shape {vec.shape}")
+    return vec
+
+
+def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str,
                            iters: int = 80, restarts: int = 4, seed: int = 0,
                            tol: float = 1e-10):
-    """Minimal purified distance P(rho_{R,ret}, Bell) over recovery unitaries.
+    """Minimal purified distance P(rho_{R,ret}, Bell) over recovery unitaries
+    of the pure state ``vec`` on ``layout``.
 
     Returns (distance, recovery_unitary).
     """
     regs, ret = ROUTE_SIDES[which]
-    layout = state.layout
-    vec = np.asarray(state.data)[None]   # a batch of one
+    vec = _state_vector(vec, layout)[None]   # a batch of one
     dim = layout.subdim(*regs)
     best_f2, best_u = -1.0, np.eye(dim, dtype=complex)
     for r in range(restarts + 1):
@@ -60,26 +70,18 @@ def _helstrom(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
 
 def helstrom_guess_pure(vecs: np.ndarray, layout: qc.RegisterLayout, basis: int,
                         regs) -> np.ndarray:
-    """:func:`helstrom_guess_probability` of each pure vector in a (b, dim) batch."""
+    """Optimal probability of guessing the reference measurement outcome from
+    the named registers, (1 + ||C0 - C1||_1)/2 on the conditional operators,
+    for each pure vector in a (b, dim) batch."""
     m = qc.branch_matrices(vecs, layout, "R", basis, regs)
     c = m @ m.conj().swapaxes(-1, -2)   # C_z = tr_rest |psi_z><psi_z|
     return _helstrom(c[:, 0], c[:, 1])
 
 
-def helstrom_guess_probability(state: qc.QuantumState, basis: int, regs) -> float:
-    """Optimal probability of guessing the reference measurement outcome from
-    the named registers: (1 + ||C0 - C1||_1)/2 on the conditional operators."""
-    if state.kind == "pure":
-        return float(helstrom_guess_pure(state.data, state.layout, basis, regs)[0])
-    proj = qc.basis_projectors(basis)
-    c0, c1 = (qc.reduce_density_raw(qc.apply_matrix_raw(state, p, ("R",)), state.layout,
-                                    regs, order="given") for p in proj)
-    return float(_helstrom(c0, c1))
-
-
-def s_set_distance(state: qc.QuantumState, which: str, kind: str, eps: float,
+def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: float,
                    seed: int = 0):
-    """Membership oracle for the recoverable-state sets.
+    """Membership oracle for the recoverable-state sets, on the pure state
+    ``vec`` over ``layout``.
 
     Routing kind: returns (best recovery distance, member) with membership
     at distance <= eps.  Measuring kind: returns (min of the two sides'
@@ -88,15 +90,16 @@ def s_set_distance(state: qc.QuantumState, which: str, kind: str, eps: float,
     """
     if which not in ("S0", "S1"):
         raise ValueError("which must be 'S0' or 'S1'")
+    vec = _state_vector(vec, layout)
     if kind == "route":
-        dist, _ = best_recovery_distance(state, which, seed=seed)
+        dist, _ = best_recovery_distance(vec, layout, which, seed=seed)
         # sqrt(1 - F^2) loses half the float precision near F = 1, so exact
         # members surface at distances around 1e-8 rather than 1e-9
         return dist, dist <= eps + 5e-8
     if kind == "meas":
         basis = 0 if which == "S0" else 1
-        p_alice = helstrom_guess_probability(state, basis, ALICE_FINAL)
-        p_bob = helstrom_guess_probability(state, basis, BOB_FINAL)
+        p_alice, p_bob = (float(helstrom_guess_pure(vec, layout, basis, regs)[0])
+                          for regs in (ALICE_FINAL, BOB_FINAL))
         figure = min(p_alice, p_bob)
         return figure, figure >= 1.0 - eps * eps - 1e-9
     raise ValueError("kind must be 'route' or 'meas'")
@@ -131,13 +134,13 @@ def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     k = qc.haar_random_unitary(layout.subdim(*regs), rng)
     vec = qc.apply_vector_matrix(bell_core(layout, ret, phi), layout, k.conj().T, regs)
     vec = _perturb_within(vec, eps, rng)
-    return qc.QuantumState(layout, "pure", vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng,
                 max_tries: int = 12):
-    """State whose reference bit is readable by BOTH sides in the relevant
-    basis, perturbed while re-verifying the guessing premise."""
+    """State vector whose reference bit is readable by BOTH sides in the
+    relevant basis, perturbed while re-verifying the guessing premise."""
     basis = 0 if which == "S0" else 1
     a_read = layout.positions("A")[0] if layout.width("A") else None
     b_read = layout.positions("B")[0] if layout.width("B") else None
@@ -157,12 +160,11 @@ def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng,
     scale = eps
     for _ in range(max_tries):
         cand = _perturb_within(vec, scale, rng)
-        state = qc.QuantumState(layout, "pure", cand / np.linalg.norm(cand))
-        figure, ok = s_set_distance(state, which, "meas", eps)
-        if ok:
-            return state
+        cand = cand / np.linalg.norm(cand)
+        if s_set_distance(cand, layout, which, "meas", eps)[1]:
+            return cand
         scale *= 0.5
-    return qc.QuantumState(layout, "pure", vec)
+    return vec
 
 
 def small_attack_layout() -> qc.RegisterLayout:

@@ -121,7 +121,7 @@ def check_low_fidelity_route(eps: float = 0.41, trials: int = 100,
         rng = qc.stream(seed, "route-sep", t)
         psi0 = route_member(layout, "S0", eps, rng)
         psi1 = route_member(layout, "S1", eps, rng)
-        dist = qc.purified_distance_pure(np.asarray(psi0.data), np.asarray(psi1.data))
+        dist = qc.purified_distance_pure(psi0, psi1)
         if dist < worst:
             worst = dist
             witness = {"trial": t, "distance": dist}
@@ -234,8 +234,8 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
     dists = np.zeros(trials)
     for t in range(trials):
         rng = qc.stream(seed, "meas-sep", t)
-        phi0[t] = meas_member(layout, "S0", 0.25, rng).data
-        phi1[t] = meas_member(layout, "S1", 0.25, rng).data
+        phi0[t] = meas_member(layout, "S0", 0.25, rng)
+        phi1[t] = meas_member(layout, "S1", 0.25, rng)
         dists[t] = qc.purified_distance_pure(phi0[t], phi1[t])
     h0 = qc.conditional_entropy_pure(phi0, layout, "R", alice, ("R", 0))
     h1 = qc.conditional_entropy_pure(phi1, layout, "R", bob, ("R", 1))
@@ -367,8 +367,7 @@ def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundRe
     witness = {}
     for t in range(trials):
         rng = qc.stream(seed, "uhlmann", t)
-        psi = qc.random_pure_state(layout, rng)
-        vec = np.asarray(psi.data)
+        vec = qc.random_unit_vector(layout.dim, rng)
         v = _bell_partial_inner(vec, layout)
         p_opt = math.sqrt(max(0.0, 1.0 - float(np.vdot(v, v).real)))
         best = p_opt
@@ -383,8 +382,10 @@ def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundRe
             phis /= np.linalg.norm(phis, axis=1, keepdims=True)
             overlaps = np.abs(bell_core(layout, "A", phis) @ vec.conj())
             best = min(best, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - overlaps ** 2)))))
-        reduced = qc.partial_trace(psi, ("R", "A"))
-        target = qc.fidelity(reduced, qc.bell_state("R", "A"))
+        # the right side: root fidelity of rho_RA with |Omega>, from the
+        # reduced matrix rather than the partial inner product above
+        reduced = qc.reduced_outer(vec, vec, layout, ("R", "A"))
+        target = math.sqrt(max(qc.expectation(qc.BELL_VECTOR, reduced), 0.0))
         p_reduced = math.sqrt(max(0.0, 1.0 - target * target))
         gap = abs(best - p_reduced)
         if gap > worst:

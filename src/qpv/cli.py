@@ -33,7 +33,16 @@ class ConfigError(Exception):
     pass
 
 
+# keys that one kind of function, prover or bound needs beyond "kind"
+FUNCTION_KEYS = {"file": ("path",), "table": ("n", "table")}
+PROVER_KEYS = {"synthetic": ("p",), "strategy": ("path",)}
+BOUNDS_KEYS = {"counting": ("n", "q"), "net_size": ("q",), "volume": ("n", "lambda"),
+               "qubit_bound": ("f_kind",), "cc": ("f", "k")}
+
+
 def _require_keys(obj: dict, where: str, required: tuple = (), optional: tuple = ()):
+    """Reject a non-object, unknown keys and missing required keys; with
+    ``optional=tuple(obj)`` only the required keys are checked."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = set(obj) - set(required) - set(optional)
@@ -54,11 +63,14 @@ def _provenance(config: dict, seed: int) -> dict:
 
 
 def _function_from_config(config: dict, seed: int):
+    _require_keys(config, "config", ("f",), tuple(config))
+    _require_keys(config["f"], "f", ("kind",), ("n", "seed", "table", "bit", "path"))
     spec = dict(config["f"])
-    _require_keys(spec, "f", ("kind",), ("n", "seed", "table", "bit", "path"))
+    if "n" in config:
+        spec.setdefault("n", config["n"])
+    _require_keys(spec, "f", FUNCTION_KEYS.get(spec["kind"], ("n",)), tuple(spec))
     if spec["kind"] == "file":
         return analysis.load_function(spec["path"])
-    spec.setdefault("n", config.get("n"))
     if spec["kind"] == "random" and "seed" not in spec:
         spec["seed"] = seed
     return analysis.function_from_spec(spec)
@@ -68,6 +80,7 @@ def _prover_from_config(config: dict, f):
     spec = config.get("prover", {"kind": "honest"})
     _require_keys(spec, "prover", ("kind",), ("p", "state", "basis", "path"))
     kind = spec["kind"]
+    _require_keys(spec, "prover", PROVER_KEYS.get(kind, ()), tuple(spec))
     if kind == "honest":
         return protocol.HONEST
     if kind == "synthetic":
@@ -213,6 +226,7 @@ def cmd_bounds(config: dict, seed: int):
     _require_keys(config, "config", ("kind",),
                   ("n", "q", "k", "f", "f_kind", "model", "lambda", "error"))
     kind = config["kind"]
+    _require_keys(config, "config", BOUNDS_KEYS.get(kind, ()), tuple(config))
     out = {"provenance": _provenance(config, seed), "kind": kind}
     if kind == "counting":
         report = analysis.counting_bound(int(config["n"]), int(config["q"]))
@@ -229,6 +243,7 @@ def cmd_bounds(config: dict, seed: int):
     elif kind == "qubit_bound":
         f_kind = config["f_kind"]
         if f_kind == "random":
+            _require_keys(config, "config", ("n",), tuple(config))
             out["q_max"] = analysis.attacker_qubit_bound("random", n=int(config["n"]))
             if int(config["n"]) < 10:
                 out["precondition_note"] = "guarantee requires n >= 10"

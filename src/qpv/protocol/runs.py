@@ -48,21 +48,21 @@ class ProtocolRun:
     details: dict = field(default_factory=dict)
 
 
-def m1_accept_probability(rho) -> float:
+def m1_accept_probability(rho: np.ndarray) -> float:
     """Probability that the two-qubit Bell test {|Omega><Omega|, rest} accepts."""
-    rho = rho.density() if isinstance(rho, qc.QuantumState) else np.asarray(rho)
+    rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError("M1 is defined on two qubits")
     return qc.expectation(qc.BELL_VECTOR, rho)
 
 
-def m2_accept_probability(rho) -> float:
+def m2_accept_probability(rho: np.ndarray) -> float:
     """Acceptance of the basis-sampled local replacement of the Bell test.
 
     With probability 1/2 each, both qubits are measured in the computational
     or the Hadamard basis and accepted on equal outcomes.
     """
-    rho = rho.density() if isinstance(rho, qc.QuantumState) else np.asarray(rho)
+    rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError("M2 is defined on two qubits")
     p_omega = qc.expectation(qc.BELL_VECTOR, rho)
@@ -77,14 +77,11 @@ def _check_inputs(f, x: int, y: int) -> None:
         raise ValueError(f"inputs must be {f.n}-bit strings")
 
 
-def _depolarize_qubit(state: qc.QuantumState, register: str, p: float) -> qc.QuantumState:
-    """Replace the register with I/2 with probability p (Pauli-twirl form)."""
-    mixed = state.to_mixed()
-    rho = state.density()
-    out = (1 - 0.75 * p) * rho
-    for pauli in (qc.X, qc.Y, qc.Z):
-        out = out + (p / 4) * qc.apply_matrix_raw(mixed, pauli, register)
-    return qc.QuantumState(state.layout, "mixed", out)
+def _on_q(rho: np.ndarray, kraus) -> np.ndarray:
+    """sum_k K_k rho K_k^dagger for Kraus operators K_k on Q, the high qubit
+    of rho_RQ."""
+    ops = [qc.kron_le(np.eye(2), k) for k in kraus]
+    return sum(m @ rho @ m.conj().T for m in ops)
 
 
 def _prover_pair(prover: Prover, routed: bool, depolarize: float) -> np.ndarray:
@@ -94,22 +91,22 @@ def _prover_pair(prover: Prover, routed: bool, depolarize: float) -> np.ndarray:
     (``replace_with``, ``tamper_unitary``, ``premeasure_basis``) act only
     when Q is routed.
     """
-    state = qc.bell_state("R", "Q")
+    rho = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
     if depolarize > 0.0:
-        state = _depolarize_qubit(state, "Q", depolarize)
+        # Q replaced with I/2 with probability `depolarize`, in Pauli-twirl form
+        rho = sum(((depolarize / 4) * _on_q(rho, [pauli]) for pauli in (qc.X, qc.Y, qc.Z)),
+                  (1 - 0.75 * depolarize) * rho)
     if not routed:
-        return state.density()
+        return rho
     if prover.replace_with is not None:
-        # discard Q and prepare |s>: the channel with Kraus operators |s><0|, |s><1|
+        # discard Q and prepare |s>
         fresh = qc.BB84_VECTORS[prover.replace_with]
-        mixed = state.to_mixed()
-        rho = sum(qc.apply_matrix_raw(mixed, np.outer(fresh, e), "Q") for e in np.eye(2))
-        state = qc.QuantumState(state.layout, "mixed", rho)
+        rho = _on_q(rho, [np.outer(fresh, e) for e in np.eye(2)])
     if prover.tamper_unitary is not None:
-        state = qc.apply_matrix(state, np.asarray(prover.tamper_unitary, dtype=complex), "Q")
+        rho = _on_q(rho, [np.asarray(prover.tamper_unitary, dtype=complex)])
     if prover.premeasure_basis is not None:
-        state = qc.dephase_register(state, "Q", prover.premeasure_basis)
-    return state.density()
+        rho = _on_q(rho, qc.basis_projectors(prover.premeasure_basis))
+    return rho
 
 
 def _meas_agreement(prover: Prover, theta: int, rho: np.ndarray) -> float:
@@ -155,10 +152,9 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
         if protocol != "route_bb84":
             execute = execute_route if protocol == "route_entangled" else execute_meas
             return execute(prover, f, x, y)
-        reduced = execute_route_reduced(prover, f, x, y)
-        if reduced is None:
+        rho = execute_route_reduced(prover, f, x, y)
+        if rho is None:
             return 0.0
-        rho = reduced.density()
     else:
         rho = _prover_pair(prover, protocol != "meas", depolarize)
     if protocol == "route_entangled":

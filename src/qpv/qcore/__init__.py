@@ -1,6 +1,6 @@
 """Dense linear algebra and quantum primitives on named multi-qubit registers."""
 
-from .layout import MAX_QUBITS, RegisterLayout, single_register
+from .layout import MAX_QUBITS, RegisterLayout
 from .ops import (
     BASIS_VECTORS,
     CNOT,
@@ -10,7 +10,6 @@ from .ops import (
     Y,
     Z,
     apply_matrix,
-    apply_matrix_raw,
     apply_on_qubits,
     apply_vector_matrix,
     compose_on_qubits,
@@ -23,13 +22,11 @@ from .ops import (
     conditional_entropy_pure,
     controlled,
     dephase_register,
-    effect_probability,
     expectation,
     fidelity,
     kron_le,
     partial_trace,
     psd_sqrt,
-    purified_distance,
     reduce_density_raw,
     purified_distance_pure,
     reduced_outer,
@@ -49,13 +46,9 @@ from .state import (
     PHI1_VECTOR,
     PHI2_VECTOR,
     QuantumState,
-    assemble,
     assemble_raw,
-    basis_state,
-    bell_state,
     mixed_state,
     move_register_content,
-    pure_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -85,10 +85,6 @@ class RegisterLayout:
         return RegisterLayout([(n, w) for n, w in self.registers if n in keep])
 
 
-def single_register(name: str = "Q", width: int = 1) -> RegisterLayout:
-    return RegisterLayout([(name, width)])
-
-
 @lru_cache(maxsize=None)
 def _row_axes(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Axis order of :func:`rows_first` on a ``(b, 2, ..., 2)`` view, where

@@ -7,6 +7,14 @@ of vectors as matrices whose rows are those registers' qubits, so applying
 an operator is one ``matmul`` on that view and a partial trace is a product
 of two views (or, for a density matrix, a trace over the traced qubits of
 its 2n-qubit view).
+
+The package runs on the raw-array kernels (``apply_vector_matrix``,
+``apply_on_qubits``, ``reduced_outer``, ``conditional_entropy_pure``,
+``purified_distance_pure``).  The ops on :class:`~qpv.qcore.state.QuantumState`
+(``apply_matrix``, ``partial_trace``, ``fidelity``, ``conditional_entropy``,
+``dephase_register``) have no caller outside qcore: they are the dense
+reference the kernel tests compare against, and the benchmark tracer wraps
+them.
 """
 
 from __future__ import annotations
@@ -101,31 +109,24 @@ def _sandwich_raw(rho: np.ndarray, n: int, mat: np.ndarray,
     return flat.reshape(dim, dim)
 
 
-def apply_matrix_raw(state: QuantumState, mat: np.ndarray, registers) -> np.ndarray:
-    """Apply a matrix on the named registers without normalizing/validating.
-
-    Returns a vector for pure input and a density matrix for mixed input
-    (rho -> M rho M^dagger).
-    """
+def apply_matrix(state: QuantumState, mat: np.ndarray, registers) -> QuantumState:
+    """Apply a matrix on the named registers (rho -> M rho M^dagger for a
+    mixed state) and validate the result."""
     registers = _registers_tuple(registers)
     qubits = state.layout.positions(*registers)
     if mat.shape != (1 << len(qubits),) * 2:
         raise ValueError(f"matrix dimension {mat.shape} does not match registers {registers}")
     n = state.layout.total_qubits
     if state.kind == "pure":
-        return _apply_to_vector(np.asarray(state.data), n, mat, qubits)
-    return _sandwich_raw(np.asarray(state.data), n, mat, qubits)
-
-
-def apply_matrix(state: QuantumState, mat: np.ndarray, registers) -> QuantumState:
-    """Trace-preserving matrix application returning a validated state."""
-    out = apply_matrix_raw(state, mat, registers)
+        out = _apply_to_vector(np.asarray(state.data), n, mat, qubits)
+    else:
+        out = _sandwich_raw(np.asarray(state.data), n, mat, qubits)
     return QuantumState(state.layout, state.kind, out)
 
 
 def apply_vector_matrix(vec: np.ndarray, layout: RegisterLayout,
                         mat: np.ndarray, registers) -> np.ndarray:
-    """Raw-vector variant of :func:`apply_matrix` for hot loops; ``vec`` and
+    """Apply a matrix on the named registers of a raw vector; ``vec`` and
     ``mat`` may carry a batch axis (see ``_apply_to_vector``)."""
     qubits = layout.positions(*_registers_tuple(registers))
     return _apply_to_vector(vec, layout.total_qubits, mat, qubits)
@@ -192,16 +193,16 @@ def reduced_outer(vec_left: np.ndarray, vec_right: np.ndarray,
     return out[0] if np.ndim(vec_left) == 1 and np.ndim(vec_right) == 1 else out
 
 
-def reduce_density_raw(rho: np.ndarray, layout: RegisterLayout, keep,
-                       order: str = "layout") -> np.ndarray:
-    """Partial trace of a raw density matrix onto the kept registers.
+def reduce_density_raw(rho: np.ndarray, layout: RegisterLayout, keep) -> np.ndarray:
+    """Partial trace of a raw density matrix onto the kept registers (layout
+    order).
 
     In the 2n-qubit view of rho (row qubit q on bit n + q, column qubit q on
     bit q), the kept column and row qubits index the rows and the traced
     column and row qubits the columns; the result sums the entries whose
     traced row and column qubits agree.
     """
-    rows = _kept_qubits(layout, keep, order)
+    rows = _kept_qubits(layout, keep, "layout")
     n = layout.total_qubits
     k, t = 1 << len(rows), 1 << (n - len(rows))
     m = rows_first(rho, 2 * n, rows + [q + n for q in rows])
@@ -249,11 +250,6 @@ def fidelity(rho: QuantumState, sigma: QuantumState) -> float:
     inner = s @ np.asarray(rho.data) @ s
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(min(np.sum(np.sqrt(vals)), 1.0))
-
-
-def purified_distance(rho: QuantumState, sigma: QuantumState) -> float:
-    f = fidelity(rho, sigma)
-    return math.sqrt(max(0.0, 1.0 - f * f))
 
 
 def purified_distance_pure(u: np.ndarray, v: np.ndarray) -> float:
@@ -369,17 +365,6 @@ def basis_projectors(basis: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 projectors of the computational (0) or Hadamard (1) basis."""
     v0, v1 = BASIS_VECTORS[basis]
     return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
-
-
-def effect_probability(state: QuantumState, effect: np.ndarray, registers) -> float:
-    """tr(E rho) with E embedded on the named registers."""
-    if state.kind == "pure":
-        vec = np.asarray(state.data)
-        out = apply_vector_matrix(vec, state.layout, effect, registers)
-        return float(np.vdot(vec, out).real)
-    reduced = reduce_density_raw(np.asarray(state.data), state.layout, registers,
-                                 order="given")
-    return float(np.trace(effect @ reduced).real)
 
 
 def dephase_register(state: QuantumState, register: str, basis: int) -> QuantumState:

@@ -51,6 +51,7 @@ def random_unit_vector(dim: int, rng) -> np.ndarray:
 
 
 def random_pure_state(layout: RegisterLayout, rng) -> QuantumState:
+    """:func:`random_unit_vector` as a QuantumState, for the dense reference ops."""
     return QuantumState(layout, "pure", random_unit_vector(layout.dim, rng))
 
 

@@ -1,8 +1,12 @@
 """Quantum states over named register layouts.
 
-States are dense: a complex amplitude vector for pure states, a density
-matrix for mixed ones.  All arrays are frozen after validation; operations
-elsewhere in the package return new states.
+The package works on raw arrays: state vectors (optionally batched) and
+density matrices indexed little-endian over a layout.  This module holds the
+fixed vectors, product-state assembly and register relabelling on them.
+
+:class:`QuantumState` is the validated, frozen container of an attack
+strategy's pre-shared state (a pure vector or a density matrix) and the
+state type of the dense reference ops in :mod:`qpv.qcore.ops`.
 """
 
 from __future__ import annotations
@@ -64,33 +68,9 @@ class QuantumState:
             return np.outer(self.data, self.data.conj())
         return np.asarray(self.data)
 
-    def to_mixed(self) -> "QuantumState":
-        if self.kind == "mixed":
-            return self
-        return QuantumState(self.layout, "mixed", self.density())
-
-
-def pure_state(layout: RegisterLayout, amplitudes) -> QuantumState:
-    vec = np.asarray(amplitudes, dtype=complex)
-    return QuantumState(layout, "pure", vec)
-
 
 def mixed_state(layout: RegisterLayout, rho) -> QuantumState:
     return QuantumState(layout, "mixed", np.asarray(rho, dtype=complex))
-
-
-def basis_state(layout: RegisterLayout, index: int = 0) -> QuantumState:
-    vec = np.zeros(layout.dim, dtype=complex)
-    vec[index] = 1.0
-    return QuantumState(layout, "pure", vec)
-
-
-def bell_state(first: str = "R", second: str = "A") -> QuantumState:
-    """The maximally entangled pair (|00> + |11>)/sqrt(2) on two 1-qubit registers."""
-    layout = RegisterLayout([(first, 1), (second, 1)])
-    vec = np.zeros(4, dtype=complex)
-    vec[0b00] = vec[0b11] = 1.0 / math.sqrt(2)
-    return QuantumState(layout, "pure", vec)
 
 
 BELL_VECTOR = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
@@ -139,11 +119,6 @@ def assemble_raw(layout: RegisterLayout, factors) -> np.ndarray:
         full = full.reshape(full.shape[:-2] + (-1,))
     # full is little-endian over covered: its index is one row over those qubits
     return rows_back(full, n, covered).reshape(full.shape)
-
-
-def assemble(layout: RegisterLayout, factors) -> QuantumState:
-    """Product state on ``layout`` from unbatched factors (see assemble_raw)."""
-    return QuantumState(layout, "pure", assemble_raw(layout, factors))
 
 
 def move_register_content(vec: np.ndarray, layout_from: RegisterLayout,

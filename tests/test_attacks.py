@@ -21,6 +21,10 @@ XOR = an.xor_function(1)
 AND = an.ip_function(1)
 
 
+def product_state(layout, factors):
+    return qc.QuantumState(layout, "pure", qc.assemble_raw(layout, factors))
+
+
 def identity_route_strategy(f, **layout_kw):
     layout = at.attack_layout(**layout_kw)
     rest = [n for n in layout.names if n not in ("R", "A") and layout.width(n)]
@@ -29,7 +33,7 @@ def identity_route_strategy(f, **layout_kw):
         e0 = np.zeros(layout.subdim(name), dtype=complex)
         e0[0] = 1.0
         factors.append(((name,), e0))
-    psi = qc.assemble(layout, factors)
+    psi = product_state(layout, factors)
     return at.AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi)
 
 
@@ -96,7 +100,7 @@ def readable_bit_strategy(f, rotate_by_x=False):
         e0 = np.zeros(layout.subdim(name), dtype=complex)
         e0[0] = 1.0
         factors.append(((name,), e0))
-    psi = qc.assemble(layout, factors)
+    psi = product_state(layout, factors)
     p0 = qc.basis_projectors(0)[0]
     # effects answering the readable bit: Alice reads A, Bob reads the copy in Ac
     pi = qc.kron_le(p0, np.eye(2), np.eye(2))       # on (A, At, Bc)
@@ -140,7 +144,7 @@ def test_execute_meas_oblivious_bob_baseline():
         e0 = np.zeros(layout.subdim(name), dtype=complex)
         e0[0] = 1.0
         factors.append(((name,), e0))
-    psi = qc.assemble(layout, factors)
+    psi = product_state(layout, factors)
     swap = qc.compose_on_qubits(2, [(qc.SWAP2, [0, 1])])
     pairs = list(XOR.pairs())
     pi = {}
@@ -181,7 +185,7 @@ def test_mixture_success_is_linear():
         s0 = at.execute_route(strat0, XOR, x, y)
         s1 = at.execute_route(strat1, XOR, x, y)
         assert s_mix == pytest.approx(lam * s0 + (1 - lam) * s1, abs=1e-12)
-        rho_mix, rho0, rho1 = (at.execute_route_reduced(s, XOR, x, y).data
+        rho_mix, rho0, rho1 = (at.execute_route_reduced(s, XOR, x, y)
                                for s in (strat_mix, strat0, strat1))
         np.testing.assert_allclose(rho_mix, lam * rho0 + (1 - lam) * rho1, atol=1e-12)
 
@@ -270,18 +274,18 @@ def test_s_set_route_members():
     rest0 = [n for n in lay.names if n not in ("R", "A") and lay.width(n)]
     phi = np.zeros(1 << sum(lay.width(r) for r in rest0), dtype=complex)
     phi[0] = 1.0
-    omega_ra = qc.assemble(lay, [(("R", "A"), qc.BELL_VECTOR), (tuple(rest0), phi)])
-    dist, member = at.s_set_distance(omega_ra, "S0", "route", 0.0)
+    omega_ra = qc.assemble_raw(lay, [(("R", "A"), qc.BELL_VECTOR), (tuple(rest0), phi)])
+    dist, member = at.s_set_distance(omega_ra, lay, "S0", "route", 0.0)
     assert member and dist <= 5e-8
 
     rest1 = [n for n in lay.names if n not in ("R", "B") and lay.width(n)]
     phi1 = np.zeros(1 << sum(lay.width(r) for r in rest1), dtype=complex)
     phi1[0] = 1.0
-    omega_rb = qc.assemble(lay, [(("R", "B"), qc.BELL_VECTOR), (tuple(rest1), phi1)])
-    dist1, member1 = at.s_set_distance(omega_rb, "S1", "route", 0.0)
+    omega_rb = qc.assemble_raw(lay, [(("R", "B"), qc.BELL_VECTOR), (tuple(rest1), phi1)])
+    dist1, member1 = at.s_set_distance(omega_rb, lay, "S1", "route", 0.0)
     assert member1
     # the opposite set keeps its distance at sqrt(3)/2 for every recovery
-    fig, _ = at.s_set_distance(omega_rb, "S0", "route", 0.0)
+    fig, _ = at.s_set_distance(omega_rb, lay, "S0", "route", 0.0)
     assert fig == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
 
 
@@ -290,13 +294,25 @@ def test_s_set_meas_uncorrelated():
     vec = np.zeros(lay.dim, dtype=complex)
     vec[0] = 1.0
     vec = qc.apply_on_qubits(vec, lay.total_qubits, qc.H, [lay.positions("R")[0]])
-    state = qc.QuantumState(lay, "pure", vec)
-    fig, member = at.s_set_distance(state, "S0", "meas", 0.3)
+    fig, member = at.s_set_distance(vec, lay, "S0", "meas", 0.3)
     assert fig == pytest.approx(0.5, abs=1e-12)
     assert not member
     # eps > sqrt(1/2) makes the 1-eps^2 threshold reachable by guessing
-    _, member_loose = at.s_set_distance(state, "S0", "meas", 0.75)
+    _, member_loose = at.s_set_distance(vec, lay, "S0", "meas", 0.75)
     assert member_loose
+
+
+def test_s_set_distance_rejects_a_density_matrix():
+    # the rows of a density matrix are not state vectors: a perfect S0 member
+    # must not be scored through them
+    lay = at.small_attack_layout()
+    vec = at.strategy.bell_core(lay, "A")
+    assert at.s_set_distance(vec, lay, "S0", "route", 0.0)[1]
+    for kind in ("route", "meas"):
+        with pytest.raises(ValueError, match="pure-state vector"):
+            at.s_set_distance(np.outer(vec, vec.conj()), lay, "S0", kind, 0.0)
+    with pytest.raises(ValueError, match="pure-state vector"):
+        at.best_recovery_distance(np.stack([vec, vec]), lay, "S0")
 
 
 def test_route_disjointness_sampled():
@@ -307,7 +323,7 @@ def test_route_disjointness_sampled():
         rng = qc.stream(55, t)
         psi0 = at.route_member(lay, "S0", eps, rng)
         psi1 = at.route_member(lay, "S1", eps, rng)
-        p = qc.purified_distance_pure(np.asarray(psi0.data), np.asarray(psi1.data))
+        p = qc.purified_distance_pure(psi0, psi1)
         assert p > bound - 1e-9
         assert p > 0.046
 
@@ -318,7 +334,7 @@ def test_meas_disjointness_sampled():
         rng = qc.stream(56, t)
         phi0 = at.meas_member(lay, "S0", 0.3, rng)
         phi1 = at.meas_member(lay, "S1", 0.3, rng)
-        p = qc.purified_distance_pure(np.asarray(phi0.data), np.asarray(phi1.data))
+        p = qc.purified_distance_pure(phi0, phi1)
         assert p > 0.013
 
 

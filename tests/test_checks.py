@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-from qpv import attacks as at
 from qpv import checks as ck
 from qpv import qcore as qc
 
@@ -34,7 +33,7 @@ def test_holds_relations():
 def test_cit_equality_cases():
     # |0>_R |00>: computational side information is exact, Hadamard side blind
     layout = qc.RegisterLayout([("R", 1), ("E", 1), ("F", 1)])
-    psi = qc.basis_state(layout, 0)
+    psi = qc.QuantumState(layout, "pure", np.eye(layout.dim)[0])
     rho = qc.dephase_register(psi, "R", 0)
     sigma = qc.dephase_register(psi, "R", 1)
     h0 = qc.conditional_entropy(rho, "R", ("E",))
@@ -43,8 +42,8 @@ def test_cit_equality_cases():
     assert h1 == pytest.approx(1.0, abs=1e-12)
 
     # |Omega>_RE x |0>_F: perfect side information in one basis
-    omega_re = qc.assemble(layout, [(("R", "E"), qc.BELL_VECTOR),
-                                    (("F",), np.array([1.0, 0.0]))])
+    omega_re = qc.QuantumState(layout, "pure", qc.assemble_raw(
+        layout, [(("R", "E"), qc.BELL_VECTOR), (("F",), np.array([1.0, 0.0]))]))
     rho = qc.dephase_register(omega_re, "R", 0)
     sigma = qc.dephase_register(omega_re, "R", 1)
     assert qc.conditional_entropy(rho, "R", ("E",)) == pytest.approx(0.0, abs=1e-12)
@@ -84,7 +83,7 @@ def test_meas_disjoint_premises_contradict_for_equal_states():
     from qpv.attacks.good_sets import small_attack_layout, meas_member
     lay = small_attack_layout()
     delta = qc.binary_entropy(0.09)
-    phi = meas_member(lay, "S0", 0.2, qc.stream(3, "contradict"))
+    phi = qc.QuantumState(lay, "pure", meas_member(lay, "S0", 0.2, qc.stream(3, "contradict")))
     alice = ("A", "At", "Bc")
     bob = ("B", "Bt", "Ac")
     h_comp = qc.conditional_entropy(qc.dephase_register(phi, "R", 0), "R", alice)
@@ -129,6 +128,17 @@ def test_seed0_witnesses_pinned(name):
     assert doc["pass"] is True
 
 
+def helstrom_dense(vec, layout, basis, regs):
+    """(1 + ||C0 - C1||_1)/2 with C_z = tr_R[(P_z x I) rho_{R, regs}], from the
+    dense partial trace of |vec><vec| (R is the lowest qubit of the layout)."""
+    state = qc.mixed_state(layout, np.outer(vec, vec.conj()))
+    rho = qc.partial_trace(state, ("R",) + tuple(regs)).data
+    d = len(rho) // 2
+    t = rho.reshape(d, 2, d, 2)   # (regs, R) x (regs, R)
+    c0, c1 = (np.einsum("isjr,rs->ij", t, p) for p in qc.basis_projectors(basis))
+    return (1 + np.sum(np.abs(np.linalg.eigvalsh(c0 - c1)))) / 2
+
+
 def test_helstrom_pure_batch_matches_density_path():
     from qpv.attacks.good_sets import helstrom_guess_pure, small_attack_layout
     lay = small_attack_layout()
@@ -136,9 +146,7 @@ def test_helstrom_pure_batch_matches_density_path():
     for basis, regs in ((0, ("A", "At", "Bc")), (1, ("Ac", "B"))):
         batch = helstrom_guess_pure(vecs, lay, basis, regs)
         for vec, value in zip(vecs, batch):
-            mixed = qc.pure_state(lay, vec).to_mixed()
-            assert value == pytest.approx(
-                at.helstrom_guess_probability(mixed, basis, regs), abs=1e-12)
+            assert value == pytest.approx(helstrom_dense(vec, lay, basis, regs), abs=1e-12)
 
 
 def test_run_checks_subset_and_unknown():

@@ -165,6 +165,34 @@ def test_bounds_qubit_bound_via_smp(tmp_path, capsys):
     assert doc["q_max"] == -1 and "n >= 10" in doc["precondition_note"]
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("attack-optimize", {"f": {"kind": "ip"}}),
+    ("bounds", {"kind": "cc", "k": 1, "f": {"kind": "ip"}}),
+], ids=["attack-optimize", "bounds"])
+def test_function_without_n_is_a_config_error(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "f.json", payload)
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == "error: f: missing keys ['n']\n"
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("bounds", {"kind": "counting", "n": 12}, "config: missing keys ['q']"),
+    ("bounds", {"kind": "qubit_bound", "f_kind": "random"}, "config: missing keys ['n']"),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "xor"}, "rounds": 5,
+                  "prover": {"kind": "synthetic"}}, "prover: missing keys ['p']"),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "table"}, "rounds": 5},
+     "f: missing keys ['table']"),
+], ids=["counting-q", "qubit_bound-n", "synthetic-p", "table"])
+def test_missing_kind_key_names_object_and_key(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, "k.json", payload)
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_attack_optimize_gardenhose(tmp_path, capsys):
     cfg = write_config(tmp_path, "a.json", {
         "f": {"kind": "table", "n": 1, "table": "0101"},

@@ -89,9 +89,8 @@ def copy_to_ac_strategy(f):
     """Alice copies the stored qubit into Ac (a CNOT), dephasing rho_RA in the
     computational basis; Bob's B holds |0>."""
     layout = at.attack_layout(a=1, ac=1)
-    psi = qc.assemble(layout, [(("R", "A"), qc.BELL_VECTOR), (("Ac",), np.array([1.0, 0.0])),
-                               (("B",), np.array([1.0, 0.0])), (("Bc",), np.array([1.0, 0.0]))])
-    return at.AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
+    return at.AttackStrategy(kind="route", n=f.n, layout=layout,
+                             psi=at.unentangled_product_state(layout),
                              alice={x: qc.CNOT for x in range(1 << f.n)})
 
 

@@ -8,11 +8,25 @@ from hypothesis import strategies as st
 from qpv import qcore as qc
 
 SQ2 = 1.0 / math.sqrt(2)
+QUBIT = qc.RegisterLayout([("Q", 1)])
+
+
+def pure(layout, amplitudes):
+    return qc.QuantumState(layout, "pure", np.asarray(amplitudes, dtype=complex))
+
+
+def to_mixed(state):
+    return qc.mixed_state(state.layout, state.density())
+
+
+def bell_state(first="R", second="A"):
+    """|Omega> on two 1-qubit registers."""
+    return pure(qc.RegisterLayout([(first, 1), (second, 1)]), qc.BELL_VECTOR)
 
 
 def bb84(index):
     """One of |0>, |1>, |+>, |-> on the single-qubit register Q."""
-    return qc.pure_state(qc.single_register("Q"), qc.BB84_VECTORS[index])
+    return pure(QUBIT, qc.BB84_VECTORS[index])
 
 
 def embed_reference(mat, layout, regs):
@@ -76,19 +90,18 @@ def test_layout_rejects_duplicates_and_cap():
 # ---------------------------------------------------------------------------
 
 def test_bell_state_amplitudes():
-    bell = qc.bell_state("R", "A")
-    np.testing.assert_allclose(bell.data, [SQ2, 0, 0, SQ2], atol=1e-15)
+    np.testing.assert_allclose(qc.BELL_VECTOR, [SQ2, 0, 0, SQ2], atol=1e-15)
 
 
 def test_bell_reduced_is_maximally_mixed():
-    bell = qc.bell_state("R", "A")
+    bell = bell_state("R", "A")
     for keep in ("R", "A"):
         rho = qc.partial_trace(bell, keep)
         np.testing.assert_allclose(rho.data, np.eye(2) / 2, atol=1e-14)
 
 
 def test_bell_self_fidelity():
-    bell = qc.bell_state()
+    bell = bell_state()
     assert qc.fidelity(bell, bell) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -122,10 +135,10 @@ def test_apply_x_flips():
 
 def test_apply_circuit_builds_bell():
     lay = qc.RegisterLayout([("R", 1), ("A", 1)])
-    s = qc.basis_state(lay, 0)
+    s = pure(lay, np.eye(4)[0])
     s = qc.apply_matrix(s, qc.H, "R")
     s = qc.apply_matrix(s, qc.CNOT, ("R", "A"))
-    assert abs(np.vdot(s.data, qc.bell_state().data)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(s.data, qc.BELL_VECTOR)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_norm_preserved_and_unknown_register():
@@ -154,7 +167,7 @@ def test_apply_mixed_matches_pure():
     psi = qc.random_pure_state(lay, qc.stream(12))
     u = qc.haar_random_unitary(4, qc.stream(13))
     pure_out = qc.apply_matrix(psi, u, ("B",))
-    mixed_out = qc.apply_matrix(psi.to_mixed(), u, ("B",))
+    mixed_out = qc.apply_matrix(to_mixed(psi), u, ("B",))
     np.testing.assert_allclose(mixed_out.data, pure_out.density(), atol=1e-12)
 
 
@@ -166,27 +179,27 @@ def test_partial_trace_product_state():
     lay = qc.RegisterLayout([("P", 1), ("Q", 1)])
     phi = np.array([0.6, 0.8j])
     chi = np.array([SQ2, -SQ2])
-    psi = qc.assemble(lay, [("P", phi), ("Q", chi)])
+    psi = pure(lay, qc.assemble_raw(lay, [("P", phi), ("Q", chi)]))
     rho = qc.partial_trace(psi, "P")
     np.testing.assert_allclose(rho.data, np.outer(phi, phi.conj()), atol=1e-14)
 
 
 def test_partial_trace_keep_everything():
-    bell = qc.bell_state()
+    bell = bell_state()
     rho = qc.partial_trace(bell, ("R", "A"))
     np.testing.assert_allclose(rho.data, bell.density(), atol=1e-14)
 
 
 def test_partial_trace_requires_registers():
     with pytest.raises(ValueError):
-        qc.partial_trace(qc.bell_state(), ())
+        qc.partial_trace(bell_state(), ())
 
 
 def test_partial_trace_mixed_agrees_with_pure_path():
     lay = qc.RegisterLayout([("A", 1), ("B", 1), ("C", 1)])
     psi = qc.random_pure_state(lay, qc.stream(21))
     r1 = qc.partial_trace(psi, ("A", "C"))
-    r2 = qc.partial_trace(psi.to_mixed(), ("A", "C"))
+    r2 = qc.partial_trace(to_mixed(psi), ("A", "C"))
     np.testing.assert_allclose(r1.data, r2.data, atol=1e-12)
 
 
@@ -234,10 +247,10 @@ def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
     np.testing.assert_allclose(qc.apply_vector_matrix(vecs[0], layout, mats[0], regs),
                                full @ vecs[0], atol=1e-12)
     rho = qc.random_density_matrix(layout.dim, rng)
-    mixed = qc.apply_matrix_raw(qc.mixed_state(layout, rho), mats[0], regs)
-    np.testing.assert_allclose(mixed, full @ rho @ full.conj().T, atol=1e-12)
-    assert qc.effect_probability(qc.mixed_state(layout, rho), mats[0], regs) == pytest.approx(
-        np.trace(full @ rho).real, abs=1e-12)
+    u = qc.haar_random_unitary(d, rng)
+    full_u = embed_reference(u, layout, regs)
+    mixed = qc.apply_matrix(qc.mixed_state(layout, rho), u, regs)
+    np.testing.assert_allclose(mixed.data, full_u @ rho @ full_u.conj().T, atol=1e-12)
     back = tuple(reversed(regs))
     circuit = qc.compose_on_qubits(n, [(mats[0], qubits), (mats[-1], layout.positions(*back))])
     np.testing.assert_allclose(circuit, embed_reference(mats[-1], layout, back) @ full,
@@ -257,10 +270,11 @@ def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
                                trace_reference(outer, layout, regs), atol=1e-12)
     np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, regs),
                                trace_reference(outer, layout, in_layout_order), atol=1e-12)
-    pure = qc.partial_trace(qc.pure_state(layout, vecs[0]), regs)
-    assert pure.layout == layout.restricted(*regs)
-    np.testing.assert_allclose(pure.data, trace_reference(np.outer(vecs[0], vecs[0].conj()),
-                                                          layout, in_layout_order), atol=1e-12)
+    reduced = qc.partial_trace(pure(layout, vecs[0]), regs)
+    assert reduced.layout == layout.restricted(*regs)
+    np.testing.assert_allclose(reduced.data,
+                               trace_reference(np.outer(vecs[0], vecs[0].conj()), layout,
+                                               in_layout_order), atol=1e-12)
     np.testing.assert_allclose(qc.partial_trace(qc.mixed_state(layout, rho), regs).data,
                                trace_reference(rho, layout, in_layout_order), atol=1e-12)
     # a batch traces to the stack of its rows' reductions
@@ -310,65 +324,59 @@ def test_cached_row_permutation_matches_index_reference(case):
 def test_fidelity_orthogonal_and_self():
     z0, z1 = bb84(0), bb84(1)
     assert qc.fidelity(z0, z1) == pytest.approx(0.0, abs=1e-15)
-    rho = qc.mixed_state(qc.single_register(), qc.random_density_matrix(2, qc.stream(31)))
+    rho = qc.mixed_state(QUBIT, qc.random_density_matrix(2, qc.stream(31)))
     assert qc.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_pure_vs_maximally_mixed():
     # closed form: tr sqrt(sqrt(s) r sqrt(s)) = sqrt(<0|I/2|0>) = 1/sqrt(2)
     rho = bb84(0)
-    sigma = qc.mixed_state(qc.single_register("Q"), np.eye(2) / 2)
+    sigma = qc.mixed_state(QUBIT, np.eye(2) / 2)
     assert qc.fidelity(rho, sigma) == pytest.approx(SQ2, abs=1e-12)
     assert qc.fidelity(sigma, rho) == pytest.approx(SQ2, abs=1e-12)
 
 
 def test_fidelity_symmetric_and_dimension_mismatch():
-    lay = qc.single_register("Q")
-    a = qc.mixed_state(lay, qc.random_density_matrix(2, qc.stream(32)))
-    b = qc.mixed_state(lay, qc.random_density_matrix(2, qc.stream(33)))
+    a = qc.mixed_state(QUBIT, qc.random_density_matrix(2, qc.stream(32)))
+    b = qc.mixed_state(QUBIT, qc.random_density_matrix(2, qc.stream(33)))
     assert qc.fidelity(a, b) == pytest.approx(qc.fidelity(b, a), abs=1e-10)
     with pytest.raises(ValueError):
-        qc.fidelity(a, qc.bell_state())
+        qc.fidelity(a, bell_state())
 
 
 def test_purified_distance_examples():
-    z0, z1, plus = bb84(0), bb84(1), bb84(2)
-    assert qc.purified_distance(z0, z0) == pytest.approx(0.0, abs=1e-7)
-    assert qc.purified_distance(z0, z1) == pytest.approx(1.0, abs=1e-15)
-    assert qc.purified_distance(z0, plus) == pytest.approx(SQ2, abs=1e-12)
+    z0, z1, plus = (qc.BB84_VECTORS[i] for i in (0, 1, 2))
+    assert qc.purified_distance_pure(z0, z0) == pytest.approx(0.0, abs=1e-7)
+    assert qc.purified_distance_pure(z0, z1) == pytest.approx(1.0, abs=1e-15)
+    assert qc.purified_distance_pure(z0, plus) == pytest.approx(SQ2, abs=1e-12)
+    # sqrt(1 - F^2) against the dense root fidelity
+    f = qc.fidelity(bb84(0), bb84(2))
+    assert qc.purified_distance_pure(z0, plus) == pytest.approx(math.sqrt(1 - f * f),
+                                                                abs=1e-12)
 
 
 def test_purified_distance_triangle_inequality():
-    lay = qc.RegisterLayout([("P", 2)])
     for t in range(1000):
-        a = qc.random_pure_state(lay, qc.stream(40, t, "a"))
-        b = qc.random_pure_state(lay, qc.stream(40, t, "b"))
-        c = qc.random_pure_state(lay, qc.stream(40, t, "c"))
-        ab = qc.purified_distance(a, b)
-        bc = qc.purified_distance(b, c)
-        ac = qc.purified_distance(a, c)
+        a, b, c = (qc.random_unit_vector(4, qc.stream(40, t, s)) for s in "abc")
+        ab = qc.purified_distance_pure(a, b)
+        bc = qc.purified_distance_pure(b, c)
+        ac = qc.purified_distance_pure(a, c)
         assert ac <= ab + bc + 1e-9
 
 
 def test_purified_distance_euclidean_bound():
-    lay = qc.RegisterLayout([("P", 2)])
     for t in range(1000):
-        a = qc.random_pure_state(lay, qc.stream(41, t, "a"))
-        b = qc.random_pure_state(lay, qc.stream(41, t, "b"))
-        p = qc.purified_distance(a, b)
-        assert p <= np.linalg.norm(np.asarray(a.data) - np.asarray(b.data)) + 1e-12
+        a, b = (qc.random_unit_vector(4, qc.stream(41, t, s)) for s in "ab")
+        p = qc.purified_distance_pure(a, b)
+        assert p <= np.linalg.norm(a - b) + 1e-12
 
 
 def test_purified_distance_unitary_invariance():
-    lay = qc.RegisterLayout([("P", 2)])
     for t in range(50):
-        a = qc.random_pure_state(lay, qc.stream(42, t, "a"))
-        b = qc.random_pure_state(lay, qc.stream(42, t, "b"))
+        a, b = (qc.random_unit_vector(4, qc.stream(42, t, s)) for s in "ab")
         u = qc.haar_random_unitary(4, qc.stream(42, t, "u"))
-        ua = qc.apply_matrix(a, u, "P")
-        ub = qc.apply_matrix(b, u, "P")
-        assert qc.purified_distance(ua, ub) == pytest.approx(
-            qc.purified_distance(a, b), abs=1e-10)
+        assert qc.purified_distance_pure(u @ a, u @ b) == pytest.approx(
+            qc.purified_distance_pure(a, b), abs=1e-10)
 
 
 def test_fidelity_data_processing_under_partial_trace():
@@ -386,7 +394,7 @@ def test_fidelity_data_processing_under_partial_trace():
 # ---------------------------------------------------------------------------
 
 def test_conditional_entropy_bell():
-    bell = qc.bell_state("R", "A")
+    bell = bell_state("R", "A")
     assert qc.conditional_entropy(bell, "R", "A") == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -407,7 +415,7 @@ def test_conditional_entropy_classically_correlated():
 
 def test_conditional_entropy_rejects_overlap():
     with pytest.raises(ValueError):
-        qc.conditional_entropy(qc.bell_state(), "R", "R")
+        qc.conditional_entropy(bell_state(), "R", "R")
 
 
 @st.composite
@@ -437,7 +445,7 @@ def test_conditional_entropy_pure_matches_dense_reference(case):
     batched = qc.conditional_entropy_pure(vecs, layout, target, side, dephase)
     assert batched.shape == (k,)
     for vec, value in zip(vecs, batched):
-        state = qc.pure_state(layout, vec)
+        state = pure(layout, vec)
         if basis is not None:
             state = qc.dephase_register(state, "R", basis)
         assert value == pytest.approx(qc.conditional_entropy(state, target, side), abs=1e-12)
@@ -446,8 +454,8 @@ def test_conditional_entropy_pure_matches_dense_reference(case):
 
 
 def test_conditional_entropy_pure_rejects_bad_arguments():
-    vec = qc.bell_state().data[None]
-    lay = qc.bell_state().layout
+    vec = qc.BELL_VECTOR[None]
+    lay = bell_state().layout
     with pytest.raises(ValueError):
         qc.conditional_entropy_pure(vec, lay, "R", "R")
     wide = qc.RegisterLayout([("R", 2)])
@@ -507,7 +515,7 @@ def test_measure_bell_same_basis_agreement():
     for basis in (0, 1):
         p0, p1 = qc.basis_projectors(basis)
         agree = qc.kron_le(p0, p0) + qc.kron_le(p1, p1)
-        prob = qc.effect_probability(qc.bell_state(), agree, ("R", "A"))
+        prob = qc.expectation(qc.BELL_VECTOR, agree)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
 
@@ -517,9 +525,8 @@ def test_measure_bell_same_basis_agreement():
 
 def test_assemble_interleaved_groups():
     lay = qc.RegisterLayout([("R", 1), ("A", 1), ("B", 1)])
-    bell_rb = qc.assemble(lay, [(("R", "B"), qc.BELL_VECTOR), ("A", np.array([0, 1]))])
+    vec = qc.assemble_raw(lay, [(("R", "B"), qc.BELL_VECTOR), ("A", np.array([0, 1]))])
     # amplitude of |r=0 a=1 b=0> and |r=1 a=1 b=1> should be 1/sqrt(2)
-    vec = np.asarray(bell_rb.data)
     assert vec[0b010] == pytest.approx(SQ2)
     assert vec[0b111] == pytest.approx(SQ2)
     assert abs(vec).sum() == pytest.approx(2 * SQ2)
@@ -532,8 +539,9 @@ def test_assemble_raw_batch_matches_single_assembles():
     batch = qc.assemble_raw(lay, [(("R", "A"), qc.BELL_VECTOR), ("B", phis)])
     assert batch.shape == (5, 16)
     for row, phi in zip(batch, phis):
-        single = qc.assemble(lay, [(("R", "A"), qc.BELL_VECTOR), ("B", phi)])
-        np.testing.assert_array_equal(row, single.data)
+        single = qc.assemble_raw(lay, [(("R", "A"), qc.BELL_VECTOR), ("B", phi)])
+        assert single.shape == (16,)
+        np.testing.assert_array_equal(row, single)
 
 
 def test_move_register_content_roundtrip():
@@ -546,8 +554,7 @@ def test_move_register_content_roundtrip():
 
 
 def test_state_validation():
-    lay = qc.single_register("Q")
     with pytest.raises(ValueError):
-        qc.pure_state(lay, [1.0, 1.0])
+        pure(QUBIT, [1.0, 1.0])
     with pytest.raises(ValueError):
-        qc.mixed_state(lay, np.array([[0.9, 0.5], [0.1, 0.1]]))
+        qc.mixed_state(QUBIT, np.array([[0.9, 0.5], [0.1, 0.1]]))

@@ -114,11 +114,11 @@ def _check(strategy: AttackStrategy, f, kind: str) -> None:
         raise ValueError("routing execution needs 1-qubit A and B registers")
 
 
-def _psi_components(psi: qc.QuantumState):
+def _psi_components(psi: np.ndarray):
     """(w_i, v_i) with psi = sum_i w_i |v_i><v_i|; success is linear in psi."""
-    if psi.kind == "pure":
-        return [(1.0, np.asarray(psi.data))]
-    vals, vecs = np.linalg.eigh(np.asarray(psi.data))
+    if psi.ndim == 1:
+        return [(1.0, psi)]
+    vals, vecs = np.linalg.eigh(psi)
     return [(float(w), np.ascontiguousarray(v)) for w, v in zip(vals, vecs.T) if w != 0.0]
 
 

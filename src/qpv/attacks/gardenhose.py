@@ -195,7 +195,7 @@ def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
     water's exit side."""
     n = gh.n_bits()
     layout = _layout_for(gh)
-    psi = qc.QuantumState(layout, "pure", _initial_vector(layout, gh.pipes))
+    psi = _initial_vector(layout, gh.pipes)
     alice = {x: _pre_exchange_unitary(layout, ALICE_LOCAL, pairs, "At",
                                       _local_index(layout, ALICE_LOCAL, "A", 0))
              for x, pairs in gh.alice.items() if pairs}
@@ -224,14 +224,6 @@ def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
 # ---------------------------------------------------------------------------
 # measurement-sampled execution (reference for the deferred compilation)
 # ---------------------------------------------------------------------------
-
-def _reduced_on_qubits(vec: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
-    t = vec.reshape([2] * n)
-    traced = [n - 1 - q for q in range(n) if q not in keep]
-    out = np.tensordot(t, t.conj(), axes=(traced, traced))
-    k = len(keep)
-    return out.reshape(1 << k, 1 << k)
-
 
 def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
     """Per-pair success with the Bell measurements actually sampled.
@@ -288,9 +280,8 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
                 w = qc.apply_on_qubits(w, n, qc.X, [exit_q])
             if bits[zq]:
                 w = qc.apply_on_qubits(w, n, qc.Z, [exit_q])
-        keep = sorted([r_q, exit_q])
-        rho = _reduced_on_qubits(w, n, keep)
-        total += qc.expectation(qc.BELL_VECTOR, rho)
+        m = qc.layout.rows_first(w, n, sorted([r_q, exit_q]))[0]
+        total += qc.expectation(qc.BELL_VECTOR, m @ m.conj().T)
     return total
 
 

@@ -109,18 +109,19 @@ def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: f
 # constructive members (witness core + verified perturbation)
 # ---------------------------------------------------------------------------
 
-def _perturb_within(vec: np.ndarray, eps: float, rng) -> np.ndarray:
-    """Rotate within purified distance <= eps toward a random direction."""
-    if eps <= 0:
-        return vec
-    noise = qc.random_unit_vector(vec.size, rng)
-    noise = noise - np.vdot(vec, noise) * vec
-    nn = np.linalg.norm(noise)
-    if nn < 1e-12:
-        return vec
-    noise = noise / nn
-    sin_a = eps * rng.random()
-    return np.sqrt(1 - sin_a ** 2) * vec + sin_a * noise
+def perturb_within(vec: np.ndarray, eps: float, rng) -> tuple[np.ndarray, float]:
+    """Rotate a unit vector toward a random direction by an angle a with
+    sin(a) <= eps, so within purified distance sin(a); returns the normalized
+    result and sin(a), which is 0 when nothing moved."""
+    out, sin_a = vec, 0.0
+    if eps > 0:
+        noise = qc.random_unit_vector(vec.size, rng)
+        noise = noise - np.vdot(vec, noise) * vec
+        nn = np.linalg.norm(noise)
+        if nn >= 1e-12:
+            sin_a = eps * rng.random()
+            out = np.sqrt(1 - sin_a ** 2) * vec + sin_a * (noise / nn)
+    return out / np.linalg.norm(out), sin_a
 
 
 def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
@@ -133,8 +134,7 @@ def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     phi = qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", ret)), rng)
     k = qc.haar_random_unitary(layout.subdim(*regs), rng)
     vec = qc.apply_vector_matrix(bell_core(layout, ret, phi), layout, k.conj().T, regs)
-    vec = _perturb_within(vec, eps, rng)
-    return vec / np.linalg.norm(vec)
+    return perturb_within(vec, eps, rng)[0]
 
 
 def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng,
@@ -159,8 +159,7 @@ def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng,
             vec = qc.apply_on_qubits(vec, n, qc.H, [qb])
     scale = eps
     for _ in range(max_tries):
-        cand = _perturb_within(vec, scale, rng)
-        cand = cand / np.linalg.norm(cand)
+        cand, _ = perturb_within(vec, scale, rng)
         if s_set_distance(cand, layout, which, "meas", eps)[1]:
             return cand
         scale *= 0.5

@@ -225,7 +225,7 @@ class _Work:
         return self.average()
 
     def freeze(self) -> AttackStrategy:
-        psi = qc.QuantumState(self.layout, "pure", self.psi / np.linalg.norm(self.psi))
+        psi = self.psi / np.linalg.norm(self.psi)
         first, second = (dict(zip(self.pairs, stack)) for stack in self.finale)
         finale = (dict(k_final=first, l_final=second) if self.kind == "route"
                   else dict(pi_effect=first, sigma_effect=second))
@@ -253,12 +253,13 @@ def default_split(q: int) -> tuple[int, int, int]:
 def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
                     iters: int = 60, seed: int = 0,
                     split: tuple[int, int, int] | None = None,
-                    fix_psi: qc.QuantumState | None = None,
+                    fix_psi: np.ndarray | None = None,
                     tol: float = DEFAULT_TOL) -> SeesawOutcome:
     """Best strategy found over random restarts of monotone see-saw sweeps.
 
-    ``fix_psi`` pins the pre-shared state (e.g. the unentangled product
-    state) and restricts the search to unitaries and measurements.
+    ``fix_psi`` pins the pre-shared state to that unit vector (e.g. the
+    unentangled product state) and restricts the search to unitaries and
+    measurements.
     """
     if kind not in ("route", "meas"):
         raise ValueError(f"kind must be 'route' or 'meas', not {kind!r}")
@@ -268,14 +269,17 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
     if kind == "route" and a != 1:
         raise ValueError(f"routing needs a 1-qubit A register, split has {a}")
     layout = attack_layout(a=a, at=at, ac=ac)
-    if fix_psi is not None and fix_psi.layout.dim != layout.dim:
-        raise ValueError("fixed psi does not match the layout")
+    if fix_psi is not None:
+        fix_psi = np.asarray(fix_psi, dtype=complex)
+        if fix_psi.shape != (layout.dim,):
+            raise ValueError("fixed psi must be a state vector on the layout")
+        qc.check_state(fix_psi, layout.dim, "fixed psi")
     best: _Work | None = None
     best_val = -1.0
     values = []
     for r in range(restarts):
         rng = qc.stream(seed, "restart", r)
-        psi_vec = (np.asarray(fix_psi.data) if fix_psi is not None
+        psi_vec = (fix_psi if fix_psi is not None
                    else qc.random_unit_vector(layout.dim, rng))
         work = _Work(kind, f, layout, psi_vec, rng, fix_psi is not None)
         prev = work.average()

@@ -46,16 +46,19 @@ def bell_core(layout: qc.RegisterLayout, ret: str = "A", phi=None) -> np.ndarray
     return qc.assemble_raw(layout, [(("R", ret), qc.BELL_VECTOR), (rest, phi)])
 
 
-def unentangled_product_state(layout: qc.RegisterLayout) -> qc.QuantumState:
+def unentangled_product_state(layout: qc.RegisterLayout) -> np.ndarray:
     """|Omega>_RA on the stored-qubit slot, |0...0> everywhere else."""
     if layout.width("A") != 1:
         raise ValueError("needs a 1-qubit A register")
-    return qc.QuantumState(layout, "pure", bell_core(layout))
+    return bell_core(layout)
 
 
 @dataclass
 class AttackStrategy:
     """A q-qubit two-attacker strategy.
+
+    ``psi`` is the pre-shared state on ``layout``: a unit vector or a density
+    matrix, stored as a read-only copy.
 
     ``alice``/``bob`` map the classical inputs x/y to unitaries on the local
     register triples; the finale is either recovery unitaries ``k_final`` /
@@ -70,7 +73,7 @@ class AttackStrategy:
     kind: str
     n: int
     layout: qc.RegisterLayout
-    psi: qc.QuantumState
+    psi: np.ndarray
     alice: dict = field(default_factory=dict)
     bob: dict = field(default_factory=dict)
     k_final: dict = field(default_factory=dict)
@@ -90,8 +93,10 @@ class AttackStrategy:
             raise ValueError("registers A and B must have equal width")
         if self.alice_qubits != self.bob_qubits:
             raise ValueError("Alice and Bob must hold equally many qubits")
-        if self.psi.layout.dim != self.layout.dim:
-            raise ValueError("psi does not live on the strategy layout")
+        psi = np.array(self.psi, dtype=complex)
+        qc.check_state(psi, self.layout.dim, "psi")
+        psi.flags.writeable = False
+        self.psi = psi
         families = [("alice", self.alice, ALICE_LOCAL, qc.check_unitary),
                     ("bob", self.bob, BOB_LOCAL, qc.check_unitary)]
         if self.kind == "route":
@@ -224,13 +229,13 @@ def _decode_family(data: dict | None, pair_keys: bool) -> dict | None:
 
 
 def strategy_to_json(strategy: AttackStrategy) -> str:
-    vec = np.asarray(strategy.psi.data)
-    psi_rows = _encode_matrix(vec.reshape(1, -1) if strategy.psi.kind == "pure" else vec)
+    psi = strategy.psi
     doc = {
         "kind": strategy.kind,
         "n": strategy.n,
         "layout": [[name, w] for name, w in strategy.layout.registers],
-        "psi": {"kind": strategy.psi.kind, "data": psi_rows},
+        "psi": {"kind": "pure" if psi.ndim == 1 else "mixed",
+                "data": _encode_matrix(np.atleast_2d(psi))},
         "alice": _encode_family(strategy.alice, False),
         "bob": _encode_family(strategy.bob, False),
         "k_final": _encode_family(strategy.k_final, True),
@@ -246,11 +251,9 @@ def strategy_to_json(strategy: AttackStrategy) -> str:
 def strategy_from_json(text: str) -> AttackStrategy:
     doc = json.loads(text)
     layout = qc.RegisterLayout([(name, w) for name, w in doc["layout"]])
-    psi_mat = _decode_matrix(doc["psi"]["data"])
+    psi = _decode_matrix(doc["psi"]["data"])
     if doc["psi"]["kind"] == "pure":
-        psi = qc.QuantumState(layout, "pure", psi_mat.reshape(-1))
-    else:
-        psi = qc.QuantumState(layout, "mixed", psi_mat)
+        psi = psi.reshape(-1)
     qubit_site = doc.get("qubit_site")
     if qubit_site is not None:
         qubit_site = {tuple(int(v) for v in key.split(",")): side

@@ -16,6 +16,7 @@ from .. import qcore as qc
 from ..attacks.good_sets import (
     helstrom_guess_pure,
     meas_member,
+    perturb_within,
     route_member,
     small_attack_layout,
 )
@@ -148,30 +149,22 @@ def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
     delta = 0.013
     constant = afw_bound(delta)
     layout = qc.RegisterLayout([("R", 1), ("E", 1), ("F", 1)])
-    kept, vecs, chis, dists = [], [], [], []
+    vecs, chis, dists = [], [], []
     for t in range(trials):
         rng = qc.stream(seed, "afw", t)
-        vec = qc.random_unit_vector(layout.dim, rng)
-        noise = qc.random_unit_vector(vec.size, rng)
-        noise = noise - np.vdot(vec, noise) * vec
-        nrm = np.linalg.norm(noise)
-        if nrm < 1e-12:
-            continue
-        sin_a = delta * rng.random()
-        other = math.sqrt(1 - sin_a ** 2) * vec + sin_a * (noise / nrm)
-        kept.append(t)
-        vecs.append(vec)
-        chis.append(other / np.linalg.norm(other))
+        vecs.append(qc.random_unit_vector(layout.dim, rng))
+        chi, sin_a = perturb_within(vecs[-1], delta, rng)
+        chis.append(chi)
         dists.append(sin_a)
     witness = {"constant": constant}
     worst = 0.0
-    if kept:
+    if trials:
         gaps = np.abs(qc.conditional_entropy_pure(np.stack(vecs), layout, "R", ("E",))
                       - qc.conditional_entropy_pure(np.stack(chis), layout, "R", ("E",)))
         i = int(np.argmax(gaps))
         if gaps[i] > worst:
             worst = float(gaps[i])
-            witness.update({"trial": kept[i], "gap": worst, "distance": dists[i]})
+            witness.update({"trial": i, "gap": worst, "distance": dists[i]})
     passed = constant <= 0.127 and holds(worst, "<=", 0.127, 1e-9)
     return BoundReport(name="afw", lhs=max(worst, constant), rhs=0.127,
                        relation="<=", passed=passed, trials=trials,

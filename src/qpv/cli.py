@@ -53,6 +53,32 @@ def _require_keys(obj: dict, where: str, required: tuple = (), optional: tuple =
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
+def _number(value, where: str, cast=int):
+    """``cast(value)`` for a config value; a value the cast rejects (null, a
+    list, a non-numeric string) is a ConfigError naming the object and key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
+
+
+def _parse_matchings(table, where: str) -> dict:
+    """A garden-hose matching table: an object from input to a list of node
+    pairs, each node "S" (Alice's source) or a pipe number."""
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where}: expected an object of pair lists")
+    out = {}
+    for key, pairs in table.items():
+        at = f"{where}.{key}"
+        if not isinstance(pairs, list) or not all(isinstance(p, list) for p in pairs):
+            raise ConfigError(f"{at}: expected a list of node pairs")
+        out[_number(key, where)] = tuple(
+            tuple(node if node == "S" else _number(node, at) for node in pair)
+            for pair in pairs)
+    return out
+
+
 def _provenance(config: dict, seed: int) -> dict:
     canonical = json.dumps(config, sort_keys=True).encode()
     return {
@@ -71,6 +97,9 @@ def _function_from_config(config: dict, seed: int):
     _require_keys(spec, "f", FUNCTION_KEYS.get(spec["kind"], ("n",)), tuple(spec))
     if spec["kind"] == "file":
         return analysis.load_function(spec["path"])
+    for key in ("n", "seed", "bit"):
+        if key in spec:
+            spec[key] = _number(spec[key], f"f.{key}")
     if spec["kind"] == "random" and "seed" not in spec:
         spec["seed"] = seed
     return analysis.function_from_spec(spec)
@@ -84,7 +113,7 @@ def _prover_from_config(config: dict, f):
     if kind == "honest":
         return protocol.HONEST
     if kind == "synthetic":
-        return protocol.SyntheticAdversary(float(spec["p"]))
+        return protocol.SyntheticAdversary(_number(spec["p"], "prover.p", float))
     if kind == "keep_q":
         return attacks.keep_q_attack(f)
     if kind == "strategy":
@@ -95,9 +124,9 @@ def _prover_from_config(config: dict, f):
     if kind == "random_bit":
         return protocol.Prover(meas_mode="random_bit")
     if kind == "discard":
-        return protocol.Prover(replace_with=int(spec.get("state", 0)))
+        return protocol.Prover(replace_with=_number(spec.get("state", 0), "prover.state"))
     if kind == "measure_forward":
-        return protocol.Prover(premeasure_basis=int(spec.get("basis", 0)))
+        return protocol.Prover(premeasure_basis=_number(spec.get("basis", 0), "prover.basis"))
     if kind == "route_wrong":
         return protocol.Prover(route_to="swapped")
     raise ConfigError(f"prover: unknown kind {kind!r}")
@@ -114,9 +143,9 @@ def cmd_simulate(config: dict, seed: int):
     proto = config["protocol"]
     if proto not in protocol.PROTOCOLS:
         raise ConfigError(f"unknown protocol {proto!r}")
-    rounds = int(config["rounds"])
-    trials = int(config.get("trials", 1))
-    eta = float(config.get("eta", 0.0))
+    rounds = _number(config["rounds"], "config.rounds")
+    trials = _number(config.get("trials", 1), "config.trials")
+    eta = _number(config.get("eta", 0.0), "config.eta", float)
     noise_mode = config.get("noise_mode", "bernoulli")
     if rounds < 1 or trials < 1:
         raise ConfigError("rounds and trials must be positive")
@@ -175,37 +204,34 @@ def cmd_attack_optimize(config: dict, seed: int):
                   ("n", "kind", "q", "split", "restarts", "iters", "unentangled",
                    "epsilon", "gardenhose"))
     f = _function_from_config(config, seed)
-    eps = float(config.get("epsilon", 0.1))
+    eps = _number(config.get("epsilon", 0.1), "config.epsilon", float)
     if "gardenhose" in config:
         gh_spec = config["gardenhose"]
         _require_keys(gh_spec, "gardenhose", ("pipes", "alice", "bob"), ())
-
-        def parse_matching(table):
-            out = {}
-            for key, pairs in table.items():
-                out[int(key)] = tuple(
-                    tuple(p if p == "S" else int(p) for p in pair) for pair in pairs)
-            return out
-
-        gh = attacks.GardenHoseProtocol(pipes=int(gh_spec["pipes"]),
-                                        alice=parse_matching(gh_spec["alice"]),
-                                        bob=parse_matching(gh_spec["bob"]))
+        gh = attacks.GardenHoseProtocol(
+            pipes=_number(gh_spec["pipes"], "gardenhose.pipes"),
+            alice=_parse_matchings(gh_spec["alice"], "gardenhose.alice"),
+            bob=_parse_matchings(gh_spec["bob"], "gardenhose.bob"))
         strategy = attacks.compile_gardenhose(gh)
         report = attacks.epsilon_l_report(strategy, f)
         extra = {"gardenhose_computes_f": attacks.computes(gh, f)}
     else:
         kind = config.get("kind", "route")
-        q = int(config.get("q", 2))
-        split = tuple(config["split"]) if "split" in config else None
+        q = _number(config.get("q", 2), "config.q")
+        split = config.get("split")
+        if split is not None:
+            if not isinstance(split, list) or len(split) != 3:
+                raise ConfigError(f"config.split: expected three integers, got {split!r}")
+            split = tuple(_number(w, "config.split") for w in split)
         fix_psi = None
         if config.get("unentangled"):
             a, at, ac = split if split else attacks.default_split(q)
             fix_psi = attacks.unentangled_product_state(
                 attacks.attack_layout(a=a, at=at, ac=ac))
         outcome = attacks.seesaw_optimize(
-            f, q=q, kind=kind, restarts=int(config.get("restarts", 20)),
-            iters=int(config.get("iters", 60)), seed=seed, split=split,
-            fix_psi=fix_psi)
+            f, q=q, kind=kind, seed=seed, split=split, fix_psi=fix_psi,
+            restarts=_number(config.get("restarts", 20), "config.restarts"),
+            iters=_number(config.get("iters", 60), "config.iters"))
         strategy = outcome.strategy
         report = outcome.report
         extra = {"restart_values": list(outcome.restart_values),
@@ -229,27 +255,29 @@ def cmd_bounds(config: dict, seed: int):
     _require_keys(config, "config", BOUNDS_KEYS.get(kind, ()), tuple(config))
     out = {"provenance": _provenance(config, seed), "kind": kind}
     if kind == "counting":
-        report = analysis.counting_bound(int(config["n"]), int(config["q"]))
+        report = analysis.counting_bound(_number(config["n"], "config.n"),
+                                         _number(config["q"], "config.q"))
         out.update(report.as_dict())
     elif kind == "net_size":
-        out.update(analysis.net_size_report(int(config["q"])).as_dict())
+        out.update(analysis.net_size_report(_number(config["q"], "config.q")).as_dict())
     elif kind == "delta_margin":
         out["value"] = float(analysis.delta_margin_value())
         out["passes"] = analysis.delta_margin_check()
     elif kind == "volume":
         from fractions import Fraction
-        lam = Fraction(config["lambda"])
-        out["passes"] = analysis.volume_entropy_check(int(config["n"]), lam)
+        lam = _number(config["lambda"], "config.lambda", Fraction)
+        out["passes"] = analysis.volume_entropy_check(_number(config["n"], "config.n"), lam)
     elif kind == "qubit_bound":
         f_kind = config["f_kind"]
         if f_kind == "random":
             _require_keys(config, "config", ("n",), tuple(config))
-            out["q_max"] = analysis.attacker_qubit_bound("random", n=int(config["n"]))
-            if int(config["n"]) < 10:
+            n = _number(config["n"], "config.n")
+            out["q_max"] = analysis.attacker_qubit_bound("random", n=n)
+            if n < 10:
                 out["precondition_note"] = "guarantee requires n >= 10"
         elif f_kind == "cc":
             if "k" in config:
-                k = int(config["k"])
+                k = _number(config["k"], "config.k")
             else:
                 f = _function_from_config(config, seed)
                 k = analysis.smp_cc(f)
@@ -260,7 +288,7 @@ def cmd_bounds(config: dict, seed: int):
     elif kind == "cc":
         f = _function_from_config(config, seed)
         model = config.get("model", "smp")
-        k = int(config["k"])
+        k = _number(config["k"], "config.k")
         if model == "smp":
             err = analysis.smp_cc_bruteforce(f, k)
         elif model == "oneway":
@@ -338,7 +366,7 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if args.seed is None:
-            args.seed = int(config.pop("seed", 0))
+            args.seed = _number(config.pop("seed", 0), "config.seed")
         else:
             config.pop("seed", None)
 

@@ -25,10 +25,7 @@ from .runs import (
     accept_probability,
     m1_accept_probability,
     m2_accept_probability,
-    meas_accept_probability,
-    route_bb84_accept_probability,
     round_events,
-    route_entangled_accept_probability,
     run_round,
 )
 

@@ -168,11 +168,6 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
     return 2 * qc.expectation(np.kron(vec, vec), rho)
 
 
-route_entangled_accept_probability = partial(accept_probability, "route_entangled")
-route_bb84_accept_probability = partial(accept_probability, "route_bb84")
-meas_accept_probability = partial(accept_probability, "meas")
-
-
 # ---------------------------------------------------------------------------
 # single rounds
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .ops import (
     binary_entropy,
     branch_matrices,
     check_effect,
+    check_state,
     check_unitary,
     conditional_entropy,
     conditional_entropy_pure,
@@ -27,7 +28,6 @@ from .ops import (
     kron_le,
     partial_trace,
     psd_sqrt,
-    reduce_density_raw,
     purified_distance_pure,
     reduced_outer,
     von_neumann_entropy,
@@ -45,9 +45,7 @@ from .state import (
     BELL_VECTOR,
     PHI1_VECTOR,
     PHI2_VECTOR,
-    QuantumState,
     assemble_raw,
-    mixed_state,
     move_register_content,
 )
 

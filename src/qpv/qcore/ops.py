@@ -10,11 +10,12 @@ its 2n-qubit view).
 
 The package runs on the raw-array kernels (``apply_vector_matrix``,
 ``apply_on_qubits``, ``reduced_outer``, ``conditional_entropy_pure``,
-``purified_distance_pure``).  The ops on :class:`~qpv.qcore.state.QuantumState`
+``purified_distance_pure``).  The dense ops on plain density matrices
 (``apply_matrix``, ``partial_trace``, ``fidelity``, ``conditional_entropy``,
-``dephase_register``) have no caller outside qcore: they are the dense
-reference the kernel tests compare against, and the benchmark tracer wraps
-them.
+``dephase_register``) have no caller outside qcore: they are the reference
+the kernel tests compare against, fed |v><v| for a vector v so that no
+comparison reduces to the kernel's own output, and the benchmark tracer
+wraps them.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import math
 import numpy as np
 
 from .layout import RegisterLayout, rows_back, rows_first
-from .state import QuantumState, mixed_state
 
 UNITARY_TOL = 1e-10
 EFFECT_TOL = 1e-10
+STATE_TOL = 1e-12   # norm of a state vector, trace of a density matrix
 EIG_ZERO = 1e-14
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,6 +80,24 @@ def check_effect(mat: np.ndarray, label: str = "matrix") -> None:
         raise ValueError(f"{label} is not an effect (0 <= E <= I)")
 
 
+def check_state(data: np.ndarray, dim: int, label: str = "state") -> None:
+    """Raise ValueError unless ``data`` is a unit vector of length ``dim`` or
+    a ``dim`` x ``dim`` density matrix: an effect of trace 1."""
+    data = np.asarray(data)
+    if data.shape == (dim,):
+        norm = np.linalg.norm(data)
+        if abs(norm - 1.0) > STATE_TOL:
+            raise ValueError(f"{label} has norm {norm}, not 1")
+    elif data.shape == (dim, dim):
+        check_effect(data, label)
+        trace = np.trace(data).real
+        if abs(trace - 1.0) > STATE_TOL:
+            raise ValueError(f"{label} has trace {trace}, not 1")
+    else:
+        raise ValueError(f"{label} must be a vector of length {dim} or a "
+                         f"{dim}x{dim} density matrix, not shape {data.shape}")
+
+
 # ---------------------------------------------------------------------------
 # the apply kernel
 # ---------------------------------------------------------------------------
@@ -95,33 +114,23 @@ def _registers_tuple(registers) -> tuple[str, ...]:
     return (registers,) if isinstance(registers, str) else tuple(registers)
 
 
-def _sandwich_raw(rho: np.ndarray, n: int, mat: np.ndarray,
-                  qubits: list[int]) -> np.ndarray:
-    """M rho M^dagger on a density matrix, via the flattened 2n-bit view.
+def apply_matrix(rho: np.ndarray, layout: RegisterLayout, mat: np.ndarray,
+                 registers) -> np.ndarray:
+    """M rho M^dagger for a matrix on the named registers of a density matrix.
 
-    Flat index = row * 2^n + col, so row qubit q sits at bit n+q and column
-    qubit q at bit q.
+    In the flattened 2n-qubit view of rho (flat index = row * 2^n + col),
+    row qubit q sits at bit n + q and column qubit q at bit q, so M acts on
+    the row bits and M* on the column bits.
     """
-    dim = 1 << n
-    flat = rho.reshape(-1)
-    flat = _apply_to_vector(flat, 2 * n, mat, [q + n for q in qubits])
-    flat = _apply_to_vector(flat, 2 * n, mat.conj(), qubits)
-    return flat.reshape(dim, dim)
-
-
-def apply_matrix(state: QuantumState, mat: np.ndarray, registers) -> QuantumState:
-    """Apply a matrix on the named registers (rho -> M rho M^dagger for a
-    mixed state) and validate the result."""
     registers = _registers_tuple(registers)
-    qubits = state.layout.positions(*registers)
+    qubits = layout.positions(*registers)
     if mat.shape != (1 << len(qubits),) * 2:
         raise ValueError(f"matrix dimension {mat.shape} does not match registers {registers}")
-    n = state.layout.total_qubits
-    if state.kind == "pure":
-        out = _apply_to_vector(np.asarray(state.data), n, mat, qubits)
-    else:
-        out = _sandwich_raw(np.asarray(state.data), n, mat, qubits)
-    return QuantumState(state.layout, state.kind, out)
+    n = layout.total_qubits
+    flat = np.reshape(rho, -1)
+    flat = _apply_to_vector(flat, 2 * n, mat, [q + n for q in qubits])
+    flat = _apply_to_vector(flat, 2 * n, mat.conj(), qubits)
+    return flat.reshape(layout.dim, layout.dim)
 
 
 def apply_vector_matrix(vec: np.ndarray, layout: RegisterLayout,
@@ -156,21 +165,12 @@ def compose_on_qubits(n_qubits: int, gates) -> np.ndarray:
 # partial trace and reductions
 # ---------------------------------------------------------------------------
 
-def _keep_ordered(layout: RegisterLayout, keep) -> list[str]:
-    """Validated kept register names, in layout order."""
+def _kept_qubits(layout: RegisterLayout, keep, order: str = "layout") -> list[int]:
+    """Qubits of the kept registers, in layout order or in the order of
+    ``keep``; an unknown name is a KeyError, keeping nothing a ValueError."""
     keep = _registers_tuple(keep)
-    unknown = set(keep) - set(layout.names)
-    if unknown:
-        raise KeyError(f"unknown registers {sorted(unknown)}")
     if not keep:
         raise ValueError("must keep at least one register")
-    return [n for n in layout.names if n in set(keep)]
-
-
-def _kept_qubits(layout: RegisterLayout, keep, order: str) -> list[int]:
-    """Qubits of the kept registers, in layout order or in the order of ``keep``."""
-    keep = _registers_tuple(keep)
-    _keep_ordered(layout, keep)  # validates names
     kept = layout.positions(*keep)
     return sorted(kept) if order == "layout" else kept
 
@@ -193,31 +193,20 @@ def reduced_outer(vec_left: np.ndarray, vec_right: np.ndarray,
     return out[0] if np.ndim(vec_left) == 1 and np.ndim(vec_right) == 1 else out
 
 
-def reduce_density_raw(rho: np.ndarray, layout: RegisterLayout, keep) -> np.ndarray:
-    """Partial trace of a raw density matrix onto the kept registers (layout
-    order).
+def partial_trace(rho: np.ndarray, layout: RegisterLayout, keep) -> np.ndarray:
+    """Partial trace of a density matrix onto the kept registers, indexed
+    little-endian over them in layout order.
 
     In the 2n-qubit view of rho (row qubit q on bit n + q, column qubit q on
     bit q), the kept column and row qubits index the rows and the traced
     column and row qubits the columns; the result sums the entries whose
     traced row and column qubits agree.
     """
-    rows = _kept_qubits(layout, keep, "layout")
+    rows = _kept_qubits(layout, keep)
     n = layout.total_qubits
     k, t = 1 << len(rows), 1 << (n - len(rows))
     m = rows_first(rho, 2 * n, rows + [q + n for q in rows])
     return m.reshape(k, k, t, t).trace(axis1=2, axis2=3)
-
-
-def partial_trace(state: QuantumState, keep) -> QuantumState:
-    """Reduced density matrix on the kept registers (layout order)."""
-    keep = _keep_ordered(state.layout, keep)
-    data = np.asarray(state.data)
-    if state.kind == "pure":
-        rho = reduced_outer(data, data, state.layout, keep)
-    else:
-        rho = reduce_density_raw(data, state.layout, keep)
-    return mixed_state(state.layout.restricted(*keep), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +224,13 @@ def expectation(vec: np.ndarray, rho: np.ndarray) -> float:
     return float(np.vdot(vec, rho @ vec).real)
 
 
-def fidelity(rho: QuantumState, sigma: QuantumState) -> float:
-    """Root fidelity tr sqrt(sqrt(sigma) rho sqrt(sigma)); equals |<psi|phi>|
-    on pure pairs."""
-    if rho.layout.dim != sigma.layout.dim:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Root fidelity tr sqrt(sqrt(sigma) rho sqrt(sigma)) of two density
+    matrices."""
+    if np.shape(rho) != np.shape(sigma):
         raise ValueError("states have different dimensions")
-    if rho.kind == "pure" and sigma.kind == "pure":
-        return float(abs(np.vdot(rho.data, sigma.data)))
-    if rho.kind == "pure":
-        return math.sqrt(max(expectation(rho.data, sigma.density()), 0.0))
-    if sigma.kind == "pure":
-        return math.sqrt(max(expectation(sigma.data, rho.density()), 0.0))
-    s = psd_sqrt(np.asarray(sigma.data))
-    inner = s @ np.asarray(rho.data) @ s
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    s = psd_sqrt(sigma)
+    vals = np.clip(np.linalg.eigvalsh(s @ rho @ s), 0.0, None)
     return float(min(np.sum(np.sqrt(vals)), 1.0))
 
 
@@ -264,11 +246,10 @@ def _spectral_entropy(vals: np.ndarray) -> np.ndarray:
     return -np.sum(vals * np.log2(vals), axis=-1)
 
 
-def von_neumann_entropy(state: QuantumState) -> float:
-    """Base-2 entropy; eigenvalues below 1e-14 contribute zero."""
-    if state.kind == "pure":
-        return 0.0
-    return float(_spectral_entropy(np.linalg.eigvalsh(np.asarray(state.data))))
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Base-2 entropy of a density matrix; eigenvalues below 1e-14 contribute
+    zero."""
+    return float(_spectral_entropy(np.linalg.eigvalsh(rho)))
 
 
 def branch_matrices(vecs: np.ndarray, layout: RegisterLayout, register: str,
@@ -329,17 +310,18 @@ def conditional_entropy_pure(vecs: np.ndarray, layout: RegisterLayout, target,
             - _reduced_entropy_pure(vecs, layout, side, dephase))
 
 
-def conditional_entropy(state: QuantumState, target, side=()) -> float:
-    """H(target | side) = H(target, side) - H(side), base 2."""
+def conditional_entropy(rho: np.ndarray, layout: RegisterLayout, target,
+                        side=()) -> float:
+    """H(target | side) = H(target, side) - H(side), base 2, of a density
+    matrix."""
     target = _registers_tuple(target)
     side = _registers_tuple(side)
     if set(target) & set(side):
         raise ValueError("target and side registers overlap")
-    h_joint = von_neumann_entropy(partial_trace(state, target + side))
-    if not side or all(state.layout.width(s) == 0 for s in side):
+    h_joint = von_neumann_entropy(partial_trace(rho, layout, target + side))
+    if not layout.positions(*side):
         return h_joint
-    h_side = von_neumann_entropy(partial_trace(state, side))
-    return h_joint - h_side
+    return h_joint - von_neumann_entropy(partial_trace(rho, layout, side))
 
 
 def binary_entropy(p: float) -> float:
@@ -367,18 +349,15 @@ def basis_projectors(basis: int) -> tuple[np.ndarray, np.ndarray]:
     return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 
-def dephase_register(state: QuantumState, register: str, basis: int) -> QuantumState:
-    """Measure a 1-qubit register in the given basis and forget the outcome.
+def dephase_register(rho: np.ndarray, layout: RegisterLayout, register: str,
+                     basis: int) -> np.ndarray:
+    """Measure a 1-qubit register of a density matrix in the given basis and
+    forget the outcome.
 
     Returns the hybrid state sum_z P_z rho P_z; the classical outcome lives in
     the measured register's slot.
     """
-    if state.layout.width(register) != 1:
+    if layout.width(register) != 1:
         raise ValueError("dephasing is defined for 1-qubit registers")
-    n = state.layout.total_qubits
-    qubits = state.layout.positions(register)
-    rho = state.density()
-    out = np.zeros_like(rho)
-    for proj in basis_projectors(basis):
-        out = out + _sandwich_raw(rho, n, proj, qubits)
-    return QuantumState(state.layout, "mixed", out)
+    return sum(apply_matrix(rho, layout, proj, register)
+               for proj in basis_projectors(basis))

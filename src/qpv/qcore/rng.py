@@ -13,7 +13,6 @@ import hashlib
 import numpy as np
 
 from .layout import RegisterLayout
-from .state import QuantumState
 
 
 def _path_word(part) -> int:
@@ -50,9 +49,11 @@ def random_unit_vector(dim: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_pure_state(layout: RegisterLayout, rng) -> QuantumState:
-    """:func:`random_unit_vector` as a QuantumState, for the dense reference ops."""
-    return QuantumState(layout, "pure", random_unit_vector(layout.dim, rng))
+def random_pure_state(layout: RegisterLayout, rng) -> np.ndarray:
+    """|v><v| for the :func:`random_unit_vector` draw v on ``layout``, as a
+    density matrix for the dense reference ops."""
+    v = random_unit_vector(layout.dim, rng)
+    return np.outer(v, v.conj())
 
 
 def random_density_matrix(dim: int, rng, rank: int | None = None) -> np.ndarray:

@@ -1,77 +1,18 @@
-"""Quantum states over named register layouts.
+"""Fixed state vectors, product-state assembly and register relabelling.
 
-The package works on raw arrays: state vectors (optionally batched) and
-density matrices indexed little-endian over a layout.  This module holds the
-fixed vectors, product-state assembly and register relabelling on them.
-
-:class:`QuantumState` is the validated, frozen container of an attack
-strategy's pre-shared state (a pure vector or a density matrix) and the
-state type of the dense reference ops in :mod:`qpv.qcore.ops`.
+The package has one state representation, raw arrays: state vectors
+(optionally batched) and density matrices, indexed little-endian over a
+:class:`~qpv.qcore.layout.RegisterLayout`; an attack strategy's pre-shared
+state is either, validated by :func:`~qpv.qcore.ops.check_state`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .layout import RegisterLayout, rows_back
-
-PURE_NORM_TOL = 1e-12
-TRACE_TOL = 1e-12
-HERMITIAN_TOL = 1e-10
-PSD_EIG_TOL = -1e-10
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    layout: RegisterLayout
-    kind: str  # "pure" | "mixed"
-    data: np.ndarray
-
-    def __post_init__(self):
-        dim = self.layout.dim
-        if self.kind == "pure":
-            if self.data.shape != (dim,):
-                raise ValueError(f"pure state must be a vector of length {dim}")
-            norm = np.linalg.norm(self.data)
-            if abs(norm - 1.0) > PURE_NORM_TOL:
-                raise ValueError(f"pure state norm {norm} is not 1")
-        elif self.kind == "mixed":
-            if self.data.shape != (dim, dim):
-                raise ValueError(f"density matrix must be {dim}x{dim}")
-            if np.max(np.abs(self.data - self.data.conj().T)) > HERMITIAN_TOL:
-                raise ValueError("density matrix is not Hermitian")
-            tr = np.trace(self.data).real
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"density matrix trace {tr} is not 1")
-            if np.min(np.linalg.eigvalsh(self.data)) < PSD_EIG_TOL:
-                raise ValueError("density matrix is not positive semidefinite")
-        else:
-            raise ValueError(f"unknown state kind {self.kind!r}")
-        object.__setattr__(self, "data", _frozen(self.data))
-
-    @property
-    def n_qubits(self) -> int:
-        return self.layout.total_qubits
-
-    def density(self) -> np.ndarray:
-        """Density-matrix view (outer product for pure states)."""
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return np.asarray(self.data)
-
-
-def mixed_state(layout: RegisterLayout, rho) -> QuantumState:
-    return QuantumState(layout, "mixed", np.asarray(rho, dtype=complex))
-
 
 BELL_VECTOR = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
 

@@ -52,11 +52,10 @@ def test_criterion_01_honest_completeness():
     for n in (1, 2, 3):
         f = an.random_function(n, SEED + n)
         for x, y in f.pairs():
-            worst = min(worst, pr.route_entangled_accept_probability(f, x, y))
-            worst = min(worst, pr.meas_accept_probability(f, x, y))
+            worst = min(worst, pr.accept_probability("route_entangled", f, x, y))
+            worst = min(worst, pr.accept_probability("meas", f, x, y))
             for prep in range(4):
-                worst = min(worst, pr.route_bb84_accept_probability(
-                    f, x, y, prep=prep))
+                worst = min(worst, pr.accept_probability("route_bb84", f, x, y, prep=prep))
     passed = abs(worst - 1.0) <= 1e-12
     report(1, "honest completeness", passed,
            f"min acceptance {worst:.15f} over n<=3, all pairs, 4 preparations",

@@ -61,10 +61,10 @@ def reference_success(strategy, f, x, y):
                    @ embed(ea, layout, at.ALICE_FINAL) @ embed(eb, layout, at.BOB_FINAL)
                    for z, ea, eb in ((0, pi, sigma), (1, eye_a - pi, eye_b - sigma)))
         obs = local.conj().T @ test @ local
-    data = np.asarray(strategy.psi.data)
-    if strategy.psi.kind == "pure":
-        return float(np.vdot(data, obs @ data).real)
-    return float(np.trace(data @ obs).real)
+    psi = strategy.psi
+    if psi.ndim == 1:
+        return float(np.vdot(psi, obs @ psi).real)
+    return float(np.trace(psi @ obs).real)
 
 
 def random_effect(dim, rng):
@@ -85,10 +85,10 @@ def strategies(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = qc.stream(seed, "reference")
     if draw(st.booleans()):
-        psi = qc.QuantumState(layout, "pure", qc.random_unit_vector(layout.dim, rng))
+        psi = qc.random_unit_vector(layout.dim, rng)
     else:
         rank = draw(st.integers(1, 3))
-        psi = qc.mixed_state(layout, qc.random_density_matrix(layout.dim, rng, rank=rank))
+        psi = qc.random_density_matrix(layout.dim, rng, rank=rank)
     side = 1 << n
     pairs = [(x, y) for x in range(side) for y in range(side)]
     # missing local or recovery unitaries default to the identity

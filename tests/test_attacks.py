@@ -21,10 +21,6 @@ XOR = an.xor_function(1)
 AND = an.ip_function(1)
 
 
-def product_state(layout, factors):
-    return qc.QuantumState(layout, "pure", qc.assemble_raw(layout, factors))
-
-
 def identity_route_strategy(f, **layout_kw):
     layout = at.attack_layout(**layout_kw)
     rest = [n for n in layout.names if n not in ("R", "A") and layout.width(n)]
@@ -33,7 +29,7 @@ def identity_route_strategy(f, **layout_kw):
         e0 = np.zeros(layout.subdim(name), dtype=complex)
         e0[0] = 1.0
         factors.append(((name,), e0))
-    psi = product_state(layout, factors)
+    psi = qc.assemble_raw(layout, factors)
     return at.AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi)
 
 
@@ -100,7 +96,7 @@ def readable_bit_strategy(f, rotate_by_x=False):
         e0 = np.zeros(layout.subdim(name), dtype=complex)
         e0[0] = 1.0
         factors.append(((name,), e0))
-    psi = product_state(layout, factors)
+    psi = qc.assemble_raw(layout, factors)
     p0 = qc.basis_projectors(0)[0]
     # effects answering the readable bit: Alice reads A, Bob reads the copy in Ac
     pi = qc.kron_le(p0, np.eye(2), np.eye(2))       # on (A, At, Bc)
@@ -144,7 +140,7 @@ def test_execute_meas_oblivious_bob_baseline():
         e0 = np.zeros(layout.subdim(name), dtype=complex)
         e0[0] = 1.0
         factors.append(((name,), e0))
-    psi = product_state(layout, factors)
+    psi = qc.assemble_raw(layout, factors)
     swap = qc.compose_on_qubits(2, [(qc.SWAP2, [0, 1])])
     pairs = list(XOR.pairs())
     pi = {}
@@ -168,16 +164,16 @@ def test_execute_meas_oblivious_bob_baseline():
 def test_mixture_success_is_linear():
     layout = at.attack_layout(a=1, at=1)
     rng = qc.stream(77)
-    psis = [qc.random_pure_state(layout, qc.stream(77, i)) for i in range(2)]
+    psis = [qc.random_unit_vector(layout.dim, qc.stream(77, i)) for i in range(2)]
     alice = {x: qc.haar_random_unitary(4, qc.stream(78, x)) for x in (0, 1)}
     bob = {y: qc.haar_random_unitary(4, qc.stream(79, y)) for y in (0, 1)}
     k = {p: qc.haar_random_unitary(4, qc.stream(80, p)) for p in XOR.pairs()}
     lu = {p: qc.haar_random_unitary(4, qc.stream(81, p)) for p in XOR.pairs()}
     lam = 0.37
-    mix = lam * psis[0].density() + (1 - lam) * psis[1].density()
+    mix = lam * np.outer(psis[0], psis[0].conj()) + (1 - lam) * np.outer(psis[1], psis[1].conj())
     args = dict(kind="route", n=1, layout=layout, alice=alice, bob=bob,
                 k_final=k, l_final=lu)
-    strat_mix = at.AttackStrategy(psi=qc.mixed_state(layout, mix), **args)
+    strat_mix = at.AttackStrategy(psi=mix, **args)
     strat0 = at.AttackStrategy(psi=psis[0], **args)
     strat1 = at.AttackStrategy(psi=psis[1], **args)
     for x, y in XOR.pairs():
@@ -192,15 +188,15 @@ def test_mixture_success_is_linear():
 
 def test_mixture_success_is_linear_meas():
     layout = at.attack_layout(a=1, ac=1)
-    psis = [qc.random_pure_state(layout, qc.stream(90, i)) for i in range(2)]
+    psis = [qc.random_unit_vector(layout.dim, qc.stream(90, i)) for i in range(2)]
     pairs = list(XOR.pairs())
     pi = {p: at.seesaw.random_effect(4, qc.stream(91, p)) for p in pairs}
     sg = {p: at.seesaw.random_effect(4, qc.stream(92, p)) for p in pairs}
     lam = 0.61
     args = dict(kind="meas", n=1, layout=layout, pi_effect=pi, sigma_effect=sg)
-    mix = lam * psis[0].density() + (1 - lam) * psis[1].density()
+    mix = lam * np.outer(psis[0], psis[0].conj()) + (1 - lam) * np.outer(psis[1], psis[1].conj())
     vals = []
-    for psi in (psis[0], psis[1], qc.mixed_state(layout, mix)):
+    for psi in (psis[0], psis[1], mix):
         strat = at.AttackStrategy(psi=psi, **args)
         vals.append(at.epsilon_l_report(strat, XOR).average)
     assert vals[2] == pytest.approx(lam * vals[0] + (1 - lam) * vals[1], abs=1e-12)
@@ -262,7 +258,24 @@ def test_strategy_validation():
         bad = qc.RegisterLayout([("R", 1), ("A", 1), ("At", 1), ("Ac", 0),
                                  ("B", 1), ("Bt", 0), ("Bc", 0)])
         at.AttackStrategy(kind="route", n=1, layout=bad,
-                          psi=qc.random_pure_state(bad, qc.stream(1)))
+                          psi=qc.random_unit_vector(bad.dim, qc.stream(1)))
+    with pytest.raises(ValueError, match="norm"):
+        at.AttackStrategy(kind="route", n=1, layout=layout, psi=2 * psi)
+    with pytest.raises(ValueError, match="vector of length 8"):
+        at.AttackStrategy(kind="route", n=1, layout=layout, psi=psi[:4])
+
+
+def test_strategy_psi_is_a_read_only_copy():
+    psi = identity_route_strategy(an.constant_function(1, 0)).psi
+    given = np.array(psi)
+    strat = at.AttackStrategy(kind="route", n=1, layout=at.attack_layout(a=1), psi=given)
+    assert not strat.psi.flags.writeable
+    with pytest.raises(ValueError):
+        strat.psi[0] = 0.0
+    # the caller's array stays writable and is not the stored one
+    assert given.flags.writeable and strat.psi is not given
+    given[0] = 0.0
+    np.testing.assert_array_equal(strat.psi, psi)
 
 
 # ---------------------------------------------------------------------------

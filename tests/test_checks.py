@@ -10,6 +10,12 @@ from qpv import checks as ck
 from qpv import qcore as qc
 
 
+def density(vec):
+    """|v><v|, the density matrix the dense reference ops take."""
+    vec = np.asarray(vec, dtype=complex)
+    return np.outer(vec, vec.conj())
+
+
 def test_report_serialization():
     rep = ck.BoundReport(name="demo", lhs=0.4, rhs=0.5, relation="<=",
                          passed=True, trials=10, tolerance=1e-9,
@@ -33,21 +39,21 @@ def test_holds_relations():
 def test_cit_equality_cases():
     # |0>_R |00>: computational side information is exact, Hadamard side blind
     layout = qc.RegisterLayout([("R", 1), ("E", 1), ("F", 1)])
-    psi = qc.QuantumState(layout, "pure", np.eye(layout.dim)[0])
-    rho = qc.dephase_register(psi, "R", 0)
-    sigma = qc.dephase_register(psi, "R", 1)
-    h0 = qc.conditional_entropy(rho, "R", ("E",))
-    h1 = qc.conditional_entropy(sigma, "R", ("F",))
+    psi = density(np.eye(layout.dim)[0])
+    rho = qc.dephase_register(psi, layout, "R", 0)
+    sigma = qc.dephase_register(psi, layout, "R", 1)
+    h0 = qc.conditional_entropy(rho, layout, "R", ("E",))
+    h1 = qc.conditional_entropy(sigma, layout, "R", ("F",))
     assert h0 == pytest.approx(0.0, abs=1e-12)
     assert h1 == pytest.approx(1.0, abs=1e-12)
 
     # |Omega>_RE x |0>_F: perfect side information in one basis
-    omega_re = qc.QuantumState(layout, "pure", qc.assemble_raw(
+    omega_re = density(qc.assemble_raw(
         layout, [(("R", "E"), qc.BELL_VECTOR), (("F",), np.array([1.0, 0.0]))]))
-    rho = qc.dephase_register(omega_re, "R", 0)
-    sigma = qc.dephase_register(omega_re, "R", 1)
-    assert qc.conditional_entropy(rho, "R", ("E",)) == pytest.approx(0.0, abs=1e-12)
-    assert qc.conditional_entropy(sigma, "R", ("F",)) == pytest.approx(1.0, abs=1e-12)
+    rho = qc.dephase_register(omega_re, layout, "R", 0)
+    sigma = qc.dephase_register(omega_re, layout, "R", 1)
+    assert qc.conditional_entropy(rho, layout, "R", ("E",)) == pytest.approx(0.0, abs=1e-12)
+    assert qc.conditional_entropy(sigma, layout, "R", ("F",)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_afw_constant_values():
@@ -60,8 +66,7 @@ def test_fano_classical_channel_equality():
     layout = qc.RegisterLayout([("R", 1), ("W", 1)])
     e = 0.09
     rho = np.diag([(1 - e) / 2, e / 2, e / 2, (1 - e) / 2]).astype(complex)
-    state = qc.mixed_state(layout, rho)
-    assert qc.conditional_entropy(state, "R", ("W",)) == pytest.approx(
+    assert qc.conditional_entropy(rho, layout, "R", ("W",)) == pytest.approx(
         qc.binary_entropy(e), abs=1e-12)
 
 
@@ -83,11 +88,11 @@ def test_meas_disjoint_premises_contradict_for_equal_states():
     from qpv.attacks.good_sets import small_attack_layout, meas_member
     lay = small_attack_layout()
     delta = qc.binary_entropy(0.09)
-    phi = qc.QuantumState(lay, "pure", meas_member(lay, "S0", 0.2, qc.stream(3, "contradict")))
+    phi = density(meas_member(lay, "S0", 0.2, qc.stream(3, "contradict")))
     alice = ("A", "At", "Bc")
     bob = ("B", "Bt", "Ac")
-    h_comp = qc.conditional_entropy(qc.dephase_register(phi, "R", 0), "R", alice)
-    h_had_other = qc.conditional_entropy(qc.dephase_register(phi, "R", 1), "R", bob)
+    h_comp = qc.conditional_entropy(qc.dephase_register(phi, lay, "R", 0), lay, "R", alice)
+    h_had_other = qc.conditional_entropy(qc.dephase_register(phi, lay, "R", 1), lay, "R", bob)
     assert h_comp <= delta
     assert h_had_other >= 1 - delta - 1e-9
     assert h_had_other > delta  # so the second premise cannot also hold
@@ -131,8 +136,7 @@ def test_seed0_witnesses_pinned(name):
 def helstrom_dense(vec, layout, basis, regs):
     """(1 + ||C0 - C1||_1)/2 with C_z = tr_R[(P_z x I) rho_{R, regs}], from the
     dense partial trace of |vec><vec| (R is the lowest qubit of the layout)."""
-    state = qc.mixed_state(layout, np.outer(vec, vec.conj()))
-    rho = qc.partial_trace(state, ("R",) + tuple(regs)).data
+    rho = qc.partial_trace(density(vec), layout, ("R",) + tuple(regs))
     d = len(rho) // 2
     t = rho.reshape(d, 2, d, 2)   # (regs, R) x (regs, R)
     c0, c1 = (np.einsum("isjr,rs->ij", t, p) for p in qc.basis_projectors(basis))

@@ -177,6 +177,11 @@ def test_function_without_n_is_a_config_error(tmp_path, capsys, command, payload
     assert err == "error: f: missing keys ['n']\n"
 
 
+GH_PIPES = {"pipes": 2, "bob": {"0": [[1, 2]], "1": []}}
+
+
+# a missing key, or a value of the wrong type or shape, is a config error
+# that names the object and the key
 @pytest.mark.parametrize("command, payload, message", [
     ("bounds", {"kind": "counting", "n": 12}, "config: missing keys ['q']"),
     ("bounds", {"kind": "qubit_bound", "f_kind": "random"}, "config: missing keys ['n']"),
@@ -184,7 +189,20 @@ def test_function_without_n_is_a_config_error(tmp_path, capsys, command, payload
                   "prover": {"kind": "synthetic"}}, "prover: missing keys ['p']"),
     ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "table"}, "rounds": 5},
      "f: missing keys ['table']"),
-], ids=["counting-q", "qubit_bound-n", "synthetic-p", "table"])
+    ("attack-optimize", {"f": {"kind": "ip", "n": None}}, "f.n: expected an integer, got None"),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "xor"}, "rounds": None},
+     "config.rounds: expected an integer, got None"),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "xor"}, "rounds": 5,
+                  "prover": {"kind": "synthetic", "p": [1]}},
+     "prover.p: expected a number, got [1]"),
+    ("bounds", {"kind": "cc", "k": None, "f": {"kind": "ip", "n": 1}},
+     "config.k: expected an integer, got None"),
+    ("attack-optimize", {"f": {"kind": "xor", "n": 1}, "split": 5},
+     "config.split: expected three integers, got 5"),
+    ("attack-optimize", {"f": {"kind": "xor", "n": 1}, "gardenhose": {"alice": [], **GH_PIPES}},
+     "gardenhose.alice: expected an object of pair lists"),
+], ids=["counting-q", "qubit_bound-n", "synthetic-p", "table", "f-n-null", "rounds-null",
+        "synthetic-p-list", "cc-k-null", "split-int", "gardenhose-alice-list"])
 def test_missing_kind_key_names_object_and_key(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "k.json", payload)
     code, out, err = run_cli(capsys, command, "--config", cfg)
@@ -210,6 +228,21 @@ def test_attack_optimize_gardenhose(tmp_path, capsys):
     assert doc["report"]["l"] == 4
     strat = strategy_from_json((tmp_path / "res.json.strategy.json").read_text())
     assert strat.kind == "route"
+
+
+def test_strategy_prover_with_unnormalized_psi_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(at.strategy_to_json(at.keep_q_attack(an.xor_function(1))))
+    doc["psi"]["data"][0][0] = f"{(2.0).hex()},{(0.0).hex()}"
+    path = tmp_path / "bad.strategy.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, "sim.json", {
+        "protocol": "route_entangled", "n": 1, "f": {"kind": "xor", "n": 1},
+        "rounds": 5, "prover": {"kind": "strategy", "path": str(path)},
+    })
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: psi has norm ") and err.endswith(", not 1\n")
 
 
 def test_attack_optimize_seesaw(tmp_path, capsys):

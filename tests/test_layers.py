@@ -1,8 +1,8 @@
 """One state representation outside qcore.
 
 The package works on raw arrays: state vectors and density matrices.  The
-dense ops on ``QuantumState`` stay in ``qpv.qcore`` as the reference the
-kernel tests compare against; no module outside ``qpv/qcore`` may call them.
+dense density-matrix ops stay in ``qpv.qcore`` as the reference the kernel
+tests compare against; no module outside ``qpv/qcore`` may call them.
 """
 
 import ast
@@ -14,11 +14,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qpv"
 QCORE = SRC / "qcore"
 
 DENSE_NAMES = {
-    "apply_matrix", "partial_trace", "reduce_density_raw", "fidelity",
-    "von_neumann_entropy", "conditional_entropy", "dephase_register", "mixed_state",
-    "random_pure_state",
+    "apply_matrix", "partial_trace", "fidelity", "von_neumann_entropy",
+    "conditional_entropy", "dephase_register", "random_pure_state",
 }
-DENSE_METHODS = {"density", "to_mixed"}
 
 
 def dense_references(tree):
@@ -31,9 +29,6 @@ def dense_references(tree):
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, a.name) for a in node.names if a.name in DENSE_NAMES]
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in DENSE_METHODS):
-            found.append((node.lineno, f".{node.func.attr}()"))
     return sorted(found)
 
 
@@ -51,11 +46,9 @@ def test_scan_finds_each_kind_of_reference():
     code = ("from qpv.qcore import fidelity\n"
             "qc.partial_trace(s, 'R')\n"
             "conditional_entropy(s, 'R')\n"
-            "s.to_mixed()\n"
-            "s.density()\n"
             "qc.conditional_entropy_pure(v, lay, 'R')\n")
     assert [name for _, name in dense_references(ast.parse(code))] == [
-        "fidelity", "partial_trace", "conditional_entropy", ".to_mixed()", ".density()"]
+        "fidelity", "partial_trace", "conditional_entropy"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())

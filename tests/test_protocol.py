@@ -24,22 +24,21 @@ def test_honest_completeness_exact(proto):
 
 
 def test_route_entangled_tampered_qubit():
-    p = pr.route_entangled_accept_probability(XOR, 0, 0, pr.Prover(tamper_unitary=qc.X))
+    p = pr.accept_probability("route_entangled", XOR, 0, 0, pr.Prover(tamper_unitary=qc.X))
     assert p == pytest.approx(0.0, abs=1e-12)
 
 
 def test_route_bb84_discard_and_send_zero():
     # per preparation: 1 for |0>, 0 for |1>, 1/2 each for |+>,|->; average 1/2
     prover = pr.Prover(replace_with=0)
-    assert pr.route_bb84_accept_probability(XOR, 0, 0, prover, prep=0) == pytest.approx(1.0, abs=1e-12)
-    assert pr.route_bb84_accept_probability(XOR, 0, 0, prover, prep=1) == pytest.approx(0.0, abs=1e-12)
-    assert pr.route_bb84_accept_probability(XOR, 0, 0, prover, prep=2) == pytest.approx(0.5, abs=1e-12)
-    assert pr.route_bb84_accept_probability(XOR, 0, 0, prover) == pytest.approx(0.5, abs=1e-12)
+    for prep, expect in ((0, 1.0), (1, 0.0), (2, 0.5), (None, 0.5)):
+        p = pr.accept_probability("route_bb84", XOR, 0, 0, prover, prep=prep)
+        assert p == pytest.approx(expect, abs=1e-12)
 
 
 def test_route_bb84_measure_then_forward():
     prover = pr.Prover(premeasure_basis=0)
-    assert pr.route_bb84_accept_probability(XOR, 0, 0, prover) == pytest.approx(0.75, abs=1e-12)
+    assert pr.accept_probability("route_bb84", XOR, 0, 0, prover) == pytest.approx(0.75, abs=1e-12)
 
 
 # |0>, |1>, |+>, |->, built here and not taken from qcore
@@ -77,11 +76,11 @@ def test_route_bb84_matches_single_qubit_oracle(prover, depolarize):
         for prep, ket in enumerate(BB84_KETS):
             out = _single_qubit_channel(np.outer(ket, ket.conj()), prover, depolarize)
             oracle = np.vdot(ket, out @ ket).real
-            got = pr.route_bb84_accept_probability(XOR, x, y, prover, prep=prep,
+            got = pr.accept_probability("route_bb84", XOR, x, y, prover, prep=prep,
                                                    depolarize=depolarize)
             assert abs(got - oracle) <= 1e-12
             values.append(got)
-        mean = pr.route_bb84_accept_probability(XOR, x, y, prover, depolarize=depolarize)
+        mean = pr.accept_probability("route_bb84", XOR, x, y, prover, depolarize=depolarize)
         assert abs(mean - np.mean(values)) <= 1e-12
 
 
@@ -100,9 +99,9 @@ def test_route_bb84_strategy_is_scored_per_preparation():
     keep = at.keep_q_attack(XOR)
     for x, y in XOR.pairs():
         for strategy in (copy, keep):
-            values = [pr.route_bb84_accept_probability(XOR, x, y, strategy, prep=p)
+            values = [pr.accept_probability("route_bb84", XOR, x, y, strategy, prep=p)
                       for p in range(4)]
-            mean = pr.route_bb84_accept_probability(XOR, x, y, strategy)
+            mean = pr.accept_probability("route_bb84", XOR, x, y, strategy)
             assert abs(np.mean(values) - mean) <= 1e-12
             if XOR.value(x, y) == 0 and strategy is keep:
                 np.testing.assert_allclose(values, 1.0, atol=1e-12)
@@ -123,9 +122,9 @@ def test_run_round_bb84_draws_prep_first():
 
 
 def test_meas_naive_provers():
-    assert pr.meas_accept_probability(XOR, 0, 1, pr.Prover(meas_mode="random_bit")) \
+    assert pr.accept_probability("meas", XOR, 0, 1, pr.Prover(meas_mode="random_bit")) \
         == pytest.approx(0.5, abs=1e-12)
-    assert pr.meas_accept_probability(XOR, 0, 1, pr.Prover(meas_mode="wrong_basis")) \
+    assert pr.accept_probability("meas", XOR, 0, 1, pr.Prover(meas_mode="wrong_basis")) \
         == pytest.approx(0.5, abs=1e-12)
 
 
@@ -280,11 +279,11 @@ def test_repetition_gates_timing_and_arrival(prover):
 def test_depolarizing_noise_mode():
     # calibrated so the honest per-round failure equals eta in every protocol
     eta = 0.01
-    p = pr.route_entangled_accept_probability(XOR, 0, 0, depolarize=4 * eta / 3)
+    p = pr.accept_probability("route_entangled", XOR, 0, 0, depolarize=4 * eta / 3)
     assert p == pytest.approx(1 - eta, abs=1e-12)
-    p = pr.route_bb84_accept_probability(XOR, 0, 0, depolarize=2 * eta)
+    p = pr.accept_probability("route_bb84", XOR, 0, 0, depolarize=2 * eta)
     assert p == pytest.approx(1 - eta, abs=1e-12)
-    p = pr.meas_accept_probability(XOR, 0, 0, depolarize=2 * eta)
+    p = pr.accept_probability("meas", XOR, 0, 0, depolarize=2 * eta)
     assert p == pytest.approx(1 - eta, abs=1e-12)
     cfg = pr.NoisyRepeatConfig(rounds=40, eta=eta)
     res = pr.noisy_threshold_trials(cfg, "route_bb84", XOR, seed=9, trials=1,
@@ -298,7 +297,7 @@ def test_depolarizing_noise_mode():
 
 def test_attack_strategy_as_prover():
     keep = at.keep_q_attack(XOR)
-    probs = {(x, y): pr.route_entangled_accept_probability(XOR, x, y, keep)
+    probs = {(x, y): pr.accept_probability("route_entangled", XOR, x, y, keep)
              for x, y in XOR.pairs()}
     assert probs == {(0, 0): pytest.approx(1.0, abs=1e-12),
                      (1, 1): pytest.approx(1.0, abs=1e-12),
@@ -310,8 +309,8 @@ def test_attack_strategy_as_prover():
 def test_attack_strategy_bb84_uses_m2():
     keep = at.keep_q_attack(XOR)
     # reduced state on accepted pairs is the Bell pair: M2 accepts with prob 1
-    assert pr.route_bb84_accept_probability(XOR, 0, 0, keep) == pytest.approx(1.0, abs=1e-12)
-    assert pr.route_bb84_accept_probability(XOR, 0, 1, keep) == 0.0
+    assert pr.accept_probability("route_bb84", XOR, 0, 0, keep) == pytest.approx(1.0, abs=1e-12)
+    assert pr.accept_probability("route_bb84", XOR, 0, 1, keep) == 0.0
 
 
 def test_input_length_validation():

@@ -9,24 +9,22 @@ from qpv import qcore as qc
 
 SQ2 = 1.0 / math.sqrt(2)
 QUBIT = qc.RegisterLayout([("Q", 1)])
+BELL_LAYOUT = qc.RegisterLayout([("R", 1), ("A", 1)])
 
 
-def pure(layout, amplitudes):
-    return qc.QuantumState(layout, "pure", np.asarray(amplitudes, dtype=complex))
+def density(vec):
+    """|v><v|, the density matrix the dense reference ops take."""
+    vec = np.asarray(vec, dtype=complex)
+    return np.outer(vec, vec.conj())
 
 
-def to_mixed(state):
-    return qc.mixed_state(state.layout, state.density())
-
-
-def bell_state(first="R", second="A"):
-    """|Omega> on two 1-qubit registers."""
-    return pure(qc.RegisterLayout([(first, 1), (second, 1)]), qc.BELL_VECTOR)
+BELL = density(qc.BELL_VECTOR)
 
 
 def bb84(index):
-    """One of |0>, |1>, |+>, |-> on the single-qubit register Q."""
-    return pure(QUBIT, qc.BB84_VECTORS[index])
+    """One of |0>, |1>, |+>, |-> on the single-qubit register Q, as a density
+    matrix."""
+    return density(qc.BB84_VECTORS[index])
 
 
 def embed_reference(mat, layout, regs):
@@ -94,15 +92,13 @@ def test_bell_state_amplitudes():
 
 
 def test_bell_reduced_is_maximally_mixed():
-    bell = bell_state("R", "A")
     for keep in ("R", "A"):
-        rho = qc.partial_trace(bell, keep)
-        np.testing.assert_allclose(rho.data, np.eye(2) / 2, atol=1e-14)
+        rho = qc.partial_trace(BELL, BELL_LAYOUT, keep)
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-14)
 
 
 def test_bell_self_fidelity():
-    bell = bell_state()
-    assert qc.fidelity(bell, bell) == pytest.approx(1.0, abs=1e-14)
+    assert qc.fidelity(BELL, BELL) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("index,expect", [
@@ -113,8 +109,8 @@ def test_bb84_states(index, expect):
 
 
 def test_bb84_overlap():
-    a, b = bb84(0), bb84(2)
-    assert abs(np.vdot(a.data, b.data)) == pytest.approx(SQ2, abs=1e-15)
+    a, b = qc.BB84_VECTORS[0], qc.BB84_VECTORS[2]
+    assert abs(np.vdot(a, b)) == pytest.approx(SQ2, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -122,53 +118,43 @@ def test_bb84_overlap():
 # ---------------------------------------------------------------------------
 
 def test_apply_identity_returns_same_state():
-    psi = qc.random_pure_state(qc.RegisterLayout([("P", 2)]), qc.stream(1))
-    out = qc.apply_matrix(psi, np.eye(4), "P")
-    np.testing.assert_allclose(out.data, psi.data, atol=1e-15)
+    lay = qc.RegisterLayout([("P", 2)])
+    rho = qc.random_pure_state(lay, qc.stream(1))
+    out = qc.apply_matrix(rho, lay, np.eye(4), "P")
+    np.testing.assert_allclose(out, rho, atol=1e-15)
 
 
 def test_apply_x_flips():
-    s = bb84(0)
-    out = qc.apply_matrix(s, qc.X, "Q")
-    np.testing.assert_allclose(out.data, [0, 1], atol=1e-15)
+    out = qc.apply_matrix(bb84(0), QUBIT, qc.X, "Q")
+    np.testing.assert_allclose(out, bb84(1), atol=1e-15)
 
 
 def test_apply_circuit_builds_bell():
-    lay = qc.RegisterLayout([("R", 1), ("A", 1)])
-    s = pure(lay, np.eye(4)[0])
-    s = qc.apply_matrix(s, qc.H, "R")
-    s = qc.apply_matrix(s, qc.CNOT, ("R", "A"))
-    assert abs(np.vdot(s.data, qc.BELL_VECTOR)) == pytest.approx(1.0, abs=1e-12)
+    s = density(np.eye(4)[0])
+    s = qc.apply_matrix(s, BELL_LAYOUT, qc.H, "R")
+    s = qc.apply_matrix(s, BELL_LAYOUT, qc.CNOT, ("R", "A"))
+    assert qc.expectation(qc.BELL_VECTOR, s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_norm_preserved_and_unknown_register():
     lay = qc.RegisterLayout([("P", 2), ("Q", 1)])
-    psi = qc.random_pure_state(lay, qc.stream(3))
+    rho = qc.random_pure_state(lay, qc.stream(3))
     u = qc.haar_random_unitary(4, qc.stream(4))
-    out = qc.apply_matrix(psi, u, "P")
-    assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-12)
+    out = qc.apply_matrix(rho, lay, u, "P")
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(KeyError):
-        qc.apply_matrix(psi, qc.X, "nope")
+        qc.apply_matrix(rho, lay, qc.X, "nope")
 
 
 @pytest.mark.parametrize("regs", [("A",), ("C",), ("A", "C"), ("C", "A"), ("B", "A")])
 def test_apply_matches_reference_embedding(regs):
     lay = qc.RegisterLayout([("A", 1), ("B", 1), ("C", 1)])
-    psi = qc.random_pure_state(lay, qc.stream(10, regs))
+    rho = qc.random_pure_state(lay, qc.stream(10, regs))
     dim = 1 << len(lay.positions(*regs))
     u = qc.haar_random_unitary(dim, qc.stream(11, regs))
-    fast = qc.apply_matrix(psi, u, regs)
     full = embed_reference(u, lay, regs)
-    np.testing.assert_allclose(fast.data, full @ np.asarray(psi.data), atol=1e-12)
-
-
-def test_apply_mixed_matches_pure():
-    lay = qc.RegisterLayout([("A", 1), ("B", 2)])
-    psi = qc.random_pure_state(lay, qc.stream(12))
-    u = qc.haar_random_unitary(4, qc.stream(13))
-    pure_out = qc.apply_matrix(psi, u, ("B",))
-    mixed_out = qc.apply_matrix(to_mixed(psi), u, ("B",))
-    np.testing.assert_allclose(mixed_out.data, pure_out.density(), atol=1e-12)
+    np.testing.assert_allclose(qc.apply_matrix(rho, lay, u, regs),
+                               full @ rho @ full.conj().T, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +165,18 @@ def test_partial_trace_product_state():
     lay = qc.RegisterLayout([("P", 1), ("Q", 1)])
     phi = np.array([0.6, 0.8j])
     chi = np.array([SQ2, -SQ2])
-    psi = pure(lay, qc.assemble_raw(lay, [("P", phi), ("Q", chi)]))
-    rho = qc.partial_trace(psi, "P")
-    np.testing.assert_allclose(rho.data, np.outer(phi, phi.conj()), atol=1e-14)
+    rho = qc.partial_trace(density(qc.assemble_raw(lay, [("P", phi), ("Q", chi)])), lay, "P")
+    np.testing.assert_allclose(rho, np.outer(phi, phi.conj()), atol=1e-14)
 
 
 def test_partial_trace_keep_everything():
-    bell = bell_state()
-    rho = qc.partial_trace(bell, ("R", "A"))
-    np.testing.assert_allclose(rho.data, bell.density(), atol=1e-14)
+    np.testing.assert_allclose(qc.partial_trace(BELL, BELL_LAYOUT, ("R", "A")), BELL,
+                               atol=1e-14)
 
 
 def test_partial_trace_requires_registers():
     with pytest.raises(ValueError):
-        qc.partial_trace(bell_state(), ())
-
-
-def test_partial_trace_mixed_agrees_with_pure_path():
-    lay = qc.RegisterLayout([("A", 1), ("B", 1), ("C", 1)])
-    psi = qc.random_pure_state(lay, qc.stream(21))
-    r1 = qc.partial_trace(psi, ("A", "C"))
-    r2 = qc.partial_trace(to_mixed(psi), ("A", "C"))
-    np.testing.assert_allclose(r1.data, r2.data, atol=1e-12)
+        qc.partial_trace(BELL, BELL_LAYOUT, ())
 
 
 def test_partial_trace_linearity():
@@ -208,10 +184,9 @@ def test_partial_trace_linearity():
     r1 = qc.random_density_matrix(4, qc.stream(22))
     r2 = qc.random_density_matrix(4, qc.stream(23))
     lam = 0.3
-    mix = qc.mixed_state(lay, lam * r1 + (1 - lam) * r2)
-    lhs = qc.partial_trace(mix, "A").data
-    rhs = (lam * qc.partial_trace(qc.mixed_state(lay, r1), "A").data
-           + (1 - lam) * qc.partial_trace(qc.mixed_state(lay, r2), "A").data)
+    lhs = qc.partial_trace(lam * r1 + (1 - lam) * r2, lay, "A")
+    rhs = (lam * qc.partial_trace(r1, lay, "A")
+           + (1 - lam) * qc.partial_trace(r2, lay, "A"))
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -249,8 +224,8 @@ def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
     rho = qc.random_density_matrix(layout.dim, rng)
     u = qc.haar_random_unitary(d, rng)
     full_u = embed_reference(u, layout, regs)
-    mixed = qc.apply_matrix(qc.mixed_state(layout, rho), u, regs)
-    np.testing.assert_allclose(mixed.data, full_u @ rho @ full_u.conj().T, atol=1e-12)
+    np.testing.assert_allclose(qc.apply_matrix(rho, layout, u, regs),
+                               full_u @ rho @ full_u.conj().T, atol=1e-12)
     back = tuple(reversed(regs))
     circuit = qc.compose_on_qubits(n, [(mats[0], qubits), (mats[-1], layout.positions(*back))])
     np.testing.assert_allclose(circuit, embed_reference(mats[-1], layout, back) @ full,
@@ -263,20 +238,18 @@ def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
         assert np.array_equal(out, qc.apply_vector_matrix(vec, layout, mat, regs))
         assert np.array_equal(out_shared, qc.apply_vector_matrix(vec, layout, mats[0], regs))
 
-    # trace: |left><right| in both orders, and pure and mixed states
+    # trace: |left><right| in both orders, and density matrices of rank 1 and
+    # full rank
     in_layout_order = tuple(name for name in layout.names if name in regs)
     outer = np.outer(vecs[0], vecs[-1].conj())
     np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, regs, order="given"),
                                trace_reference(outer, layout, regs), atol=1e-12)
     np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, regs),
                                trace_reference(outer, layout, in_layout_order), atol=1e-12)
-    reduced = qc.partial_trace(pure(layout, vecs[0]), regs)
-    assert reduced.layout == layout.restricted(*regs)
-    np.testing.assert_allclose(reduced.data,
-                               trace_reference(np.outer(vecs[0], vecs[0].conj()), layout,
-                                               in_layout_order), atol=1e-12)
-    np.testing.assert_allclose(qc.partial_trace(qc.mixed_state(layout, rho), regs).data,
-                               trace_reference(rho, layout, in_layout_order), atol=1e-12)
+    for state in (density(vecs[0]), rho):
+        np.testing.assert_allclose(qc.partial_trace(state, layout, regs),
+                                   trace_reference(state, layout, in_layout_order),
+                                   atol=1e-12)
     # a batch traces to the stack of its rows' reductions
     stack = qc.reduced_outer(vecs, vecs[::-1], layout, regs, order="given")
     assert stack.shape == (b, d, d)
@@ -322,26 +295,25 @@ def test_cached_row_permutation_matches_index_reference(case):
 # ---------------------------------------------------------------------------
 
 def test_fidelity_orthogonal_and_self():
-    z0, z1 = bb84(0), bb84(1)
-    assert qc.fidelity(z0, z1) == pytest.approx(0.0, abs=1e-15)
-    rho = qc.mixed_state(QUBIT, qc.random_density_matrix(2, qc.stream(31)))
+    assert qc.fidelity(bb84(0), bb84(1)) == pytest.approx(0.0, abs=1e-15)
+    rho = qc.random_density_matrix(2, qc.stream(31))
     assert qc.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_pure_vs_maximally_mixed():
     # closed form: tr sqrt(sqrt(s) r sqrt(s)) = sqrt(<0|I/2|0>) = 1/sqrt(2)
     rho = bb84(0)
-    sigma = qc.mixed_state(QUBIT, np.eye(2) / 2)
+    sigma = np.eye(2) / 2
     assert qc.fidelity(rho, sigma) == pytest.approx(SQ2, abs=1e-12)
     assert qc.fidelity(sigma, rho) == pytest.approx(SQ2, abs=1e-12)
 
 
 def test_fidelity_symmetric_and_dimension_mismatch():
-    a = qc.mixed_state(QUBIT, qc.random_density_matrix(2, qc.stream(32)))
-    b = qc.mixed_state(QUBIT, qc.random_density_matrix(2, qc.stream(33)))
+    a = qc.random_density_matrix(2, qc.stream(32))
+    b = qc.random_density_matrix(2, qc.stream(33))
     assert qc.fidelity(a, b) == pytest.approx(qc.fidelity(b, a), abs=1e-10)
     with pytest.raises(ValueError):
-        qc.fidelity(a, bell_state())
+        qc.fidelity(a, BELL)
 
 
 def test_purified_distance_examples():
@@ -382,10 +354,11 @@ def test_purified_distance_unitary_invariance():
 def test_fidelity_data_processing_under_partial_trace():
     lay = qc.RegisterLayout([("P", 1), ("Q", 1)])
     for t in range(1000):
-        a = qc.random_pure_state(lay, qc.stream(43, t, "a"))
-        b = qc.random_pure_state(lay, qc.stream(43, t, "b"))
-        f_full = qc.fidelity(a, b)
-        f_red = qc.fidelity(qc.partial_trace(a, "P"), qc.partial_trace(b, "P"))
+        a, b = (qc.random_unit_vector(lay.dim, qc.stream(43, t, s)) for s in "ab")
+        # the root fidelity of two pure states is |<a|b>|
+        f_full = abs(np.vdot(a, b))
+        f_red = qc.fidelity(qc.partial_trace(density(a), lay, "P"),
+                            qc.partial_trace(density(b), lay, "P"))
         assert f_red >= f_full - 1e-9
 
 
@@ -394,28 +367,25 @@ def test_fidelity_data_processing_under_partial_trace():
 # ---------------------------------------------------------------------------
 
 def test_conditional_entropy_bell():
-    bell = bell_state("R", "A")
-    assert qc.conditional_entropy(bell, "R", "A") == pytest.approx(-1.0, abs=1e-12)
+    assert qc.conditional_entropy(BELL, BELL_LAYOUT, "R", "A") == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_conditional_entropy_product_maximally_mixed():
     lay = qc.RegisterLayout([("R", 1), ("S", 1)])
     sigma = qc.random_density_matrix(2, qc.stream(50))
     rho = np.kron(sigma, np.eye(2) / 2)  # little-endian: R low bits
-    state = qc.mixed_state(lay, rho)
-    assert qc.conditional_entropy(state, "R", "S") == pytest.approx(1.0, abs=1e-12)
+    assert qc.conditional_entropy(rho, lay, "R", "S") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_entropy_classically_correlated():
     lay = qc.RegisterLayout([("R", 1), ("S", 1)])
     rho = np.diag([0.5, 0, 0, 0.5]).astype(complex)
-    state = qc.mixed_state(lay, rho)
-    assert qc.conditional_entropy(state, "R", "S") == pytest.approx(0.0, abs=1e-12)
+    assert qc.conditional_entropy(rho, lay, "R", "S") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_entropy_rejects_overlap():
     with pytest.raises(ValueError):
-        qc.conditional_entropy(bell_state(), "R", "R")
+        qc.conditional_entropy(BELL, BELL_LAYOUT, "R", "R")
 
 
 @st.composite
@@ -445,19 +415,19 @@ def test_conditional_entropy_pure_matches_dense_reference(case):
     batched = qc.conditional_entropy_pure(vecs, layout, target, side, dephase)
     assert batched.shape == (k,)
     for vec, value in zip(vecs, batched):
-        state = pure(layout, vec)
+        rho = density(vec)
         if basis is not None:
-            state = qc.dephase_register(state, "R", basis)
-        assert value == pytest.approx(qc.conditional_entropy(state, target, side), abs=1e-12)
+            rho = qc.dephase_register(rho, layout, "R", basis)
+        assert value == pytest.approx(qc.conditional_entropy(rho, layout, target, side),
+                                      abs=1e-12)
         single = qc.conditional_entropy_pure(vec[None], layout, target, side, dephase)
         assert single.shape == (1,) and single[0] == value
 
 
 def test_conditional_entropy_pure_rejects_bad_arguments():
     vec = qc.BELL_VECTOR[None]
-    lay = bell_state().layout
     with pytest.raises(ValueError):
-        qc.conditional_entropy_pure(vec, lay, "R", "R")
+        qc.conditional_entropy_pure(vec, BELL_LAYOUT, "R", "R")
     wide = qc.RegisterLayout([("R", 2)])
     with pytest.raises(ValueError):
         qc.conditional_entropy_pure(np.eye(4)[:1], wide, "R", (), ("R", 0))
@@ -547,14 +517,24 @@ def test_assemble_raw_batch_matches_single_assembles():
 def test_move_register_content_roundtrip():
     src = qc.RegisterLayout([("A", 1), ("T", 2)])
     dst = qc.RegisterLayout([("B", 1), ("T", 2)])
-    psi = qc.random_pure_state(src, qc.stream(120))
-    moved = qc.move_register_content(np.asarray(psi.data), src, dst, {"A": "B"})
+    psi = qc.random_unit_vector(src.dim, qc.stream(120))
+    moved = qc.move_register_content(psi, src, dst, {"A": "B"})
     back = qc.move_register_content(moved, dst, src, {"B": "A"})
-    np.testing.assert_allclose(back, psi.data, atol=1e-15)
+    np.testing.assert_allclose(back, psi, atol=1e-15)
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        pure(QUBIT, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        qc.mixed_state(QUBIT, np.array([[0.9, 0.5], [0.1, 0.1]]))
+    qc.check_state(qc.BB84_VECTORS[2], 2)
+    qc.check_state(np.eye(2) / 2, 2)
+    for data, message in [
+        (np.ones(4) / 2, "vector of length 2"),                  # wrong shape
+        (np.eye(4)[:2] / 2, "vector of length 2"),               # wrong shape
+        (np.array([1.0, 1.0]), "norm"),                          # norm sqrt(2)
+        (np.array([[0.9, 0.5], [0.1, 0.1]]), "not Hermitian"),
+        (np.eye(2), "trace"),                                    # trace 2
+    ]:
+        with pytest.raises(ValueError, match=message):
+            qc.check_state(data, 2, "psi")
+    # trace 1 and no eigenvalue above 1, but one is negative
+    with pytest.raises(ValueError, match="not an effect"):
+        qc.check_state(np.diag([0.6, 0.6, -0.2, 0.0]), 4)

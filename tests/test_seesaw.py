@@ -89,7 +89,7 @@ def test_fixed_psi_stays_fixed():
     psi0 = at.unentangled_product_state(layout)
     out = at.seesaw_optimize(an.xor_function(1), kind="meas", restarts=2,
                              iters=15, seed=16, split=(1, 0, 1), fix_psi=psi0)
-    assert abs(np.vdot(out.strategy.psi.data, psi0.data)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(out.strategy.psi, psi0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_split_validation():

@@ -9,19 +9,40 @@ so independent trials can run in parallel without sharing state.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
 from .layout import RegisterLayout
 
 
+def _canonical(part):
+    """A path part as a plain ``str`` or ``int`` (a tuple part part by part):
+    an integer of any type (numpy's included) hashes as the equal ``int``,
+    whose ``repr`` does not change between numpy versions.  Anything else,
+    ``bool`` included, is a TypeError."""
+    if isinstance(part, str):
+        return str(part)
+    if isinstance(part, tuple):
+        return tuple(_canonical(p) for p in part)
+    if not isinstance(part, bool):
+        try:
+            return operator.index(part)
+        except TypeError:
+            pass
+    raise TypeError(f"stream path parts are ints or strs, not {type(part).__name__}")
+
+
 def _path_word(part) -> int:
+    if type(part) is not int and type(part) is not str:
+        part = _canonical(part)
     digest = hashlib.sha256(repr(part).encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
 def stream(seed: int, *path) -> np.random.Generator:
-    """Named child generator of ``seed``; same (seed, path) -> same stream."""
+    """Named child generator of ``seed``; same (seed, path) -> same stream.
+    Path parts are ints, strs or tuples of them (see ``_canonical``)."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_path_word(p) for p in path]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 

@@ -464,6 +464,28 @@ def test_streams_deterministic_and_split():
     assert not np.allclose(u1, u3)
 
 
+# first raw Philox words of fixed (seed, path) streams: the derivation must
+# not change between environments, and a numpy integer is its int value
+GOLDEN_STREAMS = [
+    ((0, "restart", 0), [4907641496119300102, 14870054840795272057, 5567771988758281236]),
+    ((7, "inputs", 3), [15940111220183160965, 17784360322358281544, 17368275152755113120]),
+    ((1, "cit", np.int64(2)), [10909625517196771105, 11599779300888053544,
+                               15639294231308083897]),
+    ((1, "cit", 2), [10909625517196771105, 11599779300888053544, 15639294231308083897]),
+]
+
+
+@pytest.mark.parametrize("address, words", GOLDEN_STREAMS)
+def test_stream_golden_words(address, words):
+    assert qc.stream(*address).bit_generator.random_raw(3).tolist() == words
+
+
+@pytest.mark.parametrize("part", [True, 2.0, None, b"x", np.array([1, 2])])
+def test_stream_rejects_non_integer_parts(part):
+    with pytest.raises(TypeError, match="ints or strs"):
+        qc.stream(0, part)
+
+
 def test_haar_unitary_columns_normalized():
     u = qc.haar_random_unitary(8, qc.stream(100))
     np.testing.assert_allclose(np.linalg.norm(u, axis=0), np.ones(8), atol=1e-10)

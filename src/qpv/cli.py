@@ -54,12 +54,17 @@ def _require_keys(obj: dict, where: str, required: tuple = (), optional: tuple =
 
 
 def _number(value, where: str, cast=int):
-    """``cast(value)`` for a config value; a value the cast rejects (null, a
-    list, a non-numeric string) is a ConfigError naming the object and key."""
+    """``cast(value)`` for a config value.  A value the cast rejects (null, a
+    list, a non-numeric string), a boolean, and for ``int`` a float with a
+    fractional part are ConfigErrors naming the object and key, not values
+    truncated to a number."""
+    expected = "an integer" if cast is int else "a number"
+    truncated = cast is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or truncated:
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError):
-        expected = "an integer" if cast is int else "a number"
         raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
 
 

@@ -201,8 +201,22 @@ GH_PIPES = {"pipes": 2, "bob": {"0": [[1, 2]], "1": []}}
      "config.split: expected three integers, got 5"),
     ("attack-optimize", {"f": {"kind": "xor", "n": 1}, "gardenhose": {"alice": [], **GH_PIPES}},
      "gardenhose.alice: expected an object of pair lists"),
+    # booleans and fractional integers are refused, not truncated
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "xor"}, "rounds": 2.5},
+     "config.rounds: expected an integer, got 2.5"),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "xor"}, "rounds": 5,
+                  "trials": True}, "config.trials: expected an integer, got True"),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "xor", "n": 1.9}, "rounds": 5},
+     "f.n: expected an integer, got 1.9"),
+    ("attack-optimize", {"f": {"kind": "xor", "n": 1}, "restarts": 2.5},
+     "config.restarts: expected an integer, got 2.5"),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "xor"}, "rounds": 5,
+                  "prover": {"kind": "synthetic", "p": True}},
+     "prover.p: expected a number, got True"),
 ], ids=["counting-q", "qubit_bound-n", "synthetic-p", "table", "f-n-null", "rounds-null",
-        "synthetic-p-list", "cc-k-null", "split-int", "gardenhose-alice-list"])
+        "synthetic-p-list", "cc-k-null", "split-int", "gardenhose-alice-list",
+        "rounds-fraction", "trials-bool", "f-n-fraction", "restarts-fraction",
+        "synthetic-p-bool"])
 def test_missing_kind_key_names_object_and_key(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "k.json", payload)
     code, out, err = run_cli(capsys, command, "--config", cfg)

@@ -9,6 +9,7 @@ state moves toward the top eigenvector of the effective Hamiltonian.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ from .strategy import (
 )
 
 DEFAULT_TOL = 1e-9
+# complex cells (rows x dim) of one batch of restarts, at least one restart
+CHUNK_CELLS = 1 << 19
 LOCAL_REGS = (ALICE_LOCAL, BOB_LOCAL)
 FINAL_REGS = (ALICE_FINAL, BOB_FINAL)
 
@@ -83,116 +86,166 @@ def recovery_step(vec, moved, layout, regs, rets):
 
 
 class _Work:
-    """Mutable optimization state; frozen into an AttackStrategy at the end.
+    """Mutable optimization state of a batch of restarts; one restart is
+    frozen into an AttackStrategy at the end.
 
-    ``locals`` stacks Alice's unitaries by x and Bob's by y; ``finale`` stacks
-    K and L (routing) or pi and sigma (measuring) by pair p = x * 2^n + y.
-    Every update scores all pairs in one batch; pairs are independent within
-    an update, so batching leaves each pair's arithmetic as it is.
+    ``psi`` holds one pre-shared state per restart, ``locals`` stacks
+    Alice's unitaries by (restart, x) and Bob's by (restart, y), and
+    ``finale`` stacks K and L (routing) or pi and sigma (measuring) by
+    (restart, pair), pair p = x * 2^n + y.  Every update scores all
+    (restart, pair) rows in one batch, row r * 4^n + p; rows are independent
+    within an update, so batching leaves each row's arithmetic as it is.
     """
 
-    def __init__(self, kind, f, layout, psi_vec, rng, fix_psi):
+    def __init__(self, kind, f, layout, seed, restarts, fix_psi=None):
+        """Draw each restart from its own ``stream(seed, "restart", r)``: psi
+        (unless fixed), Alice's and Bob's unitaries by input, then the
+        finale by pair."""
         self.kind = kind
         self.f = f
         self.layout = layout
-        self.psi = psi_vec
-        self.fix_psi = fix_psi
+        self.fix_psi = fix_psi is not None
         self.side = 1 << f.n
         self.pairs = [(x, y) for x in range(self.side) for y in range(self.side)]
         self.index = tuple(np.array(v) for v in zip(*self.pairs))
         self.values = np.array([f.value(x, y) for x, y in self.pairs])
         self.rets = np.array([returned_register(v) for v in self.values])
-        self.locals = [np.stack([qc.haar_random_unitary(layout.subdim(*regs), rng)
-                                 for _ in range(self.side)]) for regs in LOCAL_REGS]
         draw = qc.haar_random_unitary if kind == "route" else random_effect
-        self.finale = [np.stack([draw(layout.subdim(*regs), rng) for _ in self.pairs])
-                       for regs in FINAL_REGS]
+        psis, locals_, finale = [], [], []
+        for r in restarts:
+            rng = qc.stream(seed, "restart", r)
+            psis.append(fix_psi if self.fix_psi else qc.random_unit_vector(layout.dim, rng))
+            locals_.append([np.stack([qc.haar_random_unitary(layout.subdim(*regs), rng)
+                                      for _ in range(self.side)]) for regs in LOCAL_REGS])
+            finale.append([np.stack([draw(layout.subdim(*regs), rng) for _ in self.pairs])
+                           for regs in FINAL_REGS])
+        self.psi = np.stack(psis)
+        self.locals = [np.stack(stacks) for stacks in zip(*locals_)]
+        self.finale = [np.stack(stacks) for stacks in zip(*finale)]
+
+    def select(self, keep):
+        """The restarts ``keep`` (a mask or index array) as a new batch."""
+        out = copy.copy(self)
+        out.psi = self.psi[keep]
+        out.locals = [stack[keep] for stack in self.locals]
+        out.finale = [stack[keep] for stack in self.finale]
+        return out
 
     # -- batched evaluation (shared kernels in .execute) ----------------------
 
     def _apply(self, vecs, mats, regs):
         return qc.apply_vector_matrix(vecs, self.layout, mats, regs)
 
+    @staticmethod
+    def _rows(stack):
+        """A (restarts, pairs, ...) array as (restarts * pairs, ...) rows."""
+        return stack.reshape(-1, *stack.shape[2:])
+
+    def _row_values(self):
+        return np.tile(self.values, len(self.psi))
+
     def _pair_locals(self, side):
-        """Per-pair stack of one side's local unitaries."""
-        return self.locals[side][self.index[side]]
+        """Per-row stack of one side's local unitaries."""
+        return self._rows(self.locals[side][:, self.index[side]])
+
+    def _finale(self, j):
+        return self._rows(self.finale[j])
+
+    def _per_restart(self, rows):
+        """Rows as (restarts, pairs, ...)."""
+        return rows.reshape(len(self.psi), len(self.pairs), *rows.shape[1:])
 
     def after_locals(self, psi=None):
-        """The (b, 2^n) batch after the local unitaries, one row per pair."""
-        return after_locals(self.psi if psi is None else psi, self.layout,
+        """The batch after the local unitaries, one row per (restart, pair)."""
+        psi = self.psi if psi is None else psi
+        return after_locals(np.repeat(psi, len(self.pairs), axis=0), self.layout,
                             self._pair_locals(0), self._pair_locals(1))
 
     def successes(self, vecs):
-        return pair_success(vecs, self.layout, self.kind, self.values, self.finale)
+        """Success per (restart, pair), as a (restarts, pairs) array."""
+        finale = [self._finale(j) for j in (0, 1)]
+        return self._per_restart(pair_success(vecs, self.layout, self.kind,
+                                              self._row_values(), finale))
 
     def average(self, psi=None):
-        return float(np.mean(self.successes(self.after_locals(psi))))
+        """Average success per restart."""
+        return np.mean(self.successes(self.after_locals(psi)), axis=1)
 
     def _effect(self, vecs):
-        """M|v> per pair, M the final measurement sandwiched by the finale."""
+        """M|v> per row, M the final measurement sandwiched by the finale."""
+        k, l = self._finale(0), self._finale(1)
         if self.kind == "route":
-            k, l = self.finale
-            w = bell_effect(route_finale(vecs, self.layout, k, l), self.layout, self.rets)
+            rets = np.tile(self.rets, len(self.psi))
+            w = bell_effect(route_finale(vecs, self.layout, k, l), self.layout, rets)
             w = self._apply(w, dagger(l), BOB_FINAL)
             return self._apply(w, dagger(k), ALICE_FINAL)
-        return meas_branches(vecs, self.layout, self.values, *self.finale).sum(axis=0)
+        return meas_branches(vecs, self.layout, self._row_values(), k, l).sum(axis=0)
 
     def _per_value(self, per_pair, side):
-        """Sum over the other side's inputs, by this side's input."""
-        return per_pair.reshape(self.side, self.side, *per_pair.shape[1:]).sum(axis=1 - side)
+        """Sum of a (restarts, pairs, ...) array over the other side's
+        inputs, by restart and this side's input."""
+        per_pair = per_pair.reshape(len(self.psi), self.side, self.side, *per_pair.shape[2:])
+        return per_pair.sum(axis=2 - side)
 
     # -- sweep updates ------------------------------------------------------
 
     def update_recovery(self, sub_iters=3):
         vecs = self.after_locals()
+        values = self._row_values()
+        rets = np.tile(self.rets, len(self.psi))
+        finale = [self._finale(j) for j in (0, 1)]   # views: writes land in self.finale
         for side in (0, 1):
-            # pairs returning to this side optimize its recovery unitary
-            idx = np.flatnonzero(self.values == side)
+            # rows returning to this side optimize its recovery unitary
+            idx = np.flatnonzero(values == side)
             if not idx.size:
                 continue
-            regs, rets = FINAL_REGS[side], self.rets[idx]
-            vec = self._apply(vecs[idx], self.finale[1 - side][idx], FINAL_REGS[1 - side])
-            moved = self._apply(vec, self.finale[side][idx], regs)
-            score = bell_overlap(moved, self.layout, rets)
+            regs, row_rets = FINAL_REGS[side], rets[idx]
+            vec = self._apply(vecs[idx], finale[1 - side][idx], FINAL_REGS[1 - side])
+            moved = self._apply(vec, finale[side][idx], regs)
+            score = bell_overlap(moved, self.layout, row_rets)
             active = np.ones(idx.size, dtype=bool)
             for _ in range(sub_iters):
                 cand, cand_moved, cand_score = recovery_step(vec, moved, self.layout,
-                                                             regs, rets)
+                                                             regs, row_rets)
                 active &= cand_score > score + 1e-15
                 if not active.any():
                     break
-                self.finale[side][idx[active]] = cand[active]
+                finale[side][idx[active]] = cand[active]
                 moved[active], score[active] = cand_moved[active], cand_score[active]
 
     def update_effects(self):
         vecs = self.after_locals()
         both = np.concatenate([vecs, vecs])
-        branches = verifier_branches(vecs, self.layout, self.values)
+        branches = verifier_branches(vecs, self.layout, self._row_values())
         # each side's D_z on its finale registers with the other side's
         # effect fixed; Bob sees Alice's fresh effect
         for side in (0, 1):
-            w = self._apply(branches, both_outcomes(self.finale[1 - side]),
+            w = self._apply(branches, both_outcomes(self._finale(1 - side)),
                             FINAL_REGS[1 - side])
             d = qc.reduced_outer(w, both, self.layout, FINAL_REGS[side], order="given")
-            self.finale[side] = helstrom_effect(d[:len(vecs)], d[len(vecs):])
+            self.finale[side] = self._per_restart(helstrom_effect(d[:len(vecs)],
+                                                                  d[len(vecs):]))
 
     def update_local(self, side):
-        """Polar step for every input value of one side at once; each value's
-        unitary only moves its own pairs, so each keeps its own accept test."""
+        """Polar step for every (restart, input value) of one side at once;
+        each value's unitary only moves its own pairs, so each keeps its own
+        accept test."""
         other = 1 - side
         vecs = self.after_locals()
         back = self._apply(self._effect(vecs), dagger(self._pair_locals(other)),
                            LOCAL_REGS[other])
-        grads = qc.reduced_outer(back, self.psi, self.layout, LOCAL_REGS[side],
-                                 order="given")
+        grads = qc.reduced_outer(back, np.repeat(self.psi, len(self.pairs), axis=0),
+                                 self.layout, LOCAL_REGS[side], order="given")
         old_score = self._per_value(self.successes(vecs), side)
         old = self.locals[side]
-        self.locals[side] = polar_unitary(self._per_value(grads, side))
+        self.locals[side] = polar_unitary(self._per_value(self._per_restart(grads), side))
         new_score = self._per_value(self.successes(self.after_locals()), side)
         worse = new_score < old_score - 1e-15
         self.locals[side][worse] = old[worse]
 
     def update_psi(self, power_iters=40):
+        """Power iteration on H = mean_p U_p^dag M_p U_p, per restart; a
+        restart takes the result only if its objective rises."""
         if self.fix_psi:
             return
         undo = [dagger(self._pair_locals(side)) for side in (0, 1)]
@@ -201,20 +254,21 @@ class _Work:
             w = self._effect(self.after_locals(v))
             w = self._apply(w, undo[1], BOB_LOCAL)
             w = self._apply(w, undo[0], ALICE_LOCAL)
-            return w.sum(axis=0) / len(self.pairs)
+            return self._per_restart(w).sum(axis=1) / len(self.pairs)
 
         old_score = self.average()
         v = self.psi.copy()
+        live = np.ones(len(v), dtype=bool)
         for _ in range(power_iters):
             v = hmat_vec(v)
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-30:
-                return
-            v = v / nrm
-        if self.average(v) > old_score + 1e-15:
-            self.psi = v
+            nrm = np.array([np.linalg.norm(row) for row in v])
+            live &= nrm >= 1e-30
+            v[live] /= nrm[live, None]
+        accept = live & (self.average(v) > old_score + 1e-15)
+        self.psi[accept] = v[accept]
 
     def sweep(self):
+        """One sweep of every restart; returns the averages after it."""
         if self.kind == "route":
             self.update_recovery()
         else:
@@ -224,12 +278,13 @@ class _Work:
         self.update_psi()
         return self.average()
 
-    def freeze(self) -> AttackStrategy:
-        psi = self.psi / np.linalg.norm(self.psi)
-        first, second = (dict(zip(self.pairs, stack)) for stack in self.finale)
+    def freeze(self, r: int = 0) -> AttackStrategy:
+        """Restart ``r`` of the batch as a strategy."""
+        psi = self.psi[r] / np.linalg.norm(self.psi[r])
+        first, second = (dict(zip(self.pairs, stack[r])) for stack in self.finale)
         finale = (dict(k_final=first, l_final=second) if self.kind == "route"
                   else dict(pi_effect=first, sigma_effect=second))
-        alice, bob = (dict(enumerate(stack)) for stack in self.locals)
+        alice, bob = (dict(enumerate(stack[r])) for stack in self.locals)
         return AttackStrategy(kind=self.kind, n=self.f.n, layout=self.layout, psi=psi,
                               alice=alice, bob=bob, **finale)
 
@@ -240,6 +295,26 @@ class SeesawOutcome:
     report: AttackReport
     best_value: float
     restart_values: tuple[float, ...]
+
+
+def _sweep_until_stopped(work: _Work, ids, iters: int, tol: float):
+    """Sweep a batch of restarts until each gains less than ``tol`` in a
+    sweep or has had ``iters`` sweeps.  A stopped restart leaves the batch;
+    yields (restart id, final value, batch, its index in the batch) as each
+    stops, before the batch shrinks."""
+    prev = work.average()
+    for _ in range(iters):
+        cur = work.sweep()
+        if np.any(cur < prev - 1e-12):
+            raise AssertionError("see-saw sweep decreased the objective")
+        stop = cur - prev < tol
+        for i in np.flatnonzero(stop):
+            yield int(ids[i]), float(cur[i]), work, i
+        work, ids, prev = work.select(~stop), ids[~stop], cur[~stop]
+        if not len(ids):
+            return
+    for i, r in enumerate(ids):
+        yield int(r), float(prev[i]), work, i
 
 
 def default_split(q: int) -> tuple[int, int, int]:
@@ -274,31 +349,22 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
         if fix_psi.shape != (layout.dim,):
             raise ValueError("fixed psi must be a state vector on the layout")
         qc.check_state(fix_psi, layout.dim, "fixed psi")
-    best: _Work | None = None
-    best_val = -1.0
-    values = []
-    for r in range(restarts):
-        rng = qc.stream(seed, "restart", r)
-        psi_vec = (fix_psi if fix_psi is not None
-                   else qc.random_unit_vector(layout.dim, rng))
-        work = _Work(kind, f, layout, psi_vec, rng, fix_psi is not None)
-        prev = work.average()
-        for _ in range(iters):
-            cur = work.sweep()
-            if cur < prev - 1e-12:
-                raise AssertionError("see-saw sweep decreased the objective")
-            if cur - prev < tol:
-                prev = cur
-                break
-            prev = cur
-        values.append(prev)
-        if prev > best_val:
-            best_val, best = prev, work
+    values = [0.0] * restarts
+    best, best_at = None, (-1.0, 0)
+    # rows x dim complex cells per chunk, the block size of analysis.commcplx
+    per_chunk = max(1, CHUNK_CELLS // ((1 << 2 * f.n) * layout.dim))
+    for start in range(0, restarts, per_chunk):
+        ids = np.arange(start, min(start + per_chunk, restarts))
+        work = _Work(kind, f, layout, seed, ids, fix_psi)
+        for r, value, done, i in _sweep_until_stopped(work, ids, iters, tol):
+            values[r] = value
+            # the first restart to reach the best value wins, as in a scan
+            if value > best_at[0] or (value == best_at[0] and r < best_at[1]):
+                best, best_at = done.select([i]), (value, r)
     strategy = best.freeze()
     report = epsilon_l_report(strategy, f)
     return SeesawOutcome(strategy=strategy, report=report,
-                         best_value=best_val, restart_values=tuple(values))
-
+                         best_value=best_at[0], restart_values=tuple(values))
 
 
 def angle_grid_value(f, resolution: int = 1000, per_x: bool = False) -> float:

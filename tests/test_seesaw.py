@@ -133,3 +133,14 @@ def test_pinned_restart_values(name):
     out = at.seesaw_optimize(seed=0, fix_psi=fix_psi, **cfg)
     np.testing.assert_allclose(out.restart_values, expected, rtol=0, atol=1e-12)
     assert out.report.average == pytest.approx(out.best_value, abs=1e-12)
+
+
+def test_restart_values_do_not_depend_on_chunking(monkeypatch):
+    # two of these restarts stop a sweep before the other two, so the
+    # one-chunk run drops restarts from a live batch
+    cfg = dict(f=an.xor_function(1), q=1, kind="route", restarts=4, iters=40, seed=0)
+    batched = at.seesaw_optimize(**cfg)
+    monkeypatch.setattr(at.seesaw, "CHUNK_CELLS", 1)
+    single = at.seesaw_optimize(**cfg)
+    assert batched.restart_values == single.restart_values
+    assert at.strategy_to_json(batched.strategy) == at.strategy_to_json(single.strategy)

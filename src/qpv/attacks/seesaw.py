@@ -4,7 +4,13 @@ Each sweep optimizes one family at a time holding the rest fixed: unitary
 families move to the polar factor of the linearized objective (accepted
 only when the true objective does not decrease, so sweeps are monotone),
 measurement effects jump to the exact Helstrom optimum, and the shared
-state moves toward the top eigenvector of the effective Hamiltonian.
+state moves to the top Ritz vector of the effective Hamiltonian
+H = mean_p U_p^dag M_p U_p on a short Krylov space that contains it.
+
+Restarts run as one batch (in chunks of at most CHUNK_CELLS complex
+cells): every update is one stacked kernel call over (restart, pair) rows,
+while each restart draws from its own stream, keeps its own accept tests
+and stops on its own, so its values do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -39,8 +45,12 @@ from .strategy import (
 )
 
 DEFAULT_TOL = 1e-9
-# complex cells (rows x dim) of one batch of restarts, at least one restart
+# complex cells (rows x dim) of one batch of restarts, at least one restart;
+# the block size of the CC enumeration in analysis.commcplx
 CHUNK_CELLS = 1 << 19
+RECOVERY_STEPS = 3        # polar steps per recovery update
+KRYLOV_PRODUCTS = 16      # products of H per psi step
+KRYLOV_BREAKDOWN = 1e-12  # residual norm below which psi's Krylov space is complete
 LOCAL_REGS = (ALICE_LOCAL, BOB_LOCAL)
 FINAL_REGS = (ALICE_FINAL, BOB_FINAL)
 
@@ -89,12 +99,13 @@ class _Work:
     """Mutable optimization state of a batch of restarts; one restart is
     frozen into an AttackStrategy at the end.
 
-    ``psi`` holds one pre-shared state per restart, ``locals`` stacks
-    Alice's unitaries by (restart, x) and Bob's by (restart, y), and
-    ``finale`` stacks K and L (routing) or pi and sigma (measuring) by
-    (restart, pair), pair p = x * 2^n + y.  Every update scores all
-    (restart, pair) rows in one batch, row r * 4^n + p; rows are independent
-    within an update, so batching leaves each row's arithmetic as it is.
+    ``ids`` are the restarts' indices and ``psi`` holds one pre-shared state
+    per restart.  ``locals`` stacks Alice's unitaries by (restart, x) and
+    Bob's by (restart, y); ``finale`` stacks K and L (routing) or pi and
+    sigma (measuring) by (restart, pair), pair p = x * 2^n + y.  Every
+    update scores all (restart, pair) rows in one batch, row r * 4^n + p;
+    rows are independent within an update, so batching leaves each row's
+    arithmetic as it is.
     """
 
     def __init__(self, kind, f, layout, seed, restarts, fix_psi=None):
@@ -104,6 +115,7 @@ class _Work:
         self.kind = kind
         self.f = f
         self.layout = layout
+        self.ids = np.asarray(restarts)
         self.fix_psi = fix_psi is not None
         self.side = 1 << f.n
         self.pairs = [(x, y) for x in range(self.side) for y in range(self.side)]
@@ -126,6 +138,7 @@ class _Work:
     def select(self, keep):
         """The restarts ``keep`` (a mask or index array) as a new batch."""
         out = copy.copy(self)
+        out.ids = self.ids[keep]
         out.psi = self.psi[keep]
         out.locals = [stack[keep] for stack in self.locals]
         out.finale = [stack[keep] for stack in self.finale]
@@ -141,8 +154,9 @@ class _Work:
         """A (restarts, pairs, ...) array as (restarts * pairs, ...) rows."""
         return stack.reshape(-1, *stack.shape[2:])
 
-    def _row_values(self):
-        return np.tile(self.values, len(self.psi))
+    def _tiled(self, per_pair):
+        """A per-pair array repeated for every restart, one entry per row."""
+        return np.tile(per_pair, len(self.psi))
 
     def _pair_locals(self, side):
         """Per-row stack of one side's local unitaries."""
@@ -165,7 +179,7 @@ class _Work:
         """Success per (restart, pair), as a (restarts, pairs) array."""
         finale = [self._finale(j) for j in (0, 1)]
         return self._per_restart(pair_success(vecs, self.layout, self.kind,
-                                              self._row_values(), finale))
+                                              self._tiled(self.values), finale))
 
     def average(self, psi=None):
         """Average success per restart."""
@@ -175,11 +189,11 @@ class _Work:
         """M|v> per row, M the final measurement sandwiched by the finale."""
         k, l = self._finale(0), self._finale(1)
         if self.kind == "route":
-            rets = np.tile(self.rets, len(self.psi))
-            w = bell_effect(route_finale(vecs, self.layout, k, l), self.layout, rets)
+            w = bell_effect(route_finale(vecs, self.layout, k, l), self.layout,
+                            self._tiled(self.rets))
             w = self._apply(w, dagger(l), BOB_FINAL)
             return self._apply(w, dagger(k), ALICE_FINAL)
-        return meas_branches(vecs, self.layout, self._row_values(), k, l).sum(axis=0)
+        return meas_branches(vecs, self.layout, self._tiled(self.values), k, l).sum(axis=0)
 
     def _per_value(self, per_pair, side):
         """Sum of a (restarts, pairs, ...) array over the other side's
@@ -189,10 +203,9 @@ class _Work:
 
     # -- sweep updates ------------------------------------------------------
 
-    def update_recovery(self, sub_iters=3):
+    def update_recovery(self):
         vecs = self.after_locals()
-        values = self._row_values()
-        rets = np.tile(self.rets, len(self.psi))
+        values, rets = self._tiled(self.values), self._tiled(self.rets)
         finale = [self._finale(j) for j in (0, 1)]   # views: writes land in self.finale
         for side in (0, 1):
             # rows returning to this side optimize its recovery unitary
@@ -204,7 +217,7 @@ class _Work:
             moved = self._apply(vec, finale[side][idx], regs)
             score = bell_overlap(moved, self.layout, row_rets)
             active = np.ones(idx.size, dtype=bool)
-            for _ in range(sub_iters):
+            for _ in range(RECOVERY_STEPS):
                 cand, cand_moved, cand_score = recovery_step(vec, moved, self.layout,
                                                              regs, row_rets)
                 active &= cand_score > score + 1e-15
@@ -216,7 +229,7 @@ class _Work:
     def update_effects(self):
         vecs = self.after_locals()
         both = np.concatenate([vecs, vecs])
-        branches = verifier_branches(vecs, self.layout, self._row_values())
+        branches = verifier_branches(vecs, self.layout, self._tiled(self.values))
         # each side's D_z on its finale registers with the other side's
         # effect fixed; Bob sees Alice's fresh effect
         for side in (0, 1):
@@ -243,9 +256,17 @@ class _Work:
         worse = new_score < old_score - 1e-15
         self.locals[side][worse] = old[worse]
 
-    def update_psi(self, power_iters=40):
-        """Power iteration on H = mean_p U_p^dag M_p U_p, per restart; a
-        restart takes the result only if its objective rises."""
+    def update_psi(self):
+        """Rayleigh-Ritz step on H = mean_p U_p^dag M_p U_p, per restart.
+
+        Builds the Krylov space of H at psi from KRYLOV_PRODUCTS products,
+        each new vector reorthogonalised against all earlier ones twice,
+        stopping early once no restart has a new direction left.  The top
+        Ritz vector comes from Q^dag (H Q) and the stored images, with no
+        further product.  psi lies in the space, so the Ritz value is never
+        below its objective; a restart takes the Ritz vector only if its
+        objective rises.
+        """
         if self.fix_psi:
             return
         undo = [dagger(self._pair_locals(side)) for side in (0, 1)]
@@ -257,14 +278,37 @@ class _Work:
             return self._per_restart(w).sum(axis=1) / len(self.pairs)
 
         old_score = self.average()
-        v = self.psi.copy()
-        live = np.ones(len(v), dtype=bool)
-        for _ in range(power_iters):
-            v = hmat_vec(v)
-            nrm = np.array([np.linalg.norm(row) for row in v])
-            live &= nrm >= 1e-30
-            v[live] /= nrm[live, None]
-        accept = live & (self.average(v) > old_score + 1e-15)
+        count = len(self.psi)
+        basis = np.zeros((count, KRYLOV_PRODUCTS, self.layout.dim), dtype=complex)
+        images = np.zeros_like(basis)
+        size = np.zeros(count, dtype=int)        # basis vectors per restart
+        live = np.ones(count, dtype=bool)
+        q = self.psi / np.linalg.norm(self.psi, axis=1, keepdims=True)
+        for k in range(KRYLOV_PRODUCTS):
+            basis[:, k], images[:, k] = q, hmat_vec(q)
+            size += live
+            if k + 1 == KRYLOV_PRODUCTS:
+                break
+            w = images[:, k]
+            for _ in range(2):
+                coef = np.einsum("rkd,rd->rk", basis[:, :k + 1].conj(), w)
+                w = w - np.einsum("rk,rkd->rd", coef, basis[:, :k + 1])
+            beta = np.linalg.norm(w, axis=1)
+            live &= beta >= KRYLOV_BREAKDOWN
+            if not live.any():
+                break
+            q = w / np.where(live, beta, np.inf)[:, None]   # a stopped restart adds zeros
+        used = int(size.max())
+        basis, images = basis[:, :used], images[:, :used]
+        proj = basis.conj() @ images.swapaxes(1, 2)
+        proj = (proj + dagger(proj)) / 2
+        # a restart's unused (zero) columns get Ritz value -1, below any of H >= 0
+        rows, cols = np.nonzero(np.arange(used) >= size[:, None])
+        proj[rows, cols, cols] = -1.0
+        top = np.linalg.eigh(proj)[1][:, :, -1]
+        v = np.einsum("rk,rkd->rd", top, basis)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        accept = self.average(v) > old_score + 1e-15
         self.psi[accept] = v[accept]
 
     def sweep(self):
@@ -297,11 +341,11 @@ class SeesawOutcome:
     restart_values: tuple[float, ...]
 
 
-def _sweep_until_stopped(work: _Work, ids, iters: int, tol: float):
+def _sweep_until_stopped(work: _Work, iters: int, tol: float):
     """Sweep a batch of restarts until each gains less than ``tol`` in a
     sweep or has had ``iters`` sweeps.  A stopped restart leaves the batch;
-    yields (restart id, final value, batch, its index in the batch) as each
-    stops, before the batch shrinks."""
+    yields (restart id, final value, that restart as a batch of one) as each
+    stops."""
     prev = work.average()
     for _ in range(iters):
         cur = work.sweep()
@@ -309,12 +353,12 @@ def _sweep_until_stopped(work: _Work, ids, iters: int, tol: float):
             raise AssertionError("see-saw sweep decreased the objective")
         stop = cur - prev < tol
         for i in np.flatnonzero(stop):
-            yield int(ids[i]), float(cur[i]), work, i
-        work, ids, prev = work.select(~stop), ids[~stop], cur[~stop]
-        if not len(ids):
+            yield int(work.ids[i]), float(cur[i]), work.select([i])
+        work, prev = work.select(~stop), cur[~stop]
+        if not len(prev):
             return
-    for i, r in enumerate(ids):
-        yield int(r), float(prev[i]), work, i
+    for i, r in enumerate(work.ids):
+        yield int(r), float(prev[i]), work.select([i])
 
 
 def default_split(q: int) -> tuple[int, int, int]:
@@ -351,16 +395,15 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
         qc.check_state(fix_psi, layout.dim, "fixed psi")
     values = [0.0] * restarts
     best, best_at = None, (-1.0, 0)
-    # rows x dim complex cells per chunk, the block size of analysis.commcplx
     per_chunk = max(1, CHUNK_CELLS // ((1 << 2 * f.n) * layout.dim))
     for start in range(0, restarts, per_chunk):
-        ids = np.arange(start, min(start + per_chunk, restarts))
-        work = _Work(kind, f, layout, seed, ids, fix_psi)
-        for r, value, done, i in _sweep_until_stopped(work, ids, iters, tol):
+        work = _Work(kind, f, layout, seed, range(start, min(start + per_chunk, restarts)),
+                     fix_psi)
+        for r, value, single in _sweep_until_stopped(work, iters, tol):
             values[r] = value
             # the first restart to reach the best value wins, as in a scan
             if value > best_at[0] or (value == best_at[0] and r < best_at[1]):
-                best, best_at = done.select([i]), (value, r)
+                best, best_at = single, (value, r)
     strategy = best.freeze()
     report = epsilon_l_report(strategy, f)
     return SeesawOutcome(strategy=strategy, report=report,

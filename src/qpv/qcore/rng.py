@@ -30,7 +30,8 @@ def _canonical(part):
             return operator.index(part)
         except TypeError:
             pass
-    raise TypeError(f"stream path parts are ints or strs, not {type(part).__name__}")
+    raise TypeError(f"stream path parts are ints, strs or tuples of them, not "
+                    f"{type(part).__name__}")
 
 
 def _path_word(part) -> int:

@@ -482,7 +482,7 @@ def test_stream_golden_words(address, words):
 
 @pytest.mark.parametrize("part", [True, 2.0, None, b"x", np.array([1, 2])])
 def test_stream_rejects_non_integer_parts(part):
-    with pytest.raises(TypeError, match="ints or strs"):
+    with pytest.raises(TypeError, match="ints, strs or tuples"):
         qc.stream(0, part)
 
 

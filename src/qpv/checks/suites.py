@@ -8,6 +8,7 @@ is deterministic under its seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -34,8 +35,7 @@ SQRT3_HALF = math.sqrt(3.0) / 2.0
 def check_cit(trials: int = 1000, max_side_qubits: int = 2, seed: int = 0) -> BoundReport:
     """H(measured R with E) + H(conjugately measured R with F) >= 1."""
     widths, vecs = [], []
-    for t in range(trials):
-        rng = qc.stream(seed, "cit", t)
+    for t, rng in enumerate(qc.trial_streams(seed, "cit", trials)):
         we = 1 + int(rng.integers(max_side_qubits))
         wf = 1 + int(rng.integers(max_side_qubits))
         widths.append((we, wf))
@@ -74,10 +74,10 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
     overlaps = []
     # each trial draws from its own stream; the applies run in blocks of 100
     # trials, to bound memory
+    streams = qc.trial_streams(seed, "overlap", trials)
     for start in range(0, trials, 100):
         draws = []
-        for t in range(start, min(start + 100, trials)):
-            rng = qc.stream(seed, "overlap", t)
+        for rng in itertools.islice(streams, 100):
             draws.append((
                 qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "A")), rng),
                 qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "B")), rng),
@@ -118,8 +118,7 @@ def check_low_fidelity_route(eps: float = 0.41, trials: int = 100,
     bound = SQRT3_HALF - 2 * eps
     worst = math.inf
     witness = {}
-    for t in range(trials):
-        rng = qc.stream(seed, "route-sep", t)
+    for t, rng in enumerate(qc.trial_streams(seed, "route-sep", trials)):
         psi0 = route_member(layout, "S0", eps, rng)
         psi1 = route_member(layout, "S1", eps, rng)
         dist = qc.purified_distance_pure(psi0, psi1)
@@ -150,8 +149,7 @@ def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
     constant = afw_bound(delta)
     layout = qc.RegisterLayout([("R", 1), ("E", 1), ("F", 1)])
     vecs, chis, dists = [], [], []
-    for t in range(trials):
-        rng = qc.stream(seed, "afw", t)
+    for t, rng in enumerate(qc.trial_streams(seed, "afw", trials)):
         vecs.append(qc.random_unit_vector(layout.dim, rng))
         chi, sin_a = perturb_within(vecs[-1], delta, rng)
         chis.append(chi)
@@ -182,8 +180,7 @@ def check_fano_chain(eps: float = 0.3, trials: int = 1000, seed: int = 0) -> Bou
     layout = qc.RegisterLayout([("R", 1), ("W", 1), ("P", 1)])
     vecs = np.zeros((trials, layout.dim), dtype=complex)
     errors = np.zeros(trials)
-    for t in range(trials):
-        rng = qc.stream(seed, "fano", t)
+    for t, rng in enumerate(qc.trial_streams(seed, "fano", trials)):
         e = err_cap * rng.random()
         errors[t] = e
         if t % 2 == 0:
@@ -225,8 +222,7 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
     phi0 = np.zeros((trials, layout.dim), dtype=complex)
     phi1 = np.zeros((trials, layout.dim), dtype=complex)
     dists = np.zeros(trials)
-    for t in range(trials):
-        rng = qc.stream(seed, "meas-sep", t)
+    for t, rng in enumerate(qc.trial_streams(seed, "meas-sep", trials)):
         phi0[t] = meas_member(layout, "S0", 0.25, rng)
         phi1[t] = meas_member(layout, "S1", 0.25, rng)
         dists[t] = qc.purified_distance_pure(phi0[t], phi1[t])
@@ -260,8 +256,7 @@ def check_m1_m2(trials: int = 1000, seed: int = 0) -> BoundReport:
     """Both directions of the Bell-test vs sampled-basis-test comparison."""
     worst = math.inf
     witness = {}
-    for t in range(trials):
-        rng = qc.stream(seed, "m1m2", t)
+    for t, rng in enumerate(qc.trial_streams(seed, "m1m2", trials)):
         rho = qc.random_density_matrix(4, rng)
         m1 = m1_accept_probability(rho)
         m2 = m2_accept_probability(rho)
@@ -358,8 +353,7 @@ def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundRe
     rest = rest_registers(layout, "R", "A")
     worst = 0.0
     witness = {}
-    for t in range(trials):
-        rng = qc.stream(seed, "uhlmann", t)
+    for t, rng in enumerate(qc.trial_streams(seed, "uhlmann", trials)):
         vec = qc.random_unit_vector(layout.dim, rng)
         v = _bell_partial_inner(vec, layout)
         p_opt = math.sqrt(max(0.0, 1.0 - float(np.vdot(v, v).real)))

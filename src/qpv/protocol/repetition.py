@@ -114,11 +114,11 @@ def draw_trials(config: NoisyRepeatConfig, protocol: str, f, prover=HONEST, seed
     xs = np.empty((trials, rounds), dtype=np.int64)
     ys = np.empty_like(xs)
     accepted = np.empty((trials, rounds), dtype=bool)
-    for t in range(trials):
-        inputs = qc.stream(seed, "inputs", t)
+    for t, inputs in enumerate(qc.trial_streams(seed, "inputs", trials)):
         xs[t] = inputs.integers(side, size=rounds)
         ys[t] = inputs.integers(side, size=rounds)
-        accepted[t] = qc.stream(seed, "round", t).random(rounds) < table[xs[t], ys[t]]
+    for t, verdicts in enumerate(qc.trial_streams(seed, "round", trials)):
+        accepted[t] = verdicts.random(rounds) < table[xs[t], ys[t]]
     return TrialDraws(table, xs, ys, accepted)
 
 

@@ -39,6 +39,7 @@ from .rng import (
     random_pure_state,
     random_unit_vector,
     stream,
+    trial_streams,
 )
 from .state import (
     BB84_VECTORS,

@@ -24,7 +24,8 @@ MAX_QUBITS = 16
 @dataclass(frozen=True)
 class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
-    _offsets: dict[str, int] = field(init=False, repr=False, compare=False)
+    # name -> (offset, width), set at construction
+    _slots: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __init__(self, registers):
         regs = tuple((str(name), int(width)) for name, width in registers)
@@ -37,13 +38,13 @@ class RegisterLayout:
         total = sum(width for _, width in regs)
         if total > MAX_QUBITS:
             raise ValueError(f"{total} qubits exceeds the {MAX_QUBITS}-qubit cap")
-        offsets = {}
+        slots = {}
         at = 0
         for name, width in regs:
-            offsets[name] = at
+            slots[name] = (at, width)
             at += width
         object.__setattr__(self, "registers", regs)
-        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_slots", slots)
 
     @property
     def total_qubits(self) -> int:
@@ -57,24 +58,25 @@ class RegisterLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.registers)
 
+    def _slot(self, name: str) -> tuple[int, int]:
+        try:
+            return self._slots[name]
+        except KeyError:
+            raise KeyError(f"unknown register {name!r}") from None
+
     def width(self, name: str) -> int:
-        for reg, w in self.registers:
-            if reg == name:
-                return w
-        raise KeyError(f"unknown register {name!r}")
+        return self._slot(name)[1]
 
     def positions(self, *names: str) -> list[int]:
         """Global qubit indices of the named registers, in the given order."""
         out: list[int] = []
         for name in names:
-            if name not in self._offsets:
-                raise KeyError(f"unknown register {name!r}")
-            off = self._offsets[name]
-            out.extend(range(off, off + self.width(name)))
+            off, width = self._slot(name)
+            out.extend(range(off, off + width))
         return out
 
     def subdim(self, *names: str) -> int:
-        return 1 << len(self.positions(*names))
+        return 1 << sum(self._slot(name)[1] for name in names)
 
     def restricted(self, *names: str) -> "RegisterLayout":
         """Layout containing only the named registers, in layout order."""

@@ -15,6 +15,14 @@ import numpy as np
 
 from .layout import RegisterLayout
 
+MASK32 = 0xFFFFFFFF
+MASK64 = 0xFFFFFFFFFFFFFFFF
+# numpy's SeedSequence: pool size and hash constants (numpy/random/bit_generator.pyx)
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
 
 def _canonical(part):
     """A path part as a plain ``str`` or ``int`` (a tuple part part by part):
@@ -44,8 +52,94 @@ def _path_word(part) -> int:
 def stream(seed: int, *path) -> np.random.Generator:
     """Named child generator of ``seed``; same (seed, path) -> same stream.
     Path parts are ints, strs or tuples of them (see ``_canonical``)."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_path_word(p) for p in path]
+    entropy = [int(seed) & MASK64] + [_path_word(p) for p in path]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as ``SeedSequence`` reads it: its minimal
+    little-endian 32-bit words, ``[0]`` for 0."""
+    out = [n & MASK32]
+    while n > MASK32:
+        n >>= 32
+        out.append(n & MASK32)
+    return out
+
+
+def _seed_keys(words: np.ndarray) -> np.ndarray:
+    """Philox keys of ``Philox(SeedSequence(entropy))`` for each row of a
+    ``(m, L)`` uint32 array of entropy words, as an ``(m, 2)`` uint64 array:
+    ``SeedSequence``'s pool mixing and ``generate_state(2, np.uint64)``, one
+    array operation per step over all rows.  The hash constants advance with
+    the step count only, so they are shared by every row."""
+    rows, length = words.shape
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * MULT_A & MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * MIX_MULT_L - y * MIX_MULT_R
+        return out ^ (out >> 16)
+
+    pool = [hashmix(words[:, i] if i < length else np.zeros(rows, np.uint32))
+            for i in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(POOL_SIZE, length):
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    state = np.empty((rows, 4), np.uint32)
+    hash_const = INIT_B
+    for i in range(4):
+        value = pool[i] ^ hash_const
+        hash_const = hash_const * MULT_B & MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    # generate_state(2, np.uint64) reads each pair of words little-endian
+    state = state.astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+def trial_streams(seed: int, name, trials: int):
+    """The streams ``stream(seed, name, t)`` for t = 0 .. trials - 1, in order.
+
+    Every Philox key is derived up front in one vectorised pass, and one
+    ``Generator`` is re-keyed for each trial (counter 0, empty buffer), so
+    its draws equal those of ``stream(seed, name, t)``.  A yielded generator
+    is valid only until the next one is taken: draw what a trial needs before
+    advancing.  A bad ``name`` raises here, not on the first ``next``.
+    """
+    prefix = _words(int(seed) & MASK64) + _words(_path_word(name))
+    trial_words = np.array([_path_word(t) for t in range(trials)], dtype=np.uint64)
+    words = np.empty((trials, len(prefix) + 2), np.uint32)
+    words[:, :-2] = prefix
+    words[:, -2] = trial_words & MASK32
+    words[:, -1] = trial_words >> 32
+    # a trial word below 2^32 is one entropy word, not two
+    keys = np.empty((trials, 2), np.uint64)
+    short = words[:, -1] == 0
+    keys[short] = _seed_keys(words[short, :-1])
+    keys[~short] = _seed_keys(words[~short])
+    return _rekeyed(keys)
+
+
+def _rekeyed(keys: np.ndarray):
+    gen = np.random.Generator(np.random.Philox(0))
+    bit_generator = gen.bit_generator
+    # the state of a fresh Philox; plain lists set it faster than arrays
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield gen
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:

@@ -74,6 +74,15 @@ def test_layout_positions_and_widths():
     assert lay.positions("B", "R") == [3, 0]
     assert lay.positions("At") == []
     assert lay.width("At") == 0
+    assert lay.subdim("A", "B") == 8
+    assert lay.subdim() == 1
+
+
+@pytest.mark.parametrize("lookup", ["width", "positions", "subdim"])
+def test_layout_unknown_register_is_a_key_error(lookup):
+    lay = qc.RegisterLayout([("R", 1), ("A", 2)])
+    with pytest.raises(KeyError, match="unknown register 'Z'"):
+        getattr(lay, lookup)("Z")
 
 
 def test_layout_rejects_duplicates_and_cap():

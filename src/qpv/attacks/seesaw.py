@@ -45,8 +45,7 @@ from .strategy import (
 )
 
 DEFAULT_TOL = 1e-9
-# complex cells (rows x dim) of one batch of restarts, at least one restart;
-# the block size of the CC enumeration in analysis.commcplx
+# complex cells (rows x dim) of one batch of restarts, at least one restart
 CHUNK_CELLS = 1 << 19
 RECOVERY_STEPS = 3        # polar steps per recovery update
 KRYLOV_PRODUCTS = 16      # products of H per psi step

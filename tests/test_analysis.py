@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpv import analysis as an
+from qpv.analysis import commcplx
+
+from cc_reference import oneway_cc_reference, smp_cc_reference
 
 
 def negated(f):
@@ -256,15 +259,70 @@ def test_cc_pinned_values():
     assert an.oneway_cc_bruteforce(an.ip_function(4), 1) == Fraction(45, 128)
 
 
-@pytest.mark.parametrize("model,n,k", [("smp", 2, 3), ("smp", 1, 6), ("oneway", 1, 12)])
+# every (model, n, k) inside PAIR_BUDGET with k < n, so with enumeration
+CC_CASES = [("oneway", 2, 1), ("oneway", 3, 1), ("oneway", 3, 2), ("oneway", 4, 1),
+            ("smp", 2, 1), ("smp", 3, 1)]
+CC_BRUTEFORCE = {"smp": an.smp_cc_bruteforce, "oneway": an.oneway_cc_bruteforce}
+
+
+def cc_tables(n):
+    return st.lists(st.integers(0, 1), min_size=4 ** n, max_size=4 ** n).map(
+        lambda bits: an.BooleanFunction(n, np.array(bits, dtype=np.uint8)))
+
+
+@pytest.mark.parametrize("model,n,k", CC_CASES)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_cc_matches_dense_reference(model, n, k, data):
+    f = data.draw(cc_tables(n))
+    reference = smp_cc_reference if model == "smp" else oneway_cc_reference
+    assert CC_BRUTEFORCE[model](f, k) == reference(f, k)
+
+
+@pytest.mark.parametrize("model,n,k", CC_CASES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_cc_invariant_under_input_relabelling(model, n, k, data):
+    # Alice's maps fix a(0) = 0; relabelled inputs move which x is 0
+    f = data.draw(cc_tables(n))
+    side = 1 << n
+    xs = data.draw(st.permutations(range(side)))
+    ys = data.draw(st.permutations(range(side)))
+    m = f.communication_matrix()
+    permuted = an.BooleanFunction(n, m[np.ix_(xs, ys)].reshape(-1))
+    bruteforce = CC_BRUTEFORCE[model]
+    err = bruteforce(f, k)
+    assert bruteforce(permuted, k) == err
+    if model == "smp":
+        assert bruteforce(an.BooleanFunction(n, m.T.reshape(-1)), k) == err
+
+
+def test_cc_k_at_least_n_skips_enumeration(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated although k >= n")
+
+    monkeypatch.setattr(commcplx, "_least_error", enumerate_nothing)
+    # SMP IP2 k=3 is inside the budget, and one block over all pairs was 8 GiB
+    assert an.smp_cc_bruteforce(an.ip_function(2), 3) == 0
+    assert an.oneway_cc_bruteforce(an.ip_function(2), 2) == 0
+    # the budget guard runs before the k >= n shortcut
+    with pytest.raises(an.BudgetExceeded):
+        an.oneway_cc_bruteforce(an.ip_function(3), 4)
+
+
+@pytest.mark.parametrize("model,n,k", [("smp", 2, 3), ("smp", 1, 6), ("oneway", 1, 12),
+                                       ("oneway", 4, 1), ("oneway", 3, 2), ("smp", 3, 1)])
 def test_cc_blocks_stay_small(model, n, k):
-    # within the pair budget, but one block over all pairs would have 2^30
-    # (smp n=2 k=3), 2^36 (smp n=1 k=6) or 2^37 (oneway) int64 entries
-    bruteforce = an.smp_cc_bruteforce if model == "smp" else an.oneway_cc_bruteforce
+    # the first three are within the pair budget, but one block over all
+    # pairs would have 2^30 (smp n=2 k=3), 2^36 (smp n=1 k=6) or 2^37
+    # (oneway) int64 entries; with k >= n they now return 0 unenumerated.
+    # The last three are the largest sizes the budget lets enumerate.
+    expected = {("oneway", 4, 1): Fraction(45, 128), ("oneway", 3, 2): Fraction(3, 16),
+                ("smp", 3, 1): Fraction(21, 64)}.get((model, n, k), 0)
     tracemalloc.start()
     try:
-        assert bruteforce(an.ip_function(n), k) == 0
+        assert CC_BRUTEFORCE[model](an.ip_function(n), k) == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 << 22
+    assert peak <= 1 << 22

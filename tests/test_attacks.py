@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpv import analysis as an
 from qpv import attacks as at
@@ -226,6 +228,46 @@ def test_strategy_serialization_lossless():
     assert at.strategy_to_json(back) == text
     for x, y in XOR.pairs():
         assert at.execute_route(back, XOR, x, y) == at.execute_route(strat, XOR, x, y)
+
+
+def _encode_per_element(mat):
+    """The reference encoder: each entry formatted on its own."""
+    return [[f"{v.real.hex()},{v.imag.hex()}" for v in row]
+            for row in np.asarray(mat, dtype=complex)]
+
+
+# signed zeros, neighbours one ulp apart, subnormals and non-finite values,
+# drawn often enough that entries repeat
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0),
+                                math.nextafter(1.0, 0.0), 5e-324, -5e-324, 0.5,
+                                math.inf, -math.inf, math.nan])
+_PART = _EDGE_FLOATS | st.floats(allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_encode_matrix_matches_per_element_formatting(rows, cols, data):
+    parts = data.draw(st.lists(st.tuples(_PART, _PART), min_size=rows * cols,
+                               max_size=rows * cols))
+    mat = np.array([complex(re, im) for re, im in parts]).reshape(rows, cols)
+    for m in (mat, mat.T):
+        assert at.strategy._encode_matrix(m) == _encode_per_element(m)
+    back = at.strategy._decode_matrix(at.strategy._encode_matrix(mat))
+    finite = np.isfinite(mat.real) & np.isfinite(mat.imag)
+    assert np.array_equal(back.view(np.uint64).reshape(rows, cols, 2)[finite],
+                          mat.view(np.uint64).reshape(rows, cols, 2)[finite])
+
+
+def test_gardenhose_strategy_json_round_trips():
+    gh = at.GardenHoseProtocol(pipes=2, alice={0: (("S", 1),), 1: (("S", 1),)},
+                               bob={0: ((1, 2),), 1: ()})
+    strat = at.compile_gardenhose(gh)
+    text = at.strategy_to_json(strat)
+    back = at.strategy_from_json(text)
+    assert at.strategy_to_json(back) == text
+    assert np.array_equal(back.psi, strat.psi)
+    for x in (0, 1):
+        assert np.array_equal(back.alice_unitary(x), strat.alice_unitary(x))
 
 
 def test_meas_strategy_serialization():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -381,4 +384,227 @@ def test_seed_can_come_from_config(tmp_path, capsys):
     })
     code, out, _ = run_cli(capsys, "simulate", "--config", cfg)
     assert code == cli.EXIT_OK
+    assert json.loads(out)["provenance"]["seed"] == 123
+
+
+SIM = {"protocol": "meas", "n": 1, "f": {"kind": "xor"}, "rounds": 5}
+ATT = {"f": {"kind": "xor", "n": 1}}
+GH = {"pipes": 2, "alice": {"0": [["S", 1]], "1": [["S", 1]]}, "bob": {"0": [[1, 2]], "1": []}}
+
+
+def _with(base, **changes):
+    return {**base, **changes}
+
+
+def _prover(**spec):
+    return _with(SIM, prover=spec)
+
+
+def _gh(**changes):
+    return _with(ATT, gardenhose=_with(GH, **changes))
+
+
+# every config error the CLI reports, one per check, with its exact stderr
+# and exit code; the last few have two faults and pin which is reported
+PINNED_ERRORS = {
+    # simulate: the top-level object
+    "sim-unknown-key": ("simulate", _with(SIM, bogus=1), "config: unknown keys ['bogus']"),
+    "sim-missing-keys": ("simulate", {"protocol": "meas", "f": {"kind": "xor"}},
+                         "config: missing keys ['n', 'rounds']"),
+    "sim-protocol": ("simulate", _with(SIM, protocol="nope"), "unknown protocol 'nope'"),
+    "sim-rounds-null": ("simulate", _with(SIM, rounds=None),
+                        "config.rounds: expected an integer, got None"),
+    "sim-rounds-bool": ("simulate", _with(SIM, rounds=True),
+                        "config.rounds: expected an integer, got True"),
+    "sim-rounds-fraction": ("simulate", _with(SIM, rounds=2.5),
+                            "config.rounds: expected an integer, got 2.5"),
+    "sim-rounds-text": ("simulate", _with(SIM, rounds="abc"),
+                        "config.rounds: expected an integer, got 'abc'"),
+    "sim-trials-bool": ("simulate", _with(SIM, trials=False),
+                        "config.trials: expected an integer, got False"),
+    "sim-eta-null": ("simulate", _with(SIM, eta=None), "config.eta: expected a number, got None"),
+    "sim-eta-bool": ("simulate", _with(SIM, eta=True), "config.eta: expected a number, got True"),
+    "sim-eta-range": ("simulate", _with(SIM, eta=0.5), "noise level must be in [0, 0.01]"),
+    "sim-rounds-zero": ("simulate", _with(SIM, rounds=0), "rounds and trials must be positive"),
+    "sim-trials-negative": ("simulate", _with(SIM, trials=-1),
+                            "rounds and trials must be positive"),
+    "sim-budget": ("simulate", _with(SIM, rounds=5_000_001),
+                   "budget exceeded: 5000001x1 rounds exceed the simulation budget", 3),
+    "sim-noise-mode": ("simulate", _with(SIM, noise_mode="gaussian"),
+                       "unknown noise mode 'gaussian'"),
+    "sim-seed-fraction": ("simulate", _with(SIM, seed=1.5),
+                          "config.seed: expected an integer, got 1.5"),
+    "sim-seed-bool": ("simulate", _with(SIM, seed=True),
+                      "config.seed: expected an integer, got True"),
+    # the function spec
+    "f-not-object": ("simulate", _with(SIM, f=3), "f: expected an object"),
+    "f-unknown-key": ("simulate", _with(SIM, f={"kind": "xor", "q": 1}), "f: unknown keys ['q']"),
+    "f-missing-kind": ("simulate", _with(SIM, f={"n": 1}), "f: missing keys ['kind']"),
+    "f-file-path": ("simulate", _with(SIM, f={"kind": "file"}), "f: missing keys ['path']"),
+    "f-table-keys": ("attack-optimize", {"f": {"kind": "table"}},
+                     "f: missing keys ['n', 'table']"),
+    "f-table-table": ("simulate", _with(SIM, f={"kind": "table"}), "f: missing keys ['table']"),
+    "f-n-missing": ("attack-optimize", {"f": {"kind": "xor"}}, "f: missing keys ['n']"),
+    "f-n-null": ("attack-optimize", {"f": {"kind": "ip", "n": None}},
+                 "f.n: expected an integer, got None"),
+    "f-n-bool": ("attack-optimize", {"f": {"kind": "ip", "n": True}},
+                 "f.n: expected an integer, got True"),
+    "f-n-fraction": ("simulate", _with(SIM, f={"kind": "xor", "n": 1.9}),
+                     "f.n: expected an integer, got 1.9"),
+    "f-n-inherited-bool": ("simulate", _with(SIM, n=True), "f.n: expected an integer, got True"),
+    "f-seed-fraction": ("simulate", _with(SIM, f={"kind": "random", "seed": 0.5}),
+                        "f.seed: expected an integer, got 0.5"),
+    "f-bit-bool": ("simulate", _with(SIM, f={"kind": "constant", "bit": True}),
+                   "f.bit: expected an integer, got True"),
+    "f-kind": ("simulate", _with(SIM, f={"kind": "bogus"}), "unknown function kind 'bogus'"),
+    # the prover spec
+    "prover-not-object": ("simulate", _with(SIM, prover=5), "prover: expected an object"),
+    "prover-unknown-key": ("simulate", _prover(kind="honest", q=1),
+                           "prover: unknown keys ['q']"),
+    "prover-missing-kind": ("simulate", _prover(p=0.5), "prover: missing keys ['kind']"),
+    "prover-synthetic-p": ("simulate", _prover(kind="synthetic"), "prover: missing keys ['p']"),
+    "prover-strategy-path": ("simulate", _prover(kind="strategy"),
+                             "prover: missing keys ['path']"),
+    "prover-p-null": ("simulate", _prover(kind="synthetic", p=None),
+                      "prover.p: expected a number, got None"),
+    "prover-p-bool": ("simulate", _prover(kind="synthetic", p=True),
+                      "prover.p: expected a number, got True"),
+    "prover-p-list": ("simulate", _prover(kind="synthetic", p=[1]),
+                      "prover.p: expected a number, got [1]"),
+    "prover-state-fraction": ("simulate", _prover(kind="discard", state=0.5),
+                              "prover.state: expected an integer, got 0.5"),
+    "prover-basis-bool": ("simulate", _prover(kind="measure_forward", basis=True),
+                          "prover.basis: expected an integer, got True"),
+    "prover-kind": ("simulate", _prover(kind="nope"), "prover: unknown kind 'nope'"),
+    # attack-optimize
+    "att-unknown-key": ("attack-optimize", _with(ATT, bogus=1), "config: unknown keys ['bogus']"),
+    "att-missing-f": ("attack-optimize", {"q": 1}, "config: missing keys ['f']"),
+    "att-epsilon-null": ("attack-optimize", _with(ATT, epsilon=None),
+                         "config.epsilon: expected a number, got None"),
+    "att-q-fraction": ("attack-optimize", _with(ATT, q=1.5),
+                       "config.q: expected an integer, got 1.5"),
+    "att-split-int": ("attack-optimize", _with(ATT, split=5),
+                      "config.split: expected three integers, got 5"),
+    "att-split-short": ("attack-optimize", _with(ATT, split=[1, 0]),
+                        "config.split: expected three integers, got [1, 0]"),
+    "att-split-entry": ("attack-optimize", _with(ATT, split=[1, 0, 0.5]),
+                        "config.split: expected an integer, got 0.5"),
+    "att-restarts-fraction": ("attack-optimize", _with(ATT, restarts=2.5),
+                              "config.restarts: expected an integer, got 2.5"),
+    "att-iters-bool": ("attack-optimize", _with(ATT, iters=True),
+                       "config.iters: expected an integer, got True"),
+    "gh-not-object": ("attack-optimize", _with(ATT, gardenhose=3),
+                      "gardenhose: expected an object"),
+    "gh-unknown-key": ("attack-optimize", _gh(extra=1), "gardenhose: unknown keys ['extra']"),
+    "gh-missing-keys": ("attack-optimize", _with(ATT, gardenhose={"pipes": 2}),
+                        "gardenhose: missing keys ['alice', 'bob']"),
+    "gh-pipes-null": ("attack-optimize", _gh(pipes=None),
+                      "gardenhose.pipes: expected an integer, got None"),
+    "gh-alice-list": ("attack-optimize", _gh(alice=[]),
+                      "gardenhose.alice: expected an object of pair lists"),
+    "gh-bob-text": ("attack-optimize", _gh(bob="x"),
+                    "gardenhose.bob: expected an object of pair lists"),
+    "gh-pairs": ("attack-optimize", _gh(alice={"0": 5}),
+                 "gardenhose.alice.0: expected a list of node pairs"),
+    "gh-pair": ("attack-optimize", _gh(alice={"0": [5]}),
+                "gardenhose.alice.0: expected a list of node pairs"),
+    "gh-input": ("attack-optimize", _gh(alice={"a": [["S", 1]]}),
+                 "gardenhose.alice: expected an integer, got 'a'"),
+    "gh-node": ("attack-optimize", _gh(bob={"0": [[1, "T"]]}),
+                "gardenhose.bob.0: expected an integer, got 'T'"),
+    # bounds
+    "bounds-unknown-key": ("bounds", {"kind": "delta_margin", "bogus": 1},
+                           "config: unknown keys ['bogus']"),
+    "bounds-missing-kind": ("bounds", {"n": 1}, "config: missing keys ['kind']"),
+    "bounds-kind": ("bounds", {"kind": "nope"}, "unknown bounds kind 'nope'"),
+    "counting-keys": ("bounds", {"kind": "counting"}, "config: missing keys ['n', 'q']"),
+    "counting-n-null": ("bounds", {"kind": "counting", "n": None, "q": 0},
+                        "config.n: expected an integer, got None"),
+    "counting-q-bool": ("bounds", {"kind": "counting", "n": 10, "q": True},
+                        "config.q: expected an integer, got True"),
+    "net_size-q": ("bounds", {"kind": "net_size"}, "config: missing keys ['q']"),
+    "net_size-q-fraction": ("bounds", {"kind": "net_size", "q": 0.5},
+                            "config.q: expected an integer, got 0.5"),
+    "volume-keys": ("bounds", {"kind": "volume"}, "config: missing keys ['n', 'lambda']"),
+    "volume-lambda-null": ("bounds", {"kind": "volume", "n": 100, "lambda": None},
+                           "config.lambda: expected a number, got None"),
+    "volume-lambda-text": ("bounds", {"kind": "volume", "n": 100, "lambda": "abc"},
+                           "config.lambda: expected a number, got 'abc'"),
+    "volume-n-fraction": ("bounds", {"kind": "volume", "n": 1.5, "lambda": "1/4"},
+                          "config.n: expected an integer, got 1.5"),
+    "qubit-f_kind": ("bounds", {"kind": "qubit_bound"}, "config: missing keys ['f_kind']"),
+    "qubit-f_kind-value": ("bounds", {"kind": "qubit_bound", "f_kind": "nope"},
+                           "unknown f_kind 'nope'"),
+    "qubit-random-n": ("bounds", {"kind": "qubit_bound", "f_kind": "random"},
+                       "config: missing keys ['n']"),
+    "qubit-random-n-bool": ("bounds", {"kind": "qubit_bound", "f_kind": "random", "n": True},
+                            "config.n: expected an integer, got True"),
+    "qubit-cc-f": ("bounds", {"kind": "qubit_bound", "f_kind": "cc"},
+                   "config: missing keys ['f']"),
+    "qubit-cc-k": ("bounds", {"kind": "qubit_bound", "f_kind": "cc", "k": 0.5},
+                   "config.k: expected an integer, got 0.5"),
+    "cc-keys": ("bounds", {"kind": "cc"}, "config: missing keys ['f', 'k']"),
+    "cc-k-null": ("bounds", {"kind": "cc", "k": None, "f": {"kind": "ip", "n": 1}},
+                  "config.k: expected an integer, got None"),
+    "cc-model": ("bounds", {"kind": "cc", "k": 1, "model": "nope", "f": {"kind": "ip", "n": 1}},
+                 "unknown model 'nope'"),
+    "cc-f-n": ("bounds", {"kind": "cc", "k": 1, "f": {"kind": "ip"}}, "f: missing keys ['n']"),
+    "cc-budget": ("bounds", {"kind": "cc", "model": "smp", "k": 2, "f": {"kind": "ip", "n": 3}},
+                  "budget exceeded: 4294967296 message-function pairs exceed budget 16777216", 3),
+    # two faults: the first check in reading order reports
+    "two-f-before-epsilon": ("attack-optimize", {"f": {"kind": "ip", "n": 0.5}, "epsilon": None},
+                             "f.n: expected an integer, got 0.5"),
+    "two-lambda-before-n": ("bounds", {"kind": "volume", "n": 1.5, "lambda": None},
+                            "config.lambda: expected a number, got None"),
+    "two-f-before-k-and-model": ("bounds", {"kind": "cc", "k": None, "model": "nope",
+                                            "f": {"kind": "ip"}}, "f: missing keys ['n']"),
+    "two-k-before-model": ("bounds", {"kind": "cc", "k": None, "model": "nope",
+                                      "f": {"kind": "ip", "n": 1}},
+                           "config.k: expected an integer, got None"),
+    "two-unknown-before-missing": ("simulate", {"bogus": 1}, "config: unknown keys ['bogus']"),
+    "two-protocol-before-rounds": ("simulate", _with(SIM, protocol="nope", rounds=None),
+                                   "unknown protocol 'nope'"),
+    "two-rounds-before-f": ("simulate", _with(SIM, rounds=None, f={"kind": "xor", "n": None}),
+                            "config.rounds: expected an integer, got None"),
+    "two-f-before-prover": ("simulate", _with(SIM, f={"n": 1}, prover={"kind": "nope"}),
+                            "f: missing keys ['kind']"),
+    "two-kind-missing-before-n": ("simulate", _with(SIM, n=None, f={}),
+                                  "f: missing keys ['kind']"),
+    "two-pipes-before-alice": ("attack-optimize", _gh(pipes=None, alice=[]),
+                               "gardenhose.pipes: expected an integer, got None"),
+    "two-q-before-split": ("attack-optimize", _with(ATT, q=None, split=5),
+                           "config.q: expected an integer, got None"),
+    "two-split-before-restarts": ("attack-optimize", _with(ATT, split=5, restarts=None),
+                                  "config.split: expected three integers, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ERRORS.values(), ids=PINNED_ERRORS.keys())
+def test_pinned_config_error_messages(tmp_path, capsys, case):
+    command, payload, message, *code = case
+    cfg = write_config(tmp_path, "c.json", payload)
+    got_code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert got_code == (code[0] if code else cli.EXIT_CONFIG)
+    assert out == ""
+    assert err == (message if message.startswith("budget") else f"error: {message}") + "\n"
+
+
+def test_failed_calls_do_not_poison_a_later_call(tmp_path, capsys):
+    """One process may call ``main`` many times: usage errors, ``--version``
+    and earlier options must not leak into a later call."""
+    cfg = write_config(tmp_path, "sim.json", {
+        "protocol": "meas", "n": 1, "f": {"kind": "xor", "n": 1},
+        "rounds": 10, "trials": 2, "seed": 123,
+    })
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = subprocess.run([sys.executable, "-m", "qpv.cli", "simulate", "--config", cfg],
+                           env=env, capture_output=True, text=True, check=True).stdout
+    assert cli.main(["simulate"]) == cli.EXIT_CONFIG
+    assert cli.main(["simulate", "--config", cfg, "--threads", "4"]) == cli.EXIT_CONFIG
+    assert cli.main(["bogus-command"]) == cli.EXIT_CONFIG
+    assert cli.main(["--version"]) == cli.EXIT_OK
+    assert cli.main(["simulate", "--config", cfg, "--seed", "5", "--format", "csv"]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert (code, out, err) == (cli.EXIT_OK, fresh, "")
     assert json.loads(out)["provenance"]["seed"] == 123

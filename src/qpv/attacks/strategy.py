@@ -193,8 +193,14 @@ class AttackReport:
 # ---------------------------------------------------------------------------
 
 def _encode_matrix(mat: np.ndarray) -> list:
-    mat = np.asarray(mat, dtype=complex)
-    return [[f"{v.real.hex()},{v.imag.hex()}" for v in row] for row in mat]
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    # format each distinct bit pattern once: a 16-byte void view keeps 0.0
+    # and -0.0 (and values one ulp apart) apart, where comparing numbers
+    # would merge them
+    bits, where = np.unique(mat.view(np.dtype((np.void, 16))).ravel(), return_inverse=True)
+    cells = np.array([f"{v.real.hex()},{v.imag.hex()}" for v in bits.view(complex).tolist()],
+                     dtype=object)
+    return cells[where].reshape(mat.shape).tolist()
 
 
 def _decode_matrix(rows: list) -> np.ndarray:

@@ -10,10 +10,13 @@ error, 3 enumeration/resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -36,42 +39,41 @@ class ConfigError(Exception):
     pass
 
 
-# keys that one kind of function, prover or bound needs beyond "kind"
-FUNCTION_KEYS = {"file": ("path",), "table": ("n", "table")}
-PROVER_KEYS = {"synthetic": ("p",), "strategy": ("path",)}
-BOUNDS_KEYS = {"counting": ("n", "q"), "net_size": ("q",), "volume": ("n", "lambda"),
-               "qubit_bound": ("f_kind",), "cc": ("f", "k")}
-
-
-def _require_keys(obj: dict, where: str, required: tuple = (), optional: tuple = ()):
-    """Reject a non-object, unknown keys and missing required keys; with
-    ``optional=tuple(obj)`` only the required keys are checked."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
-
-
-def _number(value, where: str, cast=int):
-    """``cast(value)`` for a config value.  A value the cast rejects (null, a
-    list, a non-numeric string), a boolean, and for ``int`` a float with a
-    fractional part are ConfigErrors naming the object and key, not values
-    truncated to a number."""
-    expected = "an integer" if cast is int else "a number"
-    truncated = cast is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or truncated:
+def _number(cast, expected: str):
+    """A cast to ``cast``.  A value it rejects (null, a list, a non-numeric
+    string), a boolean, and for ``int`` a float with a fractional part are
+    refused, not truncated to a number."""
+    def read(value, where):
+        fraction = cast is int and isinstance(value, float) and not value.is_integer()
+        try:
+            if not (isinstance(value, bool) or fraction):
+                return cast(value)
+        except (TypeError, ValueError):
+            pass
         raise ConfigError(f"{where}: expected {expected}, got {value!r}")
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
+    return read
 
 
-def _parse_matchings(table, where: str) -> dict:
+INT, NUMBER, FRACTION = (_number(int, "an integer"), _number(float, "a number"),
+                         _number(Fraction, "a number"))
+
+
+def _one_of(choices, message: str):
+    """A cast admitting only ``choices``; ``message`` formats a refused value."""
+    def read(value, where):
+        if value not in choices:
+            raise ConfigError(message.format(value))
+        return value
+    return read
+
+
+def _split(value, where):
+    if value is not None and (not isinstance(value, list) or len(value) != 3):
+        raise ConfigError(f"{where}: expected three integers, got {value!r}")
+    return None if value is None else tuple(INT(w, where) for w in value)
+
+
+def _matchings(table, where):
     """A garden-hose matching table: an object from input to a list of node
     pairs, each node "S" (Alice's source) or a pipe number."""
     if not isinstance(table, dict):
@@ -81,112 +83,147 @@ def _parse_matchings(table, where: str) -> dict:
         at = f"{where}.{key}"
         if not isinstance(pairs, list) or not all(isinstance(p, list) for p in pairs):
             raise ConfigError(f"{at}: expected a list of node pairs")
-        out[_number(key, where)] = tuple(
-            tuple(node if node == "S" else _number(node, at) for node in pair)
-            for pair in pairs)
+        out[INT(key, where)] = tuple(
+            tuple(node if node == "S" else INT(node, at) for node in pair) for pair in pairs)
     return out
+
+
+def _schema(rows: dict, *required: str) -> dict:
+    """A schema, key -> (cast, default, required), from rows key -> (cast,
+    default).  A cast of None passes the value through."""
+    return {key: (cast, default, key in required) for key, (cast, default) in rows.items()}
+
+
+def _kinds(rows: dict, other: tuple, **required: tuple) -> dict:
+    """One schema per kind of an object with a "kind" key: ``required[kind]``
+    lists the keys a kind needs besides "kind", ``other`` those of every
+    other kind, whose schema is the None entry."""
+    return {kind: _schema(rows, "kind", *keys) for kind, keys in (*required.items(), (None, other))}
+
+
+def _fields(obj, where: str, schema: dict):
+    """Check a config object against its schema (or, for a dict of kinds,
+    the one its "kind" picks) and return ``read``: ``read(key)`` is the key's
+    value, or its default, through the key's cast.  Values are cast when
+    read, so a config with two faults reports the first one read.  Without a
+    "kind" no other missing key is reported: the kind decides which are."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    if None in schema:
+        schema = schema.get(obj.get("kind"), schema[None])
+    unknown = set(obj) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key, (_, _, required) in schema.items() if required and key not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {['kind'] if 'kind' in missing else missing}")
+
+    def read(key):
+        cast, default, _ = schema[key]
+        value = obj.get(key, default)
+        return value if cast is None else cast(value, f"{where}.{key}")
+    return read
+
+
+RAW = (None, None)  # a row passed through as given, None when missing
+SIMULATE = _schema({
+    "protocol": (_one_of(protocol.PROTOCOLS, "unknown protocol {!r}"), None), "n": RAW,
+    "f": RAW, "rounds": (INT, None), "trials": (INT, 1), "eta": (NUMBER, 0.0),
+    "prover": (None, {"kind": "honest"}), "noise_mode": (None, "bernoulli"),
+}, "protocol", "n", "f", "rounds")
+ATTACK = _schema({
+    "f": RAW, "n": RAW, "kind": (None, "route"), "q": (INT, 2), "split": (_split, None),
+    "restarts": (INT, 20), "iters": (INT, 60), "unentangled": RAW, "epsilon": (NUMBER, 0.1),
+    "gardenhose": RAW,
+}, "f")
+GARDENHOSE = _schema({"pipes": (INT, None), "alice": (_matchings, None),
+                      "bob": (_matchings, None)}, "pipes", "alice", "bob")
+FUNCTION_ROWS = {"kind": RAW, "n": (INT, None), "seed": (INT, None), "table": RAW,
+                 "bit": (INT, None), "path": RAW}
+FUNCTION = _kinds(FUNCTION_ROWS, ("n",), file=("path",), table=("n", "table"))
+
+
+# prover kind -> its prover, from the spec's reader and f
+PROVERS = {
+    "honest": lambda read, f: protocol.HONEST,
+    "synthetic": lambda read, f: protocol.SyntheticAdversary(read("p")),
+    "keep_q": lambda read, f: attacks.keep_q_attack(f),
+    "strategy": lambda read, f: attacks.strategy_from_json(
+        Path(read("path")).read_text(encoding="ascii")),
+    "wrong_basis": lambda read, f: protocol.Prover(meas_mode="wrong_basis"),
+    "random_bit": lambda read, f: protocol.Prover(meas_mode="random_bit"),
+    "discard": lambda read, f: protocol.Prover(replace_with=read("state")),
+    "measure_forward": lambda read, f: protocol.Prover(premeasure_basis=read("basis")),
+    "route_wrong": lambda read, f: protocol.Prover(route_to="swapped"),
+}
+PROVER = _kinds({"kind": (_one_of(tuple(PROVERS), "prover: unknown kind {!r}"), None),
+                 "p": (NUMBER, None), "state": (INT, 0), "basis": (INT, 0), "path": RAW},
+                (), synthetic=("p",), strategy=("path",))
+BOUNDS_ROWS = {
+    "kind": (_one_of(("counting", "net_size", "delta_margin", "volume", "qubit_bound", "cc"),
+                     "unknown bounds kind {!r}"), None),
+    "n": (INT, None), "q": (INT, None), "lambda": (FRACTION, None), "f": RAW, "k": (INT, None),
+    "f_kind": (_one_of(("random", "cc"), "unknown f_kind {!r}"), None),
+    "model": (_one_of(("smp", "oneway"), "unknown model {!r}"), "smp"), "error": RAW,
+}
+BOUNDS = _kinds(BOUNDS_ROWS, (), counting=("n", "q"), net_size=("q",), volume=("n", "lambda"),
+                qubit_bound=("f_kind",), cc=("f", "k"))
+QUBIT_RANDOM = _schema(BOUNDS_ROWS, "n")
 
 
 def _provenance(config: dict, seed: int) -> dict:
     canonical = json.dumps(config, sort_keys=True).encode()
-    return {
-        "config_sha256": hashlib.sha256(canonical).hexdigest(),
-        "seed": seed,
-        "version": __version__,
-    }
+    return {"config_sha256": hashlib.sha256(canonical).hexdigest(), "seed": seed,
+            "version": __version__}
 
 
 def _function_from_config(config: dict, seed: int):
-    _require_keys(config, "config", ("f",), tuple(config))
-    _require_keys(config["f"], "f", ("kind",), ("n", "seed", "table", "bit", "path"))
-    spec = dict(config["f"])
-    if "n" in config:
-        spec.setdefault("n", config["n"])
-    _require_keys(spec, "f", FUNCTION_KEYS.get(spec["kind"], ("n",)), tuple(spec))
+    if "f" not in config:
+        raise ConfigError("config: missing keys ['f']")
+    spec = config["f"]
+    if isinstance(spec, dict) and "n" in config:
+        spec = {"n": config["n"], **spec}
+    read = _fields(spec, "f", FUNCTION)
     if spec["kind"] == "file":
         return analysis.load_function(spec["path"])
-    for key in ("n", "seed", "bit"):
-        if key in spec:
-            spec[key] = _number(spec[key], f"f.{key}")
-    if spec["kind"] == "random" and "seed" not in spec:
-        spec["seed"] = seed
+    spec = {key: read(key) for key in FUNCTION_ROWS if key in spec}
+    if spec["kind"] == "random":
+        spec.setdefault("seed", seed)
     return analysis.function_from_spec(spec)
 
 
-def _prover_from_config(config: dict, f):
-    spec = config.get("prover", {"kind": "honest"})
-    _require_keys(spec, "prover", ("kind",), ("p", "state", "basis", "path"))
-    kind = spec["kind"]
-    _require_keys(spec, "prover", PROVER_KEYS.get(kind, ()), tuple(spec))
-    if kind == "honest":
-        return protocol.HONEST
-    if kind == "synthetic":
-        return protocol.SyntheticAdversary(_number(spec["p"], "prover.p", float))
-    if kind == "keep_q":
-        return attacks.keep_q_attack(f)
-    if kind == "strategy":
-        with open(spec["path"], "r", encoding="ascii") as fh:
-            return attacks.strategy_from_json(fh.read())
-    if kind == "wrong_basis":
-        return protocol.Prover(meas_mode="wrong_basis")
-    if kind == "random_bit":
-        return protocol.Prover(meas_mode="random_bit")
-    if kind == "discard":
-        return protocol.Prover(replace_with=_number(spec.get("state", 0), "prover.state"))
-    if kind == "measure_forward":
-        return protocol.Prover(premeasure_basis=_number(spec.get("basis", 0), "prover.basis"))
-    if kind == "route_wrong":
-        return protocol.Prover(route_to="swapped")
-    raise ConfigError(f"prover: unknown kind {kind!r}")
+def _ci95(rate, n):
+    if n <= 1:
+        return [0.0, 1.0]
+    half = 1.96 * math.sqrt(max(rate * (1 - rate), 1e-12) / n)
+    return [max(0.0, rate - half), min(1.0, rate + half)]
 
 
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-def cmd_simulate(config: dict, seed: int):
-    _require_keys(config, "config",
-                  ("protocol", "n", "f", "rounds"),
-                  ("eta", "trials", "prover", "noise_mode"))
-    proto = config["protocol"]
-    if proto not in protocol.PROTOCOLS:
-        raise ConfigError(f"unknown protocol {proto!r}")
-    rounds = _number(config["rounds"], "config.rounds")
-    trials = _number(config.get("trials", 1), "config.trials")
-    eta = _number(config.get("eta", 0.0), "config.eta", float)
-    noise_mode = config.get("noise_mode", "bernoulli")
+def cmd_simulate(config: dict, seed: int, keep_rounds: bool = True):
+    """The summary and the draws; with ``keep_rounds=False`` the draws hold
+    only the accept counts, all the summary needs."""
+    read = _fields(config, "config", SIMULATE)
+    proto, rounds, trials, eta = read("protocol"), read("rounds"), read("trials"), read("eta")
     if rounds < 1 or trials < 1:
         raise ConfigError("rounds and trials must be positive")
     if rounds * trials > ROUND_SIM_LIMIT:
         raise BudgetExceeded(f"{rounds}x{trials} rounds exceed the simulation budget")
     f = _function_from_config(config, seed)
-    prover = _prover_from_config(config, f)
+    prover_read = _fields(read("prover"), "prover", PROVER)
+    prover = PROVERS[prover_read("kind")](prover_read, f)
     cfg = protocol.NoisyRepeatConfig(rounds=rounds, eta=eta)
-    draws = protocol.draw_trials(cfg, proto, f, prover, seed, trials, noise_mode)
-    accept_counts = draws.accept_counts
-    round_rate = int(accept_counts.sum()) / (rounds * trials)
-    thr_rate = float(np.mean(accept_counts > cfg.threshold))
-
-    def ci95(rate, n):
-        if n <= 1:
-            return [0.0, 1.0]
-        half = 1.96 * math.sqrt(max(rate * (1 - rate), 1e-12) / n)
-        return [max(0.0, rate - half), min(1.0, rate + half)]
-
-    summary = {
-        "provenance": _provenance(config, seed),
-        "protocol": proto,
-        "rounds": rounds,
-        "trials": trials,
-        "eta": eta,
-        "threshold": cfg.threshold,
-        "acceptance_rate": round_rate,
-        "acceptance_rate_ci95": ci95(round_rate, rounds * trials),
+    draws = protocol.draw_trials(cfg, proto, f, prover, seed, trials, read("noise_mode"),
+                                 keep_rounds=keep_rounds)
+    round_rate = int(draws.accept_counts.sum()) / (rounds * trials)
+    thr_rate = float(np.mean(draws.accept_counts > cfg.threshold))
+    return {
+        "provenance": _provenance(config, seed), "protocol": proto, "rounds": rounds,
+        "trials": trials, "eta": eta, "threshold": cfg.threshold,
+        "acceptance_rate": round_rate, "acceptance_rate_ci95": _ci95(round_rate, rounds * trials),
         "threshold_acceptance_rate": thr_rate,
-        "threshold_acceptance_rate_ci95": ci95(thr_rate, trials),
+        "threshold_acceptance_rate_ci95": _ci95(thr_rate, trials),
         "per_round_probability": draws.per_round_probability,
-    }
-    return summary, draws
+    }, draws
 
 
 def _csv_blocks(draws):
@@ -214,131 +251,77 @@ def _csv_blocks(draws):
                        for t, row in enumerate(cells.tolist(), start)])
 
 
-# ---------------------------------------------------------------------------
-# attack-optimize
-# ---------------------------------------------------------------------------
-
 def cmd_attack_optimize(config: dict, seed: int):
-    _require_keys(config, "config", ("f",),
-                  ("n", "kind", "q", "split", "restarts", "iters", "unentangled",
-                   "epsilon", "gardenhose"))
+    read = _fields(config, "config", ATTACK)
     f = _function_from_config(config, seed)
-    eps = _number(config.get("epsilon", 0.1), "config.epsilon", float)
+    eps = read("epsilon")
     if "gardenhose" in config:
-        gh_spec = config["gardenhose"]
-        _require_keys(gh_spec, "gardenhose", ("pipes", "alice", "bob"), ())
-        gh = attacks.GardenHoseProtocol(
-            pipes=_number(gh_spec["pipes"], "gardenhose.pipes"),
-            alice=_parse_matchings(gh_spec["alice"], "gardenhose.alice"),
-            bob=_parse_matchings(gh_spec["bob"], "gardenhose.bob"))
+        gh_read = _fields(config["gardenhose"], "gardenhose", GARDENHOSE)
+        gh = attacks.GardenHoseProtocol(pipes=gh_read("pipes"), alice=gh_read("alice"),
+                                        bob=gh_read("bob"))
         strategy = attacks.compile_gardenhose(gh)
         report = attacks.epsilon_l_report(strategy, f)
         extra = {"gardenhose_computes_f": attacks.computes(gh, f)}
     else:
-        kind = config.get("kind", "route")
-        q = _number(config.get("q", 2), "config.q")
-        split = config.get("split")
-        if split is not None:
-            if not isinstance(split, list) or len(split) != 3:
-                raise ConfigError(f"config.split: expected three integers, got {split!r}")
-            split = tuple(_number(w, "config.split") for w in split)
+        kind, q, split = read("kind"), read("q"), read("split")
         fix_psi = None
-        if config.get("unentangled"):
+        if read("unentangled"):
             a, at, ac = split if split else attacks.default_split(q)
-            fix_psi = attacks.unentangled_product_state(
-                attacks.attack_layout(a=a, at=at, ac=ac))
-        outcome = attacks.seesaw_optimize(
-            f, q=q, kind=kind, seed=seed, split=split, fix_psi=fix_psi,
-            restarts=_number(config.get("restarts", 20), "config.restarts"),
-            iters=_number(config.get("iters", 60), "config.iters"))
-        strategy = outcome.strategy
-        report = outcome.report
+            fix_psi = attacks.unentangled_product_state(attacks.attack_layout(a=a, at=at, ac=ac))
+        outcome = attacks.seesaw_optimize(f, q=q, kind=kind, seed=seed, split=split,
+                                          fix_psi=fix_psi, restarts=read("restarts"),
+                                          iters=read("iters"))
+        strategy, report = outcome.strategy, outcome.report
         extra = {"restart_values": list(outcome.restart_values),
                  "best_value": outcome.best_value}
-    doc = {
-        "provenance": _provenance(config, seed),
-        "report": report.as_dict(eps),
-        **extra,
-    }
+    doc = {"provenance": _provenance(config, seed), "report": report.as_dict(eps), **extra}
     return doc, attacks.strategy_to_json(strategy)
 
 
-# ---------------------------------------------------------------------------
-# bounds
-# ---------------------------------------------------------------------------
-
 def cmd_bounds(config: dict, seed: int):
-    _require_keys(config, "config", ("kind",),
-                  ("n", "q", "k", "f", "f_kind", "model", "lambda", "error"))
-    kind = config["kind"]
-    _require_keys(config, "config", BOUNDS_KEYS.get(kind, ()), tuple(config))
+    read = _fields(config, "config", BOUNDS)
+    kind = read("kind")
     out = {"provenance": _provenance(config, seed), "kind": kind}
     if kind == "counting":
-        report = analysis.counting_bound(_number(config["n"], "config.n"),
-                                         _number(config["q"], "config.q"))
-        out.update(report.as_dict())
+        out.update(analysis.counting_bound(read("n"), read("q")).as_dict())
     elif kind == "net_size":
-        out.update(analysis.net_size_report(_number(config["q"], "config.q")).as_dict())
+        out.update(analysis.net_size_report(read("q")).as_dict())
     elif kind == "delta_margin":
         out["value"] = float(analysis.delta_margin_value())
         out["passes"] = analysis.delta_margin_check()
     elif kind == "volume":
-        from fractions import Fraction
-        lam = _number(config["lambda"], "config.lambda", Fraction)
-        out["passes"] = analysis.volume_entropy_check(_number(config["n"], "config.n"), lam)
+        lam = read("lambda")
+        out["passes"] = analysis.volume_entropy_check(read("n"), lam)
+    elif kind == "qubit_bound" and read("f_kind") == "random":
+        n = _fields(config, "config", QUBIT_RANDOM)("n")
+        out["q_max"] = analysis.attacker_qubit_bound("random", n=n)
+        if n < 10:
+            out["precondition_note"] = "guarantee requires n >= 10"
     elif kind == "qubit_bound":
-        f_kind = config["f_kind"]
-        if f_kind == "random":
-            _require_keys(config, "config", ("n",), tuple(config))
-            n = _number(config["n"], "config.n")
-            out["q_max"] = analysis.attacker_qubit_bound("random", n=n)
-            if n < 10:
-                out["precondition_note"] = "guarantee requires n >= 10"
-        elif f_kind == "cc":
-            if "k" in config:
-                k = _number(config["k"], "config.k")
-            else:
-                f = _function_from_config(config, seed)
-                k = analysis.smp_cc(f)
-                out["smp_cc"] = k
-            out["q_max"] = analysis.attacker_qubit_bound("cc", k=k)
+        if "k" in config:
+            k = read("k")
         else:
-            raise ConfigError(f"unknown f_kind {f_kind!r}")
-    elif kind == "cc":
-        f = _function_from_config(config, seed)
-        model = config.get("model", "smp")
-        k = _number(config["k"], "config.k")
-        if model == "smp":
-            err = analysis.smp_cc_bruteforce(f, k)
-        elif model == "oneway":
-            err = analysis.oneway_cc_bruteforce(f, k)
-        else:
-            raise ConfigError(f"unknown model {model!r}")
-        out["k"] = k
-        out["model"] = model
-        out["error"] = [err.numerator, err.denominator]
-        out["error_float"] = float(err)
+            k = out["smp_cc"] = analysis.smp_cc(_function_from_config(config, seed))
+        out["q_max"] = analysis.attacker_qubit_bound("cc", k=k)
     else:
-        raise ConfigError(f"unknown bounds kind {kind!r}")
+        f = _function_from_config(config, seed)
+        k, model = read("k"), read("model")
+        bruteforce = analysis.smp_cc_bruteforce if model == "smp" else analysis.oneway_cc_bruteforce
+        err = bruteforce(f, k)
+        out.update(k=k, model=model, error=[err.numerator, err.denominator],
+                   error_float=float(err))
     return out
 
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
 
 def cmd_verify(names, seed: int):
     return checks.run_checks(None if names == ["all"] else names, seed=seed)
 
 
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call, not at import, and reused by every later one."""
     parser = argparse.ArgumentParser(
-        prog="qpv",
-        description="single-qubit position-verification simulator and verifier")
+        prog="qpv", description="single-qubit position-verification simulator and verifier")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "attack-optimize", "bounds"):
@@ -351,75 +334,58 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("json", "csv"), default="json",
                            help="stdout format when --out is not given")
     v = sub.add_parser("verify")
-    v.add_argument("--suite", default="all",
-                   help="comma-separated check names, or 'all'")
+    v.add_argument("--suite", default="all", help="comma-separated check names, or 'all'")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
     return parser
 
 
-def _write(path, text):
-    """Write a string, or a sequence of string blocks, to ``path`` or stdout."""
-    blocks = [text] if isinstance(text, str) else text
+def _write(path, blocks):
+    """Write string blocks to ``path``, or to stdout when it is None."""
     if path is None:
-        last = ""
-        for last in blocks:
-            sys.stdout.write(last)
-        if not last.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.writelines(blocks)
 
 
+def _json_line(doc) -> list:
+    return [json.dumps(doc, sort_keys=True) + "\n"]
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         if args.command == "verify":
             names = [n.strip() for n in args.suite.split(",") if n.strip()]
             reports = cmd_verify(names, args.seed)
-            lines = "\n".join(r.json_line() for r in reports) + "\n"
-            _write(args.out, lines)
+            _write(args.out, ["\n".join(r.json_line() for r in reports) + "\n"])
             return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
-
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-        if args.seed is None:
-            args.seed = _number(config.pop("seed", 0), "config.seed")
-        else:
-            config.pop("seed", None)
-
+        seed = config.pop("seed", 0)
+        seed = INT(seed, "config.seed") if args.seed is None else args.seed
         if args.command == "simulate":
-            summary, draws = cmd_simulate(config, args.seed)
+            csv = bool(args.out) or args.format == "csv"
+            summary, draws = cmd_simulate(config, seed, keep_rounds=csv)
             if args.out:
-                _write(args.out, json.dumps(summary, sort_keys=True) + "\n")
+                _write(args.out, _json_line(summary))
                 _write(args.out + ".csv", _csv_blocks(draws))
-            elif args.format == "csv":
-                _write(None, _csv_blocks(draws))
             else:
-                _write(None, json.dumps(summary, sort_keys=True))
-            return EXIT_OK
-
-        if args.command == "attack-optimize":
-            doc, strategy_json = cmd_attack_optimize(config, args.seed)
+                _write(None, _csv_blocks(draws) if csv else _json_line(summary))
+        elif args.command == "attack-optimize":
+            doc, strategy_json = cmd_attack_optimize(config, seed)
             if args.out:
-                _write(args.out, json.dumps(doc, sort_keys=True) + "\n")
-                _write(args.out + ".strategy.json", strategy_json + "\n")
+                _write(args.out, _json_line(doc))
+                _write(args.out + ".strategy.json", [strategy_json + "\n"])
             else:
-                doc["strategy"] = json.loads(strategy_json)
-                _write(None, json.dumps(doc, sort_keys=True))
-            return EXIT_OK
-
-        if args.command == "bounds":
-            out = cmd_bounds(config, args.seed)
-            _write(args.out, json.dumps(out, sort_keys=True) + ("\n" if args.out else ""))
-            return EXIT_OK
-
-        raise ConfigError(f"unknown command {args.command!r}")
+                _write(None, _json_line({**doc, "strategy": json.loads(strategy_json)}))
+        else:
+            _write(args.out, _json_line(cmd_bounds(config, seed)))
+        return EXIT_OK
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes included

@@ -44,17 +44,15 @@ class NoisyRepeatConfig:
 
 @dataclass(frozen=True)
 class TrialDraws:
-    """Inputs and verdicts of every round of every trial, as ``(trials,
-    rounds)`` arrays, and the per-pair acceptance table they were drawn from."""
+    """Accepted rounds per trial, the per-pair acceptance table they were
+    drawn from and, unless drawn with ``keep_rounds=False``, the inputs and
+    verdicts of every round of every trial as ``(trials, rounds)`` arrays."""
 
     table: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    accepted: np.ndarray
-
-    @property
-    def accept_counts(self) -> np.ndarray:
-        return self.accepted.sum(axis=1)
+    accept_counts: np.ndarray
+    xs: np.ndarray | None = None
+    ys: np.ndarray | None = None
+    accepted: np.ndarray | None = None
 
     @property
     def per_round_probability(self) -> float | None:
@@ -100,26 +98,36 @@ def acceptance_table(protocol: str, f, prover=HONEST, eta: float = 0.0,
 
 
 def draw_trials(config: NoisyRepeatConfig, protocol: str, f, prover=HONEST, seed=0,
-                trials: int = 1, noise_mode: str = "bernoulli") -> TrialDraws:
+                trials: int = 1, noise_mode: str = "bernoulli",
+                keep_rounds: bool = True) -> TrialDraws:
     """Draw ``trials`` independent runs of ``config.rounds`` rounds each.
 
     Trial t draws its inputs from ``stream(seed, "inputs", t)``, all x and
     then all y, uniformly.  Round i of trial t accepts when draw i of
     ``stream(seed, "round", t)`` is below the table entry of its input pair.
+    With ``keep_rounds=False`` only the accept counts are kept, so memory does
+    not grow with the rounds; the draws are the same.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     table = acceptance_table(protocol, f, prover, config.eta, noise_mode)
     side, rounds = len(table), config.rounds
-    xs = np.empty((trials, rounds), dtype=np.int64)
-    ys = np.empty_like(xs)
-    accepted = np.empty((trials, rounds), dtype=bool)
-    for t, inputs in enumerate(qc.trial_streams(seed, "inputs", trials)):
-        xs[t] = inputs.integers(side, size=rounds)
-        ys[t] = inputs.integers(side, size=rounds)
-    for t, verdicts in enumerate(qc.trial_streams(seed, "round", trials)):
-        accepted[t] = verdicts.random(rounds) < table[xs[t], ys[t]]
-    return TrialDraws(table, xs, ys, accepted)
+    counts = np.empty(trials, dtype=np.int64)
+    if keep_rounds:
+        xs, ys = np.empty((2, trials, rounds), dtype=np.int64)
+        accepted = np.empty((trials, rounds), dtype=bool)
+    streams = zip(qc.trial_streams(seed, "inputs", trials),
+                  qc.trial_streams(seed, "round", trials))
+    for t, (inputs, verdicts) in enumerate(streams):
+        x = inputs.integers(side, size=rounds)
+        y = inputs.integers(side, size=rounds)
+        acc = verdicts.random(rounds) < table[x, y]
+        counts[t] = np.count_nonzero(acc)
+        if keep_rounds:
+            xs[t], ys[t], accepted[t] = x, y, acc
+    if not keep_rounds:
+        return TrialDraws(table, counts)
+    return TrialDraws(table, counts, xs, ys, accepted)
 
 
 def constant_round_probability(protocol: str, f, prover, config: NoisyRepeatConfig,
@@ -133,7 +141,8 @@ def noisy_threshold_trials(config: NoisyRepeatConfig, protocol: str, f,
                            prover=HONEST, seed=0, trials: int = 1000,
                            noise_mode: str = "bernoulli") -> dict:
     """Monte Carlo acceptance rate of the noisy-threshold protocol."""
-    draws = draw_trials(config, protocol, f, prover, seed, trials, noise_mode)
+    draws = draw_trials(config, protocol, f, prover, seed, trials, noise_mode,
+                        keep_rounds=False)
     counts = draws.accept_counts
     rate = float(np.mean(counts > config.threshold))
     sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)

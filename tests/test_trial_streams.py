@@ -92,6 +92,10 @@ def test_draw_trials_matches_stream_reference(seed):
         np.testing.assert_array_equal(draws.xs, xs)
         np.testing.assert_array_equal(draws.ys, ys)
         np.testing.assert_array_equal(draws.accepted, accepted)
+        counts_only = pr.draw_trials(cfg, protocol, ip2, prover, seed=seed, trials=25,
+                                     keep_rounds=False)
+        assert counts_only.xs is counts_only.ys is counts_only.accepted is None
+        np.testing.assert_array_equal(counts_only.accept_counts, accepted.sum(axis=1))
 
 
 # SHA-256 of `qpv simulate --seed 0 --out` (summary JSON without the package

@@ -44,17 +44,22 @@ class BooleanFunction:
                 yield x, y
 
 
-def ip_function(n: int) -> BooleanFunction:
-    """Inner product mod 2 of the two n-bit inputs."""
+def _parity_function(n: int, combine) -> BooleanFunction:
+    """f(x, y) = parity of the bits of combine(x, y)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     side = 1 << n
     xs = np.arange(side)
-    ands = xs[:, None] & xs[None, :]
+    merged = combine(xs[:, None], xs[None, :])
     bits = np.zeros((side, side), dtype=np.uint8)
     for k in range(n):
-        bits ^= ((ands >> k) & 1).astype(np.uint8)
+        bits ^= ((merged >> k) & 1).astype(np.uint8)
     return BooleanFunction(n, bits.reshape(-1))
+
+
+def ip_function(n: int) -> BooleanFunction:
+    """Inner product mod 2 of the two n-bit inputs."""
+    return _parity_function(n, np.bitwise_and)
 
 
 def constant_function(n: int, bit: int) -> BooleanFunction:
@@ -63,13 +68,7 @@ def constant_function(n: int, bit: int) -> BooleanFunction:
 
 def xor_function(n: int) -> BooleanFunction:
     """Parity of x XOR y (for n=1 this is the two-bit XOR)."""
-    side = 1 << n
-    xs = np.arange(side)
-    xored = xs[:, None] ^ xs[None, :]
-    bits = np.zeros((side, side), dtype=np.uint8)
-    for k in range(n):
-        bits ^= ((xored >> k) & 1).astype(np.uint8)
-    return BooleanFunction(n, bits.reshape(-1))
+    return _parity_function(n, np.bitwise_xor)
 
 
 def projection_function(n: int, bit_index: int = 0, side: str = "x") -> BooleanFunction:

@@ -99,12 +99,11 @@ def smp_cc_bruteforce(f: BooleanFunction, k: int) -> Fraction:
     return _least_error(f, k, _one_hot(side, k, True))
 
 
-def smp_cc(f: BooleanFunction, error: Fraction = Fraction(1, 4)) -> int:
-    """Least message length k >= 1 with SMP error at most ``error``.  At k = n
-    the error is 0, so the search ends there at the latest, or at the budget."""
-    error = Fraction(error)
+def smp_cc(f: BooleanFunction) -> int:
+    """Least message length k >= 1 with SMP error at most 1/4.  At k = n the
+    error is 0, so the search ends there at the latest, or at the budget."""
     for k in count(1):
-        if smp_cc_bruteforce(f, k) <= error:
+        if smp_cc_bruteforce(f, k) <= Fraction(1, 4):
             return k
 
 

@@ -201,14 +201,14 @@ def keep_q_attack(f) -> AttackStrategy:
                           qubit_site=site)
 
 
-def classical_copy_attack(f, geom: Geometry | None = None):
+def classical_copy_attack(f):
     """The copy-and-relay attack on the PURELY CLASSICAL protocol variant.
 
     Both attackers copy the intercepted input, exchange copies, and return
     f(x, y) to their nearest verifier with honest-looking timing.  Returns
     the attack report (success 1 on every pair) and one event log.
     """
-    geom = geom or Geometry()
+    geom = Geometry()
     per_pair = {(x, y): 1.0 for x, y in f.pairs()}
     events = two_attacker_relay_events(geom, 0, 0, [0, 1])
     assert timing_check(events, geom)

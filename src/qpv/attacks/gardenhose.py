@@ -51,8 +51,7 @@ class GardenHoseProtocol:
     def n_bits(self) -> int:
         keys = set(self.alice) | set(self.bob)
         side = max(keys) + 1 if keys else 1
-        n = max(1, (side - 1).bit_length())
-        return n
+        return max(1, (side - 1).bit_length())
 
 
 def trace_water(gh: GardenHoseProtocol, x: int, y: int):
@@ -134,13 +133,12 @@ def _local_index(layout, regs, register, offset=0):
     raise KeyError(register)
 
 
-def _pre_exchange_unitary(layout, regs, matching, pipe_reg, source_local):
+def _pre_exchange_unitary(layout, regs, matching, pipe_reg):
     """Bell rotations for every matched pair plus outcome copies into the
     side's communication register (the last register in ``regs``)."""
     def node_local(node):
-        if node == SOURCE:
-            return source_local
-        return _local_index(layout, regs, pipe_reg, node - 1)
+        # the source is Alice's return register A, the first of her registers
+        return 0 if node == SOURCE else _local_index(layout, regs, pipe_reg, node - 1)
 
     width = sum(layout.width(r) for r in regs)
     comm_base = _local_index(layout, regs, regs[2], 0)
@@ -156,12 +154,9 @@ def _pre_exchange_unitary(layout, regs, matching, pipe_reg, source_local):
 
 def _recovery_unitary(layout, gh, x, y, hops, exit_side):
     """Correction + swap unitary for the exiting side's finale registers."""
-    if exit_side == 0:
-        regs, own_pipe, own_matching, peer_matching = ALICE_FINAL, "At", gh.alice.get(x, ()), gh.bob.get(y, ())
-        return_local = _local_index(layout, regs, "A", 0)
-    else:
-        regs, own_pipe, own_matching, peer_matching = BOB_FINAL, "Bt", gh.bob.get(y, ()), gh.alice.get(x, ())
-        return_local = _local_index(layout, regs, "B", 0)
+    regs, own_pipe, peer_matching = ((ALICE_FINAL, "At", gh.bob.get(y, ())),
+                                     (BOB_FINAL, "Bt", gh.alice.get(x, ())))[exit_side]
+    return_local = 0   # the return register, A or B, is the first of regs
     comm_base = _local_index(layout, regs, regs[2], 0)
     width = sum(layout.width(r) for r in regs)
 
@@ -196,14 +191,10 @@ def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
     n = gh.n_bits()
     layout = _layout_for(gh)
     psi = _initial_vector(layout, gh.pipes)
-    alice = {x: _pre_exchange_unitary(layout, ALICE_LOCAL, pairs, "At",
-                                      _local_index(layout, ALICE_LOCAL, "A", 0))
+    alice = {x: _pre_exchange_unitary(layout, ALICE_LOCAL, pairs, "At")
              for x, pairs in gh.alice.items() if pairs}
-    bob = {y: _pre_exchange_unitary(layout, BOB_LOCAL, pairs, "Bt",
-                                    _local_index(layout, BOB_LOCAL, "B", 0))
+    bob = {y: _pre_exchange_unitary(layout, BOB_LOCAL, pairs, "Bt")
            for y, pairs in gh.bob.items() if pairs}
-    # the source node on Bob's pre-exchange side never occurs (matchings on
-    # pipes only), so the placeholder source_local is unused there
     k_final, l_final, site = {}, {}, {}
     side_count = 1 << n
     for x in range(side_count):
@@ -211,11 +202,9 @@ def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
             exit_side, hops = trace_water(gh, x, y)
             site[(x, y)] = "A" if exit_side == 0 else "B"
             recov = _recovery_unitary(layout, gh, x, y, hops, exit_side)
-            if exit_side == 0:
-                if not np.allclose(recov, np.eye(recov.shape[0])):
-                    k_final[(x, y)] = recov
-            else:
-                l_final[(x, y)] = recov
+            # Alice's identity recoveries are left out; Bob's are all kept
+            if exit_side or not np.allclose(recov, np.eye(len(recov))):
+                (k_final, l_final)[exit_side][(x, y)] = recov
     return AttackStrategy(kind="route", n=n, layout=layout, psi=psi,
                           alice=alice, bob=bob, k_final=k_final,
                           l_final=l_final, qubit_site=site)

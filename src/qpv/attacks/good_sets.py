@@ -29,11 +29,10 @@ def _state_vector(vec, layout: qc.RegisterLayout) -> np.ndarray:
     return vec
 
 
-def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str,
-                           iters: int = 80, restarts: int = 4, seed: int = 0,
-                           tol: float = 1e-10):
+def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str, seed: int = 0):
     """Minimal purified distance P(rho_{R,ret}, Bell) over recovery unitaries
-    of the pure state ``vec`` on ``layout``.
+    of the pure state ``vec`` on ``layout``, by see-saw from the identity and
+    from 4 Haar-random unitaries.
 
     Returns (distance, recovery_unitary).
     """
@@ -41,14 +40,14 @@ def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str,
     vec = _state_vector(vec, layout)[None]   # a batch of one
     dim = layout.subdim(*regs)
     best_f2, best_u = -1.0, np.eye(dim, dtype=complex)
-    for r in range(restarts + 1):
+    for r in range(5):
         u = (np.eye(dim, dtype=complex) if r == 0
              else qc.haar_random_unitary(dim, qc.stream(seed, "recovery", r)))
         score = None
-        for _ in range(iters):
+        for _ in range(80):
             moved = qc.apply_vector_matrix(vec, layout, u, regs)
             f2 = bell_overlap(moved, layout, [ret])[0]
-            if score is not None and f2 - score < tol:
+            if score is not None and f2 - score < 1e-10:
                 score = f2
                 break
             score = f2
@@ -137,8 +136,7 @@ def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     return perturb_within(vec, eps, rng)[0]
 
 
-def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng,
-                max_tries: int = 12):
+def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     """State vector whose reference bit is readable by BOTH sides in the
     relevant basis, perturbed while re-verifying the guessing premise."""
     basis = 0 if which == "S0" else 1
@@ -158,7 +156,7 @@ def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng,
         for qb in (r_q, a_read, b_read):
             vec = qc.apply_on_qubits(vec, n, qc.H, [qb])
     scale = eps
-    for _ in range(max_tries):
+    for _ in range(12):
         cand, _ = perturb_within(vec, scale, rng)
         if s_set_distance(cand, layout, which, "meas", eps)[1]:
             return cand

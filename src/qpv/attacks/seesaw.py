@@ -44,7 +44,7 @@ from .strategy import (
     attack_layout,
 )
 
-DEFAULT_TOL = 1e-9
+SWEEP_TOL = 1e-9          # a restart stops when a sweep gains less
 # complex cells (rows x dim) of one batch of restarts, at least one restart
 CHUNK_CELLS = 1 << 19
 RECOVERY_STEPS = 3        # polar steps per recovery update
@@ -340,8 +340,8 @@ class SeesawOutcome:
     restart_values: tuple[float, ...]
 
 
-def _sweep_until_stopped(work: _Work, iters: int, tol: float):
-    """Sweep a batch of restarts until each gains less than ``tol`` in a
+def _sweep_until_stopped(work: _Work, iters: int):
+    """Sweep a batch of restarts until each gains less than SWEEP_TOL in a
     sweep or has had ``iters`` sweeps.  A stopped restart leaves the batch;
     yields (restart id, final value, that restart as a batch of one) as each
     stops."""
@@ -350,7 +350,7 @@ def _sweep_until_stopped(work: _Work, iters: int, tol: float):
         cur = work.sweep()
         if np.any(cur < prev - 1e-12):
             raise AssertionError("see-saw sweep decreased the objective")
-        stop = cur - prev < tol
+        stop = cur - prev < SWEEP_TOL
         for i in np.flatnonzero(stop):
             yield int(work.ids[i]), float(cur[i]), work.select([i])
         work, prev = work.select(~stop), cur[~stop]
@@ -371,8 +371,7 @@ def default_split(q: int) -> tuple[int, int, int]:
 def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
                     iters: int = 60, seed: int = 0,
                     split: tuple[int, int, int] | None = None,
-                    fix_psi: np.ndarray | None = None,
-                    tol: float = DEFAULT_TOL) -> SeesawOutcome:
+                    fix_psi: np.ndarray | None = None) -> SeesawOutcome:
     """Best strategy found over random restarts of monotone see-saw sweeps.
 
     ``fix_psi`` pins the pre-shared state to that unit vector (e.g. the
@@ -398,7 +397,7 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
     for start in range(0, restarts, per_chunk):
         work = _Work(kind, f, layout, seed, range(start, min(start + per_chunk, restarts)),
                      fix_psi)
-        for r, value, single in _sweep_until_stopped(work, iters, tol):
+        for r, value, single in _sweep_until_stopped(work, iters):
             values[r] = value
             # the first restart to reach the best value wins, as in a scan
             if value > best_at[0] or (value == best_at[0] and r < best_at[1]):

@@ -212,26 +212,26 @@ def _decode_matrix(rows: list) -> np.ndarray:
     return out
 
 
-def _encode_family(family: dict | None, pair_keys: bool) -> dict | None:
-    if family is None:
+# the matrix families: name -> keyed by the input pair (else by one input)
+FAMILIES = {"alice": False, "bob": False, "k_final": True, "l_final": True,
+            "pi_effect": True, "sigma_effect": True}
+
+
+def _encode_table(table: dict | None, pair_keys: bool, encode=_encode_matrix) -> dict | None:
+    """A matrix family (or the qubit sites) keyed "x,y" by input pair, else "x"."""
+    if table is None:
         return None
-    if pair_keys:
-        return {f"{x},{y}": _encode_matrix(m) for (x, y), m in sorted(family.items())}
-    return {str(x): _encode_matrix(m) for x, m in sorted(family.items())}
+    return {(f"{key[0]},{key[1]}" if pair_keys else str(key)): encode(value)
+            for key, value in sorted(table.items())}
 
 
-def _decode_family(data: dict | None, pair_keys: bool) -> dict | None:
+def _decode_table(data: dict | None, pair_keys: bool, decode=_decode_matrix) -> dict | None:
     if data is None:
         return None
-    out = {}
-    for key, rows in data.items():
-        mat = _decode_matrix(rows)
-        if pair_keys:
-            x, y = key.split(",")
-            out[(int(x), int(y))] = mat
-        else:
-            out[int(key)] = mat
-    return out
+    if pair_keys:   # "x,y" unpacks to exactly two parts or raises
+        return {(int(x), int(y)): decode(value)
+                for key, value in data.items() for x, y in [key.split(",")]}
+    return {int(key): decode(value) for key, value in data.items()}
 
 
 def strategy_to_json(strategy: AttackStrategy) -> str:
@@ -242,14 +242,9 @@ def strategy_to_json(strategy: AttackStrategy) -> str:
         "layout": [[name, w] for name, w in strategy.layout.registers],
         "psi": {"kind": "pure" if psi.ndim == 1 else "mixed",
                 "data": _encode_matrix(np.atleast_2d(psi))},
-        "alice": _encode_family(strategy.alice, False),
-        "bob": _encode_family(strategy.bob, False),
-        "k_final": _encode_family(strategy.k_final, True),
-        "l_final": _encode_family(strategy.l_final, True),
-        "pi_effect": _encode_family(strategy.pi_effect, True),
-        "sigma_effect": _encode_family(strategy.sigma_effect, True),
-        "qubit_site": (None if strategy.qubit_site is None else
-                       {f"{x},{y}": side for (x, y), side in sorted(strategy.qubit_site.items())}),
+        **{name: _encode_table(getattr(strategy, name), pair_keys)
+           for name, pair_keys in FAMILIES.items()},
+        "qubit_site": _encode_table(strategy.qubit_site, True, str),
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -260,17 +255,8 @@ def strategy_from_json(text: str) -> AttackStrategy:
     psi = _decode_matrix(doc["psi"]["data"])
     if doc["psi"]["kind"] == "pure":
         psi = psi.reshape(-1)
-    qubit_site = doc.get("qubit_site")
-    if qubit_site is not None:
-        qubit_site = {tuple(int(v) for v in key.split(",")): side
-                      for key, side in qubit_site.items()}
-    return AttackStrategy(
-        kind=doc["kind"], n=doc["n"], layout=layout, psi=psi,
-        alice=_decode_family(doc["alice"], False) or {},
-        bob=_decode_family(doc["bob"], False) or {},
-        k_final=_decode_family(doc["k_final"], True) or {},
-        l_final=_decode_family(doc["l_final"], True) or {},
-        pi_effect=_decode_family(doc["pi_effect"], True),
-        sigma_effect=_decode_family(doc["sigma_effect"], True),
-        qubit_site=qubit_site,
-    )
+    families = {name: _decode_table(doc[name], pair_keys) for name, pair_keys in FAMILIES.items()}
+    for name in ("alice", "bob", "k_final", "l_final"):
+        families[name] = families[name] or {}   # null reads as no entries
+    return AttackStrategy(kind=doc["kind"], n=doc["n"], layout=layout, psi=psi,
+                          qubit_site=_decode_table(doc.get("qubit_site"), True, str), **families)

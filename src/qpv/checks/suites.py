@@ -23,6 +23,7 @@ from ..attacks.good_sets import (
 )
 from ..attacks.strategy import ALICE_FINAL, BOB_FINAL, bell_core, rest_registers
 from ..protocol.runs import m1_accept_probability, m2_accept_probability
+from ..qcore.layout import rows_first
 from .report import BoundReport, holds
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
@@ -93,15 +94,12 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
     witness = {"trial": t, "overlap": overlaps[t]}
     worst = overlaps[t]
 
-    # aligned witness: K = L = I and phi0 = (transfer A->B) phi1
+    # aligned witness: K = L = I and phi0 = phi1 with A's content moved to B
     rng = qc.stream(seed, "overlap", "witness")
-    rest1 = rest_registers(layout, "R", "B")   # carries A
-    rest0 = rest_registers(layout, "R", "A")   # carries B
-    phi1 = qc.random_unit_vector(layout.subdim(*rest1), rng)
-    lay1 = layout.restricted(*rest1)
-    lay0 = layout.restricted(*rest0)
-    phi0 = qc.move_register_content(phi1, lay1, lay0, {"A": "B"})
-    aligned = abs(np.vdot(bell_core(layout, "A", phi0), bell_core(layout, "B", phi1)))
+    phi1 = qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "B")), rng)
+    psi0 = qc.assemble_raw(layout, [(("R", "A"), qc.BELL_VECTOR),
+                                    (("B", "At", "Ac", "Bt", "Bc"), phi1)])
+    aligned = abs(np.vdot(psi0, bell_core(layout, "B", phi1)))
     witness["aligned_overlap"] = aligned
     passed = (holds(worst, "<=", 0.5, 1e-9) and aligned >= 0.5 - 1e-6)
     return BoundReport(name="recovery_overlap", lhs=worst, rhs=0.5, relation="<=",
@@ -217,8 +215,6 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
     """Low-entropy readability in conjugate bases forces far-apart states."""
     delta = qc.binary_entropy(0.09)
     layout = small_attack_layout()
-    alice = ("A", "At", "Bc")
-    bob = ("B", "Bt", "Ac")
     phi0 = np.zeros((trials, layout.dim), dtype=complex)
     phi1 = np.zeros((trials, layout.dim), dtype=complex)
     dists = np.zeros(trials)
@@ -226,10 +222,10 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
         phi0[t] = meas_member(layout, "S0", 0.25, rng)
         phi1[t] = meas_member(layout, "S1", 0.25, rng)
         dists[t] = qc.purified_distance_pure(phi0[t], phi1[t])
-    h0 = qc.conditional_entropy_pure(phi0, layout, "R", alice, ("R", 0))
-    h1 = qc.conditional_entropy_pure(phi1, layout, "R", bob, ("R", 1))
-    sigma0 = qc.conditional_entropy_pure(phi0, layout, "R", bob, ("R", 1))
-    sigma1 = qc.conditional_entropy_pure(phi1, layout, "R", bob, ("R", 1))
+    h0 = qc.conditional_entropy_pure(phi0, layout, "R", ALICE_FINAL, ("R", 0))
+    h1 = qc.conditional_entropy_pure(phi1, layout, "R", BOB_FINAL, ("R", 1))
+    sigma0 = qc.conditional_entropy_pure(phi0, layout, "R", BOB_FINAL, ("R", 1))
+    sigma1 = qc.conditional_entropy_pure(phi1, layout, "R", BOB_FINAL, ("R", 1))
     # trials whose premise failed after perturbation are vacuous
     valid = np.flatnonzero((h0 <= delta) & (h1 <= delta))
     gaps = np.abs(sigma0 - sigma1)
@@ -338,15 +334,13 @@ def check_bound_by_iid(trials: int = 4000, seed: int = 0, r_mc: int = 50,
 def _bell_partial_inner(vec: np.ndarray, layout) -> np.ndarray:
     """(<Omega|_{RA} x I) |psi>, little-endian over the remaining registers."""
     n = layout.total_qubits
-    r_q = layout.positions("R")[0]
-    a_q = layout.positions("A")[0]
-    t = vec.reshape([2] * n)
-    bell = qc.BELL_VECTOR.reshape(2, 2)  # axes (A bit, R bit): index = r + 2a
-    out = np.tensordot(bell.conj(), t, axes=([1, 0], [n - 1 - r_q, n - 1 - a_q]))
-    return out.reshape(-1)
+    ra = layout.positions("R", "A")
+    # one row over every qubit, R then A lowest: index r + 2a + 4 * rest
+    rows = rows_first(vec, n, ra + [q for q in range(n) if q not in ra])
+    return rows.reshape(-1, 4) @ qc.BELL_VECTOR.conj()
 
 
-def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundReport:
+def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
     """The reduced-state distance to the Bell pair equals the best product-
     state distance of the global state (computed in closed form)."""
     layout = small_attack_layout()
@@ -361,10 +355,10 @@ def check_uhlmann(trials: int = 20, inner: int = 1000, seed: int = 0) -> BoundRe
         nv = np.linalg.norm(v)
         if nv > 1e-12:
             best = min(best, qc.purified_distance_pure(vec, bell_core(layout, "A", v / nv)))
-        # candidates in blocks of 100, to bound memory; the draws are those of
-        # `inner` random_unit_vector calls (real parts, then imaginary parts)
-        for start in range(0, inner, 100):
-            z = rng.standard_normal((min(100, inner - start), 2, layout.subdim(*rest)))
+        # 1000 candidates in blocks of 100, to bound memory; the draws are those
+        # of 1000 random_unit_vector calls (real parts, then imaginary parts)
+        for _ in range(10):
+            z = rng.standard_normal((100, 2, layout.subdim(*rest)))
             phis = z[:, 0] + 1j * z[:, 1]
             phis /= np.linalg.norm(phis, axis=1, keepdims=True)
             overlaps = np.abs(bell_core(layout, "A", phis) @ vec.conj())

@@ -67,6 +67,12 @@ def _one_of(choices, message: str):
     return read
 
 
+def _boolean(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _split(value, where):
     if value is not None and (not isinstance(value, list) or len(value) != 3):
         raise ConfigError(f"{where}: expected three integers, got {value!r}")
@@ -94,11 +100,13 @@ def _schema(rows: dict, *required: str) -> dict:
     return {key: (cast, default, key in required) for key, (cast, default) in rows.items()}
 
 
-def _kinds(rows: dict, other: tuple, **required: tuple) -> dict:
-    """One schema per kind of an object with a "kind" key: ``required[kind]``
-    lists the keys a kind needs besides "kind", ``other`` those of every
-    other kind, whose schema is the None entry."""
-    return {kind: _schema(rows, "kind", *keys) for kind, keys in (*required.items(), (None, other))}
+def _kinds(rows: dict, kinds: dict) -> dict:
+    """One schema per kind of an object with a "kind" key, from ``kinds``:
+    kind -> (the keys it admits besides "kind", None for every row; the keys
+    it needs).  The None entry serves every other kind."""
+    return {kind: _schema({key: row for key, row in rows.items()
+                           if admits is None or key in ("kind", *admits)}, "kind", *needs)
+            for kind, (admits, needs) in kinds.items()}
 
 
 def _fields(obj, where: str, schema: dict):
@@ -110,7 +118,9 @@ def _fields(obj, where: str, schema: dict):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     if None in schema:
-        schema = schema.get(obj.get("kind"), schema[None])
+        kind = obj.get("kind")
+        # a kind that is not a string gets the None schema, whose cast refuses it
+        schema = schema.get(kind if isinstance(kind, str) else None, schema[None])
     unknown = set(obj) - set(schema)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -133,14 +143,15 @@ SIMULATE = _schema({
 }, "protocol", "n", "f", "rounds")
 ATTACK = _schema({
     "f": RAW, "n": RAW, "kind": (None, "route"), "q": (INT, 2), "split": (_split, None),
-    "restarts": (INT, 20), "iters": (INT, 60), "unentangled": RAW, "epsilon": (NUMBER, 0.1),
-    "gardenhose": RAW,
+    "restarts": (INT, 20), "iters": (INT, 60), "unentangled": (_boolean, False),
+    "epsilon": (NUMBER, 0.1), "gardenhose": RAW,
 }, "f")
 GARDENHOSE = _schema({"pipes": (INT, None), "alice": (_matchings, None),
                       "bob": (_matchings, None)}, "pipes", "alice", "bob")
 FUNCTION_ROWS = {"kind": RAW, "n": (INT, None), "seed": (INT, None), "table": RAW,
                  "bit": (INT, None), "path": RAW}
-FUNCTION = _kinds(FUNCTION_ROWS, ("n",), file=("path",), table=("n", "table"))
+FUNCTION = _kinds(FUNCTION_ROWS, {"file": (None, ("path",)), "table": (None, ("n", "table")),
+                                  None: (None, ("n",))})
 
 
 # prover kind -> its prover, from the spec's reader and f
@@ -158,16 +169,20 @@ PROVERS = {
 }
 PROVER = _kinds({"kind": (_one_of(tuple(PROVERS), "prover: unknown kind {!r}"), None),
                  "p": (NUMBER, None), "state": (INT, 0), "basis": (INT, 0), "path": RAW},
-                (), synthetic=("p",), strategy=("path",))
+                {"synthetic": (None, ("p",)), "strategy": (None, ("path",)), None: (None, ())})
 BOUNDS_ROWS = {
     "kind": (_one_of(("counting", "net_size", "delta_margin", "volume", "qubit_bound", "cc"),
                      "unknown bounds kind {!r}"), None),
     "n": (INT, None), "q": (INT, None), "lambda": (FRACTION, None), "f": RAW, "k": (INT, None),
     "f_kind": (_one_of(("random", "cc"), "unknown f_kind {!r}"), None),
-    "model": (_one_of(("smp", "oneway"), "unknown model {!r}"), "smp"), "error": RAW,
+    "model": (_one_of(("smp", "oneway"), "unknown model {!r}"), "smp"),
 }
-BOUNDS = _kinds(BOUNDS_ROWS, (), counting=("n", "q"), net_size=("q",), volume=("n", "lambda"),
-                qubit_bound=("f_kind",), cc=("f", "k"))
+# each bounds kind admits only the keys it reads; an unknown one, every key
+BOUNDS = _kinds(BOUNDS_ROWS, {
+    "counting": (("n", "q"), ("n", "q")), "net_size": (("q",), ("q",)),
+    "delta_margin": ((), ()), "volume": (("n", "lambda"), ("n", "lambda")),
+    "qubit_bound": (("f_kind", "n", "k", "f"), ("f_kind",)),
+    "cc": (("f", "n", "k", "model"), ("f", "k")), None: (None, ())})
 QUBIT_RANDOM = _schema(BOUNDS_ROWS, "n")
 
 
@@ -366,6 +381,8 @@ def main(argv=None) -> int:
             return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ConfigError("config: expected an object")
         seed = config.pop("seed", 0)
         seed = INT(seed, "config.seed") if args.seed is None else args.seed
         if args.command == "simulate":

@@ -71,12 +71,6 @@ def m2_accept_probability(rho: np.ndarray) -> float:
     return p_omega + 0.5 * (p_1 + p_2)
 
 
-def _check_inputs(f, x: int, y: int) -> None:
-    side = 1 << f.n
-    if not (0 <= x < side and 0 <= y < side):
-        raise ValueError(f"inputs must be {f.n}-bit strings")
-
-
 def _on_q(rho: np.ndarray, kraus) -> np.ndarray:
     """sum_k K_k rho K_k^dagger for Kraus operators K_k on Q, the high qubit
     of rho_RQ."""
@@ -144,7 +138,7 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
         raise ValueError(f"unknown protocol {protocol!r}")
     if prep is not None and protocol != "route_bb84":
         raise ValueError("only route_bb84 has a preparation")
-    _check_inputs(f, x, y)
+    fxy = f.value(x, y)   # rejects inputs outside n bits
     if isinstance(prover, SyntheticAdversary):
         return prover.p
     if isinstance(prover, AttackStrategy):
@@ -160,7 +154,7 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
     if protocol == "route_entangled":
         return m1_accept_probability(rho)
     if protocol == "meas":
-        return _meas_agreement(prover, f.value(x, y), rho)
+        return _meas_agreement(prover, fxy, rho)
     if prep is None:
         return m2_accept_probability(rho)
     # the BB84 vectors are real, so outcome p on R of |Omega> leaves Q in |p>
@@ -172,23 +166,19 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
 # single rounds
 # ---------------------------------------------------------------------------
 
-def round_events(protocol: str, f, x: int, y: int, prover=HONEST,
-                 geom: Geometry | None = None, require_both: bool = True):
+def round_events(protocol: str, f, x: int, y: int, prover=HONEST):
     """Event log of one round and its two gates, ``(events, timing_ok, arrival_ok)``.
 
     Attack strategies and synthetic adversaries relay classically with
     honest-looking timing, so both gates pass by construction.  A device at
-    the claimed position is timed against the geometry; in the routing
-    protocols it must also send Q to the verifier that f(x, y) names.  The
-    measuring protocol answers both verifiers (``require_both``) or only
-    that one.
+    the claimed position is timed against the default geometry; in the
+    routing protocols it must also send Q to the verifier that f(x, y)
+    names.  The measuring protocol answers both verifiers.
     """
-    geom = geom or Geometry()
+    geom = Geometry()
     fxy = f.value(x, y)
-    if protocol == "meas":
-        targets = [0, 1] if require_both else [fxy]
-    else:
-        targets = [prover.destination(fxy) if isinstance(prover, Prover) else fxy]
+    targets = ([0, 1] if protocol == "meas" else
+               [prover.destination(fxy) if isinstance(prover, Prover) else fxy])
     if not isinstance(prover, Prover):
         return two_attacker_relay_events(geom, x, y, targets), True, True
     payload = {"classical_bit": True} if protocol == "meas" else {"carries_qubit": True}
@@ -199,9 +189,7 @@ def round_events(protocol: str, f, x: int, y: int, prover=HONEST,
     return events, timing_check(events, geom), arrival_ok
 
 
-def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0,
-              geom: Geometry | None = None, require_both: bool = True,
-              depolarize: float = 0.0) -> ProtocolRun:
+def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0) -> ProtocolRun:
     """Play one round.  ``route_bb84`` first draws the verifier's preparation
     from the round's generator; the verdict is then one draw against the pass
     probability, and a failed timing or arrival gate rejects."""
@@ -209,10 +197,8 @@ def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0,
     details = {}
     if protocol == "route_bb84":
         details["prep"] = int(rng.integers(0, 4))
-    prob = accept_probability(protocol, f, x, y, prover, depolarize=depolarize,
-                              prep=details.get("prep"))
-    events, timing_ok, arrival_ok = round_events(protocol, f, x, y, prover, geom,
-                                                 require_both)
+    prob = accept_probability(protocol, f, x, y, prover, prep=details.get("prep"))
+    events, timing_ok, arrival_ok = round_events(protocol, f, x, y, prover)
     details["f"] = fxy = f.value(x, y)
     if not isinstance(prover, Prover):
         details["attack"] = True

@@ -21,7 +21,6 @@ from .ops import (
     check_unitary,
     conditional_entropy,
     conditional_entropy_pure,
-    controlled,
     dephase_register,
     expectation,
     fidelity,
@@ -47,7 +46,6 @@ from .state import (
     PHI1_VECTOR,
     PHI2_VECTOR,
     assemble_raw,
-    move_register_content,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

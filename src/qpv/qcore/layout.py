@@ -78,14 +78,6 @@ class RegisterLayout:
     def subdim(self, *names: str) -> int:
         return 1 << sum(self._slot(name)[1] for name in names)
 
-    def restricted(self, *names: str) -> "RegisterLayout":
-        """Layout containing only the named registers, in layout order."""
-        keep = set(names)
-        unknown = keep - set(self.names)
-        if unknown:
-            raise KeyError(f"unknown registers {sorted(unknown)}")
-        return RegisterLayout([(n, w) for n, w in self.registers if n in keep])
-
 
 @lru_cache(maxsize=None)
 def _row_axes(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

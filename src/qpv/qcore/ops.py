@@ -44,20 +44,10 @@ def kron_le(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def controlled(gate: np.ndarray, control_first: bool = True) -> np.ndarray:
-    """Controlled gate on (control, target) qubits; control is the low-order
-    qubit when ``control_first``."""
-    d = gate.shape[0]
-    out = np.eye(2 * d, dtype=complex)
-    if control_first:
-        idx = np.arange(d) * 2 + 1
-    else:
-        idx = np.arange(d) + d
-    out[np.ix_(idx, idx)] = gate
-    return out
-
-
-CNOT = controlled(X)  # control = qubit 0, target = qubit 1
+CNOT = np.array([[1, 0, 0, 0],   # control = qubit 0, target = qubit 1
+                 [0, 0, 0, 1],
+                 [0, 0, 1, 0],
+                 [0, 1, 0, 0]], dtype=complex)
 SWAP2 = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
                   [0, 1, 0, 0],

@@ -1,4 +1,4 @@
-"""Fixed state vectors, product-state assembly and register relabelling.
+"""Fixed state vectors and product-state assembly.
 
 The package has one state representation, raw arrays: state vectors
 (optionally batched) and density matrices, indexed little-endian over a
@@ -35,9 +35,10 @@ def assemble_raw(layout: RegisterLayout, factors) -> np.ndarray:
 
     ``factors`` is an iterable of ``(register_names, vector)`` pairs; the
     groups must partition the layout's registers.  Each vector is indexed
-    little-endian over its group's registers in the given order.  Groups may
-    interleave arbitrarily across the layout.  A factor may carry leading
-    batch axes; they broadcast, and the result is a batch of vectors.
+    little-endian over its group's registers in the given order, so naming
+    other registers relabels its content.  Groups may interleave arbitrarily
+    across the layout.  A factor may carry leading batch axes; they
+    broadcast, and the result is a batch of vectors.
     """
     n = layout.total_qubits
     covered: list[int] = []
@@ -60,26 +61,3 @@ def assemble_raw(layout: RegisterLayout, factors) -> np.ndarray:
         full = full.reshape(full.shape[:-2] + (-1,))
     # full is little-endian over covered: its index is one row over those qubits
     return rows_back(full, n, covered).reshape(full.shape)
-
-
-def move_register_content(vec: np.ndarray, layout_from: RegisterLayout,
-                          layout_to: RegisterLayout, rename: dict) -> np.ndarray:
-    """Relabel registers of a pure-state vector without touching amplitudes.
-
-    ``rename`` maps old register names to new ones; unmentioned registers keep
-    their names.  The returned vector is indexed by ``layout_to``.
-    """
-    n = layout_from.total_qubits
-    if layout_to.total_qubits != n:
-        raise ValueError("layouts must have the same qubit count")
-    mapping: dict[int, int] = {}
-    for name, width in layout_from.registers:
-        new = rename.get(name, name)
-        src = layout_from.positions(name)
-        dst = layout_to.positions(new)
-        if len(dst) != width:
-            raise ValueError(f"register {name!r} changes width under renaming")
-        mapping.update(zip(src, dst))
-    # source bit q is target qubit mapping[q]: one row over those qubits
-    vec = np.asarray(vec, dtype=complex)
-    return rows_back(vec, n, [mapping[q] for q in range(n)]).reshape(vec.shape)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -268,6 +269,14 @@ def test_gardenhose_strategy_json_round_trips():
     assert np.array_equal(back.psi, strat.psi)
     for x in (0, 1):
         assert np.array_equal(back.alice_unitary(x), strat.alice_unitary(x))
+
+
+@pytest.mark.parametrize("family", ["l_final", "qubit_site"])
+def test_strategy_json_pair_keys_have_two_parts(family):
+    doc = json.loads(at.strategy_to_json(at.swap_in_attack(an.constant_function(1, 1))))
+    doc[family]["0,0,1"] = doc[family]["0,0"]
+    with pytest.raises(ValueError):
+        at.strategy_from_json(json.dumps(doc))
 
 
 def test_meas_strategy_serialization():

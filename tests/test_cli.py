@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -334,6 +335,47 @@ def test_outputs_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+# SHA-256 of the README's verify and attack-optimize outputs at seed 0: the
+# verify JSON lines, and each attack report (without the package version)
+# followed by its strategy JSON; recorded before the unused library options
+# and duplicate helpers were deleted
+PINNED_OUTPUTS = {
+    "verify_all": (
+        "verify", None,
+        "cb2b8b47a067565075237479e6f45219ff52873dc907119b07decb66b67a401f"),
+    "seesaw_meas_unentangled": (
+        "attack-optimize",
+        {"f": {"kind": "ip", "n": 1}, "kind": "meas", "q": 2, "unentangled": True,
+         "restarts": 20, "iters": 60},
+        "b73c64cc7fb2bdddc660a76c03665ceac5cb5ece939495c3d48fd192967796ff"),
+    "gardenhose": (
+        "attack-optimize",
+        {"f": {"kind": "table", "n": 1, "table": "0101"},
+         "gardenhose": {"pipes": 2, "alice": {"0": [["S", 1]], "1": [["S", 1]]},
+                        "bob": {"0": [[1, 2]], "1": []}}},
+        "99241a43f6f83238e979604c539dcae85ad73daf462f3622266c96c004a443eb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_outputs_pinned(tmp_path, capsys, name):
+    command, config, digest = PINNED_OUTPUTS[name]
+    out = tmp_path / "res.out"
+    if command == "verify":
+        argv = ["verify", "--suite", "all", "--seed", "0"]
+    else:
+        argv = [command, "--config", write_config(tmp_path, "c.json", config)]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    payload = out.read_bytes()
+    if command == "attack-optimize":
+        doc = json.loads(payload)
+        del doc["provenance"]["version"]
+        payload = (json.dumps(doc, sort_keys=True).encode()
+                   + (tmp_path / "res.out.strategy.json").read_bytes())
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
 def test_threads_flag_rejected(tmp_path, capsys):
     """Nothing runs in parallel, so there is no --threads option."""
     cfg = write_config(tmp_path, "sim.json", {
@@ -408,6 +450,7 @@ def _gh(**changes):
 # and exit code; the last few have two faults and pin which is reported
 PINNED_ERRORS = {
     # simulate: the top-level object
+    "config-not-object": ("simulate", [1], "config: expected an object"),
     "sim-unknown-key": ("simulate", _with(SIM, bogus=1), "config: unknown keys ['bogus']"),
     "sim-missing-keys": ("simulate", {"protocol": "meas", "f": {"kind": "xor"}},
                          "config: missing keys ['n', 'rounds']"),
@@ -457,6 +500,8 @@ PINNED_ERRORS = {
     "f-bit-bool": ("simulate", _with(SIM, f={"kind": "constant", "bit": True}),
                    "f.bit: expected an integer, got True"),
     "f-kind": ("simulate", _with(SIM, f={"kind": "bogus"}), "unknown function kind 'bogus'"),
+    "f-kind-list": ("simulate", _with(SIM, f={"kind": ["xor"]}),
+                    "unknown function kind ['xor']"),
     # the prover spec
     "prover-not-object": ("simulate", _with(SIM, prover=5), "prover: expected an object"),
     "prover-unknown-key": ("simulate", _prover(kind="honest", q=1),
@@ -476,6 +521,8 @@ PINNED_ERRORS = {
     "prover-basis-bool": ("simulate", _prover(kind="measure_forward", basis=True),
                           "prover.basis: expected an integer, got True"),
     "prover-kind": ("simulate", _prover(kind="nope"), "prover: unknown kind 'nope'"),
+    "prover-kind-object": ("simulate", _prover(kind={"kind": "honest"}),
+                           "prover: unknown kind {'kind': 'honest'}"),
     # attack-optimize
     "att-unknown-key": ("attack-optimize", _with(ATT, bogus=1), "config: unknown keys ['bogus']"),
     "att-missing-f": ("attack-optimize", {"q": 1}, "config: missing keys ['f']"),
@@ -493,6 +540,10 @@ PINNED_ERRORS = {
                               "config.restarts: expected an integer, got 2.5"),
     "att-iters-bool": ("attack-optimize", _with(ATT, iters=True),
                        "config.iters: expected an integer, got True"),
+    "att-unentangled-text": ("attack-optimize", _with(ATT, unentangled="no"),
+                             "config.unentangled: expected true or false, got 'no'"),
+    "att-unentangled-int": ("attack-optimize", _with(ATT, unentangled=1),
+                            "config.unentangled: expected true or false, got 1"),
     "gh-not-object": ("attack-optimize", _with(ATT, gardenhose=3),
                       "gardenhose: expected an object"),
     "gh-unknown-key": ("attack-optimize", _gh(extra=1), "gardenhose: unknown keys ['extra']"),
@@ -517,6 +568,15 @@ PINNED_ERRORS = {
                            "config: unknown keys ['bogus']"),
     "bounds-missing-kind": ("bounds", {"n": 1}, "config: missing keys ['kind']"),
     "bounds-kind": ("bounds", {"kind": "nope"}, "unknown bounds kind 'nope'"),
+    "bounds-kind-list": ("bounds", {"kind": ["cc"]}, "unknown bounds kind ['cc']"),
+    "bounds-kind-unknown-key": ("bounds", {"kind": "nope", "bogus": 1},
+                                "config: unknown keys ['bogus']"),
+    "counting-other-kind-key": ("bounds", {"kind": "counting", "n": 10, "q": 0, "model": "nope"},
+                                "config: unknown keys ['model']"),
+    "delta_margin-key": ("bounds", {"kind": "delta_margin", "n": 3},
+                         "config: unknown keys ['n']"),
+    "cc-error-key": ("bounds", {"kind": "cc", "k": 1, "f": {"kind": "ip", "n": 1}, "error": 0},
+                     "config: unknown keys ['error']"),
     "counting-keys": ("bounds", {"kind": "counting"}, "config: missing keys ['n', 'q']"),
     "counting-n-null": ("bounds", {"kind": "counting", "n": None, "q": 0},
                         "config.n: expected an integer, got None"),
@@ -587,6 +647,35 @@ def test_pinned_config_error_messages(tmp_path, capsys, case):
     assert got_code == (code[0] if code else cli.EXIT_CONFIG)
     assert out == ""
     assert err == (message if message.startswith("budget") else f"error: {message}") + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "counting", "n": 10, "q": 0},
+    {"kind": "net_size", "q": 1},
+    {"kind": "delta_margin"},
+    {"kind": "volume", "n": 100, "lambda": "1/4"},
+    {"kind": "qubit_bound", "f_kind": "random", "n": 10},
+    {"kind": "qubit_bound", "f_kind": "cc", "k": 2},
+    {"kind": "qubit_bound", "f_kind": "cc", "n": 1, "f": {"kind": "ip"}},
+    {"kind": "cc", "n": 1, "f": {"kind": "ip"}, "k": 1, "model": "oneway"},
+], ids=["counting", "net_size", "delta_margin", "volume", "qubit_random", "qubit_cc_k",
+        "qubit_cc_f", "cc"])
+def test_bounds_kinds_admit_every_key_they_read(tmp_path, capsys, payload):
+    code, out, err = run_cli(capsys, "bounds", "--config", write_config(tmp_path, "b.json", payload))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["kind"] == payload["kind"]
+
+
+def test_unentangled_false_is_the_default(tmp_path, capsys):
+    outs = []
+    for extra in ({}, {"unentangled": False}):
+        cfg = write_config(tmp_path, "a.json", _with(ATT, kind="meas", restarts=1, iters=2, **extra))
+        code, out, _ = run_cli(capsys, "attack-optimize", "--config", cfg)
+        assert code == cli.EXIT_OK
+        outs.append(json.loads(out))
+    for doc in outs:
+        del doc["provenance"]["config_sha256"]
+    assert outs[0] == outs[1]
 
 
 def test_failed_calls_do_not_poison_a_later_call(tmp_path, capsys):

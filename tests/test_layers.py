@@ -1,8 +1,13 @@
-"""One state representation outside qcore.
+"""One state representation outside qcore, and one axis convention.
 
 The package works on raw arrays: state vectors and density matrices.  The
 dense density-matrix ops stay in ``qpv.qcore`` as the reference the kernel
 tests compare against; no module outside ``qpv/qcore`` may call them.
+
+Qubits map to array axes in one place, ``qpv/qcore/layout.py``
+(``rows_first``/``rows_back``): no other module contracts with
+``np.tensordot`` or reshapes a state into per-qubit axes (``[2] * n``,
+``(2,) * n``).
 """
 
 import ast
@@ -54,3 +59,38 @@ def test_scan_finds_each_kind_of_reference():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_no_dense_state_ops_outside_qcore(path):
     assert dense_references(ast.parse(path.read_text(), str(path))) == []
+
+
+AXIS_OWNER = SRC / "qcore" / "layout.py"
+
+
+def per_qubit_axes(tree):
+    """(line, what) of every ``tensordot`` reference and every ``[2] * n`` /
+    ``(2,) * n`` product (either operand order) in a module's AST."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "tensordot"
+                or isinstance(node, ast.Attribute) and node.attr == "tensordot"):
+            found.append((node.lineno, "tensordot"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for side in (node.left, node.right):
+                if (isinstance(side, (ast.List, ast.Tuple)) and len(side.elts) == 1
+                        and isinstance(side.elts[0], ast.Constant) and side.elts[0].value == 2):
+                    found.append((node.lineno, "per-qubit axes"))
+    return sorted(found)
+
+
+def test_axis_scan_finds_each_form():
+    code = ("t = vec.reshape([2] * n)\n"
+            "u = np.reshape(v, (-1,) + (2,) * n)\n"
+            "w = n * [2]\n"
+            "np.tensordot(a, t, axes=1)\n"
+            "x = [3] * n + (2, 2) * n\n")
+    assert per_qubit_axes(ast.parse(code)) == [
+        (1, "per-qubit axes"), (2, "per-qubit axes"), (3, "per-qubit axes"), (4, "tensordot")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.rglob("*.py") if p != AXIS_OWNER),
+                         ids=lambda p: p.relative_to(SRC).as_posix())
+def test_qubit_axes_only_in_layout(path):
+    assert per_qubit_axes(ast.parse(path.read_text(), str(path))) == []

@@ -545,15 +545,6 @@ def test_assemble_raw_batch_matches_single_assembles():
         np.testing.assert_array_equal(row, single)
 
 
-def test_move_register_content_roundtrip():
-    src = qc.RegisterLayout([("A", 1), ("T", 2)])
-    dst = qc.RegisterLayout([("B", 1), ("T", 2)])
-    psi = qc.random_unit_vector(src.dim, qc.stream(120))
-    moved = qc.move_register_content(psi, src, dst, {"A": "B"})
-    back = qc.move_register_content(moved, dst, src, {"B": "A"})
-    np.testing.assert_allclose(back, psi, atol=1e-15)
-
-
 def test_state_validation():
     qc.check_state(qc.BB84_VECTORS[2], 2)
     qc.check_state(np.eye(2) / 2, 2)

@@ -9,6 +9,8 @@ recovery unitary (routing) and by the closed-form Helstrom bound (measuring).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .. import qcore as qc
@@ -116,11 +118,11 @@ def perturb_within(vec: np.ndarray, eps: float, rng) -> tuple[np.ndarray, float]
     if eps > 0:
         noise = qc.random_unit_vector(vec.size, rng)
         noise = noise - np.vdot(vec, noise) * vec
-        nn = np.linalg.norm(noise)
+        nn = qc.vector_norm(noise)
         if nn >= 1e-12:
             sin_a = eps * rng.random()
             out = np.sqrt(1 - sin_a ** 2) * vec + sin_a * (noise / nn)
-    return out / np.linalg.norm(out), sin_a
+    return out / qc.vector_norm(out), sin_a
 
 
 def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
@@ -136,18 +138,15 @@ def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     return perturb_within(vec, eps, rng)[0]
 
 
-def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
-    """State vector whose reference bit is readable by BOTH sides in the
-    relevant basis, perturbed while re-verifying the guessing premise."""
-    basis = 0 if which == "S0" else 1
-    a_read = layout.positions("A")[0] if layout.width("A") else None
-    b_read = layout.positions("B")[0] if layout.width("B") else None
-    if a_read is None or b_read is None:
+@lru_cache(maxsize=16)
+def _meas_core(layout: qc.RegisterLayout, basis: int) -> np.ndarray:
+    """meas_member's unperturbed state (R copied into A and B), kept read-only."""
+    if not (layout.width("A") and layout.width("B")):
         raise ValueError("need 1-qubit A and B registers for readable copies")
+    r_q, a_read, b_read = (layout.positions(name)[0] for name in ("R", "A", "B"))
     n = layout.total_qubits
     vec = np.zeros(layout.dim, dtype=complex)
     vec[0] = 1.0
-    r_q = layout.positions("R")[0]
     vec = qc.apply_on_qubits(vec, n, qc.H, [r_q])
     vec = qc.apply_on_qubits(vec, n, qc.CNOT, [r_q, a_read])
     vec = qc.apply_on_qubits(vec, n, qc.CNOT, [r_q, b_read])
@@ -155,13 +154,21 @@ def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
         # conjugate every copy into the Hadamard basis
         for qb in (r_q, a_read, b_read):
             vec = qc.apply_on_qubits(vec, n, qc.H, [qb])
+    vec.flags.writeable = False
+    return vec
+
+
+def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
+    """State vector whose reference bit is readable by BOTH sides in the
+    relevant basis, perturbed while re-verifying the guessing premise."""
+    vec = _meas_core(layout, 0 if which == "S0" else 1)
     scale = eps
     for _ in range(12):
         cand, _ = perturb_within(vec, scale, rng)
         if s_set_distance(cand, layout, which, "meas", eps)[1]:
             return cand
         scale *= 0.5
-    return vec
+    return vec.copy()
 
 
 def small_attack_layout() -> qc.RegisterLayout:

@@ -65,12 +65,12 @@ def polar_unitary(w: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def random_effect(dim: int, rng) -> np.ndarray:
-    """Random projector onto half the space (seed for POVM sweeps)."""
-    u = qc.haar_random_unitary(dim, rng)
+def random_effect(dim: int, rng, count: int | None = None) -> np.ndarray:
+    """Random projector onto half the space (seed for POVM sweeps), or a stack of them."""
+    u = qc.haar_random_unitary(dim, rng, count)
     keep = dim // 2 if dim > 1 else 1
-    basis = u[:, :keep]
-    return basis @ basis.conj().T
+    basis = u[..., :keep]
+    return basis @ dagger(basis)
 
 
 def helstrom_effect(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -126,9 +126,9 @@ class _Work:
         for r in restarts:
             rng = qc.stream(seed, "restart", r)
             psis.append(fix_psi if self.fix_psi else qc.random_unit_vector(layout.dim, rng))
-            locals_.append([np.stack([qc.haar_random_unitary(layout.subdim(*regs), rng)
-                                      for _ in range(self.side)]) for regs in LOCAL_REGS])
-            finale.append([np.stack([draw(layout.subdim(*regs), rng) for _ in self.pairs])
+            locals_.append([qc.haar_random_unitary(layout.subdim(*regs), rng, self.side)
+                            for regs in LOCAL_REGS])
+            finale.append([draw(layout.subdim(*regs), rng, len(self.pairs))
                            for regs in FINAL_REGS])
         self.psi = np.stack(psis)
         self.locals = [np.stack(stacks) for stacks in zip(*locals_)]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,7 @@ def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
                               ("B", b), ("Bt", bt), ("Bc", bc)])
 
 
+@lru_cache(maxsize=256)
 def rest_registers(layout: qc.RegisterLayout, *exclude: str) -> tuple[str, ...]:
     """The non-empty registers of ``layout`` outside ``exclude``, in layout order."""
     return tuple(name for name in layout.names if name not in exclude and layout.width(name))
@@ -111,9 +113,14 @@ class AttackStrategy:
                 raise ValueError("measuring strategies need pi/sigma effects")
             families += [("pi_effect", self.pi_effect, ALICE_FINAL, qc.check_effect),
                          ("sigma_effect", self.sigma_effect, BOB_FINAL, qc.check_effect)]
+        inputs = range(1 << self.n)
         for name, family, regs, check in families:
             dim = self.layout.subdim(*regs)
             for key, mat in family.items():
+                parts = key if FAMILIES[name] else (key,)   # an input pair, else an input
+                if not (type(parts) is tuple and len(parts) == 1 + FAMILIES[name]
+                        and all(part in inputs for part in parts)):
+                    raise ValueError(f"{name}[{key!r}]: not keyed by inputs of n = {self.n}")
                 mat = np.asarray(mat, dtype=complex)
                 if mat.shape != (dim, dim):
                     raise ValueError(f"{name}[{key}] must be {dim}x{dim}")

@@ -72,19 +72,20 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
     """States recoverable to opposite sides overlap by at most 1/2, and the
     bound is attained by the aligned transfer construction."""
     layout = small_attack_layout()
+    phi_dims = [layout.subdim(*rest_registers(layout, "R", ret)) for ret in ("A", "B")]
+    k_dim, l_dim = layout.subdim(*ALICE_FINAL), layout.subdim(*BOB_FINAL)
     overlaps = []
-    # each trial draws from its own stream; the applies run in blocks of 100
-    # trials, to bound memory
+    # each trial draws from its own stream; the Haar QRs and the applies run
+    # in blocks of 100 trials, to bound memory
     streams = qc.trial_streams(seed, "overlap", trials)
     for start in range(0, trials, 100):
         draws = []
         for rng in itertools.islice(streams, 100):
-            draws.append((
-                qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "A")), rng),
-                qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "B")), rng),
-                qc.haar_random_unitary(layout.subdim(*ALICE_FINAL), rng),
-                qc.haar_random_unitary(layout.subdim(*BOB_FINAL), rng)))
-        phi0, phi1, k, lu = (np.stack(d) for d in zip(*draws))
+            draws.append((qc.random_unit_vector(phi_dims[0], rng),
+                          qc.random_unit_vector(phi_dims[1], rng),
+                          qc.ginibre(k_dim, rng), qc.ginibre(l_dim, rng)))
+        phi0, phi1, zk, zl = (np.stack(d) for d in zip(*draws))
+        k, lu = qc.haar_finish(zk), qc.haar_finish(zl)
         psi0 = qc.apply_vector_matrix(bell_core(layout, "A", phi0), layout,
                                       k.conj().transpose(0, 2, 1), ALICE_FINAL)
         psi1 = qc.apply_vector_matrix(bell_core(layout, "B", phi1), layout,
@@ -96,7 +97,7 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
 
     # aligned witness: K = L = I and phi0 = phi1 with A's content moved to B
     rng = qc.stream(seed, "overlap", "witness")
-    phi1 = qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "B")), rng)
+    phi1 = qc.random_unit_vector(phi_dims[1], rng)
     psi0 = qc.assemble_raw(layout, [(("R", "A"), qc.BELL_VECTOR),
                                     (("B", "At", "Ac", "Bt", "Bc"), phi1)])
     aligned = abs(np.vdot(psi0, bell_core(layout, "B", phi1)))
@@ -344,7 +345,7 @@ def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
     """The reduced-state distance to the Bell pair equals the best product-
     state distance of the global state (computed in closed form)."""
     layout = small_attack_layout()
-    rest = rest_registers(layout, "R", "A")
+    rest_dim = layout.subdim(*rest_registers(layout, "R", "A"))
     worst = 0.0
     witness = {}
     for t, rng in enumerate(qc.trial_streams(seed, "uhlmann", trials)):
@@ -358,7 +359,7 @@ def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
         # 1000 candidates in blocks of 100, to bound memory; the draws are those
         # of 1000 random_unit_vector calls (real parts, then imaginary parts)
         for _ in range(10):
-            z = rng.standard_normal((100, 2, layout.subdim(*rest)))
+            z = rng.standard_normal((100, 2, rest_dim))
             phis = z[:, 0] + 1j * z[:, 1]
             phis /= np.linalg.norm(phis, axis=1, keepdims=True)
             overlaps = np.abs(bell_core(layout, "A", phis) @ vec.conj())

@@ -33,12 +33,15 @@ from .ops import (
 )
 from .rng import (
     as_generator,
+    ginibre,
+    haar_finish,
     haar_random_unitary,
     random_density_matrix,
     random_pure_state,
     random_unit_vector,
     stream,
     trial_streams,
+    vector_norm,
 )
 from .state import (
     BB84_VECTORS,

@@ -24,14 +24,18 @@ MAX_QUBITS = 16
 @dataclass(frozen=True)
 class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
-    # name -> (offset, width), set at construction
+    # set at construction from ``registers``: name -> (offset, width), the
+    # register names in order, the qubit count and the state dimension
     _slots: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    total_qubits: int = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, registers):
         regs = tuple((str(name), int(width)) for name, width in registers)
-        names = [name for name, _ in regs]
+        names = tuple(name for name, _ in regs)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate register names in {names}")
+            raise ValueError(f"duplicate register names in {list(names)}")
         for name, width in regs:
             if width < 0:
                 raise ValueError(f"register {name!r} has negative width")
@@ -43,20 +47,9 @@ class RegisterLayout:
         for name, width in regs:
             slots[name] = (at, width)
             at += width
-        object.__setattr__(self, "registers", regs)
-        object.__setattr__(self, "_slots", slots)
-
-    @property
-    def total_qubits(self) -> int:
-        return sum(width for _, width in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.total_qubits
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.registers)
+        for attr, value in (("registers", regs), ("_slots", slots), ("names", names),
+                            ("total_qubits", total), ("dim", 1 << total)):
+            object.__setattr__(self, attr, value)
 
     def _slot(self, name: str) -> tuple[int, int]:
         try:

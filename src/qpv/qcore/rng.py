@@ -148,21 +148,35 @@ def as_generator(seed_or_rng) -> np.random.Generator:
     return stream(int(seed_or_rng))
 
 
-def haar_random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix (phase-fixed)."""
+def ginibre(dim: int, rng, count: int | None = None) -> np.ndarray:
+    """Real, then imaginary parts of a Ginibre matrix, ``(2, dim, dim)``, or a
+    ``(count, 2, dim, dim)`` stack equal to ``count`` single draws."""
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
-    g = as_generator(rng)
-    z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return as_generator(rng).standard_normal((2, dim, dim) if count is None else (count, 2, dim, dim))
+
+
+def haar_finish(parts: np.ndarray) -> np.ndarray:
+    """Phase-fixed QR factor Q of each matrix of a ``(..., 2, d, d)`` Ginibre stack."""
+    q, r = np.linalg.qr(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_random_unitary(dim: int, rng, count: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix, or a stack of them."""
+    return haar_finish(ginibre(dim, rng, count))
+
+
+def vector_norm(v: np.ndarray):
+    """``np.linalg.norm`` of a contiguous 1-D vector (a strided one rounds apart)."""
+    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def random_unit_vector(dim: int, rng) -> np.ndarray:
-    g = as_generator(rng)
-    v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    z = as_generator(rng).standard_normal(2 * dim)   # real parts, then imaginary parts
+    v = z[:dim] + 1j * z[dim:]
+    return v / vector_norm(v)
 
 
 def random_pure_state(layout: RegisterLayout, rng) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,23 @@ def test_strategy_json_pair_keys_have_two_parts(family):
     doc = json.loads(at.strategy_to_json(at.swap_in_attack(an.constant_function(1, 1))))
     doc[family]["0,0,1"] = doc[family]["0,0"]
     with pytest.raises(ValueError):
+        at.strategy_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("family, key, shown", [
+    ("alice", "2", "2"), ("bob", "-1", "-1"), ("k_final", "0,2", "(0, 2)"),
+    ("l_final", "7,7", "(7, 7)"), ("pi_effect", "2,0", "(2, 0)"),
+    ("sigma_effect", "0,-1", "(0, -1)")])
+def test_strategy_json_keys_are_inputs_of_n(family, key, shown):
+    """An n = 1 strategy refuses a family entry outside its inputs (which it
+    would never use), naming the family and the key."""
+    if family in ("pi_effect", "sigma_effect"):
+        strat, source = readable_bit_strategy(XOR), family
+    else:
+        strat, source = at.swap_in_attack(an.constant_function(1, 1)), "alice"
+    doc = json.loads(at.strategy_to_json(strat))
+    doc[family][key] = next(iter(doc[source].values()))
+    with pytest.raises(ValueError, match=rf"^{family}\[{re.escape(shown)}\]: not keyed by inputs"):
         at.strategy_from_json(json.dumps(doc))
 
 

@@ -338,11 +338,15 @@ def test_outputs_byte_identical(tmp_path, capsys):
 # SHA-256 of the README's verify and attack-optimize outputs at seed 0: the
 # verify JSON lines, and each attack report (without the package version)
 # followed by its strategy JSON; recorded before the unused library options
-# and duplicate helpers were deleted
+# and duplicate helpers were deleted.  The seed-1 verify digest was recorded
+# before the Haar QRs were stacked.  A verify entry's config is its seed.
 PINNED_OUTPUTS = {
     "verify_all": (
-        "verify", None,
+        "verify", 0,
         "cb2b8b47a067565075237479e6f45219ff52873dc907119b07decb66b67a401f"),
+    "verify_all_seed1": (
+        "verify", 1,
+        "a8334ed05e77c0e56f933d978609b1bcbe005d89e2eebd8dcf1ae14643bb8a79"),
     "seesaw_meas_unentangled": (
         "attack-optimize",
         {"f": {"kind": "ip", "n": 1}, "kind": "meas", "q": 2, "unentangled": True,
@@ -362,7 +366,7 @@ def test_outputs_pinned(tmp_path, capsys, name):
     command, config, digest = PINNED_OUTPUTS[name]
     out = tmp_path / "res.out"
     if command == "verify":
-        argv = ["verify", "--suite", "all", "--seed", "0"]
+        argv = ["verify", "--suite", "all", "--seed", str(config)]
     else:
         argv = [command, "--config", write_config(tmp_path, "c.json", config)]
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK

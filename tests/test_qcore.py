@@ -85,6 +85,25 @@ def test_layout_unknown_register_is_a_key_error(lookup):
         getattr(lay, lookup)("Z")
 
 
+@pytest.mark.parametrize("registers", [
+    [("R", 1), ("A", 2), ("At", 0), ("B", 1)], [("x", 0)], [], [("a", 16)]])
+def test_layout_fields_derive_from_registers(registers):
+    """names, total_qubits and dim are set once at construction; they are
+    what the registers give, and take no part in equality or hashing."""
+    import dataclasses
+
+    lay = qc.RegisterLayout(registers)
+    assert lay.names == tuple(name for name, _ in registers)
+    assert lay.total_qubits == sum(width for _, width in registers)
+    assert lay.dim == 2 ** lay.total_qubits
+    twin = qc.RegisterLayout(tuple(registers))
+    assert twin == lay and hash(twin) == hash(lay)
+    assert repr(lay) == f"RegisterLayout(registers={lay.registers!r})"
+    for attr in ("registers", "names", "total_qubits", "dim"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lay, attr, getattr(lay, attr))
+
+
 def test_layout_rejects_duplicates_and_cap():
     with pytest.raises(ValueError):
         qc.RegisterLayout([("R", 1), ("R", 1)])
@@ -500,6 +519,53 @@ def test_haar_unitary_columns_normalized():
     np.testing.assert_allclose(np.linalg.norm(u, axis=0), np.ones(8), atol=1e-10)
     with pytest.raises(ValueError):
         qc.haar_random_unitary(3, qc.stream(101))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_haar_finish_on_a_stack_equals_single_draws(dim):
+    """The stacked finish (one QR call over a (100, d, d) stack) and a drawn
+    stack give, bit for bit, what 100 single haar_random_unitary calls give."""
+    singles = np.stack([qc.haar_random_unitary(dim, qc.stream(5, "haar", t))
+                        for t in range(100)])
+    drawn = np.stack([qc.ginibre(dim, qc.stream(5, "haar", t)) for t in range(100)])
+    assert np.array_equal(qc.haar_finish(drawn), singles)
+    rng = qc.stream(6, "haar")
+    row = [qc.haar_random_unitary(dim, rng) for _ in range(100)]
+    assert np.array_equal(qc.haar_random_unitary(dim, qc.stream(6, "haar"), 100),
+                          np.stack(row))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 32, 128])
+def test_sampling_equals_the_two_call_formulas(dim):
+    """One draw per vector or matrix reads the stream as the former two calls
+    (real parts, then imaginary parts) did, and gives the same bits."""
+    def unit_reference(g):
+        v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    def haar_reference(g):
+        z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    for seed in range(5):
+        got, want = qc.stream(seed, "unit", dim), qc.stream(seed, "unit", dim)
+        for _ in range(3):   # and leave the stream where the reference does
+            assert np.array_equal(qc.random_unit_vector(dim, got), unit_reference(want))
+        if dim <= 16:
+            got, want = qc.stream(seed, "haar", dim), qc.stream(seed, "haar", dim)
+            for _ in range(3):
+                assert np.array_equal(qc.haar_random_unitary(dim, got), haar_reference(want))
+
+
+def test_vector_norm_equals_numpy_norm():
+    g = qc.stream(7, "norm")
+    for dim in (1, 3, 64, 1000):
+        v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+        assert qc.vector_norm(v) == np.linalg.norm(v)
+        real = np.ascontiguousarray(v.real)
+        assert qc.vector_norm(real) == np.linalg.norm(real)
 
 
 def test_haar_first_moment():

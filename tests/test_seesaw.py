@@ -74,6 +74,15 @@ def test_helstrom_effect_is_optimal():
             assert cand <= val + 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_random_effect_stack_equals_single_draws(dim):
+    """A restart draws its effects as one stack; it holds, bit for bit, the
+    effects of as many single draws from the same stream."""
+    rng = qc.stream(23, dim)
+    singles = np.stack([at.seesaw.random_effect(dim, rng) for _ in range(16)])
+    assert np.array_equal(at.seesaw.random_effect(dim, qc.stream(23, dim), 16), singles)
+
+
 def test_polar_unitary():
     rng = qc.stream(22)
     w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

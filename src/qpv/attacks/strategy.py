@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,6 @@ def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
                               ("B", b), ("Bt", bt), ("Bc", bc)])
 
 
-@lru_cache(maxsize=256)
 def rest_registers(layout: qc.RegisterLayout, *exclude: str) -> tuple[str, ...]:
     """The non-empty registers of ``layout`` outside ``exclude``, in layout order."""
     return tuple(name for name in layout.names if name not in exclude and layout.width(name))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,8 +91,6 @@ def test_layout_unknown_register_is_a_key_error(lookup):
 def test_layout_fields_derive_from_registers(registers):
     """names, total_qubits and dim are set once at construction; they are
     what the registers give, and take no part in equality or hashing."""
-    import dataclasses
-
     lay = qc.RegisterLayout(registers)
     assert lay.names == tuple(name for name, _ in registers)
     assert lay.total_qubits == sum(width for _, width in registers)
@@ -523,7 +522,7 @@ def test_haar_unitary_columns_normalized():
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
 def test_haar_finish_on_a_stack_equals_single_draws(dim):
-    """The stacked finish (one QR call over a (100, d, d) stack) and a drawn
+    """The stacked finish (one QR call over 100 drawn matrices) and a drawn
     stack give, bit for bit, what 100 single haar_random_unitary calls give."""
     singles = np.stack([qc.haar_random_unitary(dim, qc.stream(5, "haar", t))
                         for t in range(100)])

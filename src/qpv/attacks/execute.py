@@ -17,6 +17,7 @@ from .strategy import (
     ALICE_LOCAL,
     BOB_FINAL,
     BOB_LOCAL,
+    FINALE,
     AttackReport,
     AttackStrategy,
     attack_layout,
@@ -126,20 +127,16 @@ def _pair_scores(strategy: AttackStrategy, f, pairs) -> np.ndarray:
     """Success on each listed input pair, in one batch; a routed qubit
     absent at the responsible verifier scores zero."""
     values = [f.value(x, y) for x, y in pairs]
-    alice = np.stack([strategy.alice_unitary(x) for x, _ in pairs])
-    bob = np.stack([strategy.bob_unitary(y) for _, y in pairs])
-    finale = tuple(np.stack(m) for m in zip(*(
-        (strategy.recovery_k(*p), strategy.recovery_l(*p)) if strategy.kind == "route"
-        else strategy.measurement_effects(*p) for p in pairs)))
+    alice = np.stack([strategy.matrix("alice", x) for x, _ in pairs])
+    bob = np.stack([strategy.matrix("bob", y) for _, y in pairs])
+    finale = [np.stack([strategy.matrix(name, p) for p in pairs])
+              for name in FINALE[strategy.kind]]
     layout = strategy.layout
     score = sum(w * pair_success(after_locals(vec, layout, alice, bob), layout,
                                  strategy.kind, values, finale)
                 for w, vec in _psi_components(strategy.psi))
-    if strategy.kind == "route":
-        held = [strategy.holds_qubit(x, y, returned_register(v))
-                for (x, y), v in zip(pairs, values)]
-        score = np.where(held, score, 0.0)
-    return score
+    held = [strategy.holds_qubit(x, y, returned_register(v)) for (x, y), v in zip(pairs, values)]
+    return np.where(held, score, 0.0)
 
 
 def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
@@ -150,8 +147,8 @@ def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
     if not strategy.holds_qubit(x, y, ret):
         return None
     layout = strategy.layout
-    alice, bob = strategy.alice_unitary(x), strategy.bob_unitary(y)
-    k, l = strategy.recovery_k(x, y), strategy.recovery_l(x, y)
+    alice, bob = strategy.matrix("alice", x), strategy.matrix("bob", y)
+    k, l = (strategy.matrix(name, (x, y)) for name in FINALE["route"])
     finals = [(w, route_finale(after_locals(v, layout, alice, bob), layout, k, l))
               for w, v in _psi_components(strategy.psi)]
     return sum(w * qc.reduced_outer(v, v, layout, ("R", ret)) for w, v in finals)

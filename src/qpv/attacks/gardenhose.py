@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import qcore as qc
-from .strategy import ALICE_FINAL, ALICE_LOCAL, BOB_FINAL, BOB_LOCAL, AttackStrategy
+from .strategy import ALICE_FINAL, ALICE_LOCAL, BOB_FINAL, BOB_LOCAL, FINALE, AttackStrategy
 
 SOURCE = "S"
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -195,19 +195,17 @@ def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
              for x, pairs in gh.alice.items() if pairs}
     bob = {y: _pre_exchange_unitary(layout, BOB_LOCAL, pairs, "Bt")
            for y, pairs in gh.bob.items() if pairs}
-    k_final, l_final, site = {}, {}, {}
-    side_count = 1 << n
-    for x in range(side_count):
-        for y in range(side_count):
+    recoveries, site = {name: {} for name in FINALE["route"]}, {}
+    for x in range(1 << n):
+        for y in range(1 << n):
             exit_side, hops = trace_water(gh, x, y)
             site[(x, y)] = "A" if exit_side == 0 else "B"
             recov = _recovery_unitary(layout, gh, x, y, hops, exit_side)
             # Alice's identity recoveries are left out; Bob's are all kept
             if exit_side or not np.allclose(recov, np.eye(len(recov))):
-                (k_final, l_final)[exit_side][(x, y)] = recov
-    return AttackStrategy(kind="route", n=n, layout=layout, psi=psi,
-                          alice=alice, bob=bob, k_final=k_final,
-                          l_final=l_final, qubit_site=site)
+                recoveries[FINALE["route"][exit_side]][(x, y)] = recov
+    return AttackStrategy(kind="route", n=n, layout=layout, psi=psi, alice=alice, bob=bob,
+                          qubit_site=site, **recoveries)
 
 
 # ---------------------------------------------------------------------------

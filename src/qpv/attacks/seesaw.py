@@ -39,6 +39,7 @@ from .strategy import (
     ALICE_LOCAL,
     BOB_FINAL,
     BOB_LOCAL,
+    FINALE,
     AttackReport,
     AttackStrategy,
     attack_layout,
@@ -87,8 +88,7 @@ def recovery_step(vec, moved, layout, regs, rets):
     """Polar factor of the Bell-overlap gradient for the recovery unitary on
     ``regs`` (``moved`` is ``vec`` under the current one), ``vec`` under it,
     and its overlap, per row; ``rets`` names each row's returned register."""
-    grad = qc.reduced_outer(bell_effect(moved, layout, rets), vec, layout, regs,
-                            order="given")
+    grad = qc.reduced_outer(bell_effect(moved, layout, rets), vec, layout, regs)
     cand = polar_unitary(grad)
     cand_moved = qc.apply_vector_matrix(vec, layout, cand, regs)
     return cand, cand_moved, bell_overlap(cand_moved, layout, rets)
@@ -234,7 +234,7 @@ class _Work:
         for side in (0, 1):
             w = self._apply(branches, both_outcomes(self._finale(1 - side)),
                             FINAL_REGS[1 - side])
-            d = qc.reduced_outer(w, both, self.layout, FINAL_REGS[side], order="given")
+            d = qc.reduced_outer(w, both, self.layout, FINAL_REGS[side])
             self.finale[side] = self._per_restart(helstrom_effect(d[:len(vecs)],
                                                                   d[len(vecs):]))
 
@@ -247,7 +247,7 @@ class _Work:
         back = self._apply(self._effect(vecs), dagger(self._pair_locals(other)),
                            LOCAL_REGS[other])
         grads = qc.reduced_outer(back, np.repeat(self.psi, len(self.pairs), axis=0),
-                                 self.layout, LOCAL_REGS[side], order="given")
+                                 self.layout, LOCAL_REGS[side])
         old_score = self._per_value(self.successes(vecs), side)
         old = self.locals[side]
         self.locals[side] = polar_unitary(self._per_value(self._per_restart(grads), side))
@@ -324,9 +324,8 @@ class _Work:
     def freeze(self, r: int = 0) -> AttackStrategy:
         """Restart ``r`` of the batch as a strategy."""
         psi = self.psi[r] / np.linalg.norm(self.psi[r])
-        first, second = (dict(zip(self.pairs, stack[r])) for stack in self.finale)
-        finale = (dict(k_final=first, l_final=second) if self.kind == "route"
-                  else dict(pi_effect=first, sigma_effect=second))
+        finale = {name: dict(zip(self.pairs, stack[r]))
+                  for name, stack in zip(FINALE[self.kind], self.finale)}
         alice, bob = (dict(enumerate(stack[r])) for stack in self.locals)
         return AttackStrategy(kind=self.kind, n=self.f.n, layout=self.layout, psi=psi,
                               alice=alice, bob=bob, **finale)

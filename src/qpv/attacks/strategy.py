@@ -28,8 +28,7 @@ def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
     b = a if b is None else b
     bt = at if bt is None else bt
     bc = ac if bc is None else bc
-    return qc.RegisterLayout([("R", 1), ("A", a), ("At", at), ("Ac", ac),
-                              ("B", b), ("Bt", bt), ("Bc", bc)])
+    return qc.RegisterLayout(list(zip(REGISTER_ORDER, (1, a, at, ac, b, bt, bc))))
 
 
 def rest_registers(layout: qc.RegisterLayout, *exclude: str) -> tuple[str, ...]:
@@ -53,21 +52,30 @@ def unentangled_product_state(layout: qc.RegisterLayout) -> np.ndarray:
     return bell_core(layout)
 
 
+# the strategy format.  FAMILIES: each matrix family -> (keyed by the input
+# pair, else by one input; the registers it acts on; its validator).
+# FINALE: each kind -> (Alice's finale family, Bob's).
+FAMILIES = {"alice": (False, ALICE_LOCAL, qc.check_unitary),
+            "bob": (False, BOB_LOCAL, qc.check_unitary),
+            "k_final": (True, ALICE_FINAL, qc.check_unitary),
+            "l_final": (True, BOB_FINAL, qc.check_unitary),
+            "pi_effect": (True, ALICE_FINAL, qc.check_effect),
+            "sigma_effect": (True, BOB_FINAL, qc.check_effect)}
+FINALE = {"route": ("k_final", "l_final"), "meas": ("pi_effect", "sigma_effect")}
+
+
 @dataclass
 class AttackStrategy:
-    """A q-qubit two-attacker strategy.
+    """A two-attacker strategy in the format of FAMILIES and FINALE:
+    ``alice``/``bob`` map the inputs x/y to local unitaries, and its kind's
+    finale maps each pair (x, y) to recovery unitaries (routing) or effects
+    (measuring); a missing unitary is the identity.
 
     ``psi`` is the pre-shared state on ``layout``: a unit vector or a density
-    matrix, stored as a read-only copy.
-
-    ``alice``/``bob`` map the classical inputs x/y to unitaries on the local
-    register triples; the finale is either recovery unitaries ``k_final`` /
-    ``l_final`` (routing) or measurement effects ``pi_effect`` /
-    ``sigma_effect`` (measuring), indexed by the pair (x, y).  Missing
-    entries default to the identity (routing) and are an error for the
-    measuring finale.  ``qubit_site`` optionally records, per pair, which
-    side physically holds the routed qubit; attacks that send nothing to the
-    responsible verifier score zero there.
+    matrix, stored as a read-only copy.  A routing strategy's ``qubit_site``
+    optionally records, per pair, which side physically holds the routed
+    qubit; attacks that send nothing to the responsible verifier score zero
+    there.
     """
 
     kind: str
@@ -83,7 +91,7 @@ class AttackStrategy:
     qubit_site: dict | None = None
 
     def __post_init__(self):
-        if self.kind not in ("route", "meas"):
+        if self.kind not in FINALE:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.layout.names != REGISTER_ORDER:
             raise ValueError(f"layout registers must be {REGISTER_ORDER}")
@@ -91,32 +99,27 @@ class AttackStrategy:
             raise ValueError("the reference register R is one qubit")
         if self.layout.width("A") != self.layout.width("B"):
             raise ValueError("registers A and B must have equal width")
-        if self.alice_qubits != self.bob_qubits:
+        if self.layout.subdim(*ALICE_LOCAL) != self.layout.subdim(*BOB_LOCAL):
             raise ValueError("Alice and Bob must hold equally many qubits")
         psi = np.array(self.psi, dtype=complex)
         qc.check_state(psi, self.layout.dim, "psi")
         psi.flags.writeable = False
         self.psi = psi
-        families = [("alice", self.alice, ALICE_LOCAL, qc.check_unitary),
-                    ("bob", self.bob, BOB_LOCAL, qc.check_unitary)]
-        if self.kind == "route":
-            if self.pi_effect or self.sigma_effect:
-                raise ValueError("routing strategies carry no measurement finale")
-            families += [("k_final", self.k_final, ALICE_FINAL, qc.check_unitary),
-                         ("l_final", self.l_final, BOB_FINAL, qc.check_unitary)]
-        else:
+        if self.kind == "route" and (self.pi_effect or self.sigma_effect):
+            raise ValueError("routing strategies carry no measurement finale")
+        if self.kind == "meas":
             if self.k_final or self.l_final:
                 raise ValueError("measuring strategies carry no recovery unitaries")
             if self.pi_effect is None or self.sigma_effect is None:
                 raise ValueError("measuring strategies need pi/sigma effects")
-            families += [("pi_effect", self.pi_effect, ALICE_FINAL, qc.check_effect),
-                         ("sigma_effect", self.sigma_effect, BOB_FINAL, qc.check_effect)]
+            if self.qubit_site is not None:
+                raise ValueError("measuring strategies route no qubit to a site")
         inputs = range(1 << self.n)
-        for name, family, regs, check in families:
+        for name, (pair_keyed, regs, check) in FAMILIES.items():
             dim = self.layout.subdim(*regs)
-            for key, mat in family.items():
-                parts = key if FAMILIES[name] else (key,)   # an input pair, else an input
-                if not (type(parts) is tuple and len(parts) == 1 + FAMILIES[name]
+            for key, mat in (getattr(self, name) or {}).items():
+                parts = key if pair_keyed else (key,)
+                if not (type(parts) is tuple and len(parts) == 1 + pair_keyed
                         and all(part in inputs for part in parts)):
                     raise ValueError(f"{name}[{key!r}]: not keyed by inputs of n = {self.n}")
                 mat = np.asarray(mat, dtype=complex)
@@ -124,49 +127,18 @@ class AttackStrategy:
                     raise ValueError(f"{name}[{key}] must be {dim}x{dim}")
                 check(mat, f"{name}[{key}]")
 
-    @property
-    def alice_qubits(self) -> int:
-        return sum(self.layout.width(r) for r in ALICE_LOCAL)
-
-    @property
-    def bob_qubits(self) -> int:
-        return sum(self.layout.width(r) for r in BOB_LOCAL)
-
-    @property
-    def q(self) -> int:
-        return self.alice_qubits
-
-    def _family(self, table: dict, key, dim: int) -> np.ndarray:
-        mat = table.get(key)
-        if mat is None:
-            return np.eye(dim, dtype=complex)
-        return np.asarray(mat, dtype=complex)
-
-    def alice_unitary(self, x: int) -> np.ndarray:
-        return self._family(self.alice, x, self.layout.subdim(*ALICE_LOCAL))
-
-    def bob_unitary(self, y: int) -> np.ndarray:
-        return self._family(self.bob, y, self.layout.subdim(*BOB_LOCAL))
-
-    def recovery_k(self, x: int, y: int) -> np.ndarray:
-        return self._family(self.k_final, (x, y), self.layout.subdim(*ALICE_FINAL))
-
-    def recovery_l(self, x: int, y: int) -> np.ndarray:
-        return self._family(self.l_final, (x, y), self.layout.subdim(*BOB_FINAL))
-
-    def measurement_effects(self, x: int, y: int) -> tuple:
-        if self.pi_effect is None or self.sigma_effect is None:
-            raise ValueError("not a measuring strategy")
-        try:
-            return (np.asarray(self.pi_effect[(x, y)], dtype=complex),
-                    np.asarray(self.sigma_effect[(x, y)], dtype=complex))
-        except KeyError as exc:
-            raise KeyError(f"no measurement for input pair {(x, y)}") from exc
+    def matrix(self, name: str, key) -> np.ndarray:
+        """Family ``name``'s matrix at ``key``, an input or an input pair."""
+        mat = (getattr(self, name) or {}).get(key)
+        if mat is not None:
+            return np.asarray(mat, dtype=complex)
+        _, regs, check = FAMILIES[name]
+        if check is qc.check_effect:
+            raise KeyError(f"no measurement for input pair {key}")
+        return np.eye(self.layout.subdim(*regs), dtype=complex)
 
     def holds_qubit(self, x: int, y: int, side: str) -> bool:
-        if self.qubit_site is None:
-            return True
-        return self.qubit_site.get((x, y), side) == side
+        return self.qubit_site is None or self.qubit_site.get((x, y), side) == side
 
 
 @dataclass(frozen=True)
@@ -217,11 +189,6 @@ def _decode_matrix(rows: list) -> np.ndarray:
     return out
 
 
-# the matrix families: name -> keyed by the input pair (else by one input)
-FAMILIES = {"alice": False, "bob": False, "k_final": True, "l_final": True,
-            "pi_effect": True, "sigma_effect": True}
-
-
 def _encode_table(table: dict | None, pair_keys: bool, encode=_encode_matrix) -> dict | None:
     """A matrix family (or the qubit sites) keyed "x,y" by input pair, else "x"."""
     if table is None:
@@ -247,21 +214,35 @@ def strategy_to_json(strategy: AttackStrategy) -> str:
         "layout": [[name, w] for name, w in strategy.layout.registers],
         "psi": {"kind": "pure" if psi.ndim == 1 else "mixed",
                 "data": _encode_matrix(np.atleast_2d(psi))},
-        **{name: _encode_table(getattr(strategy, name), pair_keys)
-           for name, pair_keys in FAMILIES.items()},
+        **{name: _encode_table(getattr(strategy, name), pair_keyed)
+           for name, (pair_keyed, *_) in FAMILIES.items()},
         "qubit_site": _encode_table(strategy.qubit_site, True, str),
     }
     return json.dumps(doc, sort_keys=True)
 
 
+def _check_keys(doc, where: str, required: tuple, admitted: tuple = ()) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected an object")
+    for fault, keys in (("unknown", set(doc) - {*required, *admitted}),
+                        ("missing", set(required) - set(doc))):
+        if keys:
+            raise ValueError(f"{where}: {fault} keys {sorted(keys)}")
+
+
 def strategy_from_json(text: str) -> AttackStrategy:
+    """The strategy a JSON document describes; an absent family or
+    ``qubit_site`` reads as null, and a null unitary family as no entries."""
     doc = json.loads(text)
+    _check_keys(doc, "strategy", ("kind", "n", "layout", "psi"), (*FAMILIES, "qubit_site"))
+    _check_keys(doc["psi"], "strategy.psi", ("kind", "data"))
     layout = qc.RegisterLayout([(name, w) for name, w in doc["layout"]])
     psi = _decode_matrix(doc["psi"]["data"])
     if doc["psi"]["kind"] == "pure":
         psi = psi.reshape(-1)
-    families = {name: _decode_table(doc[name], pair_keys) for name, pair_keys in FAMILIES.items()}
-    for name in ("alice", "bob", "k_final", "l_final"):
-        families[name] = families[name] or {}   # null reads as no entries
+    families = {}
+    for name, (pair_keyed, _, check) in FAMILIES.items():
+        table = _decode_table(doc.get(name), pair_keyed)
+        families[name] = {} if table is None and check is qc.check_unitary else table
     return AttackStrategy(kind=doc["kind"], n=doc["n"], layout=layout, psi=psi,
                           qubit_site=_decode_table(doc.get("qubit_site"), True, str), **families)

@@ -141,17 +141,25 @@ SIMULATE = _schema({
     "f": RAW, "rounds": (INT, None), "trials": (INT, 1), "eta": (NUMBER, 0.0),
     "prover": (None, {"kind": "honest"}), "noise_mode": (None, "bernoulli"),
 }, "protocol", "n", "f", "rounds")
-ATTACK = _schema({
+ATTACK_ROWS = {
     "f": RAW, "n": RAW, "kind": (None, "route"), "q": (INT, 2), "split": (_split, None),
     "restarts": (INT, 20), "iters": (INT, 60), "unentangled": (_boolean, False),
     "epsilon": (NUMBER, 0.1), "gardenhose": RAW,
-}, "f")
+}
+ATTACK = _schema(ATTACK_ROWS, "f")
+# a garden-hose compile reads none of the see-saw's search settings
+ATTACK_GARDENHOSE = _schema(
+    {key: ATTACK_ROWS[key] for key in ("f", "n", "epsilon", "gardenhose")}, "f")
 GARDENHOSE = _schema({"pipes": (INT, None), "alice": (_matchings, None),
                       "bob": (_matchings, None)}, "pipes", "alice", "bob")
 FUNCTION_ROWS = {"kind": RAW, "n": (INT, None), "seed": (INT, None), "table": RAW,
                  "bit": (INT, None), "path": RAW}
-FUNCTION = _kinds(FUNCTION_ROWS, {"file": (None, ("path",)), "table": (None, ("n", "table")),
-                                  None: (None, ("n",))})
+# each function kind admits only the keys it reads, and every kind admits the
+# "n" a function object inherits from its config; an unknown kind, every key
+FUNCTION = _kinds(FUNCTION_ROWS, {
+    "ip": (("n",), ("n",)), "xor": (("n",), ("n",)), "constant": (("n", "bit"), ("n",)),
+    "random": (("n", "seed"), ("n",)), "table": (("n", "table"), ("n", "table")),
+    "file": (("n", "path"), ("path",)), None: (None, ("n",))})
 
 
 # prover kind -> its prover, from the spec's reader and f
@@ -167,9 +175,12 @@ PROVERS = {
     "measure_forward": lambda read, f: protocol.Prover(premeasure_basis=read("basis")),
     "route_wrong": lambda read, f: protocol.Prover(route_to="swapped"),
 }
+# each prover kind admits only the keys it reads; an unknown kind, every key
 PROVER = _kinds({"kind": (_one_of(tuple(PROVERS), "prover: unknown kind {!r}"), None),
                  "p": (NUMBER, None), "state": (INT, 0), "basis": (INT, 0), "path": RAW},
-                {"synthetic": (None, ("p",)), "strategy": (None, ("path",)), None: (None, ())})
+                {**{kind: ((), ()) for kind in PROVERS}, "synthetic": (("p",), ("p",)),
+                 "strategy": (("path",), ("path",)), "discard": (("state",), ()),
+                 "measure_forward": (("basis",), ()), None: (None, ())})
 BOUNDS_ROWS = {
     "kind": (_one_of(("counting", "net_size", "delta_margin", "volume", "qubit_bound", "cc"),
                      "unknown bounds kind {!r}"), None),
@@ -267,7 +278,7 @@ def _csv_blocks(draws):
 
 
 def cmd_attack_optimize(config: dict, seed: int):
-    read = _fields(config, "config", ATTACK)
+    read = _fields(config, "config", ATTACK_GARDENHOSE if "gardenhose" in config else ATTACK)
     f = _function_from_config(config, seed)
     eps = read("epsilon")
     if "gardenhose" in config:

@@ -155,27 +155,24 @@ def compose_on_qubits(n_qubits: int, gates) -> np.ndarray:
 # partial trace and reductions
 # ---------------------------------------------------------------------------
 
-def _kept_qubits(layout: RegisterLayout, keep, order: str = "layout") -> list[int]:
-    """Qubits of the kept registers, in layout order or in the order of
-    ``keep``; an unknown name is a KeyError, keeping nothing a ValueError."""
+def _kept_qubits(layout: RegisterLayout, keep) -> list[int]:
+    """Qubits of the kept registers in the order of ``keep``; an unknown
+    name is a KeyError, keeping nothing a ValueError."""
     keep = _registers_tuple(keep)
     if not keep:
         raise ValueError("must keep at least one register")
-    kept = layout.positions(*keep)
-    return sorted(kept) if order == "layout" else kept
+    return layout.positions(*keep)
 
 
 def reduced_outer(vec_left: np.ndarray, vec_right: np.ndarray,
-                  layout: RegisterLayout, keep, order: str = "layout") -> np.ndarray:
-    """Partial trace of |left><right| onto the kept registers, as a matrix.
-
-    With ``order='layout'`` the result is indexed little-endian over the
-    kept registers in layout order; ``order='given'`` uses the order of the
-    ``keep`` tuple instead, matching how :func:`apply_matrix` embeds
-    operators on those registers.  Either side may be a ``(b, 2^n)`` batch;
-    the result is then a ``(b, d, d)`` stack, one matrix per row.
+                  layout: RegisterLayout, keep) -> np.ndarray:
+    """Partial trace of |left><right| onto the kept registers, as a matrix
+    indexed little-endian over them in the order of ``keep``, matching how
+    :func:`apply_matrix` embeds operators on those registers.  Either side
+    may be a ``(b, 2^n)`` batch; the result is then a ``(b, d, d)`` stack,
+    one matrix per row.
     """
-    rows = _kept_qubits(layout, keep, order)
+    rows = _kept_qubits(layout, keep)
     n = layout.total_qubits
     left = rows_first(vec_left, n, rows)
     right = rows_first(vec_right, n, rows)
@@ -192,7 +189,7 @@ def partial_trace(rho: np.ndarray, layout: RegisterLayout, keep) -> np.ndarray:
     column and row qubits the columns; the result sums the entries whose
     traced row and column qubits agree.
     """
-    rows = _kept_qubits(layout, keep)
+    rows = sorted(_kept_qubits(layout, keep))
     n = layout.total_qubits
     k, t = 1 << len(rows), 1 << (n - len(rows))
     m = rows_first(rho, 2 * n, rows + [q + n for q in rows])

@@ -44,18 +44,18 @@ def embed(mat, layout, regs):
 def reference_success(strategy, f, x, y):
     layout = strategy.layout
     # layout order R, (A At Ac), (B Bt Bc): R on the lowest bit
-    local = np.kron(strategy.bob_unitary(y), np.kron(strategy.alice_unitary(x), np.eye(2)))
+    local = np.kron(strategy.matrix("bob", y), np.kron(strategy.matrix("alice", x), np.eye(2)))
     value = f.value(x, y)
     if strategy.kind == "route":
         ret = returned_register(value)
         if not strategy.holds_qubit(x, y, ret):
             return 0.0
-        finale = (embed(strategy.recovery_l(x, y), layout, at.BOB_FINAL)
-                  @ embed(strategy.recovery_k(x, y), layout, at.ALICE_FINAL))
+        finale = (embed(strategy.matrix("l_final", (x, y)), layout, at.BOB_FINAL)
+                  @ embed(strategy.matrix("k_final", (x, y)), layout, at.ALICE_FINAL))
         step = finale @ local
         obs = step.conj().T @ embed(BELL, layout, ("R", ret)) @ step
     else:
-        pi, sigma = strategy.measurement_effects(x, y)
+        pi, sigma = (strategy.matrix(name, (x, y)) for name in ("pi_effect", "sigma_effect"))
         eye_a, eye_b = np.eye(len(pi)), np.eye(len(sigma))
         test = sum(embed(BASES[value][z], layout, ("R",))
                    @ embed(ea, layout, at.ALICE_FINAL) @ embed(eb, layout, at.BOB_FINAL)

@@ -269,7 +269,7 @@ def test_gardenhose_strategy_json_round_trips():
     assert at.strategy_to_json(back) == text
     assert np.array_equal(back.psi, strat.psi)
     for x in (0, 1):
-        assert np.array_equal(back.alice_unitary(x), strat.alice_unitary(x))
+        assert np.array_equal(back.matrix("alice", x), strat.matrix("alice", x))
 
 
 @pytest.mark.parametrize("family", ["l_final", "qubit_site"])
@@ -345,6 +345,24 @@ def test_strategy_psi_is_a_read_only_copy():
     assert given.flags.writeable and strat.psi is not given
     given[0] = 0.0
     np.testing.assert_array_equal(strat.psi, psi)
+
+
+def test_matrix_reads_every_family_through_the_format_table():
+    """A missing unitary is the identity on its family's registers, a
+    missing effect a KeyError naming the pair."""
+    strat = readable_bit_strategy(XOR)
+    for name, (pair_keyed, regs, _) in at.strategy.FAMILIES.items():
+        key = (1, 0) if pair_keyed else 1
+        stored = (getattr(strat, name) or {}).get(key)
+        expected = np.eye(strat.layout.subdim(*regs)) if stored is None else stored
+        np.testing.assert_array_equal(strat.matrix(name, key), expected)
+    partial = at.AttackStrategy(kind="meas", n=1, layout=strat.layout, psi=strat.psi,
+                                pi_effect={(0, 0): strat.pi_effect[(0, 0)]}, sigma_effect={})
+    with pytest.raises(KeyError, match=re.escape("no measurement for input pair (1, 1)")):
+        partial.matrix("sigma_effect", (1, 1))
+    with pytest.raises(ValueError, match="^measuring strategies route no qubit to a site$"):
+        at.AttackStrategy(kind="meas", n=1, layout=strat.layout, psi=strat.psi,
+                          pi_effect={}, sigma_effect={}, qubit_site={(0, 0): "A"})
 
 
 # ---------------------------------------------------------------------------

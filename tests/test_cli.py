@@ -263,6 +263,39 @@ def test_strategy_prover_with_unnormalized_psi_is_a_config_error(tmp_path, capsy
     assert err.startswith("error: psi has norm ") and err.endswith(", not 1\n")
 
 
+def _simulate_strategy(tmp_path, capsys, doc):
+    """``simulate`` with a strategy prover reading ``doc`` as its file."""
+    path = tmp_path / "s.strategy.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, "sim.json", {
+        "protocol": "route_entangled", "n": 1, "f": {"kind": "xor", "n": 1},
+        "rounds": 5, "prover": {"kind": "strategy", "path": str(path)},
+    })
+    return run_cli(capsys, "simulate", "--config", cfg)
+
+
+@pytest.mark.parametrize("drop, add, message", [
+    (["bob"], {}, None),
+    (["psi"], {}, "strategy: missing keys ['psi']"),
+    (["kind", "n", "layout"], {}, "strategy: missing keys ['kind', 'layout', 'n']"),
+    ([], {"extra": 1}, "strategy: unknown keys ['extra']"),
+    (["psi"], {"psi": {"kind": "pure"}}, "strategy.psi: missing keys ['data']"),
+    (["psi"], {"psi": {"data": [], "norm": 1}}, "strategy.psi: unknown keys ['norm']"),
+], ids=["no-bob", "no-psi", "no-kind-n-layout", "extra", "no-psi-data", "psi-extra"])
+def test_strategy_prover_names_a_missing_or_unknown_key(tmp_path, capsys, drop, add, message):
+    """An absent family reads as null; any other absent key, or an unknown
+    one, is a config error naming the keys."""
+    doc = json.loads(at.strategy_to_json(at.swap_in_attack(an.constant_function(1, 1))))
+    full = _simulate_strategy(tmp_path, capsys, doc)
+    for key in drop:
+        del doc[key]
+    code, out, err = _simulate_strategy(tmp_path, capsys, {**doc, **add})
+    if message is None:
+        assert (code, out, err) == full and code == cli.EXIT_OK
+    else:
+        assert (code, out, err) == (cli.EXIT_CONFIG, "", f"error: {message}\n")
+
+
 def test_attack_optimize_seesaw(tmp_path, capsys):
     cfg = write_config(tmp_path, "a2.json", {
         "f": {"kind": "constant", "n": 1, "bit": 0},
@@ -340,6 +373,10 @@ def test_outputs_byte_identical(tmp_path, capsys):
 # followed by its strategy JSON; recorded before the unused library options
 # and duplicate helpers were deleted.  The seed-1 verify digest was recorded
 # before the Haar QRs were stacked.  A verify entry's config is its seed.
+# The see-saw route entry and the simulate entries (summary without the
+# package version, then the CSV) were recorded before the strategy format
+# moved into one table; a simulate entry's strategy prover reads the
+# strategy of the attack-optimize entry its path names.
 PINNED_OUTPUTS = {
     "verify_all": (
         "verify", 0,
@@ -358,12 +395,38 @@ PINNED_OUTPUTS = {
          "gardenhose": {"pipes": 2, "alice": {"0": [["S", 1]], "1": [["S", 1]]},
                         "bob": {"0": [[1, 2]], "1": []}}},
         "99241a43f6f83238e979604c539dcae85ad73daf462f3622266c96c004a443eb"),
+    "seesaw_route_q3": (
+        "attack-optimize",
+        {"f": {"kind": "ip", "n": 1}, "kind": "route", "q": 3, "restarts": 3, "iters": 4},
+        "6584ca483bc137e7aa2416a7b4e85477202b3c55b65c37af54ce6c1af128dc9e"),
+    "simulate_route_entangled_seesaw": (
+        "simulate",
+        {"protocol": "route_entangled", "n": 1, "f": {"kind": "ip", "n": 1}, "rounds": 200,
+         "trials": 2, "prover": {"kind": "strategy", "path": "seesaw_route_q3.strategy.json"}},
+        "415a28a3f12fa6284d8c3eb53be526287832f1b8262fa28f7f5780c57bd1d69e"),
+    "simulate_route_bb84_gardenhose": (
+        "simulate",
+        {"protocol": "route_bb84", "n": 1, "f": {"kind": "table", "n": 1, "table": "0101"},
+         "rounds": 200, "trials": 2,
+         "prover": {"kind": "strategy", "path": "gardenhose.strategy.json"}},
+        "12ed5b60900f80087d5a12ba2c1b899766ef57a171e641efbf3632e6a9f917a9"),
+    "simulate_meas_seesaw": (
+        "simulate",
+        {"protocol": "meas", "n": 1, "f": {"kind": "ip", "n": 1}, "rounds": 200, "trials": 2,
+         "prover": {"kind": "strategy", "path": "seesaw_meas_unentangled.strategy.json"}},
+        "bfba7d6e531ccbb65fd3cfc7f308f040371b6f32f1c1b593f7b045a036f24af5"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
-def test_outputs_pinned(tmp_path, capsys, name):
+def test_outputs_pinned(tmp_path, capsys, monkeypatch, name):
     command, config, digest = PINNED_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)   # a strategy prover's path is relative
+    if command == "simulate":
+        source = config["prover"]["path"].removesuffix(".strategy.json")
+        source_config = write_config(tmp_path, "s.json", PINNED_OUTPUTS[source][1])
+        argv = ["attack-optimize", "--config", source_config, "--out", source]
+        assert cli.main(argv) == cli.EXIT_OK
     out = tmp_path / "res.out"
     if command == "verify":
         argv = ["verify", "--suite", "all", "--seed", str(config)]
@@ -372,11 +435,12 @@ def test_outputs_pinned(tmp_path, capsys, name):
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     payload = out.read_bytes()
-    if command == "attack-optimize":
+    if command != "verify":
         doc = json.loads(payload)
         del doc["provenance"]["version"]
+        second = ".csv" if command == "simulate" else ".strategy.json"
         payload = (json.dumps(doc, sort_keys=True).encode()
-                   + (tmp_path / "res.out.strategy.json").read_bytes())
+                   + (tmp_path / f"res.out{second}").read_bytes())
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
@@ -527,6 +591,38 @@ PINNED_ERRORS = {
     "prover-kind": ("simulate", _prover(kind="nope"), "prover: unknown kind 'nope'"),
     "prover-kind-object": ("simulate", _prover(kind={"kind": "honest"}),
                            "prover: unknown kind {'kind': 'honest'}"),
+    # each function and prover kind admits only the keys it reads
+    "f-xor-other-keys": ("simulate", _with(SIM, f={"kind": "xor", "seed": 5, "path": "nope",
+                                                   "table": "0000"},
+                                           prover={"kind": "honest", "p": 0.3, "path": "x"}),
+                         "f: unknown keys ['path', 'seed', 'table']"),
+    "f-ip-seed": ("simulate", _with(SIM, f={"kind": "ip", "seed": 1}), "f: unknown keys ['seed']"),
+    "f-constant-table": ("simulate", _with(SIM, f={"kind": "constant", "table": "0000"}),
+                         "f: unknown keys ['table']"),
+    "f-random-bit": ("simulate", _with(SIM, f={"kind": "random", "bit": 1}),
+                     "f: unknown keys ['bit']"),
+    "f-table-seed": ("simulate", _with(SIM, f={"kind": "table", "table": "0110", "seed": 1}),
+                     "f: unknown keys ['seed']"),
+    "f-file-table": ("simulate", _with(SIM, f={"kind": "file", "path": "f.txt", "table": "0110"}),
+                     "f: unknown keys ['table']"),
+    "prover-honest-keys": ("simulate", _prover(kind="honest", p=0.3, path="x"),
+                           "prover: unknown keys ['p', 'path']"),
+    "prover-keep_q-state": ("simulate", _prover(kind="keep_q", state=1),
+                            "prover: unknown keys ['state']"),
+    "prover-synthetic-path": ("simulate", _prover(kind="synthetic", p=0.5, path="x"),
+                              "prover: unknown keys ['path']"),
+    "prover-strategy-p": ("simulate", _prover(kind="strategy", path="x", p=0.5),
+                          "prover: unknown keys ['p']"),
+    "prover-wrong_basis-basis": ("simulate", _prover(kind="wrong_basis", basis=1),
+                                 "prover: unknown keys ['basis']"),
+    "prover-random_bit-p": ("simulate", _prover(kind="random_bit", p=0.5),
+                            "prover: unknown keys ['p']"),
+    "prover-discard-basis": ("simulate", _prover(kind="discard", basis=1),
+                             "prover: unknown keys ['basis']"),
+    "prover-measure_forward-state": ("simulate", _prover(kind="measure_forward", state=1),
+                                     "prover: unknown keys ['state']"),
+    "prover-route_wrong-path": ("simulate", _prover(kind="route_wrong", path="x"),
+                                "prover: unknown keys ['path']"),
     # attack-optimize
     "att-unknown-key": ("attack-optimize", _with(ATT, bogus=1), "config: unknown keys ['bogus']"),
     "att-missing-f": ("attack-optimize", {"q": 1}, "config: missing keys ['f']"),
@@ -567,6 +663,11 @@ PINNED_ERRORS = {
                  "gardenhose.alice: expected an integer, got 'a'"),
     "gh-node": ("attack-optimize", _gh(bob={"0": [[1, "T"]]}),
                 "gardenhose.bob.0: expected an integer, got 'T'"),
+    "gh-seesaw-keys": ("attack-optimize", _with(ATT, gardenhose=GH, restarts=5, kind="meas", q=7),
+                       "config: unknown keys ['kind', 'q', 'restarts']"),
+    "gh-seesaw-search": ("attack-optimize", _with(ATT, gardenhose=GH, split=[1, 0, 1], iters=3,
+                                                  unentangled=True),
+                         "config: unknown keys ['iters', 'split', 'unentangled']"),
     # bounds
     "bounds-unknown-key": ("bounds", {"kind": "delta_margin", "bogus": 1},
                            "config: unknown keys ['bogus']"),
@@ -668,6 +769,23 @@ def test_bounds_kinds_admit_every_key_they_read(tmp_path, capsys, payload):
     code, out, err = run_cli(capsys, "bounds", "--config", write_config(tmp_path, "b.json", payload))
     assert (code, err) == (cli.EXIT_OK, "")
     assert json.loads(out)["kind"] == payload["kind"]
+
+
+@pytest.mark.parametrize("f, prover", [
+    ({"kind": "ip"}, {"kind": "synthetic", "p": 0.5}),
+    ({"kind": "constant", "bit": 1}, {"kind": "discard", "state": 1}),
+    ({"kind": "random", "seed": 4}, {"kind": "measure_forward", "basis": 1}),
+    ({"kind": "table", "table": "0110"}, {"kind": "wrong_basis"}),
+    ({"kind": "file", "path": "f.txt"}, {"kind": "random_bit"}),
+], ids=["ip", "constant", "random", "table", "file"])
+def test_function_and_prover_kinds_admit_every_key_they_read(tmp_path, capsys, monkeypatch,
+                                                             f, prover):
+    monkeypatch.chdir(tmp_path)
+    an.save_function(an.xor_function(1), "f.txt")
+    cfg = write_config(tmp_path, "s.json", _with(SIM, f=f, prover=prover))
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["rounds"] == SIM["rounds"]
 
 
 def test_unentangled_false_is_the_default(tmp_path, capsys):

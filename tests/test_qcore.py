@@ -269,19 +269,19 @@ def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
     # full rank
     in_layout_order = tuple(name for name in layout.names if name in regs)
     outer = np.outer(vecs[0], vecs[-1].conj())
-    np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, regs, order="given"),
-                               trace_reference(outer, layout, regs), atol=1e-12)
     np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, regs),
+                               trace_reference(outer, layout, regs), atol=1e-12)
+    np.testing.assert_allclose(qc.reduced_outer(vecs[0], vecs[-1], layout, in_layout_order),
                                trace_reference(outer, layout, in_layout_order), atol=1e-12)
     for state in (density(vecs[0]), rho):
         np.testing.assert_allclose(qc.partial_trace(state, layout, regs),
                                    trace_reference(state, layout, in_layout_order),
                                    atol=1e-12)
     # a batch traces to the stack of its rows' reductions
-    stack = qc.reduced_outer(vecs, vecs[::-1], layout, regs, order="given")
+    stack = qc.reduced_outer(vecs, vecs[::-1], layout, regs)
     assert stack.shape == (b, d, d)
     for row, left, right in zip(stack, vecs, vecs[::-1]):
-        assert np.array_equal(row, qc.reduced_outer(left, right, layout, regs, order="given"))
+        assert np.array_equal(row, qc.reduced_outer(left, right, layout, regs))
 
 
 def rows_first_reference(vecs, n, rows):

@@ -165,14 +165,14 @@ def dense_hamiltonian(strategy, f):
     total = 0
     for x, y in f.pairs():
         value = f.value(x, y)
-        step = (embed(strategy.bob_unitary(y), layout, at.BOB_LOCAL)
-                @ embed(strategy.alice_unitary(x), layout, at.ALICE_LOCAL))
+        step = (embed(strategy.matrix("bob", y), layout, at.BOB_LOCAL)
+                @ embed(strategy.matrix("alice", x), layout, at.ALICE_LOCAL))
         if strategy.kind == "route":
-            step = (embed(strategy.recovery_l(x, y), layout, at.BOB_FINAL)
-                    @ embed(strategy.recovery_k(x, y), layout, at.ALICE_FINAL) @ step)
+            step = (embed(strategy.matrix("l_final", (x, y)), layout, at.BOB_FINAL)
+                    @ embed(strategy.matrix("k_final", (x, y)), layout, at.ALICE_FINAL) @ step)
             test = embed(BELL, layout, ("R", returned_register(value)))
         else:
-            pi, sigma = strategy.measurement_effects(x, y)
+            pi, sigma = (strategy.matrix(name, (x, y)) for name in ("pi_effect", "sigma_effect"))
             test = sum(embed(BASES[value][z], layout, ("R",))
                        @ embed(ea, layout, at.ALICE_FINAL) @ embed(eb, layout, at.BOB_FINAL)
                        for z, ea, eb in ((0, pi, sigma),

@@ -5,12 +5,9 @@ from .boolfun import (
     BooleanFunction,
     constant_function,
     function_from_spec,
-    hamming,
     ip_function,
     load_function,
-    projection_function,
     random_function,
-    save_function,
     xor_function,
 )
 from .commcplx import (
@@ -29,7 +26,6 @@ from .counting import (
     delta_margin_value,
     hamming_volume,
     net_size_report,
-    rounding_size_k,
     volume_entropy_check,
 )
 

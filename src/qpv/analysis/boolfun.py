@@ -71,38 +71,13 @@ def xor_function(n: int) -> BooleanFunction:
     return _parity_function(n, np.bitwise_xor)
 
 
-def projection_function(n: int, bit_index: int = 0, side: str = "x") -> BooleanFunction:
-    """f(x, y) = one input bit; bit_index counts from the most significant."""
-    width = 1 << n
-    shift = n - 1 - bit_index
-    vals = np.zeros((width, width), dtype=np.uint8)
-    for x in range(width):
-        for y in range(width):
-            src = x if side == "x" else y
-            vals[x, y] = (src >> shift) & 1
-    return BooleanFunction(n, vals.reshape(-1))
-
-
 def random_function(n: int, rng) -> BooleanFunction:
     g = as_generator(rng)
     return BooleanFunction(n, g.integers(0, 2, size=1 << (2 * n), dtype=np.uint8))
 
 
-def hamming(f: BooleanFunction, g: BooleanFunction) -> int:
-    """Number of input pairs on which the two tables differ."""
-    if f.n != g.n:
-        raise ValueError("functions have different input lengths")
-    return int(np.count_nonzero(np.asarray(f.table) != np.asarray(g.table)))
-
-
 # file format: first line "n=<int>", second line the 2^(2n) table bits
 # in row-major (x outer, y inner) order.
-
-def save_function(f: BooleanFunction, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={f.n}\n")
-        fh.write("".join(str(int(b)) for b in f.table) + "\n")
-
 
 def load_function(path) -> BooleanFunction:
     with open(path, "r", encoding="ascii") as fh:

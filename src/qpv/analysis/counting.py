@@ -105,19 +105,14 @@ def net_size_report(q: int) -> NetSizeReport:
                          k=state, note=NET_DIMENSION_NOTE)
 
 
-def rounding_size_k(q: int) -> float:
-    """Message length k = log2(927) * 2^(2q+2) of the classical compression."""
-    return net_size_report(q).k
-
-
 def delta_margin_value(delta=DELTA) -> Fraction:
     delta = Fraction(delta)
     return 3 * delta + 3 * delta ** 2 + delta ** 3
 
 
-def delta_margin_check(delta=DELTA, budget=DELTA_BUDGET) -> bool:
-    """Exact rational check that 3d + 3d^2 + d^3 < budget."""
-    return delta_margin_value(delta) < Fraction(budget)
+def delta_margin_check(delta=DELTA) -> bool:
+    """Exact rational check that 3d + 3d^2 + d^3 < DELTA_BUDGET."""
+    return delta_margin_value(delta) < DELTA_BUDGET
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,11 @@
 executors, garden-hose compilation, and numerical strategy search."""
 
 from .execute import (
-    classical_copy_attack,
     epsilon_l_report,
     execute_meas,
     execute_route,
     execute_route_reduced,
     keep_q_attack,
-    swap_in_attack,
 )
 from .gardenhose import (
     GardenHoseProtocol,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import qcore as qc
-from ..protocol.geometry import Geometry, timing_check, two_attacker_relay_events
 from .strategy import (
     ALICE_FINAL,
     ALICE_LOCAL,
@@ -197,31 +196,3 @@ def keep_q_attack(f) -> AttackStrategy:
     return AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
                           qubit_site=site)
 
-
-def classical_copy_attack(f):
-    """The copy-and-relay attack on the PURELY CLASSICAL protocol variant.
-
-    Both attackers copy the intercepted input, exchange copies, and return
-    f(x, y) to their nearest verifier with honest-looking timing.  Returns
-    the attack report (success 1 on every pair) and one event log.
-    """
-    geom = Geometry()
-    per_pair = {(x, y): 1.0 for x, y in f.pairs()}
-    events = two_attacker_relay_events(geom, 0, 0, [0, 1])
-    assert timing_check(events, geom)
-    return AttackReport(n=f.n, per_pair=per_pair, average=1.0), events
-
-
-def swap_in_attack(f) -> AttackStrategy:
-    """Alice forwards the qubit through the communication register whenever
-    she can already evaluate the function from x alone; used as a perfect
-    attack for functions that depend only on x."""
-    layout = attack_layout(a=1, ac=1)
-    psi = unentangled_product_state(layout)
-    side = 1 << f.n
-    # A <-> Ac where f(x, .) = 1 throughout, then B <-> Ac at Bob's
-    alice = {x: qc.SWAP2 for x in range(side) if all(f.value(x, y) for y in range(side))}
-    l_final = {(x, y): qc.SWAP2 for x, y in f.pairs() if x in alice}
-    site = {(x, y): "B" if x in alice else "A" for x, y in f.pairs()}
-    return AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
-                          alice=alice, l_final=l_final, qubit_site=site)

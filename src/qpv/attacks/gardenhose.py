@@ -55,11 +55,12 @@ class GardenHoseProtocol:
 
 
 def trace_water(gh: GardenHoseProtocol, x: int, y: int):
-    """Follow the water; returns (exit_side, hops).
+    """Follow the water; returns (exit_side, hops, exit_node).
 
     ``exit_side`` is 0 (Alice) or 1 (Bob); each hop is ``(side, pair)``
     where ``pair`` is the matched pair the water crossed, in stored
-    orientation.
+    orientation; ``exit_node`` is the node at which the water leaves the
+    path (the source when it has no hops).
     """
     side = 0
     node = SOURCE
@@ -72,7 +73,7 @@ def trace_water(gh: GardenHoseProtocol, x: int, y: int):
                 hit = pair
                 break
         if hit is None:
-            return side, hops
+            return side, hops, node
         hops.append((side, hit))
         node = hit[1] if hit[0] == node else hit[0]
         side = 1 - side
@@ -152,7 +153,7 @@ def _pre_exchange_unitary(layout, regs, matching, pipe_reg):
     return qc.compose_on_qubits(width, gates)
 
 
-def _recovery_unitary(layout, gh, x, y, hops, exit_side):
+def _recovery_unitary(layout, gh, x, y, hops, exit_side, exit_node):
     """Correction + swap unitary for the exiting side's finale registers."""
     regs, own_pipe, peer_matching = ((ALICE_FINAL, "At", gh.bob.get(y, ())),
                                      (BOB_FINAL, "Bt", gh.alice.get(x, ())))[exit_side]
@@ -166,7 +167,7 @@ def _recovery_unitary(layout, gh, x, y, hops, exit_side):
         return _local_index(layout, regs, own_pipe, node - 1)
 
     # where the data sits at the end of the path
-    exit_local = own_local(_exit_node(hops))
+    exit_local = own_local(exit_node)
 
     gates = []
     for side, pair in reversed(hops):
@@ -198,9 +199,9 @@ def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
     recoveries, site = {name: {} for name in FINALE["route"]}, {}
     for x in range(1 << n):
         for y in range(1 << n):
-            exit_side, hops = trace_water(gh, x, y)
+            exit_side, hops, exit_node = trace_water(gh, x, y)
             site[(x, y)] = "A" if exit_side == 0 else "B"
-            recov = _recovery_unitary(layout, gh, x, y, hops, exit_side)
+            recov = _recovery_unitary(layout, gh, x, y, hops, exit_side, exit_node)
             # Alice's identity recoveries are left out; Bob's are all kept
             if exit_side or not np.allclose(recov, np.eye(len(recov))):
                 recoveries[FINALE["route"][exit_side]][(x, y)] = recov
@@ -240,8 +241,8 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
             vec = qc.apply_on_qubits(vec, n, qc.H, [qu])
             measurements.append((qu, qv))
 
-    exit_side, hops = trace_water(gh, x, y)
-    exit_q = global_node(exit_side, _exit_node(hops))
+    exit_side, hops, exit_node = trace_water(gh, x, y)
+    exit_q = global_node(exit_side, exit_node)
     r_q = layout.positions("R")[0]
 
     proj = {0: np.array([[1, 0], [0, 0]], dtype=complex),
@@ -271,10 +272,3 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
         total += qc.expectation(qc.BELL_VECTOR, m @ m.conj().T)
     return total
 
-
-def _exit_node(hops):
-    """Node at which the data leaves the path (the source when it has no hops)."""
-    node = SOURCE
-    for _, pair in hops:
-        node = pair[1] if pair[0] == node else pair[0]
-    return node

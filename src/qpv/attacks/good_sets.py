@@ -31,10 +31,10 @@ def _state_vector(vec, layout: qc.RegisterLayout) -> np.ndarray:
     return vec
 
 
-def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str, seed: int = 0):
+def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str):
     """Minimal purified distance P(rho_{R,ret}, Bell) over recovery unitaries
     of the pure state ``vec`` on ``layout``, by see-saw from the identity and
-    from 4 Haar-random unitaries.
+    from 4 Haar-random unitaries, drawn from ``stream(0, "recovery", r)``.
 
     Returns (distance, recovery_unitary).
     """
@@ -44,7 +44,7 @@ def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str, seed: int
     best_f2, best_u = -1.0, np.eye(dim, dtype=complex)
     for r in range(5):
         u = (np.eye(dim, dtype=complex) if r == 0
-             else qc.haar_random_unitary(dim, qc.stream(seed, "recovery", r)))
+             else qc.haar_random_unitary(dim, qc.stream(0, "recovery", r)))
         score = None
         for _ in range(80):
             moved = qc.apply_vector_matrix(vec, layout, u, regs)
@@ -79,8 +79,7 @@ def helstrom_guess_pure(vecs: np.ndarray, layout: qc.RegisterLayout, basis: int,
     return _helstrom(c[:, 0], c[:, 1])
 
 
-def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: float,
-                   seed: int = 0):
+def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: float):
     """Membership oracle for the recoverable-state sets, on the pure state
     ``vec`` over ``layout``.
 
@@ -93,7 +92,7 @@ def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: f
         raise ValueError("which must be 'S0' or 'S1'")
     vec = _state_vector(vec, layout)
     if kind == "route":
-        dist, _ = best_recovery_distance(vec, layout, which, seed=seed)
+        dist, _ = best_recovery_distance(vec, layout, which)
         # sqrt(1 - F^2) loses half the float precision near F = 1, so exact
         # members surface at distances around 1e-8 rather than 1e-9
         return dist, dist <= eps + 5e-8

@@ -153,16 +153,14 @@ class AttackReport:
         """Number of pairs caught with probability at most eps^2."""
         return sum(1 for s in self.per_pair.values() if 1.0 - s <= eps * eps + 1e-12)
 
-    def as_dict(self, eps: float | None = None) -> dict:
-        out = {
+    def as_dict(self, eps: float) -> dict:
+        return {
             "n": self.n,
             "average_success": self.average,
             "per_pair": {f"{x},{y}": s for (x, y), s in sorted(self.per_pair.items())},
+            "epsilon": eps,
+            "l": self.epsilon_l(eps),
         }
-        if eps is not None:
-            out["epsilon"] = eps
-            out["l"] = self.epsilon_l(eps)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,12 @@ def _encode_matrix(mat: np.ndarray) -> list:
     return cells[where].reshape(mat.shape).tolist()
 
 
-def _decode_matrix(rows: list) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0])), dtype=complex)
+def _decode_matrix(rows, where: str) -> np.ndarray:
+    width = len(rows[0]) if type(rows) is list and rows and type(rows[0]) is list else 0
+    if not (width and all(type(row) is list and len(row) == width
+                          and all(type(cell) is str for cell in row) for row in rows)):
+        raise ValueError(f"{where}: expected a non-empty list of equal-length rows of strings")
+    out = np.empty((len(rows), width), dtype=complex)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             re, im = cell.split(",")
@@ -197,13 +199,15 @@ def _encode_table(table: dict | None, pair_keys: bool, encode=_encode_matrix) ->
             for key, value in sorted(table.items())}
 
 
-def _decode_table(data: dict | None, pair_keys: bool, decode=_decode_matrix) -> dict | None:
+def _decode_table(data, pair_keys: bool, where: str, decode=_decode_matrix) -> dict | None:
     if data is None:
         return None
+    if type(data) is not dict:
+        raise ValueError(f"{where}: expected an object or null, got {data!r}")
     if pair_keys:   # "x,y" unpacks to exactly two parts or raises
-        return {(int(x), int(y)): decode(value)
+        return {(int(x), int(y)): decode(value, f"{where}[{key!r}]")
                 for key, value in data.items() for x, y in [key.split(",")]}
-    return {int(key): decode(value) for key, value in data.items()}
+    return {int(key): decode(value, f"{where}[{key!r}]") for key, value in data.items()}
 
 
 def strategy_to_json(strategy: AttackStrategy) -> str:
@@ -236,13 +240,23 @@ def strategy_from_json(text: str) -> AttackStrategy:
     doc = json.loads(text)
     _check_keys(doc, "strategy", ("kind", "n", "layout", "psi"), (*FAMILIES, "qubit_site"))
     _check_keys(doc["psi"], "strategy.psi", ("kind", "data"))
-    layout = qc.RegisterLayout([(name, w) for name, w in doc["layout"]])
-    psi = _decode_matrix(doc["psi"]["data"])
+    if type(doc["kind"]) is not str:
+        raise ValueError(f"strategy.kind: expected a string, got {doc['kind']!r}")
+    if type(doc["n"]) is not int:
+        raise ValueError(f"strategy.n: expected an integer, got {doc['n']!r}")
+    regs = doc["layout"]
+    if not (type(regs) is list
+            and all(type(reg) is list and list(map(type, reg)) == [str, int] for reg in regs)):
+        raise ValueError(f"strategy.layout: expected a list of [name, width] pairs, got {regs!r}")
+    layout = qc.RegisterLayout(regs)
+    psi = _decode_matrix(doc["psi"]["data"], "strategy.psi.data")
     if doc["psi"]["kind"] == "pure":
         psi = psi.reshape(-1)
     families = {}
     for name, (pair_keyed, _, check) in FAMILIES.items():
-        table = _decode_table(doc.get(name), pair_keyed)
+        table = _decode_table(doc.get(name), pair_keyed, f"strategy.{name}")
         families[name] = {} if table is None and check is qc.check_unitary else table
+    sites = _decode_table(doc.get("qubit_site"), True, "strategy.qubit_site",
+                          lambda site, _: str(site))
     return AttackStrategy(kind=doc["kind"], n=doc["n"], layout=layout, psi=psi,
-                          qubit_site=_decode_table(doc.get("qubit_site"), True, str), **families)
+                          qubit_site=sites, **families)

@@ -33,12 +33,13 @@ SQRT3_HALF = math.sqrt(3.0) / 2.0
 # entropic uncertainty (CIT)
 # ---------------------------------------------------------------------------
 
-def check_cit(trials: int = 1000, max_side_qubits: int = 2, seed: int = 0) -> BoundReport:
-    """H(measured R with E) + H(conjugately measured R with F) >= 1."""
+def check_cit(trials: int = 1000, seed: int = 0) -> BoundReport:
+    """H(measured R with E) + H(conjugately measured R with F) >= 1, with E
+    and F of 1 or 2 qubits each."""
     widths, vecs = [], []
     for t, rng in enumerate(qc.trial_streams(seed, "cit", trials)):
-        we = 1 + int(rng.integers(max_side_qubits))
-        wf = 1 + int(rng.integers(max_side_qubits))
+        we = 1 + int(rng.integers(2))
+        wf = 1 + int(rng.integers(2))
         widths.append((we, wf))
         vecs.append(qc.random_unit_vector(1 << (1 + we + wf), rng))
     # totals[t, theta]: R measured in basis theta against E, in 1 - theta against F
@@ -168,12 +169,12 @@ def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
                        tolerance=1e-9, worst_case=witness)
 
 
-def check_fano_chain(eps: float = 0.3, trials: int = 1000, seed: int = 0) -> BoundReport:
-    """States guessable with error <= eps^2 have conditional entropy <= h(eps^2)."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must be in [0, 1]")
+def check_fano_chain(trials: int = 1000, seed: int = 0) -> BoundReport:
+    """States guessable with error <= eps^2 have conditional entropy <= h(eps^2),
+    at eps = 0.3."""
+    eps = 0.3
     err_cap = eps * eps
-    cap = qc.binary_entropy(err_cap) if err_cap <= 0.5 else 1.0
+    cap = qc.binary_entropy(err_cap)
     # every trial is a pure vector on R W P whose R is dephased in basis 0;
     # little-endian index = z + 2w + 4p
     layout = qc.RegisterLayout([("R", 1), ("W", 1), ("P", 1)])
@@ -283,10 +284,10 @@ def _dependent_paths(r: int, cond):
     return dist
 
 
-def check_bound_by_iid(trials: int = 4000, seed: int = 0, r_mc: int = 50,
-                       p: float = 0.5) -> BoundReport:
+def check_bound_by_iid(trials: int = 4000, seed: int = 0) -> BoundReport:
     """Processes with capped (resp. floored) conditional success are tail-
-    dominated by (resp. dominate) the iid process."""
+    dominated by (resp. dominate) the iid process with success p = 1/2."""
+    p, r_mc = 0.5, 50
     # exact enumeration at r = 3
     r3 = 3
     capped = lambda path: p * (1.0 - 0.5 * (path[-1] if path else 0))

@@ -72,7 +72,7 @@ def test_criterion_02_m1_m2_equivalence():
 
 def test_criterion_03_cit():
     t0 = time.time()
-    rep = ck.check_cit(trials=1000, max_side_qubits=2, seed=SEED)
+    rep = ck.check_cit(trials=1000, seed=SEED)
     report(3, "entropic uncertainty (CIT)", rep.passed,
            f"min entropy sum {rep.lhs:.9f} >= 1 - 1e-7",
            30, time.time() - t0)
@@ -130,7 +130,7 @@ def test_criterion_08_attack_baselines():
     keep = at.epsilon_l_report(at.keep_q_attack(xor), xor)
     ok = abs(keep.average - 0.5) <= 1e-12
 
-    f_y = an.projection_function(1, 0, "y")
+    f_y = an.BooleanFunction(1, [0, 1, 0, 1])
     gh_y = at.GardenHoseProtocol(pipes=2, alice={0: (("S", 1),), 1: (("S", 1),)},
                                  bob={0: ((1, 2),), 1: ()})
     rep_y = at.epsilon_l_report(at.compile_gardenhose(gh_y), f_y)
@@ -212,7 +212,7 @@ def test_criterion_11_cc_bruteforce():
 
 def test_criterion_12_stochastic_domination():
     t0 = time.time()
-    rep = ck.check_bound_by_iid(trials=4000, seed=SEED, r_mc=50, p=0.5)
+    rep = ck.check_bound_by_iid(trials=4000, seed=SEED)
     report(12, "stochastic domination by iid", rep.passed,
            f"exact r=3 dominance holds (worst gap "
            f"{rep.worst_case['exact_r3_worst']:.3e}); Monte Carlo r=50 worst "

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qpv import analysis as an
 from qpv import attacks as at
-from qpv import protocol as pr
 from qpv import qcore as qc
 from qpv.attacks.execute import (
     after_locals,
@@ -45,13 +44,6 @@ def test_execute_route_keep_strategy_on_constant_zero():
     f0 = an.constant_function(1, 0)
     strat = identity_route_strategy(f0)
     rep = at.epsilon_l_report(strat, f0)
-    assert all(s == pytest.approx(1.0, abs=1e-12) for s in rep.per_pair.values())
-
-
-def test_execute_route_swap_chain_for_constant_one():
-    f1 = an.constant_function(1, 1)
-    strat = at.swap_in_attack(f1)
-    rep = at.epsilon_l_report(strat, f1)
     assert all(s == pytest.approx(1.0, abs=1e-12) for s in rep.per_pair.values())
 
 
@@ -128,7 +120,7 @@ def test_execute_meas_copied_bit_wins_constant_zero():
 
 
 def test_execute_meas_x_dependent_basis():
-    fx = an.projection_function(1, 0, "x")
+    fx = an.BooleanFunction(1, [0, 0, 1, 1])
     strat = readable_bit_strategy(fx, rotate_by_x=True)
     rep = at.epsilon_l_report(strat, fx)
     assert all(s == pytest.approx(1.0, abs=1e-12) for s in rep.per_pair.values())
@@ -207,18 +199,6 @@ def test_mixture_success_is_linear_meas():
 
 
 # ---------------------------------------------------------------------------
-# classical copy attack
-# ---------------------------------------------------------------------------
-
-def test_classical_copy_attack():
-    for f in (an.ip_function(3), an.random_function(2, 5)):
-        rep, events = at.classical_copy_attack(f)
-        assert rep.average == 1.0
-        assert len(rep.per_pair) == 1 << (2 * f.n)
-        assert pr.timing_check(events)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -254,16 +234,19 @@ def test_encode_matrix_matches_per_element_formatting(rows, cols, data):
     mat = np.array([complex(re, im) for re, im in parts]).reshape(rows, cols)
     for m in (mat, mat.T):
         assert at.strategy._encode_matrix(m) == _encode_per_element(m)
-    back = at.strategy._decode_matrix(at.strategy._encode_matrix(mat))
+    back = at.strategy._decode_matrix(at.strategy._encode_matrix(mat), "mat")
     finite = np.isfinite(mat.real) & np.isfinite(mat.imag)
     assert np.array_equal(back.view(np.uint64).reshape(rows, cols, 2)[finite],
                           mat.view(np.uint64).reshape(rows, cols, 2)[finite])
 
 
+# the README's garden-hose protocol for f(x, y) = y
+GH_Y = at.GardenHoseProtocol(pipes=2, alice={0: (("S", 1),), 1: (("S", 1),)},
+                             bob={0: ((1, 2),), 1: ()})
+
+
 def test_gardenhose_strategy_json_round_trips():
-    gh = at.GardenHoseProtocol(pipes=2, alice={0: (("S", 1),), 1: (("S", 1),)},
-                               bob={0: ((1, 2),), 1: ()})
-    strat = at.compile_gardenhose(gh)
+    strat = at.compile_gardenhose(GH_Y)
     text = at.strategy_to_json(strat)
     back = at.strategy_from_json(text)
     assert at.strategy_to_json(back) == text
@@ -274,8 +257,8 @@ def test_gardenhose_strategy_json_round_trips():
 
 @pytest.mark.parametrize("family", ["l_final", "qubit_site"])
 def test_strategy_json_pair_keys_have_two_parts(family):
-    doc = json.loads(at.strategy_to_json(at.swap_in_attack(an.constant_function(1, 1))))
-    doc[family]["0,0,1"] = doc[family]["0,0"]
+    doc = json.loads(at.strategy_to_json(at.compile_gardenhose(GH_Y)))
+    doc[family]["0,1,1"] = doc[family]["0,1"]
     with pytest.raises(ValueError):
         at.strategy_from_json(json.dumps(doc))
 
@@ -290,7 +273,7 @@ def test_strategy_json_keys_are_inputs_of_n(family, key, shown):
     if family in ("pi_effect", "sigma_effect"):
         strat, source = readable_bit_strategy(XOR), family
     else:
-        strat, source = at.swap_in_attack(an.constant_function(1, 1)), "alice"
+        strat, source = at.compile_gardenhose(GH_Y), "alice"
     doc = json.loads(at.strategy_to_json(strat))
     doc[family][key] = next(iter(doc[source].values()))
     with pytest.raises(ValueError, match=rf"^{family}\[{re.escape(shown)}\]: not keyed by inputs"):

@@ -281,11 +281,18 @@ def _simulate_strategy(tmp_path, capsys, doc):
     ([], {"extra": 1}, "strategy: unknown keys ['extra']"),
     (["psi"], {"psi": {"kind": "pure"}}, "strategy.psi: missing keys ['data']"),
     (["psi"], {"psi": {"data": [], "norm": 1}}, "strategy.psi: unknown keys ['norm']"),
-], ids=["no-bob", "no-psi", "no-kind-n-layout", "extra", "no-psi-data", "psi-extra"])
+    ([], {"psi": {"kind": "pure", "data": []}},
+     "strategy.psi.data: expected a non-empty list of equal-length rows of strings"),
+    ([], {"layout": 5}, "strategy.layout: expected a list of [name, width] pairs, got 5"),
+    ([], {"n": "1"}, "strategy.n: expected an integer, got '1'"),
+    ([], {"kind": ["route"]}, "strategy.kind: expected a string, got ['route']"),
+    ([], {"alice": [1]}, "strategy.alice: expected an object or null, got [1]"),
+], ids=["no-bob", "no-psi", "no-kind-n-layout", "extra", "no-psi-data", "psi-extra",
+        "psi-data-empty", "layout-not-pairs", "n-not-int", "kind-not-str", "alice-not-object"])
 def test_strategy_prover_names_a_missing_or_unknown_key(tmp_path, capsys, drop, add, message):
-    """An absent family reads as null; any other absent key, or an unknown
-    one, is a config error naming the keys."""
-    doc = json.loads(at.strategy_to_json(at.swap_in_attack(an.constant_function(1, 1))))
+    """An absent family reads as null; any other absent key, an unknown one
+    or a value of the wrong type is a config error naming the place."""
+    doc = json.loads(at.strategy_to_json(at.keep_q_attack(an.xor_function(1))))
     full = _simulate_strategy(tmp_path, capsys, doc)
     for key in drop:
         del doc[key]
@@ -781,7 +788,7 @@ def test_bounds_kinds_admit_every_key_they_read(tmp_path, capsys, payload):
 def test_function_and_prover_kinds_admit_every_key_they_read(tmp_path, capsys, monkeypatch,
                                                              f, prover):
     monkeypatch.chdir(tmp_path)
-    an.save_function(an.xor_function(1), "f.txt")
+    (tmp_path / "f.txt").write_text("n=1\n0110\n")
     cfg = write_config(tmp_path, "s.json", _with(SIM, f=f, prover=prover))
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert (code, err) == (cli.EXIT_OK, "")

@@ -4,7 +4,7 @@ from qpv import analysis as an
 from qpv import attacks as at
 from qpv import qcore as qc
 
-F_Y = an.projection_function(1, 0, "y")
+F_Y = an.BooleanFunction(1, [0, 1, 0, 1])
 F_XOR = an.xor_function(1)
 
 GH_Y = at.GardenHoseProtocol(pipes=2,
@@ -17,10 +17,10 @@ GH_KEEP = at.GardenHoseProtocol(pipes=0, alice={}, bob={})
 
 
 def test_water_tracing():
-    side, hops = at.trace_water(GH_Y, 0, 0)
-    assert side == 0 and len(hops) == 2
-    side, hops = at.trace_water(GH_Y, 0, 1)
-    assert side == 1 and len(hops) == 1
+    side, hops, node = at.trace_water(GH_Y, 0, 0)
+    assert side == 0 and len(hops) == 2 and node == 2
+    side, hops, node = at.trace_water(GH_Y, 0, 1)
+    assert side == 1 and len(hops) == 1 and node == 1
     assert at.computes(GH_Y, F_Y)
     assert at.computes(GH_XOR, F_XOR)
     assert at.computes(GH_KEEP, an.constant_function(1, 0))

@@ -8,14 +8,21 @@ Qubits map to array axes in one place, ``qpv/qcore/layout.py``
 (``rows_first``/``rows_back``): no other module contracts with
 ``np.tensordot`` or reshapes a state into per-qubit axes (``[2] * n``,
 ``(2,) * n``).
+
+Every name a subpackage exports is used by the program, the benchmark or
+the README: library surface that only tests reach is deleted.
 """
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qpv"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qpv"
 QCORE = SRC / "qcore"
 
 DENSE_NAMES = {
@@ -94,3 +101,27 @@ def test_axis_scan_finds_each_form():
                          ids=lambda p: p.relative_to(SRC).as_posix())
 def test_qubit_axes_only_in_layout(path):
     assert per_qubit_axes(ast.parse(path.read_text(), str(path))) == []
+
+
+PACKAGES = ("qcore", "protocol", "attacks", "checks", "analysis")
+
+
+def unreferenced(names, sources):
+    """The names with no word-boundary reference in ``sources`` besides their
+    own top-level ``def``, ``class`` or assignment."""
+    text = "\n".join(sources)
+    return sorted(name for name in names if len(re.findall(rf"\b{name}\b", text)) == len(
+        re.findall(rf"^(?:(?:def|class) {name}\b|{name} *[:=])", text, re.M)))
+
+
+def test_reference_scan_skips_definitions():
+    code = "X = 1\nclass C:\n    pass\ndef f(x):\n    return g(C)\n"
+    assert unreferenced({"X", "C", "f", "g"}, [code]) == ["X", "f"]
+
+
+def test_every_export_is_used_outside_the_tests():
+    exports = {name for pkg in PACKAGES for mod in [importlib.import_module(f"qpv.{pkg}")]
+               for name in mod.__all__ if not inspect.ismodule(getattr(mod, name))}
+    sources = [p.read_text() for p in SRC.rglob("*.py") if p.name != "__init__.py"]
+    sources += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    assert unreferenced(exports, sources + [(ROOT / "README.md").read_text()]) == []

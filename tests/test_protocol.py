@@ -152,6 +152,15 @@ def test_timing_position_spoof_fools_one_verifier_only():
     assert not pr.timing_check(events, geom)
 
 
+def test_attack_strategy_relay_passes_the_timing_check():
+    # attackers copy the intercepted inputs, exchange them and answer both
+    # verifiers with honest-looking timing
+    f = an.ip_function(2)
+    for proto in pr.PROTOCOLS:
+        events, timing_ok, arrival_ok = pr.round_events(proto, f, 3, 1, at.keep_q_attack(f))
+        assert timing_ok and arrival_ok and pr.timing_check(events)
+
+
 def test_wrong_verifier_on_time_is_rejected():
     run = pr.run_round("route_entangled", XOR, 0, 1, pr.Prover(route_to="swapped"), seed=3)
     assert run.timing_ok and not run.arrival_ok and not run.accepted

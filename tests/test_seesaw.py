@@ -19,7 +19,7 @@ def test_route_constant_function_reaches_one():
 
 
 def test_route_alice_local_function_reaches_one():
-    fx = an.projection_function(1, 0, "x")
+    fx = an.BooleanFunction(1, [0, 0, 1, 1])
     out = at.seesaw_optimize(fx, q=2, kind="route", restarts=6, iters=60, seed=12)
     assert out.best_value >= 1 - 1e-6
 

@@ -79,6 +79,13 @@ def helstrom_guess_pure(vecs: np.ndarray, layout: qc.RegisterLayout, basis: int,
     return _helstrom(c[:, 0], c[:, 1])
 
 
+def meas_figure(vecs: np.ndarray, layout: qc.RegisterLayout, which: str, eps: float):
+    """s_set_distance's measuring figure and membership for each row of a batch."""
+    figure = np.minimum(*(helstrom_guess_pure(vecs, layout, int(which == "S1"), regs)
+                          for regs in (ALICE_FINAL, BOB_FINAL)))
+    return figure, figure >= 1.0 - eps * eps - 1e-9
+
+
 def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: float):
     """Membership oracle for the recoverable-state sets, on the pure state
     ``vec`` over ``layout``.
@@ -97,48 +104,71 @@ def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: f
         # members surface at distances around 1e-8 rather than 1e-9
         return dist, dist <= eps + 5e-8
     if kind == "meas":
-        basis = 0 if which == "S0" else 1
-        p_alice, p_bob = (float(helstrom_guess_pure(vec, layout, basis, regs)[0])
-                          for regs in (ALICE_FINAL, BOB_FINAL))
-        figure = min(p_alice, p_bob)
-        return figure, figure >= 1.0 - eps * eps - 1e-9
+        figure, member = meas_figure(vec[None], layout, which, eps)
+        return float(figure[0]), bool(member[0])
     raise ValueError("kind must be 'route' or 'meas'")
 
 
 # ---------------------------------------------------------------------------
-# constructive members (witness core + verified perturbation)
+# constructive members (witness core + verified perturbation), batched over
+# rows of draws; a per-trial sampler is the batch of one
 # ---------------------------------------------------------------------------
 
-def perturb_within(vec: np.ndarray, eps: float, rng) -> tuple[np.ndarray, float]:
-    """Rotate a unit vector toward a random direction by an angle a with
-    sin(a) <= eps, so within purified distance sin(a); returns the normalized
-    result and sin(a), which is 0 when nothing moved."""
-    out, sin_a = vec, 0.0
+def perturb_within(vecs: np.ndarray, eps: float, noise, uniforms):
+    """Rotate each unit row of a (b, d) batch toward the random_unit_vector
+    finish of its ``noise`` row by sin(a) = eps * its uniform, so within
+    purified distance sin(a); returns the normalized rows and sin(a).  A row
+    whose noise is parallel to it stays and uses no uniform, so ``uniforms``
+    may be a generator drawing one per row that moves (a per-trial sampler)."""
+    sin_a, out = np.zeros(len(vecs)), vecs
     if eps > 0:
-        noise = qc.random_unit_vector(vec.size, rng)
-        noise = noise - np.vdot(vec, noise) * vec
+        noise = qc.unit_finish(noise)
+        # each row's vdot as a stacked vector-vector matmul: the same BLAS dot
+        noise = noise - (vecs.conj()[:, None] @ noise[:, :, None])[:, 0] * vecs
         nn = qc.vector_norm(noise)
-        if nn >= 1e-12:
-            sin_a = eps * rng.random()
-            out = np.sqrt(1 - sin_a ** 2) * vec + sin_a * (noise / nn)
+        moves = nn >= 1e-12
+        if isinstance(uniforms, np.random.Generator):
+            uniforms = [uniforms.random() if m else 0.0 for m in moves[:, 0]]
+        sin_a = np.where(moves[:, 0], eps * np.asarray(uniforms), 0.0)
+        # float_power is libm pow, as float ** 2 is; np.square rounds apart
+        out = np.where(moves, np.sqrt(1 - np.float_power(sin_a, 2))[:, None] * vecs
+                       + sin_a[:, None] * (noise / np.where(moves, nn, 1.0)), vecs)
     return out / qc.vector_norm(out), sin_a
 
 
-def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
-    """K^dagger (|Omega>_{R,ret} x |phi>), perturbed within eps.
+def route_draws(layout: qc.RegisterLayout, which: str, eps: float) -> np.ndarray:
+    """Where a routing member's normals end: phi's, K's Ginibre parts, then
+    the perturbation's noise (none at eps = 0), which its uniform follows."""
+    regs, ret = ROUTE_SIDES[which]
+    return np.cumsum([2 * layout.subdim(*rest_registers(layout, "R", ret)),
+                      2 * layout.subdim(*regs) ** 2, 2 * layout.dim * (eps > 0)])
+
+
+def route_members(layout: qc.RegisterLayout, which: str, eps: float, rows, uniforms):
+    """K^dagger (|Omega>_{R,ret} x |phi>), perturbed within eps, for each row
+    of raw normals (see route_draws); returns the members and sin(a).
 
     The perturbation keeps membership: applying the same recovery unitary
     leaves the reduced state within purified distance eps of the Bell pair.
     """
     regs, ret = ROUTE_SIDES[which]
-    phi = qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", ret)), rng)
-    k = qc.haar_random_unitary(layout.subdim(*regs), rng)
-    vec = qc.apply_vector_matrix(bell_core(layout, ret, phi), layout, k.conj().T, regs)
-    return perturb_within(vec, eps, rng)[0]
+    z_phi, z_k, noise = np.split(rows, route_draws(layout, which, eps)[:2], axis=1)
+    d = layout.subdim(*regs)
+    k = qc.haar_finish(z_k.reshape(-1, 2, d, d))
+    vec = qc.apply_vector_matrix(bell_core(layout, ret, qc.unit_finish(z_phi)), layout,
+                                 k.conj().swapaxes(-1, -2), regs)
+    return perturb_within(vec, eps, noise, uniforms)
+
+
+def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
+    """One member of route_members, drawn from ``rng``."""
+    rng = qc.as_generator(rng)
+    rows = rng.standard_normal((1, route_draws(layout, which, eps)[-1]))
+    return route_members(layout, which, eps, rows, rng)[0][0]
 
 
 @lru_cache(maxsize=16)
-def _meas_core(layout: qc.RegisterLayout, basis: int) -> np.ndarray:
+def meas_core(layout: qc.RegisterLayout, basis: int) -> np.ndarray:
     """meas_member's unperturbed state (R copied into A and B), kept read-only."""
     if not (layout.width("A") and layout.width("B")):
         raise ValueError("need 1-qubit A and B registers for readable copies")
@@ -160,14 +190,16 @@ def _meas_core(layout: qc.RegisterLayout, basis: int) -> np.ndarray:
 def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     """State vector whose reference bit is readable by BOTH sides in the
     relevant basis, perturbed while re-verifying the guessing premise."""
-    vec = _meas_core(layout, 0 if which == "S0" else 1)
+    rng = qc.as_generator(rng)
+    core = meas_core(layout, 0 if which == "S0" else 1)
     scale = eps
     for _ in range(12):
-        cand, _ = perturb_within(vec, scale, rng)
+        noise = rng.standard_normal((1, 2 * layout.dim)) if scale > 0 else None
+        cand = perturb_within(core[None], scale, noise, rng)[0][0]
         if s_set_distance(cand, layout, which, "meas", eps)[1]:
             return cand
         scale *= 0.5
-    return vec.copy()
+    return core.copy()
 
 
 def small_attack_layout() -> qc.RegisterLayout:

@@ -126,6 +126,11 @@ class AttackStrategy:
                 if mat.shape != (dim, dim):
                     raise ValueError(f"{name}[{key}] must be {dim}x{dim}")
                 check(mat, f"{name}[{key}]")
+        for key, site in (self.qubit_site or {}).items():
+            if not (type(key) is tuple and len(key) == 2 and all(part in inputs for part in key)
+                    and site in ("A", "B")):
+                raise ValueError(f"qubit_site[{key!r}]: expected 'A' or 'B' at an input "
+                                 f"pair of n = {self.n}, got {site!r}")
 
     def matrix(self, name: str, key) -> np.ndarray:
         """Family ``name``'s matrix at ``key``, an input or an input pair."""
@@ -199,15 +204,25 @@ def _encode_table(table: dict | None, pair_keys: bool, encode=_encode_matrix) ->
             for key, value in sorted(table.items())}
 
 
+def _decode_key(key: str, pair_keys: bool, where: str):
+    """An input key "x" as an int, an input-pair key "x,y" as a pair of them."""
+    try:
+        parts = tuple(map(int, key.split(",")))
+    except ValueError:
+        parts = ()
+    if len(parts) != 1 + pair_keys:
+        shape = "two integers x,y" if pair_keys else "an integer"
+        raise ValueError(f"{where}[{key!r}]: expected {shape}")
+    return parts if pair_keys else parts[0]
+
+
 def _decode_table(data, pair_keys: bool, where: str, decode=_decode_matrix) -> dict | None:
     if data is None:
         return None
     if type(data) is not dict:
         raise ValueError(f"{where}: expected an object or null, got {data!r}")
-    if pair_keys:   # "x,y" unpacks to exactly two parts or raises
-        return {(int(x), int(y)): decode(value, f"{where}[{key!r}]")
-                for key, value in data.items() for x, y in [key.split(",")]}
-    return {int(key): decode(value, f"{where}[{key!r}]") for key, value in data.items()}
+    return {_decode_key(key, pair_keys, where): decode(value, f"{where}[{key!r}]")
+            for key, value in data.items()}
 
 
 def strategy_to_json(strategy: AttackStrategy) -> str:
@@ -257,6 +272,6 @@ def strategy_from_json(text: str) -> AttackStrategy:
         table = _decode_table(doc.get(name), pair_keyed, f"strategy.{name}")
         families[name] = {} if table is None and check is qc.check_unitary else table
     sites = _decode_table(doc.get("qubit_site"), True, "strategy.qubit_site",
-                          lambda site, _: str(site))
+                          lambda site, _: site)
     return AttackStrategy(kind=doc["kind"], n=doc["n"], layout=layout, psi=psi,
                           qubit_site=sites, **families)

@@ -8,7 +8,6 @@ is deterministic under its seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -16,9 +15,13 @@ import numpy as np
 from .. import qcore as qc
 from ..attacks.good_sets import (
     helstrom_guess_pure,
+    meas_core,
+    meas_figure,
     meas_member,
     perturb_within,
+    route_draws,
     route_member,
+    route_members,
     small_attack_layout,
 )
 from ..attacks.strategy import ALICE_FINAL, BOB_FINAL, bell_core, rest_registers
@@ -27,6 +30,29 @@ from ..qcore.layout import rows_first
 from .report import BoundReport, holds
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
+BLOCK = 100   # trials whose draws and arithmetic are stacked at once, to bound memory
+
+
+def _need_trials(name: str, trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"{name}: trials must be at least 1")
+
+
+def _draw_blocks(seed: int, name: str, trials: int, sizes, uniform: bool = False):
+    """The draws of each trial's ``stream(seed, name, t)``, BLOCK trials at a
+    time: per n of ``sizes``, one standard_normal(n) call (equal to the
+    successive draws it concatenates), then one rng.random() if ``uniform``.
+    Yields the block's first trial and, per n, its (normals, uniforms) rows."""
+    streams = qc.trial_streams(seed, name, trials)
+    for start in range(0, trials, BLOCK):
+        b = min(BLOCK, trials - start)
+        segments = [(np.empty((b, n)), np.empty(b) if uniform else None) for n in sizes]
+        for i, rng in zip(range(b), streams):
+            for z, u in segments:
+                rng.standard_normal(out=z[i])
+                if uniform:
+                    u[i] = rng.random()
+        yield start, segments
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +62,7 @@ SQRT3_HALF = math.sqrt(3.0) / 2.0
 def check_cit(trials: int = 1000, seed: int = 0) -> BoundReport:
     """H(measured R with E) + H(conjugately measured R with F) >= 1, with E
     and F of 1 or 2 qubits each."""
+    _need_trials("cit", trials)
     widths, vecs = [], []
     for t, rng in enumerate(qc.trial_streams(seed, "cit", trials)):
         we = 1 + int(rng.integers(2))
@@ -52,14 +79,11 @@ def check_cit(trials: int = 1000, seed: int = 0) -> BoundReport:
             totals[idx, theta] = (
                 qc.conditional_entropy_pure(group, layout, "R", ("E",), ("R", theta))
                 + qc.conditional_entropy_pure(group, layout, "R", ("F",), ("R", 1 - theta)))
-    worst = math.inf
-    witness = {}
-    if trials:
-        # argmin returns the first minimum: the earliest (t, theta) wins ties
-        t, theta = divmod(int(np.argmin(totals)), 2)
-        worst = float(totals[t, theta])
-        we, wf = widths[t]
-        witness = {"trial": t, "dims": [2 ** we, 2 ** wf], "theta": theta, "sum": worst}
+    # argmin returns the first minimum: the earliest (t, theta) wins ties
+    t, theta = divmod(int(np.argmin(totals)), 2)
+    worst = float(totals[t, theta])
+    we, wf = widths[t]
+    witness = {"trial": t, "dims": [2 ** we, 2 ** wf], "theta": theta, "sum": worst}
     return BoundReport(name="cit", lhs=worst, rhs=1.0, relation=">=",
                        passed=holds(worst, ">=", 1.0, 1e-7), trials=trials,
                        tolerance=1e-7, worst_case=witness)
@@ -72,24 +96,20 @@ def check_cit(trials: int = 1000, seed: int = 0) -> BoundReport:
 def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
     """States recoverable to opposite sides overlap by at most 1/2, and the
     bound is attained by the aligned transfer construction."""
+    _need_trials("recovery_overlap", trials)
     layout = small_attack_layout()
     phi_dims = [layout.subdim(*rest_registers(layout, "R", ret)) for ret in ("A", "B")]
     k_dim, l_dim = layout.subdim(*ALICE_FINAL), layout.subdim(*BOB_FINAL)
+    # per trial: phi0's and phi1's normals, then the Ginibre parts of K and L
+    sizes = [2 * phi_dims[0], 2 * phi_dims[1], 2 * k_dim ** 2, 2 * l_dim ** 2]
     overlaps = []
-    # each trial draws from its own stream; the Haar QRs and the applies run
-    # in blocks of 100 trials, to bound memory
-    streams = qc.trial_streams(seed, "overlap", trials)
-    for start in range(0, trials, 100):
-        draws = []
-        for rng in itertools.islice(streams, 100):
-            draws.append((qc.random_unit_vector(phi_dims[0], rng),
-                          qc.random_unit_vector(phi_dims[1], rng),
-                          qc.ginibre(k_dim, rng), qc.ginibre(l_dim, rng)))
-        phi0, phi1, zk, zl = (np.stack(d) for d in zip(*draws))
-        k, lu = qc.haar_finish(zk), qc.haar_finish(zl)
-        psi0 = qc.apply_vector_matrix(bell_core(layout, "A", phi0), layout,
+    for _, [(z, _)] in _draw_blocks(seed, "overlap", trials, (sum(sizes),)):
+        z0, z1, zk, zl = np.split(z, np.cumsum(sizes)[:-1], axis=1)
+        k = qc.haar_finish(zk.reshape(-1, 2, k_dim, k_dim))
+        lu = qc.haar_finish(zl.reshape(-1, 2, l_dim, l_dim))
+        psi0 = qc.apply_vector_matrix(bell_core(layout, "A", qc.unit_finish(z0)), layout,
                                       k.conj().transpose(0, 2, 1), ALICE_FINAL)
-        psi1 = qc.apply_vector_matrix(bell_core(layout, "B", phi1), layout,
+        psi1 = qc.apply_vector_matrix(bell_core(layout, "B", qc.unit_finish(z1)), layout,
                                       lu.conj().transpose(0, 2, 1), BOB_FINAL)
         overlaps += [abs(np.vdot(a, b)) for a, b in zip(psi0, psi1)]
     t = int(np.argmax(overlaps))
@@ -112,19 +132,27 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
 def check_low_fidelity_route(eps: float = 0.41, trials: int = 100,
                              seed: int = 0) -> BoundReport:
     """Sampled members of the two routing-recovery sets stay far apart."""
+    _need_trials("low_fidelity_route", trials)
     if not 0.0 <= eps <= 0.41:
         raise ValueError("the routing separation is stated for eps <= 0.41")
     layout = small_attack_layout()
     bound = SQRT3_HALF - 2 * eps
-    worst = math.inf
-    witness = {}
-    for t, rng in enumerate(qc.trial_streams(seed, "route-sep", trials)):
-        psi0 = route_member(layout, "S0", eps, rng)
-        psi1 = route_member(layout, "S1", eps, rng)
-        dist = qc.purified_distance_pure(psi0, psi1)
-        if dist < worst:
-            worst = dist
-            witness = {"trial": t, "distance": dist}
+    n0, n1 = (route_draws(layout, which, eps)[-1] for which in ("S0", "S1"))
+    dists = []
+    # per trial and side: the member's normals, then its uniform when eps > 0
+    for start, [(z0, u0), (z1, u1)] in _draw_blocks(seed, "route-sep", trials,
+                                                    (n0, n1), eps > 0):
+        psi0, s0 = route_members(layout, "S0", eps, z0, u0)
+        psi1, s1 = route_members(layout, "S1", eps, z1, u1)
+        dists += map(qc.purified_distance_pure, psi0, psi1)
+        # a side that did not move drew no uniform and its trial read on: replay it
+        for t in start + np.flatnonzero((s0 == 0) | (s1 == 0)) if eps > 0 else ():
+            rng = qc.stream(seed, "route-sep", t)
+            psi0 = route_member(layout, "S0", eps, rng)
+            dists[t] = qc.purified_distance_pure(psi0, route_member(layout, "S1", eps, rng))
+    t = int(np.argmin(dists))
+    worst = dists[t]
+    witness = {"trial": t, "distance": worst}
     passed = holds(worst, ">=", bound, 1e-9) and (eps < 0.41 or worst > 0.046)
     witness["threshold_0046"] = worst > 0.046
     return BoundReport(name="low_fidelity_route", lhs=worst, rhs=bound,
@@ -145,24 +173,25 @@ def afw_bound(delta: float) -> float:
 
 def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
     """Continuity of conditional entropy at distance 0.013 stays under 0.127."""
+    _need_trials("afw", trials)
     delta = 0.013
     constant = afw_bound(delta)
     layout = qc.RegisterLayout([("R", 1), ("E", 1), ("F", 1)])
-    vecs, chis, dists = [], [], []
-    for t, rng in enumerate(qc.trial_streams(seed, "afw", trials)):
-        vecs.append(qc.random_unit_vector(layout.dim, rng))
-        chi, sin_a = perturb_within(vecs[-1], delta, rng)
-        chis.append(chi)
-        dists.append(sin_a)
+    n = 2 * layout.dim
+    gaps, dists = np.empty(trials), np.empty(trials)
+    # per trial: the vector's normals and its perturbation's noise, then its uniform
+    for start, [(z, u)] in _draw_blocks(seed, "afw", trials, (2 * n,), True):
+        block = slice(start, start + len(u))
+        vecs = qc.unit_finish(z[:, :n])
+        chis, dists[block] = perturb_within(vecs, delta, z[:, n:], u)
+        gaps[block] = np.abs(qc.conditional_entropy_pure(vecs, layout, "R", ("E",))
+                             - qc.conditional_entropy_pure(chis, layout, "R", ("E",)))
     witness = {"constant": constant}
     worst = 0.0
-    if trials:
-        gaps = np.abs(qc.conditional_entropy_pure(np.stack(vecs), layout, "R", ("E",))
-                      - qc.conditional_entropy_pure(np.stack(chis), layout, "R", ("E",)))
-        i = int(np.argmax(gaps))
-        if gaps[i] > worst:
-            worst = float(gaps[i])
-            witness.update({"trial": i, "gap": worst, "distance": dists[i]})
+    i = int(np.argmax(gaps))
+    if gaps[i] > worst:
+        worst = float(gaps[i])
+        witness.update({"trial": i, "gap": worst, "distance": float(dists[i])})
     passed = constant <= 0.127 and holds(worst, "<=", 0.127, 1e-9)
     return BoundReport(name="afw", lhs=max(worst, constant), rhs=0.127,
                        relation="<=", passed=passed, trials=trials,
@@ -172,6 +201,7 @@ def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
 def check_fano_chain(trials: int = 1000, seed: int = 0) -> BoundReport:
     """States guessable with error <= eps^2 have conditional entropy <= h(eps^2),
     at eps = 0.3."""
+    _need_trials("fano_chain", trials)
     eps = 0.3
     err_cap = eps * eps
     cap = qc.binary_entropy(err_cap)
@@ -201,12 +231,9 @@ def check_fano_chain(trials: int = 1000, seed: int = 0) -> BoundReport:
     if np.any(guess < 1 - err_cap - 1e-9):
         raise AssertionError("sampler violated its own premise")
     ents = qc.conditional_entropy_pure(vecs, layout, "R", ("W",), ("R", 0))
-    witness = {}
-    worst = -math.inf
-    if trials:
-        t = int(np.argmax(ents))
-        worst = float(ents[t])
-        witness = {"trial": t, "entropy": worst, "error": float(errors[t])}
+    t = int(np.argmax(ents))
+    worst = float(ents[t])
+    witness = {"trial": t, "entropy": worst, "error": float(errors[t])}
     passed = holds(worst, "<=", cap, 1e-9)
     return BoundReport(name="fano_chain", lhs=worst, rhs=cap, relation="<=",
                        passed=passed, trials=trials, tolerance=1e-9,
@@ -215,15 +242,24 @@ def check_fano_chain(trials: int = 1000, seed: int = 0) -> BoundReport:
 
 def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
     """Low-entropy readability in conjugate bases forces far-apart states."""
+    _need_trials("meas_disjoint", trials)
     delta = qc.binary_entropy(0.09)
+    eps = 0.25
     layout = small_attack_layout()
-    phi0 = np.zeros((trials, layout.dim), dtype=complex)
-    phi1 = np.zeros((trials, layout.dim), dtype=complex)
-    dists = np.zeros(trials)
-    for t, rng in enumerate(qc.trial_streams(seed, "meas-sep", trials)):
-        phi0[t] = meas_member(layout, "S0", 0.25, rng)
-        phi1[t] = meas_member(layout, "S1", 0.25, rng)
-        dists[t] = qc.purified_distance_pure(phi0[t], phi1[t])
+    phi0, phi1 = (np.zeros((trials, layout.dim), dtype=complex) for _ in range(2))
+    # per trial and side: the first candidate's noise and uniform
+    for start, segments in _draw_blocks(seed, "meas-sep", trials, (2 * layout.dim,) * 2, True):
+        block, common = slice(start, start + BLOCK), True
+        for phi, (noise, u), which in zip((phi0, phi1), segments, ("S0", "S1")):
+            core = meas_core(layout, int(which == "S1"))
+            phi[block], sin_a = perturb_within(np.broadcast_to(core, (len(u), core.size)),
+                                               eps, noise, u)
+            common &= meas_figure(phi[block], layout, which, eps)[1] & (sin_a > 0)
+        # a refused candidate or a side that did not move read on: replay the trial
+        for t in start + np.flatnonzero(~common):
+            rng = qc.stream(seed, "meas-sep", t)
+            phi0[t], phi1[t] = (meas_member(layout, which, eps, rng) for which in ("S0", "S1"))
+    dists = np.array([qc.purified_distance_pure(a, b) for a, b in zip(phi0, phi1)])
     h0 = qc.conditional_entropy_pure(phi0, layout, "R", ALICE_FINAL, ("R", 0))
     h1 = qc.conditional_entropy_pure(phi1, layout, "R", BOB_FINAL, ("R", 1))
     sigma0 = qc.conditional_entropy_pure(phi0, layout, "R", BOB_FINAL, ("R", 1))
@@ -252,16 +288,17 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
 
 def check_m1_m2(trials: int = 1000, seed: int = 0) -> BoundReport:
     """Both directions of the Bell-test vs sampled-basis-test comparison."""
+    _need_trials("m1_m2", trials)
     worst = math.inf
     witness = {}
-    for t, rng in enumerate(qc.trial_streams(seed, "m1m2", trials)):
-        rho = qc.random_density_matrix(4, rng)
-        m1 = m1_accept_probability(rho)
-        m2 = m2_accept_probability(rho)
-        slack = min(m2 - m1, m1 - (2 * m2 - 1))
-        if slack < worst:
-            worst = slack
-            witness = {"trial": t, "m1": m1, "m2": m2}
+    for start, [(z, _)] in _draw_blocks(seed, "m1m2", trials, (32,)):
+        for t, rho in enumerate(qc.density_finish(z.reshape(-1, 2, 4, 4)), start):
+            m1 = m1_accept_probability(rho)
+            m2 = m2_accept_probability(rho)
+            slack = min(m2 - m1, m1 - (2 * m2 - 1))
+            if slack < worst:
+                worst = slack
+                witness = {"trial": t, "m1": m1, "m2": m2}
     return BoundReport(name="m1_m2", lhs=worst, rhs=0.0, relation=">=",
                        passed=holds(worst, ">=", 0.0, 1e-9), trials=trials,
                        tolerance=1e-9, worst_case=witness)
@@ -287,6 +324,7 @@ def _dependent_paths(r: int, cond):
 def check_bound_by_iid(trials: int = 4000, seed: int = 0) -> BoundReport:
     """Processes with capped (resp. floored) conditional success are tail-
     dominated by (resp. dominate) the iid process with success p = 1/2."""
+    _need_trials("bound_by_iid", trials)
     p, r_mc = 0.5, 50
     # exact enumeration at r = 3
     r3 = 3
@@ -345,6 +383,7 @@ def _bell_partial_inner(vec: np.ndarray, layout) -> np.ndarray:
 def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
     """The reduced-state distance to the Bell pair equals the best product-
     state distance of the global state (computed in closed form)."""
+    _need_trials("uhlmann", trials)
     layout = small_attack_layout()
     rest_dim = layout.subdim(*rest_registers(layout, "R", "A"))
     worst = 0.0

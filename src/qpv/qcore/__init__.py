@@ -33,6 +33,7 @@ from .ops import (
 )
 from .rng import (
     as_generator,
+    density_finish,
     ginibre,
     haar_finish,
     haar_random_unitary,
@@ -41,6 +42,7 @@ from .rng import (
     random_unit_vector,
     stream,
     trial_streams,
+    unit_finish,
     vector_norm,
 )
 from .state import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,7 +118,7 @@ def trial_streams(seed: int, name, trials: int):
     advancing.  A bad ``name`` raises here, not on the first ``next``.
     """
     prefix = _words(int(seed) & MASK64) + _words(_path_word(name))
-    trial_words = np.array([_path_word(t) for t in range(trials)], dtype=np.uint64)
+    trial_words = _trial_words(trials)
     words = np.empty((trials, len(prefix) + 2), np.uint32)
     words[:, :-2] = prefix
     words[:, -2] = trial_words & MASK32
@@ -128,6 +129,15 @@ def trial_streams(seed: int, name, trials: int):
     keys[short] = _seed_keys(words[short, :-1])
     keys[~short] = _seed_keys(words[~short])
     return _rekeyed(keys)
+
+
+@lru_cache(maxsize=8)
+def _trial_words(trials: int) -> np.ndarray:
+    """The path words of the trial indices (they depend on nothing else),
+    read-only since every caller shares them."""
+    words = np.array([_path_word(t) for t in range(trials)], dtype=np.uint64)
+    words.flags.writeable = False
+    return words
 
 
 def _rekeyed(keys: np.ndarray):
@@ -168,15 +178,22 @@ def haar_random_unitary(dim: int, rng, count: int | None = None) -> np.ndarray:
     return haar_finish(ginibre(dim, rng, count))
 
 
-def vector_norm(v: np.ndarray):
-    """``np.linalg.norm`` of a contiguous 1-D vector (a strided one rounds apart)."""
-    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+def vector_norm(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row along the last axis, which is kept: two
+    dots a contiguous row, since a batched or strided reduction rounds apart."""
+    rows = v.reshape(np.prod(v.shape[:-1], dtype=int), v.shape[-1])
+    return np.reshape([np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in rows],
+                      v.shape[:-1] + (1,))
+
+
+def unit_finish(z: np.ndarray) -> np.ndarray:
+    """Unit vectors of ``(..., 2 * dim)`` normals: real parts, then imaginary parts."""
+    v = z[..., :z.shape[-1] // 2] + 1j * z[..., z.shape[-1] // 2:]
+    return v / vector_norm(v)
 
 
 def random_unit_vector(dim: int, rng) -> np.ndarray:
-    z = as_generator(rng).standard_normal(2 * dim)   # real parts, then imaginary parts
-    v = z[:dim] + 1j * z[dim:]
-    return v / vector_norm(v)
+    return unit_finish(as_generator(rng).standard_normal(2 * dim))
 
 
 def random_pure_state(layout: RegisterLayout, rng) -> np.ndarray:
@@ -186,10 +203,14 @@ def random_pure_state(layout: RegisterLayout, rng) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def density_finish(parts: np.ndarray) -> np.ndarray:
+    """v v^dagger / tr for each v = real + i imag of a ``(..., 2, dim, rank)`` stack."""
+    v = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+    rho = v @ v.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density_matrix(dim: int, rng, rank: int | None = None) -> np.ndarray:
     """Mixed state from a partial-traced Haar vector (rank defaults to dim)."""
-    g = as_generator(rng)
     rank = dim if rank is None else rank
-    v = g.standard_normal((dim, rank)) + 1j * g.standard_normal((dim, rank))
-    rho = v @ v.conj().T
-    return rho / np.trace(rho).real
+    return density_finish(as_generator(rng).standard_normal((2, dim, rank)))

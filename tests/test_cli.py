@@ -287,8 +287,13 @@ def _simulate_strategy(tmp_path, capsys, doc):
     ([], {"n": "1"}, "strategy.n: expected an integer, got '1'"),
     ([], {"kind": ["route"]}, "strategy.kind: expected a string, got ['route']"),
     ([], {"alice": [1]}, "strategy.alice: expected an object or null, got [1]"),
+    ([], {"qubit_site": {"0,0": "C"}},
+     "qubit_site[(0, 0)]: expected 'A' or 'B' at an input pair of n = 1, got 'C'"),
+    ([], {"alice": {"a": []}}, "strategy.alice['a']: expected an integer"),
+    ([], {"l_final": {"0": []}}, "strategy.l_final['0']: expected two integers x,y"),
 ], ids=["no-bob", "no-psi", "no-kind-n-layout", "extra", "no-psi-data", "psi-extra",
-        "psi-data-empty", "layout-not-pairs", "n-not-int", "kind-not-str", "alice-not-object"])
+        "psi-data-empty", "layout-not-pairs", "n-not-int", "kind-not-str", "alice-not-object",
+        "site-not-a-side", "alice-key-not-int", "pair-key-one-part"])
 def test_strategy_prover_names_a_missing_or_unknown_key(tmp_path, capsys, drop, add, message):
     """An absent family reads as null; any other absent key, an unknown one
     or a value of the wrong type is a config error naming the place."""

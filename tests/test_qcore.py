@@ -560,7 +560,7 @@ def test_sampling_equals_the_two_call_formulas(dim):
 
 def test_vector_norm_equals_numpy_norm():
     g = qc.stream(7, "norm")
-    for dim in (1, 3, 64, 1000):
+    for dim in (0, 1, 3, 64, 1000):
         v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
         assert qc.vector_norm(v) == np.linalg.norm(v)
         real = np.ascontiguousarray(v.real)

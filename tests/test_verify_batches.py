@@ -1,0 +1,145 @@
+"""The block-batched verify suites and samplers against the per-trial
+reference in ``verify_reference``: the same reports, ``repr`` for ``repr``,
+and the same draws, bit for bit."""
+
+import numpy as np
+import pytest
+import verify_reference as ref
+
+from qpv import checks as ck
+from qpv import qcore as qc
+from qpv.attacks import good_sets
+from qpv.checks import suites
+
+# trial counts that cross a block boundary where the default count does
+REDUCED = {"recovery_overlap": 130, "low_fidelity_route": 40, "afw": 250,
+           "meas_disjoint": 40, "m1_m2": 250}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("name", sorted(ref.CHECKS))
+def test_suite_matches_per_trial_reference(name, seed):
+    trials = REDUCED[name]
+    assert (repr(ck.CHECKS[name](trials=trials, seed=seed))
+            == repr(ref.CHECKS[name](trials=trials, seed=seed)))
+
+
+@pytest.mark.parametrize("name", sorted(ref.CHECKS))
+def test_suite_matches_per_trial_reference_at_full_counts(name):
+    assert repr(ck.CHECKS[name](seed=2)) == repr(ref.CHECKS[name](seed=2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_route_separation_without_perturbation_matches_reference(seed):
+    """At eps = 0 nothing is drawn for the perturbation."""
+    assert (repr(ck.check_low_fidelity_route(eps=0.0, trials=30, seed=seed))
+            == repr(ref.check_low_fidelity_route(eps=0.0, trials=30, seed=seed)))
+
+
+def test_refused_first_candidate_replays_its_trial(monkeypatch):
+    """A trial whose first measuring candidate is refused reads its stream
+    past the batch's row; the suite replays it through meas_member."""
+    seed, chosen, layout = 4, 7, good_sets.small_attack_layout()
+    first = ref.perturb_within(good_sets.meas_core(layout, 0), 0.25,
+                               qc.stream(seed, "meas-sep", chosen))[0]
+    figure = good_sets.meas_figure
+
+    def refusing(vecs, layout, which, eps):
+        value, member = figure(vecs, layout, which, eps)
+        return value, member & ~np.all(vecs == first, axis=1)
+
+    monkeypatch.setattr(good_sets, "meas_figure", refusing)
+    monkeypatch.setattr(suites, "meas_figure", refusing)
+    replayed = []
+    member = suites.meas_member
+
+    def recording(layout, which, eps, rng):
+        out = member(layout, which, eps, rng)
+        replayed.append(which)
+        return out
+
+    monkeypatch.setattr(suites, "meas_member", recording)
+    assert (repr(ck.check_meas_disjoint(trials=20, seed=seed))
+            == repr(ref.check_meas_disjoint(trials=20, seed=seed)))
+    assert replayed.count("S0") >= 1
+
+
+@pytest.mark.parametrize("which", ["S0", "S1"])
+@pytest.mark.parametrize("eps", [0.0, 0.25, 0.41])
+def test_per_trial_members_match_reference(which, eps):
+    """route_member and meas_member, the batch of one, draw what the
+    per-trial samplers drew and leave the stream where they left it."""
+    layout = good_sets.small_attack_layout()
+    for t in range(4):
+        for member, reference in ((good_sets.route_member, ref.route_member),
+                                  (good_sets.meas_member, ref.meas_member)):
+            got, want = qc.stream(9, "member", t), qc.stream(9, "member", t)
+            assert np.array_equal(member(layout, which, eps, got),
+                                  reference(layout, which, eps, want))
+            assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 128])
+def test_unit_finish_rows_equal_random_unit_vector(dim):
+    rows = qc.stream(5, "unit-rows", dim).standard_normal((7, 2 * dim))
+    rng = qc.stream(5, "unit-rows", dim)
+    singles = [qc.random_unit_vector(dim, rng) for _ in range(7)]
+    assert np.array_equal(qc.unit_finish(rows), np.stack(singles))
+    rng = qc.stream(5, "unit-rows", dim)
+    assert all(np.array_equal(v, ref.random_unit_vector(dim, rng)) for v in singles)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_density_finish_rows_equal_random_density_matrix(dim):
+    rows = qc.stream(6, "rho-rows", dim).standard_normal((7, 2, dim, dim))
+    rng = qc.stream(6, "rho-rows", dim)
+    singles = [qc.random_density_matrix(dim, rng) for _ in range(7)]
+    assert np.array_equal(qc.density_finish(rows), np.stack(singles))
+    rng = qc.stream(6, "rho-rows", dim)
+    assert all(np.array_equal(r, ref.random_density_matrix(dim, rng)) for r in singles)
+
+
+def test_noise_parallel_to_the_vector_does_not_move_it():
+    """Noise that finishes to the vector itself leaves nothing after the
+    projection: the row keeps its vector, sin(a) = 0, and a generator in
+    place of the uniforms draws none."""
+    vec = qc.random_unit_vector(8, qc.stream(1, "parallel"))
+    noise = 3.0 * np.concatenate([vec.real, vec.imag])[None]
+    rng, fresh = qc.stream(2, "uniform"), qc.stream(2, "uniform")
+    for uniforms in (np.array([0.5]), rng):
+        out, sin_a = good_sets.perturb_within(vec[None], 0.2, noise, uniforms)
+        assert sin_a[0] == 0.0
+        assert np.array_equal(out[0], vec / qc.vector_norm(vec))
+    assert rng.random() == fresh.random()
+
+
+class _Replay:
+    """A stand-in generator that returns fixed normals and a fixed uniform."""
+
+    def __init__(self, normals, uniform):
+        self.normals, self.uniform = normals, uniform
+
+    def standard_normal(self, size):
+        return self.normals[:size]
+
+    def random(self):
+        return self.uniform
+
+
+@pytest.mark.parametrize("eps, uniform", [(0.41, 0.716291592587056),
+                                          (0.25, 0.8626268247663503)])
+def test_perturbation_squares_sin_a_as_float_pow(eps, uniform):
+    """At these uniforms sqrt(1 - s * s) and sqrt(1 - s ** 2) differ in the
+    last bit; the batch must round as the per-trial float ** 2 did."""
+    vec = qc.random_unit_vector(8, qc.stream(3, "pow"))
+    normals = qc.stream(4, "pow").standard_normal(16)
+    out, sin_a = good_sets.perturb_within(vec[None], eps, normals[None], np.array([uniform]))
+    want, want_sin = ref.perturb_within(vec, eps, _Replay(normals, uniform))
+    assert sin_a[0] == want_sin
+    assert np.array_equal(out[0], want)
+
+
+@pytest.mark.parametrize("name", sorted(ck.CHECKS))
+def test_zero_trials_are_refused(name):
+    with pytest.raises(ValueError, match=f"^{name}: trials must be at least 1$"):
+        ck.CHECKS[name](trials=0)

@@ -17,10 +17,8 @@ from .gardenhose import (
     trace_water,
 )
 from .good_sets import (
-    best_recovery_distance,
     meas_member,
     route_member,
-    s_set_distance,
     small_attack_layout,
 )
 from .seesaw import (

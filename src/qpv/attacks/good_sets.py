@@ -1,10 +1,13 @@
-"""Membership oracles and constructive samplers for the recoverable-state sets.
+"""Constructive samplers and the measuring membership rule for the
+recoverable-state sets.
 
 The routing sets contain states from which one side's recovery unitary can
 restore the shared pair with the reference qubit; the measuring sets contain
 states from which BOTH sides can guess the reference measurement outcome in
-the relevant basis.  Membership figures are computed by see-saw over the
-recovery unitary (routing) and by the closed-form Helstrom bound (measuring).
+the relevant basis.  A routing member holds by construction: the preimage of
+the Bell pair under a recovery unitary, perturbed within eps.  Measuring
+membership is the closed-form Helstrom bound (meas_figure), which meas_member
+checks on every candidate.
 """
 
 from __future__ import annotations
@@ -14,52 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from .. import qcore as qc
-from .execute import bell_overlap
-from .seesaw import recovery_step
 from .strategy import ALICE_FINAL, BOB_FINAL, attack_layout, bell_core, rest_registers
 
 ROUTE_SIDES = {"S0": (ALICE_FINAL, "A"), "S1": (BOB_FINAL, "B")}
-
-
-def _state_vector(vec, layout: qc.RegisterLayout) -> np.ndarray:
-    """``vec`` as a pure-state vector on ``layout``; a density matrix or a
-    batch is rejected, since its rows are not state vectors."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (layout.dim,):
-        raise ValueError(f"expected a pure-state vector of length {layout.dim}, "
-                         f"got shape {vec.shape}")
-    return vec
-
-
-def best_recovery_distance(vec, layout: qc.RegisterLayout, which: str):
-    """Minimal purified distance P(rho_{R,ret}, Bell) over recovery unitaries
-    of the pure state ``vec`` on ``layout``, by see-saw from the identity and
-    from 4 Haar-random unitaries, drawn from ``stream(0, "recovery", r)``.
-
-    Returns (distance, recovery_unitary).
-    """
-    regs, ret = ROUTE_SIDES[which]
-    vec = _state_vector(vec, layout)[None]   # a batch of one
-    dim = layout.subdim(*regs)
-    best_f2, best_u = -1.0, np.eye(dim, dtype=complex)
-    for r in range(5):
-        u = (np.eye(dim, dtype=complex) if r == 0
-             else qc.haar_random_unitary(dim, qc.stream(0, "recovery", r)))
-        score = None
-        for _ in range(80):
-            moved = qc.apply_vector_matrix(vec, layout, u, regs)
-            f2 = bell_overlap(moved, layout, [ret])[0]
-            if score is not None and f2 - score < 1e-10:
-                score = f2
-                break
-            score = f2
-            cand, _, cand_f2 = recovery_step(vec, moved, layout, regs, [ret])
-            if cand_f2[0] >= f2:
-                u = cand[0]
-        if score > best_f2:
-            best_f2, best_u = score, u
-    distance = float(np.sqrt(max(0.0, 1.0 - best_f2)))
-    return distance, best_u
 
 
 def _helstrom(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
@@ -80,33 +40,11 @@ def helstrom_guess_pure(vecs: np.ndarray, layout: qc.RegisterLayout, basis: int,
 
 
 def meas_figure(vecs: np.ndarray, layout: qc.RegisterLayout, which: str, eps: float):
-    """s_set_distance's measuring figure and membership for each row of a batch."""
+    """The smaller of the two sides' optimal guessing probabilities for each
+    row of a batch, and whether it reaches 1 - eps^2 (measuring membership)."""
     figure = np.minimum(*(helstrom_guess_pure(vecs, layout, int(which == "S1"), regs)
                           for regs in (ALICE_FINAL, BOB_FINAL)))
     return figure, figure >= 1.0 - eps * eps - 1e-9
-
-
-def s_set_distance(vec, layout: qc.RegisterLayout, which: str, kind: str, eps: float):
-    """Membership oracle for the recoverable-state sets, on the pure state
-    ``vec`` over ``layout``.
-
-    Routing kind: returns (best recovery distance, member) with membership
-    at distance <= eps.  Measuring kind: returns (min of the two sides'
-    optimal guessing probabilities, member) with membership when both reach
-    1 - eps^2.
-    """
-    if which not in ("S0", "S1"):
-        raise ValueError("which must be 'S0' or 'S1'")
-    vec = _state_vector(vec, layout)
-    if kind == "route":
-        dist, _ = best_recovery_distance(vec, layout, which)
-        # sqrt(1 - F^2) loses half the float precision near F = 1, so exact
-        # members surface at distances around 1e-8 rather than 1e-9
-        return dist, dist <= eps + 5e-8
-    if kind == "meas":
-        figure, member = meas_figure(vec[None], layout, which, eps)
-        return float(figure[0]), bool(member[0])
-    raise ValueError("kind must be 'route' or 'meas'")
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +134,7 @@ def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
     for _ in range(12):
         noise = rng.standard_normal((1, 2 * layout.dim)) if scale > 0 else None
         cand = perturb_within(core[None], scale, noise, rng)[0][0]
-        if s_set_distance(cand, layout, which, "meas", eps)[1]:
+        if meas_figure(cand[None], layout, which, eps)[1][0]:
             return cand
         scale *= 0.5
     return core.copy()

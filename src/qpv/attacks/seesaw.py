@@ -84,16 +84,6 @@ def helstrom_effect(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return pos @ dagger(pos)
 
 
-def recovery_step(vec, moved, layout, regs, rets):
-    """Polar factor of the Bell-overlap gradient for the recovery unitary on
-    ``regs`` (``moved`` is ``vec`` under the current one), ``vec`` under it,
-    and its overlap, per row; ``rets`` names each row's returned register."""
-    grad = qc.reduced_outer(bell_effect(moved, layout, rets), vec, layout, regs)
-    cand = polar_unitary(grad)
-    cand_moved = qc.apply_vector_matrix(vec, layout, cand, regs)
-    return cand, cand_moved, bell_overlap(cand_moved, layout, rets)
-
-
 class _Work:
     """Mutable optimization state of a batch of restarts; one restart is
     frozen into an AttackStrategy at the end.
@@ -217,8 +207,12 @@ class _Work:
             score = bell_overlap(moved, self.layout, row_rets)
             active = np.ones(idx.size, dtype=bool)
             for _ in range(RECOVERY_STEPS):
-                cand, cand_moved, cand_score = recovery_step(vec, moved, self.layout,
-                                                             regs, row_rets)
+                # polar factor of the Bell-overlap gradient, and vec under it
+                grad = qc.reduced_outer(bell_effect(moved, self.layout, row_rets), vec,
+                                        self.layout, regs)
+                cand = polar_unitary(grad)
+                cand_moved = self._apply(vec, cand, regs)
+                cand_score = bell_overlap(cand_moved, self.layout, row_rets)
                 active &= cand_score > score + 1e-15
                 if not active.any():
                     break

@@ -21,14 +21,9 @@ ALICE_FINAL = ("A", "At", "Bc")     # after swapping Ac <-> Bc
 BOB_FINAL = ("B", "Bt", "Ac")
 
 
-def attack_layout(a: int = 1, at: int = 0, ac: int = 0,
-                  b: int | None = None, bt: int | None = None,
-                  bc: int | None = None) -> qc.RegisterLayout:
-    """Standard layout R A At Ac B Bt Bc; Bob mirrors Alice by default."""
-    b = a if b is None else b
-    bt = at if bt is None else bt
-    bc = ac if bc is None else bc
-    return qc.RegisterLayout(list(zip(REGISTER_ORDER, (1, a, at, ac, b, bt, bc))))
+def attack_layout(a: int = 1, at: int = 0, ac: int = 0) -> qc.RegisterLayout:
+    """Standard layout R A At Ac B Bt Bc, Bob's registers the widths of Alice's."""
+    return qc.RegisterLayout(list(zip(REGISTER_ORDER, (1, a, at, ac, a, at, ac))))
 
 
 def rest_registers(layout: qc.RegisterLayout, *exclude: str) -> tuple[str, ...]:
@@ -205,12 +200,13 @@ def _encode_table(table: dict | None, pair_keys: bool, encode=_encode_matrix) ->
 
 
 def _decode_key(key: str, pair_keys: bool, where: str):
-    """An input key "x" as an int, an input-pair key "x,y" as a pair of them."""
+    """An input key "x" as an int, an input-pair key "x,y" as a pair of them;
+    only the spelling the encoder writes is read, so a key re-encodes to itself."""
     try:
         parts = tuple(map(int, key.split(",")))
     except ValueError:
         parts = ()
-    if len(parts) != 1 + pair_keys:
+    if len(parts) != 1 + pair_keys or ",".join(map(str, parts)) != key:
         shape = "two integers x,y" if pair_keys else "an integer"
         raise ValueError(f"{where}[{key!r}]: expected {shape}")
     return parts if pair_keys else parts[0]
@@ -264,6 +260,9 @@ def strategy_from_json(text: str) -> AttackStrategy:
             and all(type(reg) is list and list(map(type, reg)) == [str, int] for reg in regs)):
         raise ValueError(f"strategy.layout: expected a list of [name, width] pairs, got {regs!r}")
     layout = qc.RegisterLayout(regs)
+    if doc["psi"]["kind"] not in ("pure", "mixed"):
+        raise ValueError("strategy.psi.kind: expected 'pure' or 'mixed', "
+                         f"got {doc['psi']['kind']!r}")
     psi = _decode_matrix(doc["psi"]["data"], "strategy.psi.data")
     if doc["psi"]["kind"] == "pure":
         psi = psi.reshape(-1)

@@ -28,6 +28,15 @@ class BoundReport:
     tolerance: float = 0.0
     worst_case: dict = field(default_factory=dict)
 
+    @classmethod
+    def verdict(cls, name: str, lhs: float, relation: str, rhs: float, *, trials: int,
+                worst_case: dict, tolerance: float = 0.0, also: bool = True) -> BoundReport:
+        """The report of ``lhs relation rhs`` within ``tolerance``; it passes
+        when that holds and ``also`` is true."""
+        return cls(name=name, lhs=lhs, rhs=rhs, relation=relation,
+                   passed=holds(lhs, relation, rhs, tolerance) and also, trials=trials,
+                   tolerance=tolerance, worst_case=worst_case)
+
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs

@@ -27,7 +27,7 @@ from ..attacks.good_sets import (
 from ..attacks.strategy import ALICE_FINAL, BOB_FINAL, bell_core, rest_registers
 from ..protocol.runs import m1_accept_probability, m2_accept_probability
 from ..qcore.layout import rows_first
-from .report import BoundReport, holds
+from .report import BoundReport
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 BLOCK = 100   # trials whose draws and arithmetic are stacked at once, to bound memory
@@ -84,9 +84,8 @@ def check_cit(trials: int = 1000, seed: int = 0) -> BoundReport:
     worst = float(totals[t, theta])
     we, wf = widths[t]
     witness = {"trial": t, "dims": [2 ** we, 2 ** wf], "theta": theta, "sum": worst}
-    return BoundReport(name="cit", lhs=worst, rhs=1.0, relation=">=",
-                       passed=holds(worst, ">=", 1.0, 1e-7), trials=trials,
-                       tolerance=1e-7, worst_case=witness)
+    return BoundReport.verdict("cit", worst, ">=", 1.0, trials=trials, tolerance=1e-7,
+                               worst_case=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +122,9 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
                                     (("B", "At", "Ac", "Bt", "Bc"), phi1)])
     aligned = abs(np.vdot(psi0, bell_core(layout, "B", phi1)))
     witness["aligned_overlap"] = aligned
-    passed = (holds(worst, "<=", 0.5, 1e-9) and aligned >= 0.5 - 1e-6)
-    return BoundReport(name="recovery_overlap", lhs=worst, rhs=0.5, relation="<=",
-                       passed=passed, trials=trials, tolerance=1e-9,
-                       worst_case=witness)
+    return BoundReport.verdict("recovery_overlap", worst, "<=", 0.5, trials=trials,
+                               tolerance=1e-9, worst_case=witness,
+                               also=aligned >= 0.5 - 1e-6)
 
 
 def check_low_fidelity_route(eps: float = 0.41, trials: int = 100,
@@ -153,11 +151,10 @@ def check_low_fidelity_route(eps: float = 0.41, trials: int = 100,
     t = int(np.argmin(dists))
     worst = dists[t]
     witness = {"trial": t, "distance": worst}
-    passed = holds(worst, ">=", bound, 1e-9) and (eps < 0.41 or worst > 0.046)
     witness["threshold_0046"] = worst > 0.046
-    return BoundReport(name="low_fidelity_route", lhs=worst, rhs=bound,
-                       relation=">=", passed=passed, trials=trials,
-                       tolerance=1e-9, worst_case=witness)
+    return BoundReport.verdict("low_fidelity_route", worst, ">=", bound, trials=trials,
+                               tolerance=1e-9, worst_case=witness,
+                               also=eps < 0.41 or worst > 0.046)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +189,8 @@ def check_afw(trials: int = 1000, seed: int = 0) -> BoundReport:
     if gaps[i] > worst:
         worst = float(gaps[i])
         witness.update({"trial": i, "gap": worst, "distance": float(dists[i])})
-    passed = constant <= 0.127 and holds(worst, "<=", 0.127, 1e-9)
-    return BoundReport(name="afw", lhs=max(worst, constant), rhs=0.127,
-                       relation="<=", passed=passed, trials=trials,
-                       tolerance=1e-9, worst_case=witness)
+    return BoundReport.verdict("afw", max(worst, constant), "<=", 0.127, trials=trials,
+                               tolerance=1e-9, worst_case=witness, also=constant <= 0.127)
 
 
 def check_fano_chain(trials: int = 1000, seed: int = 0) -> BoundReport:
@@ -234,10 +229,8 @@ def check_fano_chain(trials: int = 1000, seed: int = 0) -> BoundReport:
     t = int(np.argmax(ents))
     worst = float(ents[t])
     witness = {"trial": t, "entropy": worst, "error": float(errors[t])}
-    passed = holds(worst, "<=", cap, 1e-9)
-    return BoundReport(name="fano_chain", lhs=worst, rhs=cap, relation="<=",
-                       passed=passed, trials=trials, tolerance=1e-9,
-                       worst_case=witness)
+    return BoundReport.verdict("fano_chain", worst, "<=", cap, trials=trials,
+                               tolerance=1e-9, worst_case=witness)
 
 
 def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
@@ -275,11 +268,9 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
         t = int(valid[np.argmin(dists[valid])])
         worst = float(dists[t])
         witness.update({"trial": t, "distance": worst, "entropy_gap": float(gaps[t])})
-    passed = worst > 0.013 and gap_min >= -1e-9
     witness["entropy_gap_slack_vs_1_minus_2delta"] = gap_min
-    return BoundReport(name="meas_disjoint", lhs=0.013, rhs=worst, relation="<",
-                       passed=passed, trials=trials, tolerance=0.0,
-                       worst_case=witness)
+    return BoundReport.verdict("meas_disjoint", 0.013, "<", worst, trials=trials,
+                               worst_case=witness, also=gap_min >= -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +290,8 @@ def check_m1_m2(trials: int = 1000, seed: int = 0) -> BoundReport:
             if slack < worst:
                 worst = slack
                 witness = {"trial": t, "m1": m1, "m2": m2}
-    return BoundReport(name="m1_m2", lhs=worst, rhs=0.0, relation=">=",
-                       passed=holds(worst, ">=", 0.0, 1e-9), trials=trials,
-                       tolerance=1e-9, worst_case=witness)
+    return BoundReport.verdict("m1_m2", worst, ">=", 0.0, trials=trials, tolerance=1e-9,
+                               worst_case=witness)
 
 
 def _binomial_tail(r: int, p: float, t: int) -> float:
@@ -364,11 +354,10 @@ def check_bound_by_iid(trials: int = 4000, seed: int = 0) -> BoundReport:
         binom = _binomial_tail(r_mc, p, t)
         sigma = math.sqrt(max(binom * (1 - binom), 1e-12) / trials)
         mc_worst = max(mc_worst, emp - binom - 4 * sigma)
-    passed = exact_ok and mc_worst <= 0.0
-    return BoundReport(name="bound_by_iid", lhs=mc_worst, rhs=0.0, relation="<=",
-                       passed=passed, trials=trials, tolerance=0.0,
-                       worst_case={"exact_r3_worst": exact_worst,
-                                   "exact_ok": exact_ok, "r_mc": r_mc})
+    return BoundReport.verdict("bound_by_iid", mc_worst, "<=", 0.0, trials=trials,
+                               worst_case={"exact_r3_worst": exact_worst,
+                                           "exact_ok": exact_ok, "r_mc": r_mc},
+                               also=exact_ok)
 
 
 def _bell_partial_inner(vec: np.ndarray, layout) -> np.ndarray:
@@ -414,9 +403,8 @@ def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
             worst = gap
             witness = {"trial": t, "best_product_distance": best,
                        "reduced_distance": p_reduced}
-    return BoundReport(name="uhlmann", lhs=worst, rhs=0.0, relation="<=",
-                       passed=holds(worst, "<=", 0.0, 1e-6), trials=trials,
-                       tolerance=1e-6, worst_case=witness)
+    return BoundReport.verdict("uhlmann", worst, "<=", 0.0, trials=trials, tolerance=1e-6,
+                               worst_case=witness)
 
 
 CHECKS = {

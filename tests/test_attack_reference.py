@@ -81,7 +81,7 @@ def strategies(draw):
         lambda t: sum(t) <= 3 - a))
     symmetric = draw(st.booleans())
     bt = at_ if symmetric else draw(st.integers(0, at_ + ac))
-    layout = at.attack_layout(a=a, at=at_, ac=ac, b=a, bt=bt, bc=at_ + ac - bt)
+    layout = qc.RegisterLayout(list(zip(at.REGISTER_ORDER, (1, a, at_, ac, a, bt, at_ + ac - bt))))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = qc.stream(seed, "reference")
     if draw(st.booleans()):

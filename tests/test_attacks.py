@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 import re
@@ -293,6 +295,119 @@ def test_meas_strategy_serialization():
     assert rep_a.per_pair == rep_b.per_pair
 
 
+# strategies the package builds at n <= 2; all but the garden-hose ones,
+# whose 2^11-dimensional states are too wide, also with a density matrix
+GH_Y2 = at.GardenHoseProtocol(pipes=2, alice={x: (("S", 1),) for x in range(4)},
+                              bob={0: ((1, 2),), 2: ((1, 2),)})
+
+
+@functools.lru_cache(maxsize=1)
+def _built_documents():
+    ip2 = an.ip_function(2)
+    built = [at.seesaw_optimize(XOR, q=2, kind="route", restarts=1, iters=2, seed=3),
+             at.seesaw_optimize(AND, kind="meas", restarts=1, iters=2, seed=4, split=(1, 0, 1)),
+             at.seesaw_optimize(ip2, q=1, kind="route", restarts=1, iters=1, seed=0),
+             at.seesaw_optimize(ip2, q=1, kind="meas", restarts=1, iters=1, seed=0)]
+    built = [outcome.strategy for outcome in built] + [at.keep_q_attack(XOR),
+                                                       at.keep_q_attack(ip2)]
+    built += [dataclasses.replace(s, psi=np.outer(s.psi, s.psi.conj())) for s in built]
+    built += [at.compile_gardenhose(GH_Y), at.compile_gardenhose(GH_Y2)]
+    return tuple(at.strategy_to_json(s) for s in built)
+
+
+def test_built_strategies_round_trip():
+    for text in _built_documents():
+        assert at.strategy_to_json(at.strategy_from_json(text)) == text
+
+
+_TABLES = (*at.strategy.FAMILIES, "qubit_site")
+# a refused document names the place of its fault: the document, psi, a
+# table, or the kind that a table contradicts
+_NAMES_PLACE = re.compile(rf"^(strategy[.:]|(psi|{'|'.join(_TABLES)})\b"
+                          r"|(routing|measuring) strategies )")
+_WRONG = [None, 0, 1.5, True, "x", [], {}, [["x"]]]
+# malformed keys, keys outside every input range, and well-formed ones
+_RENAMES = ["", "x", "01", "+1", " 1", "1_0", "1,", "0,,1", "0,0,0", "9", "-1", "0", "1,1"]
+
+
+def _normal(doc):
+    """``doc`` as it re-encodes: an absent or null unitary family as no
+    entries, any other absent table as null."""
+    out = dict(doc)
+    for name, (_, _, check) in at.strategy.FAMILIES.items():
+        if out.get(name) is None:
+            out[name] = {} if check is qc.check_unitary else None
+    out.setdefault("qubit_site", None)
+    return out
+
+
+def _mutate(doc, data):
+    """One fault drawn into a strategy document: a key dropped, renamed or
+    malformed, a value of the wrong type, a matrix of the wrong shape or
+    scaled by 2 (so not unitary, an effect or a state), a site outside A/B
+    or a psi kind outside pure/mixed."""
+    tables = [(name,) for name in _TABLES if doc[name]]
+    matrices = [("psi", "data")] + [(name, key) for name in at.strategy.FAMILIES
+                                    for key in doc[name] or ()]
+    pick = lambda items: data.draw(st.sampled_from(sorted(items)))
+
+    def at_path(path):
+        node = doc
+        for step in path:
+            node = node[step]
+        return node
+
+    fault = pick(["drop", "rename", "retype", "shape", "scale", "site", "psi_kind"])
+    if fault in ("drop", "rename"):
+        owner = at_path(pick([(), ("psi",), *tables]))
+        value = owner.pop(pick(owner))
+        if fault == "rename":
+            owner[pick(_RENAMES)] = value
+    elif fault == "retype":
+        paths = [(key,) for key in doc] + [("psi", "kind"), ("psi", "data")]
+        paths += [("layout", i) for i in range(len(doc["layout"]))]
+        paths += [(name, key) for (name,) in tables for key in doc[name]]
+        path = pick(paths + [pick(matrices)])
+        if path in matrices and data.draw(st.booleans()):
+            rows = at_path(path)
+            path = (*path, data.draw(st.integers(0, len(rows) - 1)))
+            if data.draw(st.booleans()):
+                path = (*path, data.draw(st.integers(0, len(rows[0]) - 1)))
+        now = at_path(path)
+        at_path(path[:-1])[path[-1]] = data.draw(
+            st.sampled_from([v for v in _WRONG if type(v) is not type(now)]))
+    elif fault in ("shape", "scale"):
+        path = pick(matrices)
+        rows = at_path(path)
+        if fault == "shape":
+            rows = {"row": rows[:-1], "column": [row[:-1] for row in rows],
+                    "extra": rows + rows[:1]}[pick(["row", "column", "extra"])]
+        else:
+            rows = at.strategy._encode_matrix(2 * at.strategy._decode_matrix(rows, "m"))
+        at_path(path[:-1])[path[-1]] = rows
+    elif fault == "site":
+        sites = doc["qubit_site"] or {}
+        doc["qubit_site"] = {**sites, pick(list(sites) or ["0,0"]): pick(["C", "", "a", "AB"])}
+    else:
+        doc["psi"]["kind"] = pick(["bogus", "Pure", "", "mixed ", "density"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_strategy_document_is_refused_by_place_or_round_trips(data):
+    """A faulty strategy document either loads and re-encodes to itself, or
+    is refused with a ValueError naming the place; nothing else escapes."""
+    built = _built_documents()
+    doc = json.loads(built[data.draw(st.integers(0, len(built) - 1))])
+    _mutate(doc, data)
+    try:
+        back = at.strategy_from_json(json.dumps(doc))
+    except ValueError as err:
+        assert _NAMES_PLACE.match(str(err)), str(err)
+    else:
+        assert at.strategy_to_json(back) == json.dumps(_normal(doc), sort_keys=True)
+
+
 def test_strategy_validation():
     layout = at.attack_layout(a=1)
     psi = identity_route_strategy(an.constant_function(1, 0)).psi
@@ -352,50 +467,35 @@ def test_matrix_reads_every_family_through_the_format_table():
 # S-set membership
 # ---------------------------------------------------------------------------
 
-def test_s_set_route_members():
-    lay = at.small_attack_layout()
-    rest0 = [n for n in lay.names if n not in ("R", "A") and lay.width(n)]
-    phi = np.zeros(1 << sum(lay.width(r) for r in rest0), dtype=complex)
-    phi[0] = 1.0
-    omega_ra = qc.assemble_raw(lay, [(("R", "A"), qc.BELL_VECTOR), (tuple(rest0), phi)])
-    dist, member = at.s_set_distance(omega_ra, lay, "S0", "route", 0.0)
-    assert member and dist <= 5e-8
-
-    rest1 = [n for n in lay.names if n not in ("R", "B") and lay.width(n)]
-    phi1 = np.zeros(1 << sum(lay.width(r) for r in rest1), dtype=complex)
-    phi1[0] = 1.0
-    omega_rb = qc.assemble_raw(lay, [(("R", "B"), qc.BELL_VECTOR), (tuple(rest1), phi1)])
-    dist1, member1 = at.s_set_distance(omega_rb, lay, "S1", "route", 0.0)
-    assert member1
-    # the opposite set keeps its distance at sqrt(3)/2 for every recovery
-    fig, _ = at.s_set_distance(omega_rb, lay, "S0", "route", 0.0)
-    assert fig == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
-
-
-def test_s_set_meas_uncorrelated():
+def test_meas_figure_uncorrelated():
     lay = at.small_attack_layout()
     vec = np.zeros(lay.dim, dtype=complex)
     vec[0] = 1.0
     vec = qc.apply_on_qubits(vec, lay.total_qubits, qc.H, [lay.positions("R")[0]])
-    fig, member = at.s_set_distance(vec, lay, "S0", "meas", 0.3)
-    assert fig == pytest.approx(0.5, abs=1e-12)
-    assert not member
+    fig, member = at.good_sets.meas_figure(vec[None], lay, "S0", 0.3)
+    assert fig[0] == pytest.approx(0.5, abs=1e-12)
+    assert not member[0]
     # eps > sqrt(1/2) makes the 1-eps^2 threshold reachable by guessing
-    _, member_loose = at.s_set_distance(vec, lay, "S0", "meas", 0.75)
-    assert member_loose
+    assert at.good_sets.meas_figure(vec[None], lay, "S0", 0.75)[1][0]
 
 
-def test_s_set_distance_rejects_a_density_matrix():
-    # the rows of a density matrix are not state vectors: a perfect S0 member
-    # must not be scored through them
+@pytest.mark.parametrize("which", ["S0", "S1"])
+@pytest.mark.parametrize("eps", [0.0, 0.2, 0.41])
+def test_route_members_stay_recoverable(which, eps):
+    """The recovery unitary K that built a routing member returns it to
+    within purified distance sin(a) <= eps of the Bell pair with R."""
     lay = at.small_attack_layout()
-    vec = at.strategy.bell_core(lay, "A")
-    assert at.s_set_distance(vec, lay, "S0", "route", 0.0)[1]
-    for kind in ("route", "meas"):
-        with pytest.raises(ValueError, match="pure-state vector"):
-            at.s_set_distance(np.outer(vec, vec.conj()), lay, "S0", kind, 0.0)
-    with pytest.raises(ValueError, match="pure-state vector"):
-        at.best_recovery_distance(np.stack([vec, vec]), lay, "S0")
+    regs, ret = at.good_sets.ROUTE_SIDES[which]
+    ends = at.good_sets.route_draws(lay, which, eps)
+    rng = qc.stream(22, "route-members", which)
+    rows = rng.standard_normal((200, ends[-1]))
+    vecs, sin_a = at.good_sets.route_members(lay, which, eps, rows, rng.random(200))
+    d = lay.subdim(*regs)
+    k = qc.haar_finish(rows[:, ends[0]:ends[1]].reshape(-1, 2, d, d))
+    f2 = bell_overlap(qc.apply_vector_matrix(vecs, lay, k, regs), lay, [ret] * len(vecs))
+    # sqrt(1 - F^2) loses half the float precision near F = 1
+    assert np.all(np.sqrt(np.maximum(0.0, 1.0 - f2)) <= sin_a + 5e-8)
+    assert np.all(sin_a <= eps)
 
 
 def test_route_disjointness_sampled():

@@ -291,9 +291,11 @@ def _simulate_strategy(tmp_path, capsys, doc):
      "qubit_site[(0, 0)]: expected 'A' or 'B' at an input pair of n = 1, got 'C'"),
     ([], {"alice": {"a": []}}, "strategy.alice['a']: expected an integer"),
     ([], {"l_final": {"0": []}}, "strategy.l_final['0']: expected two integers x,y"),
+    ([], {"psi": {"kind": "bogus", "data": [["0x1.0p+0,0x0.0p+0"]]}},
+     "strategy.psi.kind: expected 'pure' or 'mixed', got 'bogus'"),
 ], ids=["no-bob", "no-psi", "no-kind-n-layout", "extra", "no-psi-data", "psi-extra",
         "psi-data-empty", "layout-not-pairs", "n-not-int", "kind-not-str", "alice-not-object",
-        "site-not-a-side", "alice-key-not-int", "pair-key-one-part"])
+        "site-not-a-side", "alice-key-not-int", "pair-key-one-part", "psi-kind-unknown"])
 def test_strategy_prover_names_a_missing_or_unknown_key(tmp_path, capsys, drop, add, message):
     """An absent family reads as null; any other absent key, an unknown one
     or a value of the wrong type is a config error naming the place."""

@@ -180,8 +180,6 @@ def attacker_qubit_bound(kind: str, *, n: int | None = None,
     if kind == "cc":
         if k is None or k < 1:
             raise ValueError("cc kind needs k >= 1")
-        q = -3
-        while (1 << (2 * (q + 1) + 6)) <= k:
-            q += 1
-        return q
+        # the largest q with 2^(2q + 6) <= k
+        return (int(k).bit_length() - 7) // 2
     raise ValueError(f"unknown kind {kind!r}")

@@ -2,8 +2,8 @@
 
 The pair kernels act on a ``(b, 2^n)`` batch of raw state vectors, one row
 per input pair, with ``(b, d, d)`` stacks of the per-pair matrices.  The
-executor, the see-saw optimizer and the recovery-set oracle all score
-strategies through them, one stacked apply per step.
+executor and the see-saw optimizer both score strategies through them, one
+stacked apply per step.
 """
 
 from __future__ import annotations
@@ -122,35 +122,40 @@ def _psi_components(psi: np.ndarray):
     return [(float(w), np.ascontiguousarray(v)) for w, v in zip(vals, vecs.T) if w != 0.0]
 
 
-def _pair_scores(strategy: AttackStrategy, f, pairs) -> np.ndarray:
-    """Success on each listed input pair, in one batch; a routed qubit
-    absent at the responsible verifier scores zero."""
+def _pair_batch(strategy: AttackStrategy, f, pairs):
+    """The f(x, y) of the listed input pairs, their finale stacks, and each
+    psi component (w_i, batch) after the local unitaries."""
     values = [f.value(x, y) for x, y in pairs]
     alice = np.stack([strategy.matrix("alice", x) for x, _ in pairs])
     bob = np.stack([strategy.matrix("bob", y) for _, y in pairs])
     finale = [np.stack([strategy.matrix(name, p) for p in pairs])
               for name in FINALE[strategy.kind]]
-    layout = strategy.layout
-    score = sum(w * pair_success(after_locals(vec, layout, alice, bob), layout,
-                                 strategy.kind, values, finale)
-                for w, vec in _psi_components(strategy.psi))
+    return values, finale, [(w, after_locals(vec, strategy.layout, alice, bob))
+                            for w, vec in _psi_components(strategy.psi)]
+
+
+def _pair_scores(strategy: AttackStrategy, f, pairs) -> np.ndarray:
+    """Success on each listed input pair, in one batch; a routed qubit
+    absent at the responsible verifier scores zero."""
+    values, finale, parts = _pair_batch(strategy, f, pairs)
+    score = sum(w * pair_success(vecs, strategy.layout, strategy.kind, values, finale)
+                for w, vecs in parts)
     held = [strategy.holds_qubit(x, y, returned_register(v)) for (x, y), v in zip(pairs, values)]
     return np.where(held, score, 0.0)
 
 
 def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
     """Reduced 4 x 4 density matrix on (R, returned register), R the low
-    qubit, or None if the routed qubit is absent at the responsible verifier."""
+    qubit, or None if the routed qubit is absent at the responsible verifier;
+    the batch of one that _pair_scores scores."""
     _check(strategy, f, "route")
     ret = returned_register(f.value(x, y))
     if not strategy.holds_qubit(x, y, ret):
         return None
+    _, finale, parts = _pair_batch(strategy, f, [(x, y)])
     layout = strategy.layout
-    alice, bob = strategy.matrix("alice", x), strategy.matrix("bob", y)
-    k, l = (strategy.matrix(name, (x, y)) for name in FINALE["route"])
-    finals = [(w, route_finale(after_locals(v, layout, alice, bob), layout, k, l))
-              for w, v in _psi_components(strategy.psi)]
-    return sum(w * qc.reduced_outer(v, v, layout, ("R", ret)) for w, v in finals)
+    finals = [(w, route_finale(vecs, layout, *finale)) for w, vecs in parts]
+    return sum(w * qc.reduced_outer(v, v, layout, ("R", ret))[0] for w, v in finals)
 
 
 def execute_route(strategy: AttackStrategy, f, x: int, y: int) -> float:

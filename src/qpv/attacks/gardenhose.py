@@ -124,25 +124,18 @@ def _initial_vector(layout: qc.RegisterLayout, pipes: int) -> np.ndarray:
     return vec
 
 
-def _local_index(layout, regs, register, offset=0):
-    """Index of a register qubit inside the little-endian ordering of regs."""
-    at = 0
-    for name in regs:
-        if name == register:
-            return at + offset
-        at += layout.width(name)
-    raise KeyError(register)
-
-
 def _pre_exchange_unitary(layout, regs, matching, pipe_reg):
     """Bell rotations for every matched pair plus outcome copies into the
     side's communication register (the last register in ``regs``)."""
+    local = qc.RegisterLayout([(name, layout.width(name)) for name in regs])
+    pipes = local.positions(pipe_reg)
+    # the communication register may be empty: it starts after the first two
+    comm_base = len(local.positions(*regs[:2]))
+
     def node_local(node):
         # the source is Alice's return register A, the first of her registers
-        return 0 if node == SOURCE else _local_index(layout, regs, pipe_reg, node - 1)
+        return 0 if node == SOURCE else pipes[node - 1]
 
-    width = sum(layout.width(r) for r in regs)
-    comm_base = _local_index(layout, regs, regs[2], 0)
     gates = []
     for j, (u, v) in enumerate(matching):
         qu, qv = node_local(u), node_local(v)
@@ -150,7 +143,7 @@ def _pre_exchange_unitary(layout, regs, matching, pipe_reg):
         gates.append((qc.H, [qu]))
         gates.append((qc.CNOT, [qu, comm_base + 2 * j]))
         gates.append((qc.CNOT, [qv, comm_base + 2 * j + 1]))
-    return qc.compose_on_qubits(width, gates)
+    return qc.compose_on_qubits(local.total_qubits, gates)
 
 
 def _recovery_unitary(layout, gh, x, y, hops, exit_side, exit_node):
@@ -158,13 +151,14 @@ def _recovery_unitary(layout, gh, x, y, hops, exit_side, exit_node):
     regs, own_pipe, peer_matching = ((ALICE_FINAL, "At", gh.bob.get(y, ())),
                                      (BOB_FINAL, "Bt", gh.alice.get(x, ())))[exit_side]
     return_local = 0   # the return register, A or B, is the first of regs
-    comm_base = _local_index(layout, regs, regs[2], 0)
-    width = sum(layout.width(r) for r in regs)
+    local = qc.RegisterLayout([(name, layout.width(name)) for name in regs])
+    pipes = local.positions(own_pipe)
+    comm_base = len(local.positions(*regs[:2]))
 
     def own_local(node):
         if node == SOURCE:
             return return_local  # Alice's source slot is her return register
-        return _local_index(layout, regs, own_pipe, node - 1)
+        return pipes[node - 1]
 
     # where the data sits at the end of the path
     exit_local = own_local(exit_node)
@@ -182,7 +176,7 @@ def _recovery_unitary(layout, gh, x, y, hops, exit_side, exit_node):
         gates.append((CZ, [z_carrier, exit_local]))
     if exit_local != return_local:
         gates.append((qc.SWAP2, [exit_local, return_local]))
-    return qc.compose_on_qubits(width, gates)
+    return qc.compose_on_qubits(local.total_qubits, gates)
 
 
 def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:

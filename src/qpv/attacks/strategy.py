@@ -88,6 +88,8 @@ class AttackStrategy:
     def __post_init__(self):
         if self.kind not in FINALE:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError(f"strategy.n: expected an integer >= 1, got {self.n!r}")
         if self.layout.names != REGISTER_ORDER:
             raise ValueError(f"layout registers must be {REGISTER_ORDER}")
         if self.layout.width("R") != 1:
@@ -186,9 +188,20 @@ def _decode_matrix(rows, where: str) -> np.ndarray:
     out = np.empty((len(rows), width), dtype=complex)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
-            re, im = cell.split(",")
-            out[i, j] = complex(float.fromhex(re), float.fromhex(im))
+            out[i, j] = _decode_cell(cell, f"{where}[{i}][{j}]")
     return out
+
+
+def _decode_cell(cell: str, where: str) -> complex:
+    """A "re,im" pair of hex floats; only the spelling the encoder writes is
+    read, so a cell re-encodes to itself."""
+    try:
+        value = complex(*map(float.fromhex, cell.split(",")))
+    except (TypeError, ValueError):
+        value = None
+    if value is None or f"{value.real.hex()},{value.imag.hex()}" != cell:
+        raise ValueError(f"{where}: expected \"re,im\" in float.hex spelling, got {cell!r}")
+    return value
 
 
 def _encode_table(table: dict | None, pair_keys: bool, encode=_encode_matrix) -> dict | None:

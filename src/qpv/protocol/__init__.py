@@ -2,7 +2,6 @@
 
 from .geometry import (
     CHALLENGE_ARRIVAL,
-    Geometry,
     SpacetimeEvent,
     honest_challenge_events,
     response_events,

@@ -29,6 +29,11 @@ class Prover:
     delay: float = 0.0
     actual_position: float | None = None
 
+    def __post_init__(self):
+        if self.route_to not in ("correct", "swapped", 0, 1):
+            raise ValueError("route_to must be 'correct', 'swapped', 0 or 1, "
+                             f"not {self.route_to!r}")
+
     def destination(self, f_value: int) -> int:
         if self.route_to == "correct":
             return f_value

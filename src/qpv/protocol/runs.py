@@ -21,7 +21,6 @@ import numpy as np
 from .. import qcore as qc
 from ..attacks.strategy import AttackStrategy
 from .geometry import (
-    Geometry,
     SpacetimeEvent,
     honest_challenge_events,
     response_events,
@@ -171,22 +170,20 @@ def round_events(protocol: str, f, x: int, y: int, prover=HONEST):
 
     Attack strategies and synthetic adversaries relay classically with
     honest-looking timing, so both gates pass by construction.  A device at
-    the claimed position is timed against the default geometry; in the
+    the claimed position is timed against the fixed verifier line; in the
     routing protocols it must also send Q to the verifier that f(x, y)
     names.  The measuring protocol answers both verifiers.
     """
-    geom = Geometry()
     fxy = f.value(x, y)
     targets = ([0, 1] if protocol == "meas" else
                [prover.destination(fxy) if isinstance(prover, Prover) else fxy])
     if not isinstance(prover, Prover):
-        return two_attacker_relay_events(geom, x, y, targets), True, True
+        return two_attacker_relay_events(x, y, targets), True, True
     payload = {"classical_bit": True} if protocol == "meas" else {"carries_qubit": True}
-    events = honest_challenge_events(geom, x, y) + response_events(
-        geom, targets, delay=prover.delay, actual_position=prover.actual_position,
-        payload=payload)
+    events = honest_challenge_events(x, y) + response_events(
+        targets, delay=prover.delay, actual_position=prover.actual_position, payload=payload)
     arrival_ok = protocol == "meas" or targets[0] == fxy
-    return events, timing_check(events, geom), arrival_ok
+    return events, timing_check(events), arrival_ok
 
 
 def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0) -> ProtocolRun:
@@ -205,7 +202,7 @@ def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0) -> Protoc
     elif protocol != "meas":
         details["destination"] = prover.destination(fxy)
     prob = min(max(prob, 0.0), 1.0)
-    accepted = bool(timing_ok and arrival_ok and (rng.random() < prob or prob >= 1.0))
+    accepted = bool(timing_ok and arrival_ok and rng.random() < prob)
     return ProtocolRun(protocol=protocol, n=f.n, f=f, x=x, y=y, events=events,
                        timing_ok=timing_ok, arrival_ok=arrival_ok,
                        accept_probability=prob, accepted=accepted, details=details)

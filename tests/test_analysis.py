@@ -135,6 +135,9 @@ def test_attacker_qubit_bound():
     assert an.attacker_qubit_bound("cc", k=63) == -1
     assert an.attacker_qubit_bound("cc", k=1) == -3
     assert an.attacker_qubit_bound("cc", k=256) == 1
+    for k in range(1, 1 << 12):   # the largest q with 2^(2q + 6) <= k
+        q = an.attacker_qubit_bound("cc", k=k)
+        assert 1 << (2 * q + 6) <= k < 1 << (2 * q + 8)
     with pytest.raises(ValueError):
         an.attacker_qubit_bound("bogus")
 

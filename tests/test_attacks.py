@@ -328,6 +328,10 @@ _NAMES_PLACE = re.compile(rf"^(strategy[.:]|(psi|{'|'.join(_TABLES)})\b"
 _WRONG = [None, 0, 1.5, True, "x", [], {}, [["x"]]]
 # malformed keys, keys outside every input range, and well-formed ones
 _RENAMES = ["", "x", "01", "+1", " 1", "1_0", "1,", "0,,1", "0,0,0", "9", "-1", "0", "1,1"]
+# malformed matrix cells, other spellings of 1 and 1/2, and a well-formed one
+_CELLS = ["", "zz", ",", "0x1p+0,0x0p+0,1", "0xzz,0x0.0p+0", "0x1p+0,0x0p+0", "0.5,0", "1,0",
+          " 0x1.0000000000000p+0,0x0.0p+0", "0X1.0000000000000P+0,0x0.0p+0",
+          "0x1.0000000000000p-1,0x0.0p+0"]
 
 
 def _normal(doc):
@@ -344,8 +348,9 @@ def _normal(doc):
 def _mutate(doc, data):
     """One fault drawn into a strategy document: a key dropped, renamed or
     malformed, a value of the wrong type, a matrix of the wrong shape or
-    scaled by 2 (so not unitary, an effect or a state), a site outside A/B
-    or a psi kind outside pure/mixed."""
+    scaled by 2 (so not unitary, an effect or a state), a matrix cell
+    replaced, an n below 1 or one larger, a site outside A/B or a psi kind
+    outside pure/mixed."""
     tables = [(name,) for name in _TABLES if doc[name]]
     matrices = [("psi", "data")] + [(name, key) for name in at.strategy.FAMILIES
                                     for key in doc[name] or ()]
@@ -357,7 +362,8 @@ def _mutate(doc, data):
             node = node[step]
         return node
 
-    fault = pick(["drop", "rename", "retype", "shape", "scale", "site", "psi_kind"])
+    fault = pick(["drop", "rename", "retype", "shape", "scale", "cell", "n", "site",
+                  "psi_kind"])
     if fault in ("drop", "rename"):
         owner = at_path(pick([(), ("psi",), *tables]))
         value = owner.pop(pick(owner))
@@ -385,6 +391,12 @@ def _mutate(doc, data):
         else:
             rows = at.strategy._encode_matrix(2 * at.strategy._decode_matrix(rows, "m"))
         at_path(path[:-1])[path[-1]] = rows
+    elif fault == "cell":
+        rows = at_path(pick(matrices))
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = pick(_CELLS)
+    elif fault == "n":
+        doc["n"] = pick([-2, -1, 0, doc["n"] + 1])
     elif fault == "site":
         sites = doc["qubit_site"] or {}
         doc["qubit_site"] = {**sites, pick(list(sites) or ["0,0"]): pick(["C", "", "a", "AB"])}

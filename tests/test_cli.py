@@ -293,9 +293,19 @@ def _simulate_strategy(tmp_path, capsys, doc):
     ([], {"l_final": {"0": []}}, "strategy.l_final['0']: expected two integers x,y"),
     ([], {"psi": {"kind": "bogus", "data": [["0x1.0p+0,0x0.0p+0"]]}},
      "strategy.psi.kind: expected 'pure' or 'mixed', got 'bogus'"),
+    ([], {"n": -1}, "strategy.n: expected an integer >= 1, got -1"),
+    ([], {"psi": {"kind": "pure", "data": [["zz"]]}},
+     """strategy.psi.data[0][0]: expected "re,im" in float.hex spelling, got 'zz'"""),
+    ([], {"psi": {"kind": "pure", "data": [["0x1p+0,0x0p+0,1"]]}},
+     """strategy.psi.data[0][0]: expected "re,im" in float.hex spelling, got '0x1p+0,0x0p+0,1'"""),
+    ([], {"alice": {"0": [["0x1.0000000000000p+0,0x0.0p+0", "0xzz,0x0.0p+0"]]}},
+     """strategy.alice['0'][0][1]: expected "re,im" in float.hex spelling, got '0xzz,0x0.0p+0'"""),
+    ([], {"psi": {"kind": "pure", "data": [["0.5,0"]]}},
+     """strategy.psi.data[0][0]: expected "re,im" in float.hex spelling, got '0.5,0'"""),
 ], ids=["no-bob", "no-psi", "no-kind-n-layout", "extra", "no-psi-data", "psi-extra",
         "psi-data-empty", "layout-not-pairs", "n-not-int", "kind-not-str", "alice-not-object",
-        "site-not-a-side", "alice-key-not-int", "pair-key-one-part", "psi-kind-unknown"])
+        "site-not-a-side", "alice-key-not-int", "pair-key-one-part", "psi-kind-unknown",
+        "n-negative", "cell-one-part", "cell-three-parts", "cell-bad-hex", "cell-decimal"])
 def test_strategy_prover_names_a_missing_or_unknown_key(tmp_path, capsys, drop, add, message):
     """An absent family reads as null; any other absent key, an unknown one
     or a value of the wrong type is a config error naming the place."""

@@ -7,6 +7,7 @@ from qpv import analysis as an
 from qpv import attacks as at
 from qpv import protocol as pr
 from qpv import qcore as qc
+from qpv.protocol.geometry import CLAIMED_POS, VERIFIER_POS
 
 XOR = an.xor_function(1)
 
@@ -140,16 +141,15 @@ def test_timing_honest_and_delay():
 
 
 def test_timing_position_spoof_fools_one_verifier_only():
-    geom = pr.Geometry(z=0.5)
-    events = pr.honest_challenge_events(geom, 0, 0) + pr.response_events(
-        geom, [0, 1], actual_position=0.3)
+    events = pr.honest_challenge_events(0, 0) + pr.response_events([0, 1], actual_position=0.3)
     arrivals = {ev.payload["verifier"]: ev.time for ev in events
                 if ev.label == "response_arrival"}
-    honest_v0 = pr.CHALLENGE_ARRIVAL + geom.travel_time(geom.z, geom.v0_pos)
-    honest_v1 = pr.CHALLENGE_ARRIVAL + geom.travel_time(geom.z, geom.v1_pos)
-    assert arrivals[0] == pytest.approx(honest_v0, abs=1e-12)
-    assert arrivals[1] != pytest.approx(honest_v1, abs=1e-9)
-    assert not pr.timing_check(events, geom)
+    # signals travel at unit speed from the claimed position to each verifier
+    honest = [pr.CHALLENGE_ARRIVAL + abs(CLAIMED_POS - v) for v in VERIFIER_POS]
+    assert CLAIMED_POS == 0.5 and VERIFIER_POS == (0.0, 1.0)
+    assert arrivals[0] == pytest.approx(honest[0], abs=1e-12)
+    assert arrivals[1] != pytest.approx(honest[1], abs=1e-9)
+    assert not pr.timing_check(events)
 
 
 def test_attack_strategy_relay_passes_the_timing_check():
@@ -167,8 +167,8 @@ def test_wrong_verifier_on_time_is_rejected():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        pr.Geometry(z=1.5)
+    with pytest.raises(ValueError, match="route_to"):
+        pr.Prover(route_to=2)   # there are two verifiers
     with pytest.raises(ValueError):
         pr.SpacetimeEvent("P", 0.5, -1.0, "x")
 

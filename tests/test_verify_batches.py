@@ -9,6 +9,7 @@ import verify_reference as ref
 from qpv import checks as ck
 from qpv import qcore as qc
 from qpv.attacks import good_sets
+from qpv.attacks.strategy import bell_core, rest_registers
 from qpv.checks import suites
 
 # trial counts that cross a block boundary where the default count does
@@ -62,6 +63,59 @@ def test_refused_first_candidate_replays_its_trial(monkeypatch):
     assert (repr(ck.check_meas_disjoint(trials=20, seed=seed))
             == repr(ref.check_meas_disjoint(trials=20, seed=seed)))
     assert replayed.count("S0") >= 1
+
+
+def test_unmoved_route_member_replays_its_trial(monkeypatch):
+    """A trial whose side reports sin(a) = 0 drew no uniform, so its stream
+    reads past the batch's row; the suite replays it through route_member.
+    Alone, the trial is the witness, so the report shows its distance."""
+    seed, layout = 4, good_sets.small_attack_layout()
+    # trial 0's S0 noise after the projection, drawn as the reference draws it
+    rng = qc.stream(seed, "route-sep", 0)
+    regs, ret = good_sets.ROUTE_SIDES["S0"]
+    phi = ref.random_unit_vector(layout.subdim(*rest_registers(layout, "R", ret)), rng)
+    k = qc.haar_random_unitary(layout.subdim(*regs), rng)
+    vec = qc.apply_vector_matrix(bell_core(layout, ret, phi), layout, k.conj().T, regs)
+    noise = ref.random_unit_vector(vec.size, rng)
+    stuck = noise - np.vdot(vec, noise) * vec
+
+    def stalling(norm):
+        """``norm``, but 0 for that noise, which then does not move its vector."""
+        def wrapped(v):
+            if v.shape[-1] != stuck.size:
+                return norm(v)
+            hit = np.all(v == stuck, axis=-1, keepdims=True)
+            return np.where(hit, 0.0, norm(v)) if hit.any() else norm(v)
+        return wrapped
+
+    monkeypatch.setattr(qc, "vector_norm", stalling(qc.vector_norm))
+    monkeypatch.setattr(ref, "vector_norm", stalling(ref.vector_norm))
+    replayed = []
+    member = suites.route_member
+
+    def recording(layout, which, eps, rng):
+        replayed.append(which)
+        return member(layout, which, eps, rng)
+
+    monkeypatch.setattr(suites, "route_member", recording)
+    for trials in (1, 20):
+        assert (repr(ck.check_low_fidelity_route(trials=trials, seed=seed))
+                == repr(ref.check_low_fidelity_route(trials=trials, seed=seed)))
+    assert replayed == ["S0", "S1"] * 2
+
+
+def test_meas_member_falls_back_to_its_core(monkeypatch):
+    """After 12 refused candidates meas_member returns a copy of the
+    unperturbed core and leaves the stream where the per-trial sampler did."""
+    monkeypatch.setattr(good_sets, "meas_figure",
+                        lambda vecs, layout, which, eps: (None, np.zeros(len(vecs), bool)))
+    layout = good_sets.small_attack_layout()
+    for basis, which in enumerate(("S0", "S1")):
+        got, want = qc.stream(3, "fallback", which), qc.stream(3, "fallback", which)
+        out = good_sets.meas_member(layout, which, 0.25, got)
+        assert np.array_equal(out, good_sets.meas_core(layout, basis)) and out.flags.writeable
+        assert np.array_equal(out, ref.meas_member(layout, which, 0.25, want))
+        assert got.random() == want.random()
 
 
 @pytest.mark.parametrize("which", ["S0", "S1"])

@@ -17,13 +17,15 @@ class BooleanFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.uint8)
+        table = np.asarray(self.table)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if table.shape != (1 << (2 * self.n),):
             raise ValueError(f"table must have length {1 << (2 * self.n)}")
-        if not np.all((table == 0) | (table == 1)):
+        # checked before the uint8 cast, which would wrap -1 and truncate 0.5
+        if table.dtype.kind not in "biuf" or not np.all((table == 0) | (table == 1)):
             raise ValueError("table entries must be bits")
+        table = table.astype(np.uint8, copy=False)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -63,7 +65,7 @@ def ip_function(n: int) -> BooleanFunction:
 
 
 def constant_function(n: int, bit: int) -> BooleanFunction:
-    return BooleanFunction(n, np.full(1 << (2 * n), bit, dtype=np.uint8))
+    return BooleanFunction(n, np.broadcast_to(bit, 1 << (2 * n)))
 
 
 def xor_function(n: int) -> BooleanFunction:
@@ -74,6 +76,11 @@ def xor_function(n: int) -> BooleanFunction:
 def random_function(n: int, rng) -> BooleanFunction:
     g = as_generator(rng)
     return BooleanFunction(n, g.integers(0, 2, size=1 << (2 * n), dtype=np.uint8))
+
+
+def _bit_string(bits: str) -> np.ndarray:
+    """A table of '0'/'1' characters; BooleanFunction refuses any other."""
+    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 # file format: first line "n=<int>", second line the 2^(2n) table bits
@@ -88,7 +95,7 @@ def load_function(path) -> BooleanFunction:
         bits = fh.readline().strip()
     if len(bits) != 1 << (2 * n):
         raise ValueError(f"expected {1 << (2 * n)} table bits, got {len(bits)}")
-    return BooleanFunction(n, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
+    return BooleanFunction(n, _bit_string(bits))
 
 
 def function_from_spec(spec: dict) -> BooleanFunction:
@@ -103,11 +110,7 @@ def function_from_spec(spec: dict) -> BooleanFunction:
     if kind == "random":
         return random_function(int(spec["n"]), int(spec["seed"]))
     if kind == "table":
-        n = int(spec["n"])
         bits = spec["table"]
-        if isinstance(bits, str):
-            table = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-        else:
-            table = np.asarray(bits, dtype=np.uint8)
-        return BooleanFunction(n, table)
+        table = _bit_string(bits) if isinstance(bits, str) else bits
+        return BooleanFunction(int(spec["n"]), table)
     raise ValueError(f"unknown function kind {kind!r}")

@@ -20,6 +20,7 @@ from .strategy import (
     AttackReport,
     AttackStrategy,
     attack_layout,
+    returned_register,
     unentangled_product_state,
 )
 
@@ -27,11 +28,6 @@ ENUMERATION_LIMIT_N = 4
 
 BELL_PROJECTOR = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
 BASIS_PROJECTORS = np.array([qc.basis_projectors(b) for b in (0, 1)])  # [basis, outcome]
-
-
-def returned_register(value: int) -> str:
-    """Register whose qubit the verifier named by f(x, y) = value receives."""
-    return "A" if value == 0 else "B"
 
 
 def both_outcomes(effects: np.ndarray) -> np.ndarray:

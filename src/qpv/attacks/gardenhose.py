@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import qcore as qc
-from .strategy import ALICE_FINAL, ALICE_LOCAL, BOB_FINAL, BOB_LOCAL, FINALE, AttackStrategy
+from .strategy import ALICE_LOCAL, BOB_LOCAL, FINAL_REGS, FINALE, AttackStrategy, returned_register
 
 SOURCE = "S"
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -124,59 +124,47 @@ def _initial_vector(layout: qc.RegisterLayout, pipes: int) -> np.ndarray:
     return vec
 
 
-def _pre_exchange_unitary(layout, regs, matching, pipe_reg):
-    """Bell rotations for every matched pair plus outcome copies into the
-    side's communication register (the last register in ``regs``)."""
+def _side(layout, regs):
+    """A side's registers ``regs`` (return, pipe ends, communication) as its
+    own layout: the width, node -> qubit, and the communication qubits."""
     local = qc.RegisterLayout([(name, layout.width(name)) for name in regs])
-    pipes = local.positions(pipe_reg)
-    # the communication register may be empty: it starts after the first two
-    comm_base = len(local.positions(*regs[:2]))
+    pipes = local.positions(regs[1])
 
-    def node_local(node):
+    def qubit(node):
         # the source is Alice's return register A, the first of her registers
         return 0 if node == SOURCE else pipes[node - 1]
 
+    return local.total_qubits, qubit, local.positions(regs[2])
+
+
+def _pre_exchange_unitary(layout, regs, matching):
+    """Bell rotations for every matched pair plus outcome copies into the
+    side's communication register."""
+    width, qubit, comm = _side(layout, regs)
     gates = []
     for j, (u, v) in enumerate(matching):
-        qu, qv = node_local(u), node_local(v)
-        gates.append((qc.CNOT, [qu, qv]))
-        gates.append((qc.H, [qu]))
-        gates.append((qc.CNOT, [qu, comm_base + 2 * j]))
-        gates.append((qc.CNOT, [qv, comm_base + 2 * j + 1]))
-    return qc.compose_on_qubits(local.total_qubits, gates)
+        qu, qv = qubit(u), qubit(v)
+        gates += [(qc.CNOT, [qu, qv]), (qc.H, [qu]),
+                  (qc.CNOT, [qu, comm[2 * j]]), (qc.CNOT, [qv, comm[2 * j + 1]])]
+    return qc.compose_on_qubits(width, gates)
 
 
-def _recovery_unitary(layout, gh, x, y, hops, exit_side, exit_node):
-    """Correction + swap unitary for the exiting side's finale registers."""
-    regs, own_pipe, peer_matching = ((ALICE_FINAL, "At", gh.bob.get(y, ())),
-                                     (BOB_FINAL, "Bt", gh.alice.get(x, ())))[exit_side]
-    return_local = 0   # the return register, A or B, is the first of regs
-    local = qc.RegisterLayout([(name, layout.width(name)) for name in regs])
-    pipes = local.positions(own_pipe)
-    comm_base = len(local.positions(*regs[:2]))
-
-    def own_local(node):
-        if node == SOURCE:
-            return return_local  # Alice's source slot is her return register
-        return pipes[node - 1]
-
-    # where the data sits at the end of the path
-    exit_local = own_local(exit_node)
-
+def _recovery_unitary(layout, peer_matching, hops, exit_side, exit_node):
+    """Correction + swap unitary for the exiting side's finale registers,
+    which hold the peer's outcome copies in their communication register."""
+    width, qubit, comm = _side(layout, FINAL_REGS[exit_side])
+    exit_q = qubit(exit_node)   # where the data sits at the end of the path
     gates = []
     for side, pair in reversed(hops):
         if side == exit_side:
-            z_carrier = own_local(pair[0])
-            x_carrier = own_local(pair[1])
+            z_carrier, x_carrier = qubit(pair[0]), qubit(pair[1])
         else:
-            j = list(peer_matching).index(pair)
-            z_carrier = comm_base + 2 * j
-            x_carrier = comm_base + 2 * j + 1
-        gates.append((qc.CNOT, [x_carrier, exit_local]))
-        gates.append((CZ, [z_carrier, exit_local]))
-    if exit_local != return_local:
-        gates.append((qc.SWAP2, [exit_local, return_local]))
-    return qc.compose_on_qubits(local.total_qubits, gates)
+            j = peer_matching.index(pair)
+            z_carrier, x_carrier = comm[2 * j], comm[2 * j + 1]
+        gates += [(qc.CNOT, [x_carrier, exit_q]), (CZ, [z_carrier, exit_q])]
+    if exit_q != 0:   # the return register, A or B, is the first
+        gates.append((qc.SWAP2, [exit_q, 0]))
+    return qc.compose_on_qubits(width, gates)
 
 
 def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
@@ -186,16 +174,17 @@ def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
     n = gh.n_bits()
     layout = _layout_for(gh)
     psi = _initial_vector(layout, gh.pipes)
-    alice = {x: _pre_exchange_unitary(layout, ALICE_LOCAL, pairs, "At")
+    alice = {x: _pre_exchange_unitary(layout, ALICE_LOCAL, pairs)
              for x, pairs in gh.alice.items() if pairs}
-    bob = {y: _pre_exchange_unitary(layout, BOB_LOCAL, pairs, "Bt")
+    bob = {y: _pre_exchange_unitary(layout, BOB_LOCAL, pairs)
            for y, pairs in gh.bob.items() if pairs}
     recoveries, site = {name: {} for name in FINALE["route"]}, {}
     for x in range(1 << n):
         for y in range(1 << n):
             exit_side, hops, exit_node = trace_water(gh, x, y)
-            site[(x, y)] = "A" if exit_side == 0 else "B"
-            recov = _recovery_unitary(layout, gh, x, y, hops, exit_side, exit_node)
+            site[(x, y)] = returned_register(exit_side)
+            peer = gh.alice.get(x, ()) if exit_side else gh.bob.get(y, ())
+            recov = _recovery_unitary(layout, peer, hops, exit_side, exit_node)
             # Alice's identity recoveries are left out; Bob's are all kept
             if exit_side or not np.allclose(recov, np.eye(len(recov))):
                 recoveries[FINALE["route"][exit_side]][(x, y)] = recov

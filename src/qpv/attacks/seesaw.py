@@ -30,19 +30,19 @@ from .execute import (
     epsilon_l_report,
     meas_branches,
     pair_success,
-    returned_register,
     route_finale,
     verifier_branches,
 )
 from .strategy import (
     ALICE_FINAL,
-    ALICE_LOCAL,
     BOB_FINAL,
-    BOB_LOCAL,
     FINALE,
+    FINAL_REGS,
+    LOCAL_REGS,
     AttackReport,
     AttackStrategy,
     attack_layout,
+    returned_register,
 )
 
 SWEEP_TOL = 1e-9          # a restart stops when a sweep gains less
@@ -51,8 +51,6 @@ CHUNK_CELLS = 1 << 19
 RECOVERY_STEPS = 3        # polar steps per recovery update
 KRYLOV_PRODUCTS = 16      # products of H per psi step
 KRYLOV_BREAKDOWN = 1e-12  # residual norm below which psi's Krylov space is complete
-LOCAL_REGS = (ALICE_LOCAL, BOB_LOCAL)
-FINAL_REGS = (ALICE_FINAL, BOB_FINAL)
 
 
 def dagger(mats: np.ndarray) -> np.ndarray:
@@ -266,8 +264,8 @@ class _Work:
 
         def hmat_vec(v):
             w = self._effect(self.after_locals(v))
-            w = self._apply(w, undo[1], BOB_LOCAL)
-            w = self._apply(w, undo[0], ALICE_LOCAL)
+            for side in (1, 0):   # Bob's local unitary was applied last
+                w = self._apply(w, undo[side], LOCAL_REGS[side])
             return self._per_restart(w).sum(axis=1) / len(self.pairs)
 
         old_score = self.average()

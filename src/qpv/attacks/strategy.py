@@ -19,6 +19,13 @@ ALICE_LOCAL = ("A", "At", "Ac")     # before the exchange
 BOB_LOCAL = ("B", "Bt", "Bc")
 ALICE_FINAL = ("A", "At", "Bc")     # after swapping Ac <-> Bc
 BOB_FINAL = ("B", "Bt", "Ac")
+LOCAL_REGS = (ALICE_LOCAL, BOB_LOCAL)   # indexed by side: 0 Alice, 1 Bob
+FINAL_REGS = (ALICE_FINAL, BOB_FINAL)
+
+
+def returned_register(value: int) -> str:
+    """Register whose qubit the verifier named by f(x, y) = value receives."""
+    return "A" if value == 0 else "B"
 
 
 def attack_layout(a: int = 1, at: int = 0, ac: int = 0) -> qc.RegisterLayout:

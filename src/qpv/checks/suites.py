@@ -321,16 +321,13 @@ def check_bound_by_iid(trials: int = 4000, seed: int = 0) -> BoundReport:
     capped = lambda path: p * (1.0 - 0.5 * (path[-1] if path else 0))
     floored = lambda path: p + (1 - p) * 0.5 * (path[-1] if path else 0)
     iid = lambda path: p
+    dists = [_dependent_paths(r3, cond) for cond in (capped, floored, iid)]
     exact_ok = True
     exact_worst = 0.0
     for t in range(r3 + 1):
         binom = _binomial_tail(r3, p, t)
-        tail_cap = sum(pr for path, pr in _dependent_paths(r3, capped).items()
-                       if sum(path) >= t)
-        tail_flr = sum(pr for path, pr in _dependent_paths(r3, floored).items()
-                       if sum(path) >= t)
-        tail_iid = sum(pr for path, pr in _dependent_paths(r3, iid).items()
-                       if sum(path) >= t)
+        tail_cap, tail_flr, tail_iid = (
+            sum(pr for path, pr in dist.items() if sum(path) >= t) for dist in dists)
         exact_worst = max(exact_worst, tail_cap - binom, binom - tail_flr,
                           abs(tail_iid - binom))
         exact_ok &= tail_cap <= binom + 1e-12 and tail_flr >= binom - 1e-12
@@ -386,12 +383,13 @@ def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
         if nv > 1e-12:
             best = min(best, qc.purified_distance_pure(vec, bell_core(layout, "A", v / nv)))
         # 1000 candidates in blocks of 100, to bound memory; the draws are those
-        # of 1000 random_unit_vector calls (real parts, then imaginary parts)
+        # of 1000 random_unit_vector calls (real parts, then imaginary parts).
+        # v is indexed as bell_core places phi, so <Omega x phi|psi> = <phi|v>
         for _ in range(10):
             z = rng.standard_normal((100, 2, rest_dim))
             phis = z[:, 0] + 1j * z[:, 1]
             phis /= np.linalg.norm(phis, axis=1, keepdims=True)
-            overlaps = np.abs(bell_core(layout, "A", phis) @ vec.conj())
+            overlaps = np.abs(phis.conj() @ v)
             best = min(best, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - overlaps ** 2)))))
         # the right side: root fidelity of rho_RA with |Omega>, from the
         # reduced matrix rather than the partial inner product above

@@ -40,15 +40,15 @@ class ConfigError(Exception):
 
 
 def _number(cast, expected: str):
-    """A cast to ``cast``.  A value it rejects (null, a list, a non-numeric
-    string), a boolean, and for ``int`` a float with a fractional part are
-    refused, not truncated to a number."""
+    """A cast to ``cast``.  A value it rejects or cannot carry out (null, a
+    list, a non-numeric string, "1/0"), a boolean, and for ``int`` a float
+    with a fractional part are refused, not truncated to a number."""
     def read(value, where):
         fraction = cast is int and isinstance(value, float) and not value.is_integer()
         try:
             if not (isinstance(value, bool) or fraction):
                 return cast(value)
-        except (TypeError, ValueError):
+        except (ArithmeticError, TypeError, ValueError):
             pass
         raise ConfigError(f"{where}: expected {expected}, got {value!r}")
     return read

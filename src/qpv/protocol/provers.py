@@ -33,6 +33,13 @@ class Prover:
         if self.route_to not in ("correct", "swapped", 0, 1):
             raise ValueError("route_to must be 'correct', 'swapped', 0 or 1, "
                              f"not {self.route_to!r}")
+        if self.replace_with not in (None, 0, 1, 2, 3):
+            raise ValueError(f"replace_with must be 0, 1, 2 or 3, not {self.replace_with!r}")
+        if self.premeasure_basis not in (None, 0, 1):
+            raise ValueError(f"premeasure_basis must be 0 or 1, not {self.premeasure_basis!r}")
+        if self.meas_mode not in ("measure", "wrong_basis", "random_bit"):
+            raise ValueError("meas_mode must be 'measure', 'wrong_basis' or 'random_bit', "
+                             f"not {self.meas_mode!r}")
 
     def destination(self, f_value: int) -> int:
         if self.route_to == "correct":
@@ -50,7 +57,7 @@ class SyntheticAdversary:
     """Abstract attacker succeeding each round independently with probability p.
 
     Used for repetition analysis where only the per-round success cap
-    matters; timing validity is granted by construction.
+    matters; it relays classically, so its responses pass the timing check.
     """
 
     p: float

@@ -7,8 +7,8 @@ the exact probability on its own, for the trial engine and exhaustive
 sweeps.
 
 Attack strategies (objects from :mod:`qpv.attacks`) are referenced by
-handle: their timing validity is granted by construction and their
-acceptance probability comes from the two-phase strategy executor.
+handle: their event log is the classical relay's, and their acceptance
+probability comes from the two-phase strategy executor.
 """
 
 from __future__ import annotations
@@ -109,10 +109,8 @@ def _meas_agreement(prover: Prover, theta: int, rho: np.ndarray) -> float:
         mine = verifier
     elif prover.meas_mode == "wrong_basis":
         mine = qc.basis_projectors(1 - theta)
-    elif prover.meas_mode == "random_bit":
+    else:   # "random_bit"; Prover refuses any other mode
         mine = (np.eye(2) / 2, np.eye(2) / 2)
-    else:
-        raise ValueError(f"unknown meas_mode {prover.meas_mode!r}")
     # R is the low qubit, Q the high one
     return sum(float(np.trace(qc.kron_le(verifier[b], mine[b]) @ rho).real) for b in (0, 1))
 
@@ -169,21 +167,22 @@ def round_events(protocol: str, f, x: int, y: int, prover=HONEST):
     """Event log of one round and its two gates, ``(events, timing_ok, arrival_ok)``.
 
     Attack strategies and synthetic adversaries relay classically with
-    honest-looking timing, so both gates pass by construction.  A device at
-    the claimed position is timed against the fixed verifier line; in the
-    routing protocols it must also send Q to the verifier that f(x, y)
-    names.  The measuring protocol answers both verifiers.
+    honest-looking timing.  A device at the claimed position is timed
+    against the fixed verifier line.  In the routing protocols Q must reach
+    the verifier that f(x, y) names; measuring answers both verifiers.
     """
     fxy = f.value(x, y)
+    device = isinstance(prover, Prover)
     targets = ([0, 1] if protocol == "meas" else
-               [prover.destination(fxy) if isinstance(prover, Prover) else fxy])
-    if not isinstance(prover, Prover):
-        return two_attacker_relay_events(x, y, targets), True, True
-    payload = {"classical_bit": True} if protocol == "meas" else {"carries_qubit": True}
-    events = honest_challenge_events(x, y) + response_events(
-        targets, delay=prover.delay, actual_position=prover.actual_position, payload=payload)
-    arrival_ok = protocol == "meas" or targets[0] == fxy
-    return events, timing_check(events), arrival_ok
+               [prover.destination(fxy) if device else fxy])
+    if device:
+        payload = {"classical_bit": True} if protocol == "meas" else {"carries_qubit": True}
+        events = honest_challenge_events(x, y) + response_events(
+            targets, delay=prover.delay, actual_position=prover.actual_position,
+            payload=payload)
+    else:
+        events = two_attacker_relay_events(x, y, targets)
+    return events, timing_check(events), protocol == "meas" or targets[0] == fxy
 
 
 def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0) -> ProtocolRun:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qpv import analysis as an
 from qpv import attacks as at
 from qpv import qcore as qc
-from qpv.attacks.execute import returned_register
+from qpv.attacks.strategy import returned_register
 
 BELL = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
 BASES = {0: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],

@@ -18,9 +18,9 @@ from qpv.attacks.execute import (
     bell_overlap,
     meas_branches,
     pair_success,
-    returned_register,
     route_finale,
 )
+from qpv.attacks.strategy import returned_register
 
 XOR = an.xor_function(1)
 AND = an.ip_function(1)

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpv import analysis as an
 from qpv import attacks as at
@@ -594,6 +599,18 @@ PINNED_ERRORS = {
     "f-kind": ("simulate", _with(SIM, f={"kind": "bogus"}), "unknown function kind 'bogus'"),
     "f-kind-list": ("simulate", _with(SIM, f={"kind": ["xor"]}),
                     "unknown function kind ['xor']"),
+    "f-table-null": ("simulate", _with(SIM, f={"kind": "table", "table": None}),
+                     "table must have length 4"),
+    "f-table-object": ("simulate", _with(SIM, f={"kind": "table", "table": {}}),
+                       "table must have length 4"),
+    "f-table-negative": ("simulate", _with(SIM, f={"kind": "table", "table": [-1, 0, 0, 1]}),
+                         "table entries must be bits"),
+    "f-table-fraction": ("simulate", _with(SIM, f={"kind": "table", "table": [0.5, 0, 0, 1]}),
+                         "table entries must be bits"),
+    "f-table-text-entry": ("simulate", _with(SIM, f={"kind": "table", "table": ["1", 0, 0, 1]}),
+                           "table entries must be bits"),
+    "f-bit-negative": ("simulate", _with(SIM, f={"kind": "constant", "bit": -1}),
+                       "table entries must be bits"),
     # the prover spec
     "prover-not-object": ("simulate", _with(SIM, prover=5), "prover: expected an object"),
     "prover-unknown-key": ("simulate", _prover(kind="honest", q=1),
@@ -615,6 +632,15 @@ PINNED_ERRORS = {
     "prover-kind": ("simulate", _prover(kind="nope"), "prover: unknown kind 'nope'"),
     "prover-kind-object": ("simulate", _prover(kind={"kind": "honest"}),
                            "prover: unknown kind {'kind': 'honest'}"),
+    "prover-state-range": ("simulate", _with(SIM, protocol="route_entangled",
+                                             prover={"kind": "discard", "state": 7}),
+                           "replace_with must be 0, 1, 2 or 3, not 7"),
+    "prover-state-negative": ("simulate", _with(SIM, protocol="route_entangled",
+                                                prover={"kind": "discard", "state": -1}),
+                              "replace_with must be 0, 1, 2 or 3, not -1"),
+    "prover-basis-range": ("simulate", _with(SIM, protocol="route_entangled",
+                                             prover={"kind": "measure_forward", "basis": 2}),
+                           "premeasure_basis must be 0 or 1, not 2"),
     # each function and prover kind admits only the keys it reads
     "f-xor-other-keys": ("simulate", _with(SIM, f={"kind": "xor", "seed": 5, "path": "nope",
                                                    "table": "0000"},
@@ -719,6 +745,10 @@ PINNED_ERRORS = {
                            "config.lambda: expected a number, got None"),
     "volume-lambda-text": ("bounds", {"kind": "volume", "n": 100, "lambda": "abc"},
                            "config.lambda: expected a number, got 'abc'"),
+    "volume-lambda-zero-division": ("bounds", {"kind": "volume", "n": 100, "lambda": "1/0"},
+                                    "config.lambda: expected a number, got '1/0'"),
+    "volume-lambda-overflow": ("bounds", {"kind": "volume", "n": 100, "lambda": 1e400},
+                               "config.lambda: expected a number, got inf"),
     "volume-n-fraction": ("bounds", {"kind": "volume", "n": 1.5, "lambda": "1/4"},
                           "config.n: expected an integer, got 1.5"),
     "qubit-f_kind": ("bounds", {"kind": "qubit_bound"}, "config: missing keys ['f_kind']"),
@@ -776,6 +806,63 @@ def test_pinned_config_error_messages(tmp_path, capsys, case):
     assert got_code == (code[0] if code else cli.EXIT_CONFIG)
     assert out == ""
     assert err == (message if message.startswith("budget") else f"error: {message}") + "\n"
+
+
+# small valid configs of every command; each of their keys, list entries
+# included, is a place a fault is put
+FAULT_BASES = (
+    ("simulate", {"protocol": "route_bb84", "n": 1, "f": {"kind": "table", "table": [0, 1, 1, 0]},
+                  "rounds": 3, "trials": 2, "eta": 0.01, "noise_mode": "depolarizing",
+                  "prover": {"kind": "discard", "state": 1}, "seed": 1}),
+    ("simulate", {"protocol": "route_entangled", "n": 1, "f": {"kind": "constant", "bit": 1},
+                  "rounds": 3, "prover": {"kind": "measure_forward", "basis": 1}}),
+    ("simulate", {"protocol": "meas", "n": 1, "f": {"kind": "random", "n": 1, "seed": 3},
+                  "rounds": 3, "prover": {"kind": "synthetic", "p": 0.5}}),
+    ("simulate", {"protocol": "route_entangled", "n": 1, "f": {"kind": "table", "table": "0110"},
+                  "rounds": 3, "prover": {"kind": "keep_q"}}),
+    ("attack-optimize", {"f": {"kind": "ip", "n": 1}, "kind": "meas", "q": 1, "split": [1, 0, 0],
+                         "restarts": 1, "iters": 1, "unentangled": True, "epsilon": 0.1}),
+    ("attack-optimize", _with(ATT, gardenhose=GH, epsilon=0.2)),
+    ("bounds", {"kind": "volume", "n": 100, "lambda": "1/4"}),
+    ("bounds", {"kind": "counting", "n": 10, "q": 0}),
+    ("bounds", {"kind": "cc", "f": {"kind": "ip", "n": 1}, "k": 1, "model": "oneway"}),
+    ("bounds", {"kind": "qubit_bound", "f_kind": "random", "n": 20}),
+    ("bounds", {"kind": "qubit_bound", "f_kind": "cc", "f": {"kind": "ip", "n": 1}}),
+    ("bounds", {"kind": "net_size", "q": 1}),
+)
+# no large finite value: at a size key (n, q, rounds, k, ...) it would ask
+# for a long run, not find a fault; 1e400 reads as infinity
+FAULTS = ("x", True, None, -1, 2.5, 1e400, math.nan, "1/0", [], {})
+
+
+def _places(obj, path=()):
+    """Every key path into ``obj``, list indices included."""
+    items = (obj.items() if isinstance(obj, dict) else
+             enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _places(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_config_fault_exits_with_a_code_never_a_traceback(tmp_path_factory, data):
+    """One fault at one key of a valid config: the CLI exits 0-3 and raises
+    nothing, and a config error prints nothing on stdout."""
+    command, base = data.draw(st.sampled_from(FAULT_BASES))
+    config = copy.deepcopy(base)
+    *parents, key = data.draw(st.sampled_from(list(_places(base))))
+    owner = config
+    for parent in parents:
+        owner = owner[parent]
+    owner[key] = data.draw(st.sampled_from(FAULTS))
+    path = tmp_path_factory.getbasetemp() / "fault.json"
+    path.write_text(json.dumps(config))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, "--config", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY, cli.EXIT_CONFIG, cli.EXIT_BUDGET)
+    assert code != cli.EXIT_CONFIG or out.getvalue() == ""
 
 
 @pytest.mark.parametrize("payload", [

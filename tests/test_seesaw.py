@@ -6,7 +6,7 @@ import pytest
 from qpv import analysis as an
 from qpv import attacks as at
 from qpv import qcore as qc
-from qpv.attacks.execute import returned_register
+from qpv.attacks.strategy import returned_register
 from test_attack_reference import BASES, BELL, embed
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2

@@ -8,6 +8,15 @@ import numpy as np
 
 from ..qcore.rng import as_generator
 
+# one budget for the exhaustive objects of this package: a truth table's
+# 2^(2n) entries, and the (Alice, Bob) pairs of message maps the CC brute
+# force enumerates
+PAIR_BUDGET = 1 << 24
+
+
+class BudgetExceeded(Exception):
+    """Raised when a table or an enumeration would exceed its budget."""
+
 
 @dataclass(frozen=True)
 class BooleanFunction:
@@ -79,19 +88,28 @@ def random_function(n: int, rng) -> BooleanFunction:
 
 
 def _bit_string(bits: str) -> np.ndarray:
-    """A table of '0'/'1' characters; BooleanFunction refuses any other."""
-    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    """A table of '0'/'1' characters; BooleanFunction refuses any other, a
+    non-ASCII one (read as '?') included."""
+    return np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+
+
+def _table_n(n: int) -> int:
+    """``n``, refused before anything is built when a 2^(2n)-entry table
+    would exceed PAIR_BUDGET."""
+    if 2 * n > PAIR_BUDGET.bit_length() - 1:
+        raise BudgetExceeded(f"f.n: a 2^{2 * n}-entry table exceeds budget {PAIR_BUDGET}")
+    return n
 
 
 # file format: first line "n=<int>", second line the 2^(2n) table bits
 # in row-major (x outer, y inner) order.
 
 def load_function(path) -> BooleanFunction:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip()
         if not header.startswith("n="):
             raise ValueError("first line must be 'n=<int>'")
-        n = int(header[2:])
+        n = _table_n(int(header[2:]))
         bits = fh.readline().strip()
     if len(bits) != 1 << (2 * n):
         raise ValueError(f"expected {1 << (2 * n)} table bits, got {len(bits)}")
@@ -101,16 +119,16 @@ def load_function(path) -> BooleanFunction:
 def function_from_spec(spec: dict) -> BooleanFunction:
     """Build a function from a config object {kind, n, seed?/table?}."""
     kind = spec.get("kind")
+    if kind not in ("ip", "xor", "constant", "random", "table"):
+        raise ValueError(f"unknown function kind {kind!r}")
+    n = _table_n(int(spec["n"]))
     if kind == "ip":
-        return ip_function(int(spec["n"]))
+        return ip_function(n)
     if kind == "xor":
-        return xor_function(int(spec["n"]))
+        return xor_function(n)
     if kind == "constant":
-        return constant_function(int(spec["n"]), int(spec.get("bit", 0)))
+        return constant_function(n, int(spec.get("bit", 0)))
     if kind == "random":
-        return random_function(int(spec["n"]), int(spec["seed"]))
-    if kind == "table":
-        bits = spec["table"]
-        table = _bit_string(bits) if isinstance(bits, str) else bits
-        return BooleanFunction(int(spec["n"]), table)
-    raise ValueError(f"unknown function kind {kind!r}")
+        return random_function(n, int(spec["seed"]))
+    bits = spec["table"]
+    return BooleanFunction(n, _bit_string(bits) if isinstance(bits, str) else bits)

@@ -22,16 +22,12 @@ from itertools import count
 
 import numpy as np
 
-from .boolfun import BooleanFunction
+from .boolfun import PAIR_BUDGET, BooleanFunction, BudgetExceeded
 
 # protocols are message assignments {0,1}^n -> {0,1}^k: the guard counts
-# (Alice, Bob) pairs of them, and an enumeration block has <= _BLOCK cells
-PAIR_BUDGET = 1 << 24
+# (Alice, Bob) pairs of them against PAIR_BUDGET, and an enumeration block
+# has <= _BLOCK cells
 _BLOCK = 1 << 19
-
-
-class BudgetExceeded(Exception):
-    """Raised when an enumeration would exceed the configured budget."""
 
 
 def _num_assignments(side: int, k: int) -> int:

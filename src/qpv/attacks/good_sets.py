@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import qcore as qc
+from ..qcore.ops import _row_dot
 from .strategy import ALICE_FINAL, BOB_FINAL, attack_layout, bell_core, rest_registers
 
 ROUTE_SIDES = {"S0": (ALICE_FINAL, "A"), "S1": (BOB_FINAL, "B")}
@@ -61,8 +62,7 @@ def perturb_within(vecs: np.ndarray, eps: float, noise, uniforms):
     sin_a, out = np.zeros(len(vecs)), vecs
     if eps > 0:
         noise = qc.unit_finish(noise)
-        # each row's vdot as a stacked vector-vector matmul: the same BLAS dot
-        noise = noise - (vecs.conj()[:, None] @ noise[:, :, None])[:, 0] * vecs
+        noise = noise - _row_dot(vecs.conj(), noise)[:, None] * vecs
         nn = qc.vector_norm(noise)
         moves = nn >= 1e-12
         if isinstance(uniforms, np.random.Generator):

@@ -27,6 +27,7 @@ from ..attacks.good_sets import (
 from ..attacks.strategy import ALICE_FINAL, BOB_FINAL, bell_core, rest_registers
 from ..protocol.runs import m1_accept_probability, m2_accept_probability
 from ..qcore.layout import rows_first
+from ..qcore.ops import _row_dot
 from .report import BoundReport
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
@@ -63,18 +64,19 @@ def check_cit(trials: int = 1000, seed: int = 0) -> BoundReport:
     """H(measured R with E) + H(conjugately measured R with F) >= 1, with E
     and F of 1 or 2 qubits each."""
     _need_trials("cit", trials)
-    widths, vecs = [], []
+    # per trial: both widths, then 2 * 2^(1 + we + wf) <= 64 normals
+    widths, z = [], np.empty((trials, 64))
     for t, rng in enumerate(qc.trial_streams(seed, "cit", trials)):
         we = 1 + int(rng.integers(2))
         wf = 1 + int(rng.integers(2))
         widths.append((we, wf))
-        vecs.append(qc.random_unit_vector(1 << (1 + we + wf), rng))
+        rng.standard_normal(out=z[t, :4 << (we + wf)])
     # totals[t, theta]: R measured in basis theta against E, in 1 - theta against F
     totals = np.full((trials, 2), math.inf)
     for we, wf in sorted(set(widths)):
         layout = qc.RegisterLayout([("R", 1), ("E", we), ("F", wf)])
         idx = [t for t, w in enumerate(widths) if w == (we, wf)]
-        group = np.stack([vecs[t] for t in idx])
+        group = qc.unit_finish(z[idx, :2 * layout.dim])
         for theta in (0, 1):
             totals[idx, theta] = (
                 qc.conditional_entropy_pure(group, layout, "R", ("E",), ("R", theta))
@@ -101,8 +103,8 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
     k_dim, l_dim = layout.subdim(*ALICE_FINAL), layout.subdim(*BOB_FINAL)
     # per trial: phi0's and phi1's normals, then the Ginibre parts of K and L
     sizes = [2 * phi_dims[0], 2 * phi_dims[1], 2 * k_dim ** 2, 2 * l_dim ** 2]
-    overlaps = []
-    for _, [(z, _)] in _draw_blocks(seed, "overlap", trials, (sum(sizes),)):
+    overlaps = np.empty(trials)
+    for start, [(z, _)] in _draw_blocks(seed, "overlap", trials, (sum(sizes),)):
         z0, z1, zk, zl = np.split(z, np.cumsum(sizes)[:-1], axis=1)
         k = qc.haar_finish(zk.reshape(-1, 2, k_dim, k_dim))
         lu = qc.haar_finish(zl.reshape(-1, 2, l_dim, l_dim))
@@ -110,7 +112,9 @@ def check_recovery_overlap(trials: int = 1000, seed: int = 0) -> BoundReport:
                                       k.conj().transpose(0, 2, 1), ALICE_FINAL)
         psi1 = qc.apply_vector_matrix(bell_core(layout, "B", qc.unit_finish(z1)), layout,
                                       lu.conj().transpose(0, 2, 1), BOB_FINAL)
-        overlaps += [abs(np.vdot(a, b)) for a, b in zip(psi0, psi1)]
+        c = _row_dot(psi0.conj(), psi1)
+        # hypot is abs() of a complex scalar; np.abs rounds apart
+        overlaps[start:start + len(c)] = np.hypot(c.real, c.imag)
     t = int(np.argmax(overlaps))
     witness = {"trial": t, "overlap": overlaps[t]}
     worst = overlaps[t]
@@ -136,20 +140,20 @@ def check_low_fidelity_route(eps: float = 0.41, trials: int = 100,
     layout = small_attack_layout()
     bound = SQRT3_HALF - 2 * eps
     n0, n1 = (route_draws(layout, which, eps)[-1] for which in ("S0", "S1"))
-    dists = []
+    dists = np.empty(trials)
     # per trial and side: the member's normals, then its uniform when eps > 0
     for start, [(z0, u0), (z1, u1)] in _draw_blocks(seed, "route-sep", trials,
                                                     (n0, n1), eps > 0):
         psi0, s0 = route_members(layout, "S0", eps, z0, u0)
         psi1, s1 = route_members(layout, "S1", eps, z1, u1)
-        dists += map(qc.purified_distance_pure, psi0, psi1)
+        dists[start:start + len(psi0)] = qc.purified_distance_pure(psi0, psi1)
         # a side that did not move drew no uniform and its trial read on: replay it
         for t in start + np.flatnonzero((s0 == 0) | (s1 == 0)) if eps > 0 else ():
             rng = qc.stream(seed, "route-sep", t)
             psi0 = route_member(layout, "S0", eps, rng)
             dists[t] = qc.purified_distance_pure(psi0, route_member(layout, "S1", eps, rng))
     t = int(np.argmin(dists))
-    worst = dists[t]
+    worst = float(dists[t])
     witness = {"trial": t, "distance": worst}
     witness["threshold_0046"] = worst > 0.046
     return BoundReport.verdict("low_fidelity_route", worst, ">=", bound, trials=trials,
@@ -204,24 +208,20 @@ def check_fano_chain(trials: int = 1000, seed: int = 0) -> BoundReport:
     # little-endian index = z + 2w + 4p
     layout = qc.RegisterLayout([("R", 1), ("W", 1), ("P", 1)])
     vecs = np.zeros((trials, layout.dim), dtype=complex)
-    errors = np.zeros(trials)
-    for t, rng in enumerate(qc.trial_streams(seed, "fano", trials)):
-        e = err_cap * rng.random()
-        errors[t] = e
-        if t % 2 == 0:
-            # classical binary symmetric channel with flip probability e,
-            # purified by P: W = z with weight 1 - e (P = 0), W = 1 - z with
-            # weight e (P = 1)
-            vecs[t, [0b000, 0b011]] = math.sqrt((1 - e) / 2)
-            vecs[t, [0b101, 0b110]] = math.sqrt(e / 2)
-        else:
-            # pure conditionals at the Helstrom-matched overlap, P = 0
-            ov = 2 * math.sqrt(e * (1 - e))
-            chi0 = np.array([1.0, 0.0], dtype=complex)
-            chi1 = np.array([ov, math.sqrt(max(0.0, 1 - ov * ov))], dtype=complex)
-            for z, chi in ((0, chi0), (1, chi1)):
-                for w in (0, 1):
-                    vecs[t, z + 2 * w] = math.sqrt(0.5) * chi[w]
+    errors = err_cap * np.array([rng.random() for rng in qc.trial_streams(seed, "fano", trials)])
+    # even trials: classical binary symmetric channel with flip probability e,
+    # purified by P: W = z with weight 1 - e (P = 0), W = 1 - z with weight e (P = 1)
+    e = errors[0::2, None]
+    vecs[0::2, [0b000, 0b011]] = np.sqrt((1 - e) / 2)
+    vecs[0::2, [0b101, 0b110]] = np.sqrt(e / 2)
+    # odd trials: pure conditionals at the Helstrom-matched overlap, P = 0;
+    # chi0 = (1, 0) for z = 0 and chi1 = (ov, sqrt(1 - ov^2)) for z = 1 at
+    # index z + 2w, scaled by sqrt(1/2)
+    e = errors[1::2]
+    ov = 2 * np.sqrt(e * (1 - e))
+    vecs[1::2, 0] = math.sqrt(0.5)
+    vecs[1::2, 1] = math.sqrt(0.5) * ov
+    vecs[1::2, 3] = math.sqrt(0.5) * np.sqrt(np.maximum(0.0, 1 - ov * ov))
     guess = helstrom_guess_pure(vecs, layout, 0, ("W",))
     if np.any(guess < 1 - err_cap - 1e-9):
         raise AssertionError("sampler violated its own premise")
@@ -252,7 +252,7 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
         for t in start + np.flatnonzero(~common):
             rng = qc.stream(seed, "meas-sep", t)
             phi0[t], phi1[t] = (meas_member(layout, which, eps, rng) for which in ("S0", "S1"))
-    dists = np.array([qc.purified_distance_pure(a, b) for a, b in zip(phi0, phi1)])
+    dists = qc.purified_distance_pure(phi0, phi1)
     h0 = qc.conditional_entropy_pure(phi0, layout, "R", ALICE_FINAL, ("R", 0))
     h1 = qc.conditional_entropy_pure(phi1, layout, "R", BOB_FINAL, ("R", 1))
     sigma0 = qc.conditional_entropy_pure(phi0, layout, "R", BOB_FINAL, ("R", 1))
@@ -283,13 +283,14 @@ def check_m1_m2(trials: int = 1000, seed: int = 0) -> BoundReport:
     worst = math.inf
     witness = {}
     for start, [(z, _)] in _draw_blocks(seed, "m1m2", trials, (32,)):
-        for t, rho in enumerate(qc.density_finish(z.reshape(-1, 2, 4, 4)), start):
-            m1 = m1_accept_probability(rho)
-            m2 = m2_accept_probability(rho)
-            slack = min(m2 - m1, m1 - (2 * m2 - 1))
-            if slack < worst:
-                worst = slack
-                witness = {"trial": t, "m1": m1, "m2": m2}
+        rho = qc.density_finish(z.reshape(-1, 2, 4, 4))
+        m1, m2 = m1_accept_probability(rho), m2_accept_probability(rho)
+        slack = np.minimum(m2 - m1, m1 - (2 * m2 - 1))
+        # argmin returns the first minimum: the earliest trial wins ties
+        i = int(np.argmin(slack))
+        if slack[i] < worst:
+            worst = float(slack[i])
+            witness = {"trial": start + i, "m1": float(m1[i]), "m2": float(m2[i])}
     return BoundReport.verdict("m1_m2", worst, ">=", 0.0, trials=trials, tolerance=1e-9,
                                worst_case=witness)
 

@@ -47,22 +47,24 @@ class ProtocolRun:
     details: dict = field(default_factory=dict)
 
 
-def m1_accept_probability(rho: np.ndarray) -> float:
-    """Probability that the two-qubit Bell test {|Omega><Omega|, rest} accepts."""
+def m1_accept_probability(rho: np.ndarray):
+    """Probability that the two-qubit Bell test {|Omega><Omega|, rest} accepts
+    (a float), or each one of a ``(b, 4, 4)`` stack (an array)."""
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("M1 is defined on two qubits")
     return qc.expectation(qc.BELL_VECTOR, rho)
 
 
-def m2_accept_probability(rho: np.ndarray) -> float:
-    """Acceptance of the basis-sampled local replacement of the Bell test.
+def m2_accept_probability(rho: np.ndarray):
+    """Acceptance of the basis-sampled local replacement of the Bell test,
+    for one pair or each of a ``(b, 4, 4)`` stack, as M1.
 
     With probability 1/2 each, both qubits are measured in the computational
     or the Hadamard basis and accepted on equal outcomes.
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("M2 is defined on two qubits")
     p_omega = qc.expectation(qc.BELL_VECTOR, rho)
     p_1 = qc.expectation(qc.PHI1_VECTOR, rho)

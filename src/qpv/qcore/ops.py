@@ -206,9 +206,18 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def expectation(vec: np.ndarray, rho: np.ndarray) -> float:
-    """<v|rho|v>, real part, for a vector and a matrix of matching dimension."""
-    return float(np.vdot(vec, rho @ vec).real)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] b[..., i] of each row pair (no conjugate), broadcast
+    over the leading axes: one BLAS dot per row, in the order and with the
+    strides ``np.dot`` and ``np.vdot`` use on that row alone."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def expectation(vec: np.ndarray, rho: np.ndarray):
+    """<v|rho|v>, real part, for a vector and a matrix of matching dimension
+    (a float), or for each matrix of a ``(b, d, d)`` stack (an array)."""
+    value = _row_dot(vec.conj(), rho @ vec).real
+    return float(value) if np.ndim(rho) == 2 else value
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -221,9 +230,14 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(min(np.sum(np.sqrt(vals)), 1.0))
 
 
-def purified_distance_pure(u: np.ndarray, v: np.ndarray) -> float:
-    f = abs(np.vdot(u, v))
-    return math.sqrt(max(0.0, 1.0 - f * f))
+def purified_distance_pure(u: np.ndarray, v: np.ndarray):
+    """sqrt(1 - |<u|v>|^2) of two unit vectors (a float), or of each row pair
+    of two batches (an array)."""
+    c = _row_dot(u.conj(), v)
+    # hypot is abs() of a complex scalar; np.abs rounds apart
+    f = np.hypot(c.real, c.imag)
+    dist = np.sqrt(np.maximum(0.0, 1.0 - f * f))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _spectral_entropy(vals: np.ndarray) -> np.ndarray:

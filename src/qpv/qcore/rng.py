@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .layout import RegisterLayout
+from .ops import _row_dot
 
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -179,11 +180,11 @@ def haar_random_unitary(dim: int, rng, count: int | None = None) -> np.ndarray:
 
 
 def vector_norm(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row along the last axis, which is kept: two
-    dots a contiguous row, since a batched or strided reduction rounds apart."""
-    rows = v.reshape(np.prod(v.shape[:-1], dtype=int), v.shape[-1])
-    return np.reshape([np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in rows],
-                      v.shape[:-1] + (1,))
+    """``np.linalg.norm`` of each row along the last axis, which is kept: the
+    same two dots per row, on contiguous rows as that function copies them,
+    so the same bits (a pairwise ``np.sum`` of squares rounds apart)."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))[..., None]
 
 
 def unit_finish(z: np.ndarray) -> np.ndarray:

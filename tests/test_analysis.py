@@ -61,6 +61,20 @@ def test_function_from_spec():
     assert f.value(0, 1) == 1 and f.value(1, 1) == 0
     with pytest.raises(ValueError):
         an.function_from_spec({"kind": "bogus"})
+    with pytest.raises(ValueError, match="^table entries must be bits$"):
+        an.function_from_spec({"kind": "table", "n": 1, "table": "01\u00e90"})
+
+
+@pytest.mark.parametrize("kind", ["ip", "xor", "constant", "random", "table"])
+def test_function_n_is_bounded_before_the_table_is_built(kind):
+    """n = 13 is the first n whose 2^(2n) entries exceed PAIR_BUDGET; n = 12
+    is admitted (checked on a short table, which fails on its length)."""
+    spec = {"kind": kind, "seed": 0, "table": "0110"}
+    with pytest.raises(an.BudgetExceeded, match="^f.n: a 2\\^26-entry table"):
+        an.function_from_spec({**spec, "n": 13})
+    if kind == "table":
+        with pytest.raises(ValueError, match=f"^table must have length {1 << 24}$"):
+            an.function_from_spec({**spec, "n": 12})
 
 
 # ---------------------------------------------------------------------------

@@ -611,6 +611,16 @@ PINNED_ERRORS = {
                            "table entries must be bits"),
     "f-bit-negative": ("simulate", _with(SIM, f={"kind": "constant", "bit": -1}),
                        "table entries must be bits"),
+    "f-table-non-ascii": ("simulate", _with(SIM, f={"kind": "table", "table": "01\u00e90"}),
+                          "table entries must be bits"),
+    # a table longer than PAIR_BUDGET is refused before anything is built
+    "f-n-budget": ("simulate", _with(SIM, f={"kind": "random", "n": 20}),
+                   "budget exceeded: f.n: a 2^40-entry table exceeds budget 16777216", 3),
+    "f-n-inherited-budget": ("simulate", _with(SIM, n=13, f={"kind": "ip"}),
+                             "budget exceeded: f.n: a 2^26-entry table exceeds budget 16777216",
+                             3),
+    "cc-f-n-budget": ("bounds", {"kind": "cc", "k": 1, "f": {"kind": "xor", "n": 13}},
+                      "budget exceeded: f.n: a 2^26-entry table exceeds budget 16777216", 3),
     # the prover spec
     "prover-not-object": ("simulate", _with(SIM, prover=5), "prover: expected an object"),
     "prover-unknown-key": ("simulate", _prover(kind="honest", q=1),
@@ -897,6 +907,20 @@ def test_function_and_prover_kinds_admit_every_key_they_read(tmp_path, capsys, m
     code, out, err = run_cli(capsys, "simulate", "--config", cfg)
     assert (code, err) == (cli.EXIT_OK, "")
     assert json.loads(out)["rounds"] == SIM["rounds"]
+
+
+@pytest.mark.parametrize("text, message, code", [
+    ("n=13\n0\n", "budget exceeded: f.n: a 2^26-entry table exceeds budget 16777216", 3),
+    ("n=1\n01\u00e90\n", "error: expected 4 table bits, got 5", 2),
+    ("n=1\n01\u00e9\n", "error: table entries must be bits", 2),
+], ids=["budget", "non-ascii-length", "non-ascii-entry"])
+def test_function_file_is_refused_by_rule(tmp_path, capsys, monkeypatch, text, message, code):
+    """A file's n is bounded before its table is read, and a non-ASCII byte
+    is refused as a table entry, never with the codec's message."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text(text, encoding="utf-8")
+    cfg = write_config(tmp_path, "s.json", _with(SIM, f={"kind": "file", "path": "f.txt"}))
+    assert run_cli(capsys, "simulate", "--config", cfg) == (code, "", message + "\n")
 
 
 def test_unentangled_false_is_the_default(tmp_path, capsys):

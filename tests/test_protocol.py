@@ -193,12 +193,14 @@ def test_m1_m2_examples():
 
 
 def test_m1_m2_implications_on_random_states():
-    for t in range(300):
-        rho = qc.random_density_matrix(4, qc.stream(17, t))
-        m1 = pr.m1_accept_probability(rho)
-        m2 = pr.m2_accept_probability(rho)
+    rhos = np.stack([qc.random_density_matrix(4, qc.stream(17, t)) for t in range(300)])
+    singles = [(pr.m1_accept_probability(rho), pr.m2_accept_probability(rho)) for rho in rhos]
+    for m1, m2 in singles:
         assert m2 >= m1 - 1e-9          # 1 - M1 <= d  =>  1 - M2 <= d
         assert m1 >= 2 * m2 - 1 - 1e-9  # 1 - M2 <= d  =>  1 - M1 <= 2d
+    # a stack scores each pair as it alone scores
+    stacked = (pr.m1_accept_probability(rhos), pr.m2_accept_probability(rhos))
+    assert np.array_equal(np.stack(stacked, axis=1), singles)
 
 
 # ---------------------------------------------------------------------------

@@ -567,6 +567,38 @@ def test_vector_norm_equals_numpy_norm():
         assert qc.vector_norm(real) == np.linalg.norm(real)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 64, 1000])
+def test_vector_norm_of_a_batch_equals_numpy_norm_per_row(dim):
+    """Every row of a batch, bit for bit, whatever the batch's shape or
+    strides: a 2-D and a 3-D batch, an all-zero row, rows of large and small
+    scale, and the strided ``.real`` view of a complex batch."""
+    g = qc.stream(8, "norm-rows", dim)
+    batch = g.standard_normal((2, 3, dim)) + 1j * g.standard_normal((2, 3, dim))
+    batch[0, 1] = 0
+    batch[1, 0] *= 1e150
+    batch[1, 2] *= 1e-150
+    for v in (batch, batch.reshape(6, dim), batch.real):
+        rows = v.reshape(-1, dim)
+        want = np.array([np.linalg.norm(row) for row in rows])
+        got = qc.vector_norm(v)
+        assert got.shape == v.shape[:-1] + (1,)
+        assert np.array_equal(got.reshape(-1), want)
+    assert qc.vector_norm(batch)[0, 1, 0] == 0.0
+
+
+def test_stacked_expectation_equals_vdot_per_matrix():
+    """<v|rho|v> of each 4 x 4 matrix of a stack is np.vdot's, bit for bit,
+    and one matrix still gives a float."""
+    g = qc.stream(9, "expectation")
+    for _ in range(500):
+        rho = g.standard_normal((6, 4, 4)) + 1j * g.standard_normal((6, 4, 4))
+        vec = g.standard_normal(4) + 1j * g.standard_normal(4)
+        want = np.array([np.vdot(vec, r @ vec).real for r in rho])
+        assert np.array_equal(qc.expectation(vec, rho), want)
+        single = qc.expectation(vec, rho[0])
+        assert type(single) is float and single == want[0]
+
+
 def test_haar_first_moment():
     g = qc.stream(102)
     vals = [abs(qc.random_unit_vector(2, g)[0]) ** 2 for _ in range(10_000)]

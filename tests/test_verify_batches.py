@@ -13,8 +13,8 @@ from qpv.attacks.strategy import bell_core, rest_registers
 from qpv.checks import suites
 
 # trial counts that cross a block boundary where the default count does
-REDUCED = {"recovery_overlap": 130, "low_fidelity_route": 40, "afw": 250,
-           "meas_disjoint": 40, "m1_m2": 250}
+REDUCED = {"cit": 250, "recovery_overlap": 130, "low_fidelity_route": 40, "afw": 250,
+           "fano_chain": 250, "meas_disjoint": 40, "m1_m2": 250}
 
 
 @pytest.mark.parametrize("seed", range(10))

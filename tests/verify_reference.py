@@ -1,4 +1,4 @@
-"""Per-trial reference for five verify suites: the samplers and suite bodies
+"""Per-trial reference for seven verify suites: the samplers and suite bodies
 as they read each trial's stream one draw at a time, before the suites drew
 each trial's randomness as one row and finished it in blocks of trials."""
 
@@ -20,6 +20,11 @@ from qpv.protocol.runs import m1_accept_probability, m2_accept_probability
 
 def vector_norm(v):
     return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def purified_distance_pure(u, v):
+    f = abs(np.vdot(u, v))
+    return math.sqrt(max(0.0, 1.0 - f * f))
 
 
 def random_unit_vector(dim, rng):
@@ -66,6 +71,31 @@ def meas_member(layout, which, eps, rng):
     return vec.copy()
 
 
+def check_cit(trials=1000, seed=0):
+    widths, vecs = [], []
+    for t, rng in enumerate(qc.trial_streams(seed, "cit", trials)):
+        we = 1 + int(rng.integers(2))
+        wf = 1 + int(rng.integers(2))
+        widths.append((we, wf))
+        vecs.append(random_unit_vector(1 << (1 + we + wf), rng))
+    totals = np.full((trials, 2), math.inf)
+    for we, wf in sorted(set(widths)):
+        layout = qc.RegisterLayout([("R", 1), ("E", we), ("F", wf)])
+        idx = [t for t, w in enumerate(widths) if w == (we, wf)]
+        group = np.stack([vecs[t] for t in idx])
+        for theta in (0, 1):
+            totals[idx, theta] = (
+                qc.conditional_entropy_pure(group, layout, "R", ("E",), ("R", theta))
+                + qc.conditional_entropy_pure(group, layout, "R", ("F",), ("R", 1 - theta)))
+    t, theta = divmod(int(np.argmin(totals)), 2)
+    worst = float(totals[t, theta])
+    we, wf = widths[t]
+    witness = {"trial": t, "dims": [2 ** we, 2 ** wf], "theta": theta, "sum": worst}
+    return BoundReport(name="cit", lhs=worst, rhs=1.0, relation=">=",
+                       passed=holds(worst, ">=", 1.0, 1e-7), trials=trials,
+                       tolerance=1e-7, worst_case=witness)
+
+
 def check_recovery_overlap(trials=1000, seed=0):
     layout = small_attack_layout()
     phi_dims = [layout.subdim(*rest_registers(layout, "R", ret)) for ret in ("A", "B")]
@@ -109,7 +139,7 @@ def check_low_fidelity_route(eps=0.41, trials=100, seed=0):
     for t, rng in enumerate(qc.trial_streams(seed, "route-sep", trials)):
         psi0 = route_member(layout, "S0", eps, rng)
         psi1 = route_member(layout, "S1", eps, rng)
-        dist = qc.purified_distance_pure(psi0, psi1)
+        dist = purified_distance_pure(psi0, psi1)
         if dist < worst:
             worst = dist
             witness = {"trial": t, "distance": dist}
@@ -145,6 +175,37 @@ def check_afw(trials=1000, seed=0):
                        tolerance=1e-9, worst_case=witness)
 
 
+def check_fano_chain(trials=1000, seed=0):
+    err_cap = 0.3 * 0.3
+    cap = qc.binary_entropy(err_cap)
+    layout = qc.RegisterLayout([("R", 1), ("W", 1), ("P", 1)])
+    vecs = np.zeros((trials, layout.dim), dtype=complex)
+    errors = np.zeros(trials)
+    for t, rng in enumerate(qc.trial_streams(seed, "fano", trials)):
+        e = err_cap * rng.random()
+        errors[t] = e
+        if t % 2 == 0:
+            vecs[t, [0b000, 0b011]] = math.sqrt((1 - e) / 2)
+            vecs[t, [0b101, 0b110]] = math.sqrt(e / 2)
+        else:
+            ov = 2 * math.sqrt(e * (1 - e))
+            chi0 = np.array([1.0, 0.0], dtype=complex)
+            chi1 = np.array([ov, math.sqrt(max(0.0, 1 - ov * ov))], dtype=complex)
+            for z, chi in ((0, chi0), (1, chi1)):
+                for w in (0, 1):
+                    vecs[t, z + 2 * w] = math.sqrt(0.5) * chi[w]
+    guess = good_sets.helstrom_guess_pure(vecs, layout, 0, ("W",))
+    if np.any(guess < 1 - err_cap - 1e-9):
+        raise AssertionError("sampler violated its own premise")
+    ents = qc.conditional_entropy_pure(vecs, layout, "R", ("W",), ("R", 0))
+    t = int(np.argmax(ents))
+    worst = float(ents[t])
+    witness = {"trial": t, "entropy": worst, "error": float(errors[t])}
+    return BoundReport(name="fano_chain", lhs=worst, rhs=cap, relation="<=",
+                       passed=holds(worst, "<=", cap, 1e-9), trials=trials,
+                       tolerance=1e-9, worst_case=witness)
+
+
 def check_meas_disjoint(trials=100, seed=0):
     delta = qc.binary_entropy(0.09)
     layout = small_attack_layout()
@@ -154,7 +215,7 @@ def check_meas_disjoint(trials=100, seed=0):
     for t, rng in enumerate(qc.trial_streams(seed, "meas-sep", trials)):
         phi0[t] = meas_member(layout, "S0", 0.25, rng)
         phi1[t] = meas_member(layout, "S1", 0.25, rng)
-        dists[t] = qc.purified_distance_pure(phi0[t], phi1[t])
+        dists[t] = purified_distance_pure(phi0[t], phi1[t])
     h0 = qc.conditional_entropy_pure(phi0, layout, "R", ALICE_FINAL, ("R", 0))
     h1 = qc.conditional_entropy_pure(phi1, layout, "R", BOB_FINAL, ("R", 1))
     sigma0 = qc.conditional_entropy_pure(phi0, layout, "R", BOB_FINAL, ("R", 1))
@@ -193,9 +254,11 @@ def check_m1_m2(trials=1000, seed=0):
 
 
 CHECKS = {
+    "cit": check_cit,
     "recovery_overlap": check_recovery_overlap,
     "low_fidelity_route": check_low_fidelity_route,
     "afw": check_afw,
+    "fano_chain": check_fano_chain,
     "meas_disjoint": check_meas_disjoint,
     "m1_m2": check_m1_m2,
 }

@@ -31,8 +31,11 @@ class BooleanFunction:
             raise ValueError("n must be at least 1")
         if table.shape != (1 << (2 * self.n),):
             raise ValueError(f"table must have length {1 << (2 * self.n)}")
-        # checked before the uint8 cast, which would wrap -1 and truncate 0.5
-        if table.dtype.kind not in "biuf" or not np.all((table == 0) | (table == 1)):
+        # checked before the uint8 cast, which would wrap -1 and truncate 0.5;
+        # unsigned entries are bits when the largest is, with no temporary table
+        kind = table.dtype.kind
+        if kind not in "biuf" or not (table.max() <= 1 if kind in "bu"
+                                      else np.all((table == 0) | (table == 1))):
             raise ValueError("table entries must be bits")
         table = table.astype(np.uint8, copy=False)
         table.flags.writeable = False
@@ -56,16 +59,16 @@ class BooleanFunction:
 
 
 def _parity_function(n: int, combine) -> BooleanFunction:
-    """f(x, y) = parity of the bits of combine(x, y)."""
+    """f(x, y) = parity of the bits of combine(x, y), built in uint8 one bit
+    at a time: with x = 2^k x_k + x' (and y alike), the table on k + 1 bits
+    is the 1-bit table on (x_k, y_k) XOR the k-bit table on (x', y')."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    side = 1 << n
-    xs = np.arange(side)
-    merged = combine(xs[:, None], xs[None, :])
-    bits = np.zeros((side, side), dtype=np.uint8)
-    for k in range(n):
-        bits ^= ((merged >> k) & 1).astype(np.uint8)
-    return BooleanFunction(n, bits.reshape(-1))
+    table = bit = combine(*np.ix_([0, 1], [0, 1])).astype(np.uint8)
+    for _ in range(n - 1):
+        side = 2 * len(table)
+        table = (bit[:, None, :, None] ^ table[None, :, None, :]).reshape(side, side)
+    return BooleanFunction(n, table.reshape(-1))
 
 
 def ip_function(n: int) -> BooleanFunction:

@@ -17,8 +17,8 @@ from .gardenhose import (
     trace_water,
 )
 from .good_sets import (
-    meas_member,
-    route_member,
+    meas_members,
+    route_members,
     small_attack_layout,
 )
 from .seesaw import (

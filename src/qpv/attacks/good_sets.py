@@ -1,13 +1,14 @@
-"""Constructive samplers and the measuring membership rule for the
-recoverable-state sets.
+"""Batched samplers and the measuring membership rule for the recoverable-
+state sets.
 
 The routing sets contain states from which one side's recovery unitary can
 restore the shared pair with the reference qubit; the measuring sets contain
 states from which BOTH sides can guess the reference measurement outcome in
-the relevant basis.  A routing member holds by construction: the preimage of
-the Bell pair under a recovery unitary, perturbed within eps.  Measuring
-membership is the closed-form Helstrom bound (meas_figure), which meas_member
-checks on every candidate.
+the relevant basis.  Each set has one sampler over rows of draws, and no row's
+draws depend on its state.  A routing member is the preimage of the Bell pair
+under a recovery unitary, perturbed within eps (route_members).  A measuring
+member is the readable core perturbed within eps, or the core itself where the
+closed-form Helstrom bound (meas_figure) refuses the candidate (meas_members).
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ from .strategy import ALICE_FINAL, BOB_FINAL, attack_layout, bell_core, rest_reg
 ROUTE_SIDES = {"S0": (ALICE_FINAL, "A"), "S1": (BOB_FINAL, "B")}
 
 
-def _helstrom(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """(1 + ||C0 - C1||_1)/2 over the trailing matrix axes."""
-    diff = c0 - c1
-    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2
-    return 0.5 * (1.0 + np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
-
-
 def helstrom_guess_pure(vecs: np.ndarray, layout: qc.RegisterLayout, basis: int,
                         regs) -> np.ndarray:
     """Optimal probability of guessing the reference measurement outcome from
@@ -37,7 +31,9 @@ def helstrom_guess_pure(vecs: np.ndarray, layout: qc.RegisterLayout, basis: int,
     for each pure vector in a (b, dim) batch."""
     m = qc.branch_matrices(vecs, layout, "R", basis, regs)
     c = m @ m.conj().swapaxes(-1, -2)   # C_z = tr_rest |psi_z><psi_z|
-    return _helstrom(c[:, 0], c[:, 1])
+    diff = c[:, 0] - c[:, 1]
+    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2
+    return 0.5 * (1.0 + np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
 
 
 def meas_figure(vecs: np.ndarray, layout: qc.RegisterLayout, which: str, eps: float):
@@ -50,24 +46,22 @@ def meas_figure(vecs: np.ndarray, layout: qc.RegisterLayout, which: str, eps: fl
 
 # ---------------------------------------------------------------------------
 # constructive members (witness core + verified perturbation), batched over
-# rows of draws; a per-trial sampler is the batch of one
+# rows of draws
 # ---------------------------------------------------------------------------
 
 def perturb_within(vecs: np.ndarray, eps: float, noise, uniforms):
     """Rotate each unit row of a (b, d) batch toward the random_unit_vector
     finish of its ``noise`` row by sin(a) = eps * its uniform, so within
     purified distance sin(a); returns the normalized rows and sin(a).  A row
-    whose noise is parallel to it stays and uses no uniform, so ``uniforms``
-    may be a generator drawing one per row that moves (a per-trial sampler)."""
+    whose noise is parallel to it stays, with sin(a) = 0; its uniform is
+    drawn all the same."""
     sin_a, out = np.zeros(len(vecs)), vecs
     if eps > 0:
         noise = qc.unit_finish(noise)
         noise = noise - _row_dot(vecs.conj(), noise)[:, None] * vecs
         nn = qc.vector_norm(noise)
         moves = nn >= 1e-12
-        if isinstance(uniforms, np.random.Generator):
-            uniforms = [uniforms.random() if m else 0.0 for m in moves[:, 0]]
-        sin_a = np.where(moves[:, 0], eps * np.asarray(uniforms), 0.0)
+        sin_a = np.where(moves[:, 0], eps * uniforms, 0.0)
         # float_power is libm pow, as float ** 2 is; np.square rounds apart
         out = np.where(moves, np.sqrt(1 - np.float_power(sin_a, 2))[:, None] * vecs
                        + sin_a[:, None] * (noise / np.where(moves, nn, 1.0)), vecs)
@@ -98,16 +92,9 @@ def route_members(layout: qc.RegisterLayout, which: str, eps: float, rows, unifo
     return perturb_within(vec, eps, noise, uniforms)
 
 
-def route_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
-    """One member of route_members, drawn from ``rng``."""
-    rng = qc.as_generator(rng)
-    rows = rng.standard_normal((1, route_draws(layout, which, eps)[-1]))
-    return route_members(layout, which, eps, rows, rng)[0][0]
-
-
 @lru_cache(maxsize=16)
 def meas_core(layout: qc.RegisterLayout, basis: int) -> np.ndarray:
-    """meas_member's unperturbed state (R copied into A and B), kept read-only."""
+    """The unperturbed state of meas_members (R copied into A and B), kept read-only."""
     if not (layout.width("A") and layout.width("B")):
         raise ValueError("need 1-qubit A and B registers for readable copies")
     r_q, a_read, b_read = (layout.positions(name)[0] for name in ("R", "A", "B"))
@@ -125,19 +112,14 @@ def meas_core(layout: qc.RegisterLayout, basis: int) -> np.ndarray:
     return vec
 
 
-def meas_member(layout: qc.RegisterLayout, which: str, eps: float, rng):
-    """State vector whose reference bit is readable by BOTH sides in the
-    relevant basis, perturbed while re-verifying the guessing premise."""
-    rng = qc.as_generator(rng)
-    core = meas_core(layout, 0 if which == "S0" else 1)
-    scale = eps
-    for _ in range(12):
-        noise = rng.standard_normal((1, 2 * layout.dim)) if scale > 0 else None
-        cand = perturb_within(core[None], scale, noise, rng)[0][0]
-        if meas_figure(cand[None], layout, which, eps)[1][0]:
-            return cand
-        scale *= 0.5
-    return core.copy()
+def meas_members(layout: qc.RegisterLayout, which: str, eps: float, noise, uniforms):
+    """The core whose reference bit both sides read in the basis of ``which``,
+    perturbed within eps by each row of ``noise`` and its uniform (see
+    perturb_within); a candidate that meas_figure refuses is the core."""
+    core = meas_core(layout, int(which == "S1"))
+    cands = perturb_within(np.broadcast_to(core, (len(noise), core.size)), eps, noise,
+                           uniforms)[0]
+    return np.where(meas_figure(cands, layout, which, eps)[1][:, None], cands, core)
 
 
 def small_attack_layout() -> qc.RegisterLayout:

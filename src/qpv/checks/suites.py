@@ -15,12 +15,9 @@ import numpy as np
 from .. import qcore as qc
 from ..attacks.good_sets import (
     helstrom_guess_pure,
-    meas_core,
-    meas_figure,
-    meas_member,
+    meas_members,
     perturb_within,
     route_draws,
-    route_member,
     route_members,
     small_attack_layout,
 )
@@ -144,14 +141,9 @@ def check_low_fidelity_route(eps: float = 0.41, trials: int = 100,
     # per trial and side: the member's normals, then its uniform when eps > 0
     for start, [(z0, u0), (z1, u1)] in _draw_blocks(seed, "route-sep", trials,
                                                     (n0, n1), eps > 0):
-        psi0, s0 = route_members(layout, "S0", eps, z0, u0)
-        psi1, s1 = route_members(layout, "S1", eps, z1, u1)
+        psi0 = route_members(layout, "S0", eps, z0, u0)[0]
+        psi1 = route_members(layout, "S1", eps, z1, u1)[0]
         dists[start:start + len(psi0)] = qc.purified_distance_pure(psi0, psi1)
-        # a side that did not move drew no uniform and its trial read on: replay it
-        for t in start + np.flatnonzero((s0 == 0) | (s1 == 0)) if eps > 0 else ():
-            rng = qc.stream(seed, "route-sep", t)
-            psi0 = route_member(layout, "S0", eps, rng)
-            dists[t] = qc.purified_distance_pure(psi0, route_member(layout, "S1", eps, rng))
     t = int(np.argmin(dists))
     worst = float(dists[t])
     witness = {"trial": t, "distance": worst}
@@ -239,19 +231,11 @@ def check_meas_disjoint(trials: int = 100, seed: int = 0) -> BoundReport:
     delta = qc.binary_entropy(0.09)
     eps = 0.25
     layout = small_attack_layout()
-    phi0, phi1 = (np.zeros((trials, layout.dim), dtype=complex) for _ in range(2))
-    # per trial and side: the first candidate's noise and uniform
+    phi0, phi1 = (np.empty((trials, layout.dim), dtype=complex) for _ in range(2))
+    # per trial and side: the candidate's noise, then its uniform
     for start, segments in _draw_blocks(seed, "meas-sep", trials, (2 * layout.dim,) * 2, True):
-        block, common = slice(start, start + BLOCK), True
         for phi, (noise, u), which in zip((phi0, phi1), segments, ("S0", "S1")):
-            core = meas_core(layout, int(which == "S1"))
-            phi[block], sin_a = perturb_within(np.broadcast_to(core, (len(u), core.size)),
-                                               eps, noise, u)
-            common &= meas_figure(phi[block], layout, which, eps)[1] & (sin_a > 0)
-        # a refused candidate or a side that did not move read on: replay the trial
-        for t in start + np.flatnonzero(~common):
-            rng = qc.stream(seed, "meas-sep", t)
-            phi0[t], phi1[t] = (meas_member(layout, which, eps, rng) for which in ("S0", "S1"))
+            phi[start:start + len(u)] = meas_members(layout, which, eps, noise, u)
     dists = qc.purified_distance_pure(phi0, phi1)
     h0 = qc.conditional_entropy_pure(phi0, layout, "R", ALICE_FINAL, ("R", 0))
     h1 = qc.conditional_entropy_pure(phi1, layout, "R", BOB_FINAL, ("R", 1))
@@ -368,32 +352,23 @@ def _bell_partial_inner(vec: np.ndarray, layout) -> np.ndarray:
 
 
 def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
-    """The reduced-state distance to the Bell pair equals the best product-
-    state distance of the global state (computed in closed form)."""
+    """Uhlmann's theorem on random states: the least distance from |psi> to a
+    product |Omega>_RA x |phi> equals the distance of rho_RA to the Bell pair.
+    Both sides are closed forms.  The left is p_opt = sqrt(1 - ||v||^2) for
+    v = (<Omega|_RA x I)|psi>, which the bell_core candidate |Omega> x v/||v||
+    attains (by Cauchy-Schwarz no product state does better); the right reads
+    <Omega|rho_RA|Omega> off reduced_outer."""
     _need_trials("uhlmann", trials)
     layout = small_attack_layout()
-    rest_dim = layout.subdim(*rest_registers(layout, "R", "A"))
     worst = 0.0
     witness = {}
     for t, rng in enumerate(qc.trial_streams(seed, "uhlmann", trials)):
         vec = qc.random_unit_vector(layout.dim, rng)
         v = _bell_partial_inner(vec, layout)
-        p_opt = math.sqrt(max(0.0, 1.0 - float(np.vdot(v, v).real)))
-        best = p_opt
+        best = math.sqrt(max(0.0, 1.0 - float(np.vdot(v, v).real)))   # p_opt
         nv = np.linalg.norm(v)
         if nv > 1e-12:
             best = min(best, qc.purified_distance_pure(vec, bell_core(layout, "A", v / nv)))
-        # 1000 candidates in blocks of 100, to bound memory; the draws are those
-        # of 1000 random_unit_vector calls (real parts, then imaginary parts).
-        # v is indexed as bell_core places phi, so <Omega x phi|psi> = <phi|v>
-        for _ in range(10):
-            z = rng.standard_normal((100, 2, rest_dim))
-            phis = z[:, 0] + 1j * z[:, 1]
-            phis /= np.linalg.norm(phis, axis=1, keepdims=True)
-            overlaps = np.abs(phis.conj() @ v)
-            best = min(best, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - overlaps ** 2)))))
-        # the right side: root fidelity of rho_RA with |Omega>, from the
-        # reduced matrix rather than the partial inner product above
         reduced = qc.reduced_outer(vec, vec, layout, ("R", "A"))
         target = math.sqrt(max(qc.expectation(qc.BELL_VECTOR, reduced), 0.0))
         p_reduced = math.sqrt(max(0.0, 1.0 - target * target))

@@ -36,6 +36,35 @@ def test_function_table_validation():
         an.ip_function(1).value(2, 0)
 
 
+def _parity_reference(n, combine):
+    """The int64 builder the uint8 one replaced: n shifted passes over
+    combine(x, y) of every input pair."""
+    xs = np.arange(1 << n)
+    merged = combine(xs[:, None], xs[None, :])
+    bits = np.zeros(merged.shape, dtype=np.uint8)
+    for k in range(n):
+        bits ^= ((merged >> k) & 1).astype(np.uint8)
+    return bits.reshape(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_parity_tables_match_the_int64_builder(n):
+    assert np.array_equal(an.ip_function(n).table, _parity_reference(n, np.bitwise_and))
+    assert np.array_equal(an.xor_function(n).table, _parity_reference(n, np.bitwise_xor))
+
+
+@pytest.mark.parametrize("build", [an.ip_function, an.xor_function])
+def test_parity_table_peak_memory_is_bounded(build):
+    """At n = 11 building the 4 MB table peaks at most at twice its bytes."""
+    tracemalloc.start()
+    try:
+        table = build(11).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes
+
+
 def test_hamming_random_pair_binomial_oracle():
     vals = []
     for s in range(100):

@@ -514,23 +514,24 @@ def test_route_disjointness_sampled():
     lay = at.small_attack_layout()
     eps = 0.41
     bound = math.sqrt(3) / 2 - 2 * eps
-    for t in range(100):
-        rng = qc.stream(55, t)
-        psi0 = at.route_member(lay, "S0", eps, rng)
-        psi1 = at.route_member(lay, "S1", eps, rng)
-        p = qc.purified_distance_pure(psi0, psi1)
-        assert p > bound - 1e-9
-        assert p > 0.046
+    rng = qc.stream(55, "route-disjoint")
+    psi = {}
+    for which in ("S0", "S1"):
+        rows = rng.standard_normal((100, at.good_sets.route_draws(lay, which, eps)[-1]))
+        psi[which] = at.route_members(lay, which, eps, rows, rng.random(100))[0]
+    p = qc.purified_distance_pure(psi["S0"], psi["S1"])
+    assert np.all(p > bound - 1e-9)
+    assert np.all(p > 0.046)
 
 
 def test_meas_disjointness_sampled():
     lay = at.small_attack_layout()
-    for t in range(50):
-        rng = qc.stream(56, t)
-        phi0 = at.meas_member(lay, "S0", 0.3, rng)
-        phi1 = at.meas_member(lay, "S1", 0.3, rng)
-        p = qc.purified_distance_pure(phi0, phi1)
-        assert p > 0.013
+    rng = qc.stream(56, "meas-disjoint")
+    phi0, phi1 = (at.meas_members(lay, which, 0.3, rng.standard_normal((50, 2 * lay.dim)),
+                                  rng.random(50)) for which in ("S0", "S1"))
+    for phi, which in ((phi0, "S0"), (phi1, "S1")):
+        assert at.good_sets.meas_figure(phi, lay, which, 0.3)[1].all()
+    assert np.all(qc.purified_distance_pure(phi0, phi1) > 0.013)
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,12 @@ def test_fano_premise_check_survives_optimize_flag():
 def test_meas_disjoint_premises_contradict_for_equal_states():
     # one state cannot satisfy both conjugate-basis readability premises:
     # the uncertainty sum forces the other basis entropy up to 1 - delta
-    from qpv.attacks.good_sets import small_attack_layout, meas_member
+    from qpv.attacks.good_sets import meas_members, small_attack_layout
     lay = small_attack_layout()
     delta = qc.binary_entropy(0.09)
-    phi = density(meas_member(lay, "S0", 0.2, qc.stream(3, "contradict")))
+    rng = qc.stream(3, "contradict")
+    phi = density(meas_members(lay, "S0", 0.2, rng.standard_normal((1, 2 * lay.dim)),
+                               rng.random(1))[0])
     alice = ("A", "At", "Bc")
     bob = ("B", "Bt", "Ac")
     h_comp = qc.conditional_entropy(qc.dephase_register(phi, lay, "R", 0), lay, "R", alice)
@@ -96,6 +98,27 @@ def test_meas_disjoint_premises_contradict_for_equal_states():
     assert h_comp <= delta
     assert h_had_other >= 1 - delta - 1e-9
     assert h_had_other > delta  # so the second premise cannot also hold
+
+
+def test_uhlmann_closed_form_is_the_best_product_state():
+    """The uhlmann suite's p_opt = sqrt(1 - ||v||^2): no sampled product
+    |Omega>_RA x |phi> is closer to psi, and the bell_core candidate with
+    phi = v / ||v|| attains it."""
+    from qpv.attacks.good_sets import small_attack_layout
+    from qpv.attacks.strategy import bell_core, rest_registers
+    from qpv.checks.suites import _bell_partial_inner
+    layout = small_attack_layout()
+    rest = layout.subdim(*rest_registers(layout, "R", "A"))
+    rng = qc.stream(5, "uhlmann-products")
+    for _ in range(4):
+        vec = qc.random_unit_vector(layout.dim, rng)
+        v = _bell_partial_inner(vec, layout)
+        p_opt = np.sqrt(1.0 - np.vdot(v, v).real)
+        products = bell_core(layout, "A", qc.unit_finish(rng.standard_normal((300, 2 * rest))))
+        dists = np.sqrt(np.maximum(0.0, 1.0 - np.abs(products.conj() @ vec) ** 2))
+        assert dists.min() >= p_opt - 1e-12
+        best = qc.purified_distance_pure(vec, bell_core(layout, "A", v / np.linalg.norm(v)))
+        assert best == pytest.approx(p_opt, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(ck.CHECKS))

@@ -401,7 +401,9 @@ def test_outputs_byte_identical(tmp_path, capsys):
 # verify JSON lines, and each attack report (without the package version)
 # followed by its strategy JSON; recorded before the unused library options
 # and duplicate helpers were deleted.  The seed-1 verify digest was recorded
-# before the Haar QRs were stacked.  A verify entry's config is its seed.
+# before the Haar QRs were stacked, and those of seeds 2-9 before the verify
+# samplers lost their per-trial replay paths.  A verify entry's config is its
+# seed.
 # The see-saw route entry and the simulate entries (summary without the
 # package version, then the CSV) were recorded before the strategy format
 # moved into one table; a simulate entry's strategy prover reads the
@@ -413,6 +415,30 @@ PINNED_OUTPUTS = {
     "verify_all_seed1": (
         "verify", 1,
         "a8334ed05e77c0e56f933d978609b1bcbe005d89e2eebd8dcf1ae14643bb8a79"),
+    "verify_all_seed2": (
+        "verify", 2,
+        "d4668aacb20b88d637e5fa2b40f69ee402d968a81cfe80f57eb7a2ebc74a270b"),
+    "verify_all_seed3": (
+        "verify", 3,
+        "35d171b37d5b2f89620619ea13ac628f23d4324a9ae99237e471721cf3e860d1"),
+    "verify_all_seed4": (
+        "verify", 4,
+        "39eba3a042055bafc7ee326be127286e7267a97ac0c249a8ffdfb604a848dc19"),
+    "verify_all_seed5": (
+        "verify", 5,
+        "0ec5b0dd371e6443e905775875ecbd99698ace89f8dc815945e77ffaeca602ac"),
+    "verify_all_seed6": (
+        "verify", 6,
+        "d743679bdcef6124fc348dd70fd24111d7e74385597a16599d41aae8c2339c7b"),
+    "verify_all_seed7": (
+        "verify", 7,
+        "531a740f3de55ef4b187a91e1ada20de94781ceb137697bdb34bb5323fd55ca0"),
+    "verify_all_seed8": (
+        "verify", 8,
+        "987ebba487206b8779cf685ddc0be8a8f5297dabe998e6507019ba0cb2ffc23d"),
+    "verify_all_seed9": (
+        "verify", 9,
+        "eebbc542ad8d40ec055302fe099026c14e7319d548aa3aa4a1bc67257947fe12"),
     "seesaw_meas_unentangled": (
         "attack-optimize",
         {"f": {"kind": "ip", "n": 1}, "kind": "meas", "q": 2, "unentangled": True,

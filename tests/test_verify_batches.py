@@ -37,12 +37,22 @@ def test_route_separation_without_perturbation_matches_reference(seed):
             == repr(ref.check_low_fidelity_route(eps=0.0, trials=30, seed=seed)))
 
 
-def test_refused_first_candidate_replays_its_trial(monkeypatch):
-    """A trial whose first measuring candidate is refused reads its stream
-    past the batch's row; the suite replays it through meas_member."""
+def _reference_members(member, seed, name, trials, eps):
+    """Each trial's (S0, S1) members as the per-trial reference draws them
+    from ``stream(seed, name, t)``, one after the other."""
+    layout = good_sets.small_attack_layout()
+    return np.array([[member(layout, which, eps, rng) for which in ("S0", "S1")]
+                     for rng in qc.trial_streams(seed, name, trials)])
+
+
+def test_refused_candidate_is_its_core(monkeypatch):
+    """A measuring candidate that meas_figure refuses becomes the core and
+    draws nothing more: its trial's other side and the later trials keep
+    their draws, and the suite still matches the per-trial reference."""
     seed, chosen, layout = 4, 7, good_sets.small_attack_layout()
-    first = ref.perturb_within(good_sets.meas_core(layout, 0), 0.25,
-                               qc.stream(seed, "meas-sep", chosen))[0]
+    core = good_sets.meas_core(layout, 0)
+    first = ref.perturb_within(core, 0.25, qc.stream(seed, "meas-sep", chosen))[0]
+    before = _reference_members(ref.meas_member, seed, "meas-sep", 20, 0.25)
     figure = good_sets.meas_figure
 
     def refusing(vecs, layout, which, eps):
@@ -50,25 +60,24 @@ def test_refused_first_candidate_replays_its_trial(monkeypatch):
         return value, member & ~np.all(vecs == first, axis=1)
 
     monkeypatch.setattr(good_sets, "meas_figure", refusing)
-    monkeypatch.setattr(suites, "meas_figure", refusing)
-    replayed = []
-    member = suites.meas_member
-
-    def recording(layout, which, eps, rng):
-        out = member(layout, which, eps, rng)
-        replayed.append(which)
-        return out
-
-    monkeypatch.setattr(suites, "meas_member", recording)
+    after = _reference_members(ref.meas_member, seed, "meas-sep", 20, 0.25)
+    assert np.array_equal(before[chosen, 0], first)
+    assert np.array_equal(after[chosen, 0], core)
+    # the suite's rows: every trial's S0 row, then its S1 row
+    [(_, [(noise, u), _])] = suites._draw_blocks(seed, "meas-sep", 20, (2 * layout.dim,) * 2,
+                                                 True)
+    assert np.array_equal(good_sets.meas_members(layout, "S0", 0.25, noise, u), after[:, 0])
+    after[chosen, 0] = first
+    assert np.array_equal(after, before)
     assert (repr(ck.check_meas_disjoint(trials=20, seed=seed))
             == repr(ref.check_meas_disjoint(trials=20, seed=seed)))
-    assert replayed.count("S0") >= 1
 
 
-def test_unmoved_route_member_replays_its_trial(monkeypatch):
-    """A trial whose side reports sin(a) = 0 drew no uniform, so its stream
-    reads past the batch's row; the suite replays it through route_member.
-    Alone, the trial is the witness, so the report shows its distance."""
+def test_parallel_route_noise_stays_and_draws_its_uniform(monkeypatch):
+    """A side whose noise is parallel to its vector keeps the vector, with
+    sin(a) = 0, and still draws its uniform: its trial's other side and the
+    later trials keep their draws.  Alone, the trial is the witness, so the
+    report shows its distance."""
     seed, layout = 4, good_sets.small_attack_layout()
     # trial 0's S0 noise after the projection, drawn as the reference draws it
     rng = qc.stream(seed, "route-sep", 0)
@@ -78,6 +87,8 @@ def test_unmoved_route_member_replays_its_trial(monkeypatch):
     vec = qc.apply_vector_matrix(bell_core(layout, ret, phi), layout, k.conj().T, regs)
     noise = ref.random_unit_vector(vec.size, rng)
     stuck = noise - np.vdot(vec, noise) * vec
+    stayed = vec / ref.vector_norm(vec)
+    before = _reference_members(ref.route_member, seed, "route-sep", 20, 0.41)
 
     def stalling(norm):
         """``norm``, but 0 for that noise, which then does not move its vector."""
@@ -90,46 +101,62 @@ def test_unmoved_route_member_replays_its_trial(monkeypatch):
 
     monkeypatch.setattr(qc, "vector_norm", stalling(qc.vector_norm))
     monkeypatch.setattr(ref, "vector_norm", stalling(ref.vector_norm))
-    replayed = []
-    member = suites.route_member
-
-    def recording(layout, which, eps, rng):
-        replayed.append(which)
-        return member(layout, which, eps, rng)
-
-    monkeypatch.setattr(suites, "route_member", recording)
+    after = _reference_members(ref.route_member, seed, "route-sep", 20, 0.41)
+    assert np.array_equal(after[0, 0], stayed)
+    after[0, 0] = before[0, 0]
+    assert np.array_equal(after, before)
+    # trial 0's S0 row, as the suite draws it
+    [(_, [(z0, u0)])] = suites._draw_blocks(seed, "route-sep", 1,
+                                            good_sets.route_draws(layout, "S0", 0.41)[-1:], True)
+    psi, sin_a = good_sets.route_members(layout, "S0", 0.41, z0, u0)
+    assert sin_a[0] == 0.0 and np.array_equal(psi[0], stayed)
     for trials in (1, 20):
         assert (repr(ck.check_low_fidelity_route(trials=trials, seed=seed))
                 == repr(ref.check_low_fidelity_route(trials=trials, seed=seed)))
-    assert replayed == ["S0", "S1"] * 2
 
 
 def test_meas_member_falls_back_to_its_core(monkeypatch):
-    """After 12 refused candidates meas_member returns a copy of the
-    unperturbed core and leaves the stream where the per-trial sampler did."""
+    """Every row that meas_figure refuses is a writeable copy of the
+    unperturbed core, and the per-trial sampler reads one noise row and one
+    uniform before it falls back."""
     monkeypatch.setattr(good_sets, "meas_figure",
                         lambda vecs, layout, which, eps: (None, np.zeros(len(vecs), bool)))
     layout = good_sets.small_attack_layout()
+    n = 2 * layout.dim
     for basis, which in enumerate(("S0", "S1")):
+        core = good_sets.meas_core(layout, basis)
+        rng = qc.stream(3, "fallback", which)
+        out = good_sets.meas_members(layout, which, 0.25, rng.standard_normal((3, n)),
+                                     rng.random(3))
+        assert np.array_equal(out, np.broadcast_to(core, out.shape)) and out.flags.writeable
         got, want = qc.stream(3, "fallback", which), qc.stream(3, "fallback", which)
-        out = good_sets.meas_member(layout, which, 0.25, got)
-        assert np.array_equal(out, good_sets.meas_core(layout, basis)) and out.flags.writeable
-        assert np.array_equal(out, ref.meas_member(layout, which, 0.25, want))
+        assert np.array_equal(ref.meas_member(layout, which, 0.25, got), core)
+        want.standard_normal(n)
+        want.random()
         assert got.random() == want.random()
 
 
 @pytest.mark.parametrize("which", ["S0", "S1"])
 @pytest.mark.parametrize("eps", [0.0, 0.25, 0.41])
 def test_per_trial_members_match_reference(which, eps):
-    """route_member and meas_member, the batch of one, draw what the
-    per-trial samplers drew and leave the stream where they left it."""
+    """route_members and meas_members on a trial's row of draws return what
+    the per-trial samplers return from that trial's stream, which they leave
+    after the row."""
     layout = good_sets.small_attack_layout()
-    for t in range(4):
-        for member, reference in ((good_sets.route_member, ref.route_member),
-                                  (good_sets.meas_member, ref.meas_member)):
+    sizes = {"route": good_sets.route_draws(layout, which, eps)[-1],
+             "meas": 2 * layout.dim * (eps > 0)}
+    members = {"route": (good_sets.route_members, ref.route_member),
+               "meas": (good_sets.meas_members, ref.meas_member)}
+    for kind, (batched, reference) in members.items():
+        [(_, [(z, u)])] = suites._draw_blocks(9, "member", 4, (sizes[kind],), eps > 0)
+        out = batched(layout, which, eps, z, u)
+        out = out[0] if kind == "route" else out
+        for t in range(4):
             got, want = qc.stream(9, "member", t), qc.stream(9, "member", t)
-            assert np.array_equal(member(layout, which, eps, got),
-                                  reference(layout, which, eps, want))
+            assert np.array_equal(out[t], reference(layout, which, eps, got))
+            want.standard_normal(sizes[kind])
+            if eps > 0:
+                want.random()
             assert got.random() == want.random()
 
 
@@ -155,16 +182,21 @@ def test_density_finish_rows_equal_random_density_matrix(dim):
 
 def test_noise_parallel_to_the_vector_does_not_move_it():
     """Noise that finishes to the vector itself leaves nothing after the
-    projection: the row keeps its vector, sin(a) = 0, and a generator in
-    place of the uniforms draws none."""
-    vec = qc.random_unit_vector(8, qc.stream(1, "parallel"))
-    noise = 3.0 * np.concatenate([vec.real, vec.imag])[None]
-    rng, fresh = qc.stream(2, "uniform"), qc.stream(2, "uniform")
-    for uniforms in (np.array([0.5]), rng):
-        out, sin_a = good_sets.perturb_within(vec[None], 0.2, noise, uniforms)
-        assert sin_a[0] == 0.0
-        assert np.array_equal(out[0], vec / qc.vector_norm(vec))
-    assert rng.random() == fresh.random()
+    projection: the row keeps its vector with sin(a) = 0, and the other rows
+    move by their own uniforms as they would alone."""
+    rng = qc.stream(1, "parallel")
+    vecs = qc.unit_finish(rng.standard_normal((3, 16)))
+    noise = rng.standard_normal((3, 16))
+    noise[1] = 3.0 * np.concatenate([vecs[1].real, vecs[1].imag])
+    u = rng.random(3)
+    out, sin_a = good_sets.perturb_within(vecs, 0.2, noise, u)
+    assert sin_a[1] == 0.0
+    assert np.array_equal(out[1], vecs[1] / qc.vector_norm(vecs[1]))
+    for i in (0, 2):
+        alone, alone_sin = good_sets.perturb_within(vecs[i:i + 1], 0.2, noise[i:i + 1],
+                                                    u[i:i + 1])
+        assert sin_a[i] == alone_sin[0] == 0.2 * u[i]
+        assert np.array_equal(out[i], alone[0])
 
 
 class _Replay:

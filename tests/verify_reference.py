@@ -1,6 +1,11 @@
 """Per-trial reference for seven verify suites: the samplers and suite bodies
 as they read each trial's stream one draw at a time, before the suites drew
-each trial's randomness as one row and finished it in blocks of trials."""
+each trial's randomness as one row and finished it in blocks of trials.
+
+The samplers read the one draw order the batched samplers read: a
+perturbation whose noise is parallel to its vector still draws its uniform,
+and a measuring candidate that meas_figure refuses is replaced by the core,
+with no second candidate."""
 
 from __future__ import annotations
 
@@ -45,8 +50,9 @@ def perturb_within(vec, eps, rng):
         noise = random_unit_vector(vec.size, rng)
         noise = noise - np.vdot(vec, noise) * vec
         nn = vector_norm(noise)
+        u = rng.random()   # drawn whether or not the vector moves
         if nn >= 1e-12:
-            sin_a = eps * rng.random()
+            sin_a = eps * u
             out = np.sqrt(1 - sin_a ** 2) * vec + sin_a * (noise / nn)
     return out / vector_norm(out), sin_a
 
@@ -61,13 +67,10 @@ def route_member(layout, which, eps, rng):
 
 def meas_member(layout, which, eps, rng):
     vec = meas_core(layout, 0 if which == "S0" else 1)
-    scale = eps
-    for _ in range(12):
-        cand, _ = perturb_within(vec, scale, rng)
-        # looked up on the module, so a test that patches the rule patches it here too
-        if good_sets.meas_figure(cand[None], layout, which, eps)[1][0]:
-            return cand
-        scale *= 0.5
+    cand, _ = perturb_within(vec, eps, rng)
+    # looked up on the module, so a test that patches the rule patches it here too
+    if good_sets.meas_figure(cand[None], layout, which, eps)[1][0]:
+        return cand
     return vec.copy()
 
 

@@ -398,6 +398,8 @@ def run_checks(names=None, seed: int = 0):
     """Run the named suites (all by default); returns a list of reports."""
     if names is None:
         names = list(CHECKS)
+    if not names:
+        raise ValueError("no check named")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check(s): {unknown}")

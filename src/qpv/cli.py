@@ -414,8 +414,7 @@ def main(argv=None) -> int:
         else:
             _write(args.out, _json_line(cmd_bounds(config, seed)))
         return EXIT_OK
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

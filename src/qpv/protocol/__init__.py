@@ -1,12 +1,5 @@
 """Executable state machines for the routing and measuring protocols."""
 
-from .geometry import (
-    CHALLENGE_ARRIVAL,
-    SpacetimeEvent,
-    honest_challenge_events,
-    response_events,
-    timing_check,
-)
 from .provers import HONEST, Prover, SyntheticAdversary
 from .repetition import (
     NOISE_MODES,
@@ -24,7 +17,7 @@ from .runs import (
     accept_probability,
     m1_accept_probability,
     m2_accept_probability,
-    round_events,
+    round_gates,
     run_round,
 )
 

@@ -17,8 +17,9 @@ class Prover:
     ``replace_with`` discards Q and sends the given BB84 state instead, and
     ``route_to`` overrides the destination ("correct", "swapped", 0, 1).
     Measuring-protocol behaviour is picked by ``meas_mode``: "measure",
-    "wrong_basis", or "random_bit".  ``delay`` and ``actual_position``
-    violate the timing claim.
+    "wrong_basis", or "random_bit".  The device answers from
+    ``actual_position`` (the claimed position when None), ``delay`` after
+    both challenges reach it; ``geometry.on_time`` decides if that is on time.
     """
 
     tamper_unitary: np.ndarray | None = None

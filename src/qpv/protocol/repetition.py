@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import qcore as qc
 from .provers import HONEST, Prover
-from .runs import accept_probability, round_events
+from .runs import accept_probability, round_gates
 
 THRESHOLD_FACTOR = 0.996
 ETA_MAX = 1e-2
@@ -90,8 +90,7 @@ def acceptance_table(protocol: str, f, prover=HONEST, eta: float = 0.0,
     table = np.zeros((side, side))
     for x in range(side):
         for y in range(side):
-            _, timing_ok, arrival_ok = round_events(protocol, f, x, y, prover)
-            if timing_ok and arrival_ok:
+            if all(round_gates(protocol, f, x, y, prover)):
                 table[x, y] = accept_probability(protocol, f, x, y, prover,
                                                  depolarize=depolarize) * scale
     return table

@@ -1,14 +1,14 @@
 """Executable rounds of the three position-verification protocols.
 
-:func:`run_round` plays one round: it builds the spacetime event log,
-computes the exact acceptance probability for the given prover, samples the
-verdict, and returns a :class:`ProtocolRun`.  :func:`accept_probability` is
-the exact probability on its own, for the trial engine and exhaustive
-sweeps.
+:func:`run_round` plays one round: it checks the round's timing and arrival
+gates, computes the exact acceptance probability for the given prover,
+samples the verdict, and returns a :class:`ProtocolRun`.
+:func:`accept_probability` is the exact probability on its own, for the
+trial engine and exhaustive sweeps.
 
 Attack strategies (objects from :mod:`qpv.attacks`) are referenced by
-handle: their event log is the classical relay's, and their acceptance
-probability comes from the two-phase strategy executor.
+handle: they answer on time as the classical relay does, and their
+acceptance probability comes from the two-phase strategy executor.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ import numpy as np
 
 from .. import qcore as qc
 from ..attacks.strategy import AttackStrategy
-from .geometry import (
-    SpacetimeEvent,
-    honest_challenge_events,
-    response_events,
-    timing_check,
-    two_attacker_relay_events,
-)
+from .geometry import CLAIMED_POS, RELAY_POS, on_time
 from .provers import HONEST, Prover, SyntheticAdversary
 
 PROTOCOLS = ("route_entangled", "route_bb84", "meas")
@@ -39,7 +33,6 @@ class ProtocolRun:
     f: object
     x: int
     y: int
-    events: list[SpacetimeEvent]
     timing_ok: bool
     arrival_ok: bool
     accept_probability: float
@@ -165,26 +158,25 @@ def accept_probability(protocol: str, f, x: int, y: int, prover=HONEST, *,
 # single rounds
 # ---------------------------------------------------------------------------
 
-def round_events(protocol: str, f, x: int, y: int, prover=HONEST):
-    """Event log of one round and its two gates, ``(events, timing_ok, arrival_ok)``.
+def round_gates(protocol: str, f, x: int, y: int, prover=HONEST):
+    """The timing and arrival gates of one round, ``(timing_ok, arrival_ok)``.
 
-    Attack strategies and synthetic adversaries relay classically with
-    honest-looking timing.  A device at the claimed position is timed
-    against the fixed verifier line.  In the routing protocols Q must reach
-    the verifier that f(x, y) names; measuring answers both verifiers.
+    A device answers from its ``actual_position`` (the claimed position when
+    None) after its ``delay``; attack strategies and synthetic adversaries
+    relay classically, answering verifier v from ``RELAY_POS[v]``.  In the
+    routing protocols Q must reach the verifier that f(x, y) names;
+    measuring answers both verifiers.
     """
     fxy = f.value(x, y)
     device = isinstance(prover, Prover)
-    targets = ([0, 1] if protocol == "meas" else
-               [prover.destination(fxy) if device else fxy])
+    targets = ((0, 1) if protocol == "meas" else
+               (prover.destination(fxy) if device else fxy,))
     if device:
-        payload = {"classical_bit": True} if protocol == "meas" else {"carries_qubit": True}
-        events = honest_challenge_events(x, y) + response_events(
-            targets, delay=prover.delay, actual_position=prover.actual_position,
-            payload=payload)
+        where = CLAIMED_POS if prover.actual_position is None else prover.actual_position
+        timing_ok = all(on_time(where, v, prover.delay) for v in targets)
     else:
-        events = two_attacker_relay_events(x, y, targets)
-    return events, timing_check(events), protocol == "meas" or targets[0] == fxy
+        timing_ok = all(on_time(RELAY_POS[v], v) for v in targets)
+    return timing_ok, protocol == "meas" or targets[0] == fxy
 
 
 def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0) -> ProtocolRun:
@@ -196,7 +188,7 @@ def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0) -> Protoc
     if protocol == "route_bb84":
         details["prep"] = int(rng.integers(0, 4))
     prob = accept_probability(protocol, f, x, y, prover, prep=details.get("prep"))
-    events, timing_ok, arrival_ok = round_events(protocol, f, x, y, prover)
+    timing_ok, arrival_ok = round_gates(protocol, f, x, y, prover)
     details["f"] = fxy = f.value(x, y)
     if not isinstance(prover, Prover):
         details["attack"] = True
@@ -204,9 +196,9 @@ def run_round(protocol: str, f, x: int, y: int, prover=HONEST, seed=0) -> Protoc
         details["destination"] = prover.destination(fxy)
     prob = min(max(prob, 0.0), 1.0)
     accepted = bool(timing_ok and arrival_ok and rng.random() < prob)
-    return ProtocolRun(protocol=protocol, n=f.n, f=f, x=x, y=y, events=events,
-                       timing_ok=timing_ok, arrival_ok=arrival_ok,
-                       accept_probability=prob, accepted=accepted, details=details)
+    return ProtocolRun(protocol=protocol, n=f.n, f=f, x=x, y=y, timing_ok=timing_ok,
+                       arrival_ok=arrival_ok, accept_probability=prob, accepted=accepted,
+                       details=details)
 
 
 # perfbench/tracing.py wraps these entries (ROADMAP item 6)

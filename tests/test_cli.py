@@ -142,6 +142,13 @@ def test_simulate_missing_config_file(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_directory_config_and_out_are_config_errors(tmp_path, capsys):
+    # exit 1 would report a verification failure
+    refused = (cli.EXIT_CONFIG, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    assert run_cli(capsys, "simulate", "--config", str(tmp_path)) == refused
+    assert run_cli(capsys, "verify", "--suite", "m1_m2", "--out", str(tmp_path)) == refused
+
+
 def test_bounds_counting_and_budget(tmp_path, capsys):
     cfg = write_config(tmp_path, "b.json", {"kind": "counting", "n": 10, "q": 0})
     code, out, _ = run_cli(capsys, "bounds", "--config", cfg)
@@ -373,6 +380,10 @@ def test_verify_single_and_exit_codes(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "nope" in err
     assert '"' not in err
+
+    # a list that names no suite runs none, so it cannot pass
+    code, out, err = run_cli(capsys, "verify", "--suite", ",")
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", "error: no check named\n")
 
 
 def test_verify_writes_jsonl(tmp_path, capsys):
@@ -709,6 +720,11 @@ PINNED_ERRORS = {
                                      "prover: unknown keys ['state']"),
     "prover-route_wrong-path": ("simulate", _prover(kind="route_wrong", path="x"),
                                 "prover: unknown keys ['path']"),
+    # a path that names a directory
+    "f-path-directory": ("simulate", _with(SIM, f={"kind": "file", "path": "."}),
+                         "[Errno 21] Is a directory: '.'"),
+    "prover-path-directory": ("simulate", _prover(kind="strategy", path="."),
+                              "[Errno 21] Is a directory: '.'"),
     # attack-optimize
     "att-unknown-key": ("attack-optimize", _with(ATT, bogus=1), "config: unknown keys ['bogus']"),
     "att-missing-f": ("attack-optimize", {"q": 1}, "config: missing keys ['f']"),

@@ -7,7 +7,7 @@ from qpv import analysis as an
 from qpv import attacks as at
 from qpv import protocol as pr
 from qpv import qcore as qc
-from qpv.protocol.geometry import CLAIMED_POS, VERIFIER_POS
+from qpv.protocol.geometry import CLAIMED_POS, RELAY_POS, VERIFIER_POS, on_time
 
 XOR = an.xor_function(1)
 
@@ -141,24 +141,61 @@ def test_timing_honest_and_delay():
 
 
 def test_timing_position_spoof_fools_one_verifier_only():
-    events = pr.honest_challenge_events(0, 0) + pr.response_events([0, 1], actual_position=0.3)
-    arrivals = {ev.payload["verifier"]: ev.time for ev in events
-                if ev.label == "response_arrival"}
-    # signals travel at unit speed from the claimed position to each verifier
-    honest = [pr.CHALLENGE_ARRIVAL + abs(CLAIMED_POS - v) for v in VERIFIER_POS]
+    # signals travel at unit speed; a device at 0.3 gets both challenges at
+    # 2.2 and reaches V0 at 2.5, as from the claimed position, but V1 at 2.9
     assert CLAIMED_POS == 0.5 and VERIFIER_POS == (0.0, 1.0)
-    assert arrivals[0] == pytest.approx(honest[0], abs=1e-12)
-    assert arrivals[1] != pytest.approx(honest[1], abs=1e-9)
-    assert not pr.timing_check(events)
+    assert on_time(0.3, 0) and not on_time(0.3, 1)
+    spoof = pr.Prover(actual_position=0.3)
+    assert pr.round_gates("meas", XOR, 0, 0, spoof) == (False, True)
+    # f(0, 0) = 0 names V0 and f(0, 1) = 1 names V1
+    assert pr.round_gates("route_entangled", XOR, 0, 0, spoof) == (True, True)
+    assert pr.round_gates("route_entangled", XOR, 0, 1, spoof) == (False, True)
 
 
 def test_attack_strategy_relay_passes_the_timing_check():
-    # attackers copy the intercepted inputs, exchange them and answer both
-    # verifiers with honest-looking timing
+    # attackers copy the intercepted inputs, exchange them and answer each
+    # verifier from its relay position, on time
     f = an.ip_function(2)
     for proto in pr.PROTOCOLS:
-        events, timing_ok, arrival_ok = pr.round_events(proto, f, 3, 1, at.keep_q_attack(f))
-        assert timing_ok and arrival_ok and pr.timing_check(events)
+        for prover in (at.keep_q_attack(f), pr.SyntheticAdversary(0.5)):
+            assert pr.round_gates(proto, f, 3, 1, prover) == (True, True)
+
+
+def test_each_relay_position_is_on_time_for_its_own_verifier_only():
+    assert RELAY_POS == (0.25, 0.75)
+    for v in (0, 1):
+        assert on_time(RELAY_POS[v], v) and not on_time(RELAY_POS[v], 1 - v)
+
+
+GATE_FUNCTIONS = {"xor1": XOR, "ip2": an.ip_function(2), "random2": an.random_function(2, 5)}
+
+
+@pytest.mark.parametrize("proto", pr.PROTOCOLS)
+@pytest.mark.parametrize("fname", GATE_FUNCTIONS)
+def test_device_passes_only_between_the_claimed_position_and_its_verifier(fname, proto):
+    f = GATE_FUNCTIONS[fname]
+    for p in [*np.linspace(-0.5, 1.5, 17), 0.3, 0.7]:
+        table = pr.acceptance_table(proto, f, pr.Prover(actual_position=p))
+        for x, y in f.pairs():
+            v = VERIFIER_POS[f.value(x, y)]
+            if proto == "meas":
+                expect = p == CLAIMED_POS
+            else:
+                expect = min(v, CLAIMED_POS) <= p <= max(v, CLAIMED_POS)
+            assert (table[x, y] != 0) == expect, (p, x, y)
+
+
+@pytest.mark.parametrize("proto", pr.PROTOCOLS)
+def test_run_round_gates_match_the_acceptance_table(proto):
+    f = GATE_FUNCTIONS["random2"]
+    provers = (pr.HONEST, pr.Prover(actual_position=0.3), pr.Prover(actual_position=0.8),
+               pr.Prover(delay=0.1), pr.Prover(route_to="swapped"), pr.Prover(route_to=1),
+               pr.SyntheticAdversary(0.5))
+    for prover in provers:
+        table = pr.acceptance_table(proto, f, prover)
+        for x, y in f.pairs():
+            run = pr.run_round(proto, f, x, y, prover, seed=x)
+            assert (run.timing_ok and run.arrival_ok) == (table[x, y] != 0), (prover, x, y)
 
 
 def test_wrong_verifier_on_time_is_rejected():
@@ -169,8 +206,8 @@ def test_wrong_verifier_on_time_is_rejected():
 def test_geometry_validation():
     with pytest.raises(ValueError, match="route_to"):
         pr.Prover(route_to=2)   # there are two verifiers
-    with pytest.raises(ValueError):
-        pr.SpacetimeEvent("P", 0.5, -1.0, "x")
+    # an early answer is as late as a late one
+    assert not on_time(CLAIMED_POS, 0, delay=-0.1) and not on_time(CLAIMED_POS, 1, delay=0.1)
 
 
 # ---------------------------------------------------------------------------

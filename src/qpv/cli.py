@@ -14,7 +14,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,18 +206,27 @@ def _provenance(config: dict, seed: int) -> dict:
 
 
 def _function_from_config(config: dict, seed: int):
+    """The function of ``config["f"]``.  A spec without its own "n" (and not
+    a file) inherits the config's; otherwise a config "n" must agree with it."""
     if "f" not in config:
         raise ConfigError("config: missing keys ['f']")
     spec = config["f"]
+    inherits = isinstance(spec, dict) and "n" not in spec and spec.get("kind") != "file"
     if isinstance(spec, dict) and "n" in config:
         spec = {"n": config["n"], **spec}
     read = _fields(spec, "f", FUNCTION)
     if spec["kind"] == "file":
-        return analysis.load_function(spec["path"])
-    spec = {key: read(key) for key in FUNCTION_ROWS if key in spec}
-    if spec["kind"] == "random":
-        spec.setdefault("seed", seed)
-    return analysis.function_from_spec(spec)
+        f = analysis.load_function(spec["path"])
+    else:
+        spec = {key: read(key) for key in FUNCTION_ROWS if key in spec}
+        if spec["kind"] == "random":
+            spec.setdefault("seed", seed)
+        f = analysis.function_from_spec(spec)
+    if not inherits and "n" in config:
+        n = INT(config["n"], "config.n")
+        if n != f.n:
+            raise ConfigError(f"config.n = {n} disagrees with f.n = {f.n}")
+    return f
 
 
 def _ci95(rate, n):
@@ -366,13 +377,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path, blocks):
-    """Write string blocks to ``path``, or to stdout when it is None."""
-    if path is None:
-        sys.stdout.writelines(blocks)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(blocks)
+def _write(*outputs):
+    """Write each ``(path, blocks)`` output's string blocks to ``path``, or
+    a single output's to stdout when its path is None.  Each file is written
+    under a temporary name in its target directory, and the files replace
+    their targets only once all are complete, the first target last.  On an
+    error the temporaries are removed, so a failed run leaves the first
+    target as it was, and the error names the target, not the temporary."""
+    if outputs[0][0] is None:
+        sys.stdout.writelines(outputs[0][1])
+        return
+    mask = os.umask(0)
+    os.umask(mask)
+    pending = []
+    try:
+        for path, blocks in outputs:
+            fd, temp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+            pending.append((temp, path))
+            with open(fd, "w", encoding="ascii") as fh:
+                fh.writelines(blocks)
+            # mkstemp makes the file private; give it the mode open() would
+            os.chmod(temp, 0o666 & ~mask)
+        for temp, path in pending[::-1]:
+            os.replace(temp, path)
+            pending.pop()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for temp, _ in pending:
+            os.remove(temp)
 
 
 def _json_line(doc) -> list:
@@ -388,7 +421,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             names = [n.strip() for n in args.suite.split(",") if n.strip()]
             reports = cmd_verify(names, args.seed)
-            _write(args.out, ["\n".join(r.json_line() for r in reports) + "\n"])
+            _write((args.out, ["\n".join(r.json_line() for r in reports) + "\n"]))
             return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -400,19 +433,18 @@ def main(argv=None) -> int:
             csv = bool(args.out) or args.format == "csv"
             summary, draws = cmd_simulate(config, seed, keep_rounds=csv)
             if args.out:
-                _write(args.out, _json_line(summary))
-                _write(args.out + ".csv", _csv_blocks(draws))
+                _write((args.out, _json_line(summary)), (args.out + ".csv", _csv_blocks(draws)))
             else:
-                _write(None, _csv_blocks(draws) if csv else _json_line(summary))
+                _write((None, _csv_blocks(draws) if csv else _json_line(summary)))
         elif args.command == "attack-optimize":
             doc, strategy_json = cmd_attack_optimize(config, seed)
             if args.out:
-                _write(args.out, _json_line(doc))
-                _write(args.out + ".strategy.json", [strategy_json + "\n"])
+                _write((args.out, _json_line(doc)),
+                       (args.out + ".strategy.json", [strategy_json + "\n"]))
             else:
-                _write(None, _json_line({**doc, "strategy": json.loads(strategy_json)}))
+                _write((None, _json_line({**doc, "strategy": json.loads(strategy_json)})))
         else:
-            _write(args.out, _json_line(cmd_bounds(config, seed)))
+            _write((args.out, _json_line(cmd_bounds(config, seed))))
         return EXIT_OK
     except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes included

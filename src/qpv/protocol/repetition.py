@@ -22,6 +22,9 @@ from .runs import accept_probability, round_gates
 THRESHOLD_FACTOR = 0.996
 ETA_MAX = 1e-2
 NOISE_MODES = ("bernoulli", "depolarizing")
+# rounds are mapped from raw words in blocks of about this many, so memory
+# stays bounded whatever the number of trials
+DRAW_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -106,27 +109,52 @@ def draw_trials(config: NoisyRepeatConfig, protocol: str, f, prover=HONEST, seed
     ``stream(seed, "round", t)`` is below the table entry of its input pair.
     With ``keep_rounds=False`` only the accept counts are kept, so memory does
     not grow with the rounds; the draws are the same.
+
+    Each draw is a fixed map of its stream's raw 64-bit words, so a trial
+    only copies ``rounds`` words of each stream and the maps run on blocks
+    of trials.  ``integers(2**n)`` takes one 32-bit draw per value, the low
+    then the high half of each word, and maps it by Lemire's multiply-shift,
+    which never rejects for a power-of-two range: a value is its draw's top
+    n bits.  ``random()`` is a word's top 53 bits times 2^-53.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     table = acceptance_table(protocol, f, prover, config.eta, noise_mode)
-    side, rounds = len(table), config.rounds
+    n, rounds, flat = f.n, config.rounds, table.ravel()
     counts = np.empty(trials, dtype=np.int64)
     if keep_rounds:
         xs, ys = np.empty((2, trials, rounds), dtype=np.int64)
         accepted = np.empty((trials, rounds), dtype=bool)
+    step = max(1, DRAW_BLOCK_CELLS // rounds)
+    words = np.empty((2, step, rounds), dtype="<u8")
     streams = zip(qc.trial_streams(seed, "inputs", trials),
                   qc.trial_streams(seed, "round", trials))
-    for t, (inputs, verdicts) in enumerate(streams):
-        x = inputs.integers(side, size=rounds)
-        y = inputs.integers(side, size=rounds)
-        acc = verdicts.random(rounds) < table[x, y]
-        counts[t] = np.count_nonzero(acc)
+    for start in range(0, trials, step):
+        block = slice(start, min(start + step, trials))
+        size = block.stop - start
+        for i, (inputs, verdicts) in zip(range(size), streams):
+            words[0, i] = inputs.bit_generator.random_raw(rounds)
+            words[1, i] = verdicts.bit_generator.random_raw(rounds)
+        draws = _top_bits(words[0, :size], n).astype(np.intp)
+        x, y = draws[:, :rounds], draws[:, rounds:]
+        acc = _unit_doubles(words[1, :size]) < flat.take((x << n) | y)
+        counts[block] = np.count_nonzero(acc, axis=1)
         if keep_rounds:
-            xs[t], ys[t], accepted[t] = x, y, acc
+            xs[block], ys[block], accepted[block] = x, y, acc
     if not keep_rounds:
         return TrialDraws(table, counts)
     return TrialDraws(table, counts, xs, ys, accepted)
+
+
+def _top_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """``Generator.integers(2**n)`` of little-endian raw words along their
+    last axis: the top n bits of each 32-bit half, the low half first."""
+    return words.view("<u4") >> (32 - n)
+
+
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of raw words: the top 53 bits times 2^-53."""
+    return (words >> 11) * 2.0 ** -53
 
 
 def constant_round_probability(protocol: str, f, prover, config: NoisyRepeatConfig,

@@ -847,17 +847,43 @@ PINNED_ERRORS = {
                            "config.q: expected an integer, got None"),
     "two-split-before-restarts": ("attack-optimize", _with(ATT, split=5, restarts=None),
                                   "config.split: expected three integers, got 5"),
+    # a config "n" beside a function's own is cast, and must agree with it
+    "sim-n-disagrees": ("simulate", _with(SIM, n=3, f={"kind": "xor", "n": 1}),
+                        "config.n = 3 disagrees with f.n = 1"),
+    "sim-n-text": ("simulate", _with(SIM, n="abc", f={"kind": "xor", "n": 1}),
+                   "config.n: expected an integer, got 'abc'"),
+    "att-n-disagrees": ("attack-optimize", _with(ATT, n=2), "config.n = 2 disagrees with f.n = 1"),
+    "cc-n-disagrees": ("bounds", {"kind": "cc", "k": 1, "n": 2, "f": {"kind": "ip", "n": 1}},
+                       "config.n = 2 disagrees with f.n = 1"),
+    # an output path that is a directory: the run writes nothing, and its
+    # --out PATH is left as it was
+    "sim-out-csv-directory": ("simulate --out out", SIM, "[Errno 21] Is a directory: 'out.csv'"),
+    "att-out-strategy-directory": ("attack-optimize --out out", _with(ATT, gardenhose=GH),
+                                   "[Errno 21] Is a directory: 'out.strategy.json'"),
 }
 
 
 @pytest.mark.parametrize("case", PINNED_ERRORS.values(), ids=PINNED_ERRORS.keys())
-def test_pinned_config_error_messages(tmp_path, capsys, case):
+def test_pinned_config_error_messages(tmp_path, capsys, monkeypatch, case):
     command, payload, message, *code = case
     cfg = write_config(tmp_path, "c.json", payload)
-    got_code, out, err = run_cli(capsys, command, "--config", cfg)
-    assert got_code == (code[0] if code else cli.EXIT_CONFIG)
-    assert out == ""
-    assert err == (message if message.startswith("budget") else f"error: {message}") + "\n"
+    argv = [*command.split(), "--config", cfg]
+    want = ((code[0] if code else cli.EXIT_CONFIG), "",
+            (message if message.startswith("budget") else f"error: {message}") + "\n")
+    if "--out" not in argv:
+        assert run_cli(capsys, *argv) == want
+        return
+    # the output path the message names is a directory; the run fails with
+    # and without a previous PATH, and leaves PATH and its directory as they were
+    monkeypatch.chdir(tmp_path)
+    path, directory = argv[argv.index("--out") + 1], message.split("'")[1]
+    os.mkdir(directory)
+    assert run_cli(capsys, *argv) == want
+    assert sorted(os.listdir()) == ["c.json", directory]
+    (tmp_path / path).write_bytes(b"previous\n")
+    assert run_cli(capsys, *argv) == want
+    assert (tmp_path / path).read_bytes() == b"previous\n"
+    assert sorted(os.listdir()) == ["c.json", path, directory]
 
 
 # small valid configs of every command; each of their keys, list entries
@@ -955,10 +981,12 @@ def test_function_and_prover_kinds_admit_every_key_they_read(tmp_path, capsys, m
     ("n=13\n0\n", "budget exceeded: f.n: a 2^26-entry table exceeds budget 16777216", 3),
     ("n=1\n01\u00e90\n", "error: expected 4 table bits, got 5", 2),
     ("n=1\n01\u00e9\n", "error: table entries must be bits", 2),
-], ids=["budget", "non-ascii-length", "non-ascii-entry"])
+    ("n=2\n" + "0" * 16 + "\n", "error: config.n = 1 disagrees with f.n = 2", 2),
+], ids=["budget", "non-ascii-length", "non-ascii-entry", "n-disagrees"])
 def test_function_file_is_refused_by_rule(tmp_path, capsys, monkeypatch, text, message, code):
-    """A file's n is bounded before its table is read, and a non-ASCII byte
-    is refused as a table entry, never with the codec's message."""
+    """A file's n is bounded before its table is read and must agree with
+    the config's, and a non-ASCII byte is refused as a table entry, never
+    with the codec's message."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "f.txt").write_text(text, encoding="utf-8")
     cfg = write_config(tmp_path, "s.json", _with(SIM, f={"kind": "file", "path": "f.txt"}))

@@ -18,6 +18,7 @@ from qpv import attacks as at
 from qpv import cli
 from qpv import protocol as pr
 from qpv import qcore as qc
+from qpv.protocol.repetition import _top_bits, _unit_doubles
 from qpv.qcore.rng import _seed_keys, _words
 
 ENTROPY_INTS = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(0, 2**128 - 1))
@@ -66,9 +67,9 @@ def test_trial_streams_refuse_bool_name_at_once():
     assert str(via_trials.value) == str(via_stream.value)
 
 
-def _reference_draws(config, protocol, f, prover, seed, trials):
+def _reference_draws(config, protocol, f, prover, seed, trials, noise_mode="bernoulli"):
     """The engine's draws, one ``stream()`` pair per trial."""
-    table = pr.acceptance_table(protocol, f, prover, config.eta)
+    table = pr.acceptance_table(protocol, f, prover, config.eta, noise_mode)
     side, rounds = len(table), config.rounds
     xs = np.empty((trials, rounds), dtype=np.int64)
     ys = np.empty_like(xs)
@@ -81,21 +82,52 @@ def _reference_draws(config, protocol, f, prover, seed, trials):
     return xs, ys, accepted
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_draw_trials_matches_stream_reference(seed):
-    ip2 = an.ip_function(2)
-    cfg = pr.NoisyRepeatConfig(rounds=30, eta=0.01)
-    for protocol, prover in (("route_entangled", pr.HONEST),
-                             ("route_bb84", at.keep_q_attack(ip2))):
-        draws = pr.draw_trials(cfg, protocol, ip2, prover, seed=seed, trials=25)
-        xs, ys, accepted = _reference_draws(cfg, protocol, ip2, prover, seed, 25)
-        np.testing.assert_array_equal(draws.xs, xs)
-        np.testing.assert_array_equal(draws.ys, ys)
-        np.testing.assert_array_equal(draws.accepted, accepted)
-        counts_only = pr.draw_trials(cfg, protocol, ip2, prover, seed=seed, trials=25,
-                                     keep_rounds=False)
-        assert counts_only.xs is counts_only.ys is counts_only.accepted is None
-        np.testing.assert_array_equal(counts_only.accept_counts, accepted.sum(axis=1))
+IP2, IP3, RANDOM4 = an.ip_function(2), an.ip_function(3), an.random_function(4, 5)
+# (protocol, f, prover, rounds, trials, noise mode): n = 1 to 4, odd rounds,
+# and 40 trials of 1000 rounds, three blocks of DRAW_BLOCK_CELLS with a
+# partial last one
+DRAW_CASES = {
+    "xor1-odd-depolarizing": ("route_entangled", an.xor_function(1), pr.HONEST, 7, 25,
+                              "depolarizing"),
+    "ip2-honest": ("route_entangled", IP2, pr.HONEST, 30, 25, "bernoulli"),
+    "ip2-keep_q-bb84": ("route_bb84", IP2, at.keep_q_attack(IP2), 30, 25, "bernoulli"),
+    "ip2-keep_q-blocks": ("route_entangled", IP2, at.keep_q_attack(IP2), 1000, 40, "bernoulli"),
+    "ip3-keep_q-odd": ("route_entangled", IP3, at.keep_q_attack(IP3), 33, 37, "depolarizing"),
+    "random4-keep_q-bb84": ("route_bb84", RANDOM4, at.keep_q_attack(RANDOM4), 9, 7,
+                            "bernoulli"),
+}
+
+
+# 2^32 + 1 and 2^64 - 1 take trial_streams' two-word trial path
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 1, 2**64 - 1])
+@pytest.mark.parametrize("case", DRAW_CASES.values(), ids=DRAW_CASES.keys())
+def test_draw_trials_matches_stream_reference(seed, case):
+    protocol, f, prover, rounds, trials, noise_mode = case
+    cfg = pr.NoisyRepeatConfig(rounds=rounds, eta=0.01)
+    draws = pr.draw_trials(cfg, protocol, f, prover, seed, trials, noise_mode)
+    xs, ys, accepted = _reference_draws(cfg, protocol, f, prover, seed, trials, noise_mode)
+    for got, want in ((draws.xs, xs), (draws.ys, ys), (draws.accepted, accepted),
+                      (draws.accept_counts, accepted.sum(axis=1))):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    counts_only = pr.draw_trials(cfg, protocol, f, prover, seed, trials, noise_mode,
+                                 keep_rounds=False)
+    assert counts_only.xs is counts_only.ys is counts_only.accepted is None
+    assert counts_only.accept_counts.dtype == np.int64
+    np.testing.assert_array_equal(counts_only.accept_counts, draws.accept_counts)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("k", [1, 6, 7])
+def test_word_maps_match_generator_draws(n, k):
+    """The engine's maps of raw words are numpy's own bounded-integer and
+    double draws: two calls of ``integers(2**n, size=k)``, x then y, and
+    ``random(k)``, against the same stream's first words."""
+    words = qc.stream(n, "maps", k).bit_generator.random_raw(k).astype("<u8")
+    inputs = qc.stream(n, "maps", k)
+    np.testing.assert_array_equal(
+        _top_bits(words, n), np.concatenate([inputs.integers(2**n, size=k) for _ in "xy"]))
+    np.testing.assert_array_equal(_unit_doubles(words), qc.stream(n, "maps", k).random(k))
 
 
 # SHA-256 of `qpv simulate --seed 0 --out` (summary JSON without the package

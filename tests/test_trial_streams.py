@@ -100,21 +100,20 @@ DRAW_CASES = {
 
 # 2^32 + 1 and 2^64 - 1 take trial_streams' two-word trial path
 @pytest.mark.parametrize("seed", [0, 3, 2**32 + 1, 2**64 - 1])
-@pytest.mark.parametrize("case", DRAW_CASES.values(), ids=DRAW_CASES.keys())
-def test_draw_trials_matches_stream_reference(seed, case):
-    protocol, f, prover, rounds, trials, noise_mode = case
-    cfg = pr.NoisyRepeatConfig(rounds=rounds, eta=0.01)
-    draws = pr.draw_trials(cfg, protocol, f, prover, seed, trials, noise_mode)
-    xs, ys, accepted = _reference_draws(cfg, protocol, f, prover, seed, trials, noise_mode)
-    for got, want in ((draws.xs, xs), (draws.ys, ys), (draws.accepted, accepted),
-                      (draws.accept_counts, accepted.sum(axis=1))):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    counts_only = pr.draw_trials(cfg, protocol, f, prover, seed, trials, noise_mode,
-                                 keep_rounds=False)
-    assert counts_only.xs is counts_only.ys is counts_only.accepted is None
-    assert counts_only.accept_counts.dtype == np.int64
-    np.testing.assert_array_equal(counts_only.accept_counts, draws.accept_counts)
+def test_draw_trials_matches_stream_reference(seed):
+    for protocol, f, prover, rounds, trials, noise_mode in DRAW_CASES.values():
+        cfg = pr.NoisyRepeatConfig(rounds=rounds, eta=0.01)
+        draws = pr.draw_trials(cfg, protocol, f, prover, seed, trials, noise_mode)
+        xs, ys, accepted = _reference_draws(cfg, protocol, f, prover, seed, trials, noise_mode)
+        for got, want in ((draws.xs, xs), (draws.ys, ys), (draws.accepted, accepted),
+                          (draws.accept_counts, accepted.sum(axis=1))):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        counts_only = pr.draw_trials(cfg, protocol, f, prover, seed, trials, noise_mode,
+                                     keep_rounds=False)
+        assert counts_only.xs is counts_only.ys is counts_only.accepted is None
+        assert counts_only.accept_counts.dtype == np.int64
+        np.testing.assert_array_equal(counts_only.accept_counts, draws.accept_counts)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

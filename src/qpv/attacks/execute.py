@@ -38,7 +38,7 @@ def both_outcomes(effects: np.ndarray) -> np.ndarray:
 def _by_register(rets):
     """(register, row indices) for each of A and B that some row returns."""
     rets = np.asarray(rets)
-    return [(ret, np.flatnonzero(rets == ret)) for ret in ("A", "B") if np.any(rets == ret)]
+    return [(ret, idx) for ret in ("A", "B") if (idx := np.flatnonzero(rets == ret)).size]
 
 
 def _inner(vecs, ws) -> np.ndarray:
@@ -48,14 +48,12 @@ def _inner(vecs, ws) -> np.ndarray:
 
 def after_locals(vecs, layout, alice, bob):
     """Alice's, then Bob's local unitary."""
-    vecs = qc.apply_vector_matrix(vecs, layout, alice, ALICE_LOCAL)
-    return qc.apply_vector_matrix(vecs, layout, bob, BOB_LOCAL)
+    return qc.apply_steps(vecs, layout, [(alice, ALICE_LOCAL), (bob, BOB_LOCAL)])
 
 
 def route_finale(vecs, layout, k, l):
     """Recovery K on Alice's finale registers, then L on Bob's."""
-    vecs = qc.apply_vector_matrix(vecs, layout, k, ALICE_FINAL)
-    return qc.apply_vector_matrix(vecs, layout, l, BOB_FINAL)
+    return qc.apply_steps(vecs, layout, [(k, ALICE_FINAL), (l, BOB_FINAL)])
 
 
 def bell_effect(vecs, layout, rets) -> np.ndarray:
@@ -72,11 +70,11 @@ def bell_overlap(vecs, layout, rets) -> np.ndarray:
     return _inner(vecs, bell_effect(vecs, layout, rets))
 
 
-def verifier_branches(vecs, layout, values) -> np.ndarray:
-    """P_z|v> for z = 0, 1, with R projected onto outcome z of basis
-    ``values[i]``, as a (2b, 2^n) batch: branch z on rows z*b to z*b + b - 1."""
+def verifier_branches(vecs, layout, values, then=()) -> np.ndarray:
+    """P_z|v> for z = 0, 1, R projected onto outcome z of basis ``values[i]``,
+    then the steps ``then``: a (2b, 2^n) batch, branch z on rows z*b to z*b + b - 1."""
     proj = BASIS_PROJECTORS[np.asarray(values)].swapaxes(0, 1).reshape(-1, 2, 2)
-    return qc.apply_vector_matrix(np.concatenate([vecs, vecs]), layout, proj, ("R",))
+    return qc.apply_steps(np.concatenate([vecs, vecs]), layout, [(proj, ("R",)), *then])
 
 
 def meas_branches(vecs, layout, values, pi, sigma) -> np.ndarray:
@@ -84,9 +82,8 @@ def meas_branches(vecs, layout, values, pi, sigma) -> np.ndarray:
     reads z in basis f(x, y) = ``values[i]`` and both attackers report z
     (effect stacks pi, sigma for z = 0).  The sum over z is G|v>, the
     measuring effect, and a pair's success is <v|G|v>."""
-    w = verifier_branches(vecs, layout, values)
-    w = qc.apply_vector_matrix(w, layout, both_outcomes(pi), ALICE_FINAL)
-    w = qc.apply_vector_matrix(w, layout, both_outcomes(sigma), BOB_FINAL)
+    w = verifier_branches(vecs, layout, values, [(both_outcomes(pi), ALICE_FINAL),
+                                                 (both_outcomes(sigma), BOB_FINAL)])
     return w.reshape(2, -1, layout.dim)
 
 

@@ -30,12 +30,9 @@ from .execute import (
     epsilon_l_report,
     meas_branches,
     pair_success,
-    route_finale,
     verifier_branches,
 )
 from .strategy import (
-    ALICE_FINAL,
-    BOB_FINAL,
     FINALE,
     FINAL_REGS,
     LOCAL_REGS,
@@ -92,7 +89,8 @@ class _Work:
     sigma (measuring) by (restart, pair), pair p = x * 2^n + y.  Every
     update scores all (restart, pair) rows in one batch, row r * 4^n + p;
     rows are independent within an update, so batching leaves each row's
-    arithmetic as it is.
+    arithmetic as it is.  ``succ`` is the success per (restart, pair) of the
+    current state: the updates that score it carry it, the finale's clear it.
     """
 
     def __init__(self, kind, f, layout, seed, restarts, fix_psi=None):
@@ -121,6 +119,7 @@ class _Work:
         self.psi = np.stack(psis)
         self.locals = [np.stack(stacks) for stacks in zip(*locals_)]
         self.finale = [np.stack(stacks) for stacks in zip(*finale)]
+        self.succ = None
 
     def select(self, keep):
         """The restarts ``keep`` (a mask or index array) as a new batch."""
@@ -129,6 +128,7 @@ class _Work:
         out.psi = self.psi[keep]
         out.locals = [stack[keep] for stack in self.locals]
         out.finale = [stack[keep] for stack in self.finale]
+        out.succ = None if self.succ is None else self.succ[keep]
         return out
 
     # -- batched evaluation (shared kernels in .execute) ----------------------
@@ -168,19 +168,33 @@ class _Work:
         return self._per_restart(pair_success(vecs, self.layout, self.kind,
                                               self._tiled(self.values), finale))
 
-    def average(self, psi=None):
-        """Average success per restart."""
-        return np.mean(self.successes(self.after_locals(psi)), axis=1)
+    def table(self):
+        """``succ``, evaluated if no update carried it."""
+        if self.succ is None:
+            self.succ = self.successes(self.after_locals())
+        return self.succ
 
-    def _effect(self, vecs):
-        """M|v> per row, M the final measurement sandwiched by the finale."""
-        k, l = self._finale(0), self._finale(1)
-        if self.kind == "route":
-            w = bell_effect(route_finale(vecs, self.layout, k, l), self.layout,
-                            self._tiled(self.rets))
-            w = self._apply(w, dagger(l), BOB_FINAL)
-            return self._apply(w, dagger(k), ALICE_FINAL)
-        return meas_branches(vecs, self.layout, self._tiled(self.values), k, l).sum(axis=0)
+    def average(self):
+        """Average success per restart."""
+        return np.mean(self.table(), axis=1)
+
+    def _sandwich(self, undo):
+        """psi -> U^dag M U|psi> per row, the stacks built once: U is the local
+        unitaries, then K and L when routing, M the final measurement, and
+        U^dag the daggers of K and L, then the steps ``undo``."""
+        route, finale = self.kind == "route", [self._finale(j) for j in (0, 1)]
+        fwd = [(self._pair_locals(side), LOCAL_REGS[side]) for side in (0, 1)]
+        if route:
+            fwd += list(zip(finale, FINAL_REGS))
+            undo = [(dagger(finale[j]), FINAL_REGS[j]) for j in (1, 0)] + undo
+        labels = self._tiled(self.rets if route else self.values)
+
+        def apply(psi):
+            w = qc.apply_steps(np.repeat(psi, len(self.pairs), axis=0), self.layout, fwd)
+            w = (bell_effect(w, self.layout, labels) if route else
+                 meas_branches(w, self.layout, labels, *finale).sum(axis=0))
+            return qc.apply_steps(w, self.layout, undo)
+        return apply
 
     def _per_value(self, per_pair, side):
         """Sum of a (restarts, pairs, ...) array over the other side's
@@ -191,6 +205,7 @@ class _Work:
     # -- sweep updates ------------------------------------------------------
 
     def update_recovery(self):
+        self.succ = None
         vecs = self.after_locals()
         values, rets = self._tiled(self.values), self._tiled(self.rets)
         finale = [self._finale(j) for j in (0, 1)]   # views: writes land in self.finale
@@ -218,6 +233,7 @@ class _Work:
                 moved[active], score[active] = cand_moved[active], cand_score[active]
 
     def update_effects(self):
+        self.succ = None
         vecs = self.after_locals()
         both = np.concatenate([vecs, vecs])
         branches = verifier_branches(vecs, self.layout, self._tiled(self.values))
@@ -235,17 +251,16 @@ class _Work:
         each value's unitary only moves its own pairs, so each keeps its own
         accept test."""
         other = 1 - side
-        vecs = self.after_locals()
-        back = self._apply(self._effect(vecs), dagger(self._pair_locals(other)),
-                           LOCAL_REGS[other])
+        back = self._sandwich([(dagger(self._pair_locals(other)), LOCAL_REGS[other])])(self.psi)
         grads = qc.reduced_outer(back, np.repeat(self.psi, len(self.pairs), axis=0),
                                  self.layout, LOCAL_REGS[side])
-        old_score = self._per_value(self.successes(vecs), side)
+        old_score = self._per_value(self.table(), side)
         old = self.locals[side]
         self.locals[side] = polar_unitary(self._per_value(self._per_restart(grads), side))
-        new_score = self._per_value(self.successes(self.after_locals()), side)
-        worse = new_score < old_score - 1e-15
+        new = self.successes(self.after_locals())
+        worse = self._per_value(new, side) < old_score - 1e-15
         self.locals[side][worse] = old[worse]
+        self.succ = np.where(worse[:, self.index[side]], self.succ, new)
 
     def update_psi(self):
         """Rayleigh-Ritz step on H = mean_p U_p^dag M_p U_p, per restart.
@@ -260,15 +275,10 @@ class _Work:
         """
         if self.fix_psi:
             return
-        undo = [dagger(self._pair_locals(side)) for side in (0, 1)]
-
-        def hmat_vec(v):
-            w = self._effect(self.after_locals(v))
-            for side in (1, 0):   # Bob's local unitary was applied last
-                w = self._apply(w, undo[side], LOCAL_REGS[side])
-            return self._per_restart(w).sum(axis=1) / len(self.pairs)
-
-        old_score = self.average()
+        # H's products; Bob's local unitary was applied last, so it is undone first
+        effect = self._sandwich([(dagger(self._pair_locals(side)), LOCAL_REGS[side])
+                                 for side in (1, 0)])
+        old = self.table()
         count = len(self.psi)
         basis = np.zeros((count, KRYLOV_PRODUCTS, self.layout.dim), dtype=complex)
         images = np.zeros_like(basis)
@@ -276,7 +286,8 @@ class _Work:
         live = np.ones(count, dtype=bool)
         q = self.psi / np.linalg.norm(self.psi, axis=1, keepdims=True)
         for k in range(KRYLOV_PRODUCTS):
-            basis[:, k], images[:, k] = q, hmat_vec(q)
+            basis[:, k] = q
+            images[:, k] = self._per_restart(effect(q)).sum(axis=1) / len(self.pairs)
             size += live
             if k + 1 == KRYLOV_PRODUCTS:
                 break
@@ -299,8 +310,10 @@ class _Work:
         top = np.linalg.eigh(proj)[1][:, :, -1]
         v = np.einsum("rk,rkd->rd", top, basis)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        accept = self.average(v) > old_score + 1e-15
+        new = self.successes(self.after_locals(v))
+        accept = np.mean(new, axis=1) > np.mean(old, axis=1) + 1e-15
         self.psi[accept] = v[accept]
+        self.succ = np.where(accept[:, None], new, old)
 
     def sweep(self):
         """One sweep of every restart; returns the averages after it."""

@@ -207,7 +207,8 @@ def _provenance(config: dict, seed: int) -> dict:
 
 def _function_from_config(config: dict, seed: int):
     """The function of ``config["f"]``.  A spec without its own "n" (and not
-    a file) inherits the config's; otherwise a config "n" must agree with it."""
+    a file) inherits the config's; otherwise a config "n" must agree with it,
+    as a file spec's own "n" must with the file's."""
     if "f" not in config:
         raise ConfigError("config: missing keys ['f']")
     spec = config["f"]
@@ -216,7 +217,10 @@ def _function_from_config(config: dict, seed: int):
         spec = {"n": config["n"], **spec}
     read = _fields(spec, "f", FUNCTION)
     if spec["kind"] == "file":
+        own = read("n") if "n" in config["f"] else None
         f = analysis.load_function(spec["path"])
+        if own not in (None, f.n):
+            raise ConfigError(f"f.n = {own} disagrees with the file's n = {f.n}")
     else:
         spec = {key: read(key) for key in FUNCTION_ROWS if key in spec}
         if spec["kind"] == "random":

@@ -11,6 +11,7 @@ from .ops import (
     Z,
     apply_matrix,
     apply_on_qubits,
+    apply_steps,
     apply_vector_matrix,
     compose_on_qubits,
     basis_projectors,

@@ -3,19 +3,19 @@
 A matrix over registers ``(P, Q, ...)`` is indexed little-endian over the
 concatenation of those registers in the given order.  One convention maps
 registers to array axes: :func:`~qpv.qcore.layout.rows_first` views a batch
-of vectors as matrices whose rows are those registers' qubits, so applying
-an operator is one ``matmul`` on that view and a partial trace is a product
-of two views (or, for a density matrix, a trace over the traced qubits of
-its 2n-qubit view).
+of vectors as matrices whose rows are those registers' qubits.  An apply is
+one ``matmul`` on that view, read as one cached gather, and ``apply_steps``
+chains applies with one gather between two steps; a partial trace is a
+product of two views (or, for a density matrix, a trace over its 2n-qubit view).
 
-The package runs on the raw-array kernels (``apply_vector_matrix``,
-``apply_on_qubits``, ``reduced_outer``, ``conditional_entropy_pure``,
-``purified_distance_pure``).  The dense ops on plain density matrices
-(``apply_matrix``, ``partial_trace``, ``fidelity``, ``conditional_entropy``,
-``dephase_register``) have no caller outside qcore: they are the reference
-the kernel tests compare against, fed |v><v| for a vector v so that no
-comparison reduces to the kernel's own output, and the benchmark tracer
-wraps them.
+The package runs on the raw-array kernels (``apply_steps`` and its one-step
+case ``apply_vector_matrix``, ``apply_on_qubits``, ``reduced_outer``,
+``conditional_entropy_pure``, ``purified_distance_pure``).  The dense ops on
+plain density matrices (``apply_matrix``, ``partial_trace``, ``fidelity``,
+``conditional_entropy``, ``dephase_register``) have no caller outside qcore:
+they are the reference the kernel tests compare against, fed |v><v| for a
+vector v so that no comparison reduces to the kernel's own output, and the
+benchmark tracer wraps them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .layout import RegisterLayout, rows_back, rows_first
+from .layout import RegisterLayout, register_qubits, row_gather, rows_first, step_gather
 
 UNITARY_TOL = 1e-10
 EFFECT_TOL = 1e-10
@@ -92,12 +92,20 @@ def check_state(data: np.ndarray, dim: int, label: str = "state") -> None:
 # the apply kernel
 # ---------------------------------------------------------------------------
 
-def _apply_to_vector(vec: np.ndarray, n: int, mat: np.ndarray,
-                     qubits: list[int]) -> np.ndarray:
-    """``mat`` on ``qubits`` of a vector or of each vector in a ``(b, 2^n)``
-    batch; ``mat`` is one matrix or a ``(b, d, d)`` stack, one per vector."""
-    out = rows_back(mat @ rows_first(vec, n, qubits), n, qubits)
-    return out[0] if np.ndim(vec) == 1 and np.ndim(mat) == 2 else out
+def _apply_steps(vec: np.ndarray, n: int, steps) -> np.ndarray:
+    """The ``(mat, qubits)`` steps in turn on a vector or on each vector of a
+    ``(b, 2^n)`` batch; ``mat`` is one matrix or a ``(b, d, d)`` stack, one per
+    vector.  Each step is one ``matmul`` on the batch gathered, straight from
+    the previous step's order, into the ``rows_first`` order of its qubits."""
+    out, prev = np.reshape(vec, (-1, 1 << n)), None
+    for mat, qubits in steps:
+        qubits, k = tuple(qubits), len(qubits)
+        idx = row_gather(n, qubits)[0] if prev is None else step_gather(n, prev, qubits)
+        # the product's batch: a 1-row vector times a (b, d, d) stack is b rows
+        out = mat @ out.take(idx, axis=1).reshape(len(out), 1 << k, 1 << (n - k))
+        out, prev = out.reshape(len(out), 1 << n), qubits
+    out = out.take(row_gather(n, prev)[1], axis=1)
+    return out[0] if np.ndim(vec) == 1 and all(np.ndim(m) == 2 for m, _ in steps) else out
 
 
 def _registers_tuple(registers) -> tuple[str, ...]:
@@ -117,24 +125,29 @@ def apply_matrix(rho: np.ndarray, layout: RegisterLayout, mat: np.ndarray,
     if mat.shape != (1 << len(qubits),) * 2:
         raise ValueError(f"matrix dimension {mat.shape} does not match registers {registers}")
     n = layout.total_qubits
-    flat = np.reshape(rho, -1)
-    flat = _apply_to_vector(flat, 2 * n, mat, [q + n for q in qubits])
-    flat = _apply_to_vector(flat, 2 * n, mat.conj(), qubits)
+    flat = _apply_steps(np.reshape(rho, -1), 2 * n,
+                        [(mat, [q + n for q in qubits]), (mat.conj(), qubits)])
     return flat.reshape(layout.dim, layout.dim)
+
+
+def apply_steps(vec: np.ndarray, layout: RegisterLayout, steps) -> np.ndarray:
+    """Apply the ``(mat, registers)`` steps, one or more, in turn to a raw
+    vector; ``vec`` and each ``mat`` may carry a batch axis (see ``_apply_steps``)."""
+    steps = [(mat, register_qubits(layout, _registers_tuple(regs))) for mat, regs in steps]
+    return _apply_steps(vec, layout.total_qubits, steps)
 
 
 def apply_vector_matrix(vec: np.ndarray, layout: RegisterLayout,
                         mat: np.ndarray, registers) -> np.ndarray:
-    """Apply a matrix on the named registers of a raw vector; ``vec`` and
-    ``mat`` may carry a batch axis (see ``_apply_to_vector``)."""
-    qubits = layout.positions(*_registers_tuple(registers))
-    return _apply_to_vector(vec, layout.total_qubits, mat, qubits)
+    """Apply a matrix on the named registers of a raw vector: the one-step
+    case of :func:`apply_steps`."""
+    return apply_steps(vec, layout, [(mat, registers)])
 
 
 def apply_on_qubits(vec: np.ndarray, n_qubits: int, mat: np.ndarray,
                     qubit_indices) -> np.ndarray:
     """Apply a small matrix on explicit qubit positions of a raw vector."""
-    return _apply_to_vector(vec, n_qubits, mat, list(qubit_indices))
+    return _apply_steps(vec, n_qubits, [(mat, qubit_indices)])
 
 
 def compose_on_qubits(n_qubits: int, gates) -> np.ndarray:
@@ -143,12 +156,10 @@ def compose_on_qubits(n_qubits: int, gates) -> np.ndarray:
     ``gates`` is an iterable of ``(matrix, qubit_indices)`` applied first to
     last.  Intended for small circuits (finale unitaries, teleport blocks).
     """
-    out = np.eye(1 << n_qubits, dtype=complex)
-    for mat, qubits in gates:
-        # the columns of the running matrix are the batch
-        out = _apply_to_vector(out.T, n_qubits, np.asarray(mat, dtype=complex),
-                               list(qubits)).T
-    return np.ascontiguousarray(out)
+    # the columns of the running matrix are the batch
+    steps = [(np.asarray(mat, dtype=complex), qubits) for mat, qubits in gates]
+    eye = np.eye(1 << n_qubits, dtype=complex)
+    return np.ascontiguousarray(_apply_steps(eye.T, n_qubits, steps).T) if steps else eye
 
 
 # ---------------------------------------------------------------------------

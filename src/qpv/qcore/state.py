@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .layout import RegisterLayout, rows_back
+from .layout import RegisterLayout, row_gather
 
 BELL_VECTOR = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
 
@@ -60,4 +60,4 @@ def assemble_raw(layout: RegisterLayout, factors) -> np.ndarray:
         full = vec[..., :, None] * full[..., None, :]
         full = full.reshape(full.shape[:-2] + (-1,))
     # full is little-endian over covered: its index is one row over those qubits
-    return rows_back(full, n, covered).reshape(full.shape)
+    return full.take(row_gather(n, tuple(covered))[1], axis=-1)

@@ -855,6 +855,11 @@ PINNED_ERRORS = {
     "att-n-disagrees": ("attack-optimize", _with(ATT, n=2), "config.n = 2 disagrees with f.n = 1"),
     "cc-n-disagrees": ("bounds", {"kind": "cc", "k": 1, "n": 2, "f": {"kind": "ip", "n": 1}},
                        "config.n = 2 disagrees with f.n = 1"),
+    # a file spec's own "n" must agree with the file's (f.txt holds n = 1)
+    "sim-file-n-disagrees": ("simulate", _with(SIM, f={"kind": "file", "path": "f.txt", "n": 5}),
+                             "f.n = 5 disagrees with the file's n = 1"),
+    "att-file-n-disagrees": ("attack-optimize", {"f": {"kind": "file", "path": "f.txt", "n": 5}},
+                             "f.n = 5 disagrees with the file's n = 1"),
     # an output path that is a directory: the run writes nothing, and its
     # --out PATH is left as it was
     "sim-out-csv-directory": ("simulate --out out", SIM, "[Errno 21] Is a directory: 'out.csv'"),
@@ -870,12 +875,13 @@ def test_pinned_config_error_messages(tmp_path, capsys, monkeypatch, case):
     argv = [*command.split(), "--config", cfg]
     want = ((code[0] if code else cli.EXIT_CONFIG), "",
             (message if message.startswith("budget") else f"error: {message}") + "\n")
+    monkeypatch.chdir(tmp_path)
     if "--out" not in argv:
+        (tmp_path / "f.txt").write_text("n=1\n0110\n")   # the file a "file" spec reads
         assert run_cli(capsys, *argv) == want
         return
     # the output path the message names is a directory; the run fails with
     # and without a previous PATH, and leaves PATH and its directory as they were
-    monkeypatch.chdir(tmp_path)
     path, directory = argv[argv.index("--out") + 1], message.split("'")[1]
     os.mkdir(directory)
     assert run_cli(capsys, *argv) == want

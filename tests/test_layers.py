@@ -5,7 +5,7 @@ dense density-matrix ops stay in ``qpv.qcore`` as the reference the kernel
 tests compare against; no module outside ``qpv/qcore`` may call them.
 
 Qubits map to array axes in one place, ``qpv/qcore/layout.py``
-(``rows_first``/``rows_back``): no other module contracts with
+(``rows_first`` and its gather, ``row_gather``): no other module contracts with
 ``np.tensordot`` or reshapes a state into per-qubit axes (``[2] * n``,
 ``(2,) * n``).
 

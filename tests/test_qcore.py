@@ -243,7 +243,7 @@ def test_apply_and_trace_kernels_match_bit_bookkeeping_oracles(case):
     mats = _ginibre(rng, b, d, d)
     full = embed_reference(mats[0], layout, regs)
 
-    assert np.array_equal(qc.layout.rows_back(qc.layout.rows_first(vecs, n, qubits),
+    assert np.array_equal(rows_back_reference(qc.layout.rows_first(vecs, n, qubits),
                                               n, qubits), vecs)
     # apply: pure, mixed, a composed circuit, and a batch with one matrix each
     np.testing.assert_allclose(qc.apply_vector_matrix(vecs[0], layout, mats[0], regs),
@@ -307,14 +307,96 @@ def test_cached_row_permutation_matches_index_reference(case):
     expected = rows_first_reference(vecs, n, rows)
     view = qc.layout.rows_first(vecs, n, rows)
     assert np.array_equal(view, expected)
-    assert np.array_equal(qc.layout.rows_back(view, n, rows), vecs)
+    idx, back = qc.layout.row_gather(n, tuple(rows))
+    assert np.array_equal(vecs.take(idx, axis=1), expected.reshape(2, -1))
+    assert np.array_equal(expected.reshape(2, -1).take(back, axis=1), vecs)
     # the cache is keyed by value: reusing and mutating the list passed in
     # leaves the cached permutation of the original rows intact
     rows.reverse()
     assert np.array_equal(qc.layout.rows_first(vecs, n, rows),
                           rows_first_reference(vecs, n, rows))
     assert np.array_equal(qc.layout.rows_first(vecs, n, tuple(perm[:k])), expected)
-    assert np.array_equal(qc.layout.rows_back(expected, n, perm[:k]), vecs)
+    assert np.array_equal(vecs.take(qc.layout.row_gather(n, tuple(perm[:k]))[0], axis=1),
+                          expected.reshape(2, -1))
+
+
+def rows_back_reference(mats, n, rows):
+    """Inverse of ``rows_first`` by an axis transpose, as the kernel undid it
+    before it gathered: ``(b, 2^k, 2^(n-k))`` matrices back to vectors."""
+    cols = [q for q in range(n) if q not in rows]
+    axes = (0,) + tuple(n - q for q in reversed(rows)) + tuple(n - q for q in cols)
+    t = np.reshape(mats, (-1,) + (2,) * n).transpose(np.argsort(axes))
+    return t.reshape(len(t), 1 << n)
+
+
+def apply_reference(vec, n, mat, qubits):
+    """The transpose-based apply kernel the gather kernel replaced."""
+    out = rows_back_reference(mat @ qc.layout.rows_first(vec, n, qubits), n, qubits)
+    return out[0] if np.ndim(vec) == 1 and np.ndim(mat) == 2 else out
+
+
+def _qubit_orders(n, rng):
+    """Qubit tuples of 1 to 3 qubits: random, sorted and low-block orders."""
+    for k in range(1, min(n, 3) + 1):
+        picked = [int(q) for q in rng.permutation(n)[:k]]
+        yield from (tuple(picked), tuple(sorted(picked)), tuple(range(k)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_gather_kernel_is_bit_equal_to_transpose_kernel(n):
+    rng = np.random.default_rng(n)
+    b = 3
+    batch = _ginibre(rng, b, 1 << n)
+    # a transposed, non-contiguous batch, as compose_on_qubits passes
+    strided = _ginibre(rng, 1 << n, b).T
+    cases = views = 0
+    for qubits in _qubit_orders(n, rng):
+        # where rows_first is a non-contiguous view, the old kernel's matmul
+        # read strided rows; the gather kernel reads a copy
+        view = qc.layout.rows_first(strided, n, qubits)
+        views += np.shares_memory(view, strided) and not view.flags.c_contiguous
+        d = 1 << len(qubits)
+        one, stack = _ginibre(rng, d, d), _ginibre(rng, b, d, d)
+        for vec, mat in [(batch[0], one), (batch[0], stack), (batch, one), (batch, stack),
+                         (batch[:1], stack), (strided, one), (strided, stack)]:
+            got = qc.apply_on_qubits(vec, n, mat, qubits)
+            want = apply_reference(vec, n, mat, qubits)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (qubits, np.shape(vec), np.shape(mat))
+            cases += 1
+    assert cases >= 21 and (views > 0 or n > 4)
+
+
+@given(kernel_cases())
+@settings(max_examples=40, deadline=None)
+def test_apply_steps_equals_successive_single_applies(case):
+    layout, regs, b, seed = case
+    rng = qc.stream(seed, "steps")
+    # the chosen registers, then their reverse, then the first alone, with
+    # a shared matrix in the middle and per-vector stacks on either side
+    orders = [regs, tuple(reversed(regs)), regs[:1]]
+    steps = []
+    for j, order in enumerate(orders):
+        d = layout.subdim(*order)
+        steps.append((_ginibre(rng, d, d) if j == 1 else _ginibre(rng, b, d, d), order))
+    vecs = _ginibre(rng, b, layout.dim)
+    want = vecs
+    for mat, order in steps:
+        want = qc.apply_vector_matrix(want, layout, mat, order)
+    got = qc.apply_steps(vecs, layout, steps)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a vector through 2-D matrices stays 1-D
+    flat = [(mat[0] if mat.ndim == 3 else mat, order) for mat, order in steps]
+    single = vecs[0]
+    for mat, order in flat:
+        single = qc.apply_vector_matrix(single, layout, mat, order)
+    assert qc.apply_steps(vecs[0], layout, flat).tobytes() == single.tobytes()
+    assert single.shape == (layout.dim,)
+    # a vector through a matrix, then a stack, is a batch
+    mixed = qc.apply_vector_matrix(qc.apply_vector_matrix(vecs[0], layout, *flat[0]),
+                                   layout, *steps[2])
+    got = qc.apply_steps(vecs[0], layout, [flat[0], steps[2]])
+    assert got.shape == mixed.shape == (b, layout.dim) and got.tobytes() == mixed.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -195,3 +195,37 @@ def test_psi_step_reaches_top_eigenvalue(kind, seed):
     psi = work.psi[0]
     assert np.vdot(psi, h @ psi).real >= np.linalg.eigvalsh(h)[-1] - 1e-8
     assert work.average()[0] >= before
+
+
+@pytest.mark.parametrize("kind, fixed", [("route", False), ("meas", True)])
+def test_carried_success_table_equals_a_fresh_evaluation(kind, fixed):
+    """The table an update leaves behind is, bit for bit, the one a fresh
+    evaluation of the new state gives: after each update of three sweeps,
+    and after a restart leaves the batch.  The second psi step of a sweep
+    finds psi at the top and keeps it."""
+    f = an.ip_function(2)
+    layout = at.attack_layout(a=1, ac=1)
+    psi = at.unentangled_product_state(layout) if fixed else None
+    work = at.seesaw._Work(kind, f, layout, 5, range(3), psi)
+
+    def check():
+        if work.succ is not None:
+            fresh = work.successes(work.after_locals())
+            assert work.succ.tobytes() == fresh.tobytes()
+
+    work.average()
+    check()
+    carried = 0
+    for _ in range(3):
+        for update in (work.update_recovery if kind == "route" else work.update_effects,
+                       lambda: work.update_local(0), lambda: work.update_local(1),
+                       work.update_psi, work.update_psi):
+            update()
+            check()
+            carried += work.succ is not None
+    assert carried == 12   # the local and psi updates carry it; the finale's clear it
+    work = work.select(np.array([True, False, True]))
+    assert work.succ.shape == (2, 16)
+    check()
+    work.update_local(0)
+    check()

@@ -38,7 +38,7 @@ def both_outcomes(effects: np.ndarray) -> np.ndarray:
 def _by_register(rets):
     """(register, row indices) for each of A and B that some row returns."""
     rets = np.asarray(rets)
-    return [(ret, idx) for ret in ("A", "B") if (idx := np.flatnonzero(rets == ret)).size]
+    return [(ret, np.flatnonzero(rets == ret)) for ret in ("A", "B") if np.any(rets == ret)]
 
 
 def _inner(vecs, ws) -> np.ndarray:

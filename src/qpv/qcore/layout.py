@@ -110,9 +110,3 @@ def row_gather(n: int, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def step_gather(n: int, prev: tuple[int, ...], rows: tuple[int, ...]) -> np.ndarray:
     """``back`` of ``prev`` then ``idx`` of ``rows``, as one gather."""
     return _frozen(row_gather(n, prev)[1].take(row_gather(n, rows)[0]))
-
-
-@lru_cache(maxsize=256)
-def register_qubits(layout: RegisterLayout, registers: tuple[str, ...]) -> tuple[int, ...]:
-    """``layout.positions(*registers)`` as a tuple, cached."""
-    return tuple(layout.positions(*registers))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .layout import RegisterLayout, register_qubits, row_gather, rows_first, step_gather
+from .layout import RegisterLayout, row_gather, rows_first, step_gather
 
 UNITARY_TOL = 1e-10
 EFFECT_TOL = 1e-10
@@ -133,7 +133,7 @@ def apply_matrix(rho: np.ndarray, layout: RegisterLayout, mat: np.ndarray,
 def apply_steps(vec: np.ndarray, layout: RegisterLayout, steps) -> np.ndarray:
     """Apply the ``(mat, registers)`` steps, one or more, in turn to a raw
     vector; ``vec`` and each ``mat`` may carry a batch axis (see ``_apply_steps``)."""
-    steps = [(mat, register_qubits(layout, _registers_tuple(regs))) for mat, regs in steps]
+    steps = [(mat, layout.positions(*_registers_tuple(regs))) for mat, regs in steps]
     return _apply_steps(vec, layout.total_qubits, steps)
 
 

@@ -321,8 +321,8 @@ def test_cached_row_permutation_matches_index_reference(case):
 
 
 def rows_back_reference(mats, n, rows):
-    """Inverse of ``rows_first`` by an axis transpose, as the kernel undid it
-    before it gathered: ``(b, 2^k, 2^(n-k))`` matrices back to vectors."""
+    """Inverse of ``rows_first`` by an axis transpose, independent of the
+    gather index: ``(b, 2^k, 2^(n-k))`` matrices back to vectors."""
     cols = [q for q in range(n) if q not in rows]
     axes = (0,) + tuple(n - q for q in reversed(rows)) + tuple(n - q for q in cols)
     t = np.reshape(mats, (-1,) + (2,) * n).transpose(np.argsort(axes))
@@ -330,7 +330,8 @@ def rows_back_reference(mats, n, rows):
 
 
 def apply_reference(vec, n, mat, qubits):
-    """The transpose-based apply kernel the gather kernel replaced."""
+    """An apply by transpose, ``matmul`` and transpose back: the reference the
+    gather kernel must equal bit for bit."""
     out = rows_back_reference(mat @ qc.layout.rows_first(vec, n, qubits), n, qubits)
     return out[0] if np.ndim(vec) == 1 and np.ndim(mat) == 2 else out
 

@@ -63,6 +63,21 @@ def volume_entropy_check(n: int, lam) -> bool:
         return bool(mp.mpf(vol) <= mp.mpf(rhs_upper))
 
 
+def _doubles(where: str, **values) -> dict:
+    """The report entries ``values`` as doubles; one that does not fit is
+    refused, since JSON has no token for an infinity."""
+    out = {}
+    for key, value in values.items():
+        try:
+            out[key] = float(value)
+        except OverflowError:
+            out[key] = math.inf
+    wide = [key for key, value in out.items() if not math.isfinite(value)]
+    if wide:
+        raise ValueError(f"{where}: {', '.join(wide)} outside the double range")
+    return out
+
+
 @dataclass(frozen=True)
 class NetSizeReport:
     q: int
@@ -98,9 +113,10 @@ def net_size_report(q: int) -> NetSizeReport:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    log2c = math.log2(NET_BASE)
-    unit = (1 << (2 * q + 1)) * log2c
-    state = (1 << (2 * q + 2)) * log2c
+    log2c = Fraction(math.log2(NET_BASE))   # exact, so each product rounds once
+    sizes = _doubles(f"net_size with q = {q}", log2_net_alice=(1 << (2 * q + 1)) * log2c,
+                     log2_net_states=(1 << (2 * q + 2)) * log2c)
+    unit, state = sizes["log2_net_alice"], sizes["log2_net_states"]
     return NetSizeReport(q=q, log2_na=unit, log2_nb=unit, log2_ns=state,
                          k=state, note=NET_DIMENSION_NOTE)
 
@@ -160,9 +176,8 @@ def counting_bound(n: int, q: int) -> CountingReport:
             note = "guarantee requires n >= 10; computed anyway"
         elif 2 * q > n - 10:
             note = "q exceeds n/2 - 5; no guarantee claimed"
-        return CountingReport(n=n, q=q, k=float(k.mid),
-                              log2_bound=float(upper),
-                              passes=passes, precondition_note=note)
+        doubles = _doubles(f"counting with n = {n}, q = {q}", k=k.mid, log2_bound=upper)
+        return CountingReport(n=n, q=q, **doubles, passes=passes, precondition_note=note)
 
 
 def attacker_qubit_bound(kind: str, *, n: int | None = None,

@@ -23,9 +23,9 @@ from .good_sets import (
 )
 from .seesaw import (
     SeesawOutcome,
-    angle_grid_value,
     default_split,
     helstrom_effect,
+    measure_broadcast_value,
     polar_unitary,
     seesaw_optimize,
 )

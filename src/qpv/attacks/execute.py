@@ -27,18 +27,16 @@ from .strategy import (
 ENUMERATION_LIMIT_N = 4
 
 BELL_PROJECTOR = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
+# the Bell test by f(x, y) on (R, A, B): the projector on R and the returned qubit
+BELL_REGS = ("R", "A", "B")
+BELL_EFFECTS = np.stack([qc.compose_on_qubits(3, [(BELL_PROJECTOR, [0, q])]) for q in (1, 2)])
+BELL_EFFECTS.flags.writeable = False
 BASIS_PROJECTORS = np.array([qc.basis_projectors(b) for b in (0, 1)])  # [basis, outcome]
 
 
 def both_outcomes(effects: np.ndarray) -> np.ndarray:
     """The z = 0 effects of a (b, d, d) stack followed by their complements."""
     return np.concatenate([effects, np.eye(effects.shape[-1]) - effects])
-
-
-def _by_register(rets):
-    """(register, row indices) for each of A and B that some row returns."""
-    rets = np.asarray(rets)
-    return [(ret, np.flatnonzero(rets == ret)) for ret in ("A", "B") if np.any(rets == ret)]
 
 
 def _inner(vecs, ws) -> np.ndarray:
@@ -56,18 +54,15 @@ def route_finale(vecs, layout, k, l):
     return qc.apply_steps(vecs, layout, [(k, ALICE_FINAL), (l, BOB_FINAL)])
 
 
-def bell_effect(vecs, layout, rets) -> np.ndarray:
-    """M|v> per row, with M the Bell projector on (R, ret) and ``rets``
-    naming each row's returned register."""
-    out = np.empty_like(vecs)
-    for ret, idx in _by_register(rets):
-        out[idx] = qc.apply_vector_matrix(vecs[idx], layout, BELL_PROJECTOR, ("R", ret))
-    return out
+def bell_effect(vecs, layout, values) -> np.ndarray:
+    """M|v> per row, M the Bell test of f(x, y) = ``values`` (one per row, or
+    one for all rows)."""
+    return qc.apply_vector_matrix(vecs, layout, BELL_EFFECTS[values], BELL_REGS)
 
 
-def bell_overlap(vecs, layout, rets) -> np.ndarray:
+def bell_overlap(vecs, layout, values) -> np.ndarray:
     """Bell-test pass probability <v|M|v> = <Omega|rho_{R,ret}|Omega> per row."""
-    return _inner(vecs, bell_effect(vecs, layout, rets))
+    return _inner(vecs, bell_effect(vecs, layout, values))
 
 
 def verifier_branches(vecs, layout, values, then=()) -> np.ndarray:
@@ -92,8 +87,7 @@ def pair_success(vecs, layout, kind, values, finale) -> np.ndarray:
     the local unitaries.  ``values`` are the f(x, y); ``finale`` is the
     stacks (K, L) for routing and the effects (pi, sigma) for measuring."""
     if kind == "route":
-        return bell_overlap(route_finale(vecs, layout, *finale), layout,
-                            [returned_register(v) for v in values])
+        return bell_overlap(route_finale(vecs, layout, *finale), layout, values)
     return _inner(vecs, meas_branches(vecs, layout, values, *finale).sum(axis=0))
 
 

@@ -16,13 +16,14 @@ and stops on its own, so its values do not depend on the batching.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import qcore as qc
 from .execute import (
+    BELL_EFFECTS,
+    BELL_REGS,
     after_locals,
     bell_effect,
     bell_overlap,
@@ -39,7 +40,6 @@ from .strategy import (
     AttackReport,
     AttackStrategy,
     attack_layout,
-    returned_register,
 )
 
 SWEEP_TOL = 1e-9          # a restart stops when a sweep gains less
@@ -106,7 +106,6 @@ class _Work:
         self.pairs = [(x, y) for x in range(self.side) for y in range(self.side)]
         self.index = tuple(np.array(v) for v in zip(*self.pairs))
         self.values = np.array([f.value(x, y) for x, y in self.pairs])
-        self.rets = np.array([returned_register(v) for v in self.values])
         draw = qc.haar_random_unitary if kind == "route" else random_effect
         psis, locals_, finale = [], [], []
         for r in restarts:
@@ -180,20 +179,19 @@ class _Work:
 
     def _sandwich(self, undo):
         """psi -> U^dag M U|psi> per row, the stacks built once: U is the local
-        unitaries, then K and L when routing, M the final measurement, and
-        U^dag the daggers of K and L, then the steps ``undo``."""
+        unitaries, then K and L when routing, M the test of f(x, y) (routing:
+        the Bell effect, in one chain), U^dag the daggers of K and L, then ``undo``."""
         route, finale = self.kind == "route", [self._finale(j) for j in (0, 1)]
+        labels = self._tiled(self.values)
         fwd = [(self._pair_locals(side), LOCAL_REGS[side]) for side in (0, 1)]
         if route:
-            fwd += list(zip(finale, FINAL_REGS))
-            undo = [(dagger(finale[j]), FINAL_REGS[j]) for j in (1, 0)] + undo
-        labels = self._tiled(self.rets if route else self.values)
+            fwd += [*zip(finale, FINAL_REGS), (BELL_EFFECTS[labels], BELL_REGS),
+                    *[(dagger(finale[j]), FINAL_REGS[j]) for j in (1, 0)], *undo]
 
         def apply(psi):
             w = qc.apply_steps(np.repeat(psi, len(self.pairs), axis=0), self.layout, fwd)
-            w = (bell_effect(w, self.layout, labels) if route else
-                 meas_branches(w, self.layout, labels, *finale).sum(axis=0))
-            return qc.apply_steps(w, self.layout, undo)
+            return w if route else qc.apply_steps(
+                meas_branches(w, self.layout, labels, *finale).sum(axis=0), self.layout, undo)
         return apply
 
     def _per_value(self, per_pair, side):
@@ -207,25 +205,25 @@ class _Work:
     def update_recovery(self):
         self.succ = None
         vecs = self.after_locals()
-        values, rets = self._tiled(self.values), self._tiled(self.rets)
+        values = self._tiled(self.values)
         finale = [self._finale(j) for j in (0, 1)]   # views: writes land in self.finale
         for side in (0, 1):
             # rows returning to this side optimize its recovery unitary
             idx = np.flatnonzero(values == side)
             if not idx.size:
                 continue
-            regs, row_rets = FINAL_REGS[side], rets[idx]
+            regs = FINAL_REGS[side]
             vec = self._apply(vecs[idx], finale[1 - side][idx], FINAL_REGS[1 - side])
             moved = self._apply(vec, finale[side][idx], regs)
-            score = bell_overlap(moved, self.layout, row_rets)
+            score = bell_overlap(moved, self.layout, side)
             active = np.ones(idx.size, dtype=bool)
             for _ in range(RECOVERY_STEPS):
                 # polar factor of the Bell-overlap gradient, and vec under it
-                grad = qc.reduced_outer(bell_effect(moved, self.layout, row_rets), vec,
+                grad = qc.reduced_outer(bell_effect(moved, self.layout, side), vec,
                                         self.layout, regs)
                 cand = polar_unitary(grad)
                 cand_moved = self._apply(vec, cand, regs)
-                cand_score = bell_overlap(cand_moved, self.layout, row_rets)
+                cand_score = bell_overlap(cand_moved, self.layout, side)
                 active &= cand_score > score + 1e-15
                 if not active.any():
                     break
@@ -412,16 +410,15 @@ def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
                          best_value=best_at[0], restart_values=tuple(values))
 
 
-def angle_grid_value(f, resolution: int = 1000, per_x: bool = False) -> float:
-    """Best average success of measure-and-broadcast attacks on the measuring
-    protocol, over single-qubit measurement angles.
-
-    Alice measures the stored qubit at an angle in the X-Z great circle and
-    both attackers report the outcome; the verifier measures in the basis
-    picked by f.  ``per_x`` lets the angle depend on Alice's input.
-    """
-    angles = np.linspace(0.0, math.pi / 2, resolution)
-    # cos^2(alpha - f(x, y) pi/4), averaged over y: rows x, columns alpha
-    by_x = np.mean(np.cos(angles - f.communication_matrix()[..., None] * math.pi / 4) ** 2,
-                   axis=1)
-    return float(np.mean(by_x.max(axis=1)) if per_x else by_x.mean(axis=0).max())
+def measure_broadcast_value(f, per_x: bool = False) -> float:
+    """Best average success on the measuring protocol when Alice measures the
+    stored qubit at an angle alpha in the X-Z great circle and both report
+    the outcome; the verifier measures in Z for f = 0 and X for f = 1.  With
+    p the share of y where f(x, y) = 1, the success averaged over y is
+    (1 - p) cos^2(alpha) + p cos^2(alpha - pi/4)
+    = 1/2 + ((1 - p) cos(2 alpha) + p sin(2 alpha))/2, at most
+    (1 + sqrt((1 - p)^2 + p^2))/2.  ``per_x`` (an angle per x) averages that
+    over x; one angle takes it at the mean p, the success being linear in p."""
+    p = np.mean(f.communication_matrix(), axis=1)
+    p = p if per_x else np.mean(p)
+    return float(np.mean((1 + np.sqrt((1 - p) ** 2 + p ** 2)) / 2))

@@ -413,7 +413,7 @@ def _write(*outputs):
 
 
 def _json_line(doc) -> list:
-    return [json.dumps(doc, sort_keys=True) + "\n"]
+    return [json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"]
 
 
 def main(argv=None) -> int:

@@ -153,17 +153,17 @@ def test_criterion_09_unentangled_measuring_optimum():
     psi0 = at.unentangled_product_state(layout)
     out = at.seesaw_optimize(f_and, kind="meas", restarts=20, iters=60,
                              seed=SEED, split=(1, 0, 1), fix_psi=psi0)
-    grid = at.angle_grid_value(f_and, 1000, per_x=True)
+    closed = at.measure_broadcast_value(f_and, per_x=True)
     and_unent = (1 + math.cos(math.pi / 8) ** 2) / 2
     lo, hi = and_unent - 0.005, and_unent + 0.005
     in_window = lo <= out.best_value <= hi
-    grid_in_window = lo <= grid <= hi
+    closed_form_agrees = abs(closed - and_unent) <= 1e-12
     below_one = out.best_value <= 1 - 1e-9
-    passed = in_window and grid_in_window and below_one
+    passed = in_window and closed_form_agrees and below_one
     report(9, "unentangled optimum, measuring protocol, f=AND", passed,
            f"see-saw best {out.best_value:.6f}, window "
            f"[{lo:.4f}, {hi:.4f}] = (1+cos^2(pi/8))/2 +- 0.005; "
-           f"per-x angle grid cross-check {grid:.6f}; "
+           f"per-x measure-and-broadcast closed form {closed:.12f}; "
            f"below-1 check {below_one}",
            120, time.time() - t0)
 

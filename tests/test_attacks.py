@@ -13,6 +13,8 @@ from qpv import analysis as an
 from qpv import attacks as at
 from qpv import qcore as qc
 from qpv.attacks.execute import (
+    BELL_EFFECTS,
+    BELL_PROJECTOR,
     after_locals,
     bell_effect,
     bell_overlap,
@@ -504,7 +506,8 @@ def test_route_members_stay_recoverable(which, eps):
     vecs, sin_a = at.good_sets.route_members(lay, which, eps, rows, rng.random(200))
     d = lay.subdim(*regs)
     k = qc.haar_finish(rows[:, ends[0]:ends[1]].reshape(-1, 2, d, d))
-    f2 = bell_overlap(qc.apply_vector_matrix(vecs, lay, k, regs), lay, [ret] * len(vecs))
+    value = "AB".index(ret)   # the f(x, y) that names the returned register
+    f2 = bell_overlap(qc.apply_vector_matrix(vecs, lay, k, regs), lay, value)
     # sqrt(1 - F^2) loses half the float precision near F = 1
     assert np.all(np.sqrt(np.maximum(0.0, 1.0 - f2)) <= sin_a + 5e-8)
     assert np.all(sin_a <= eps)
@@ -547,7 +550,6 @@ def test_pair_batch_equals_batches_of_one(kind, shared):
     b = 16
     vecs = np.stack([qc.random_unit_vector(layout.dim, rng) for _ in range(b)])
     values = rng.integers(0, 2, size=b)
-    rets = [returned_register(v) for v in values]
     draw = qc.haar_random_unitary if kind == "route" else at.seesaw.random_effect
 
     def stack(regs, make=qc.haar_random_unitary):
@@ -563,10 +565,61 @@ def test_pair_batch_equals_batches_of_one(kind, shared):
         last = (route_finale(after, layout, *fin) if kind == "route"
                 else meas_branches(after, layout, values[rows], *fin).swapaxes(0, 1))
         return (after, pair_success(after, layout, kind, values[rows], fin),
-                bell_overlap(after, layout, rets[rows]),
-                bell_effect(after, layout, rets[rows]), last)
+                bell_overlap(after, layout, values[rows]),
+                bell_effect(after, layout, values[rows]), last)
 
     batched = kernels(slice(None))
     for i in range(b):
         for out, single in zip(batched, kernels(slice(i, i + 1))):
             assert np.array_equal(out[i:i + 1], single)
+
+
+# ---------------------------------------------------------------------------
+# the Bell test: one effect on (R, A, B) indexed by f(x, y)
+# ---------------------------------------------------------------------------
+
+def bell_effect_reference(vecs, layout, values):
+    """The Bell test split by returned register: one apply of the 4 x 4
+    projector on (R, ret) per register, scattered back into place.  The
+    reference the effect-table kernel must equal bit for bit."""
+    rets = np.array([returned_register(v) for v in np.broadcast_to(values, len(vecs))])
+    out = np.empty_like(vecs)
+    for ret in ("A", "B"):
+        idx = np.flatnonzero(rets == ret)
+        if idx.size:
+            out[idx] = qc.apply_vector_matrix(vecs[idx], layout, BELL_PROJECTOR, ("R", ret))
+    return out
+
+
+def test_bell_effects_table():
+    # v = 0: the projector on (R, A), the identity on B; v = 1: the same
+    # conjugated by the A-B swap, so the projector sits on (R, B)
+    on_ra = qc.kron_le(BELL_PROJECTOR, np.eye(2))
+    swap_ab = np.eye(8)[[i & 1 | (i >> 2 & 1) << 1 | (i >> 1 & 1) << 2 for i in range(8)]]
+    assert np.allclose(BELL_EFFECTS[0], on_ra, atol=1e-15)
+    assert np.allclose(BELL_EFFECTS[1], swap_ab @ on_ra @ swap_ab, atol=1e-15)
+    assert not BELL_EFFECTS.flags.writeable
+
+
+@pytest.mark.parametrize("at_width", [0, 1, 2])
+@pytest.mark.parametrize("ac_width", [0, 1, 2])
+def test_bell_effect_equals_split_reference(at_width, ac_width):
+    layout = at.attack_layout(1, at_width, ac_width)
+    rng = qc.stream(35, "bell-effect", at_width, ac_width)
+    b = 12
+    vecs = np.stack([qc.random_unit_vector(layout.dim, rng) for _ in range(b)])
+    mixed = rng.integers(0, 2, size=b)
+    cases = [(vecs, np.zeros(b, dtype=int)), (vecs, np.ones(b, dtype=int)), (vecs, mixed),
+             (vecs[3:4], mixed[3:4]), (vecs, 0), (vecs, 1)]
+    for rows, values in cases:
+        ref = bell_effect_reference(rows, layout, values)
+        out = bell_effect(rows, layout, values)
+        if layout.total_qubits == 3:
+            # the effect spans every qubit, so numpy's matmul takes its
+            # matrix-vector path, which rounds a sum of two products
+            # differently from the 4 x 4 matrix-matrix one: at most an ulp
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
+            continue
+        assert out.tobytes() == ref.tobytes()
+        inner = np.einsum("bi,bi->b", rows.conj(), ref).real
+        assert bell_overlap(rows, layout, values).tobytes() == inner.tobytes()

@@ -792,6 +792,23 @@ PINNED_ERRORS = {
     "net_size-q": ("bounds", {"kind": "net_size"}, "config: missing keys ['q']"),
     "net_size-q-fraction": ("bounds", {"kind": "net_size", "q": 0.5},
                             "config.q: expected an integer, got 0.5"),
+    # a report entry that does not fit a double is refused, not printed as
+    # Infinity (not JSON) or raised as an OverflowError
+    "counting-threshold-overflow": ("bounds", {"kind": "counting", "n": 1024, "q": 0},
+                                    "counting with n = 1024, q = 0: log2_bound outside "
+                                    "the double range"),
+    "counting-bound-underflow": ("bounds", {"kind": "counting", "n": 1023, "q": 0},
+                                 "counting with n = 1023, q = 0: log2_bound outside "
+                                 "the double range"),
+    "counting-q-overflow": ("bounds", {"kind": "counting", "n": 10, "q": 508},
+                            "counting with n = 10, q = 508: log2_bound outside "
+                            "the double range"),
+    "net_size-overflow": ("bounds", {"kind": "net_size", "q": 510},
+                          "net_size with q = 510: log2_net_alice, log2_net_states outside "
+                          "the double range"),
+    "net_size-int-overflow": ("bounds", {"kind": "net_size", "q": 511},
+                              "net_size with q = 511: log2_net_alice, log2_net_states outside "
+                              "the double range"),
     "volume-keys": ("bounds", {"kind": "volume"}, "config: missing keys ['n', 'lambda']"),
     "volume-lambda-null": ("bounds", {"kind": "volume", "n": 100, "lambda": None},
                            "config.lambda: expected a number, got None"),

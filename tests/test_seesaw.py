@@ -51,14 +51,29 @@ def test_meas_and_unentangled_exceeds_breidbart_value():
     assert out.best_value == pytest.approx((1 + COS2_PI8) / 2, abs=5e-4)
 
 
-def test_angle_grid_oracles():
+def test_measure_broadcast_oracles():
     xor = an.xor_function(1)
     conj = an.ip_function(1)
-    assert at.angle_grid_value(xor, 2000) == pytest.approx(COS2_PI8, abs=1e-5)
-    assert at.angle_grid_value(conj, 2000) == pytest.approx((2 + math.sqrt(10) / 2) / 4,
-                                                            abs=1e-5)
-    assert at.angle_grid_value(conj, 2000, per_x=True) == pytest.approx(
-        (1 + COS2_PI8) / 2, abs=1e-5)
+    assert at.measure_broadcast_value(xor) == pytest.approx(COS2_PI8, abs=1e-12)
+    assert at.measure_broadcast_value(conj) == pytest.approx((2 + math.sqrt(10) / 2) / 4,
+                                                             abs=1e-12)
+    assert at.measure_broadcast_value(conj, per_x=True) == pytest.approx(
+        (1 + COS2_PI8) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("per_x", [False, True])
+def test_measure_broadcast_value_tops_an_angle_grid(per_x):
+    # cos^2(alpha - f pi/4) averaged over y, on a 20001-point grid of alpha:
+    # the closed form is the supremum the grid approaches from below
+    angles = np.linspace(0.0, math.pi / 2, 20001)
+    for bits in range(16):
+        f = an.BooleanFunction(1, [bits >> i & 1 for i in range(4)])
+        by_x = np.mean(np.cos(angles - f.communication_matrix()[..., None] * math.pi / 4) ** 2,
+                       axis=1)
+        grid = np.mean(by_x.max(axis=1)) if per_x else by_x.mean(axis=0).max()
+        value = at.measure_broadcast_value(f, per_x)
+        assert grid <= value + 1e-15
+        assert value - grid < 1e-9
 
 
 def test_helstrom_effect_is_optimal():

@@ -109,19 +109,13 @@ def _layout_for(gh: GardenHoseProtocol) -> qc.RegisterLayout:
 
 
 def _initial_vector(layout: qc.RegisterLayout, pipes: int) -> np.ndarray:
-    n = layout.total_qubits
     vec = np.zeros(layout.dim, dtype=complex)
     vec[0] = 1.0
-    r, = layout.positions("R")
-    a, = layout.positions("A")
-    vec = qc.apply_on_qubits(vec, n, qc.H, [r])
-    vec = qc.apply_on_qubits(vec, n, qc.CNOT, [r, a])
-    at = layout.positions("At")
-    bt = layout.positions("Bt")
-    for i in range(pipes):
-        vec = qc.apply_on_qubits(vec, n, qc.H, [at[i]])
-        vec = qc.apply_on_qubits(vec, n, qc.CNOT, [at[i], bt[i]])
-    return vec
+    # a Bell pair on (R, A), then one on each pipe (At[i], Bt[i])
+    pairs = [(*layout.positions("R"), *layout.positions("A")),
+             *zip(layout.positions("At")[:pipes], layout.positions("Bt")[:pipes])]
+    gates = [gate for u, v in pairs for gate in ((qc.H, [u]), (qc.CNOT, [u, v]))]
+    return qc.apply_on_qubits(vec, layout.total_qubits, gates)
 
 
 def _side(layout, regs):
@@ -220,8 +214,7 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
     for side, matching in ((0, gh.alice.get(x, ())), (1, gh.bob.get(y, ()))):
         for u, v in matching:
             qu, qv = global_node(side, u), global_node(side, v)
-            vec = qc.apply_on_qubits(vec, n, qc.CNOT, [qu, qv])
-            vec = qc.apply_on_qubits(vec, n, qc.H, [qu])
+            vec = qc.apply_on_qubits(vec, n, [(qc.CNOT, [qu, qv]), (qc.H, [qu])])
             measurements.append((qu, qv))
 
     exit_side, hops, exit_node = trace_water(gh, x, y)
@@ -241,16 +234,15 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
             bz = (branch >> (2 * i)) & 1
             bx = (branch >> (2 * i + 1)) & 1
             bits[zq], bits[xq] = bz, bx
-            w = qc.apply_on_qubits(w, n, proj[bz], [zq])
-            w = qc.apply_on_qubits(w, n, proj[bx], [xq])
+            w = qc.apply_on_qubits(w, n, [(proj[bz], [zq]), (proj[bx], [xq])])
         p_branch = float(np.vdot(w, w).real)
         if p_branch < 1e-15:
             continue
         for zq, xq in reversed(hop_qubits):
             if bits[xq]:
-                w = qc.apply_on_qubits(w, n, qc.X, [exit_q])
+                w = qc.apply_on_qubits(w, n, [(qc.X, [exit_q])])
             if bits[zq]:
-                w = qc.apply_on_qubits(w, n, qc.Z, [exit_q])
+                w = qc.apply_on_qubits(w, n, [(qc.Z, [exit_q])])
         m = qc.layout.rows_first(w, n, sorted([r_q, exit_q]))[0]
         total += qc.expectation(qc.BELL_VECTOR, m @ m.conj().T)
     return total

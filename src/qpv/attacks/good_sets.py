@@ -98,16 +98,12 @@ def meas_core(layout: qc.RegisterLayout, basis: int) -> np.ndarray:
     if not (layout.width("A") and layout.width("B")):
         raise ValueError("need 1-qubit A and B registers for readable copies")
     r_q, a_read, b_read = (layout.positions(name)[0] for name in ("R", "A", "B"))
-    n = layout.total_qubits
     vec = np.zeros(layout.dim, dtype=complex)
     vec[0] = 1.0
-    vec = qc.apply_on_qubits(vec, n, qc.H, [r_q])
-    vec = qc.apply_on_qubits(vec, n, qc.CNOT, [r_q, a_read])
-    vec = qc.apply_on_qubits(vec, n, qc.CNOT, [r_q, b_read])
-    if basis == 1:
-        # conjugate every copy into the Hadamard basis
-        for qb in (r_q, a_read, b_read):
-            vec = qc.apply_on_qubits(vec, n, qc.H, [qb])
+    # basis 1 conjugates every copy into the Hadamard basis
+    vec = qc.apply_on_qubits(vec, layout.total_qubits,
+                             [(qc.H, [r_q]), (qc.CNOT, [r_q, a_read]), (qc.CNOT, [r_q, b_read]),
+                              *[(qc.H, [qb]) for qb in (r_q, a_read, b_read) if basis == 1]])
     vec.flags.writeable = False
     return vec
 

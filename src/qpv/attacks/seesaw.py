@@ -40,6 +40,7 @@ from .strategy import (
     AttackReport,
     AttackStrategy,
     attack_layout,
+    unentangled_product_state,
 )
 
 SWEEP_TOL = 1e-9          # a restart stops when a sweep gains less
@@ -93,15 +94,16 @@ class _Work:
     current state: the updates that score it carry it, the finale's clear it.
     """
 
-    def __init__(self, kind, f, layout, seed, restarts, fix_psi=None):
+    def __init__(self, kind, f, layout, seed, restarts, unentangled=False):
         """Draw each restart from its own ``stream(seed, "restart", r)``: psi
-        (unless fixed), Alice's and Bob's unitaries by input, then the
-        finale by pair."""
+        (unless ``unentangled`` pins it to the layout's unentangled product
+        state), Alice's and Bob's unitaries by input, then the finale by pair."""
         self.kind = kind
         self.f = f
         self.layout = layout
         self.ids = np.asarray(restarts)
-        self.fix_psi = fix_psi is not None
+        self.unentangled = unentangled
+        fixed = unentangled_product_state(layout) if unentangled else None
         self.side = 1 << f.n
         self.pairs = [(x, y) for x in range(self.side) for y in range(self.side)]
         self.index = tuple(np.array(v) for v in zip(*self.pairs))
@@ -110,7 +112,7 @@ class _Work:
         psis, locals_, finale = [], [], []
         for r in restarts:
             rng = qc.stream(seed, "restart", r)
-            psis.append(fix_psi if self.fix_psi else qc.random_unit_vector(layout.dim, rng))
+            psis.append(fixed if unentangled else qc.random_unit_vector(layout.dim, rng))
             locals_.append([qc.haar_random_unitary(layout.subdim(*regs), rng, self.side)
                             for regs in LOCAL_REGS])
             finale.append([draw(layout.subdim(*regs), rng, len(self.pairs))
@@ -271,7 +273,7 @@ class _Work:
         below its objective; a restart takes the Ritz vector only if its
         objective rises.
         """
-        if self.fix_psi:
+        if self.unentangled:
             return
         # H's products; Bob's local unitary was applied last, so it is undone first
         effect = self._sandwich([(dagger(self._pair_locals(side)), LOCAL_REGS[side])
@@ -370,35 +372,30 @@ def default_split(q: int) -> tuple[int, int, int]:
     return 1, 0, q - 1
 
 
-def seesaw_optimize(f, q: int = 2, kind: str = "route", restarts: int = 20,
-                    iters: int = 60, seed: int = 0,
-                    split: tuple[int, int, int] | None = None,
-                    fix_psi: np.ndarray | None = None) -> SeesawOutcome:
+def seesaw_optimize(f, split: tuple[int, int, int], kind: str = "route",
+                    restarts: int = 20, iters: int = 60, seed: int = 0,
+                    unentangled: bool = False) -> SeesawOutcome:
     """Best strategy found over random restarts of monotone see-saw sweeps.
 
-    ``fix_psi`` pins the pre-shared state to that unit vector (e.g. the
-    unentangled product state) and restricts the search to unitaries and
-    measurements.
+    ``split`` is the width (A, At, Ac) of each attacker's registers (see
+    ``default_split``).  ``unentangled`` pins the pre-shared state to the
+    layout's unentangled product state and restricts the search to
+    unitaries and measurements.
     """
     if kind not in ("route", "meas"):
         raise ValueError(f"kind must be 'route' or 'meas', not {kind!r}")
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be at least 1, not {restarts}, {iters}")
-    a, at, ac = split if split is not None else default_split(q)
+    a, at, ac = split
     if kind == "route" and a != 1:
         raise ValueError(f"routing needs a 1-qubit A register, split has {a}")
     layout = attack_layout(a=a, at=at, ac=ac)
-    if fix_psi is not None:
-        fix_psi = np.asarray(fix_psi, dtype=complex)
-        if fix_psi.shape != (layout.dim,):
-            raise ValueError("fixed psi must be a state vector on the layout")
-        qc.check_state(fix_psi, layout.dim, "fixed psi")
     values = [0.0] * restarts
     best, best_at = None, (-1.0, 0)
     per_chunk = max(1, CHUNK_CELLS // ((1 << 2 * f.n) * layout.dim))
     for start in range(0, restarts, per_chunk):
         work = _Work(kind, f, layout, seed, range(start, min(start + per_chunk, restarts)),
-                     fix_psi)
+                     unentangled)
         for r, value, single in _sweep_until_stopped(work, iters):
             values[r] = value
             # the first restart to reach the best value wins, as in a scan

@@ -196,7 +196,9 @@ BOUNDS = _kinds(BOUNDS_ROWS, {
     "delta_margin": ((), ()), "volume": (("n", "lambda"), ("n", "lambda")),
     "qubit_bound": (("f_kind", "n", "k", "f"), ("f_kind",)),
     "cc": (("f", "n", "k", "model"), ("f", "k")), None: (None, ())})
-QUBIT_RANDOM = _schema(BOUNDS_ROWS, "n")
+# qubit_bound reads n for a random f; for cc, k or else f (whose SMP CC is k) and n
+QUBIT_BOUND = {keys: _schema({key: BOUNDS_ROWS[key] for key in ("kind", "f_kind", *keys)},
+                             keys[0]) for keys in (("n",), ("k",), ("f", "n"))}
 
 
 def _provenance(config: dict, seed: int) -> dict:
@@ -296,6 +298,8 @@ def cmd_attack_optimize(config: dict, seed: int):
     read = _fields(config, "config", ATTACK_GARDENHOSE if "gardenhose" in config else ATTACK)
     f = _function_from_config(config, seed)
     eps = read("epsilon")
+    if not 0 <= eps <= 1:   # NaN and the infinities included
+        raise ConfigError(f"config.epsilon: expected a number in [0, 1], got {config['epsilon']!r}")
     if "gardenhose" in config:
         gh_read = _fields(config["gardenhose"], "gardenhose", GARDENHOSE)
         gh = attacks.GardenHoseProtocol(pipes=gh_read("pipes"), alice=gh_read("alice"),
@@ -305,13 +309,12 @@ def cmd_attack_optimize(config: dict, seed: int):
         extra = {"gardenhose_computes_f": attacks.computes(gh, f)}
     else:
         kind, q, split = read("kind"), read("q"), read("split")
-        fix_psi = None
-        if read("unentangled"):
-            a, at, ac = split if split else attacks.default_split(q)
-            fix_psi = attacks.unentangled_product_state(attacks.attack_layout(a=a, at=at, ac=ac))
-        outcome = attacks.seesaw_optimize(f, q=q, kind=kind, seed=seed, split=split,
-                                          fix_psi=fix_psi, restarts=read("restarts"),
-                                          iters=read("iters"))
+        if "q" in config and split and q != sum(split):
+            raise ConfigError(f"config.q = {q} disagrees with config.split = {list(split)} "
+                              f"({sum(split)} qubits)")
+        outcome = attacks.seesaw_optimize(f, split or attacks.default_split(q), kind=kind,
+                                          seed=seed, restarts=read("restarts"),
+                                          iters=read("iters"), unentangled=read("unentangled"))
         strategy, report = outcome.strategy, outcome.report
         extra = {"restart_values": list(outcome.restart_values),
                  "best_value": outcome.best_value}
@@ -334,11 +337,12 @@ def cmd_bounds(config: dict, seed: int):
         lam = read("lambda")
         out["passes"] = analysis.volume_entropy_check(read("n"), lam)
     elif kind == "qubit_bound" and read("f_kind") == "random":
-        n = _fields(config, "config", QUBIT_RANDOM)("n")
+        n = _fields(config, "config", QUBIT_BOUND[("n",)])("n")
         out["q_max"] = analysis.attacker_qubit_bound("random", n=n)
         if n < 10:
             out["precondition_note"] = "guarantee requires n >= 10"
     elif kind == "qubit_bound":
+        read = _fields(config, "config", QUBIT_BOUND[("k",) if "k" in config else ("f", "n")])
         if "k" in config:
             k = read("k")
         else:

@@ -144,10 +144,10 @@ def apply_vector_matrix(vec: np.ndarray, layout: RegisterLayout,
     return apply_steps(vec, layout, [(mat, registers)])
 
 
-def apply_on_qubits(vec: np.ndarray, n_qubits: int, mat: np.ndarray,
-                    qubit_indices) -> np.ndarray:
-    """Apply a small matrix on explicit qubit positions of a raw vector."""
-    return _apply_steps(vec, n_qubits, [(mat, qubit_indices)])
+def apply_on_qubits(vec: np.ndarray, n_qubits: int, gates) -> np.ndarray:
+    """Apply a gate sequence, ``(matrix, qubit_indices)`` pairs first to last
+    as :func:`compose_on_qubits` takes them, to a raw vector: one chain."""
+    return _apply_steps(vec, n_qubits, gates)
 
 
 def compose_on_qubits(n_qubits: int, gates) -> np.ndarray:

@@ -149,10 +149,8 @@ def test_criterion_08_attack_baselines():
 def test_criterion_09_unentangled_measuring_optimum():
     t0 = time.time()
     f_and = an.ip_function(1)
-    layout = at.attack_layout(a=1, at=0, ac=1)
-    psi0 = at.unentangled_product_state(layout)
-    out = at.seesaw_optimize(f_and, kind="meas", restarts=20, iters=60,
-                             seed=SEED, split=(1, 0, 1), fix_psi=psi0)
+    out = at.seesaw_optimize(f_and, (1, 0, 1), kind="meas", restarts=20, iters=60,
+                             seed=SEED, unentangled=True)
     closed = at.measure_broadcast_value(f_and, per_x=True)
     and_unent = (1 + math.cos(math.pi / 8) ** 2) / 2
     lo, hi = and_unent - 0.005, and_unent + 0.005

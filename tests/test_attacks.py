@@ -207,7 +207,7 @@ def test_mixture_success_is_linear_meas():
 # ---------------------------------------------------------------------------
 
 def test_strategy_serialization_lossless():
-    outcome = at.seesaw_optimize(XOR, q=1, kind="route", restarts=1, iters=5, seed=3)
+    outcome = at.seesaw_optimize(XOR, (1, 0, 0), kind="route", restarts=1, iters=5, seed=3)
     strat = outcome.strategy
     text = at.strategy_to_json(strat)
     back = at.strategy_from_json(text)
@@ -285,10 +285,8 @@ def test_strategy_json_keys_are_inputs_of_n(family, key, shown):
 
 
 def test_meas_strategy_serialization():
-    layout = at.attack_layout(a=1, ac=1)
-    psi0 = at.unentangled_product_state(layout)
-    outcome = at.seesaw_optimize(AND, kind="meas", restarts=1, iters=5, seed=4,
-                                 split=(1, 0, 1), fix_psi=psi0)
+    outcome = at.seesaw_optimize(AND, (1, 0, 1), kind="meas", restarts=1, iters=5, seed=4,
+                                 unentangled=True)
     text = at.strategy_to_json(outcome.strategy)
     back = at.strategy_from_json(text)
     assert back.kind == "meas"
@@ -306,10 +304,10 @@ GH_Y2 = at.GardenHoseProtocol(pipes=2, alice={x: (("S", 1),) for x in range(4)},
 @functools.lru_cache(maxsize=1)
 def _built_documents():
     ip2 = an.ip_function(2)
-    built = [at.seesaw_optimize(XOR, q=2, kind="route", restarts=1, iters=2, seed=3),
-             at.seesaw_optimize(AND, kind="meas", restarts=1, iters=2, seed=4, split=(1, 0, 1)),
-             at.seesaw_optimize(ip2, q=1, kind="route", restarts=1, iters=1, seed=0),
-             at.seesaw_optimize(ip2, q=1, kind="meas", restarts=1, iters=1, seed=0)]
+    built = [at.seesaw_optimize(XOR, (1, 0, 1), kind="route", restarts=1, iters=2, seed=3),
+             at.seesaw_optimize(AND, (1, 0, 1), kind="meas", restarts=1, iters=2, seed=4),
+             at.seesaw_optimize(ip2, (1, 0, 0), kind="route", restarts=1, iters=1, seed=0),
+             at.seesaw_optimize(ip2, (1, 0, 0), kind="meas", restarts=1, iters=1, seed=0)]
     built = [outcome.strategy for outcome in built] + [at.keep_q_attack(XOR),
                                                        at.keep_q_attack(ip2)]
     built += [dataclasses.replace(s, psi=np.outer(s.psi, s.psi.conj())) for s in built]
@@ -485,7 +483,7 @@ def test_meas_figure_uncorrelated():
     lay = at.small_attack_layout()
     vec = np.zeros(lay.dim, dtype=complex)
     vec[0] = 1.0
-    vec = qc.apply_on_qubits(vec, lay.total_qubits, qc.H, [lay.positions("R")[0]])
+    vec = qc.apply_on_qubits(vec, lay.total_qubits, [(qc.H, lay.positions("R"))])
     fig, member = at.good_sets.meas_figure(vec[None], lay, "S0", 0.3)
     assert fig[0] == pytest.approx(0.5, abs=1e-12)
     assert not member[0]

@@ -418,7 +418,9 @@ def test_outputs_byte_identical(tmp_path, capsys):
 # The see-saw route entry and the simulate entries (summary without the
 # package version, then the CSV) were recorded before the strategy format
 # moved into one table; a simulate entry's strategy prover reads the
-# strategy of the attack-optimize entry its path names.
+# strategy of the attack-optimize entry its path names.  The README's
+# sim.json entry carries its seed 7 as a config key, which gives the files
+# that --seed 7 gives.
 PINNED_OUTPUTS = {
     "verify_all": (
         "verify", 0,
@@ -481,6 +483,11 @@ PINNED_OUTPUTS = {
         {"protocol": "meas", "n": 1, "f": {"kind": "ip", "n": 1}, "rounds": 200, "trials": 2,
          "prover": {"kind": "strategy", "path": "seesaw_meas_unentangled.strategy.json"}},
         "bfba7d6e531ccbb65fd3cfc7f308f040371b6f32f1c1b593f7b045a036f24af5"),
+    "simulate_readme": (
+        "simulate",
+        {"protocol": "route_bb84", "n": 2, "f": {"kind": "random", "seed": 3}, "rounds": 100,
+         "seed": 7},
+        "72f554df2c1e1a8e7e5e42f203cea08e7952887bd74ddd7f4045d3b785c2b562"),
 }
 
 
@@ -488,7 +495,7 @@ PINNED_OUTPUTS = {
 def test_outputs_pinned(tmp_path, capsys, monkeypatch, name):
     command, config, digest = PINNED_OUTPUTS[name]
     monkeypatch.chdir(tmp_path)   # a strategy prover's path is relative
-    if command == "simulate":
+    if command == "simulate" and "prover" in config:
         source = config["prover"]["path"].removesuffix(".strategy.json")
         source_config = write_config(tmp_path, "s.json", PINNED_OUTPUTS[source][1])
         argv = ["attack-optimize", "--config", source_config, "--out", source]
@@ -730,6 +737,17 @@ PINNED_ERRORS = {
     "att-missing-f": ("attack-optimize", {"q": 1}, "config: missing keys ['f']"),
     "att-epsilon-null": ("attack-optimize", _with(ATT, epsilon=None),
                          "config.epsilon: expected a number, got None"),
+    # epsilon is read before any search or compile, and must lie in [0, 1]
+    "att-epsilon-nan": ("attack-optimize", _with(ATT, epsilon=math.nan),
+                        "config.epsilon: expected a number in [0, 1], got nan"),
+    "att-epsilon-negative": ("attack-optimize", _with(ATT, gardenhose=GH, epsilon=-1),
+                             "config.epsilon: expected a number in [0, 1], got -1"),
+    "att-epsilon-above-one": ("attack-optimize", _with(ATT, epsilon=2),
+                              "config.epsilon: expected a number in [0, 1], got 2"),
+    # a q beside a split must be the split's total
+    "att-q-disagrees-split": ("attack-optimize", _with(ATT, q=7, split=[1, 0, 1], restarts=1,
+                                                       iters=2),
+                              "config.q = 7 disagrees with config.split = [1, 0, 1] (2 qubits)"),
     "att-q-fraction": ("attack-optimize", _with(ATT, q=1.5),
                        "config.q: expected an integer, got 1.5"),
     "att-split-int": ("attack-optimize", _with(ATT, split=5),
@@ -831,6 +849,11 @@ PINNED_ERRORS = {
                    "config: missing keys ['f']"),
     "qubit-cc-k": ("bounds", {"kind": "qubit_bound", "f_kind": "cc", "k": 0.5},
                    "config.k: expected an integer, got 0.5"),
+    # qubit_bound reads n for a random f, and k or else f (and n) for cc
+    "qubit-random-k": ("bounds", {"kind": "qubit_bound", "f_kind": "random", "n": 20, "k": "x"},
+                       "config: unknown keys ['k']"),
+    "qubit-cc-k-f": ("bounds", {"kind": "qubit_bound", "f_kind": "cc", "k": 64,
+                                "f": {"kind": "bogus"}}, "config: unknown keys ['f']"),
     "cc-keys": ("bounds", {"kind": "cc"}, "config: missing keys ['f', 'k']"),
     "cc-k-null": ("bounds", {"kind": "cc", "k": None, "f": {"kind": "ip", "n": 1}},
                   "config.k: expected an integer, got None"),

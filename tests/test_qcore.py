@@ -360,7 +360,7 @@ def test_gather_kernel_is_bit_equal_to_transpose_kernel(n):
         one, stack = _ginibre(rng, d, d), _ginibre(rng, b, d, d)
         for vec, mat in [(batch[0], one), (batch[0], stack), (batch, one), (batch, stack),
                          (batch[:1], stack), (strided, one), (strided, stack)]:
-            got = qc.apply_on_qubits(vec, n, mat, qubits)
+            got = qc.apply_on_qubits(vec, n, [(mat, qubits)])
             want = apply_reference(vec, n, mat, qubits)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (qubits, np.shape(vec), np.shape(mat))

@@ -13,20 +13,20 @@ COS2_PI8 = math.cos(math.pi / 8) ** 2
 
 
 def test_route_constant_function_reaches_one():
-    out = at.seesaw_optimize(an.constant_function(1, 0), q=1, kind="route",
+    out = at.seesaw_optimize(an.constant_function(1, 0), (1, 0, 0), kind="route",
                              restarts=3, iters=40, seed=11)
     assert out.best_value >= 1 - 1e-6
 
 
 def test_route_alice_local_function_reaches_one():
     fx = an.BooleanFunction(1, [0, 0, 1, 1])
-    out = at.seesaw_optimize(fx, q=2, kind="route", restarts=6, iters=60, seed=12)
+    out = at.seesaw_optimize(fx, (1, 0, 1), kind="route", restarts=6, iters=60, seed=12)
     assert out.best_value >= 1 - 1e-6
 
 
 @pytest.mark.parametrize("kind", ["route", "meas"])
 def test_restart_values_never_exceed_best(kind):
-    out = at.seesaw_optimize(an.xor_function(1), q=1, kind=kind,
+    out = at.seesaw_optimize(an.xor_function(1), (1, 0, 0), kind=kind,
                              restarts=4, iters=25, seed=13)
     assert max(out.restart_values) == pytest.approx(out.best_value)
     # the executor re-scores the frozen strategy with the optimizer's kernels
@@ -34,20 +34,16 @@ def test_restart_values_never_exceed_best(kind):
 
 
 def test_meas_xor_unentangled_hits_breidbart_value():
-    layout = at.attack_layout(a=1, at=0, ac=1)
-    psi0 = at.unentangled_product_state(layout)
-    out = at.seesaw_optimize(an.xor_function(1), kind="meas", restarts=8,
-                             iters=60, seed=14, split=(1, 0, 1), fix_psi=psi0)
+    out = at.seesaw_optimize(an.xor_function(1), (1, 0, 1), kind="meas", restarts=8,
+                             iters=60, seed=14, unentangled=True)
     assert out.best_value == pytest.approx(COS2_PI8, abs=5e-4)
     assert out.best_value <= 1 - 1e-9
 
 
 def test_meas_and_unentangled_exceeds_breidbart_value():
     # the x=0 pairs fix the basis, so the optimum is (1 + cos^2(pi/8))/2
-    layout = at.attack_layout(a=1, at=0, ac=1)
-    psi0 = at.unentangled_product_state(layout)
-    out = at.seesaw_optimize(an.ip_function(1), kind="meas", restarts=8,
-                             iters=60, seed=15, split=(1, 0, 1), fix_psi=psi0)
+    out = at.seesaw_optimize(an.ip_function(1), (1, 0, 1), kind="meas", restarts=8,
+                             iters=60, seed=15, unentangled=True)
     assert out.best_value == pytest.approx((1 + COS2_PI8) / 2, abs=5e-4)
 
 
@@ -74,6 +70,19 @@ def test_measure_broadcast_value_tops_an_angle_grid(per_x):
         value = at.measure_broadcast_value(f, per_x)
         assert grid <= value + 1e-15
         assert value - grid < 1e-9
+
+
+@pytest.mark.parametrize("bits", range(16))
+def test_unentangled_meas_seesaw_reaches_the_closed_form(bits):
+    """On every n = 1 function the unentangled measuring see-saw reaches the
+    per-x measure-and-broadcast value W(f) and never exceeds it; at f = xor
+    W is the BB84 monogamy-game value cos^2(pi/8).  A value above W is a
+    defect, not noise."""
+    f = an.BooleanFunction(1, [bits >> i & 1 for i in range(4)])
+    value = at.seesaw_optimize(f, (1, 0, 1), kind="meas", unentangled=True, restarts=2,
+                               iters=60, seed=0).best_value
+    closed = at.measure_broadcast_value(f, per_x=True)
+    assert closed - 1e-6 <= value <= closed + 1e-9
 
 
 def test_helstrom_effect_is_optimal():
@@ -111,43 +120,42 @@ def test_polar_unitary():
 
 
 def test_fixed_psi_stays_fixed():
-    layout = at.attack_layout(a=1, at=0, ac=1)
-    psi0 = at.unentangled_product_state(layout)
-    out = at.seesaw_optimize(an.xor_function(1), kind="meas", restarts=2,
-                             iters=15, seed=16, split=(1, 0, 1), fix_psi=psi0)
+    psi0 = at.unentangled_product_state(at.attack_layout(a=1, at=0, ac=1))
+    out = at.seesaw_optimize(an.xor_function(1), (1, 0, 1), kind="meas", restarts=2,
+                             iters=15, seed=16, unentangled=True)
     assert abs(np.vdot(out.strategy.psi, psi0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_split_validation():
     with pytest.raises(ValueError):
         at.default_split(0)
-    with pytest.raises(ValueError):
-        layout = at.attack_layout(a=1, at=1, ac=0)
-        at.seesaw_optimize(an.xor_function(1), q=3, kind="route", restarts=1,
-                           iters=2, seed=1, fix_psi=at.unentangled_product_state(layout))
 
 
 def test_search_settings_rejected_before_the_first_restart():
     xor = an.xor_function(1)
     with pytest.raises(ValueError, match="'route' or 'meas'"):
-        at.seesaw_optimize(xor, kind="routing")
+        at.seesaw_optimize(xor, (1, 0, 1), kind="routing")
     with pytest.raises(ValueError, match="iters"):
-        at.seesaw_optimize(xor, iters=-3)
+        at.seesaw_optimize(xor, (1, 0, 1), iters=-3)
     with pytest.raises(ValueError, match="1-qubit A register"):
-        at.seesaw_optimize(xor, kind="route", split=(2, 0, 0))
+        at.seesaw_optimize(xor, (2, 0, 0), kind="route")
 
 
-# seed-0 restart values of the benchmark's three see-saw configs: the meas
-# values recorded with the per-pair sweeps that the batched ones replaced
-# (its psi is fixed), the route values with the Krylov psi step
+# seed-0 restart values of the benchmark's three see-saw configs (its q = 2
+# and 3 are the splits (1, 0, 1) and (1, 0, 2)): the meas values recorded
+# with the per-pair sweeps that the batched ones replaced, the route values
+# with the Krylov psi step
 PINNED_RESTARTS = {
-    "seesaw_meas_and": (dict(f=an.ip_function(1), kind="meas", q=2, restarts=8, iters=8),
+    "seesaw_meas_and": (dict(f=an.ip_function(1), kind="meas", split=(1, 0, 1), restarts=8,
+                             iters=8, unentangled=True),
                         [0.8749999715734185, 0.9267766952953653, 0.9267766952943856,
                          0.9267684860655999, 0.92677669526264, 0.9267766952951799,
                          0.8749993174380103, 0.9267451548003287]),
-    "seesaw_route_q3": (dict(f=an.ip_function(1), kind="route", q=3, restarts=3, iters=4),
+    "seesaw_route_q3": (dict(f=an.ip_function(1), kind="route", split=(1, 0, 2), restarts=3,
+                             iters=4),
                         [0.9136390334426938, 0.9098065057062769, 0.914833819683198]),
-    "seesaw_route_n2": (dict(f=an.ip_function(2), kind="route", q=2, restarts=2, iters=2),
+    "seesaw_route_n2": (dict(f=an.ip_function(2), kind="route", split=(1, 0, 1), restarts=2,
+                             iters=2),
                         [0.7809014708508559, 0.7925638090812666]),
 }
 
@@ -155,9 +163,7 @@ PINNED_RESTARTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_RESTARTS))
 def test_pinned_restart_values(name):
     cfg, expected = PINNED_RESTARTS[name]
-    fix_psi = (at.unentangled_product_state(at.attack_layout(a=1, ac=1))
-               if cfg["kind"] == "meas" else None)
-    out = at.seesaw_optimize(seed=0, fix_psi=fix_psi, **cfg)
+    out = at.seesaw_optimize(seed=0, **cfg)
     np.testing.assert_allclose(out.restart_values, expected, rtol=0, atol=1e-12)
     assert out.report.average == pytest.approx(out.best_value, abs=1e-12)
 
@@ -165,7 +171,8 @@ def test_pinned_restart_values(name):
 def test_restart_values_do_not_depend_on_chunking(monkeypatch):
     # two of these restarts stop a sweep before the other two, so the
     # one-chunk run drops restarts from a live batch
-    cfg = dict(f=an.xor_function(1), q=1, kind="route", restarts=4, iters=40, seed=0)
+    cfg = dict(f=an.xor_function(1), split=(1, 0, 0), kind="route", restarts=4, iters=40,
+               seed=0)
     batched = at.seesaw_optimize(**cfg)
     monkeypatch.setattr(at.seesaw, "CHUNK_CELLS", 1)
     single = at.seesaw_optimize(**cfg)
@@ -219,9 +226,7 @@ def test_carried_success_table_equals_a_fresh_evaluation(kind, fixed):
     and after a restart leaves the batch.  The second psi step of a sweep
     finds psi at the top and keeps it."""
     f = an.ip_function(2)
-    layout = at.attack_layout(a=1, ac=1)
-    psi = at.unentangled_product_state(layout) if fixed else None
-    work = at.seesaw._Work(kind, f, layout, 5, range(3), psi)
+    work = at.seesaw._Work(kind, f, at.attack_layout(a=1, ac=1), 5, range(3), fixed)
 
     def check():
         if work.succ is not None:

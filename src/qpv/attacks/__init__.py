@@ -40,7 +40,6 @@ from .strategy import (
     attack_layout,
     strategy_from_json,
     strategy_to_json,
-    unentangled_product_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,8 +20,8 @@ from .strategy import (
     AttackReport,
     AttackStrategy,
     attack_layout,
+    bell_core,
     returned_register,
-    unentangled_product_state,
 )
 
 ENUMERATION_LIMIT_N = 4
@@ -97,36 +97,24 @@ def _check(strategy: AttackStrategy, f, kind: str) -> None:
         raise ValueError(f"not a {kind} strategy")
     if f.n != strategy.n:
         raise ValueError(f"strategy built for n={strategy.n}, function has n={f.n}")
-    if kind == "route" and strategy.layout.width("A") != 1:
-        raise ValueError("routing execution needs 1-qubit A and B registers")
-
-
-def _psi_components(psi: np.ndarray):
-    """(w_i, v_i) with psi = sum_i w_i |v_i><v_i|; success is linear in psi."""
-    if psi.ndim == 1:
-        return [(1.0, psi)]
-    vals, vecs = np.linalg.eigh(psi)
-    return [(float(w), np.ascontiguousarray(v)) for w, v in zip(vals, vecs.T) if w != 0.0]
 
 
 def _pair_batch(strategy: AttackStrategy, f, pairs):
-    """The f(x, y) of the listed input pairs, their finale stacks, and each
-    psi component (w_i, batch) after the local unitaries."""
+    """The f(x, y) of the listed input pairs, their finale stacks, and the
+    batch after the local unitaries."""
     values = [f.value(x, y) for x, y in pairs]
     alice = np.stack([strategy.matrix("alice", x) for x, _ in pairs])
     bob = np.stack([strategy.matrix("bob", y) for _, y in pairs])
     finale = [np.stack([strategy.matrix(name, p) for p in pairs])
               for name in FINALE[strategy.kind]]
-    return values, finale, [(w, after_locals(vec, strategy.layout, alice, bob))
-                            for w, vec in _psi_components(strategy.psi)]
+    return values, finale, after_locals(strategy.psi, strategy.layout, alice, bob)
 
 
 def _pair_scores(strategy: AttackStrategy, f, pairs) -> np.ndarray:
     """Success on each listed input pair, in one batch; a routed qubit
     absent at the responsible verifier scores zero."""
-    values, finale, parts = _pair_batch(strategy, f, pairs)
-    score = sum(w * pair_success(vecs, strategy.layout, strategy.kind, values, finale)
-                for w, vecs in parts)
+    values, finale, vecs = _pair_batch(strategy, f, pairs)
+    score = pair_success(vecs, strategy.layout, strategy.kind, values, finale)
     held = [strategy.holds_qubit(x, y, returned_register(v)) for (x, y), v in zip(pairs, values)]
     return np.where(held, score, 0.0)
 
@@ -139,10 +127,9 @@ def execute_route_reduced(strategy: AttackStrategy, f, x: int, y: int):
     ret = returned_register(f.value(x, y))
     if not strategy.holds_qubit(x, y, ret):
         return None
-    _, finale, parts = _pair_batch(strategy, f, [(x, y)])
-    layout = strategy.layout
-    finals = [(w, route_finale(vecs, layout, *finale)) for w, vecs in parts]
-    return sum(w * qc.reduced_outer(v, v, layout, ("R", ret))[0] for w, v in finals)
+    _, finale, vecs = _pair_batch(strategy, f, [(x, y)])
+    v = route_finale(vecs, strategy.layout, *finale)
+    return qc.reduced_outer(v, v, strategy.layout, ("R", ret))[0]
 
 
 def execute_route(strategy: AttackStrategy, f, x: int, y: int) -> float:
@@ -183,8 +170,7 @@ def keep_q_attack(f) -> AttackStrategy:
     to V1 otherwise (success zero there, the verifier sees no qubit).
     """
     layout = attack_layout(a=1)
-    psi = unentangled_product_state(layout)
     site = {(x, y): "A" for x, y in f.pairs()}
-    return AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi,
+    return AttackStrategy(kind="route", n=f.n, layout=layout, psi=bell_core(layout),
                           qubit_site=site)
 

@@ -4,7 +4,7 @@ Each sweep optimizes one family at a time holding the rest fixed: unitary
 families move to the polar factor of the linearized objective (accepted
 only when the true objective does not decrease, so sweeps are monotone),
 measurement effects jump to the exact Helstrom optimum, and the shared
-state moves to the top Ritz vector of the effective Hamiltonian
+phi of |Omega>_RA x |phi> moves to the top Ritz vector of the compressed
 H = mean_p U_p^dag M_p U_p on a short Krylov space that contains it.
 
 Restarts run as one batch (in chunks of at most CHUNK_CELLS complex
@@ -40,15 +40,17 @@ from .strategy import (
     AttackReport,
     AttackStrategy,
     attack_layout,
-    unentangled_product_state,
+    bell_contract,
+    bell_core,
+    rest_registers,
 )
 
 SWEEP_TOL = 1e-9          # a restart stops when a sweep gains less
 # complex cells (rows x dim) of one batch of restarts, at least one restart
 CHUNK_CELLS = 1 << 19
 RECOVERY_STEPS = 3        # polar steps per recovery update
-KRYLOV_PRODUCTS = 16      # products of H per psi step
-KRYLOV_BREAKDOWN = 1e-12  # residual norm below which psi's Krylov space is complete
+KRYLOV_PRODUCTS = 16      # products of H per phi step
+KRYLOV_BREAKDOWN = 1e-12  # residual norm below which phi's Krylov space is complete
 
 
 def dagger(mats: np.ndarray) -> np.ndarray:
@@ -84,40 +86,41 @@ class _Work:
     """Mutable optimization state of a batch of restarts; one restart is
     frozen into an AttackStrategy at the end.
 
-    ``ids`` are the restarts' indices and ``psi`` holds one pre-shared state
-    per restart.  ``locals`` stacks Alice's unitaries by (restart, x) and
-    Bob's by (restart, y); ``finale`` stacks K and L (routing) or pi and
-    sigma (measuring) by (restart, pair), pair p = x * 2^n + y.  Every
-    update scores all (restart, pair) rows in one batch, row r * 4^n + p;
-    rows are independent within an update, so batching leaves each row's
-    arithmetic as it is.  ``succ`` is the success per (restart, pair) of the
-    current state: the updates that score it carry it, the finale's clear it.
+    ``ids`` are the restarts' indices and ``phi`` holds one pre-shared state
+    per restart, on ``rest_registers(layout, "R", "A")``: ``psi()`` is
+    |Omega>_RA x |phi>.  ``locals`` stacks Alice's unitaries by (restart, x)
+    and Bob's by (restart, y); ``finale`` stacks K and L (routing) or pi and
+    sigma (measuring) by (restart, pair), pair p = x * 2^n + y.  Every update
+    scores all (restart, pair) rows in one batch, row r * 4^n + p; rows are
+    independent within an update, so batching leaves each row's arithmetic
+    as it is.  ``succ`` is the success per (restart, pair) of the current
+    state: the updates that score it carry it, the finale's clear it.
     """
 
     def __init__(self, kind, f, layout, seed, restarts, unentangled=False):
-        """Draw each restart from its own ``stream(seed, "restart", r)``: psi
-        (unless ``unentangled`` pins it to the layout's unentangled product
-        state), Alice's and Bob's unitaries by input, then the finale by pair."""
+        """Draw each restart from its own ``stream(seed, "restart", r)``: phi
+        (unless ``unentangled`` pins it to |0...0>), Alice's and Bob's
+        unitaries by input, then the finale by pair."""
         self.kind = kind
         self.f = f
         self.layout = layout
         self.ids = np.asarray(restarts)
         self.unentangled = unentangled
-        fixed = unentangled_product_state(layout) if unentangled else None
+        rest = layout.subdim(*rest_registers(layout, "R", "A"))
         self.side = 1 << f.n
         self.pairs = [(x, y) for x in range(self.side) for y in range(self.side)]
         self.index = tuple(np.array(v) for v in zip(*self.pairs))
         self.values = np.array([f.value(x, y) for x, y in self.pairs])
         draw = qc.haar_random_unitary if kind == "route" else random_effect
-        psis, locals_, finale = [], [], []
+        phis, locals_, finale = [], [], []
         for r in restarts:
             rng = qc.stream(seed, "restart", r)
-            psis.append(fixed if unentangled else qc.random_unit_vector(layout.dim, rng))
+            phis.append(np.eye(rest)[0] if unentangled else qc.random_unit_vector(rest, rng))
             locals_.append([qc.haar_random_unitary(layout.subdim(*regs), rng, self.side)
                             for regs in LOCAL_REGS])
             finale.append([draw(layout.subdim(*regs), rng, len(self.pairs))
                            for regs in FINAL_REGS])
-        self.psi = np.stack(psis)
+        self.phi = np.stack(phis)
         self.locals = [np.stack(stacks) for stacks in zip(*locals_)]
         self.finale = [np.stack(stacks) for stacks in zip(*finale)]
         self.succ = None
@@ -126,7 +129,7 @@ class _Work:
         """The restarts ``keep`` (a mask or index array) as a new batch."""
         out = copy.copy(self)
         out.ids = self.ids[keep]
-        out.psi = self.psi[keep]
+        out.phi = self.phi[keep]
         out.locals = [stack[keep] for stack in self.locals]
         out.finale = [stack[keep] for stack in self.finale]
         out.succ = None if self.succ is None else self.succ[keep]
@@ -144,7 +147,7 @@ class _Work:
 
     def _tiled(self, per_pair):
         """A per-pair array repeated for every restart, one entry per row."""
-        return np.tile(per_pair, len(self.psi))
+        return np.tile(per_pair, len(self.phi))
 
     def _pair_locals(self, side):
         """Per-row stack of one side's local unitaries."""
@@ -155,12 +158,15 @@ class _Work:
 
     def _per_restart(self, rows):
         """Rows as (restarts, pairs, ...)."""
-        return rows.reshape(len(self.psi), len(self.pairs), *rows.shape[1:])
+        return rows.reshape(len(self.phi), len(self.pairs), *rows.shape[1:])
 
-    def after_locals(self, psi=None):
+    def psi(self, phi=None):
+        """|Omega>_RA x |phi> per restart, for ``phi`` or the batch's own."""
+        return bell_core(self.layout, "A", self.phi if phi is None else phi)
+
+    def after_locals(self, phi=None):
         """The batch after the local unitaries, one row per (restart, pair)."""
-        psi = self.psi if psi is None else psi
-        return after_locals(np.repeat(psi, len(self.pairs), axis=0), self.layout,
+        return after_locals(np.repeat(self.psi(phi), len(self.pairs), axis=0), self.layout,
                             self._pair_locals(0), self._pair_locals(1))
 
     def successes(self, vecs):
@@ -199,7 +205,7 @@ class _Work:
     def _per_value(self, per_pair, side):
         """Sum of a (restarts, pairs, ...) array over the other side's
         inputs, by restart and this side's input."""
-        per_pair = per_pair.reshape(len(self.psi), self.side, self.side, *per_pair.shape[2:])
+        per_pair = per_pair.reshape(len(self.phi), self.side, self.side, *per_pair.shape[2:])
         return per_pair.sum(axis=2 - side)
 
     # -- sweep updates ------------------------------------------------------
@@ -250,9 +256,9 @@ class _Work:
         """Polar step for every (restart, input value) of one side at once;
         each value's unitary only moves its own pairs, so each keeps its own
         accept test."""
-        other = 1 - side
-        back = self._sandwich([(dagger(self._pair_locals(other)), LOCAL_REGS[other])])(self.psi)
-        grads = qc.reduced_outer(back, np.repeat(self.psi, len(self.pairs), axis=0),
+        other, psi = 1 - side, self.psi()
+        back = self._sandwich([(dagger(self._pair_locals(other)), LOCAL_REGS[other])])(psi)
+        grads = qc.reduced_outer(back, np.repeat(psi, len(self.pairs), axis=0),
                                  self.layout, LOCAL_REGS[side])
         old_score = self._per_value(self.table(), side)
         old = self.locals[side]
@@ -263,13 +269,13 @@ class _Work:
         self.succ = np.where(worse[:, self.index[side]], self.succ, new)
 
     def update_psi(self):
-        """Rayleigh-Ritz step on H = mean_p U_p^dag M_p U_p, per restart.
+        """Rayleigh-Ritz step in phi on H' = <Omega|_RA H |Omega>_RA, per restart.
 
-        Builds the Krylov space of H at psi from KRYLOV_PRODUCTS products,
+        Builds the Krylov space of H' at phi from KRYLOV_PRODUCTS products,
         each new vector reorthogonalised against all earlier ones twice,
         stopping early once no restart has a new direction left.  The top
-        Ritz vector comes from Q^dag (H Q) and the stored images, with no
-        further product.  psi lies in the space, so the Ritz value is never
+        Ritz vector comes from Q^dag (H' Q) and the stored images, with no
+        further product.  phi lies in the space, so the Ritz value is never
         below its objective; a restart takes the Ritz vector only if its
         objective rises.
         """
@@ -279,15 +285,16 @@ class _Work:
         effect = self._sandwich([(dagger(self._pair_locals(side)), LOCAL_REGS[side])
                                  for side in (1, 0)])
         old = self.table()
-        count = len(self.psi)
-        basis = np.zeros((count, KRYLOV_PRODUCTS, self.layout.dim), dtype=complex)
+        count, rest = self.phi.shape
+        basis = np.zeros((count, KRYLOV_PRODUCTS, rest), dtype=complex)
         images = np.zeros_like(basis)
         size = np.zeros(count, dtype=int)        # basis vectors per restart
         live = np.ones(count, dtype=bool)
-        q = self.psi / np.linalg.norm(self.psi, axis=1, keepdims=True)
+        q = self.phi / np.linalg.norm(self.phi, axis=1, keepdims=True)
         for k in range(KRYLOV_PRODUCTS):
             basis[:, k] = q
-            images[:, k] = self._per_restart(effect(q)).sum(axis=1) / len(self.pairs)
+            image = self._per_restart(effect(self.psi(q))).sum(axis=1) / len(self.pairs)
+            images[:, k] = bell_contract(self.layout, image)
             size += live
             if k + 1 == KRYLOV_PRODUCTS:
                 break
@@ -304,7 +311,7 @@ class _Work:
         basis, images = basis[:, :used], images[:, :used]
         proj = basis.conj() @ images.swapaxes(1, 2)
         proj = (proj + dagger(proj)) / 2
-        # a restart's unused (zero) columns get Ritz value -1, below any of H >= 0
+        # a restart's unused (zero) columns get Ritz value -1, below any of H' >= 0
         rows, cols = np.nonzero(np.arange(used) >= size[:, None])
         proj[rows, cols, cols] = -1.0
         top = np.linalg.eigh(proj)[1][:, :, -1]
@@ -312,7 +319,7 @@ class _Work:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         new = self.successes(self.after_locals(v))
         accept = np.mean(new, axis=1) > np.mean(old, axis=1) + 1e-15
-        self.psi[accept] = v[accept]
+        self.phi[accept] = v[accept]
         self.succ = np.where(accept[:, None], new, old)
 
     def sweep(self):
@@ -327,8 +334,8 @@ class _Work:
         return self.average()
 
     def freeze(self, r: int = 0) -> AttackStrategy:
-        """Restart ``r`` of the batch as a strategy."""
-        psi = self.psi[r] / np.linalg.norm(self.psi[r])
+        """Restart ``r`` of the batch as a strategy, its psi the vector it was scored on."""
+        psi = self.psi(self.phi[r])
         finale = {name: dict(zip(self.pairs, stack[r]))
                   for name, stack in zip(FINALE[self.kind], self.finale)}
         alice, bob = (dict(enumerate(stack[r])) for stack in self.locals)
@@ -378,17 +385,17 @@ def seesaw_optimize(f, split: tuple[int, int, int], kind: str = "route",
     """Best strategy found over random restarts of monotone see-saw sweeps.
 
     ``split`` is the width (A, At, Ac) of each attacker's registers (see
-    ``default_split``).  ``unentangled`` pins the pre-shared state to the
-    layout's unentangled product state and restricts the search to
-    unitaries and measurements.
+    ``default_split``); A, which receives the verifier's qubit, is one qubit.
+    ``unentangled`` pins the phi of |Omega>_RA x |phi> to |0...0> and
+    restricts the search to unitaries and measurements.
     """
     if kind not in ("route", "meas"):
         raise ValueError(f"kind must be 'route' or 'meas', not {kind!r}")
     if restarts < 1 or iters < 1:
         raise ValueError(f"restarts and iters must be at least 1, not {restarts}, {iters}")
     a, at, ac = split
-    if kind == "route" and a != 1:
-        raise ValueError(f"routing needs a 1-qubit A register, split has {a}")
+    if a != 1:
+        raise ValueError(f"the see-saw needs a 1-qubit A register, split has {a}")
     layout = attack_layout(a=a, at=at, ac=ac)
     values = [0.0] * restarts
     best, best_at = None, (-1.0, 0)

@@ -47,11 +47,14 @@ def bell_core(layout: qc.RegisterLayout, ret: str = "A", phi=None) -> np.ndarray
     return qc.assemble_raw(layout, [(("R", ret), qc.BELL_VECTOR), (rest, phi)])
 
 
-def unentangled_product_state(layout: qc.RegisterLayout) -> np.ndarray:
-    """|Omega>_RA on the stored-qubit slot, |0...0> everywhere else."""
-    if layout.width("A") != 1:
-        raise ValueError("needs a 1-qubit A register")
-    return bell_core(layout)
+def bell_contract(layout: qc.RegisterLayout, vecs: np.ndarray) -> np.ndarray:
+    """(<Omega|_RA x I)|v> per row of ``vecs``, little-endian over
+    ``rest_registers(layout, "R", "A")``: the adjoint of ``bell_core``."""
+    n, ra = layout.total_qubits, layout.positions("R", "A")
+    # one row over every qubit, R then A lowest: index r + 2a + 4 * rest
+    rows = qc.layout.rows_first(vecs, n, ra + [q for q in range(n) if q not in ra])
+    out = rows.reshape(len(rows), -1, 4) @ qc.BELL_VECTOR.conj()
+    return out[0] if np.ndim(vecs) == 1 else out
 
 
 # the strategy format.  FAMILIES: each matrix family -> (keyed by the input
@@ -73,11 +76,12 @@ class AttackStrategy:
     finale maps each pair (x, y) to recovery unitaries (routing) or effects
     (measuring); a missing unitary is the identity.
 
-    ``psi`` is the pre-shared state on ``layout``: a unit vector or a density
-    matrix, stored as a read-only copy.  A routing strategy's ``qubit_site``
-    optionally records, per pair, which side physically holds the routed
-    qubit; attacks that send nothing to the responsible verifier score zero
-    there.
+    ``psi``, the state the attack starts from, is a unit vector
+    |Omega>_RA x |phi> on ``layout``: the verifier keeps R, Q arrives in A,
+    and the attackers pre-share phi.  It is stored as a read-only copy.  A
+    routing strategy's ``qubit_site`` optionally records, per pair, which
+    side physically holds the routed qubit; attacks that send nothing to
+    the responsible verifier score zero there.
     """
 
     kind: str
@@ -99,14 +103,15 @@ class AttackStrategy:
             raise ValueError(f"strategy.n: expected an integer >= 1, got {self.n!r}")
         if self.layout.names != REGISTER_ORDER:
             raise ValueError(f"layout registers must be {REGISTER_ORDER}")
-        if self.layout.width("R") != 1:
-            raise ValueError("the reference register R is one qubit")
-        if self.layout.width("A") != self.layout.width("B"):
-            raise ValueError("registers A and B must have equal width")
+        if [self.layout.width(name) for name in ("R", "A", "B")] != [1, 1, 1]:
+            raise ValueError("registers R, A and B are one qubit each")
         if self.layout.subdim(*ALICE_LOCAL) != self.layout.subdim(*BOB_LOCAL):
             raise ValueError("Alice and Bob must hold equally many qubits")
         psi = np.array(self.psi, dtype=complex)
         qc.check_state(psi, self.layout.dim, "psi")
+        core = np.linalg.norm(bell_contract(self.layout, psi)) ** 2
+        if abs(core - 1.0) > qc.ops.STATE_TOL:
+            raise ValueError(f"psi is not |Omega>_RA x phi: <Omega|rho_RA|Omega> = {core}")
         psi.flags.writeable = False
         self.psi = psi
         if self.kind == "route" and (self.pi_effect or self.sigma_effect):
@@ -242,13 +247,11 @@ def _decode_table(data, pair_keys: bool, where: str, decode=_decode_matrix) -> d
 
 
 def strategy_to_json(strategy: AttackStrategy) -> str:
-    psi = strategy.psi
     doc = {
         "kind": strategy.kind,
         "n": strategy.n,
         "layout": [[name, w] for name, w in strategy.layout.registers],
-        "psi": {"kind": "pure" if psi.ndim == 1 else "mixed",
-                "data": _encode_matrix(np.atleast_2d(psi))},
+        "psi": {"kind": "pure", "data": _encode_matrix(strategy.psi[None])},
         **{name: _encode_table(getattr(strategy, name), pair_keyed)
            for name, (pair_keyed, *_) in FAMILIES.items()},
         "qubit_site": _encode_table(strategy.qubit_site, True, str),
@@ -280,12 +283,10 @@ def strategy_from_json(text: str) -> AttackStrategy:
             and all(type(reg) is list and list(map(type, reg)) == [str, int] for reg in regs)):
         raise ValueError(f"strategy.layout: expected a list of [name, width] pairs, got {regs!r}")
     layout = qc.RegisterLayout(regs)
-    if doc["psi"]["kind"] not in ("pure", "mixed"):
-        raise ValueError("strategy.psi.kind: expected 'pure' or 'mixed', "
-                         f"got {doc['psi']['kind']!r}")
-    psi = _decode_matrix(doc["psi"]["data"], "strategy.psi.data")
-    if doc["psi"]["kind"] == "pure":
-        psi = psi.reshape(-1)
+    if doc["psi"]["kind"] != "pure":
+        raise ValueError(f"strategy.psi.kind: expected 'pure', got {doc['psi']['kind']!r} "
+                         "(purify a mixed state on wider registers)")
+    psi = _decode_matrix(doc["psi"]["data"], "strategy.psi.data").reshape(-1)
     families = {}
     for name, (pair_keyed, _, check) in FAMILIES.items():
         table = _decode_table(doc.get(name), pair_keyed, f"strategy.{name}")

@@ -21,9 +21,8 @@ from ..attacks.good_sets import (
     route_members,
     small_attack_layout,
 )
-from ..attacks.strategy import ALICE_FINAL, BOB_FINAL, bell_core, rest_registers
+from ..attacks.strategy import ALICE_FINAL, BOB_FINAL, bell_contract, bell_core, rest_registers
 from ..protocol.runs import m1_accept_probability, m2_accept_probability
-from ..qcore.layout import rows_first
 from ..qcore.ops import _row_dot
 from .report import BoundReport
 
@@ -342,29 +341,20 @@ def check_bound_by_iid(trials: int = 4000, seed: int = 0) -> BoundReport:
                                also=exact_ok)
 
 
-def _bell_partial_inner(vec: np.ndarray, layout) -> np.ndarray:
-    """(<Omega|_{RA} x I) |psi>, little-endian over the remaining registers."""
-    n = layout.total_qubits
-    ra = layout.positions("R", "A")
-    # one row over every qubit, R then A lowest: index r + 2a + 4 * rest
-    rows = rows_first(vec, n, ra + [q for q in range(n) if q not in ra])
-    return rows.reshape(-1, 4) @ qc.BELL_VECTOR.conj()
-
-
 def check_uhlmann(trials: int = 20, seed: int = 0) -> BoundReport:
     """Uhlmann's theorem on random states: the least distance from |psi> to a
     product |Omega>_RA x |phi> equals the distance of rho_RA to the Bell pair.
     Both sides are closed forms.  The left is p_opt = sqrt(1 - ||v||^2) for
-    v = (<Omega|_RA x I)|psi>, which the bell_core candidate |Omega> x v/||v||
-    attains (by Cauchy-Schwarz no product state does better); the right reads
-    <Omega|rho_RA|Omega> off reduced_outer."""
+    v = bell_contract(layout, psi), which the bell_core candidate
+    |Omega> x v/||v|| attains (by Cauchy-Schwarz no product state does
+    better); the right reads <Omega|rho_RA|Omega> off reduced_outer."""
     _need_trials("uhlmann", trials)
     layout = small_attack_layout()
     worst = 0.0
     witness = {}
     for t, rng in enumerate(qc.trial_streams(seed, "uhlmann", trials)):
         vec = qc.random_unit_vector(layout.dim, rng)
-        v = _bell_partial_inner(vec, layout)
+        v = bell_contract(layout, vec)
         best = math.sqrt(max(0.0, 1.0 - float(np.vdot(v, v).real)))   # p_opt
         nv = np.linalg.norm(v)
         if nv > 1e-12:

@@ -27,7 +27,7 @@ from .layout import RegisterLayout, row_gather, rows_first, step_gather
 
 UNITARY_TOL = 1e-10
 EFFECT_TOL = 1e-10
-STATE_TOL = 1e-12   # norm of a state vector, trace of a density matrix
+STATE_TOL = 1e-12   # a state's norm, an attack psi's Bell weight on (R, A)
 EIG_ZERO = 1e-14
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,21 +71,13 @@ def check_effect(mat: np.ndarray, label: str = "matrix") -> None:
 
 
 def check_state(data: np.ndarray, dim: int, label: str = "state") -> None:
-    """Raise ValueError unless ``data`` is a unit vector of length ``dim`` or
-    a ``dim`` x ``dim`` density matrix: an effect of trace 1."""
+    """Raise ValueError unless ``data`` is a unit vector of length ``dim``."""
     data = np.asarray(data)
-    if data.shape == (dim,):
-        norm = np.linalg.norm(data)
-        if abs(norm - 1.0) > STATE_TOL:
-            raise ValueError(f"{label} has norm {norm}, not 1")
-    elif data.shape == (dim, dim):
-        check_effect(data, label)
-        trace = np.trace(data).real
-        if abs(trace - 1.0) > STATE_TOL:
-            raise ValueError(f"{label} has trace {trace}, not 1")
-    else:
-        raise ValueError(f"{label} must be a vector of length {dim} or a "
-                         f"{dim}x{dim} density matrix, not shape {data.shape}")
+    if data.shape != (dim,):
+        raise ValueError(f"{label} must be a vector of length {dim}, not shape {data.shape}")
+    norm = np.linalg.norm(data)
+    if abs(norm - 1.0) > STATE_TOL:
+        raise ValueError(f"{label} has norm {norm}, not 1")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The package has one state representation, raw arrays: state vectors
 (optionally batched) and density matrices, indexed little-endian over a
-:class:`~qpv.qcore.layout.RegisterLayout`; an attack strategy's pre-shared
-state is either, validated by :func:`~qpv.qcore.ops.check_state`.
+:class:`~qpv.qcore.layout.RegisterLayout`; an attack strategy's psi is a
+vector, validated by :func:`~qpv.qcore.ops.check_state`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Each step of the attack is built as a full dim x dim operator: the local
 unitaries kron'd in layout order, the Ac <-> Bc exchange as the register
 relabelling that ALICE_FINAL and BOB_FINAL encode, and the Bell projector or
-the effects P_z x Pi_z x Sigma_z.  Success is then <psi|O|psi> or tr(rho O).
+the effects P_z x Pi_z x Sigma_z.  Success is then <psi|O|psi>.
 Nothing here goes through the qcore apply or trace kernels.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qpv import analysis as an
 from qpv import attacks as at
 from qpv import qcore as qc
-from qpv.attacks.strategy import returned_register
+from qpv.attacks.strategy import bell_core, rest_registers, returned_register
 
 BELL = np.outer(qc.BELL_VECTOR, qc.BELL_VECTOR.conj())
 BASES = {0: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
@@ -61,10 +61,7 @@ def reference_success(strategy, f, x, y):
                    @ embed(ea, layout, at.ALICE_FINAL) @ embed(eb, layout, at.BOB_FINAL)
                    for z, ea, eb in ((0, pi, sigma), (1, eye_a - pi, eye_b - sigma)))
         obs = local.conj().T @ test @ local
-    psi = strategy.psi
-    if psi.ndim == 1:
-        return float(np.vdot(psi, obs @ psi).real)
-    return float(np.trace(psi @ obs).real)
+    return float(np.vdot(strategy.psi, obs @ strategy.psi).real)
 
 
 def random_effect(dim, rng):
@@ -76,19 +73,16 @@ def random_effect(dim, rng):
 def strategies(draw):
     kind = draw(st.sampled_from(["route", "meas"]))
     n = draw(st.integers(1, 2))
-    a = 1 if kind == "route" else draw(st.integers(1, 2))
-    at_, ac = draw(st.tuples(st.integers(0, 3 - a), st.integers(0, 3 - a)).filter(
-        lambda t: sum(t) <= 3 - a))
+    at_, ac = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+        lambda t: sum(t) <= 2))
     symmetric = draw(st.booleans())
     bt = at_ if symmetric else draw(st.integers(0, at_ + ac))
-    layout = qc.RegisterLayout(list(zip(at.REGISTER_ORDER, (1, a, at_, ac, a, bt, at_ + ac - bt))))
+    layout = qc.RegisterLayout(list(zip(at.REGISTER_ORDER, (1, 1, at_, ac, 1, bt, at_ + ac - bt))))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = qc.stream(seed, "reference")
-    if draw(st.booleans()):
-        psi = qc.random_unit_vector(layout.dim, rng)
-    else:
-        rank = draw(st.integers(1, 3))
-        psi = qc.random_density_matrix(layout.dim, rng, rank=rank)
+    # the attack starts from |Omega>_RA x phi, phi on the other registers
+    phi = qc.random_unit_vector(layout.subdim(*rest_registers(layout, "R", "A")), rng)
+    psi = bell_core(layout, "A", phi)
     side = 1 << n
     pairs = [(x, y) for x in range(side) for y in range(side)]
     # missing local or recovery unitaries default to the identity

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -22,7 +21,7 @@ from qpv.attacks.execute import (
     pair_success,
     route_finale,
 )
-from qpv.attacks.strategy import returned_register
+from qpv.attacks.strategy import bell_core, returned_register
 
 XOR = an.xor_function(1)
 AND = an.ip_function(1)
@@ -30,13 +29,7 @@ AND = an.ip_function(1)
 
 def identity_route_strategy(f, **layout_kw):
     layout = at.attack_layout(**layout_kw)
-    rest = [n for n in layout.names if n not in ("R", "A") and layout.width(n)]
-    factors = [(("R", "A"), qc.BELL_VECTOR)]
-    for name in rest:
-        e0 = np.zeros(layout.subdim(name), dtype=complex)
-        e0[0] = 1.0
-        factors.append(((name,), e0))
-    psi = qc.assemble_raw(layout, factors)
+    psi = bell_core(layout)
     return at.AttackStrategy(kind="route", n=f.n, layout=layout, psi=psi)
 
 
@@ -90,13 +83,7 @@ def readable_bit_strategy(f, rotate_by_x=False):
     """Alice measures the stored qubit coherently (CNOT copies into her local
     register and the message register); both sides answer the copied bit."""
     layout = at.attack_layout(a=1, at=1, ac=1)
-    rest = [n for n in layout.names if n not in ("R", "A") and layout.width(n)]
-    factors = [(("R", "A"), qc.BELL_VECTOR)]
-    for name in rest:
-        e0 = np.zeros(layout.subdim(name), dtype=complex)
-        e0[0] = 1.0
-        factors.append(((name,), e0))
-    psi = qc.assemble_raw(layout, factors)
+    psi = bell_core(layout)
     p0 = qc.basis_projectors(0)[0]
     # effects answering the readable bit: Alice reads A, Bob reads the copy in Ac
     pi = qc.kron_le(p0, np.eye(2), np.eye(2))       # on (A, At, Bc)
@@ -134,13 +121,7 @@ def test_execute_meas_oblivious_bob_baseline():
     # Alice forwards the qubit; Bob measures it exactly, Alice has nothing:
     # joint success 1/2 on every pair
     layout = at.attack_layout(a=1, ac=1)
-    rest = [n for n in layout.names if n not in ("R", "A") and layout.width(n)]
-    factors = [(("R", "A"), qc.BELL_VECTOR)]
-    for name in rest:
-        e0 = np.zeros(layout.subdim(name), dtype=complex)
-        e0[0] = 1.0
-        factors.append(((name,), e0))
-    psi = qc.assemble_raw(layout, factors)
+    psi = bell_core(layout)
     swap = qc.compose_on_qubits(2, [(qc.SWAP2, [0, 1])])
     pairs = list(XOR.pairs())
     pi = {}
@@ -155,51 +136,6 @@ def test_execute_meas_oblivious_bob_baseline():
                               pi_effect=pi, sigma_effect=sigma)
     rep = at.epsilon_l_report(strat, XOR)
     assert all(s == pytest.approx(0.5, abs=1e-12) for s in rep.per_pair.values())
-
-
-# ---------------------------------------------------------------------------
-# linearity / mixing
-# ---------------------------------------------------------------------------
-
-def test_mixture_success_is_linear():
-    layout = at.attack_layout(a=1, at=1)
-    rng = qc.stream(77)
-    psis = [qc.random_unit_vector(layout.dim, qc.stream(77, i)) for i in range(2)]
-    alice = {x: qc.haar_random_unitary(4, qc.stream(78, x)) for x in (0, 1)}
-    bob = {y: qc.haar_random_unitary(4, qc.stream(79, y)) for y in (0, 1)}
-    k = {p: qc.haar_random_unitary(4, qc.stream(80, p)) for p in XOR.pairs()}
-    lu = {p: qc.haar_random_unitary(4, qc.stream(81, p)) for p in XOR.pairs()}
-    lam = 0.37
-    mix = lam * np.outer(psis[0], psis[0].conj()) + (1 - lam) * np.outer(psis[1], psis[1].conj())
-    args = dict(kind="route", n=1, layout=layout, alice=alice, bob=bob,
-                k_final=k, l_final=lu)
-    strat_mix = at.AttackStrategy(psi=mix, **args)
-    strat0 = at.AttackStrategy(psi=psis[0], **args)
-    strat1 = at.AttackStrategy(psi=psis[1], **args)
-    for x, y in XOR.pairs():
-        s_mix = at.execute_route(strat_mix, XOR, x, y)
-        s0 = at.execute_route(strat0, XOR, x, y)
-        s1 = at.execute_route(strat1, XOR, x, y)
-        assert s_mix == pytest.approx(lam * s0 + (1 - lam) * s1, abs=1e-12)
-        rho_mix, rho0, rho1 = (at.execute_route_reduced(s, XOR, x, y)
-                               for s in (strat_mix, strat0, strat1))
-        np.testing.assert_allclose(rho_mix, lam * rho0 + (1 - lam) * rho1, atol=1e-12)
-
-
-def test_mixture_success_is_linear_meas():
-    layout = at.attack_layout(a=1, ac=1)
-    psis = [qc.random_unit_vector(layout.dim, qc.stream(90, i)) for i in range(2)]
-    pairs = list(XOR.pairs())
-    pi = {p: at.seesaw.random_effect(4, qc.stream(91, p)) for p in pairs}
-    sg = {p: at.seesaw.random_effect(4, qc.stream(92, p)) for p in pairs}
-    lam = 0.61
-    args = dict(kind="meas", n=1, layout=layout, pi_effect=pi, sigma_effect=sg)
-    mix = lam * np.outer(psis[0], psis[0].conj()) + (1 - lam) * np.outer(psis[1], psis[1].conj())
-    vals = []
-    for psi in (psis[0], psis[1], mix):
-        strat = at.AttackStrategy(psi=psi, **args)
-        vals.append(at.epsilon_l_report(strat, XOR).average)
-    assert vals[2] == pytest.approx(lam * vals[0] + (1 - lam) * vals[1], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +231,7 @@ def test_meas_strategy_serialization():
     assert rep_a.per_pair == rep_b.per_pair
 
 
-# strategies the package builds at n <= 2; all but the garden-hose ones,
-# whose 2^11-dimensional states are too wide, also with a density matrix
+# strategies the package builds at n <= 2
 GH_Y2 = at.GardenHoseProtocol(pipes=2, alice={x: (("S", 1),) for x in range(4)},
                               bob={0: ((1, 2),), 2: ((1, 2),)})
 
@@ -310,7 +245,6 @@ def _built_documents():
              at.seesaw_optimize(ip2, (1, 0, 0), kind="meas", restarts=1, iters=1, seed=0)]
     built = [outcome.strategy for outcome in built] + [at.keep_q_attack(XOR),
                                                        at.keep_q_attack(ip2)]
-    built += [dataclasses.replace(s, psi=np.outer(s.psi, s.psi.conj())) for s in built]
     built += [at.compile_gardenhose(GH_Y), at.compile_gardenhose(GH_Y2)]
     return tuple(at.strategy_to_json(s) for s in built)
 
@@ -350,7 +284,7 @@ def _mutate(doc, data):
     malformed, a value of the wrong type, a matrix of the wrong shape or
     scaled by 2 (so not unitary, an effect or a state), a matrix cell
     replaced, an n below 1 or one larger, a site outside A/B or a psi kind
-    outside pure/mixed."""
+    other than pure."""
     tables = [(name,) for name in _TABLES if doc[name]]
     matrices = [("psi", "data")] + [(name, key) for name in at.strategy.FAMILIES
                                     for key in doc[name] or ()]
@@ -401,7 +335,7 @@ def _mutate(doc, data):
         sites = doc["qubit_site"] or {}
         doc["qubit_site"] = {**sites, pick(list(sites) or ["0,0"]): pick(["C", "", "a", "AB"])}
     else:
-        doc["psi"]["kind"] = pick(["bogus", "Pure", "", "mixed ", "density"])
+        doc["psi"]["kind"] = pick(["bogus", "Pure", "", "mixed", "mixed ", "density"])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -442,6 +376,16 @@ def test_strategy_validation():
         at.AttackStrategy(kind="route", n=1, layout=layout, psi=2 * psi)
     with pytest.raises(ValueError, match="vector of length 8"):
         at.AttackStrategy(kind="route", n=1, layout=layout, psi=psi[:4])
+    # a density matrix, and a unit vector on the whole layout, are refused
+    with pytest.raises(ValueError, match="vector of length 8"):
+        at.AttackStrategy(kind="route", n=1, layout=layout, psi=np.outer(psi, psi.conj()))
+    with pytest.raises(ValueError, match=re.escape("psi is not |Omega>_RA x phi: "
+                                                   "<Omega|rho_RA|Omega> = 0.")):
+        at.AttackStrategy(kind="route", n=1, layout=layout,
+                          psi=qc.random_unit_vector(layout.dim, qc.stream(1)))
+    with pytest.raises(ValueError, match="^registers R, A and B are one qubit each$"):
+        wide = at.attack_layout(a=2)
+        at.AttackStrategy(kind="meas", n=1, layout=wide, psi=np.eye(wide.dim)[0])
 
 
 def test_strategy_psi_is_a_read_only_copy():

@@ -105,14 +105,13 @@ def test_uhlmann_closed_form_is_the_best_product_state():
     |Omega>_RA x |phi> is closer to psi, and the bell_core candidate with
     phi = v / ||v|| attains it."""
     from qpv.attacks.good_sets import small_attack_layout
-    from qpv.attacks.strategy import bell_core, rest_registers
-    from qpv.checks.suites import _bell_partial_inner
+    from qpv.attacks.strategy import bell_contract, bell_core, rest_registers
     layout = small_attack_layout()
     rest = layout.subdim(*rest_registers(layout, "R", "A"))
     rng = qc.stream(5, "uhlmann-products")
     for _ in range(4):
         vec = qc.random_unit_vector(layout.dim, rng)
-        v = _bell_partial_inner(vec, layout)
+        v = bell_contract(layout, vec)
         p_opt = np.sqrt(1.0 - np.vdot(v, v).real)
         products = bell_core(layout, "A", qc.unit_finish(rng.standard_normal((300, 2 * rest))))
         dists = np.sqrt(np.maximum(0.0, 1.0 - np.abs(products.conj() @ vec) ** 2))

@@ -17,6 +17,7 @@ from qpv import analysis as an
 from qpv import attacks as at
 from qpv import cli
 from qpv import protocol as pr
+from qpv import qcore as qc
 from qpv.attacks import strategy_from_json
 
 
@@ -304,7 +305,7 @@ def _simulate_strategy(tmp_path, capsys, doc):
     ([], {"alice": {"a": []}}, "strategy.alice['a']: expected an integer"),
     ([], {"l_final": {"0": []}}, "strategy.l_final['0']: expected two integers x,y"),
     ([], {"psi": {"kind": "bogus", "data": [["0x1.0p+0,0x0.0p+0"]]}},
-     "strategy.psi.kind: expected 'pure' or 'mixed', got 'bogus'"),
+     "strategy.psi.kind: expected 'pure', got 'bogus' (purify a mixed state on wider registers)"),
     ([], {"n": -1}, "strategy.n: expected an integer >= 1, got -1"),
     ([], {"psi": {"kind": "pure", "data": [["zz"]]}},
      """strategy.psi.data[0][0]: expected "re,im" in float.hex spelling, got 'zz'"""),
@@ -358,6 +359,7 @@ def test_attack_optimize_rejects_zero_restarts(tmp_path, capsys):
     ({"kind": "routing"}, "'route' or 'meas'"),
     ({"iters": -3}, "iters"),
     ({"split": [2, 0, 0]}, "A register"),
+    ({"kind": "meas", "q": 0, "split": [0, 0, 0]}, "A register"),
 ])
 def test_attack_optimize_rejects_bad_search_settings(tmp_path, capsys, extra, needle):
     # each is refused before the first restart, not run as something else
@@ -420,7 +422,9 @@ def test_outputs_byte_identical(tmp_path, capsys):
 # moved into one table; a simulate entry's strategy prover reads the
 # strategy of the attack-optimize entry its path names.  The README's
 # sim.json entry carries its seed 7 as a config key, which gives the files
-# that --seed 7 gives.
+# that --seed 7 gives.  The two see-saw entries and the simulate entry that
+# reads the route one were re-recorded when psi became |Omega>_RA x phi
+# and the see-saw began to freeze the vector it scored.
 PINNED_OUTPUTS = {
     "verify_all": (
         "verify", 0,
@@ -456,7 +460,7 @@ PINNED_OUTPUTS = {
         "attack-optimize",
         {"f": {"kind": "ip", "n": 1}, "kind": "meas", "q": 2, "unentangled": True,
          "restarts": 20, "iters": 60},
-        "b73c64cc7fb2bdddc660a76c03665ceac5cb5ece939495c3d48fd192967796ff"),
+        "a53da80c240277b631d4f35fd4b1746f64271d691de16661a70146f1bbb14eee"),
     "gardenhose": (
         "attack-optimize",
         {"f": {"kind": "table", "n": 1, "table": "0101"},
@@ -466,12 +470,12 @@ PINNED_OUTPUTS = {
     "seesaw_route_q3": (
         "attack-optimize",
         {"f": {"kind": "ip", "n": 1}, "kind": "route", "q": 3, "restarts": 3, "iters": 4},
-        "6584ca483bc137e7aa2416a7b4e85477202b3c55b65c37af54ce6c1af128dc9e"),
+        "de8362d916584faf52451103ae8d2ace3c77ed3e09034e872d248597fedc901a"),
     "simulate_route_entangled_seesaw": (
         "simulate",
         {"protocol": "route_entangled", "n": 1, "f": {"kind": "ip", "n": 1}, "rounds": 200,
          "trials": 2, "prover": {"kind": "strategy", "path": "seesaw_route_q3.strategy.json"}},
-        "415a28a3f12fa6284d8c3eb53be526287832f1b8262fa28f7f5780c57bd1d69e"),
+        "65649dd46fddadbd58a3eec49afcf80644b98e8e548c8c075dee3166243506f7"),
     "simulate_route_bb84_gardenhose": (
         "simulate",
         {"protocol": "route_bb84", "n": 1, "f": {"kind": "table", "n": 1, "table": "0101"},
@@ -585,6 +589,22 @@ def _prover(**spec):
 
 def _gh(**changes):
     return _with(ATT, gardenhose=_with(GH, **changes))
+
+
+def _strategy_prover(path):
+    return _with(SIM, protocol="route_entangled", prover={"kind": "strategy", "path": path})
+
+
+def _strategy_files():
+    """The strategy documents PINNED_ERRORS reads: keep_q's at n = 1 with its
+    psi as a density matrix, and with a random unit vector on the whole layout."""
+    keep = at.keep_q_attack(an.xor_function(1))
+    doc = json.loads(at.strategy_to_json(keep))
+    encode = at.strategy._encode_matrix
+    mixed = np.outer(keep.psi, keep.psi.conj())
+    whole = qc.random_unit_vector(keep.layout.dim, qc.stream(0, "whole-layout psi"))
+    return {"mixed.strategy.json": {**doc, "psi": {"kind": "mixed", "data": encode(mixed)}},
+            "whole.strategy.json": {**doc, "psi": {"kind": "pure", "data": encode(whole[None])}}}
 
 
 # every config error the CLI reports, one per check, with its exact stderr
@@ -900,6 +920,14 @@ PINNED_ERRORS = {
                              "f.n = 5 disagrees with the file's n = 1"),
     "att-file-n-disagrees": ("attack-optimize", {"f": {"kind": "file", "path": "f.txt", "n": 5}},
                              "f.n = 5 disagrees with the file's n = 1"),
+    # a strategy's psi is one vector |Omega>_RA x phi (the documents of
+    # _strategy_files)
+    "strategy-psi-mixed": ("simulate", _strategy_prover("mixed.strategy.json"),
+                           "strategy.psi.kind: expected 'pure', got 'mixed' "
+                           "(purify a mixed state on wider registers)"),
+    "strategy-psi-whole-layout": ("simulate", _strategy_prover("whole.strategy.json"),
+                                  "psi is not |Omega>_RA x phi: "
+                                  "<Omega|rho_RA|Omega> = 0.48732133928169497"),
     # an output path that is a directory: the run writes nothing, and its
     # --out PATH is left as it was
     "sim-out-csv-directory": ("simulate --out out", SIM, "[Errno 21] Is a directory: 'out.csv'"),
@@ -918,6 +946,8 @@ def test_pinned_config_error_messages(tmp_path, capsys, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     if "--out" not in argv:
         (tmp_path / "f.txt").write_text("n=1\n0110\n")   # the file a "file" spec reads
+        for name, doc in _strategy_files().items():        # and those a strategy prover reads
+            (tmp_path / name).write_text(json.dumps(doc))
         assert run_cli(capsys, *argv) == want
         return
     # the output path the message names is a directory; the run fails with

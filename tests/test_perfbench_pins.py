@@ -28,11 +28,11 @@ PINNED_OPS = {
     ("simulate", "keepq_route_bb84"):
         "d92a756085ed2966f96e589be670a7eece7e8a409c7039a12466f8c06a6a50bd",
     ("attack", "seesaw_meas_and"):
-        "c37d287f8ad592d5743dc9d08bcc70644bd1b751745056dc2a624d0690fbb02d",
+        "9ce5b1ec672f42daa1cbdaefa9cb4aa23c7b41a3ef5d2e2c640e041b68fa5263",
     ("attack", "seesaw_route_q3"):
-        "6584ca483bc137e7aa2416a7b4e85477202b3c55b65c37af54ce6c1af128dc9e",
+        "de8362d916584faf52451103ae8d2ace3c77ed3e09034e872d248597fedc901a",
     ("attack", "seesaw_route_n2"):
-        "95cd8f96f4dc9790fe8a6ad7a247ec95391216f71a72aa3c6463c57f606a8fce",
+        "dd56b27b7ece2063911aa9372264aa2cd15662d98e73582d2c0425532a5ec03c",
     ("attack", "gardenhose_0"):
         "99241a43f6f83238e979604c539dcae85ad73daf462f3622266c96c004a443eb",
     ("verify", "verify_all"):

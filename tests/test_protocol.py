@@ -7,6 +7,7 @@ from qpv import analysis as an
 from qpv import attacks as at
 from qpv import protocol as pr
 from qpv import qcore as qc
+from qpv.attacks.strategy import bell_core
 from qpv.protocol.geometry import CLAIMED_POS, RELAY_POS, VERIFIER_POS, on_time
 
 XOR = an.xor_function(1)
@@ -90,7 +91,7 @@ def copy_to_ac_strategy(f):
     computational basis; Bob's B holds |0>."""
     layout = at.attack_layout(a=1, ac=1)
     return at.AttackStrategy(kind="route", n=f.n, layout=layout,
-                             psi=at.unentangled_product_state(layout),
+                             psi=bell_core(layout),
                              alice={x: qc.CNOT for x in range(1 << f.n)})
 
 

@@ -727,16 +727,11 @@ def test_assemble_raw_batch_matches_single_assembles():
 
 def test_state_validation():
     qc.check_state(qc.BB84_VECTORS[2], 2)
-    qc.check_state(np.eye(2) / 2, 2)
     for data, message in [
         (np.ones(4) / 2, "vector of length 2"),                  # wrong shape
         (np.eye(4)[:2] / 2, "vector of length 2"),               # wrong shape
+        (np.eye(2) / 2, "vector of length 2, not shape"),        # a density matrix
         (np.array([1.0, 1.0]), "norm"),                          # norm sqrt(2)
-        (np.array([[0.9, 0.5], [0.1, 0.1]]), "not Hermitian"),
-        (np.eye(2), "trace"),                                    # trace 2
     ]:
         with pytest.raises(ValueError, match=message):
             qc.check_state(data, 2, "psi")
-    # trace 1 and no eigenvalue above 1, but one is negative
-    with pytest.raises(ValueError, match="not an effect"):
-        qc.check_state(np.diag([0.6, 0.6, -0.2, 0.0]), 4)

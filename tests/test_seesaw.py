@@ -6,7 +6,7 @@ import pytest
 from qpv import analysis as an
 from qpv import attacks as at
 from qpv import qcore as qc
-from qpv.attacks.strategy import returned_register
+from qpv.attacks.strategy import bell_core, rest_registers, returned_register
 from test_attack_reference import BASES, BELL, embed
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -85,6 +85,24 @@ def test_unentangled_meas_seesaw_reaches_the_closed_form(bits):
     assert closed - 1e-6 <= value <= closed + 1e-9
 
 
+@pytest.mark.parametrize("kind", ["route", "meas"])
+@pytest.mark.parametrize("bits", range(16))
+def test_no_exchange_values_are_the_anchors(kind, bits):
+    """At split (1, 0, 0) each attacker holds one qubit and nothing is
+    exchanged, so Bob's state is independent of R: rho_{R,B} = I/2 x sigma.
+    Routing, a pair routed to Bob passes with <Omega|(I/2 x sigma)|Omega>
+    = 1/4 and one routed to Alice with 1 (she keeps Q), so the value is
+    1 - (3/4) Pr[f = 1].  Measuring, Bob's bit is independent of the
+    verifier's uniform outcome, so a pair succeeds with at most 1/2, which
+    answering 0 on both sides reaches: the value is 1/2.  A value above
+    either is an attack that touches the verifier's qubit."""
+    f = an.BooleanFunction(1, [bits >> i & 1 for i in range(4)])
+    anchor = 1 - 0.75 * bin(bits).count("1") / 4 if kind == "route" else 0.5
+    value = at.seesaw_optimize(f, (1, 0, 0), kind=kind, restarts=2, iters=60,
+                               seed=0).best_value
+    assert abs(value - anchor) <= 1e-9
+
+
 def test_helstrom_effect_is_optimal():
     rng = qc.stream(21)
     for _ in range(20):
@@ -120,10 +138,10 @@ def test_polar_unitary():
 
 
 def test_fixed_psi_stays_fixed():
-    psi0 = at.unentangled_product_state(at.attack_layout(a=1, at=0, ac=1))
+    psi0 = bell_core(at.attack_layout(a=1, at=0, ac=1))
     out = at.seesaw_optimize(an.xor_function(1), (1, 0, 1), kind="meas", restarts=2,
                              iters=15, seed=16, unentangled=True)
-    assert abs(np.vdot(out.strategy.psi, psi0)) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(out.strategy.psi, psi0)
 
 
 def test_split_validation():
@@ -137,14 +155,15 @@ def test_search_settings_rejected_before_the_first_restart():
         at.seesaw_optimize(xor, (1, 0, 1), kind="routing")
     with pytest.raises(ValueError, match="iters"):
         at.seesaw_optimize(xor, (1, 0, 1), iters=-3)
-    with pytest.raises(ValueError, match="1-qubit A register"):
-        at.seesaw_optimize(xor, (2, 0, 0), kind="route")
+    for kind, split in (("route", (2, 0, 0)), ("meas", (0, 0, 0)), ("meas", (2, 0, 1))):
+        with pytest.raises(ValueError, match="1-qubit A register"):
+            at.seesaw_optimize(xor, split, kind=kind)
 
 
 # seed-0 restart values of the benchmark's three see-saw configs (its q = 2
 # and 3 are the splits (1, 0, 1) and (1, 0, 2)): the meas values recorded
 # with the per-pair sweeps that the batched ones replaced, the route values
-# with the Krylov psi step
+# with the Krylov step on phi, psi being |Omega>_RA x phi
 PINNED_RESTARTS = {
     "seesaw_meas_and": (dict(f=an.ip_function(1), kind="meas", split=(1, 0, 1), restarts=8,
                              iters=8, unentangled=True),
@@ -153,10 +172,10 @@ PINNED_RESTARTS = {
                          0.8749993174380103, 0.9267451548003287]),
     "seesaw_route_q3": (dict(f=an.ip_function(1), kind="route", split=(1, 0, 2), restarts=3,
                              iters=4),
-                        [0.9136390334426938, 0.9098065057062769, 0.914833819683198]),
+                        [0.9319041025728371, 0.91459186846203, 0.9438675941385202]),
     "seesaw_route_n2": (dict(f=an.ip_function(2), kind="route", split=(1, 0, 1), restarts=2,
                              iters=2),
-                        [0.7809014708508559, 0.7925638090812666]),
+                        [0.7933736075311012, 0.7987761385340646]),
 }
 
 
@@ -165,7 +184,8 @@ def test_pinned_restart_values(name):
     cfg, expected = PINNED_RESTARTS[name]
     out = at.seesaw_optimize(seed=0, **cfg)
     np.testing.assert_allclose(out.restart_values, expected, rtol=0, atol=1e-12)
-    assert out.report.average == pytest.approx(out.best_value, abs=1e-12)
+    # the strategy holds the psi its best value was scored on
+    assert out.report.average == out.best_value
 
 
 def test_restart_values_do_not_depend_on_chunking(monkeypatch):
@@ -206,16 +226,19 @@ def dense_hamiltonian(strategy, f):
 @pytest.mark.parametrize("kind", ["route", "meas"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_psi_step_reaches_top_eigenvalue(kind, seed):
-    # n = 1, q = 2 (dim 32), entangled psi; one sweep in, psi is warm, as
-    # in every sweep after the first
+    # n = 1, q = 2 (dim 32, phi of dim 8), entangled; one sweep in, phi is
+    # warm, as in every sweep after the first.  The step's objective is H
+    # compressed by |Omega>_RA x I, whose columns are bell_core of phi's basis
     f = an.ip_function(1)
-    work = at.seesaw._Work(kind, f, at.attack_layout(a=1, ac=1), seed, [0])
+    layout = at.attack_layout(a=1, ac=1)
+    work = at.seesaw._Work(kind, f, layout, seed, [0])
     work.sweep()
-    h = dense_hamiltonian(work.freeze(0), f)
+    iso = bell_core(layout, "A", np.eye(layout.subdim(*rest_registers(layout, "R", "A")))).T
+    h = iso.conj().T @ dense_hamiltonian(work.freeze(0), f) @ iso
     before = work.average()[0]
     work.update_psi()
-    psi = work.psi[0]
-    assert np.vdot(psi, h @ psi).real >= np.linalg.eigvalsh(h)[-1] - 1e-8
+    phi = work.phi[0]
+    assert np.vdot(phi, h @ phi).real >= np.linalg.eigvalsh(h)[-1] - 1e-8
     assert work.average()[0] >= before
 
 

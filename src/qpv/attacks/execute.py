@@ -169,7 +169,7 @@ def keep_q_attack(f) -> AttackStrategy:
     Succeeds perfectly whenever the function routes to V0 and sends nothing
     to V1 otherwise (success zero there, the verifier sees no qubit).
     """
-    layout = attack_layout(a=1)
+    layout = attack_layout()
     site = {(x, y): "A" for x, y in f.pairs()}
     return AttackStrategy(kind="route", n=f.n, layout=layout, psi=bell_core(layout),
                           qubit_site=site)

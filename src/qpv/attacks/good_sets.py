@@ -120,4 +120,4 @@ def meas_members(layout: qc.RegisterLayout, which: str, eps: float, noise, unifo
 
 def small_attack_layout() -> qc.RegisterLayout:
     """1 qubit per named attacker register: the smallest full layout."""
-    return attack_layout(a=1, at=1, ac=1)
+    return attack_layout(at=1, ac=1)

@@ -396,7 +396,7 @@ def seesaw_optimize(f, split: tuple[int, int, int], kind: str = "route",
     a, at, ac = split
     if a != 1:
         raise ValueError(f"the see-saw needs a 1-qubit A register, split has {a}")
-    layout = attack_layout(a=a, at=at, ac=ac)
+    layout = attack_layout(at, ac)
     values = [0.0] * restarts
     best, best_at = None, (-1.0, 0)
     per_chunk = max(1, CHUNK_CELLS // ((1 << 2 * f.n) * layout.dim))

@@ -28,9 +28,10 @@ def returned_register(value: int) -> str:
     return "A" if value == 0 else "B"
 
 
-def attack_layout(a: int = 1, at: int = 0, ac: int = 0) -> qc.RegisterLayout:
-    """Standard layout R A At Ac B Bt Bc, Bob's registers the widths of Alice's."""
-    return qc.RegisterLayout(list(zip(REGISTER_ORDER, (1, a, at, ac, a, at, ac))))
+def attack_layout(at: int = 0, ac: int = 0) -> qc.RegisterLayout:
+    """Standard layout R A At Ac B Bt Bc with one-qubit R, A and B, Bob's
+    registers the widths of Alice's."""
+    return qc.RegisterLayout(list(zip(REGISTER_ORDER, (1, 1, at, ac, 1, at, ac))))
 
 
 def rest_registers(layout: qc.RegisterLayout, *exclude: str) -> tuple[str, ...]:

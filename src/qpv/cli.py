@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, attacks, checks, protocol
-from .analysis.commcplx import BudgetExceeded
+from .analysis.boolfun import BudgetExceeded
 from .qcore.rng import stream  # noqa: F401  (perfbench/tracing.py wraps qpv.cli.stream)
 
 EXIT_OK = 0

@@ -88,7 +88,13 @@ def _apply_steps(vec: np.ndarray, n: int, steps) -> np.ndarray:
     """The ``(mat, qubits)`` steps in turn on a vector or on each vector of a
     ``(b, 2^n)`` batch; ``mat`` is one matrix or a ``(b, d, d)`` stack, one per
     vector.  Each step is one ``matmul`` on the batch gathered, straight from
-    the previous step's order, into the ``rows_first`` order of its qubits."""
+    the previous step's order, into the ``rows_first`` order of its qubits.
+
+    The rounding depends on the step's width.  A step over all n qubits is a
+    ``(b, 2^n, 1)`` product, which BLAS runs as zgemv; a narrower step runs as
+    zgemm.  So an operator embedded with an identity can differ from its
+    narrow form by an ulp: results are bit-stable only for a fixed register
+    split."""
     out, prev = np.reshape(vec, (-1, 1 << n)), None
     for mat, qubits in steps:
         qubits, k = tuple(qubits), len(qubits)

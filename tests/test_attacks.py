@@ -82,7 +82,7 @@ def test_execute_kind_and_input_validation():
 def readable_bit_strategy(f, rotate_by_x=False):
     """Alice measures the stored qubit coherently (CNOT copies into her local
     register and the message register); both sides answer the copied bit."""
-    layout = at.attack_layout(a=1, at=1, ac=1)
+    layout = at.attack_layout(at=1, ac=1)
     psi = bell_core(layout)
     p0 = qc.basis_projectors(0)[0]
     # effects answering the readable bit: Alice reads A, Bob reads the copy in Ac
@@ -120,7 +120,7 @@ def test_execute_meas_x_dependent_basis():
 def test_execute_meas_oblivious_bob_baseline():
     # Alice forwards the qubit; Bob measures it exactly, Alice has nothing:
     # joint success 1/2 on every pair
-    layout = at.attack_layout(a=1, ac=1)
+    layout = at.attack_layout(ac=1)
     psi = bell_core(layout)
     swap = qc.compose_on_qubits(2, [(qc.SWAP2, [0, 1])])
     pairs = list(XOR.pairs())
@@ -355,7 +355,7 @@ def test_mutated_strategy_document_is_refused_by_place_or_round_trips(data):
 
 
 def test_strategy_validation():
-    layout = at.attack_layout(a=1)
+    layout = at.attack_layout()
     psi = identity_route_strategy(an.constant_function(1, 0)).psi
     with pytest.raises(ValueError):
         at.AttackStrategy(kind="bogus", n=1, layout=layout, psi=psi)
@@ -384,14 +384,14 @@ def test_strategy_validation():
         at.AttackStrategy(kind="route", n=1, layout=layout,
                           psi=qc.random_unit_vector(layout.dim, qc.stream(1)))
     with pytest.raises(ValueError, match="^registers R, A and B are one qubit each$"):
-        wide = at.attack_layout(a=2)
+        wide = qc.RegisterLayout(list(zip(at.REGISTER_ORDER, (1, 2, 0, 0, 2, 0, 0))))
         at.AttackStrategy(kind="meas", n=1, layout=wide, psi=np.eye(wide.dim)[0])
 
 
 def test_strategy_psi_is_a_read_only_copy():
     psi = identity_route_strategy(an.constant_function(1, 0)).psi
     given = np.array(psi)
-    strat = at.AttackStrategy(kind="route", n=1, layout=at.attack_layout(a=1), psi=given)
+    strat = at.AttackStrategy(kind="route", n=1, layout=at.attack_layout(), psi=given)
     assert not strat.psi.flags.writeable
     with pytest.raises(ValueError):
         strat.psi[0] = 0.0
@@ -488,7 +488,7 @@ def test_meas_disjointness_sampled():
 def test_pair_batch_equals_batches_of_one(kind, shared):
     # bitwise: batching the pairs changes no pair's arithmetic
     rng = qc.stream(31, "batch", kind)
-    layout = at.attack_layout(a=1, at=1, ac=1)
+    layout = at.attack_layout(at=1, ac=1)
     b = 16
     vecs = np.stack([qc.random_unit_vector(layout.dim, rng) for _ in range(b)])
     values = rng.integers(0, 2, size=b)
@@ -546,7 +546,7 @@ def test_bell_effects_table():
 @pytest.mark.parametrize("at_width", [0, 1, 2])
 @pytest.mark.parametrize("ac_width", [0, 1, 2])
 def test_bell_effect_equals_split_reference(at_width, ac_width):
-    layout = at.attack_layout(1, at_width, ac_width)
+    layout = at.attack_layout(at_width, ac_width)
     rng = qc.stream(35, "bell-effect", at_width, ac_width)
     b = 12
     vecs = np.stack([qc.random_unit_vector(layout.dim, rng) for _ in range(b)])

@@ -89,7 +89,7 @@ def test_route_bb84_matches_single_qubit_oracle(prover, depolarize):
 def copy_to_ac_strategy(f):
     """Alice copies the stored qubit into Ac (a CNOT), dephasing rho_RA in the
     computational basis; Bob's B holds |0>."""
-    layout = at.attack_layout(a=1, ac=1)
+    layout = at.attack_layout(ac=1)
     return at.AttackStrategy(kind="route", n=f.n, layout=layout,
                              psi=bell_core(layout),
                              alice={x: qc.CNOT for x in range(1 << f.n)})

@@ -138,7 +138,7 @@ def test_polar_unitary():
 
 
 def test_fixed_psi_stays_fixed():
-    psi0 = bell_core(at.attack_layout(a=1, at=0, ac=1))
+    psi0 = bell_core(at.attack_layout(at=0, ac=1))
     out = at.seesaw_optimize(an.xor_function(1), (1, 0, 1), kind="meas", restarts=2,
                              iters=15, seed=16, unentangled=True)
     assert np.array_equal(out.strategy.psi, psi0)
@@ -230,7 +230,7 @@ def test_psi_step_reaches_top_eigenvalue(kind, seed):
     # warm, as in every sweep after the first.  The step's objective is H
     # compressed by |Omega>_RA x I, whose columns are bell_core of phi's basis
     f = an.ip_function(1)
-    layout = at.attack_layout(a=1, ac=1)
+    layout = at.attack_layout(ac=1)
     work = at.seesaw._Work(kind, f, layout, seed, [0])
     work.sweep()
     iso = bell_core(layout, "A", np.eye(layout.subdim(*rest_registers(layout, "R", "A")))).T
@@ -249,7 +249,7 @@ def test_carried_success_table_equals_a_fresh_evaluation(kind, fixed):
     and after a restart leaves the batch.  The second psi step of a sweep
     finds psi at the top and keeps it."""
     f = an.ip_function(2)
-    work = at.seesaw._Work(kind, f, at.attack_layout(a=1, ac=1), 5, range(3), fixed)
+    work = at.seesaw._Work(kind, f, at.attack_layout(ac=1), 5, range(3), fixed)
 
     def check():
         if work.succ is not None:

@@ -22,6 +22,12 @@ MODULES = (qpv.analysis, qpv.attacks, qpv.checks, qpv.cli, qpv.protocol,
 
 
 def _snapshot():
+    """Every name of each module: a subpackage loads a name on first use, so
+    reading its ``__all__`` first makes the snapshot the same whichever
+    modules earlier tests imported."""
+    for mod in MODULES:
+        for name in getattr(mod, "__all__", ()):
+            getattr(mod, name)
     names = {mod.__name__: dict(vars(mod)) for mod in MODULES}
     names["RUNNERS"] = dict(qpv.protocol.RUNNERS)
     names["CHECKS"] = dict(qpv.checks.CHECKS)

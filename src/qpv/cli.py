@@ -32,9 +32,10 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 ROUND_SIM_LIMIT = 5_000_000
-# CSV text is rendered and written in blocks of about this many rounds, so
-# memory stays bounded whatever the output size
-CSV_BLOCK_CELLS = 1 << 12
+# the CSV is rendered and written in blocks of whole trials, about this many
+# rounds (at least one trial) each, so memory stays bounded whatever the output
+# size; a template block of 200-round trials is about 240 KB
+CSV_BLOCK_CELLS = 1 << 14
 
 
 class ConfigError(Exception):
@@ -61,9 +62,10 @@ INT, NUMBER, FRACTION = (_number(int, "an integer"), _number(float, "a number"),
 
 
 def _one_of(choices, message: str):
-    """A cast admitting only ``choices``; ``message`` formats a refused value."""
+    """A cast admitting only ``choices`` (or, when it is callable, what it
+    returns when a value is read); ``message`` formats a refused value."""
     def read(value, where):
-        if value not in choices:
+        if value not in (choices() if callable(choices) else choices):
             raise ConfigError(message.format(value))
         return value
     return read
@@ -139,7 +141,9 @@ def _fields(obj, where: str, schema: dict):
 
 RAW = (None, None)  # a row passed through as given, None when missing
 SIMULATE = _schema({
-    "protocol": (_one_of(protocol.PROTOCOLS, "unknown protocol {!r}"), None), "n": RAW,
+    # the protocol names are read when the key is, so an import of this module
+    # loads no protocol module
+    "protocol": (_one_of(lambda: protocol.PROTOCOLS, "unknown protocol {!r}"), None), "n": RAW,
     "f": RAW, "rounds": (INT, None), "trials": (INT, 1), "eta": (NUMBER, 0.0),
     "prover": (None, {"kind": "honest"}), "noise_mode": (None, "bernoulli"),
 }, "protocol", "n", "f", "rounds")
@@ -270,28 +274,55 @@ def cmd_simulate(config: dict, seed: int, keep_rounds: bool = True):
 
 
 def _csv_blocks(draws):
-    """The CSV text, one ``trial,round,x,y,accepted`` line per round,
-    trial-major, as a sequence of blocks of whole lines."""
+    """The CSV, one ``trial,round,x,y,accepted`` line per round, trial-major,
+    as a sequence of blocks of whole lines: bytes, or ``uint8`` arrays.
+
+    When every ``x,y,accepted`` tail has one width (side = 2^n <= 10), the
+    trials whose indices have the same number of digits share one text but
+    for fixed columns: the trial's digits on each line, and each round's x, y
+    and verdict.  A block of such trials is that template broadcast over the
+    block, with those columns written in.  Wider inputs (n >= 4) take the
+    per-cell path, which joins one string per round."""
     trials, rounds = draws.accepted.shape
     side = len(draws.table)
-    # a line is "<trial>," then a cell "<round>,<x>,<y>,<accepted>\n"; a cell's
-    # tail is one of 2*side^2, picked by (x, y, accepted)
-    tails = np.array([f"{x},{y},{a}\n" for x in range(side) for y in range(side)
-                      for a in (0, 1)], dtype=object)
-    heads = np.array([f"{i}," for i in range(rounds)], dtype=object)
-    # with enough trials, format every (round, tail) cell once and pick from
-    # the table; a table string (~60 B) outweighs an output line (~15 B) about
-    # 4 to 1, so from 5 trials per tail the table holds fewer bytes than the
-    # text it renders
-    table = heads[:, None] + tails if trials >= 5 * len(tails) else None
     step = max(1, CSV_BLOCK_CELLS // rounds)
-    yield "trial,round,x,y,accepted\n"
-    for start in range(0, trials, step):
-        block = slice(start, start + step)
-        codes = (draws.xs[block] * side + draws.ys[block]) * 2 + draws.accepted[block]
-        cells = heads + tails[codes] if table is None else table[np.arange(rounds), codes]
-        yield "".join([f"{t}," + f"{t},".join(row)
-                       for t, row in enumerate(cells.tolist(), start)])
+    yield b"trial,round,x,y,accepted\n"
+    if side > 10:
+        # a line is "<trial>," then a cell "<round>,<x>,<y>,<accepted>\n"; a
+        # cell's tail is one of 2*side^2, picked by (x, y, accepted)
+        tails = np.array([f"{x},{y},{a}\n" for x in range(side) for y in range(side)
+                          for a in (0, 1)], dtype=object)
+        heads = np.array([f"{i}," for i in range(rounds)], dtype=object)
+        # with enough trials, format every (round, tail) cell once and pick
+        # from the table; a table string (~60 B) outweighs an output line
+        # (~15 B) about 4 to 1, so from 5 trials per tail the table holds
+        # fewer bytes than the text it renders
+        table = heads[:, None] + tails if trials >= 5 * len(tails) else None
+        for start in range(0, trials, step):
+            block = slice(start, start + step)
+            codes = (draws.xs[block] * side + draws.ys[block]) * 2 + draws.accepted[block]
+            cells = heads + tails[codes] if table is None else table[np.arange(rounds), codes]
+            yield "".join([f"{t}," + f"{t},".join(row)
+                           for t, row in enumerate(cells.tolist(), start)]).encode()
+        return
+    zero = ord("0")
+    for digits in range(1, len(str(trials - 1)) + 1):
+        lines = [f"{'0' * digits},{r},0,0,0\n" for r in range(rounds)]
+        template = np.frombuffer("".join(lines).encode(), np.uint8)
+        ends = np.cumsum([len(line) for line in lines])
+        # (round, i) -> the column of the trial's i-th digit on that round's line
+        trial_cols = np.append(0, ends[:-1])[:, None] + np.arange(digits)
+        powers = 10 ** np.arange(digits - 1, -1, -1)
+        group = range(0 if digits == 1 else 10 ** (digits - 1), min(trials, 10 ** digits))
+        for start in group[::step]:
+            block = slice(start, min(start + step, group.stop))
+            index = np.arange(block.start, block.stop)
+            out = np.broadcast_to(template, (len(index), len(template))).copy()
+            out[:, trial_cols] = (index[:, None] // powers % 10 + zero).astype(np.uint8)[:, None]
+            out[:, ends - 6] = draws.xs[block] + zero
+            out[:, ends - 4] = draws.ys[block] + zero
+            out[:, ends - 2] = draws.accepted[block] + zero
+            yield out
 
 
 def cmd_attack_optimize(config: dict, seed: int):
@@ -386,14 +417,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(*outputs):
-    """Write each ``(path, blocks)`` output's string blocks to ``path``, or
-    a single output's to stdout when its path is None.  Each file is written
-    under a temporary name in its target directory, and the files replace
-    their targets only once all are complete, the first target last.  On an
-    error the temporaries are removed, so a failed run leaves the first
-    target as it was, and the error names the target, not the temporary."""
+    """Write each ``(path, blocks)`` output's blocks (bytes, or ``uint8``
+    arrays) to ``path``, or a single output's to stdout when its path is
+    None.  Each file is written under a temporary name in its target
+    directory, and the files replace their targets only once all are
+    complete, the first target last.  On an error the temporaries are
+    removed, so a failed run leaves the first target as it was, and the
+    error names the target, not the temporary."""
     if outputs[0][0] is None:
-        sys.stdout.writelines(outputs[0][1])
+        sys.stdout.flush()
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.writelines(bytes(block).decode("ascii") for block in outputs[0][1])
+        else:
+            binary.writelines(outputs[0][1])
+            binary.flush()
         return
     mask = os.umask(0)
     os.umask(mask)
@@ -402,7 +440,7 @@ def _write(*outputs):
         for path, blocks in outputs:
             fd, temp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
             pending.append((temp, path))
-            with open(fd, "w", encoding="ascii") as fh:
+            with open(fd, "wb") as fh:
                 fh.writelines(blocks)
             # mkstemp makes the file private; give it the mode open() would
             os.chmod(temp, 0o666 & ~mask)
@@ -416,8 +454,13 @@ def _write(*outputs):
             os.remove(temp)
 
 
+def _line(text: str) -> list:
+    """One block: ``text`` and a newline, as ASCII bytes."""
+    return [(text + "\n").encode("ascii")]
+
+
 def _json_line(doc) -> list:
-    return [json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"]
+    return _line(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 def main(argv=None) -> int:
@@ -429,7 +472,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             names = [n.strip() for n in args.suite.split(",") if n.strip()]
             reports = cmd_verify(names, args.seed)
-            _write((args.out, ["\n".join(r.json_line() for r in reports) + "\n"]))
+            _write((args.out, _line("\n".join(r.json_line() for r in reports))))
             return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -448,7 +491,7 @@ def main(argv=None) -> int:
             doc, strategy_json = cmd_attack_optimize(config, seed)
             if args.out:
                 _write((args.out, _json_line(doc)),
-                       (args.out + ".strategy.json", [strategy_json + "\n"]))
+                       (args.out + ".strategy.json", _line(strategy_json)))
             else:
                 _write((None, _json_line({**doc, "strategy": json.loads(strategy_json)})))
         else:

@@ -550,6 +550,42 @@ def test_format_csv_to_stdout(tmp_path, capsys):
     assert len(lines) == 5
 
 
+# (n, trials, rounds): n = 1 and 3 take the template path, n = 4 the per-cell
+# one (from 2560 trials with its cell table); the trials cross 9 -> 10 and
+# 999 -> 1000, the rounds 9 -> 10 and 99 -> 100
+CSV_CASES = [(n, trials, rounds) for n in (1, 3, 4)
+             for trials, rounds in ((1, 1), (12, 101), (1001, 11), (10, 9))] + [(4, 2600, 2)]
+
+
+@pytest.mark.parametrize("cells", [50, cli.CSV_BLOCK_CELLS])
+@pytest.mark.parametrize("n, trials, rounds", CSV_CASES)
+def test_csv_blocks_match_a_plain_join(monkeypatch, n, trials, rounds, cells):
+    rng = np.random.default_rng([n, trials, rounds])
+    xs, ys = rng.integers(2**n, size=(2, trials, rounds))
+    accepted = rng.random((trials, rounds)) < 0.5
+    draws = pr.TrialDraws(np.zeros((2**n, 2**n)), accepted.sum(axis=1), xs, ys, accepted)
+    monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", cells)
+    blocks = [bytes(block) for block in cli._csv_blocks(draws)]
+    want = "trial,round,x,y,accepted\n" + "".join(
+        f"{t},{r},{xs[t, r]},{ys[t, r]},{int(accepted[t, r])}\n"
+        for t in range(trials) for r in range(rounds))
+    assert b"".join(blocks) == want.encode()
+    assert all(block.endswith(b"\n") for block in blocks)
+
+
+def test_csv_on_stdout_is_the_out_file(tmp_path, capsys):
+    """``--format csv`` prints the bytes ``--out`` writes to its CSV."""
+    for n in (1, 4):
+        cfg = write_config(tmp_path, "sim.json", {
+            "protocol": "route_bb84", "n": n, "f": {"kind": "xor", "n": n},
+            "rounds": 30, "trials": 12, "prover": {"kind": "keep_q"}})
+        out = tmp_path / "res.json"
+        assert cli.main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--config", cfg, "--seed", "3", "--format", "csv"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == (tmp_path / "res.json.csv").read_bytes()
+
+
 def test_format_flag_only_on_simulate(tmp_path, capsys):
     """Only simulate can print CSV; elsewhere --format is a usage error."""
     bounds = write_config(tmp_path, "b.json", {"kind": "counting", "n": 10, "q": 0})

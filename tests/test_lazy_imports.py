@@ -29,9 +29,28 @@ def fresh(script: str):
     return json.loads(proc.stdout)
 
 
+# what only simulate and attack-optimize read: the protocol names, the provers
+# and the strategy format
+PROTOCOL_SIDE = ("qpv.protocol.runs", "qpv.protocol.provers", "qpv.protocol.geometry",
+                 "qpv.attacks.strategy")
+
+
 def test_cli_import_loads_no_command_module():
     loaded = fresh("import json, sys, qpv.cli; print(json.dumps(sorted(sys.modules)))")
-    assert [m for m in NEVER_ON_START if m in loaded] == []
+    assert [m for m in NEVER_ON_START + PROTOCOL_SIDE if m in loaded] == []
+
+
+def test_bounds_counting_loads_no_protocol_module(tmp_path):
+    cfg = tmp_path / "b.json"
+    cfg.write_text(json.dumps({"kind": "counting", "n": 10, "q": 0}))
+    out = tmp_path / "out.json"
+    loaded = fresh(f"import json, sys, qpv.cli\n"
+                   f"assert qpv.cli.main(['bounds', '--config', {str(cfg)!r}, "
+                   f"'--out', {str(out)!r}]) == 0\n"
+                   f"print(json.dumps(sorted(sys.modules)))")
+    assert out.is_file()
+    assert "qpv.analysis.counting" in loaded
+    assert [m for m in PROTOCOL_SIDE if m in loaded] == []
 
 
 def test_simulate_loads_no_search_check_or_bound_module(tmp_path):

@@ -140,6 +140,12 @@ PINNED_SIMULATE = {
         {"protocol": "route_bb84", "n": 2, "f": {"kind": "ip", "n": 2},
          "rounds": 1000, "trials": 2, "prover": {"kind": "keep_q"}},
         "d92a756085ed2966f96e589be670a7eece7e8a409c7039a12466f8c06a6a50bd"),
+    # 16 inputs a side: the CSV's per-cell path; recorded before the CSV was
+    # rendered from byte templates
+    "keepq_route_bb84_n4": (
+        {"protocol": "route_bb84", "n": 4, "f": {"kind": "ip", "n": 4},
+         "rounds": 120, "trials": 12, "prover": {"kind": "keep_q"}},
+        "f68895cf2ec4b4f8f8dbbc703f8b0324048874b8413ed23fb4498fb36921c72b"),
 }
 
 

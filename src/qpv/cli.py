@@ -62,13 +62,20 @@ INT, NUMBER, FRACTION = (_number(int, "an integer"), _number(float, "a number"),
 
 
 def _one_of(choices, message: str):
-    """A cast admitting only ``choices`` (or, when it is callable, what it
-    returns when a value is read); ``message`` formats a refused value."""
+    """A cast admitting only ``choices``; ``message`` formats a refused value."""
     def read(value, where):
-        if value not in (choices() if callable(choices) else choices):
+        if value not in choices:
             raise ConfigError(message.format(value))
         return value
     return read
+
+
+def _protocol(value, where):
+    # the names are read here, not at import, so importing this module loads
+    # no protocol module
+    if value not in protocol.PROTOCOLS:
+        raise ConfigError(f"unknown protocol {value!r}")
+    return value
 
 
 def _boolean(value, where):
@@ -141,9 +148,7 @@ def _fields(obj, where: str, schema: dict):
 
 RAW = (None, None)  # a row passed through as given, None when missing
 SIMULATE = _schema({
-    # the protocol names are read when the key is, so an import of this module
-    # loads no protocol module
-    "protocol": (_one_of(lambda: protocol.PROTOCOLS, "unknown protocol {!r}"), None), "n": RAW,
+    "protocol": (_protocol, None), "n": RAW,
     "f": RAW, "rounds": (INT, None), "trials": (INT, 1), "eta": (NUMBER, 0.0),
     "prover": (None, {"kind": "honest"}), "noise_mode": (None, "bernoulli"),
 }, "protocol", "n", "f", "rounds")
@@ -425,13 +430,7 @@ def _write(*outputs):
     removed, so a failed run leaves the first target as it was, and the
     error names the target, not the temporary."""
     if outputs[0][0] is None:
-        sys.stdout.flush()
-        binary = getattr(sys.stdout, "buffer", None)
-        if binary is None:  # a text-only stream, such as io.StringIO
-            sys.stdout.writelines(bytes(block).decode("ascii") for block in outputs[0][1])
-        else:
-            binary.writelines(outputs[0][1])
-            binary.flush()
+        sys.stdout.writelines(bytes(block).decode("ascii") for block in outputs[0][1])
         return
     mask = os.umask(0)
     os.umask(mask)

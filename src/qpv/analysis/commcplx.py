@@ -6,13 +6,16 @@ enumerated: its optimal choice is the per-cell majority vote, computed in
 closed form.  All errors are exact rationals scaled by 4^n.
 
 The enumeration meets in the middle.  An Alice map is a map on the low half
-of her inputs next to one on the high half, so each message cell's counts of
-f = 1 and f = 0 are a low-table entry plus a high-table entry.  Both tables
-are built once, in int16; a block of maps is then one broadcast add, a
-minimum and a sum.  Relabelling messages permutes the cells and keeps each
-cell's majority error, so only maps with a(0) = 0 (for SMP also b(0) = 0)
-are enumerated.  With k >= n Alice can send x (for SMP both parties their
-inputs), so the error is 0 without enumerating.
+of her inputs next to one on the high half, so each message cell's signed
+count d = c1 - c0 (its pairs with f = 1 less those with f = 0) is a
+low-table entry plus a high-table entry.  Both tables are built once, in
+int16, from the signed matrix 2f - 1; a block of maps is then one broadcast
+add, an absolute value and a sum.  A cell's majority error is
+(c0 + c1 - |d|) / 2, so the least error is (4^n - max sum |d|) / (2 * 4^n).
+Relabelling messages permutes the cells and keeps each cell's majority
+error, so only maps with a(0) = 0 (for SMP also b(0) = 0) are enumerated.
+With k >= n Alice can send x (for SMP both parties their inputs), so the
+error is 0 without enumerating.
 """
 
 from __future__ import annotations
@@ -60,29 +63,30 @@ def _least_error(f: BooleanFunction, k: int, hot_b: np.ndarray) -> Fraction:
     a(0) = 0 and Bob's maps, one-hot (B, cells, 2^n) ``hot_b``."""
     side = 1 << f.n
     half = side // 2
-    # a count is at most side^2, which int16 holds at every size in budget
+    # |d| and a map pair's sum of |d| are at most side^2, which int16 holds
     assert side * side <= np.iinfo(np.int16).max
-    m = f.communication_matrix().astype(np.int64)
+    signed = 2 * f.communication_matrix().astype(np.int64) - 1
     bob = hot_b.reshape(-1, side).T
-    counts = np.stack([m @ bob, (1 - m) @ bob]).reshape(2, side, *hot_b.shape[:2])
-    # axes: f value v, Alice's map a and message s, Bob's map b and cell t;
-    # Alice's low-half maps go innermost, so a block's sum over cells adds rows
-    lo = np.einsum("asx,vxbt->vstba", _one_hot(half, k, True), counts[:, :half])
-    hi = np.einsum("asx,vxbt->avstb", _one_hot(half, k, False), counts[:, half:])
-    lo = lo.reshape(2, -1, *lo.shape[3:]).astype(np.int16, order="C")  # (v, st, b, a)
-    hi = hi.reshape(*hi.shape[:2], -1, hi.shape[-1], 1).astype(np.int16, order="C")
-    # within PAIR_BUDGET one high-half map's block, lo[0].size, is <= 2^18 cells
-    rows = max(1, _BLOCK // lo[0].size)
+    d = (signed @ bob).reshape(side, *hot_b.shape[:2])
+    # axes: Alice's map a and message s, Bob's map b and cell t; Alice's
+    # low-half maps go innermost, so a block's sum over cells adds rows
+    lo = np.einsum("asx,xbt->stba", _one_hot(half, k, True), d[:half])
+    hi = np.einsum("asx,xbt->astb", _one_hot(half, k, False), d[half:])
+    lo = lo.reshape(-1, *lo.shape[2:]).astype(np.int16, order="C")  # (st, b, a)
+    hi = hi.reshape(len(hi), -1, hi.shape[-1], 1).astype(np.int16, order="C")
+    # within PAIR_BUDGET one high-half map's block, lo.size, is <= 2^18 cells
+    rows = max(1, _BLOCK // lo.size)
     buf = np.empty((min(rows, len(hi)),) + lo.shape, np.int16)
-    best = side * side
+    # c0 + c1 sums to side^2 over the cells: the least error maximises sum |d|
+    most = 0
     for start in range(0, len(hi), rows):
         part = hi[start:start + rows]
         block = np.add(lo, part, out=buf[:len(part)])
-        err = np.minimum(block[:, 0], block[:, 1], out=block[:, 0]).sum(axis=1, dtype=np.int32)
-        best = min(best, int(err.min()))
-        if best == 0:
+        np.abs(block, out=block)
+        most = max(most, int(block.sum(axis=1, dtype=np.int16).max()))
+        if most == side * side:
             return Fraction(0)
-    return Fraction(best, side * side)
+    return Fraction(side * side - most, 2 * side * side)
 
 
 def smp_cc_bruteforce(f: BooleanFunction, k: int) -> Fraction:

@@ -338,8 +338,16 @@ def cmd_attack_optimize(config: dict, seed: int):
         raise ConfigError(f"config.epsilon: expected a number in [0, 1], got {config['epsilon']!r}")
     if "gardenhose" in config:
         gh_read = _fields(config["gardenhose"], "gardenhose", GARDENHOSE)
-        gh = attacks.GardenHoseProtocol(pipes=gh_read("pipes"), alice=gh_read("alice"),
-                                        bob=gh_read("bob"))
+        pipes = gh_read("pipes")
+        if pipes < 0:
+            raise ConfigError(f"gardenhose.pipes: expected a non-negative integer, got {pipes}")
+        tables = {name: gh_read(name) for name in ("alice", "bob")}
+        for name, table in tables.items():
+            for key in table:
+                if not 0 <= key < 1 << f.n:
+                    raise ConfigError(f"gardenhose.{name}: key {key} is not an input of f "
+                                      f"(0 to {(1 << f.n) - 1})")
+        gh = attacks.GardenHoseProtocol(pipes=pipes, **tables)
         strategy = attacks.compile_gardenhose(gh)
         report = attacks.epsilon_l_report(strategy, f)
         extra = {"gardenhose_computes_f": attacks.computes(gh, f)}

@@ -309,6 +309,24 @@ def test_cc_matches_dense_reference(model, n, k, data):
     assert CC_BRUTEFORCE[model](f, k) == reference(f, k)
 
 
+# each has error 0 (a one-bit message tells whether x is the last input), so
+# the enumeration stops at the largest sum, sum |d| = 4^n: at once for the
+# constant tables, at the first high-half map that isolates x = 2^n - 1 for
+# the flipped last cell
+CC_EXTREMES = {"zeros": (0, 0), "ones": (1, 1), "single-one": (0, 1), "single-zero": (1, 0)}
+
+
+@pytest.mark.parametrize("model,n,k", CC_CASES)
+@pytest.mark.parametrize("table", CC_EXTREMES)
+def test_cc_extremes_match_dense_reference(model, n, k, table):
+    fill, last = CC_EXTREMES[table]
+    bits = np.full(4 ** n, fill, dtype=np.uint8)
+    bits[-1] = last
+    f = an.BooleanFunction(n, bits)
+    reference = smp_cc_reference if model == "smp" else oneway_cc_reference
+    assert CC_BRUTEFORCE[model](f, k) == reference(f, k)
+
+
 @pytest.mark.parametrize("model,n,k", CC_CASES)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)

@@ -839,6 +839,13 @@ PINNED_ERRORS = {
                  "gardenhose.alice: expected an integer, got 'a'"),
     "gh-node": ("attack-optimize", _gh(bob={"0": [[1, "T"]]}),
                 "gardenhose.bob.0: expected an integer, got 'T'"),
+    # pipe counts and matching keys are refused where the config gives them
+    "gh-pipes-negative": ("attack-optimize", _gh(pipes=-1),
+                          "gardenhose.pipes: expected a non-negative integer, got -1"),
+    "gh-alice-key-outside": ("attack-optimize", _gh(alice={"7": [["S", 1]], "1": [["S", 1]]}),
+                             "gardenhose.alice: key 7 is not an input of f (0 to 1)"),
+    "gh-bob-key-negative": ("attack-optimize", _gh(bob={"-1": [[1, 2]], "1": []}),
+                            "gardenhose.bob: key -1 is not an input of f (0 to 1)"),
     "gh-seesaw-keys": ("attack-optimize", _with(ATT, gardenhose=GH, restarts=5, kind="meas", q=7),
                        "config: unknown keys ['kind', 'q', 'restarts']"),
     "gh-seesaw-search": ("attack-optimize", _with(ATT, gardenhose=GH, split=[1, 0, 1], iters=3,

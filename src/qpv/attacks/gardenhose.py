@@ -48,11 +48,6 @@ class GardenHoseProtocol:
                 if len(used) != len(set(used)):
                     raise ValueError(f"{name}[{key}]: node used more than once")
 
-    def n_bits(self) -> int:
-        keys = set(self.alice) | set(self.bob)
-        side = max(keys) + 1 if keys else 1
-        return max(1, (side - 1).bit_length())
-
 
 def trace_water(gh: GardenHoseProtocol, x: int, y: int):
     """Follow the water; returns (exit_side, hops, exit_node).
@@ -161,11 +156,11 @@ def _recovery_unitary(layout, peer_matching, hops, exit_side, exit_node):
     return qc.compose_on_qubits(width, gates)
 
 
-def compile_gardenhose(gh: GardenHoseProtocol) -> AttackStrategy:
+def compile_gardenhose(gh: GardenHoseProtocol, n: int) -> AttackStrategy:
     """Compile pipe matchings into a routing strategy with pre-shared EPR
-    pairs; per input pair the strategy recovers the qubit exactly on the
-    water's exit side."""
-    n = gh.n_bits()
+    pairs for n-bit inputs; per input pair the strategy recovers the qubit
+    exactly on the water's exit side.  An input with no key has the empty
+    matching."""
     layout = _layout_for(gh)
     psi = _initial_vector(layout, gh.pipes)
     alice = {x: _pre_exchange_unitary(layout, ALICE_LOCAL, pairs)
@@ -221,8 +216,7 @@ def sampled_route_success(gh: GardenHoseProtocol, f, x: int, y: int) -> float:
     exit_q = global_node(exit_side, exit_node)
     r_q = layout.positions("R")[0]
 
-    proj = {0: np.array([[1, 0], [0, 0]], dtype=complex),
-            1: np.array([[0, 0], [0, 1]], dtype=complex)}
+    proj = qc.basis_projectors(0)
     hop_qubits = [(global_node(s, p[0]), global_node(s, p[1])) for s, p in hops]
 
     total = 0.0

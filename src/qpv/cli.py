@@ -282,41 +282,30 @@ def _csv_blocks(draws):
     """The CSV, one ``trial,round,x,y,accepted`` line per round, trial-major,
     as a sequence of blocks of whole lines: bytes, or ``uint8`` arrays.
 
-    When every ``x,y,accepted`` tail has one width (side = 2^n <= 10), the
-    trials whose indices have the same number of digits share one text but
-    for fixed columns: the trial's digits on each line, and each round's x, y
-    and verdict.  A block of such trials is that template broadcast over the
-    block, with those columns written in.  Wider inputs (n >= 4) take the
-    per-cell path, which joins one string per round."""
+    The trials whose indices have the same number of digits share one text
+    but for fixed columns: the trial's digits on each line, and each round's
+    x, y and verdict.  A block of such trials is that template broadcast over
+    the block, with those columns written in.  x and y get w columns each, as
+    many as the widest input 2^n - 1 has digits; a shorter value writes NUL
+    bytes in its leading columns, which the CSV (ASCII) never holds, and when
+    w > 1 a block drops them before it is yielded."""
     trials, rounds = draws.accepted.shape
     side = len(draws.table)
+    width = len(str(side - 1))
+    # each input's w columns: its digits, right-aligned after NUL bytes
+    glyphs = np.frombuffer("".join(str(v).rjust(width, "\0") for v in range(side)).encode(),
+                           np.uint8).reshape(side, width)
     step = max(1, CSV_BLOCK_CELLS // rounds)
     yield b"trial,round,x,y,accepted\n"
-    if side > 10:
-        # a line is "<trial>," then a cell "<round>,<x>,<y>,<accepted>\n"; a
-        # cell's tail is one of 2*side^2, picked by (x, y, accepted)
-        tails = np.array([f"{x},{y},{a}\n" for x in range(side) for y in range(side)
-                          for a in (0, 1)], dtype=object)
-        heads = np.array([f"{i}," for i in range(rounds)], dtype=object)
-        # with enough trials, format every (round, tail) cell once and pick
-        # from the table; a table string (~60 B) outweighs an output line
-        # (~15 B) about 4 to 1, so from 5 trials per tail the table holds
-        # fewer bytes than the text it renders
-        table = heads[:, None] + tails if trials >= 5 * len(tails) else None
-        for start in range(0, trials, step):
-            block = slice(start, start + step)
-            codes = (draws.xs[block] * side + draws.ys[block]) * 2 + draws.accepted[block]
-            cells = heads + tails[codes] if table is None else table[np.arange(rounds), codes]
-            yield "".join([f"{t}," + f"{t},".join(row)
-                           for t, row in enumerate(cells.tolist(), start)]).encode()
-        return
     zero = ord("0")
     for digits in range(1, len(str(trials - 1)) + 1):
-        lines = [f"{'0' * digits},{r},0,0,0\n" for r in range(rounds)]
+        lines = [f"{'0' * digits},{r},{'0' * width},{'0' * width},0\n" for r in range(rounds)]
         template = np.frombuffer("".join(lines).encode(), np.uint8)
         ends = np.cumsum([len(line) for line in lines])
-        # (round, i) -> the column of the trial's i-th digit on that round's line
+        # (round, i) -> the column of the i-th digit of the trial, of x and of y
         trial_cols = np.append(0, ends[:-1])[:, None] + np.arange(digits)
+        y_cols = ends[:, None] - 3 - width + np.arange(width)
+        x_cols = y_cols - 1 - width
         powers = 10 ** np.arange(digits - 1, -1, -1)
         group = range(0 if digits == 1 else 10 ** (digits - 1), min(trials, 10 ** digits))
         for start in group[::step]:
@@ -324,10 +313,12 @@ def _csv_blocks(draws):
             index = np.arange(block.start, block.stop)
             out = np.broadcast_to(template, (len(index), len(template))).copy()
             out[:, trial_cols] = (index[:, None] // powers % 10 + zero).astype(np.uint8)[:, None]
-            out[:, ends - 6] = draws.xs[block] + zero
-            out[:, ends - 4] = draws.ys[block] + zero
+            for cols, values in ((x_cols, draws.xs[block]), (y_cols, draws.ys[block])):
+                # one digit is a plain add; the gather made an n = 1 render ~7 % slower
+                out[:, cols] = ((values + zero)[..., None] if width == 1
+                                else np.take(glyphs, values, axis=0))
             out[:, ends - 2] = draws.accepted[block] + zero
-            yield out
+            yield out if width == 1 else out[out != 0]
 
 
 def cmd_attack_optimize(config: dict, seed: int):
@@ -348,7 +339,7 @@ def cmd_attack_optimize(config: dict, seed: int):
                     raise ConfigError(f"gardenhose.{name}: key {key} is not an input of f "
                                       f"(0 to {(1 << f.n) - 1})")
         gh = attacks.GardenHoseProtocol(pipes=pipes, **tables)
-        strategy = attacks.compile_gardenhose(gh)
+        strategy = attacks.compile_gardenhose(gh, f.n)
         report = attacks.epsilon_l_report(strategy, f)
         extra = {"gardenhose_computes_f": attacks.computes(gh, f)}
     else:

@@ -2,7 +2,6 @@
 
 from .layout import MAX_QUBITS, RegisterLayout
 from .ops import (
-    BASIS_VECTORS,
     CNOT,
     H,
     SWAP2,

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .layout import RegisterLayout, row_gather, rows_first, step_gather
+from .state import BB84_VECTORS
 
 UNITARY_TOL = 1e-10
 EFFECT_TOL = 1e-10
@@ -277,7 +278,7 @@ def branch_matrices(vecs: np.ndarray, layout: RegisterLayout, register: str,
     # the register on the lowest row bit, then projected out
     m = rows_first(np.asarray(vecs, dtype=complex), layout.total_qubits, rows)
     m = m.reshape(len(m), -1, 2, m.shape[-1])
-    bra = np.array(BASIS_VECTORS[basis]).conj()
+    bra = np.array(BB84_VECTORS[2 * basis:2 * basis + 2]).conj()
     return np.einsum("zr,bkrt->bzkt", bra, m)
 
 
@@ -346,16 +347,9 @@ def binary_entropy(p: float) -> float:
 # measurement
 # ---------------------------------------------------------------------------
 
-BASIS_VECTORS = {
-    0: (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)),
-    1: (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
-        np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)),
-}
-
-
 def basis_projectors(basis: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 projectors of the computational (0) or Hadamard (1) basis."""
-    v0, v1 = BASIS_VECTORS[basis]
+    v0, v1 = BB84_VECTORS[2 * basis:2 * basis + 2]
     return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 

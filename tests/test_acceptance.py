@@ -133,12 +133,12 @@ def test_criterion_08_attack_baselines():
     f_y = an.BooleanFunction(1, [0, 1, 0, 1])
     gh_y = at.GardenHoseProtocol(pipes=2, alice={0: (("S", 1),), 1: (("S", 1),)},
                                  bob={0: ((1, 2),), 1: ()})
-    rep_y = at.epsilon_l_report(at.compile_gardenhose(gh_y), f_y)
+    rep_y = at.epsilon_l_report(at.compile_gardenhose(gh_y, 1), f_y)
     ok &= at.computes(gh_y, f_y) and abs(rep_y.average - 1.0) <= 1e-9
 
     gh_xor = at.GardenHoseProtocol(pipes=3, alice={0: (("S", 1),), 1: (("S", 2),)},
                                    bob={0: ((1, 3),), 1: ((2, 3),)})
-    rep_x = at.epsilon_l_report(at.compile_gardenhose(gh_xor), xor)
+    rep_x = at.epsilon_l_report(at.compile_gardenhose(gh_xor, 1), xor)
     ok &= at.computes(gh_xor, xor) and abs(rep_x.average - 1.0) <= 1e-9
     report(8, "attack baselines", ok,
            f"keep-Q on XOR avg {keep.average:.12f} = 1/2; garden-hose f=y avg "

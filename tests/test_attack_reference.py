@@ -124,7 +124,7 @@ def test_executor_matches_dense_reference(case):
 def test_compiled_gardenhose_matches_dense_reference():
     # one pipe, Alice's x = 0 sends the water over: Ac has 2 qubits, Bc none
     gh = at.GardenHoseProtocol(pipes=1, alice={0: (("S", 1),)}, bob={})
-    strategy = at.compile_gardenhose(gh)
+    strategy = at.compile_gardenhose(gh, 1)
     assert strategy.layout.width("Ac") != strategy.layout.width("Bc")
     exits = an.BooleanFunction(1, [at.gardenhose_exit(gh, x, y)
                                    for x in (0, 1) for y in (0, 1)])

@@ -186,7 +186,7 @@ GH_Y = at.GardenHoseProtocol(pipes=2, alice={0: (("S", 1),), 1: (("S", 1),)},
 
 
 def test_gardenhose_strategy_json_round_trips():
-    strat = at.compile_gardenhose(GH_Y)
+    strat = at.compile_gardenhose(GH_Y, 1)
     text = at.strategy_to_json(strat)
     back = at.strategy_from_json(text)
     assert at.strategy_to_json(back) == text
@@ -197,7 +197,7 @@ def test_gardenhose_strategy_json_round_trips():
 
 @pytest.mark.parametrize("family", ["l_final", "qubit_site"])
 def test_strategy_json_pair_keys_have_two_parts(family):
-    doc = json.loads(at.strategy_to_json(at.compile_gardenhose(GH_Y)))
+    doc = json.loads(at.strategy_to_json(at.compile_gardenhose(GH_Y, 1)))
     doc[family]["0,1,1"] = doc[family]["0,1"]
     with pytest.raises(ValueError):
         at.strategy_from_json(json.dumps(doc))
@@ -213,7 +213,7 @@ def test_strategy_json_keys_are_inputs_of_n(family, key, shown):
     if family in ("pi_effect", "sigma_effect"):
         strat, source = readable_bit_strategy(XOR), family
     else:
-        strat, source = at.compile_gardenhose(GH_Y), "alice"
+        strat, source = at.compile_gardenhose(GH_Y, 1), "alice"
     doc = json.loads(at.strategy_to_json(strat))
     doc[family][key] = next(iter(doc[source].values()))
     with pytest.raises(ValueError, match=rf"^{family}\[{re.escape(shown)}\]: not keyed by inputs"):
@@ -245,7 +245,7 @@ def _built_documents():
              at.seesaw_optimize(ip2, (1, 0, 0), kind="meas", restarts=1, iters=1, seed=0)]
     built = [outcome.strategy for outcome in built] + [at.keep_q_attack(XOR),
                                                        at.keep_q_attack(ip2)]
-    built += [at.compile_gardenhose(GH_Y), at.compile_gardenhose(GH_Y2)]
+    built += [at.compile_gardenhose(GH_Y, 1), at.compile_gardenhose(GH_Y2, 2)]
     return tuple(at.strategy_to_json(s) for s in built)
 
 

@@ -261,6 +261,20 @@ def test_attack_optimize_gardenhose(tmp_path, capsys):
     assert strat.kind == "route"
 
 
+def test_gardenhose_inputs_without_a_key_have_the_empty_matching(tmp_path, capsys):
+    """n comes from f, not from the largest key: inputs 1 to 3 have no key."""
+    cfg = write_config(tmp_path, "a.json", {
+        "f": {"kind": "xor", "n": 2},
+        "gardenhose": {"pipes": 1, "alice": {"0": [["S", 1]]}, "bob": {"0": []}},
+    })
+    out_path = tmp_path / "res.json"
+    code, _, err = run_cli(capsys, "attack-optimize", "--config", cfg, "--out", str(out_path))
+    assert (code, err) == (cli.EXIT_OK, "")
+    doc = json.loads(out_path.read_text())
+    assert len(doc["report"]["per_pair"]) == 16
+    assert doc["gardenhose_computes_f"] is False
+
+
 def test_strategy_prover_with_unnormalized_psi_is_a_config_error(tmp_path, capsys):
     doc = json.loads(at.strategy_to_json(at.keep_q_attack(an.xor_function(1))))
     doc["psi"]["data"][0][0] = f"{(2.0).hex()},{(0.0).hex()}"
@@ -550,10 +564,11 @@ def test_format_csv_to_stdout(tmp_path, capsys):
     assert len(lines) == 5
 
 
-# (n, trials, rounds): n = 1 and 3 take the template path, n = 4 the per-cell
-# one (from 2560 trials with its cell table); the trials cross 9 -> 10 and
+# (n, trials, rounds): at n = 1 and 3, x and y have one digit; from n = 4 they
+# mix 1 and 2 digits, and at n = 7 also 3, so the blocks drop their NUL pads
+# (at n = 4 with 2600 trials, over many blocks); the trials cross 9 -> 10 and
 # 999 -> 1000, the rounds 9 -> 10 and 99 -> 100
-CSV_CASES = [(n, trials, rounds) for n in (1, 3, 4)
+CSV_CASES = [(n, trials, rounds) for n in (1, 3, 4, 5, 7)
              for trials, rounds in ((1, 1), (12, 101), (1001, 11), (10, 9))] + [(4, 2600, 2)]
 
 

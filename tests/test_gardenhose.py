@@ -36,27 +36,27 @@ def test_matching_validation():
 
 
 def test_compiled_keep_water():
-    strat = at.compile_gardenhose(GH_KEEP)
+    strat = at.compile_gardenhose(GH_KEEP, 1)
     rep = at.epsilon_l_report(strat, an.constant_function(1, 0))
     assert all(v == pytest.approx(1.0, abs=1e-9) for v in rep.per_pair.values())
 
 
 def test_compiled_f_y_perfect():
-    strat = at.compile_gardenhose(GH_Y)
+    strat = at.compile_gardenhose(GH_Y, 1)
     rep = at.epsilon_l_report(strat, F_Y)
     assert all(v == pytest.approx(1.0, abs=1e-9) for v in rep.per_pair.values())
     assert strat.layout.total_qubits == 11
 
 
 def test_compiled_xor_perfect():
-    strat = at.compile_gardenhose(GH_XOR)
+    strat = at.compile_gardenhose(GH_XOR, 1)
     rep = at.epsilon_l_report(strat, F_XOR)
     assert all(v == pytest.approx(1.0, abs=1e-9) for v in rep.per_pair.values())
 
 
 def test_wrong_exit_side_scores_zero():
     # the f=y protocol run against XOR misroutes half the pairs
-    strat = at.compile_gardenhose(GH_Y)
+    strat = at.compile_gardenhose(GH_Y, 1)
     rep = at.epsilon_l_report(strat, F_XOR)
     expected = {(x, y): (1.0 if F_Y.value(x, y) == F_XOR.value(x, y) else 0.0)
                 for x, y in F_XOR.pairs()}
@@ -66,7 +66,7 @@ def test_wrong_exit_side_scores_zero():
 
 @pytest.mark.parametrize("gh,f", [(GH_Y, F_Y), (GH_XOR, F_XOR)])
 def test_sampled_equals_deferred(gh, f):
-    strat = at.compile_gardenhose(gh)
+    strat = at.compile_gardenhose(gh, f.n)
     for x, y in f.pairs():
         sampled = at.sampled_route_success(gh, f, x, y)
         deferred = at.execute_route(strat, f, x, y)
@@ -79,6 +79,6 @@ def test_teleportation_primitive_via_one_pipe():
                                bob={0: (), 1: ()})
     f1 = an.constant_function(1, 1)
     assert at.computes(gh, f1)
-    strat = at.compile_gardenhose(gh)
+    strat = at.compile_gardenhose(gh, f1.n)
     rep = at.epsilon_l_report(strat, f1)
     assert all(v == pytest.approx(1.0, abs=1e-9) for v in rep.per_pair.values())
